@@ -4,7 +4,7 @@ package sim
 // atomic cell in a host-side word table — the simulated address space
 // stores no payload bytes anywhere in this repository — keyed by byte
 // address. Cells spring into existence holding zero, like fresh memory
-// from sbrk. The baton protocol (exactly one simulated thread runs at
+// from sbrk. The scheduler (exactly one simulated thread runs at
 // a time) makes the table's host-side accesses deterministic without
 // any host locking: operations interleave in virtual-time order, which
 // is the simulation's linearization order.

@@ -21,11 +21,12 @@
 //     lock operations.
 //
 // Threads are ordinary Go functions that receive a *Ctx and call
-// Ctx.Advance, Ctx.Read/Write, Ctx.Lock/Unlock and so on. The engine
-// executes exactly one thread at a time (a baton protocol over channels)
-// and always steps the runnable thread with the smallest virtual clock,
-// which makes every simulation fully deterministic and independent of the
-// host machine.
+// Ctx.Advance, Ctx.Read/Write, Ctx.Lock/Unlock and so on. Each runs on
+// a pooled coroutine (iter.Pull) that Engine.Run resumes and that
+// switches back whenever its thread yields, blocks or finishes, so the
+// engine executes exactly one thread at a time and always steps the
+// runnable thread with the smallest virtual clock. That makes every
+// simulation fully deterministic and independent of the host machine.
 //
 // As an optimization the engine grants the running thread a lease: the
 // thread may execute engine calls without yielding while its clock stays

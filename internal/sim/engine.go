@@ -74,18 +74,15 @@ type Engine struct {
 	// increment equals the scan's answer at all times.
 	maxClock int64
 
-	// idleWorkers is the free list of pooled goroutines (heap scheduler
-	// only). Exactly one goroutine holds the baton at any moment and
-	// only the baton holder touches engine state, so no lock is needed.
+	// workers holds every worker coroutine ever started and idleWorkers
+	// the free list among them. Run and the workers never execute at the
+	// same time (see worker), so no lock is needed.
+	workers        []*worker
 	idleWorkers    []*worker
 	workersSpawned int64
 	workersReused  int64
 
-	yieldCh  chan struct{}
-	engineCh chan struct{} // wakes Run: completion, deadlock, or panic
-
 	started          bool
-	deadlocked       bool
 	threadPanic      any
 	threadPanicStack []byte
 	tracer           Tracer
@@ -100,8 +97,8 @@ type Engine struct {
 	waitgroups []*WaitGroup
 
 	// atomics holds the value of every simulated atomic cell, keyed by
-	// byte address (see atomic.go). Lazily allocated; only the baton
-	// holder touches it, so no host locking is needed.
+	// byte address (see atomic.go). Lazily allocated; only the running
+	// thread touches it, so no host locking is needed.
 	atomics map[uint64]int64
 }
 
@@ -115,8 +112,6 @@ func New(cfg Config) *Engine {
 	e := &Engine{
 		cfg:       cfg,
 		cost:      cfg.Cost,
-		yieldCh:   make(chan struct{}),
-		engineCh:  make(chan struct{}, 1),
 		tracer:    cfg.Tracer,
 		traceMask: mask,
 	}
@@ -168,70 +163,65 @@ func (e *Engine) Go(name string, fn func(*Ctx)) *Thread {
 
 // Run executes the simulation until every thread completes and returns
 // the makespan (the largest completion time). It panics on deadlock,
-// printing the lock graph.
+// printing the lock graph, and re-raises a thread's panic.
 //
-// With the heap scheduler the engine goroutine only bootstraps the
-// first dispatch and then parks: every subsequent scheduling event is a
-// direct peer-to-peer baton handoff — the thread that yields, blocks or
-// completes pops the next thread from the ready heap and resumes it
-// itself, one buffered channel send instead of the old
-// thread→engine→thread round-trip (two hops plus an extra goroutine
-// context switch). Run wakes again only for completion, deadlock, or a
-// thread panic.
+// Run is a central scheduling loop: it picks the next thread, grants
+// its lease and resumes the thread's worker coroutine, which runs until
+// the thread yields, blocks or finishes and then switches straight back
+// here. Each switch is a direct coroutine transfer, not a channel
+// operation, so the Go scheduler never runs between two simulated
+// events. On every exit, normal or not, the workers are stopped.
 func (e *Engine) Run() int64 {
 	if e.started {
 		panic("sim: Run called twice")
 	}
 	e.started = true
-	if e.cfg.linearScan {
-		return e.runCentral()
-	}
 	for _, t := range e.threads {
 		if t.state == stateReady {
 			e.live++
 			e.running++
-			e.ready.push(t)
+			e.enqueue(t)
 			e.trace(t, EvThreadStart, t.name)
 		}
 	}
-	if e.live == 0 {
-		return e.Makespan()
+	defer e.stopWorkers()
+	for e.live > 0 {
+		t := e.dispatch()
+		if t == nil {
+			panic(e.deadlockReport())
+		}
+		t.w.next()
+		e.rethrowThreadPanic()
 	}
-	e.dispatchNext()
-	<-e.engineCh
-	e.rethrowThreadPanic()
-	if e.deadlocked {
-		panic(e.deadlockReport())
-	}
-	e.shutdownWorkers()
 	return e.Makespan()
 }
 
-// dispatchNext hands the baton to the next runnable thread. It is
-// called by whichever goroutine currently holds the baton (a thread
-// that is parking, a worker retiring a finished thread, or Run at
-// bootstrap), so it has exclusive access to engine state. An empty
-// ready queue here means no thread can make progress: Run is woken to
-// report the deadlock.
-func (e *Engine) dispatchNext() {
-	n := e.ready.pop()
-	if n == nil {
-		e.deadlocked = true
-		e.engineCh <- struct{}{}
-		return
+// dispatch picks the next thread to run, marks it running and grants
+// its lease: up to the runner-up's clock, unless Exact forces a yield
+// on every event. It binds the thread to a worker at its first
+// dispatch, and returns nil when no thread is runnable.
+func (e *Engine) dispatch() *Thread {
+	var t *Thread
+	lease := int64(math.MaxInt64)
+	if e.cfg.linearScan {
+		t, lease = e.pickMin()
+	} else if t = e.ready.pop(); t != nil {
+		if p := e.ready.peek(); p != nil {
+			lease = p.clock
+		}
 	}
-	n.state = stateRunning
+	if t == nil {
+		return nil
+	}
+	t.state = stateRunning
 	if e.cfg.Exact {
-		n.lease = math.MinInt64 // always yield
-	} else if p := e.ready.peek(); p != nil {
-		n.lease = p.clock
-	} else {
-		n.lease = math.MaxInt64
+		lease = math.MinInt64 // always yield
 	}
-	if n.w == nil {
-		e.bindWorker(n)
+	t.lease = lease
+	if t.w == nil {
+		e.bindWorker(t)
 	}
-	n.resume <- struct{}{}
+	return t
 }
 
 // rethrowThreadPanic re-raises a captured thread panic on the caller's
@@ -249,42 +239,12 @@ func (e *Engine) rethrowThreadPanic() {
 	panic(e.threadPanic)
 }
 
-// runCentral is the pre-handoff reference scheduler used only with
-// linearScan: a central loop that picks the minimum-clock thread by
-// scanning and round-trips through the engine goroutine on every
-// event. The equivalence tests pin the direct-handoff scheduler to it.
-func (e *Engine) runCentral() int64 {
-	for _, t := range e.threads {
-		if t.state == stateReady {
-			e.live++
-			e.running++
-			e.trace(t, EvThreadStart, t.name)
-			t.resume = make(chan struct{})
-			go t.runLoop()
-		}
-	}
-	for e.live > 0 {
-		t, lease := e.pickMin()
-		if t == nil {
-			panic(e.deadlockReport())
-		}
-		t.state = stateRunning
-		if e.cfg.Exact {
-			t.lease = math.MinInt64 // always yield
-		} else {
-			t.lease = lease
-		}
-		t.resume <- struct{}{}
-		<-e.yieldCh
-		e.rethrowThreadPanic()
-	}
-	return e.Makespan()
-}
-
 // pickMin selects the ready thread with the smallest clock (ties broken
 // by slot) and the clock of the runner-up, which bounds the winner's
 // lease. It is the linear-scan reference scheduler, kept only for the
-// equivalence tests that pin the heap scheduler to it.
+// equivalence tests that pin the heap scheduler to it; it differs from
+// the heap only in how the next thread is picked and in having no lease
+// self-renewal (see yieldCheck).
 func (e *Engine) pickMin() (*Thread, int64) {
 	var best *Thread
 	second := int64(math.MaxInt64)

@@ -2,6 +2,8 @@ package sim
 
 import (
 	"fmt"
+	"runtime"
+	"strings"
 	"testing"
 )
 
@@ -188,6 +190,63 @@ func TestWorkerPoolRecycles(t *testing.T) {
 	}
 	if e.workersReused < churn/2 {
 		t.Errorf("only %d of %d threads reused a pooled worker", e.workersReused, churn)
+	}
+}
+
+// runRecovered runs e and returns the value Run panicked with, or nil.
+func runRecovered(e *Engine) (r any) {
+	defer func() { r = recover() }()
+	e.Run()
+	return nil
+}
+
+// TestAbnormalExitsLeakNoGoroutines checks that a thread panic and a
+// deadlock each stop every worker coroutine: the ones suspended
+// mid-thread (preempted or blocked on a lock) as well as the idle ones.
+func TestAbnormalExitsLeakNoGoroutines(t *testing.T) {
+	before := runtime.NumGoroutine()
+	for i := 0; i < 100; i++ {
+		e := New(Config{Processors: 2})
+		m := e.NewMutex("m")
+		e.Go("holder", func(c *Ctx) {
+			m.Lock(c)
+			c.Advance(1_000_000) // preempted while holding m
+			m.Unlock(c)
+		})
+		e.Go("waiter", func(c *Ctx) { m.Lock(c) })
+		e.Go("short", func(c *Ctx) { c.Advance(10) })
+		e.Go("crash", func(c *Ctx) {
+			c.Advance(100)
+			var s []int
+			_ = s[c.ThreadID()] // a runtime.Error
+		})
+		msg, _ := runRecovered(e).(string)
+		if !strings.Contains(msg, "index out of range") || !strings.Contains(msg, "[simulated-thread stack]") {
+			t.Fatalf("run %d: re-raised panic lost its message or stack:\n%s", i, msg)
+		}
+	}
+	for i := 0; i < 100; i++ {
+		e := New(Config{Processors: 2})
+		a, b := e.NewMutex("a"), e.NewMutex("b")
+		e.Go("ab", func(c *Ctx) {
+			a.Lock(c)
+			c.Advance(50)
+			b.Lock(c)
+		})
+		e.Go("ba", func(c *Ctx) {
+			b.Lock(c)
+			c.Advance(50)
+			a.Lock(c)
+		})
+		e.Go("short", func(c *Ctx) { c.Advance(10) })
+		msg, _ := runRecovered(e).(string)
+		if !strings.HasPrefix(msg, "sim: deadlock") {
+			t.Fatalf("run %d: want a deadlock report, got %q", i, msg)
+		}
+	}
+	// Goroutines started elsewhere may exit meanwhile; none may stay.
+	if after := runtime.NumGoroutine(); after > before {
+		t.Errorf("%d goroutines before 200 aborted runs, %d after", before, after)
 	}
 }
 

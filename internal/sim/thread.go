@@ -45,15 +45,10 @@ type Thread struct {
 	// -1 while it is not queued.
 	heapIdx int
 
-	// w is the pooled worker goroutine currently executing this thread
-	// (heap scheduler only). It is bound at the thread's first dispatch
-	// and returned to the engine's free list when the thread retires.
+	// w is the pooled worker coroutine currently executing this thread.
+	// It is bound at the thread's first dispatch and returned to the
+	// engine's free list when the thread retires.
 	w *worker
-
-	// resume is where the thread parks between dispatches. With the
-	// heap scheduler it aliases w.resume; with linearScan it is a
-	// dedicated channel serviced by the central loop.
-	resume chan struct{}
 
 	// Per-thread statistics.
 	LockAcquires  int64 // total successful mutex acquisitions
@@ -121,31 +116,30 @@ func (t *Thread) cpu() int {
 	return int((int64(t.slot) + epoch) % int64(e.cfg.Processors))
 }
 
-// yield hands the baton to the next runnable thread and parks until
-// resumed. With the heap scheduler the handoff is peer-to-peer: this
-// thread (still holding the baton) picks and resumes its successor
-// directly, so a scheduling event costs one channel send instead of a
-// round-trip through the engine goroutine. With linearScan the baton
-// goes back to the central loop.
+// yield suspends the thread's worker coroutine, returning control to
+// the scheduling loop in Engine.Run, which resumes it when the scheduler
+// picks the thread again. The caller has already queued or blocked t.
+// A false result means Run is tearing the simulation down (a panic in
+// another thread, or a deadlock): the thread then unwinds with a
+// threadUnwind panic, which exec swallows.
 func (t *Thread) yield() {
-	e := t.e
-	if e.cfg.linearScan {
-		e.yieldCh <- struct{}{}
-		<-t.resume
-		return
+	if !t.w.yield(struct{}{}) {
+		panic(threadUnwind{})
 	}
-	e.dispatchNext()
-	<-t.resume
 }
+
+// threadUnwind is the sentinel panic that unwinds a suspended thread
+// whose worker is being stopped.
+type threadUnwind struct{}
 
 // maybeYield yields only when the thread's lease has expired — and even
 // then only when the scheduler would hand the processor to a different
-// thread. While a simulated thread runs, the engine goroutine is parked
-// in Run waiting on yieldCh, so the thread has exclusive access to the
-// ready heap: if it is still ahead of every queued thread it renews its
-// own lease and keeps running, saving the two host channel hops of a
-// park/repick round-trip. The decision is exactly the one Run would
-// make after the yield, so virtual-time results are unchanged.
+// thread. While a simulated thread runs, the scheduling loop in Run is
+// suspended, so the thread has exclusive access to the ready heap: if
+// it is still ahead of every queued thread it renews its own lease and
+// keeps running, saving the two coroutine switches of a park/repick
+// round-trip. The decision is exactly the one Run would make after the
+// yield, so virtual-time results are unchanged.
 func (t *Thread) maybeYield() {
 	if t.clock < t.lease {
 		return
@@ -174,15 +168,18 @@ func (t *Thread) yieldCheck() {
 	t.yield()
 }
 
-// exec runs the thread function on the current worker goroutine (heap
-// scheduler). When the function returns or panics the thread retires:
-// its worker goes back to the free list and the baton moves on — to
-// the next runnable thread, or to Engine.Run when the simulation is
-// over (last thread done, or a panic to re-raise).
+// exec runs the thread function on the current worker coroutine. When
+// the function returns or panics the thread retires and its worker goes
+// back to the free list; a panic is kept for Engine.Run to re-raise. A
+// threadUnwind is swallowed without touching engine state, so the
+// panic that ended the run stays the one Run reports.
 func (t *Thread) exec() {
 	defer func() {
 		e := t.e
 		r := recover()
+		if _, unwind := r.(threadUnwind); unwind {
+			return
+		}
 		if r != nil {
 			e.threadPanic = r
 			e.threadPanicStack = debug.Stack()
@@ -193,33 +190,6 @@ func (t *Thread) exec() {
 		e.trace(t, EvThreadDone, t.name)
 		e.idleWorkers = append(e.idleWorkers, t.w)
 		t.w = nil
-		if r != nil || e.live == 0 {
-			e.engineCh <- struct{}{}
-			return
-		}
-		e.dispatchNext()
-	}()
-	ctx := &Ctx{t: t}
-	t.fn(ctx)
-}
-
-// runLoop is the goroutine body wrapping the thread function under the
-// linearScan reference scheduler: park for the first dispatch, run,
-// and hand the baton back to the central loop on completion. Panics
-// are captured and re-raised from Engine.Run on the caller's
-// goroutine.
-func (t *Thread) runLoop() {
-	<-t.resume
-	defer func() {
-		if r := recover(); r != nil {
-			t.e.threadPanic = r
-			t.e.threadPanicStack = debug.Stack()
-		}
-		t.state = stateDone
-		t.e.live--
-		t.e.running--
-		t.e.trace(t, EvThreadDone, t.name)
-		t.e.yieldCh <- struct{}{}
 	}()
 	ctx := &Ctx{t: t}
 	t.fn(ctx)
@@ -279,10 +249,9 @@ func (c *Ctx) Sbrk() {
 }
 
 // Go spawns a new thread from inside the simulation. The child starts
-// at the parent's current time plus the spawn cost. With the heap
-// scheduler no host goroutine is created here: the child is bound to a
-// pooled worker at its first dispatch, so spawning is just a heap
-// push on the host.
+// at the parent's current time plus the spawn cost. No host goroutine
+// is created here: the child is bound to a pooled worker at its first
+// dispatch, so spawning is just a heap push on the host.
 func (c *Ctx) Go(name string, fn func(*Ctx)) *Thread {
 	t := c.t
 	t.advance(t.e.cost.Spawn)
@@ -291,10 +260,6 @@ func (c *Ctx) Go(name string, fn func(*Ctx)) *Thread {
 	t.e.wake(t, nt, 0)
 	t.e.trace(t, EvSpawn, name)
 	t.e.trace(nt, EvThreadStart, name)
-	if t.e.cfg.linearScan {
-		nt.resume = make(chan struct{})
-		go nt.runLoop()
-	}
 	t.maybeYield()
 	return nt
 }

@@ -1,27 +1,29 @@
 package sim
 
-// worker is a pooled goroutine that executes simulated threads one
-// after another. Spawning a goroutine (and growing its stack) is the
+import "iter"
+
+// worker is a pooled coroutine that executes simulated threads one
+// after another. Starting a goroutine (and growing its stack) is the
 // dominant host cost of a short-lived simulated thread, so instead of
-// `go t.run()` per thread the engine binds each thread to a worker at
+// one coroutine per thread the engine binds each thread to a worker at
 // its first dispatch and returns the worker to a free list when the
 // thread retires. A recycled worker keeps its grown stack, so spawn
 // churn (millions of short-lived threads) stops paying goroutine
 // creation and stack growth per thread.
 //
-// Synchronization: the worker's resume channel doubles as the thread's
-// resume channel while bound. Every mutation of worker state (w.t, the
-// engine free list) happens while holding the baton, and the baton
-// chain is a chain of channel operations, so all accesses are ordered
-// without a lock. The channel is buffered so a dispatcher can resume a
-// worker that has not finished parking yet.
+// Synchronization: a worker is an iter.Pull coroutine. Engine.Run
+// resumes it with next and it hands control back with yield, so exactly
+// one of them runs at any moment and every access to engine or worker
+// state is ordered by the coroutine switches, without a lock.
 type worker struct {
-	resume chan struct{}
-	t      *Thread // thread to execute next; nil tells loop to exit
+	t     *Thread // thread to execute at the next resume
+	next  func() (struct{}, bool)
+	stop  func()
+	yield func(struct{}) bool
 }
 
 // bindWorker attaches t to a pooled (or fresh) worker. Called by the
-// baton holder at t's first dispatch.
+// scheduling loop at t's first dispatch.
 func (e *Engine) bindWorker(t *Thread) {
 	var w *worker
 	if n := len(e.idleWorkers); n > 0 {
@@ -30,36 +32,38 @@ func (e *Engine) bindWorker(t *Thread) {
 		e.idleWorkers = e.idleWorkers[:n-1]
 		e.workersReused++
 	} else {
-		w = &worker{resume: make(chan struct{}, 1)}
+		w = &worker{}
+		w.next, w.stop = iter.Pull(w.run)
+		e.workers = append(e.workers, w)
 		e.workersSpawned++
-		go w.loop(e)
 	}
 	w.t = t
 	t.w = w
-	t.resume = w.resume
 }
 
-// loop waits for a thread to be bound and dispatched, executes it to
-// completion, then parks for reuse. A dispatch with no bound thread is
-// the shutdown sentinel sent by Run after the simulation completes.
-func (w *worker) loop(e *Engine) {
-	for range w.resume {
+// run is the coroutine body: execute the bound thread to completion,
+// hand control back to Run, and repeat with whichever thread is
+// bound at the next resume. A false yield means the engine is stopping
+// the worker.
+func (w *worker) run(yield func(struct{}) bool) {
+	w.yield = yield
+	for {
 		t := w.t
-		if t == nil {
-			return
-		}
 		w.t = nil
 		t.exec()
+		if !yield(struct{}{}) {
+			return
+		}
 	}
 }
 
-// shutdownWorkers retires every pooled worker. Called by Run after the
-// last thread completed; at that point every worker is on the free
-// list (all appended before the engineCh wake, so visibility is
-// ordered).
-func (e *Engine) shutdownWorkers() {
-	for _, w := range e.idleWorkers {
-		w.resume <- struct{}{}
+// stopWorkers ends every worker coroutine. After a normal run all of
+// them are idle; after a thread panic or a deadlock some are suspended
+// mid-thread and unwind (see Thread.yield), so no goroutine outlives
+// Run.
+func (e *Engine) stopWorkers() {
+	for _, w := range e.workers {
+		w.stop()
 	}
-	e.idleWorkers = nil
+	e.workers, e.idleWorkers = nil, nil
 }

@@ -1051,30 +1051,31 @@ func (m *machine) doRealloc(c *sim.Ctx, ptr value, n int64, site int32) value {
 	if n < 0 {
 		m.fail("realloc: negative size")
 	}
+	// The old buffer dies before ShadowRealloc runs: the call may free
+	// its block and then wait for the allocator, and another thread
+	// handed the same address meanwhile owns the same handle slot. Only
+	// a shadow that comes back as the result revives it. A realloc is a
+	// death plus a birth at this site even then — the program-level
+	// object is new. The old ref may already be dead (shadow-saved);
+	// Free of an unknown ref is a no-op.
 	var prev *hslot
 	var prevUsable int64
+	elemSize := int32(1)
 	if ptr.ref != mem.Nil {
 		prev = m.bufSlot(ptr.ref, &m.cMisc)
-		prevUsable = prev.usable
+		prevUsable, elemSize = prev.usable, prev.elemSize
+		prev.state = stFreed
+		if m.hp != nil {
+			m.hp.Free(c.ThreadID(), ptr.ref)
+		}
 	}
 	size := n
 	if size == 0 {
 		size = 1
 	}
 	ref, usable := m.rt.ShadowRealloc(c, ptr.ref, prevUsable, size)
-	// A realloc is a death plus a birth at this site even when the
-	// shadow hands the same block back — the program-level object is
-	// new. The old ref may already be dead (shadow-saved); Free of an
-	// unknown ref is a no-op.
 	if m.hp != nil {
-		if ptr.ref != mem.Nil {
-			m.hp.Free(c.ThreadID(), ptr.ref)
-		}
 		m.hp.Alloc(c.ThreadID(), m.p.Sites[site], "", size, ref)
-	}
-	elemSize := int32(1)
-	if prev != nil {
-		elemSize = prev.elemSize
 	}
 	length := n / int64(elemSize)
 	if prev != nil && ref == ptr.ref {
@@ -1088,9 +1089,6 @@ func (m *machine) doRealloc(c *sim.Ctx, ptr value, n int64, site int32) value {
 		}
 		prev.state = stLive
 		return rv(ref)
-	}
-	if prev != nil {
-		prev.state = stFreed
 	}
 	m.h.ensure(ref).setBuffer(elemSize, length, usable)
 	return rv(ref)

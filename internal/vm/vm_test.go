@@ -437,3 +437,124 @@ func TestConstantPoolDeduplicates(t *testing.T) {
 		t.Fatalf("constant 7 appears %d times in the pool", count)
 	}
 }
+
+// threadedCarSource is the Car of Fig. 1 built by two factory threads.
+// The Engine's name array changes length from car to car, so the
+// amplified program reallocates shadowed arrays while the other thread
+// allocates from the same heap.
+const threadedCarSource = `
+class Engine {
+public:
+    Engine(int p, int len) {
+        power = p;
+        nameLen = len;
+        name = new char[len];
+        for (int i = 0; i < len; i = i + 1) {
+            name[i] = p + i;
+        }
+    }
+    ~Engine() {
+        delete[] name;
+    }
+    int rate() {
+        int s = power;
+        for (int i = 0; i < nameLen; i = i + 1) {
+            s = s + name[i];
+        }
+        return s;
+    }
+private:
+    int power;
+    int nameLen;
+    char* name;
+};
+
+class Wheel {
+public:
+    Wheel(int s, int remaining) {
+        size = s;
+        if (remaining > 0) {
+            next = new Wheel(s, remaining - 1);
+        } else {
+            next = null;
+        }
+    }
+    ~Wheel() {
+        delete next;
+    }
+    int count() {
+        if (next) {
+            return 1 + next->count();
+        }
+        return 1;
+    }
+private:
+    int size;
+    Wheel* next;
+};
+
+class Car {
+public:
+    Car(int power, int wheels, int len) {
+        engine = new Engine(power, len);
+        first = new Wheel(16, wheels - 1);
+    }
+    ~Car() {
+        delete engine;
+        delete first;
+    }
+    int score() {
+        return engine->rate() + first->count();
+    }
+private:
+    Engine* engine;
+    Wheel* first;
+};
+
+void factory(int id, int cars) {
+    int total = 0;
+    for (int i = 0; i < cars; i = i + 1) {
+        Car* c = new Car(120 + i % 10, 4 + i % 3, 8 + (i * 7) % 13);
+        total = total + c->score();
+        delete c;
+    }
+    print("factory", id, "total", total);
+}
+
+int main() {
+    spawn factory(0, 100);
+    spawn factory(1, 100);
+    join;
+    return 0;
+}
+`
+
+// TestThreadedShadowRealloc runs amplified multithreaded programs whose
+// shadowed arrays are reallocated while another thread allocates: a
+// realloc that frees its shadow block and then waits for the allocator
+// must not mark a buffer that another thread was handed meanwhile as
+// freed. Both engines must match the AST interpreter.
+func TestThreadedShadowRealloc(t *testing.T) {
+	for name, src := range map[string]string{
+		"mccgen seed 26": mccgen.Generate(mccgen.Config{Seed: 26, Threads: 2}),
+		"car":            threadedCarSource,
+	} {
+		amped, _, err := core.Rewrite(src, core.Options{})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		want, err := interp.RunSource(amped, interp.Config{})
+		if err != nil {
+			t.Fatalf("%s: interp: %v", name, err)
+		}
+		for _, engine := range []string{"switch", "closure"} {
+			got, err := RunSource(amped, Config{Engine: engine})
+			if err != nil {
+				t.Fatalf("%s: %s engine: %v", name, engine, err)
+			}
+			if sortedLines(got.Output) != sortedLines(want.Output) {
+				t.Errorf("%s: %s engine output\n%s\nwant (interp)\n%s", name, engine, got.Output, want.Output)
+			}
+		}
+	}
+}
