@@ -1,6 +1,7 @@
 package cc
 
 import (
+	"math"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -305,6 +306,23 @@ func TestLexerPositions(t *testing.T) {
 	}
 }
 
+func TestIntLiteralBounds(t *testing.T) {
+	toks, err := Lex("9223372036854775807")
+	if err != nil || toks[0].Int != math.MaxInt64 {
+		t.Fatalf("2^63-1: toks %v, err %v", toks, err)
+	}
+	// 2^63 overflows by one; the last two wrap a uint64 to 1 and 4,
+	// which an after-the-fact sign check misses.
+	for _, src := range []string{"9223372036854775808", "18446744073709551617", "18446744073709551620"} {
+		if _, err := Lex(src); err == nil || !strings.Contains(err.Error(), "integer literal overflows int64") {
+			t.Errorf("Lex(%s) err = %v, want overflow", src, err)
+		}
+	}
+	if _, err := Parse("int main() { return 18446744073709551620; }"); err == nil {
+		t.Error("program returning a wrapping literal parsed")
+	}
+}
+
 func TestLexRandomInputNeverPanics(t *testing.T) {
 	prop := func(s string) bool {
 		defer func() {
@@ -365,6 +383,48 @@ func TestPrecedencePrinting(t *testing.T) {
 	y := main.Body.Stmts[1].(*VarDecl).Init.(*Binary)
 	if y.Op != Star {
 		t.Errorf("y root op = %v, want *", y.Op)
+	}
+}
+
+// TestPrecedenceClimbing pins binding strength and left associativity
+// for every pair of binary operators, then unary, postfix and
+// assignment around them. The printer parenthesizes every nested
+// operator, so its output spells out the tree the parser built.
+func TestPrecedenceClimbing(t *testing.T) {
+	levels := [][]string{{"||"}, {"&&"}, {"==", "!="}, {"<", "<=", ">", ">="}, {"+", "-"}, {"*", "/", "%"}}
+	type tc struct{ src, want string }
+	var cases []tc
+	for l1, ops1 := range levels {
+		for l2, ops2 := range levels {
+			for _, op1 := range ops1 {
+				for _, op2 := range ops2 {
+					src := "a " + op1 + " b " + op2 + " c"
+					want := "(a " + op1 + " b) " + op2 + " c"
+					if l1 < l2 {
+						want = "a " + op1 + " (b " + op2 + " c)"
+					}
+					cases = append(cases, tc{src, want})
+				}
+			}
+		}
+	}
+	cases = append(cases,
+		tc{"a && b == c < d - e * f", "a && (b == (c < (d - (e * f))))"},
+		tc{"a * b + c * d == e || f", "(((a * b) + (c * d)) == e) || f"},
+		tc{"-a * !b - -c", "((-a) * (!b)) - (-c)"},
+		tc{"a = b = c || d", "a = b = c || d"},
+		tc{"(a + b) * c->f(d + e)[g]", "(a + b) * c->f(d + e)[g]"},
+	)
+	for _, tc := range cases {
+		prog, err := Parse("int main() { return " + tc.src + "; }")
+		if err != nil {
+			t.Fatalf("%s: %v", tc.src, err)
+		}
+		p := &printer{}
+		p.expr(prog.Decls[0].(*FuncDecl).Body.Stmts[0].(*Return).X)
+		if got := p.b.String(); got != tc.want {
+			t.Errorf("%s parsed as %s, want %s", tc.src, got, tc.want)
+		}
 	}
 }
 

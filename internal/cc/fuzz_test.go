@@ -5,24 +5,28 @@ import (
 	"testing"
 )
 
+// parseSeeds is the starting corpus of FuzzParse; the differential
+// tests in diff_test.go also lex and print them.
+var parseSeeds = []string{
+	"",
+	"int main() { return 0; }",
+	"class A { public: A() { } ~A() { } int x; }; int main() { A* a = new A(); delete a; return a->x; }",
+	"class B { B(int n) { b = new char[n]; } ~B() { delete[] b; } char* b; }; int main() { return 0; }",
+	"void w(int i) { print(i); } int main() { spawn w(1); join; return 0; }",
+	"int main() { for (int i = 0; i < 3; i = i + 1) { while (i) { i = i - 1; } } return 0; }",
+	"int main() { return 1 + 2 * (3 - 4) / 5 % 6; }",
+	"class C { C() { x = new(xShadow) C(); } ~C() { x->~C(); } C* x; C* xShadow; }; int main() { return 0; }",
+	`int main() { print("hi\n\t\\", 1 && 0 || !2); return 0; }`,
+	"/* comment */ int main() { // line\n return 0; }",
+	"class D { public: D() { v = new int[4]; } int get(int i) { if (i < 0) { return -i; } else return v[i]; } int* v; }; int main() { D* d = new D(); return d->get(1) >= 0 != (2 <= 3); }",
+}
+
 // FuzzParse feeds arbitrary bytes through the whole front end: the
 // lexer and parser must never panic, anything that parses must analyze
 // or produce a positioned error, and anything that analyzes must
 // print to source that re-parses and re-analyzes.
 func FuzzParse(f *testing.F) {
-	seeds := []string{
-		"",
-		"int main() { return 0; }",
-		"class A { public: A() { } ~A() { } int x; }; int main() { A* a = new A(); delete a; return a->x; }",
-		"class B { B(int n) { b = new char[n]; } ~B() { delete[] b; } char* b; }; int main() { return 0; }",
-		"void w(int i) { print(i); } int main() { spawn w(1); join; return 0; }",
-		"int main() { for (int i = 0; i < 3; i = i + 1) { while (i) { i = i - 1; } } return 0; }",
-		"int main() { return 1 + 2 * (3 - 4) / 5 % 6; }",
-		"class C { C() { x = new(xShadow) C(); } ~C() { x->~C(); } C* x; C* xShadow; }; int main() { return 0; }",
-		`int main() { print("hi\n\t\\", 1 && 0 || !2); return 0; }`,
-		"/* comment */ int main() { // line\n return 0; }",
-	}
-	for _, s := range seeds {
+	for _, s := range parseSeeds {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, src string) {

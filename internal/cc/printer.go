@@ -2,6 +2,7 @@ package cc
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 )
 
@@ -24,6 +25,9 @@ func Print(prog *Program) string {
 	return pr.b.String()
 }
 
+// printer streams source into one builder: every node, down to the
+// leaves of an expression, writes its text in place rather than
+// returning a string for its parent to copy.
 type printer struct {
 	b      strings.Builder
 	indent int
@@ -31,18 +35,40 @@ type printer struct {
 
 func (p *printer) nl() { p.b.WriteByte('\n') }
 
-func (p *printer) line(format string, args ...any) {
-	p.b.WriteString(strings.Repeat("    ", p.indent))
-	fmt.Fprintf(&p.b, format, args...)
+// put writes each part in turn.
+func (p *printer) put(parts ...string) {
+	for _, s := range parts {
+		p.b.WriteString(s)
+	}
+}
+
+// pad writes the indentation of a new line.
+func (p *printer) pad() {
+	for i := 0; i < p.indent; i++ {
+		p.b.WriteString("    ")
+	}
+}
+
+// line writes one whole indented line.
+func (p *printer) line(parts ...string) {
+	p.pad()
+	p.put(parts...)
 	p.nl()
 }
 
+func (p *printer) typ(t Type) {
+	p.b.WriteString(t.Name)
+	for i := 0; i < t.Stars; i++ {
+		p.b.WriteByte('*')
+	}
+}
+
 func (p *printer) class(cd *ClassDecl) {
-	p.line("class %s {", cd.Name)
+	p.line("class ", cd.Name, " {")
 	p.indent++
 	access := Private
 	first := true
-	setAccess := func(a Access, pos bool) {
+	setAccess := func(a Access) {
 		if a != access || first {
 			p.indent--
 			if a == Public {
@@ -57,16 +83,18 @@ func (p *printer) class(cd *ClassDecl) {
 	}
 	// Methods first, then fields — the layout of the paper's listings.
 	for _, m := range cd.Methods {
-		setAccess(m.Access, true)
+		setAccess(m.Access)
 		p.method(cd, m)
 	}
 	for _, f := range cd.Fields {
-		setAccess(f.Access, true)
-		comment := ""
+		setAccess(f.Access)
+		p.pad()
+		p.typ(f.Type)
+		p.put(" ", f.Name, ";")
 		if f.Shadow {
-			comment = " // shadow of " + f.ShadowOf + " (added by Amplify)"
+			p.put(" // shadow of ", f.ShadowOf, " (added by Amplify)")
 		}
-		p.line("%s %s;%s", f.Type, f.Name, comment)
+		p.nl()
 	}
 	p.indent--
 	p.line("};")
@@ -77,43 +105,53 @@ func (p *printer) method(cd *ClassDecl, m *Method) {
 	if m.Synthetic {
 		note = " // added by Amplify"
 	}
+	p.pad()
 	switch m.Kind {
 	case Ctor:
-		p.b.WriteString(strings.Repeat("    ", p.indent))
-		fmt.Fprintf(&p.b, "%s(%s) ", cd.Name, params(m.Params))
+		p.put(cd.Name)
+		p.params(m.Params)
 	case Dtor:
-		p.b.WriteString(strings.Repeat("    ", p.indent))
-		fmt.Fprintf(&p.b, "~%s() ", cd.Name)
+		p.put("~", cd.Name, "() ")
 	case OpNew:
-		p.b.WriteString(strings.Repeat("    ", p.indent))
-		fmt.Fprintf(&p.b, "%s operator new(%s) ", m.Ret, params(m.Params))
+		p.typ(m.Ret)
+		p.put(" operator new")
+		p.params(m.Params)
 	case OpDelete:
-		p.b.WriteString(strings.Repeat("    ", p.indent))
-		fmt.Fprintf(&p.b, "%s operator delete(%s) ", m.Ret, params(m.Params))
+		p.typ(m.Ret)
+		p.put(" operator delete")
+		p.params(m.Params)
 	default:
-		p.b.WriteString(strings.Repeat("    ", p.indent))
-		fmt.Fprintf(&p.b, "%s %s(%s) ", m.Ret, m.Name, params(m.Params))
+		p.typ(m.Ret)
+		p.put(" ", m.Name)
+		p.params(m.Params)
 	}
 	p.blockInline(m.Body, note)
 }
 
 func (p *printer) fun(fd *FuncDecl) {
-	p.b.WriteString(strings.Repeat("    ", p.indent))
-	fmt.Fprintf(&p.b, "%s %s(%s) ", fd.Ret, fd.Name, params(fd.Params))
+	p.pad()
+	p.typ(fd.Ret)
+	p.put(" ", fd.Name)
+	p.params(fd.Params)
 	p.blockInline(fd.Body, "")
 }
 
-func params(ps []*Param) string {
-	parts := make([]string, len(ps))
+// params writes a parenthesized parameter list and the space after it.
+func (p *printer) params(ps []*Param) {
+	p.b.WriteByte('(')
 	for i, pp := range ps {
-		parts[i] = fmt.Sprintf("%s %s", pp.Type, pp.Name)
+		if i > 0 {
+			p.put(", ")
+		}
+		p.typ(pp.Type)
+		p.put(" ", pp.Name)
 	}
-	return strings.Join(parts, ", ")
+	p.put(") ")
 }
 
 // blockInline prints "{ ... }" starting on the current line.
 func (p *printer) blockInline(b *Block, note string) {
-	p.b.WriteString("{" + note + "\n")
+	p.put("{", note, "\n")
 	p.indent++
 	for _, s := range b.Stmts {
 		p.stmt(s)
@@ -125,68 +163,77 @@ func (p *printer) blockInline(b *Block, note string) {
 func (p *printer) stmt(s Stmt) {
 	switch s := s.(type) {
 	case *Block:
-		p.b.WriteString(strings.Repeat("    ", p.indent))
+		p.pad()
 		p.blockInline(s, "")
 	case *VarDecl:
-		if s.Init != nil {
-			p.line("%s %s = %s;", s.Type, s.Name, expr(s.Init))
-		} else {
-			p.line("%s %s;", s.Type, s.Name)
-		}
+		p.pad()
+		p.varDecl(s)
+		p.put(";\n")
 	case *ExprStmt:
-		p.line("%s;", expr(s.X))
+		p.pad()
+		p.wrapped("", s.X, ";\n")
 	case *If:
-		p.b.WriteString(strings.Repeat("    ", p.indent))
-		fmt.Fprintf(&p.b, "if (%s) ", expr(s.Cond))
+		p.pad()
+		p.wrapped("if (", s.Cond, ") ")
 		p.compound(s.Then)
 		if s.Else != nil {
-			p.b.WriteString(strings.Repeat("    ", p.indent))
-			p.b.WriteString("else ")
+			p.pad()
+			p.put("else ")
 			p.compound(s.Else)
 		}
 	case *While:
-		p.b.WriteString(strings.Repeat("    ", p.indent))
-		fmt.Fprintf(&p.b, "while (%s) ", expr(s.Cond))
+		p.pad()
+		p.wrapped("while (", s.Cond, ") ")
 		p.compound(s.Body)
 	case *For:
-		init, cond, post := "", "", ""
-		if s.Init != nil {
-			switch is := s.Init.(type) {
-			case *VarDecl:
-				if is.Init != nil {
-					init = fmt.Sprintf("%s %s = %s", is.Type, is.Name, expr(is.Init))
-				} else {
-					init = fmt.Sprintf("%s %s", is.Type, is.Name)
-				}
-			case *ExprStmt:
-				init = expr(is.X)
-			}
+		p.pad()
+		p.put("for (")
+		switch is := s.Init.(type) {
+		case *VarDecl:
+			p.varDecl(is)
+		case *ExprStmt:
+			p.expr(is.X)
 		}
+		p.put("; ")
 		if s.Cond != nil {
-			cond = expr(s.Cond)
+			p.expr(s.Cond)
 		}
+		p.put("; ")
 		if s.Post != nil {
-			post = expr(s.Post)
+			p.expr(s.Post)
 		}
-		p.b.WriteString(strings.Repeat("    ", p.indent))
-		fmt.Fprintf(&p.b, "for (%s; %s; %s) ", init, cond, post)
+		p.put(") ")
 		p.compound(s.Body)
 	case *Return:
 		if s.X != nil {
-			p.line("return %s;", expr(s.X))
+			p.pad()
+			p.wrapped("return ", s.X, ";\n")
 		} else {
 			p.line("return;")
 		}
 	case *DeleteStmt:
+		p.pad()
 		if s.Array {
-			p.line("delete[] %s;", expr(s.X))
+			p.wrapped("delete[] ", s.X, ";\n")
 		} else {
-			p.line("delete %s;", expr(s.X))
+			p.wrapped("delete ", s.X, ";\n")
 		}
 	case *Spawn:
-		p.line("spawn %s(%s);", s.Func, exprList(s.Args))
+		p.pad()
+		p.put("spawn ", s.Func, "(")
+		p.exprList(s.Args)
+		p.put(");\n")
 	case *Join:
 		p.line("join;")
+	}
+}
+
+// varDecl writes `type name` and its initializer, if any.
+func (p *printer) varDecl(vd *VarDecl) {
+	p.typ(vd.Type)
+	p.put(" ", vd.Name)
+	if vd.Init != nil {
+		p.wrapped(" = ", vd.Init, "")
 	}
 }
 
@@ -197,75 +244,103 @@ func (p *printer) compound(s Stmt) {
 		p.blockInline(b, "")
 		return
 	}
-	p.b.WriteString("{\n")
+	p.put("{\n")
 	p.indent++
 	p.stmt(s)
 	p.indent--
 	p.line("}")
 }
 
-func exprList(es []Expr) string {
-	parts := make([]string, len(es))
+func (p *printer) exprList(es []Expr) {
 	for i, e := range es {
-		parts[i] = expr(e)
+		if i > 0 {
+			p.put(", ")
+		}
+		p.expr(e)
 	}
-	return strings.Join(parts, ", ")
 }
 
 // expr renders an expression, parenthesizing nested binaries
 // conservatively.
-func expr(e Expr) string {
+func (p *printer) expr(e Expr) {
 	switch e := e.(type) {
 	case *IntLit:
-		return fmt.Sprintf("%d", e.Value)
+		var buf [20]byte
+		p.b.Write(strconv.AppendInt(buf[:0], e.Value, 10))
 	case *StrLit:
-		return fmt.Sprintf("%q", e.Value)
+		p.put(strconv.Quote(e.Value))
 	case *NullLit:
-		return "null"
+		p.put("null")
 	case *Ident:
-		return e.Name
+		p.put(e.Name)
 	case *This:
-		return "this"
+		p.put("this")
 	case *Paren:
-		return "(" + expr(e.X) + ")"
+		p.wrapped("(", e.X, ")")
 	case *Unary:
-		op := "!"
 		if e.Op == Minus {
-			op = "-"
+			p.put("-")
+		} else {
+			p.put("!")
 		}
-		return op + operand(e.X)
+		p.operand(e.X)
 	case *Binary:
-		return fmt.Sprintf("%s %s %s", operand(e.X), opText(e.Op), operand(e.Y))
+		p.operand(e.X)
+		p.put(" ", opText(e.Op), " ")
+		p.operand(e.Y)
 	case *AssignExpr:
-		return fmt.Sprintf("%s = %s", expr(e.LHS), expr(e.RHS))
+		p.expr(e.LHS)
+		p.wrapped(" = ", e.RHS, "")
 	case *Call:
-		return fmt.Sprintf("%s(%s)", e.Func, exprList(e.Args))
+		p.put(e.Func, "(")
+		p.exprList(e.Args)
+		p.put(")")
 	case *MethodCall:
-		return fmt.Sprintf("%s->%s(%s)", operand(e.Recv), e.Name, exprList(e.Args))
+		p.operand(e.Recv)
+		p.put("->", e.Name, "(")
+		p.exprList(e.Args)
+		p.put(")")
 	case *DtorCall:
-		return fmt.Sprintf("%s->~%s()", operand(e.Recv), e.Class)
+		p.operand(e.Recv)
+		p.put("->~", e.Class, "()")
 	case *FieldAccess:
-		return fmt.Sprintf("%s->%s", operand(e.Recv), e.Name)
+		p.operand(e.Recv)
+		p.put("->", e.Name)
 	case *Index:
-		return fmt.Sprintf("%s[%s]", operand(e.X), expr(e.I))
+		p.operand(e.X)
+		p.wrapped("[", e.I, "]")
 	case *NewExpr:
 		if e.Placement != nil {
-			return fmt.Sprintf("new(%s) %s(%s)", expr(e.Placement), e.Class, exprList(e.Args))
+			p.wrapped("new(", e.Placement, ") ")
+			p.put(e.Class, "(")
+		} else {
+			p.put("new ", e.Class, "(")
 		}
-		return fmt.Sprintf("new %s(%s)", e.Class, exprList(e.Args))
+		p.exprList(e.Args)
+		p.put(")")
 	case *NewArray:
-		return fmt.Sprintf("new %s[%s]", e.Elem.Name, expr(e.Len))
+		p.put("new ", e.Elem.Name)
+		p.wrapped("[", e.Len, "]")
+	default:
+		fmt.Fprintf(&p.b, "/*?%T*/", e)
 	}
-	return fmt.Sprintf("/*?%T*/", e)
 }
 
 // operand wraps composite subexpressions in parentheses.
-func operand(e Expr) string {
+func (p *printer) operand(e Expr) {
 	switch e.(type) {
 	case *Binary, *AssignExpr, *Unary:
-		return "(" + expr(e) + ")"
+		p.wrapped("(", e, ")")
+	default:
+		p.expr(e)
 	}
-	return expr(e)
+}
+
+// wrapped writes e between before and after.
+func (p *printer) wrapped(before string, e Expr, after string) {
+	p.b.WriteString(before)
+	p.expr(e)
+	p.b.WriteString(after)
 }
 
 func opText(k Kind) string {

@@ -129,8 +129,8 @@ func (c *Cache) accessLine(t *Thread, cpu int, line uint64, write bool) {
 		if sok {
 			// The processor had this line and the version moved on.
 			// A write from this CPU would have refreshed the seen
-			// entry, and a migration flush clears it, so a stale entry
-			// means another CPU's write invalidated the line.
+			// entry, and seen entries are never dropped, so a stale
+			// entry means another CPU's write invalidated the line.
 			c.Invalidations++
 			t.CacheInvalidations++
 			t.e.traceArgs(t, EvCacheInval, "", int64(line), 0)
@@ -155,13 +155,6 @@ func (c *Cache) accessLine(t *Thread, cpu int, line uint64, write bool) {
 	t.advance(cycles)
 }
 
-// flushCPU drops every line cached by processor cpu. It models the cache
-// affinity a thread loses when it migrates to a different processor.
-// (The thread pays for the refill through subsequent misses.)
-func (c *Cache) flushCPU(cpu int) {
-	c.seen[cpu].reset()
-}
-
 // lineMap is an open-addressed hash table from cache-line number to a
 // 64-bit payload, with linear probing and no deletion. Keys are stored
 // as line+1 so the zero slot means empty; both arrays are scalar, so
@@ -170,7 +163,7 @@ type lineMap struct {
 	keys []uint64
 	vals []uint64
 	n    int
-	// gen counts reallocations (initial allocation, growth, reset);
+	// gen counts reallocations (initial allocation and growth);
 	// any slot index obtained at an older gen is stale.
 	gen uint32
 }
@@ -244,12 +237,4 @@ func (m *lineMap) set(i int, found bool, line, v uint64) {
 		m.n++
 	}
 	m.vals[i] = v
-}
-
-// reset empties the table, keeping its storage.
-func (m *lineMap) reset() {
-	clear(m.keys)
-	clear(m.vals)
-	m.n = 0
-	m.gen++
 }
