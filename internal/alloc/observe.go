@@ -50,8 +50,8 @@ func (op ObsOp) String() string {
 
 // Observer receives allocator events in virtual time. Implementations
 // must not charge simulated work or memory traffic: observation never
-// changes a makespan. The simulator's baton protocol guarantees only
-// one simulated thread runs at a time, so observers need no locking.
+// changes a makespan. The simulator's coroutine scheduler runs only
+// one simulated thread at a time, so observers need no locking.
 //
 // Every call site is guarded by a single nil check; a run without an
 // observer pays one untaken branch per operation.

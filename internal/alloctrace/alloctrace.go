@@ -54,7 +54,7 @@ type Event struct {
 	Thread int32
 	// Now is the virtual timestamp at capture. Timestamps follow the
 	// capture's deterministic global event order but are not globally
-	// monotone: per-thread clocks interleave under the baton protocol.
+	// monotone: the scheduler interleaves per-thread clocks.
 	Now int64
 	// Site indexes the trace's Sites table (alloc only). Site 0 is the
 	// empty "unknown" site; VM-driven captures attribute MiniCC
@@ -143,7 +143,7 @@ func (tr *Trace) Validate() error {
 	if len(tr.Sites) == 0 || tr.Sites[0] != "" {
 		return fmt.Errorf("alloctrace: Sites[0] must be the empty unknown site")
 	}
-	freed := make(map[int64]bool)
+	freed := make([]bool, len(tr.Events))
 	for i := range tr.Events {
 		ev := &tr.Events[i]
 		if int(ev.Thread) < 0 || int(ev.Thread) >= len(tr.Threads) {

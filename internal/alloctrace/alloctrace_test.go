@@ -2,7 +2,9 @@ package alloctrace
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -105,6 +107,64 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 	if _, err := Decode(bad); err == nil {
 		t.Error("bad magic decoded without error")
 	}
+}
+
+// oneAlloc encodes a one-thread, one-site trace holding a single
+// alloc event whose thread and site indices are written raw, so they
+// can exceed what Encode would ever produce.
+func oneAlloc(thread, site uint64) []byte {
+	b := append([]byte(Magic), 0)       // empty name
+	b = append(b, 1, 0)                 // sites: [""]
+	b = append(b, 1, 2, 't', '0')       // threads: ["t0"]
+	b = append(b, 1, byte(OpAlloc))     // one event
+	b = binary.AppendUvarint(b, thread) // thread index
+	b = append(b, 0)                    // timestamp delta
+	b = binary.AppendUvarint(b, site)   // site index
+	return append(b, 8, 16)             // req, granted
+}
+
+func TestDecodeRejectsOutOfRangeIndex(t *testing.T) {
+	if _, err := Decode(oneAlloc(0, 0)); err != nil {
+		t.Fatalf("well-formed trace rejected: %v", err)
+	}
+	for _, tc := range []struct {
+		name         string
+		thread, site uint64
+	}{
+		{"thread 2^32", 1 << 32, 0},
+		{"thread 2^31", 1 << 31, 0},
+		{"site 2^32", 0, 1 << 32},
+	} {
+		_, err := Decode(oneAlloc(tc.thread, tc.site))
+		if err == nil || !strings.Contains(err.Error(), "out of range") {
+			t.Errorf("%s: got %v, want an out-of-range error", tc.name, err)
+		}
+	}
+}
+
+// FuzzTraceDecode feeds arbitrary bytes to Decode: it must never
+// panic, and every trace it accepts must re-encode and decode to an
+// equal trace.
+func FuzzTraceDecode(f *testing.F) {
+	enc := sample().Encode()
+	f.Add(enc)
+	f.Add(enc[:len(enc)/2])
+	f.Add(oneAlloc(0, 0))
+	f.Add(oneAlloc(1<<32, 0))
+	f.Add(oneAlloc(0, 1<<32))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		tr, err := Decode(data)
+		if err != nil {
+			return
+		}
+		again, err := Decode(tr.Encode())
+		if err != nil {
+			t.Fatalf("re-encoded trace rejected: %v", err)
+		}
+		if !reflect.DeepEqual(again, tr) {
+			t.Fatalf("round trip changed the trace:\n got %+v\nwant %+v", again, tr)
+		}
+	})
 }
 
 func TestJSONLMirror(t *testing.T) {

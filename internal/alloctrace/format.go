@@ -3,6 +3,7 @@ package alloctrace
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 	"strings"
 )
 
@@ -67,16 +68,19 @@ func Decode(data []byte) (*Trace, error) {
 		tr.Threads = append(tr.Threads, d.str("thread"))
 	}
 	nevents := d.uvarint("event count")
+	// Every event takes at least four bytes, which bounds the up-front
+	// allocation however large the declared count.
+	tr.Events = make([]Event, 0, min(nevents, uint64(len(d.buf)/4)))
 	var prevNow int64
 	for i := uint64(0); i < nevents && d.err == nil; i++ {
 		var ev Event
 		ev.Op = Op(d.byte("op"))
-		ev.Thread = int32(d.uvarint("thread index"))
+		ev.Thread = d.index("thread index")
 		prevNow += d.varint("timestamp delta")
 		ev.Now = prevNow
 		switch ev.Op {
 		case OpAlloc:
-			ev.Site = int32(d.uvarint("site index"))
+			ev.Site = d.index("site index")
 			ev.Req = int64(d.uvarint("req bytes"))
 			ev.Granted = int64(d.uvarint("granted bytes"))
 		case OpFree:
@@ -133,6 +137,17 @@ func (d *decoder) uvarint(what string) uint64 {
 	}
 	d.buf = d.buf[n:]
 	return v
+}
+
+// index reads a thread or site table index, which must fit an int32;
+// truncating a larger value would alias it to a valid index.
+func (d *decoder) index(what string) int32 {
+	v := d.uvarint(what)
+	if v > math.MaxInt32 {
+		d.err = fmt.Errorf("alloctrace: %s %d out of range", what, v)
+		return 0
+	}
+	return int32(v)
 }
 
 func (d *decoder) varint(what string) int64 {

@@ -202,7 +202,7 @@ func HostBench() (*HostReport, error) {
 	}
 
 	// Scheduler benchmarks: spawn churn (thread creation/retirement
-	// through the pooled workers) and an oversubscribed run (baton
+	// through the pooled workers) and an oversubscribed run (preemption
 	// handoff and migration under a long ready queue).
 	schedBenches := []struct {
 		name string

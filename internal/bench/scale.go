@@ -20,8 +20,9 @@ import (
 //
 // The grid is the scheduler tentpole's showcase: a million concurrent
 // threads oversubscribing 1024 processors exercises the ready heap,
-// the pooled workers and the direct peer-to-peer baton handoff at a
-// scale the central-loop scheduler could not finish in a CI budget.
+// the pooled worker coroutines and the direct preemption handoff at a
+// scale the original channel-based scheduler could not finish in a CI
+// budget.
 
 // scalePoint is one (processors, threads) cell of the scale grid.
 type scalePoint struct {

@@ -55,7 +55,7 @@ type Heap struct {
 	// it per Alloc/Free showed up in interpreter profiles.
 	topA uint64
 
-	sizes map[mem.Ref]int64 // usable size of every block ever carved
+	sizes blockIndex // usable size of every block ever carved
 
 	Allocs, Frees int64
 	CarvedBytes   int64
@@ -116,7 +116,6 @@ func New(sp *mem.Space, cfg Config) *Heap {
 	h := &Heap{
 		space:   sp,
 		pathOps: cfg.PathOps,
-		sizes:   make(map[mem.Ref]int64),
 	}
 	for s := int64(smallStep); s <= smallMax; s += smallStep {
 		h.classes = append(h.classes, s)
@@ -168,7 +167,7 @@ const LockOffset = 1024
 
 // UsableSize reports the usable size of an allocated or freed block.
 func (h *Heap) UsableSize(ref mem.Ref) int64 {
-	n, ok := h.sizes[ref]
+	n, ok := h.sizes.get(ref)
 	if !ok {
 		panic(fmt.Sprintf("heapcore: UsableSize of unknown block %#x", uint64(ref)))
 	}
@@ -177,7 +176,7 @@ func (h *Heap) UsableSize(ref mem.Ref) int64 {
 
 // Owns reports whether ref was carved by this heap.
 func (h *Heap) Owns(ref mem.Ref) bool {
-	_, ok := h.sizes[ref]
+	_, ok := h.sizes.get(ref)
 	return ok
 }
 
@@ -194,7 +193,7 @@ func (h *Heap) Alloc(c *sim.Ctx, size int64) mem.Ref {
 	if bin < 0 {
 		// Huge allocation: straight from the space.
 		ref := h.space.Sbrk(c, usable+headerSize) + headerSize
-		h.sizes[ref] = usable
+		h.sizes.put(ref, usable)
 		h.CarvedBytes += usable + headerSize
 		c.Write(uint64(ref)-headerSize, headerSize)
 		return ref
@@ -240,7 +239,7 @@ func (h *Heap) carve(c *sim.Ctx, usable int64) mem.Ref {
 	ref := h.top + headerSize
 	h.top += mem.Ref(stride)
 	c.Write(h.topAddr(), 8)
-	h.sizes[ref] = usable
+	h.sizes.put(ref, usable)
 	c.Write(uint64(ref)-headerSize, headerSize)
 	return ref
 }
@@ -249,7 +248,7 @@ func (h *Heap) carve(c *sim.Ctx, usable int64) mem.Ref {
 func (h *Heap) Free(c *sim.Ctx, ref mem.Ref) {
 	h.Frees++
 	c.Work(h.pathOps)
-	usable, ok := h.sizes[ref]
+	usable, ok := h.sizes.get(ref)
 	if !ok {
 		panic(fmt.Sprintf("heapcore: Free of unknown block %#x", uint64(ref)))
 	}
@@ -266,4 +265,81 @@ func (h *Heap) Free(c *sim.Ctx, ref mem.Ref) {
 	c.Write(uint64(ref), 8)
 	c.Write(h.binAddr(bin), 8)
 	h.bins[bin] = append(h.bins[bin], ref)
+}
+
+// blockIndex maps a block to its usable size. It is a flat
+// open-addressed table of (ref, size) pairs (Fibonacci hashing, linear
+// probing), which the garbage collector never scans and whose probe
+// reads one host cache line. There is no deletion: freed blocks keep
+// their entries, as UsableSize and Owns answer for freed blocks too,
+// and a carved address is never carved again.
+type blockIndex struct {
+	slots []blockSlot
+	n     int
+	shift uint // 64 - log2(len(slots))
+}
+
+type blockSlot struct {
+	ref  mem.Ref // mem.Nil marks an empty slot
+	size int64
+}
+
+const blockIndexMinSize = 64 // slots; 1 KiB, allocated on first put
+
+func (x *blockIndex) home(ref mem.Ref) uint64 {
+	return uint64(ref) * 0x9E3779B97F4A7C15 >> x.shift
+}
+
+func (x *blockIndex) get(ref mem.Ref) (int64, bool) {
+	if x.n == 0 {
+		return 0, false
+	}
+	mask := uint64(len(x.slots) - 1)
+	for i := x.home(ref); ; i = (i + 1) & mask {
+		switch x.slots[i].ref {
+		case ref:
+			return x.slots[i].size, true
+		case mem.Nil:
+			return 0, false
+		}
+	}
+}
+
+// put records ref's size, replacing an earlier entry for ref.
+func (x *blockIndex) put(ref mem.Ref, size int64) {
+	if len(x.slots) == 0 {
+		x.resize(blockIndexMinSize)
+	} else if (x.n+1)*4 > len(x.slots)*3 {
+		x.resize(2 * len(x.slots))
+	}
+	mask := uint64(len(x.slots) - 1)
+	i := x.home(ref)
+	for x.slots[i].ref != ref && x.slots[i].ref != mem.Nil {
+		i = (i + 1) & mask
+	}
+	if x.slots[i].ref == mem.Nil {
+		x.slots[i].ref = ref
+		x.n++
+	}
+	x.slots[i].size = size
+}
+
+func (x *blockIndex) resize(size int) {
+	old := x.slots
+	x.slots = make([]blockSlot, size)
+	x.shift = 64
+	for s := size; s > 1; s >>= 1 {
+		x.shift--
+	}
+	mask := uint64(size - 1)
+	for _, s := range old {
+		if s.ref == mem.Nil {
+			continue
+		}
+		i := x.home(s.ref)
+		for x.slots[i].ref != mem.Nil {
+			i = (i + 1) & mask
+		}
+		x.slots[i] = s
+	}
 }

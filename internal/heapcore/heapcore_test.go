@@ -1,6 +1,7 @@
 package heapcore
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -163,6 +164,41 @@ func TestCarvedBytesAccounting(t *testing.T) {
 			t.Errorf("reuse carved more memory: %d -> %d", carved, h.CarvedBytes)
 		}
 	})
+}
+
+// TestBlockIndexMatchesMap checks the flat block index against a Go
+// map through several growths, with clustered and scattered refs and
+// overwrites of existing entries.
+func TestBlockIndexMatchesMap(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	var x blockIndex
+	want := map[mem.Ref]int64{}
+	for i := 0; i < 20_000; i++ {
+		ref := mem.Ref(0x10008 + 16*rng.Intn(5000))
+		if i%3 == 0 {
+			ref = mem.Ref(rng.Uint64() | 1)
+		}
+		size := int64(rng.Intn(1 << 20))
+		x.put(ref, size)
+		want[ref] = size
+	}
+	if x.n != len(want) {
+		t.Fatalf("index holds %d entries, want %d", x.n, len(want))
+	}
+	for ref, size := range want {
+		if got, ok := x.get(ref); !ok || got != size {
+			t.Fatalf("get(%#x) = %d, %v; want %d", uint64(ref), got, ok, size)
+		}
+	}
+	for i := 0; i < 1000; i++ {
+		ref := mem.Ref(rng.Uint64() &^ 1) // even: never inserted above
+		if _, ok := want[ref]; ok {
+			continue
+		}
+		if _, ok := x.get(ref); ok {
+			t.Fatalf("get(%#x) found a ref never put", uint64(ref))
+		}
+	}
 }
 
 // BenchmarkHeapAllocFree measures the host-side cost of the steady

@@ -6,8 +6,8 @@
 //
 // Everything here is host-side bookkeeping: no simulated work is ever
 // charged, so a run with observation enabled produces byte-identical
-// makespans to one without. The simulator's baton protocol (one
-// simulated thread runs at a time) means no locking is needed.
+// makespans to one without. The simulator's coroutine scheduler runs
+// one simulated thread at a time, so no locking is needed.
 package heapobsv
 
 import (

@@ -17,8 +17,9 @@ const Nil Ref = 0
 const PageSize = 8192
 
 // Space is a simulated process address space with a bump break pointer.
-// It is shared by every allocator in one simulation; the engine's baton
-// protocol guarantees single-threaded access.
+// It is shared by every allocator in one simulation; the engine's
+// coroutine scheduler runs one simulated thread at a time, so access
+// is single-threaded.
 type Space struct {
 	brk   uint64
 	base  uint64

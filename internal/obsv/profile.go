@@ -15,9 +15,9 @@ import (
 // period boundary it crosses, which is what a wall-clock profiler
 // interrupting every P cycles would have observed.
 //
-// The simulator's baton protocol runs one simulated thread at a time,
-// so the profiler needs no locking even though it is shared by every
-// thread.
+// The simulator's coroutine scheduler runs one simulated thread at a
+// time, so the profiler needs no locking even though it is shared by
+// every thread.
 type Profiler struct {
 	// SamplePeriod, when positive, enables sampled counts alongside the
 	// exact attribution: Folded then reports samples, not cycles.

@@ -9,21 +9,27 @@ package sim
 // the paper are dominated by coherence traffic (false sharing, line
 // ping-pong between pools and threads), not by capacity misses.
 //
-// Line state lives in flat open-addressed tables (lineMap), not Go
-// maps: an access costs a multiplicative hash and one or two linear
-// probes over scalar slices the garbage collector never scans. With the
-// interpreter fast paths elsewhere, the per-access map hashing here was
-// the largest remaining term in end-to-end VM runs; dense paged arrays
-// are no alternative because workloads touch a few lines per region of
-// a brk space that realloc can grow very large.
+// Line state lives in one flat open-addressed table of per-line records
+// (lineRec), not Go maps: an access costs a multiplicative hash and one
+// or two linear probes over a pointer-free slice the garbage collector
+// never scans. A record holds the line's version and last writer and,
+// inline, the last version seen by the first two processors to touch
+// the line; most lines are shared by at most two processors, so most
+// accesses read one host cache line. Every further processor's seen
+// version goes to one overflow table keyed by (line, processor). Dense
+// paged arrays are no alternative because workloads touch a few lines
+// per region of a brk space that realloc can grow very large.
 type Cache struct {
 	lineShift uint
 	cost      *CostModel
-	// global holds, per line, the current version and last writer.
-	global lineMap
-	// seen[cpu] holds, per line, the version last observed by that
-	// processor.
-	seen []lineMap
+
+	// recs is the per-line table; n counts its occupied slots.
+	recs []lineRec
+	n    int
+	// extra holds the seen versions of the third and later processors
+	// to touch a line; extraN counts its occupied slots.
+	extra  []sharerRec
+	extraN int
 
 	Hits   int64
 	Misses int64
@@ -32,32 +38,45 @@ type Cache struct {
 	Invalidations int64
 	RFOs          int64
 
-	// memo caches the table coordinates of the most recently accessed
-	// line, so runs of accesses to one line (adjacent fields of an
-	// object, a read-modify-write) skip both hash lookups. The cached
-	// indexes stay valid while neither table reallocates (gen match)
-	// and, for a line absent from global, while no insert can have
-	// claimed its empty slot (n match). Purely a host-side lookup
+	// memoKey and memoSlot remember the record of the most recently
+	// accessed line (key line+1; zero when unset), so runs of accesses
+	// to one line skip the hash probe. Records never move except when
+	// recs grows, which clears the memo. Purely a host-side lookup
 	// cache: the charged cycles are identical with it disabled.
-	memoOK   bool
-	memoGok  bool
-	memoCPU  int32
-	memoLine uint64
-	memoSi   int
-	memoGi   int
-	memoSGen uint32
-	memoGGen uint32
-	memoGN   int
+	memoKey  uint64
+	memoSlot int
 }
 
-type lineState struct {
+// lineRec is one line's coherence state. key is line+1, so the zero
+// record is an empty slot. A sharer field holds cpu+1, zero when free;
+// sharer slots are claimed in first-touch order and never released,
+// just as a processor's seen version is never dropped.
+type lineRec struct {
+	key     uint64
 	version uint32
 	writer  int32
+	cpu0    int32
+	seen0   uint32
+	cpu1    int32
+	seen1   uint32
 }
 
-// newCache returns a cache model for p processors with the given line
-// size, which must be a power of two.
-func newCache(p int, lineSize int64, cost *CostModel) *Cache {
+// sharerRec is an overflow entry: the version processor cpu last saw
+// of a line (key line+1, zero when empty).
+type sharerRec struct {
+	key  uint64
+	cpu  int32
+	seen uint32
+}
+
+const (
+	lineTableMinSize  = 1024 // slots; 32 KiB
+	extraTableMinSize = 256  // slots; 4 KiB, allocated on first use
+)
+
+// newCache returns a cache model with the given line size, which must
+// be a power of two.
+func newCache(lineSize int64, cost *CostModel) *Cache {
 	shift := uint(0)
 	for int64(1)<<shift < lineSize {
 		shift++
@@ -65,7 +84,7 @@ func newCache(p int, lineSize int64, cost *CostModel) *Cache {
 	return &Cache{
 		lineShift: shift,
 		cost:      cost,
-		seen:      make([]lineMap, p),
+		recs:      make([]lineRec, lineTableMinSize),
 	}
 }
 
@@ -86,39 +105,32 @@ func (c *Cache) access(t *Thread, cpu int, addr uint64, size int64, write bool) 
 }
 
 func (c *Cache) accessLine(t *Thread, cpu int, line uint64, write bool) {
-	// Reserve capacity up front so the slot indexes find returns stay
-	// valid across the inserts below.
-	s := &c.seen[cpu]
-	s.ensure()
-	g := &c.global
-	if write {
-		g.ensure()
-	}
-	var si, gi int
-	var sok, gok, memoHit bool
-	if c.memoOK && c.memoLine == line && c.memoCPU == int32(cpu) &&
-		c.memoSGen == s.gen && c.memoGGen == g.gen &&
-		(c.memoGok || c.memoGN == g.n) {
-		si, gi = c.memoSi, c.memoGi
-		sok, gok, memoHit = true, c.memoGok, true
+	var r *lineRec
+	if key := line + 1; c.memoKey == key {
+		r = &c.recs[c.memoSlot]
 	} else {
-		si, sok = s.find(line)
-		gi, gok = g.find(line)
+		i := c.record(line)
+		c.memoKey, c.memoSlot = key, i
+		r = &c.recs[i]
 	}
-	var st lineState
-	if gok {
-		st = lineState{version: uint32(g.vals[gi]), writer: int32(g.vals[gi] >> 32)}
-	}
-	if !write && memoHit && uint32(s.vals[si]) == st.version {
-		// Memoized read hit: nothing in either table changes, so skip
-		// the table write-back and memo refresh below.
-		c.Hits++
-		t.CacheHits++
-		t.advance(c.cost.CacheHit)
-		return
+	// A line with no write yet has version 0, which a processor that
+	// has touched it has also seen: that read is a hit.
+	var seen *uint32
+	sok := true
+	switch tag := int32(cpu) + 1; {
+	case r.cpu0 == tag:
+		seen = &r.seen0
+	case r.cpu1 == tag:
+		seen = &r.seen1
+	case r.cpu0 == 0:
+		r.cpu0, seen, sok = tag, &r.seen0, false
+	case r.cpu1 == 0:
+		r.cpu1, seen, sok = tag, &r.seen1, false
+	default:
+		seen, sok = c.extraSeen(line, int32(cpu))
 	}
 	var cycles int64
-	if sok && uint32(s.vals[si]) == st.version {
+	if sok && *seen == r.version {
 		cycles = c.cost.CacheHit
 		c.Hits++
 		t.CacheHits++
@@ -128,47 +140,27 @@ func (c *Cache) accessLine(t *Thread, cpu int, line uint64, write bool) {
 		t.CacheMisses++
 		if sok {
 			// The processor had this line and the version moved on.
-			// A write from this CPU would have refreshed the seen
-			// entry, and seen entries are never dropped, so a stale
-			// entry means another CPU's write invalidated the line.
+			// A write from this CPU would have refreshed its seen
+			// version, and seen versions are never dropped, so a
+			// stale one means another CPU's write invalidated the
+			// line.
 			c.Invalidations++
 			t.CacheInvalidations++
 			t.e.traceArgs(t, EvCacheInval, "", int64(line), 0)
 		}
 	}
 	if write {
-		if st.writer != int32(cpu) && st.version != 0 {
+		if r.writer != int32(cpu) && r.version != 0 {
 			cycles += c.cost.CacheRFO
 			c.RFOs++
 			t.e.traceArgs(t, EvCacheRFO, "", int64(line), 0)
 		}
-		st.version++
-		st.writer = int32(cpu)
-		g.set(gi, gok, line, uint64(st.version)|uint64(uint32(st.writer))<<32)
+		r.version++
+		r.writer = int32(cpu)
 	}
-	s.set(si, sok, line, uint64(st.version))
-	c.memoOK, c.memoGok = true, gok || write
-	c.memoCPU, c.memoLine = int32(cpu), line
-	c.memoSi, c.memoGi = si, gi
-	c.memoSGen, c.memoGGen = s.gen, g.gen
-	c.memoGN = g.n
+	*seen = r.version
 	t.advance(cycles)
 }
-
-// lineMap is an open-addressed hash table from cache-line number to a
-// 64-bit payload, with linear probing and no deletion. Keys are stored
-// as line+1 so the zero slot means empty; both arrays are scalar, so
-// the table is invisible to the garbage collector.
-type lineMap struct {
-	keys []uint64
-	vals []uint64
-	n    int
-	// gen counts reallocations (initial allocation and growth);
-	// any slot index obtained at an older gen is stale.
-	gen uint32
-}
-
-const lineMapMinSize = 1024 // slots; 16 KiB per table
 
 // hashLine spreads line numbers, which are near-sequential, across the
 // table (Fibonacci multiplicative hashing).
@@ -176,65 +168,90 @@ func hashLine(line uint64, mask uint64) uint64 {
 	return (line * 0x9E3779B97F4A7C15) >> 32 & mask
 }
 
-// ensure reserves room for one insertion, growing at 3/4 load so the
-// slot index a subsequent find returns remains insertable.
-func (m *lineMap) ensure() {
-	if cap := len(m.keys); cap == 0 {
-		m.keys = make([]uint64, lineMapMinSize)
-		m.vals = make([]uint64, lineMapMinSize)
-		m.gen++
-	} else if (m.n+1)*4 > cap*3 {
-		m.grow(cap * 2)
-	}
+// hashSharer spreads (line, cpu) pairs. The processor must reach the
+// low bits of the slot index: a hash that only moved high bits would
+// put every processor of one line into a single probe run.
+func hashSharer(line uint64, cpu int32, mask uint64) uint64 {
+	return (line*0x9E3779B97F4A7C15 ^ uint64(cpu)*0xC2B2AE3D27D4EB4F) >> 32 & mask
 }
 
-func (m *lineMap) grow(size int) {
-	oldKeys, oldVals := m.keys, m.vals
-	m.keys = make([]uint64, size)
-	m.vals = make([]uint64, size)
-	m.gen++
-	mask := uint64(size - 1)
-	for i, k := range oldKeys {
-		if k == 0 {
-			continue
-		}
-		j := hashLine(k-1, mask)
-		for m.keys[j] != 0 {
-			j = (j + 1) & mask
-		}
-		m.keys[j] = k
-		m.vals[j] = oldVals[i]
+// record returns the slot of line's record, inserting an empty one
+// (version 0, no sharers) on first touch.
+func (c *Cache) record(line uint64) int {
+	if (c.n+1)*4 > len(c.recs)*3 {
+		c.growRecs()
 	}
-}
-
-// find returns the slot holding line, or the empty slot where it would
-// be inserted, and whether it was found. The table must be non-empty or
-// ensured first.
-func (m *lineMap) find(line uint64) (int, bool) {
-	if len(m.keys) == 0 {
-		return -1, false
-	}
-	mask := uint64(len(m.keys) - 1)
-	k := line + 1
+	mask := uint64(len(c.recs) - 1)
+	key := line + 1
 	i := hashLine(line, mask)
 	for {
-		kk := m.keys[i]
-		if kk == k {
-			return int(i), true
-		}
-		if kk == 0 {
-			return int(i), false
+		switch c.recs[i].key {
+		case key:
+			return int(i)
+		case 0:
+			c.recs[i].key = key
+			c.n++
+			return int(i)
 		}
 		i = (i + 1) & mask
 	}
 }
 
-// set stores v at the slot find returned; found says whether the slot
-// already held the key.
-func (m *lineMap) set(i int, found bool, line, v uint64) {
-	if !found {
-		m.keys[i] = line + 1
-		m.n++
+func (c *Cache) growRecs() {
+	old := c.recs
+	c.recs = make([]lineRec, 2*len(old))
+	mask := uint64(len(c.recs) - 1)
+	for _, r := range old {
+		if r.key == 0 {
+			continue
+		}
+		j := hashLine(r.key-1, mask)
+		for c.recs[j].key != 0 {
+			j = (j + 1) & mask
+		}
+		c.recs[j] = r
 	}
-	m.vals[i] = v
+	c.memoKey = 0
+}
+
+// extraSeen returns cpu's overflow seen version for line, inserting it
+// on first touch, and whether it was already present. The pointer is
+// valid until the next call.
+func (c *Cache) extraSeen(line uint64, cpu int32) (*uint32, bool) {
+	if len(c.extra) == 0 {
+		c.extra = make([]sharerRec, extraTableMinSize)
+	} else if (c.extraN+1)*4 > len(c.extra)*3 {
+		c.growExtra()
+	}
+	mask := uint64(len(c.extra) - 1)
+	key := line + 1
+	i := hashSharer(line, cpu, mask)
+	for {
+		s := &c.extra[i]
+		if s.key == key && s.cpu == cpu {
+			return &s.seen, true
+		}
+		if s.key == 0 {
+			s.key, s.cpu = key, cpu
+			c.extraN++
+			return &s.seen, false
+		}
+		i = (i + 1) & mask
+	}
+}
+
+func (c *Cache) growExtra() {
+	old := c.extra
+	c.extra = make([]sharerRec, 2*len(old))
+	mask := uint64(len(c.extra) - 1)
+	for _, s := range old {
+		if s.key == 0 {
+			continue
+		}
+		j := hashSharer(s.key-1, s.cpu, mask)
+		for c.extra[j].key != 0 {
+			j = (j + 1) & mask
+		}
+		c.extra[j] = s
+	}
 }

@@ -1,6 +1,10 @@
 package sim
 
-import "testing"
+import (
+	"fmt"
+	"math/rand"
+	"testing"
+)
 
 func TestRFOChargedOnForeignWrite(t *testing.T) {
 	e := New(Config{Processors: 2})
@@ -86,5 +90,36 @@ func TestLineSizeConfig(t *testing.T) {
 	e.Run()
 	if e.Cache().Misses != 2 {
 		t.Fatalf("misses = %d, want 2 with 32-byte lines", e.Cache().Misses)
+	}
+}
+
+// BenchmarkCacheAccess measures one 8-byte access through the cache
+// model (a quarter of them stores), with processors taking turns on
+// either 64 dense lines that every processor shares or 64k lines
+// scattered over 1 GiB.
+func BenchmarkCacheAccess(b *testing.B) {
+	for _, p := range []int{8, 1024} {
+		for _, layout := range []string{"dense", "scattered"} {
+			b.Run(fmt.Sprintf("P=%d/%s", p, layout), func(b *testing.B) {
+				rng := rand.New(rand.NewSource(1))
+				n := 1 << 16
+				addrs := make([]uint64, n)
+				for i := range addrs {
+					if layout == "dense" {
+						addrs[i] = 0x10000 + uint64(rng.Intn(64))*64
+					} else {
+						addrs[i] = uint64(rng.Int63n(1<<30)) &^ 7
+					}
+				}
+				e := New(Config{Processors: p})
+				t := e.newThread("bench", nil)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					j := i & (n - 1)
+					e.cache.access(t, (i*7)%p, addrs[j], 8, j&3 == 0)
+				}
+			})
+		}
 	}
 }

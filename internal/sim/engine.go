@@ -67,6 +67,9 @@ type Engine struct {
 	// ready holds the runnable threads ordered by (clock, slot); the
 	// scheduler pops its root instead of scanning every thread.
 	ready readyHeap
+	// handoff is the thread a preempted thread swapped out of the heap
+	// root (see yieldCheck): Run starts it next without a pop.
+	handoff *Thread
 
 	// maxClock is the largest thread clock ever reached, maintained by
 	// advance and wake so Makespan is O(1) instead of an O(threads)
@@ -115,7 +118,7 @@ func New(cfg Config) *Engine {
 		tracer:    cfg.Tracer,
 		traceMask: mask,
 	}
-	e.cache = newCache(cfg.Processors, cfg.LineSize, &e.cost)
+	e.cache = newCache(cfg.LineSize, &e.cost)
 	return e
 }
 
@@ -170,7 +173,9 @@ func (e *Engine) Go(name string, fn func(*Ctx)) *Thread {
 // the thread yields, blocks or finishes and then switches straight back
 // here. Each switch is a direct coroutine transfer, not a channel
 // operation, so the Go scheduler never runs between two simulated
-// events. On every exit, normal or not, the workers are stopped.
+// events. A preempted thread has already chosen its successor, which
+// Run starts without consulting the heap. On every exit, normal or
+// not, the workers are stopped.
 func (e *Engine) Run() int64 {
 	if e.started {
 		panic("sim: Run called twice")
@@ -186,33 +191,50 @@ func (e *Engine) Run() int64 {
 	}
 	defer e.stopWorkers()
 	for e.live > 0 {
-		t := e.dispatch()
-		if t == nil {
+		t := e.handoff
+		if t != nil {
+			e.handoff = nil
+			e.grant(t, e.heapLease())
+		} else if t = e.dispatch(); t == nil {
 			panic(e.deadlockReport())
 		}
 		t.w.next()
-		e.rethrowThreadPanic()
+		if e.threadPanic != nil {
+			e.rethrowThreadPanic()
+		}
 	}
 	return e.Makespan()
 }
 
-// dispatch picks the next thread to run, marks it running and grants
-// its lease: up to the runner-up's clock, unless Exact forces a yield
-// on every event. It binds the thread to a worker at its first
-// dispatch, and returns nil when no thread is runnable.
+// dispatch picks the next thread to run and grants it (see grant), or
+// returns nil when no thread is runnable.
 func (e *Engine) dispatch() *Thread {
 	var t *Thread
-	lease := int64(math.MaxInt64)
+	var lease int64
 	if e.cfg.linearScan {
 		t, lease = e.pickMin()
 	} else if t = e.ready.pop(); t != nil {
-		if p := e.ready.peek(); p != nil {
-			lease = p.clock
-		}
+		lease = e.heapLease()
 	}
-	if t == nil {
-		return nil
+	if t != nil {
+		e.grant(t, lease)
 	}
+	return t
+}
+
+// heapLease is the lease of a thread just taken off the ready heap: the
+// clock of the heap's new root, or unbounded when the heap is empty.
+func (e *Engine) heapLease() int64 {
+	if p := e.ready.peek(); p != nil {
+		return p.clock
+	}
+	return math.MaxInt64
+}
+
+// grant marks t running with a lease up to the runner-up's clock,
+// unless Exact forces a yield on every event, and binds t to a worker
+// at its first dispatch.
+func (e *Engine) grant(t *Thread, lease int64) {
 	t.state = stateRunning
 	if e.cfg.Exact {
 		lease = math.MinInt64 // always yield
@@ -221,7 +243,6 @@ func (e *Engine) dispatch() *Thread {
 	if t.w == nil {
 		e.bindWorker(t)
 	}
-	return t
 }
 
 // rethrowThreadPanic re-raises a captured thread panic on the caller's
@@ -230,9 +251,6 @@ func (e *Engine) dispatch() *Thread {
 // attach it; typed panic values pass through untouched so callers can
 // recover their own sentinels.
 func (e *Engine) rethrowThreadPanic() {
-	if e.threadPanic == nil {
-		return
-	}
 	if _, isRuntime := e.threadPanic.(runtime.Error); isRuntime {
 		panic(fmt.Sprintf("%v\n\n[simulated-thread stack]\n%s", e.threadPanic, e.threadPanicStack))
 	}

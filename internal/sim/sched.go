@@ -30,6 +30,21 @@ func (h *readyHeap) peek() *Thread {
 	return h.ts[0]
 }
 
+// replaceTop inserts t in place of the root and returns the old root,
+// with one sift-down instead of a push and a pop. The heap must be
+// non-empty.
+func (h *readyHeap) replaceTop(t *Thread) *Thread {
+	if t.heapIdx != -1 {
+		panic("sim: thread " + t.name + " enqueued twice")
+	}
+	old := h.ts[0]
+	old.heapIdx = -1
+	h.ts[0] = t
+	t.heapIdx = 0
+	h.down(0)
+	return old
+}
+
 // push inserts t, keyed on its current clock.
 func (h *readyHeap) push(t *Thread) {
 	if t.heapIdx != -1 {

@@ -78,31 +78,77 @@ func torture(cfg Config) *Engine {
 	return e
 }
 
+// lockstep builds n threads that each charge Work(1) per step from
+// the same start time. Their clocks stay tied, so every step expires
+// the lease and preempts: the pure handoff path.
+func lockstep(cfg Config, n, steps int) *Engine {
+	e := New(cfg)
+	for w := 0; w < n; w++ {
+		e.Go(fmt.Sprintf("step%d", w), func(c *Ctx) {
+			for j := 0; j < steps; j++ {
+				c.Work(1)
+				c.Write(uint64(1<<20)+uint64(j%4)*64, 8)
+			}
+		})
+	}
+	return e
+}
+
 // TestHeapSchedulerMatchesLinearScan pins the heap scheduler to the
-// pre-heap reference implementation: identical makespan and aggregate
-// statistics, on both the Exact and the lease configuration.
+// pre-heap reference implementation: identical makespan, aggregate
+// statistics and event stream, on both the Exact and the lease
+// configuration, for the torture scenario and for lockstep threads
+// with tied clocks that preempt on every step (on 8 processors and
+// oversubscribed on 4).
 func TestHeapSchedulerMatchesLinearScan(t *testing.T) {
-	for _, exact := range []bool{false, true} {
-		cfg := Config{Processors: 4, Exact: exact}
-		cfg.linearScan = true
-		ref := torture(cfg)
-		refMakespan := ref.Run()
-		refStats := ref.Stats()
+	scenarios := []struct {
+		name  string
+		build func(Config) *Engine
+	}{
+		{"torture", torture},
+		{"lockstep", func(cfg Config) *Engine { return lockstep(cfg, 8, 200) }},
+	}
+	for _, sc := range scenarios {
+		for _, procs := range []int{4, 8} {
+			for _, exact := range []bool{false, true} {
+				var refRec, heapRec Recorder
+				refRec.Max, heapRec.Max = 1<<30, 1<<30
+				// Preempt events are left out: without lease self-renewal
+				// the linear scan also preempts where the heap renews.
+				cfg := Config{Processors: procs, Exact: exact, Tracer: &refRec, TraceMask: AllEvents &^ MaskOf(EvPreempt)}
+				cfg.linearScan = true
+				ref := sc.build(cfg)
+				refMakespan := ref.Run()
+				refStats := ref.Stats()
 
-		cfg.linearScan = false
-		heap := torture(cfg)
-		heapMakespan := heap.Run()
-		heapStats := heap.Stats()
+				cfg.linearScan = false
+				cfg.Tracer = &heapRec
+				heap := sc.build(cfg)
+				heapMakespan := heap.Run()
+				heapStats := heap.Stats()
 
-		if heapMakespan != refMakespan {
-			t.Errorf("exact=%v: makespan %d (heap) != %d (linear scan)", exact, heapMakespan, refMakespan)
-		}
-		if heapStats != refStats {
-			t.Errorf("exact=%v: stats diverge\nheap: %+v\nscan: %+v", exact, heapStats, refStats)
-		}
-		for i := range heap.Threads() {
-			if hc, rc := heap.Threads()[i].Clock(), ref.Threads()[i].Clock(); hc != rc {
-				t.Errorf("exact=%v: thread %d completion %d != %d", exact, i, hc, rc)
+				id := fmt.Sprintf("%s P=%d exact=%v", sc.name, procs, exact)
+				if heapMakespan != refMakespan {
+					t.Errorf("%s: makespan %d (heap) != %d (linear scan)", id, heapMakespan, refMakespan)
+				}
+				if heapStats != refStats {
+					t.Errorf("%s: stats diverge\nheap: %+v\nscan: %+v", id, heapStats, refStats)
+				}
+				for i := range heap.Threads() {
+					if hc, rc := heap.Threads()[i].Clock(), ref.Threads()[i].Clock(); hc != rc {
+						t.Errorf("%s: thread %d completion %d != %d", id, i, hc, rc)
+					}
+				}
+				if len(heapRec.Events) != len(refRec.Events) {
+					t.Errorf("%s: %d events (heap) != %d (linear scan)", id, len(heapRec.Events), len(refRec.Events))
+					continue
+				}
+				for i, ev := range heapRec.Events {
+					if ev != refRec.Events[i] {
+						t.Errorf("%s: event %d is %+v (heap), %+v (linear scan)", id, i, ev, refRec.Events[i])
+						break
+					}
+				}
 			}
 		}
 	}
@@ -301,6 +347,28 @@ func BenchmarkLockHandoff(b *testing.B) {
 			})
 		}
 		e.Run()
+	}
+}
+
+// BenchmarkPreemptHandoff measures one preemption: lockstep threads on
+// 8 processors that each charge Work(1) per step, so with their clocks
+// tied every step hands the processor to the next thread.
+func BenchmarkPreemptHandoff(b *testing.B) {
+	for _, n := range []int{2, 8} {
+		b.Run(fmt.Sprintf("threads=%d", n), func(b *testing.B) {
+			steps := b.N/n + 1
+			e := New(Config{Processors: 8})
+			for w := 0; w < n; w++ {
+				e.Go("w", func(c *Ctx) {
+					for j := 0; j < steps; j++ {
+						c.Work(1)
+					}
+				})
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			e.Run()
+		})
 	}
 }
 

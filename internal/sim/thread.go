@@ -148,7 +148,10 @@ func (t *Thread) maybeYield() {
 }
 
 // yieldCheck is the slow path of maybeYield, split out so the lease
-// check above inlines into every Work/Read/Write charge.
+// check above inlines into every Work/Read/Write charge. When another
+// thread must run, t swaps itself into the heap root in its place and
+// names it as the next thread for Run, which is the same choice a push
+// and a pop would make, at one sift-down.
 func (t *Thread) yieldCheck() {
 	e := t.e
 	if !e.cfg.linearScan {
@@ -164,7 +167,12 @@ func (t *Thread) yieldCheck() {
 		}
 	}
 	e.trace(t, EvPreempt, "")
-	e.enqueue(t)
+	if e.cfg.linearScan {
+		e.enqueue(t)
+	} else {
+		t.state = stateReady
+		e.handoff = e.ready.replaceTop(t)
+	}
 	t.yield()
 }
 

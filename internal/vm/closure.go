@@ -141,7 +141,8 @@ func (m *machine) execClosure(c *sim.Ctx, fn *Fn, this mem.Ref, args []value) va
 
 // getCFrame / putCFrame recycle activation records the same way
 // getFrame recycles local-slot arrays. The simulator runs one thread
-// at a time (baton protocol), so a machine-wide free list is safe.
+// at a time (one coroutine at a time), so a machine-wide free list is
+// safe.
 func (m *machine) getCFrame() *cframe {
 	if k := len(m.cframes) - 1; k >= 0 {
 		fr := m.cframes[k]

@@ -351,7 +351,8 @@ type machine struct {
 	cLoadField, cStoreField, cIndexLoad, cIndexStore, cMethod, cMisc refCache
 	// frames and stacks are free lists of local-slot arrays and operand
 	// stacks, recycled across activations. The simulator runs one thread
-	// at a time (baton protocol), so sharing them machine-wide is safe.
+	// at a time (one coroutine at a time), so sharing them machine-wide
+	// is safe.
 	frames [][]value
 	stacks [][]value
 	// argScratch passes one- or two-value argument lists without

@@ -1,7 +1,7 @@
 package workload
 
 import (
-	"fmt"
+	"strconv"
 
 	"amplify/internal/alloc"
 	"amplify/internal/mem"
@@ -103,7 +103,7 @@ func RunChurn(strategy string, cfg ChurnConfig) (ChurnResult, error) {
 	gate.Add(1)
 	e.Go("main", func(c *sim.Ctx) {
 		for i := 0; i < cfg.Threads; i++ {
-			c.Go(fmt.Sprintf("churn%d", i), func(cc *sim.Ctx) {
+			c.Go("churn"+strconv.Itoa(i), func(cc *sim.Ctx) {
 				ready.Done(cc)
 				gate.Wait(cc)
 				for op := 0; op < cfg.OpsPerThread; op++ {

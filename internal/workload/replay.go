@@ -87,14 +87,16 @@ func RunReplay(strategy string, cfg ReplayConfig) (ReplayResult, error) {
 		cfg.Processors = 8
 	}
 
-	// Partition the stream per thread and gate cross-thread lifetimes.
+	// Partition the stream per thread and mark cross-thread lifetimes.
+	// gateOf maps an alloc event to 1 + its gate's index in gates, or 0
+	// when the block is freed on its own thread (or never).
 	perThread := make([][]int32, len(tr.Threads))
-	crossFreed := make(map[int64]bool)
+	gateOf := make([]int32, len(tr.Events))
 	for i := range tr.Events {
 		ev := &tr.Events[i]
 		perThread[ev.Thread] = append(perThread[ev.Thread], int32(i))
 		if ev.Op == alloctrace.OpFree && tr.Events[ev.AllocSeq].Thread != ev.Thread {
-			crossFreed[ev.AllocSeq] = true
+			gateOf[ev.AllocSeq] = 1
 		}
 	}
 
@@ -106,11 +108,14 @@ func RunReplay(strategy string, cfg ReplayConfig) (ReplayResult, error) {
 	}
 	watchHeap(cfg.HeapObserver, sp, a, nil)
 
-	gates := make(map[int64]*sim.WaitGroup, len(crossFreed))
-	for idx := range crossFreed {
-		g := e.NewWaitGroup()
-		g.Add(1)
-		gates[idx] = g
+	var gates []*sim.WaitGroup // in alloc event order
+	for i, marked := range gateOf {
+		if marked != 0 {
+			g := e.NewWaitGroup()
+			g.Add(1)
+			gates = append(gates, g)
+			gateOf[i] = int32(len(gates))
+		}
 	}
 	refs := make([]mem.Ref, len(tr.Events)) // alloc event index -> replayed block
 
@@ -123,7 +128,7 @@ func RunReplay(strategy string, cfg ReplayConfig) (ReplayResult, error) {
 	e.Go("main", func(c *sim.Ctx) {
 		for ti := range perThread {
 			ops := perThread[ti]
-			c.Go(fmt.Sprintf("replay-%s", tr.Threads[ti]), func(cc *sim.Ctx) {
+			c.Go("replay-"+tr.Threads[ti], func(cc *sim.Ctx) {
 				ready.Done(cc)
 				gate.Wait(cc)
 				for _, idx := range ops {
@@ -132,12 +137,12 @@ func RunReplay(strategy string, cfg ReplayConfig) (ReplayResult, error) {
 						r := a.Alloc(cc, ev.Req)
 						refs[idx] = r
 						cc.Write(uint64(r), 8)
-						if g := gates[int64(idx)]; g != nil {
-							g.Done(cc)
+						if g := gateOf[idx]; g != 0 {
+							gates[g-1].Done(cc)
 						}
 					} else {
-						if g := gates[ev.AllocSeq]; g != nil {
-							g.Wait(cc)
+						if g := gateOf[ev.AllocSeq]; g != 0 {
+							gates[g-1].Wait(cc)
 						}
 						a.Free(cc, refs[ev.AllocSeq])
 					}

@@ -20,6 +20,7 @@ package workload
 
 import (
 	"fmt"
+	"strconv"
 
 	"amplify/internal/alloc"
 	"amplify/internal/handmade"
@@ -280,7 +281,7 @@ func forEachThread(e *sim.Engine, cfg TreeConfig, worker func(c *sim.Ctx, trees 
 			if i < extra {
 				trees++
 			}
-			c.Go(fmt.Sprintf("worker%d", i), func(cc *sim.Ctx) {
+			c.Go("worker"+strconv.Itoa(i), func(cc *sim.Ctx) {
 				worker(cc, trees)
 			})
 		}
