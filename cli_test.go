@@ -2,6 +2,7 @@ package amplify
 
 import (
 	"encoding/json"
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -570,18 +571,19 @@ func TestCLIEngineFailFast(t *testing.T) {
 
 	// The program path does not exist: if the engine check ran after
 	// reading the input, the error would be about the file instead.
-	out, err := exec.Command(filepath.Join(bin, "mccrun"), "-engine", "turbo", "missing.mcc").CombinedOutput()
-	if exitErr, ok := err.(*exec.ExitError); !ok || exitErr.ExitCode() != 1 {
-		t.Fatalf("mccrun unknown -engine: err = %v (want exit 1)\n%s", err, out)
-	}
-	text := string(out)
-	for _, want := range []string{`"turbo"`, "vm", "closure", "ast"} {
-		if !strings.Contains(text, want) {
-			t.Errorf("mccrun -engine error missing %q:\n%s", want, text)
+	// "closure" names the removed closure-compiled backend.
+	for _, engine := range []string{"turbo", "closure"} {
+		out, err := exec.Command(filepath.Join(bin, "mccrun"), "-engine", engine, "missing.mcc").CombinedOutput()
+		if exitErr, ok := err.(*exec.ExitError); !ok || exitErr.ExitCode() != 1 {
+			t.Fatalf("mccrun -engine %s: err = %v (want exit 1)\n%s", engine, err, out)
 		}
-	}
-	if strings.Contains(text, "missing.mcc") {
-		t.Errorf("engine validation ran after reading the input:\n%s", text)
+		text := string(out)
+		if want := fmt.Sprintf("unknown engine %q (want vm or ast)", engine); !strings.Contains(text, want) {
+			t.Errorf("mccrun -engine %s error missing %q:\n%s", engine, want, text)
+		}
+		if strings.Contains(text, "missing.mcc") {
+			t.Errorf("engine validation ran after reading the input:\n%s", text)
+		}
 	}
 
 	// Valid engines still run.
@@ -589,10 +591,47 @@ func TestCLIEngineFailFast(t *testing.T) {
 	if err := os.WriteFile(srcPath, []byte(cliProgram), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	for _, engine := range []string{"vm", "closure", "ast"} {
+	for _, engine := range []string{"vm", "ast"} {
 		out, err := exec.Command(filepath.Join(bin, "mccrun"), "-engine", engine, srcPath).CombinedOutput()
 		if err != nil {
 			t.Fatalf("mccrun -engine %s: %v\n%s", engine, err, out)
+		}
+	}
+}
+
+// TestCLIRejectsInapplicableFlags: a flag the chosen configuration
+// would silently ignore is an error — a plain message, exit 1, no stack
+// trace — raised before the program file is read.
+func TestCLIRejectsInapplicableFlags(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds binaries")
+	}
+	bin := buildTools(t)
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-escape"}, "-escape needs -amplify"},
+		{[]string{"-arrays-only"}, "-arrays-only needs -amplify"},
+		{[]string{"-arrays-only", "-mode", "bogus"}, "-arrays-only needs -amplify"},
+		{[]string{"-mode", "flag"}, "-mode needs -amplify"},
+		{[]string{"-mode", "shadow"}, "-mode needs -amplify"},
+		{[]string{"-engine", "ast", "-no-opt"}, "-no-opt needs -engine vm"},
+	} {
+		// The program path does not exist, so a check that ran after
+		// reading the input would report the file instead.
+		args := append(tc.args, "missing.mcc")
+		out, err := exec.Command(filepath.Join(bin, "mccrun"), args...).CombinedOutput()
+		if exitErr, ok := err.(*exec.ExitError); !ok || exitErr.ExitCode() != 1 {
+			t.Errorf("mccrun %v: err = %v (want exit 1)\n%s", tc.args, err, out)
+			continue
+		}
+		text := string(out)
+		if !strings.Contains(text, tc.want) {
+			t.Errorf("mccrun %v: error missing %q:\n%s", tc.args, tc.want, text)
+		}
+		if strings.Contains(text, "missing.mcc") || strings.Contains(text, "goroutine") {
+			t.Errorf("mccrun %v: not a plain error raised before reading the input:\n%s", tc.args, text)
 		}
 	}
 }

@@ -92,9 +92,8 @@ func run() error {
 	jobs := flag.Int("j", runtime.NumCPU(), "max concurrent simulations")
 	jsonOut := flag.Bool("json", false, "emit machine-readable report on stdout")
 	noOpt := flag.Bool("no-opt", false, "disable the VM bytecode optimizer (identical simulated results, slower host)")
-	engine := flag.String("engine", "", "VM execution engine for MiniCC experiments: switch (default) | closure; identical simulated results, different host wall-clock")
 	allocList := flag.String("alloc", "", "comma-separated allocators for the contend experiment (default "+strings.Join(workload.ChurnStrategies(), ",")+")")
-	hostBench := flag.Bool("host-bench", false, "run the host-side Go benchmarks (VM engines, scheduler) and emit a BENCH_host JSON report on stdout; no simulation experiments are run")
+	hostBench := flag.Bool("host-bench", false, "run the host-side Go benchmarks (VM, scheduler) and emit a BENCH_host JSON report on stdout; no simulation experiments are run")
 	traceDir := flag.String("trace-dir", "", "export trace/profile/metrics artifacts into this directory")
 	heapDir := flag.String("heap-dir", "", "export heap timeline/site-profile/summary artifacts into this directory")
 	compare := flag.Bool("compare", false, "diff two bench reports: amplifybench -compare baseline.json current.json")
@@ -122,12 +121,6 @@ func run() error {
 		return runHostBench()
 	}
 
-	switch *engine {
-	case "", "switch", "closure":
-	default:
-		return fmt.Errorf("unknown engine %q (want switch or closure)", *engine)
-	}
-
 	names := append(bench.Names(), "endtoend")
 	if *list {
 		fmt.Println(strings.Join(names, "\n"))
@@ -149,7 +142,6 @@ func run() error {
 	r := bench.NewRunner(*quick)
 	r.Jobs = *jobs
 	r.VMNoOpt = *noOpt
-	r.Engine = *engine
 	if *allocList != "" {
 		// Fail fast on unknown allocator names, before any simulation
 		// runs: a typo'd -alloc should cost milliseconds, not a warm-up.

@@ -10,9 +10,7 @@
 //	              smartheap | lkmalloc | lfalloc; unknown names fail
 //	              fast with the list of registered strategies
 //	-engine e     execution engine: vm (bytecode dispatch loop, default) |
-//	              closure (bytecode compiled to chained Go closures —
-//	              identical simulated results, faster host) | ast
-//	              (tree-walking reference)
+//	              ast (tree-walking reference)
 //	-procs n      simulated processors (default 8)
 //	-amplify      run the Amplify pre-processor before executing
 //	-arrays-only  with -amplify: only shadow data-type arrays
@@ -109,7 +107,7 @@ func main() {
 func run(args []string) (int, error) {
 	fs := flag.NewFlagSet("mccrun", flag.ExitOnError)
 	allocName := fs.String("alloc", "serial", "allocator: serial | ptmalloc | hoard | smartheap | lkmalloc | lfalloc")
-	engine := fs.String("engine", "vm", "execution engine: vm (bytecode dispatch loop) | closure (bytecode compiled to chained Go closures) | ast (tree-walking)")
+	engine := fs.String("engine", "vm", "execution engine: vm (bytecode dispatch loop) | ast (tree-walking)")
 	procs := fs.Int("procs", 8, "simulated processors")
 	amplify := fs.Bool("amplify", false, "pre-process with Amplify before running")
 	arraysOnly := fs.Bool("arrays-only", false, "with -amplify: only shadow data arrays")
@@ -137,15 +135,41 @@ func run(args []string) (int, error) {
 		fs.PrintDefaults()
 		os.Exit(2)
 	}
-	// Fail fast on a typo'd allocator or engine name — before the
-	// program is read, parsed or simulated — with the valid choices.
+	// Fail fast on a typo'd allocator or engine name, or on a flag the
+	// chosen configuration would ignore — before the program is read,
+	// parsed or simulated — with the valid choices.
 	if err := alloc.Valid(*allocName); err != nil {
 		return 0, err
 	}
-	switch *engine {
-	case "vm", "closure", "ast":
-	default:
-		return 0, fmt.Errorf("unknown engine %q (want vm, closure or ast)", *engine)
+	if *engine != "vm" && *engine != "ast" {
+		return 0, fmt.Errorf("unknown engine %q (want vm or ast)", *engine)
+	}
+	modeSet := false
+	fs.Visit(func(f *flag.Flag) { modeSet = modeSet || f.Name == "mode" })
+	if !*amplify {
+		switch {
+		case *escape:
+			return 0, fmt.Errorf("-escape needs -amplify (it selects which rewrites the pre-processor applies)")
+		case *arraysOnly:
+			return 0, fmt.Errorf("-arrays-only needs -amplify (it selects which arrays the pre-processor shadows)")
+		case modeSet:
+			return 0, fmt.Errorf("-mode needs -amplify (it selects shadow pointers or logical-delete flags)")
+		}
+	}
+	if *engine == "ast" {
+		if *noOpt {
+			return 0, fmt.Errorf("-no-opt needs -engine vm (the ast engine has no bytecode optimizer)")
+		}
+		for _, f := range []struct{ name, val string }{
+			{"-profile-out", *profileOut},
+			{"-heap-timeline", *heapTimeline},
+			{"-heap-profile", *heapProfile},
+			{"-record-trace", *recordTrace},
+		} {
+			if f.val != "" {
+				return 0, fmt.Errorf("%s needs -engine vm (the ast engine has no observer hooks)", f.name)
+			}
+		}
 	}
 	// The span recorder is nil unless requested; every Start/Set/End
 	// below is a no-op then, so the hot path carries no bookkeeping.
@@ -159,9 +183,6 @@ func run(args []string) (int, error) {
 	sp.Set("src_bytes", int64(len(src))).End()
 	if err != nil {
 		return 0, err
-	}
-	if *escape && !*amplify {
-		return 0, fmt.Errorf("-escape needs -amplify (it selects which rewrites the pre-processor applies)")
 	}
 	if *vetFirst {
 		sp := spans.Start("vet")
@@ -197,16 +218,6 @@ func run(args []string) (int, error) {
 		src = transformed
 		if *stats {
 			fmt.Fprint(os.Stderr, rep.String())
-		}
-	}
-	for _, f := range []struct{ name, val string }{
-		{"-profile-out", *profileOut},
-		{"-heap-timeline", *heapTimeline},
-		{"-heap-profile", *heapProfile},
-		{"-record-trace", *recordTrace},
-	} {
-		if f.val != "" && *engine == "ast" {
-			return 0, fmt.Errorf("%s needs -engine vm or closure (the ast engine has no observer hooks)", f.name)
 		}
 	}
 	needEvents := *traceOut != "" || *traceJSONL != "" || *profileOut != ""
@@ -245,11 +256,8 @@ func run(args []string) (int, error) {
 		}
 		res = runResult{r.Output, r.ExitCode, r.Makespan, r.Alloc,
 			r.PoolHits, r.PoolMisses, r.ShadowReuses, r.Sim, r.Footprint}
-	case "vm", "closure":
+	case "vm":
 		vcfg := vm.Config{Processors: *procs, Strategy: *allocName, NoOpt: *noOpt, Spans: spans}
-		if *engine == "closure" {
-			vcfg.Engine = "closure"
-		}
 		if rec != nil {
 			vcfg.Tracer = rec
 		}
@@ -284,8 +292,6 @@ func run(args []string) (int, error) {
 		}
 		res = runResult{r.Output, r.ExitCode, r.Makespan, r.Alloc,
 			r.PoolHits, r.PoolMisses, r.ShadowReuses, r.Sim, r.Footprint}
-	default:
-		return 0, fmt.Errorf("unknown engine %q (want vm, closure or ast)", *engine)
 	}
 	root.End()
 	if rec != nil && *trace > 0 {

@@ -150,7 +150,7 @@ func (r *Runner) runEndToEndCell(cell e2eCell) (e2eResult, error) {
 			}
 			src = out
 		}
-		res, err := vm.RunSource(src, vm.Config{Strategy: cell.row.alloc, NoOpt: r.VMNoOpt, Engine: r.Engine})
+		res, err := vm.RunSource(src, vm.Config{Strategy: cell.row.alloc, NoOpt: r.VMNoOpt})
 		if err != nil {
 			return nil, err
 		}
@@ -219,7 +219,7 @@ func (r *Runner) EngineSpeedup() (float64, error) {
 			best := 0.0
 			for i := 0; i < 3; i++ {
 				start := time.Now()
-				rr, err := vm.RunSource(src, vm.Config{NoOpt: noOpt, Engine: r.Engine})
+				rr, err := vm.RunSource(src, vm.Config{NoOpt: noOpt})
 				sec := time.Since(start).Seconds()
 				if err != nil {
 					return vm.Result{}, 0, err

@@ -418,7 +418,7 @@ func (r *Runner) probeVM(src, strategy string, rec *sim.Recorder) (*cellProbe, e
 	prof := obsv.NewProfiler()
 	sites := heapobsv.NewSiteProfile()
 	res, err := vm.RunSource(src, vm.Config{
-		Strategy: strategy, NoOpt: r.VMNoOpt, Engine: r.Engine,
+		Strategy: strategy, NoOpt: r.VMNoOpt,
 		Tracer: rec, TraceMask: lockTraceMask(),
 		Profiler: prof, HeapProf: sites,
 	})

@@ -3,7 +3,6 @@ package vm
 import (
 	"fmt"
 	"strings"
-	"sync"
 
 	"amplify/internal/cc"
 	"amplify/internal/mem"
@@ -18,9 +17,6 @@ type Fn struct {
 	// Class is non-nil for member functions.
 	Class *cc.ClassDecl
 	Kind  cc.MethodKind
-	// id is the function's index in Program.Fns; the closure engine
-	// uses it to find the compiled steps.
-	id int
 }
 
 // Program is a compiled translation unit.
@@ -45,12 +41,6 @@ type Program struct {
 	// methodSites counts OpMethod sites; each site's C operand indexes
 	// the executing machine's inline-cache array.
 	methodSites int
-	// closure caches the closure-compiled form of every function
-	// (Config.Engine == "closure"), built lazily on first use and
-	// shared across machines; nil after the Once when depth inference
-	// failed (the engine then falls back to the switch loop).
-	closureOnce sync.Once
-	closure     []closureFn
 	// methodID maps class/kind/name to Fn indices.
 	methodID map[methodKey]int
 	classID  map[string]int
@@ -164,9 +154,6 @@ func CompileOpts(src *cc.Program, opt Options) (*Program, error) {
 	// pass, which interns no names) has been compiled; build the
 	// per-class dispatch tables over it.
 	p.buildClassTables()
-	for i, fn := range p.Fns {
-		fn.id = i
-	}
 	return p, nil
 }
 

@@ -8,10 +8,10 @@ import (
 	"amplify/internal/interp"
 )
 
-// FuzzVMDiff feeds arbitrary programs through both execution engines —
-// the tree-walking interpreter and this VM — and through the VM at both
-// optimization levels, and requires agreement: anything the front end
-// accepts must either run identically everywhere or fail everywhere.
+// FuzzVMDiff feeds arbitrary programs through the VM at both
+// optimization levels and through the tree-walking interpreter, and
+// requires agreement: anything the front end accepts must either run
+// identically everywhere or fail everywhere.
 // Between -O and -no-opt the agreement is exact down to the simulated
 // makespan and allocation counters: the peephole pass carries the work
 // charge of what it fuses, so optimization must be invisible to the
@@ -55,41 +55,6 @@ func FuzzVMDiff(f *testing.F) {
 			t.Skip("step limit")
 		}
 
-		// Three-way: the closure-compiled engine runs the same bytecode
-		// through chained continuations instead of a dispatch loop. It
-		// charges work at the same per-instruction granularity, so the
-		// agreement with the switch engine is exact — results, faults
-		// and the simulated makespan.
-		for _, lvl := range []Config{
-			{MaxSteps: maxSteps, Engine: "closure"},
-			{MaxSteps: maxSteps, Engine: "closure", NoOpt: true},
-		} {
-			cRes, cErr := RunSource(src, lvl)
-			if stepLimited(cErr) {
-				t.Skip("step limit")
-			}
-			ref, refErr := opt, err
-			if lvl.NoOpt {
-				ref, refErr = noOpt, noOptErr
-			}
-			if (refErr == nil) != (cErr == nil) {
-				t.Fatalf("closure engine changed failure (noopt=%v): switch err=%v, closure err=%v\nprogram:\n%s",
-					lvl.NoOpt, refErr, cErr, src)
-			}
-			if refErr != nil {
-				if refErr.Error() != cErr.Error() {
-					t.Fatalf("closure engine fault differs (noopt=%v):\nswitch:  %q\nclosure: %q\nprogram:\n%s",
-						lvl.NoOpt, refErr, cErr, src)
-				}
-				continue
-			}
-			if ref.Output != cRes.Output || ref.ExitCode != cRes.ExitCode ||
-				ref.Makespan != cRes.Makespan || ref.Alloc != cRes.Alloc {
-				t.Fatalf("closure engine diverged (noopt=%v):\nswitch:  exit=%d makespan=%d alloc=%+v out=%q\nclosure: exit=%d makespan=%d alloc=%+v out=%q\nprogram:\n%s",
-					lvl.NoOpt, ref.ExitCode, ref.Makespan, ref.Alloc, ref.Output,
-					cRes.ExitCode, cRes.Makespan, cRes.Alloc, cRes.Output, src)
-			}
-		}
 		if (err == nil) != (noOptErr == nil) {
 			t.Fatalf("optimization changed failure: -O err=%v, -no-opt err=%v\nprogram:\n%s", err, noOptErr, src)
 		}
@@ -109,30 +74,36 @@ func FuzzVMDiff(f *testing.F) {
 			}
 		}
 
-		// VM vs interpreter: same observable behavior (output order can
-		// differ between engines only through thread interleaving, so
-		// compare sorted lines).
+		// VM vs interpreter, at both optimization levels: same observable
+		// behavior (output order can differ between engines only through
+		// thread interleaving, so compare sorted lines).
 		iRes, iErr := interp.RunSource(src, interp.Config{MaxSteps: maxSteps})
 		if stepLimited(iErr) {
 			t.Skip("step limit")
 		}
-		if (err == nil) != (iErr == nil) {
-			t.Fatalf("engines disagree on failure: vm err=%v, interp err=%v\nprogram:\n%s", err, iErr, src)
-		}
-		if err != nil {
-			return
-		}
-		if sortedLines(opt.Output) != sortedLines(iRes.Output) {
-			t.Fatalf("engines disagree on output:\nvm:\n%s\ninterp:\n%s\nprogram:\n%s",
-				opt.Output, iRes.Output, src)
-		}
-		if opt.ExitCode != iRes.ExitCode {
-			t.Fatalf("engines disagree on exit code: vm=%d interp=%d\nprogram:\n%s",
-				opt.ExitCode, iRes.ExitCode, src)
-		}
-		if opt.Alloc.Allocs != iRes.Alloc.Allocs || opt.Alloc.Frees != iRes.Alloc.Frees {
-			t.Fatalf("engines disagree on heap traffic: vm=%d/%d interp=%d/%d\nprogram:\n%s",
-				opt.Alloc.Allocs, opt.Alloc.Frees, iRes.Alloc.Allocs, iRes.Alloc.Frees, src)
+		for _, lvl := range []struct {
+			name string
+			res  Result
+			err  error
+		}{{"-O", opt, err}, {"-no-opt", noOpt, noOptErr}} {
+			if (lvl.err == nil) != (iErr == nil) {
+				t.Fatalf("engines disagree on failure (%s): vm err=%v, interp err=%v\nprogram:\n%s", lvl.name, lvl.err, iErr, src)
+			}
+			if lvl.err != nil {
+				continue
+			}
+			if sortedLines(lvl.res.Output) != sortedLines(iRes.Output) {
+				t.Fatalf("engines disagree on output (%s):\nvm:\n%s\ninterp:\n%s\nprogram:\n%s",
+					lvl.name, lvl.res.Output, iRes.Output, src)
+			}
+			if lvl.res.ExitCode != iRes.ExitCode {
+				t.Fatalf("engines disagree on exit code (%s): vm=%d interp=%d\nprogram:\n%s",
+					lvl.name, lvl.res.ExitCode, iRes.ExitCode, src)
+			}
+			if lvl.res.Alloc.Allocs != iRes.Alloc.Allocs || lvl.res.Alloc.Frees != iRes.Alloc.Frees {
+				t.Fatalf("engines disagree on heap traffic (%s): vm=%d/%d interp=%d/%d\nprogram:\n%s",
+					lvl.name, lvl.res.Alloc.Allocs, lvl.res.Alloc.Frees, iRes.Alloc.Allocs, iRes.Alloc.Frees, src)
+			}
 		}
 	})
 }

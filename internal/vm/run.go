@@ -26,12 +26,6 @@ type Config struct {
 	Pool       pool.Config
 	MaxSteps   int64
 	Tracer     sim.Tracer
-	// Engine selects the execution engine: "switch" (default, the
-	// bytecode dispatch loop) or "closure" (each function compiled to
-	// a chain of Go closures — see closure.go). The engines are
-	// semantically identical down to simulated makespans and fault
-	// sites; only host speed differs.
-	Engine string
 	// TraceMask restricts which event kinds reach the tracer (zero
 	// means all).
 	TraceMask sim.Mask
@@ -196,18 +190,6 @@ func Run(p *Program, cfg Config) (res Result, err error) {
 		prof: cfg.Profiler,
 		hp:   cfg.HeapProf,
 	}
-	// call is the engine entry point for every function activation the
-	// shared runtime helpers start (constructors, destructors, operator
-	// new/delete, spawned threads), so a run stays on one engine
-	// throughout.
-	switch cfg.Engine {
-	case "", "switch":
-		m.call = m.exec
-	case "closure":
-		m.call = m.execClosure
-	default:
-		return res, fmt.Errorf("vm: unknown engine %q (want \"switch\" or \"closure\")", cfg.Engine)
-	}
 	if cfg.HeapObserver != nil {
 		if w, ok := cfg.HeapObserver.(alloc.Watcher); ok {
 			w.Watch(sp, under)
@@ -217,7 +199,7 @@ func Run(p *Program, cfg Config) (res Result, err error) {
 		}
 	}
 	e.Go("main", func(c *sim.Ctx) {
-		ret := m.call(c, p.Fns[mainID], mem.Nil, nil)
+		ret := m.exec(c, p.Fns[mainID], mem.Nil, nil)
 		m.flushWork(c)
 		m.exitCode = ret.i
 	})
@@ -364,15 +346,8 @@ type machine struct {
 	steps      int64
 	// bulk batches work charges (see Run); pending holds charges not
 	// yet flushed to the simulator.
-	bulk    bool
-	pending int64
-	// call runs one function activation on the configured engine
-	// (m.exec or m.execClosure); the shared runtime helpers go through
-	// it so ctors, dtors, operator new/delete and spawned threads all
-	// execute on the engine the user selected.
-	call func(c *sim.Ctx, fn *Fn, this mem.Ref, args []value) value
-	// cframes recycles closure-engine activation records.
-	cframes  []*cframe
+	bulk     bool
+	pending  int64
 	prof     Profiler
 	hp       HeapProfiler
 	out      strings.Builder
@@ -952,13 +927,13 @@ func (m *machine) arith(op Op, x, y value) value {
 
 func (m *machine) runCtor(c *sim.Ctx, ci *classInfo, ref mem.Ref, args []value) {
 	if ci.ctor >= 0 {
-		m.call(c, m.p.Fns[ci.ctor], ref, args)
+		m.exec(c, m.p.Fns[ci.ctor], ref, args)
 	}
 }
 
 func (m *machine) runDtor(c *sim.Ctx, s *hslot, ref mem.Ref) {
 	if s.class.dtor >= 0 {
-		m.call(c, m.p.Fns[s.class.dtor], ref, nil)
+		m.exec(c, m.p.Fns[s.class.dtor], ref, nil)
 	}
 	s.state = stDestroyed
 }
@@ -981,7 +956,7 @@ func (m *machine) doNew(c *sim.Ctx, ci *classInfo, placement value, args []value
 	var ref mem.Ref
 	if ci.opNew >= 0 {
 		m.argScratch[0] = iv(ci.decl.Size)
-		v := m.call(c, m.p.Fns[ci.opNew], mem.Nil, m.argScratch[:1])
+		v := m.exec(c, m.p.Fns[ci.opNew], mem.Nil, m.argScratch[:1])
 		if v.kind != 'r' || v.ref == mem.Nil {
 			m.fail("operator new of %s returned %s", ci.decl.Name, v.text())
 		}
@@ -1018,7 +993,7 @@ func (m *machine) doDelete(c *sim.Ctx, v value) {
 	m.runDtor(c, s, v.ref)
 	if s.class.opDelete >= 0 {
 		m.argScratch[0] = rv(v.ref)
-		m.call(c, m.p.Fns[s.class.opDelete], v.ref, m.argScratch[:1])
+		m.exec(c, m.p.Fns[s.class.opDelete], v.ref, m.argScratch[:1])
 		return
 	}
 	s.state = stFreed
