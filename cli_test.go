@@ -1,6 +1,7 @@
 package amplify
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -617,6 +618,10 @@ func TestCLIRejectsInapplicableFlags(t *testing.T) {
 		{[]string{"-mode", "flag"}, "-mode needs -amplify"},
 		{[]string{"-mode", "shadow"}, "-mode needs -amplify"},
 		{[]string{"-engine", "ast", "-no-opt"}, "-no-opt needs -engine vm"},
+		{[]string{"-heap-interval", "-7", "-heap-timeline", "h.jsonl"}, "-heap-interval must be positive"},
+		{[]string{"-heap-interval", "0", "-heap-timeline", "h.jsonl"}, "-heap-interval must be positive"},
+		{[]string{"-heap-interval", "100"}, "-heap-interval needs -heap-timeline"},
+		{[]string{"-trace", "-3"}, "-trace must not be negative"},
 	} {
 		// The program path does not exist, so a check that ran after
 		// reading the input would report the file instead.
@@ -967,5 +972,68 @@ func TestCLITraceStdin(t *testing.T) {
 	cmd.Stdin = strings.NewReader("not a trace")
 	if out, err := cmd.CombinedOutput(); err == nil {
 		t.Errorf("mcctrace analyze - accepted garbage:\n%s", out)
+	}
+}
+
+// TestCLITraceBoundLimitsOnlyTheTimeline: -trace N bounds the event
+// timeline printed to stderr and nothing else — the -trace-jsonl and
+// -profile-out artifacts of the same run are byte-identical to a run
+// without -trace.
+func TestCLITraceBoundLimitsOnlyTheTimeline(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds binaries")
+	}
+	bin := buildTools(t)
+	dir := t.TempDir()
+	src := filepath.Join(dir, "prog.mcc")
+	if err := os.WriteFile(src, []byte(observeProgram), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	run := func(name string, extra ...string) (stderr string) {
+		t.Helper()
+		args := append([]string{"-alloc", "ptmalloc",
+			"-trace-jsonl", filepath.Join(dir, name+".jsonl"),
+			"-profile-out", filepath.Join(dir, name+".folded")}, extra...)
+		cmd := exec.Command(filepath.Join(bin, "mccrun"), append(args, src)...)
+		var errb strings.Builder
+		cmd.Stderr = &errb
+		if err := cmd.Run(); err != nil {
+			t.Fatalf("mccrun %v: %v\n%s", args, err, errb.String())
+		}
+		return errb.String()
+	}
+	run("full")
+	timeline := run("bounded", "-trace", "10")
+	for _, ext := range []string{".jsonl", ".folded", ".folded.locks"} {
+		full, err := os.ReadFile(filepath.Join(dir, "full"+ext))
+		if err != nil {
+			t.Fatal(err)
+		}
+		bounded, err := os.ReadFile(filepath.Join(dir, "bounded"+ext))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(full, bounded) {
+			t.Errorf("-trace 10 changed the %s artifact (%d bytes, %d without -trace)", ext, len(bounded), len(full))
+		}
+	}
+	events, err := os.ReadFile(filepath.Join(dir, "bounded.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := bytes.Count(events, []byte("\n"))
+	if n <= 10 {
+		t.Errorf("-trace-jsonl wrote %d events, want the whole run", n)
+	}
+	locks, err := os.ReadFile(filepath.Join(dir, "bounded.folded.locks"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(locks), "ptmalloc.arena0") {
+		t.Errorf("lock table lost the arena lock:\n%s", locks)
+	}
+	lines := strings.Split(strings.TrimSpace(timeline), "\n")
+	if len(lines) != 11 || lines[10] != fmt.Sprintf("(%d further events dropped)", n-10) {
+		t.Errorf("stderr timeline is not 10 events plus the dropped count of %d:\n%s", n-10, timeline)
 	}
 }

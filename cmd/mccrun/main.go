@@ -24,6 +24,7 @@
 //	-escape       with -amplify: apply the escape-analysis-driven
 //	              rewrites (frame promotion, thread-private pools,
 //	              pool pre-sizing)
+//	-trace n      print the first n simulation events to stderr
 //	-trace-out f  write a Chrome trace_event JSON file (load it in
 //	              chrome://tracing or Perfetto; one track per virtual CPU,
 //	              async slices for lock-wait intervals)
@@ -35,6 +36,7 @@
 //	              footprint, live/free bytes, fragmentation, pool
 //	              retention — JSONL by default, CSV when f ends in .csv
 //	-heap-interval n sampling period of -heap-timeline in cycles
+//	              (positive; only with -heap-timeline)
 //	-heap-profile f write pprof-style folded stacks attributing allocated
 //	              bytes to MiniCC allocation sites (vm engine only); a
 //	              per-site table goes to f.sites
@@ -56,7 +58,12 @@
 // stays byte-diffable. The exit code is main's return value.
 // Observation never charges simulated work: every -trace/-profile/
 // -heap/-spans flag leaves the makespan and all other simulated
-// numbers unchanged.
+// numbers unchanged. Every observer flag attaches one consumer of the
+// run's single event stream; consumers never see each other, so an
+// artifact is the same whether its flag is given alone or with all the
+// others. -trace N bounds only the stderr timeline; an artifact written
+// from a recorder that hit its 4,000,000-event cap is reported on
+// stderr.
 package main
 
 import (
@@ -114,7 +121,7 @@ func run(args []string) (int, error) {
 	mode := fs.String("mode", "shadow", "with -amplify: shadow | flag")
 	noOpt := fs.Bool("no-opt", false, "with -engine vm: disable the bytecode optimizer")
 	stats := fs.Bool("stats", false, "print execution statistics to stderr")
-	trace := fs.Int("trace", 0, "print the first N simulation events to stderr")
+	trace := fs.Int("trace", 0, "print the first N simulation events to stderr (bounds only this timeline)")
 	traceOut := fs.String("trace-out", "", "write a Chrome trace_event JSON file of the run")
 	traceJSONL := fs.String("trace-jsonl", "", "write the simulation events as compact JSON lines")
 	profileOut := fs.String("profile-out", "", "write folded stacks of simulated cycles (vm engine only); per-lock profile goes to <file>.locks")
@@ -144,17 +151,25 @@ func run(args []string) (int, error) {
 	if *engine != "vm" && *engine != "ast" {
 		return 0, fmt.Errorf("unknown engine %q (want vm or ast)", *engine)
 	}
-	modeSet := false
-	fs.Visit(func(f *flag.Flag) { modeSet = modeSet || f.Name == "mode" })
+	set := map[string]bool{}
+	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
 	if !*amplify {
 		switch {
 		case *escape:
 			return 0, fmt.Errorf("-escape needs -amplify (it selects which rewrites the pre-processor applies)")
 		case *arraysOnly:
 			return 0, fmt.Errorf("-arrays-only needs -amplify (it selects which arrays the pre-processor shadows)")
-		case modeSet:
+		case set["mode"]:
 			return 0, fmt.Errorf("-mode needs -amplify (it selects shadow pointers or logical-delete flags)")
 		}
+	}
+	switch {
+	case *trace < 0:
+		return 0, fmt.Errorf("-trace must not be negative (got %d)", *trace)
+	case *heapInterval <= 0:
+		return 0, fmt.Errorf("-heap-interval must be positive (got %d)", *heapInterval)
+	case set["heap-interval"] && *heapTimeline == "":
+		return 0, fmt.Errorf("-heap-interval needs -heap-timeline (it sets that timeline's sampling period)")
 	}
 	if *engine == "ast" {
 		if *noOpt {
@@ -167,7 +182,7 @@ func run(args []string) (int, error) {
 			{"-record-trace", *recordTrace},
 		} {
 			if f.val != "" {
-				return 0, fmt.Errorf("%s needs -engine vm (the ast engine has no observer hooks)", f.name)
+				return 0, fmt.Errorf("%s needs -engine vm (the ast engine does not feed this observer)", f.name)
 			}
 		}
 	}
@@ -220,12 +235,16 @@ func run(args []string) (int, error) {
 			fmt.Fprint(os.Stderr, rep.String())
 		}
 	}
-	needEvents := *traceOut != "" || *traceJSONL != "" || *profileOut != ""
-	var rec *sim.Recorder
+	// Every consumer below is a sim.Tracer; nil ones are dropped when
+	// they are composed into the run's one event stream. The -trace
+	// timeline has a recorder of its own, so its bound never truncates
+	// the exported artifacts.
+	var timelineRec, rec *sim.Recorder
 	if *trace > 0 {
-		rec = &sim.Recorder{Max: *trace}
-	} else if needEvents {
-		rec = &sim.Recorder{Max: 4_000_000}
+		timelineRec = &sim.Recorder{Max: *trace}
+	}
+	if *traceOut != "" || *traceJSONL != "" || *profileOut != "" {
+		rec = &sim.Recorder{Max: maxEvents}
 	}
 	var prof *obsv.Profiler
 	if *profileOut != "" {
@@ -243,50 +262,18 @@ func run(args []string) (int, error) {
 	if *recordTrace != "" {
 		recorder = alloctrace.NewRecorder(fs.Arg(0))
 	}
+	tracer := sim.NewTee(timelineRec, rec, prof, timeline, sites, recorder)
 	var res runResult
 	switch *engine {
 	case "ast":
-		icfg := interp.Config{Processors: *procs, Strategy: *allocName}
-		if rec != nil {
-			icfg.Tracer = rec
-		}
-		r, err := interp.RunSource(src, icfg)
+		r, err := interp.RunSource(src, interp.Config{Processors: *procs, Strategy: *allocName, Tracer: tracer})
 		if err != nil {
 			return 0, err
 		}
 		res = runResult{r.Output, r.ExitCode, r.Makespan, r.Alloc,
 			r.PoolHits, r.PoolMisses, r.ShadowReuses, r.Sim, r.Footprint}
 	case "vm":
-		vcfg := vm.Config{Processors: *procs, Strategy: *allocName, NoOpt: *noOpt, Spans: spans}
-		if rec != nil {
-			vcfg.Tracer = rec
-		}
-		if prof != nil {
-			vcfg.Profiler = prof
-		}
-		// Assign through the typed nil checks: a nil *Timeline stored in
-		// the interface field would defeat the engine's one-branch guard.
-		// When both a timeline and a trace recorder are requested, the
-		// single observer slot fans out through heapobsv.Multi; likewise
-		// the profiler slot tees to the site profile and the recorder's
-		// site-attribution hooks.
-		switch {
-		case timeline != nil && recorder != nil:
-			vcfg.HeapObserver = heapobsv.Multi{timeline, recorder}
-		case timeline != nil:
-			vcfg.HeapObserver = timeline
-		case recorder != nil:
-			vcfg.HeapObserver = recorder
-		}
-		switch {
-		case sites != nil && recorder != nil:
-			vcfg.HeapProf = heapobsv.ProfTee{sites, recorder}
-		case sites != nil:
-			vcfg.HeapProf = sites
-		case recorder != nil:
-			vcfg.HeapProf = recorder
-		}
-		r, err := vm.RunSource(src, vcfg)
+		r, err := vm.RunSource(src, vm.Config{Processors: *procs, Strategy: *allocName, NoOpt: *noOpt, Spans: spans, Tracer: tracer})
 		if err != nil {
 			return 0, err
 		}
@@ -294,8 +281,8 @@ func run(args []string) (int, error) {
 			r.PoolHits, r.PoolMisses, r.ShadowReuses, r.Sim, r.Footprint}
 	}
 	root.End()
-	if rec != nil && *trace > 0 {
-		fmt.Fprint(os.Stderr, rec.Timeline())
+	if timelineRec != nil {
+		fmt.Fprint(os.Stderr, timelineRec.Timeline())
 	}
 	// The program's output is printed before the artifacts are written,
 	// so a failed export never swallows it; a failed stdout write (full
@@ -364,6 +351,7 @@ func writeArtifacts(rec *sim.Recorder, prof *obsv.Profiler, timeline *heapobsv.T
 		if err := os.WriteFile(traceOut, out, 0o644); err != nil {
 			return err
 		}
+		warnDropped(os.Stderr, rec, traceOut)
 	}
 	if traceJSONL != "" {
 		out, err := obsv.JSONL(events)
@@ -373,6 +361,7 @@ func writeArtifacts(rec *sim.Recorder, prof *obsv.Profiler, timeline *heapobsv.T
 		if err := os.WriteFile(traceJSONL, out, 0o644); err != nil {
 			return err
 		}
+		warnDropped(os.Stderr, rec, traceJSONL)
 	}
 	if profileOut != "" {
 		prof.Finish(res.makespan)
@@ -383,6 +372,7 @@ func writeArtifacts(rec *sim.Recorder, prof *obsv.Profiler, timeline *heapobsv.T
 		if err := os.WriteFile(profileOut+".locks", []byte(locks), 0o644); err != nil {
 			return err
 		}
+		warnDropped(os.Stderr, rec, profileOut+".locks")
 	}
 	if heapTimeline != "" {
 		timeline.Finish(res.makespan)
@@ -445,6 +435,20 @@ func writeArtifacts(rec *sim.Recorder, prof *obsv.Profiler, timeline *heapobsv.T
 		}
 	}
 	return nil
+}
+
+// maxEvents bounds the recorder behind -trace-out, -trace-jsonl and
+// -profile-out's lock table.
+const maxEvents = 4_000_000
+
+// warnDropped prints one line when an artifact is written from a
+// recorder that hit its bound, so a truncated export never passes for
+// a complete one.
+func warnDropped(w io.Writer, rec *sim.Recorder, path string) {
+	if rec.Dropped > 0 {
+		fmt.Fprintf(w, "mccrun: %s: the event recorder kept its first %d events and dropped %d; the artifact is truncated\n",
+			path, len(rec.Events), rec.Dropped)
+	}
 }
 
 func readInput(path string) (string, error) {

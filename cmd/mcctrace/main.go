@@ -158,7 +158,7 @@ func runReplay(args []string) error {
 		var rec *alloctrace.Recorder
 		if *rerecord != "" {
 			rec = alloctrace.NewRecorder(tr.Name)
-			cfg.HeapObserver = rec
+			cfg.Tracer = rec
 		}
 		res, err := workload.RunReplay(*allocName, cfg)
 		if err != nil {

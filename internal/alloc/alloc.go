@@ -73,10 +73,6 @@ type Options struct {
 	// Arenas overrides the arena/heap count for multi-heap allocators;
 	// zero means the strategy's default.
 	Arenas int
-	// Observer, when non-nil, receives an event per Alloc/Free in
-	// virtual time. Observation charges nothing: makespans are identical
-	// with or without it.
-	Observer Observer
 }
 
 // Factory builds an allocator on an engine and address space.

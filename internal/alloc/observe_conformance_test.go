@@ -8,37 +8,41 @@ import (
 	"amplify/internal/sim"
 )
 
-// countingObserver tallies alloc/free events and checks the stream's
-// basic contract: virtual time never goes backwards and byte counts
-// are positive.
-type countingObserver struct {
+// countingTracer tallies allocator-level events and checks the
+// stream's basic contract: virtual time never goes backwards, byte
+// counts are positive and a request never exceeds its grant.
+type countingTracer struct {
 	t            *testing.T
 	allocs       int64
 	frees        int64
+	reqBytes     int64
 	allocedBytes int64
 	freedBytes   int64
 	lastNow      int64
 }
 
-func (o *countingObserver) Observe(now int64, op alloc.ObsOp, bytes int64) {
-	if now < o.lastNow {
-		o.t.Errorf("observer time went backwards: %d after %d", now, o.lastNow)
+func (o *countingTracer) Event(e sim.Event) {
+	if e.Kind != sim.EvHeapAlloc && e.Kind != sim.EvHeapFree {
+		return
 	}
-	o.lastNow = now
-	switch op {
-	case alloc.ObsAlloc:
-		if bytes <= 0 {
-			o.t.Errorf("ObsAlloc with bytes %d", bytes)
+	if e.Time < o.lastNow {
+		o.t.Errorf("event time went backwards: %d after %d", e.Time, o.lastNow)
+	}
+	o.lastNow = e.Time
+	if e.Arg1 <= 0 || e.Arg2 == 0 {
+		o.t.Errorf("%v with granted bytes %d at address %d", e.Kind, e.Arg1, e.Arg2)
+	}
+	if e.Kind == sim.EvHeapAlloc {
+		if e.Arg3 <= 0 || e.Arg3 > e.Arg1 {
+			o.t.Errorf("heap-alloc requested %d, granted %d", e.Arg3, e.Arg1)
 		}
 		o.allocs++
-		o.allocedBytes += bytes
-	case alloc.ObsFree:
-		if bytes <= 0 {
-			o.t.Errorf("ObsFree with bytes %d", bytes)
-		}
-		o.frees++
-		o.freedBytes += bytes
+		o.reqBytes += e.Arg3
+		o.allocedBytes += e.Arg1
+		return
 	}
+	o.frees++
+	o.freedBytes += e.Arg1
 }
 
 // observedChurn is the workload the observer conformance runs: a
@@ -65,7 +69,7 @@ func observedChurn(e *sim.Engine, a alloc.Allocator) {
 }
 
 // TestObserverConformance runs the conformance churn over every
-// registered strategy with an Observer attached, so emission drift
+// registered strategy with a tracer attached, so emission drift
 // (missed events, wrong byte counts, events charged to the makespan)
 // is caught for every allocator — current and future — in one place.
 func TestObserverConformance(t *testing.T) {
@@ -80,9 +84,9 @@ func TestObserverConformance(t *testing.T) {
 			observedChurn(e0, a0)
 			bare := e0.Run()
 
-			obs := &countingObserver{t: t}
-			e := sim.New(sim.Config{Processors: 4})
-			a, err := alloc.New(s, e, mem.NewSpace(), alloc.Options{Threads: 4, Observer: obs})
+			obs := &countingTracer{t: t}
+			e := sim.New(sim.Config{Processors: 4, Tracer: obs})
+			a, err := alloc.New(s, e, mem.NewSpace(), alloc.Options{Threads: 4})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -98,6 +102,9 @@ func TestObserverConformance(t *testing.T) {
 			}
 			if obs.frees != st.Frees {
 				t.Errorf("observer saw %d frees, stats say %d", obs.frees, st.Frees)
+			}
+			if obs.reqBytes != st.ReqBytes {
+				t.Errorf("observer requested bytes %d != stats %d", obs.reqBytes, st.ReqBytes)
 			}
 			if obs.allocedBytes != st.GrantBytes {
 				t.Errorf("observer alloc bytes %d != granted bytes %d", obs.allocedBytes, st.GrantBytes)

@@ -6,8 +6,8 @@
 // allocation site (when the VM is the driver), virtual timestamp, and
 // a free→alloc back-reference that pins the lifetime structure.
 //
-// Traces are captured by a Recorder attached through the existing
-// alloc.Observer hooks (so any run — an mccrun program, a bench cell,
+// Traces are captured by a Recorder attached as the run's sim.Tracer
+// (so any run — an mccrun program, a bench cell,
 // a churn workload — can be recorded without changing its makespan),
 // serialized as a compact varint-delta binary with a JSONL mirror, and
 // replayed through the full allocator grid by workload.RunReplay. The
@@ -58,7 +58,7 @@ type Event struct {
 	Now int64
 	// Site indexes the trace's Sites table (alloc only). Site 0 is the
 	// empty "unknown" site; VM-driven captures attribute MiniCC
-	// "fn@line" sites through the heap-profiler hooks.
+	// "fn@line(Class)" sites from the VM's birth events.
 	Site int32
 	// Req and Granted are the requested and granted (usable) byte
 	// counts of an allocation. Granted is the capturing allocator's

@@ -3,18 +3,17 @@ package alloctrace
 import (
 	"fmt"
 
-	"amplify/internal/alloc"
 	"amplify/internal/mem"
+	"amplify/internal/sim"
 )
 
-// Recorder captures a run's allocator request stream as a Trace. It
-// implements alloc.TraceObserver, so attaching it as a run's
-// HeapObserver (workload.TreeConfig / ChurnConfig / ReplayConfig,
-// vm.Config, mccrun -record-trace) records every Alloc/Free with its
-// thread, sizes and lifetime back-reference. It also implements the
-// VM's HeapProfiler hooks: when additionally wired as vm.Config.
-// HeapProf, program-level births annotate the just-recorded allocator
-// event with its MiniCC "fn@line" site.
+// Recorder captures a run's allocator request stream as a Trace. It is
+// a sim.Tracer: attached as a run's Tracer (workload.TreeConfig /
+// ChurnConfig / ReplayConfig, vm.Config, mccrun -record-trace) it
+// records every allocator request (EvHeapAlloc/EvHeapFree) with its
+// thread, sizes and lifetime back-reference, and the VM's program-level
+// births annotate the allocator event that produced the block with its
+// MiniCC "fn@line(Class)" site.
 //
 // Recording is host-side bookkeeping on the simulation's deterministic
 // event order: it charges nothing, never changes a makespan, and
@@ -48,37 +47,41 @@ func NewRecorder(name string) *Recorder {
 	return r
 }
 
-// Observe implements alloc.Observer for the pool/shadow event kinds the
-// trace does not record. Allocator Alloc/Free traffic arrives through
-// the rich ObserveAlloc/ObserveFree path instead.
-func (r *Recorder) Observe(now int64, op alloc.ObsOp, bytes int64) {}
-
-// ObserveAlloc implements alloc.TraceObserver.
-func (r *Recorder) ObserveAlloc(now int64, thread int, req, granted int64, ref mem.Ref) {
-	r.liveSeq[ref] = int64(len(r.tr.Events))
-	r.tr.Events = append(r.tr.Events, Event{
-		Op:      OpAlloc,
-		Thread:  r.thread(thread),
-		Now:     now,
-		Req:     req,
-		Granted: granted,
-	})
-}
-
-// ObserveFree implements alloc.TraceObserver.
-func (r *Recorder) ObserveFree(now int64, thread int, granted int64, ref mem.Ref) {
-	seq, ok := r.liveSeq[ref]
-	if !ok {
-		r.DroppedFrees++
-		return
+// Event implements sim.Tracer.
+func (r *Recorder) Event(e sim.Event) {
+	switch e.Kind {
+	case sim.EvHeapAlloc:
+		r.liveSeq[mem.Ref(e.Arg2)] = int64(len(r.tr.Events))
+		r.tr.Events = append(r.tr.Events, Event{
+			Op:      OpAlloc,
+			Thread:  r.thread(e.Thread),
+			Now:     e.Time,
+			Req:     e.Arg3,
+			Granted: e.Arg1,
+		})
+	case sim.EvHeapFree:
+		ref := mem.Ref(e.Arg2)
+		seq, ok := r.liveSeq[ref]
+		if !ok {
+			r.DroppedFrees++
+			return
+		}
+		delete(r.liveSeq, ref) // the allocator may recycle the ref
+		r.tr.Events = append(r.tr.Events, Event{
+			Op:       OpFree,
+			Thread:   r.thread(e.Thread),
+			Now:      e.Time,
+			AllocSeq: seq,
+		})
+	case sim.EvAlloc, sim.EvBirth:
+		// A program-level birth at a known MiniCC site annotates the
+		// allocator-level event that produced the block. Births of
+		// blocks the recorder never saw allocated are ignored: the
+		// trace records allocator requests.
+		if seq, ok := r.liveSeq[mem.Ref(e.Arg2)]; ok && e.Site != "" {
+			r.tr.Events[seq].Site = r.site(e.Site)
+		}
 	}
-	delete(r.liveSeq, ref) // the allocator may recycle the ref
-	r.tr.Events = append(r.tr.Events, Event{
-		Op:       OpFree,
-		Thread:   r.thread(thread),
-		Now:      now,
-		AllocSeq: seq,
-	})
 }
 
 // thread interns a simulated thread slot, naming threads "t0", "t1", …
@@ -92,33 +95,6 @@ func (r *Recorder) thread(slot int) int32 {
 	r.tr.Threads = append(r.tr.Threads, fmt.Sprintf("t%d", idx))
 	return idx
 }
-
-// Enter and Exit implement the VM HeapProfiler shadow-stack hooks; the
-// recorder attributes flat sites, so they are no-ops.
-func (r *Recorder) Enter(thread int, fn string, now int64) {}
-
-// Exit implements the VM HeapProfiler hook.
-func (r *Recorder) Exit(thread int, now int64) {}
-
-// Alloc implements the VM HeapProfiler birth hook: a program-level
-// birth at a known MiniCC site annotates the allocator-level event
-// that produced the block. Pool hits (no allocator traffic) miss the
-// live map and are ignored — the trace records allocator requests.
-func (r *Recorder) Alloc(thread int, site, class string, bytes int64, ref mem.Ref) {
-	seq, ok := r.liveSeq[ref]
-	if !ok {
-		return
-	}
-	leaf := site
-	if class != "" {
-		leaf = site + "(" + class + ")"
-	}
-	r.tr.Events[seq].Site = r.site(leaf)
-}
-
-// Free implements the VM HeapProfiler death hook (allocator-level
-// frees already arrive via ObserveFree).
-func (r *Recorder) Free(thread int, ref mem.Ref) {}
 
 // site interns an allocation-site string.
 func (r *Recorder) site(s string) int32 {

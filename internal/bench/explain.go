@@ -273,11 +273,9 @@ type cellProbe struct {
 	note string
 }
 
-// lockTraceMask keeps the probe recorders small: only the events
+// lockEvents keeps the probe recorders small: only the events
 // LockProfile consumes.
-func lockTraceMask() sim.Mask {
-	return sim.MaskOf(sim.EvLockAcquire, sim.EvLockContended, sim.EvLockHandoff)
-}
+var lockEvents = sim.MaskOf(sim.EvLockAcquire, sim.EvLockContended, sim.EvLockHandoff)
 
 // runProbes re-runs the given cells with profiling, up to jobs at a
 // time on the host. Results are keyed by cell, so assembly order — and
@@ -315,7 +313,7 @@ func runProbes(cells []string, current *Report, jobs int) (map[string]*cellProbe
 // tree moved, and is surfaced as a note rather than an error.
 func (r *Runner) probeCell(cell string) (*cellProbe, error) {
 	parts := strings.Split(cell, "/")
-	rec := &sim.Recorder{Max: 4_000_000}
+	rec := &sim.Recorder{Max: 4_000_000, Mask: lockEvents}
 	switch parts[0] {
 	case "tree": // tree/<s>/depth<d>/threads<t>/procs<p>
 		if len(parts) != 5 {
@@ -330,7 +328,7 @@ func (r *Runner) probeCell(cell string) (*cellProbe, error) {
 		res, err := workload.RunTree(parts[1], workload.TreeConfig{
 			Depth: depth, Trees: r.Trees, Threads: threads, Processors: procs,
 			InitWork: InitWork, UseWork: UseWork,
-			Tracer: rec, TraceMask: lockTraceMask(),
+			Tracer: rec,
 		})
 		if err != nil {
 			return nil, err
@@ -348,7 +346,7 @@ func (r *Runner) probeCell(cell string) (*cellProbe, error) {
 		}
 		res, err := workload.RunChurn(parts[1], workload.ChurnConfig{
 			Threads: threads, OpsPerThread: r.contendOpsPerThread(), Size: contendSize,
-			Processors: procs, Tracer: rec, TraceMask: lockTraceMask(),
+			Processors: procs, Tracer: rec,
 		})
 		if err != nil {
 			return nil, err
@@ -364,7 +362,7 @@ func (r *Runner) probeCell(cell string) (*cellProbe, error) {
 			return nil, err
 		}
 		res, err := workload.RunReplay(parts[2], workload.ReplayConfig{
-			Trace: tr, Tracer: rec, TraceMask: lockTraceMask(),
+			Trace: tr, Tracer: rec,
 		})
 		if err != nil {
 			return nil, err
@@ -419,8 +417,7 @@ func (r *Runner) probeVM(src, strategy string, rec *sim.Recorder) (*cellProbe, e
 	sites := heapobsv.NewSiteProfile()
 	res, err := vm.RunSource(src, vm.Config{
 		Strategy: strategy, NoOpt: r.VMNoOpt,
-		Tracer: rec, TraceMask: lockTraceMask(),
-		Profiler: prof, HeapProf: sites,
+		Tracer: sim.NewTee(rec, prof, sites),
 	})
 	if err != nil {
 		return nil, err

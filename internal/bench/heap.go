@@ -39,7 +39,7 @@ func (r *Runner) ExportHeap(dir string) error {
 		}
 		tl := &heapobsv.Timeline{}
 		tcfg := cfg
-		tcfg.HeapObserver = tl
+		tcfg.Tracer = tl
 		res, err := workload.RunTree(strategy, tcfg)
 		if err != nil {
 			return fmt.Errorf("bench: heap timeline run %s: %w", strategy, err)
@@ -87,7 +87,7 @@ func (r *Runner) siteProfile() (folded, table string, err error) {
 		return "", "", err
 	}
 	prof := heapobsv.NewSiteProfile()
-	if _, err := vm.RunSource(amped, vm.Config{HeapProf: prof}); err != nil {
+	if _, err := vm.RunSource(amped, vm.Config{Tracer: prof}); err != nil {
 		return "", "", fmt.Errorf("bench: site profile run: %w", err)
 	}
 	return prof.Folded(heapobsv.MetricAllocBytes), prof.Table(), nil

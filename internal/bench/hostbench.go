@@ -5,7 +5,10 @@ import (
 	"runtime"
 	"time"
 
+	"amplify/internal/alloctrace"
 	"amplify/internal/cc"
+	"amplify/internal/heapobsv"
+	"amplify/internal/obsv"
 	"amplify/internal/sim"
 	"amplify/internal/vm"
 	"amplify/internal/workload"
@@ -15,8 +18,8 @@ import (
 // as opposed to the simulated makespans everything else in this
 // package reports. These back the BENCH_host.json trajectory file: a
 // committed snapshot of how fast the host-side machinery (VM,
-// scheduler) runs, so host regressions show up in review even though
-// they can never change simulated results.
+// scheduler, observation) runs, so host regressions show up in review
+// even though they can never change simulated results.
 //
 // Methodology: every row keeps the minimum of repeated runs after a
 // warm-up. On a noisy host the minimum is the most stable available
@@ -149,6 +152,26 @@ func HostBench() (*HostReport, error) {
 		HostCPUs:  runtime.NumCPU(),
 	}
 
+	// vmRow times one compiled program with a fresh tracer per run
+	// (newTracer returns nil for a detached run).
+	vmRow := func(name string, p *vm.Program, newTracer func() sim.Tracer) error {
+		run := func() error {
+			_, err := vm.Run(p, vm.Config{Tracer: newTracer()})
+			return err
+		}
+		best, err := minOf(40, run)
+		if err != nil {
+			return fmt.Errorf("hostbench %s: %w", name, err)
+		}
+		allocs, err := allocsPerOp(10, run)
+		if err != nil {
+			return err
+		}
+		rep.Benchmarks = append(rep.Benchmarks, HostBenchmark{Name: name, NsPerOp: best.Nanoseconds(), AllocsPerOp: allocs})
+		return nil
+	}
+	detached := func() sim.Tracer { return nil }
+	var treeBuild *vm.Program
 	for _, s := range vmHostSources {
 		prog, err := cc.Parse(s.src)
 		if err != nil {
@@ -158,19 +181,26 @@ func HostBench() (*HostReport, error) {
 		if err != nil {
 			return nil, fmt.Errorf("hostbench %s: %w", s.name, err)
 		}
-		run := func() error {
-			_, err := vm.Run(p, vm.Config{})
-			return err
+		if s.name == "exec_tree_build" {
+			treeBuild = p
 		}
-		best, err := minOf(40, run)
-		if err != nil {
-			return nil, fmt.Errorf("hostbench %s: %w", s.name, err)
-		}
-		allocs, err := allocsPerOp(10, run)
-		if err != nil {
+		if err := vmRow("vm/"+s.name, p, detached); err != nil {
 			return nil, err
 		}
-		rep.Benchmarks = append(rep.Benchmarks, HostBenchmark{Name: "vm/" + s.name, NsPerOp: best.Nanoseconds(), AllocsPerOp: allocs})
+	}
+
+	// Observation overhead on the tree program: no tracer, then every
+	// event-stream consumer attached through one fan-out (as mccrun
+	// attaches them when every observer flag is given).
+	if err := vmRow("observe/detached", treeBuild, detached); err != nil {
+		return nil, err
+	}
+	all := func() sim.Tracer {
+		return sim.NewTee(&sim.Recorder{Max: 4_000_000}, obsv.NewProfiler(), &heapobsv.Timeline{},
+			heapobsv.NewSiteProfile(), alloctrace.NewRecorder("observe"))
+	}
+	if err := vmRow("observe/all", treeBuild, all); err != nil {
+		return nil, err
 	}
 
 	// Scheduler benchmarks: spawn churn (thread creation/retirement

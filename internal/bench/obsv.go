@@ -169,7 +169,7 @@ func (r *Runner) foldedProfile() (string, error) {
 		return "", err
 	}
 	prof := obsv.NewProfiler()
-	res, err := vm.RunSource(amped, vm.Config{Profiler: prof})
+	res, err := vm.RunSource(amped, vm.Config{Tracer: prof})
 	if err != nil {
 		return "", fmt.Errorf("bench: profile run: %w", err)
 	}

@@ -64,10 +64,10 @@ type Config struct {
 	ProcessWork int64
 	// Pool configures the Amplify runtime.
 	Pool pool.Config
-	// HeapObserver receives allocator and pool events (heap timelines,
-	// fragmentation sampling); alloc.Watcher/WatchPools implementations
-	// are attached before the run. Host-side only.
-	HeapObserver alloc.Observer
+	// Tracer receives the run's event stream; a pool.Watcher tracer is
+	// attached to the run's space, allocator and pool runtime first.
+	// Host-side only.
+	Tracer sim.Tracer
 }
 
 func (cfg Config) withDefaults() Config {
@@ -138,11 +138,11 @@ func generate(i int) cdr {
 // Run executes the BGw test program and returns its measurements.
 func Run(cfg Config) (Result, error) {
 	cfg = cfg.withDefaults()
-	e := sim.New(sim.Config{Processors: cfg.Processors})
+	e := sim.New(sim.Config{Processors: cfg.Processors, Tracer: cfg.Tracer})
 	sp := mem.NewSpace()
 	res := Result{Config: cfg}
 
-	base, err := alloc.New(cfg.Strategy, e, sp, alloc.Options{Threads: cfg.Threads, Observer: cfg.HeapObserver})
+	base, err := alloc.New(cfg.Strategy, e, sp, alloc.Options{Threads: cfg.Threads})
 	if err != nil {
 		return res, err
 	}
@@ -151,7 +151,6 @@ func Run(cfg Config) (Result, error) {
 	var recPool *pool.ClassPool
 	if cfg.Amplify {
 		pcfg := cfg.Pool
-		pcfg.Observer = cfg.HeapObserver
 		if cfg.Threads == 1 {
 			pcfg.SingleThreaded = true
 		}
@@ -160,16 +159,7 @@ func Run(cfg Config) (Result, error) {
 			recPool = rt.NewClassPool("CDRRecord", AmpRecordSize)
 		}
 	}
-	if o := cfg.HeapObserver; o != nil {
-		if w, ok := o.(alloc.Watcher); ok {
-			w.Watch(sp, base)
-		}
-		if rt != nil {
-			if w, ok := o.(interface{ WatchPools(*pool.Runtime) }); ok {
-				w.WatchPools(rt)
-			}
-		}
-	}
+	pool.Watch(cfg.Tracer, sp, base, rt)
 
 	var appAllocs, libAllocs int64
 	per := cfg.CDRs / cfg.Threads

@@ -5,9 +5,12 @@ import (
 	"strings"
 	"testing"
 
+	"amplify/internal/alloc"
 	"amplify/internal/alloctrace"
+	"amplify/internal/core"
 	"amplify/internal/heapobsv"
 	"amplify/internal/obsv"
+	"amplify/internal/sim"
 	"amplify/internal/vm"
 	"amplify/internal/workload"
 )
@@ -52,11 +55,7 @@ func TestVMSiteAttribution(t *testing.T) {
 	prof := obsv.NewProfiler()
 	sites := heapobsv.NewSiteProfile()
 	rec := alloctrace.NewRecorder("attribution")
-	res, err := vm.RunSource(attributionProg, vm.Config{
-		Profiler:     prof,
-		HeapObserver: rec,
-		HeapProf:     heapobsv.ProfTee{sites, rec},
-	})
+	res, err := vm.RunSource(attributionProg, vm.Config{Tracer: sim.NewTee(prof, sites, rec)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,42 +88,113 @@ func TestVMSiteAttribution(t *testing.T) {
 	}
 }
 
-// TestMultiFansOutAndChangesNothing checks the Multi observer: a
-// timeline and a trace recorder attached together each see exactly
-// what they would alone, and observation still charges nothing.
-func TestMultiFansOutAndChangesNothing(t *testing.T) {
-	cfg := workload.ChurnConfig{Threads: 4, OpsPerThread: 50, Size: 48}
+// consumer builds one fresh event-stream consumer and, after the run,
+// renders everything it observed as bytes.
+type consumer struct {
+	name string
+	new  func() (sim.Tracer, func(makespan int64) []byte)
+}
 
-	bare, err := workload.RunChurn("ptmalloc", cfg)
+var consumers = []consumer{
+	{"sim.Recorder", func() (sim.Tracer, func(int64) []byte) {
+		rec := &sim.Recorder{Max: 1 << 20}
+		return rec, func(int64) []byte {
+			jl, err := obsv.JSONL(rec.Snapshot())
+			if err != nil {
+				panic(err)
+			}
+			return append(jl, obsv.FormatLockProfile(obsv.LockProfile(rec.Snapshot()))...)
+		}
+	}},
+	{"obsv.Profiler", func() (sim.Tracer, func(int64) []byte) {
+		p := obsv.NewProfiler()
+		return p, func(makespan int64) []byte {
+			p.Finish(makespan)
+			return []byte(p.Folded())
+		}
+	}},
+	{"heapobsv.Timeline", func() (sim.Tracer, func(int64) []byte) {
+		tl := &heapobsv.Timeline{Interval: 2000}
+		return tl, func(makespan int64) []byte {
+			tl.Finish(makespan)
+			return tl.JSONL()
+		}
+	}},
+	{"heapobsv.SiteProfile", func() (sim.Tracer, func(int64) []byte) {
+		p := heapobsv.NewSiteProfile()
+		return p, func(int64) []byte { return []byte(p.Folded(heapobsv.MetricAllocBytes) + p.Table()) }
+	}},
+	{"alloctrace.Recorder", func() (sim.Tracer, func(int64) []byte) {
+		rec := alloctrace.NewRecorder("composed")
+		return rec, func(int64) []byte { return rec.Trace().Encode() }
+	}},
+}
+
+// observedRun is one simulated run with a tracer attached, reporting
+// the numbers observation must never move.
+type observedRun func(tr sim.Tracer) (makespan int64, st sim.Stats, al alloc.Stats)
+
+// TestComposedConsumersChangeNothing: every consumer of the event
+// stream produces byte-identical output whether it is attached alone or
+// inside one sim.Tee with all the others, and neither way changes the
+// makespan, the simulator's statistics or the allocator's counters of
+// the unobserved run.
+func TestComposedConsumersChangeNothing(t *testing.T) {
+	amplified, _, err := core.Rewrite(attributionProg, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	soloRec := alloctrace.NewRecorder("churn")
-	soloCfg := cfg
-	soloCfg.HeapObserver = soloRec
-	if _, err := workload.RunChurn("ptmalloc", soloCfg); err != nil {
-		t.Fatal(err)
+	vmRun := func(src string) observedRun {
+		return func(tr sim.Tracer) (int64, sim.Stats, alloc.Stats) {
+			res, err := vm.RunSource(src, vm.Config{Strategy: "ptmalloc", Tracer: tr})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return res.Makespan, res.Sim, res.Alloc
+		}
 	}
-
-	rec := alloctrace.NewRecorder("churn")
-	tl := &heapobsv.Timeline{Interval: 1000}
-	multiCfg := cfg
-	multiCfg.HeapObserver = heapobsv.Multi{tl, rec}
-	multi, err := workload.RunChurn("ptmalloc", multiCfg)
-	if err != nil {
-		t.Fatal(err)
+	runs := map[string]observedRun{
+		"vm/plain":     vmRun(attributionProg),
+		"vm/amplified": vmRun(amplified),
+		"tree/amplify": func(tr sim.Tracer) (int64, sim.Stats, alloc.Stats) {
+			res, err := workload.RunTree("amplify", workload.TreeConfig{Depth: 2, Trees: 60, Threads: 4, Tracer: tr})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return res.Makespan, res.Sim, res.Alloc
+		},
 	}
-
-	if multi.Makespan != bare.Makespan || multi.Sim != bare.Sim || multi.Alloc != bare.Alloc {
-		t.Error("Multi observation changed simulated results")
-	}
-	if !bytes.Equal(rec.Trace().Encode(), soloRec.Trace().Encode()) {
-		t.Error("recorder through Multi captured a different trace than solo")
-	}
-	tl.Finish(multi.Makespan)
-	last := tl.Samples()[len(tl.Samples())-1]
-	if want := bare.Alloc.Allocs; last.Allocs != want {
-		t.Errorf("timeline through Multi counted %d allocs, want %d", last.Allocs, want)
+	for name, run := range runs {
+		t.Run(name, func(t *testing.T) {
+			bareMakespan, bareSim, bareAlloc := run(nil)
+			check := func(how string, makespan int64, st sim.Stats, al alloc.Stats) {
+				if makespan != bareMakespan || st != bareSim || al != bareAlloc {
+					t.Errorf("%s: observation changed simulated results (makespan %d, unobserved %d)",
+						how, makespan, bareMakespan)
+				}
+			}
+			alone := make([][]byte, len(consumers))
+			for i, c := range consumers {
+				tr, out := c.new()
+				makespan, st, al := run(tr)
+				check(c.name+" alone", makespan, st, al)
+				alone[i] = out(makespan)
+			}
+			tracers := make([]sim.Tracer, len(consumers))
+			outs := make([]func(int64) []byte, len(consumers))
+			for i, c := range consumers {
+				tracers[i], outs[i] = c.new()
+			}
+			makespan, st, al := run(sim.NewTee(tracers...))
+			check("all composed", makespan, st, al)
+			for i, c := range consumers {
+				if len(alone[i]) == 0 {
+					t.Errorf("%s produced no output", c.name)
+				}
+				if got := outs[i](makespan); !bytes.Equal(got, alone[i]) {
+					t.Errorf("%s: composed output differs from solo (%d vs %d bytes)", c.name, len(got), len(alone[i]))
+				}
+			}
+		})
 	}
 }

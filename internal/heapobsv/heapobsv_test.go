@@ -20,10 +20,10 @@ import (
 )
 
 // runOn drives fn inside a one-thread simulation with a fresh
-// allocator (conformance_test.go style).
-func runOn(t *testing.T, strategy string, opt alloc.Options, fn func(c *sim.Ctx, sp *mem.Space, a alloc.Allocator)) {
+// allocator (conformance_test.go style) and an optional tracer.
+func runOn(t *testing.T, strategy string, opt alloc.Options, tr sim.Tracer, fn func(c *sim.Ctx, sp *mem.Space, a alloc.Allocator)) {
 	t.Helper()
-	e := sim.New(sim.Config{Processors: 8})
+	e := sim.New(sim.Config{Processors: 8, Tracer: tr})
 	sp := mem.NewSpace()
 	if opt.Threads == 0 {
 		opt.Threads = 1
@@ -41,7 +41,7 @@ func runOn(t *testing.T, strategy string, opt alloc.Options, fn func(c *sim.Ctx,
 // by hand from heapcore's size classes (16,32,...,512,1024,...) and its
 // 64 KiB wilderness chunk with 8-byte headers.
 func TestSerialFragmentationHandCounted(t *testing.T) {
-	runOn(t, "serial", alloc.Options{}, func(c *sim.Ctx, sp *mem.Space, a alloc.Allocator) {
+	runOn(t, "serial", alloc.Options{}, nil, func(c *sim.Ctx, sp *mem.Space, a alloc.Allocator) {
 		insp := a.(alloc.Inspector)
 
 		ra := a.Alloc(c, 20)  // class 32
@@ -87,14 +87,14 @@ func TestSerialFragmentationHandCounted(t *testing.T) {
 	})
 }
 
-// TestTimelineSampleHandCounted drives a Timeline as the observer of
+// TestTimelineSampleHandCounted drives a Timeline as the tracer of
 // the serial scenario above and pins the basis-point fields of the
 // final sample: 10000-720*10000/1168 = 3836 and 10000-112*10000/144 =
 // 2223.
 func TestTimelineSampleHandCounted(t *testing.T) {
 	tl := &heapobsv.Timeline{}
-	runOn(t, "serial", alloc.Options{Observer: tl}, func(c *sim.Ctx, sp *mem.Space, a alloc.Allocator) {
-		tl.Watch(sp, a)
+	runOn(t, "serial", alloc.Options{}, tl, func(c *sim.Ctx, sp *mem.Space, a alloc.Allocator) {
+		tl.Watch(sp, a, nil)
 		ra := a.Alloc(c, 20)
 		rb := a.Alloc(c, 100)
 		a.Alloc(c, 600)
@@ -130,7 +130,7 @@ func TestTimelineSampleHandCounted(t *testing.T) {
 // TestPtmallocArenaOccupancy checks the per-arena breakdown of a
 // single-arena scenario block by block.
 func TestPtmallocArenaOccupancy(t *testing.T) {
-	runOn(t, "ptmalloc", alloc.Options{}, func(c *sim.Ctx, sp *mem.Space, a alloc.Allocator) {
+	runOn(t, "ptmalloc", alloc.Options{}, nil, func(c *sim.Ctx, sp *mem.Space, a alloc.Allocator) {
 		r1 := a.Alloc(c, 20) // class 32
 		a.Alloc(c, 20)
 		a.Alloc(c, 100) // class 112
@@ -157,7 +157,7 @@ func TestPtmallocArenaOccupancy(t *testing.T) {
 // the owning thread heap, and the superblock's remaining 126 blocks
 // (128-block superblocks of the 32-byte class) count as free.
 func TestHoardOccupancy(t *testing.T) {
-	runOn(t, "hoard", alloc.Options{}, func(c *sim.Ctx, sp *mem.Space, a alloc.Allocator) {
+	runOn(t, "hoard", alloc.Options{}, nil, func(c *sim.Ctx, sp *mem.Space, a alloc.Allocator) {
 		var refs []mem.Ref
 		for i := 0; i < 4; i++ {
 			refs = append(refs, a.Alloc(c, 20))
@@ -185,19 +185,19 @@ func TestHoardOccupancy(t *testing.T) {
 	})
 }
 
-// obsCounter tallies observer events per kind.
+// obsCounter tallies events and their Arg1 byte payloads per kind.
 type obsCounter struct {
-	counts map[alloc.ObsOp]int64
-	bytes  map[alloc.ObsOp]int64
+	counts map[sim.EventKind]int64
+	bytes  map[sim.EventKind]int64
 }
 
 func newObsCounter() *obsCounter {
-	return &obsCounter{counts: map[alloc.ObsOp]int64{}, bytes: map[alloc.ObsOp]int64{}}
+	return &obsCounter{counts: map[sim.EventKind]int64{}, bytes: map[sim.EventKind]int64{}}
 }
 
-func (o *obsCounter) Observe(now int64, op alloc.ObsOp, bytes int64) {
-	o.counts[op]++
-	o.bytes[op] += bytes
+func (o *obsCounter) Event(e sim.Event) {
+	o.counts[e.Kind]++
+	o.bytes[e.Kind] += e.Arg1
 }
 
 // TestPoolDepthHitRateAndTrim hand-counts the pool introspection of a
@@ -205,13 +205,13 @@ func (o *obsCounter) Observe(now int64, op alloc.ObsOp, bytes int64) {
 // trim evicts the remainder.
 func TestPoolDepthHitRateAndTrim(t *testing.T) {
 	obs := newObsCounter()
-	e := sim.New(sim.Config{Processors: 2})
+	e := sim.New(sim.Config{Processors: 2, Tracer: obs})
 	sp := mem.NewSpace()
 	under, err := alloc.New("serial", e, sp, alloc.Options{Threads: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt := pool.NewRuntime(e, under, pool.Config{Shards: 1, SingleThreaded: true, Observer: obs})
+	rt := pool.NewRuntime(e, under, pool.Config{Shards: 1, SingleThreaded: true})
 	p := rt.NewClassPool("Node", 48)
 	e.Go("t0", func(c *sim.Ctx) {
 		var refs []mem.Ref
@@ -250,13 +250,13 @@ func TestPoolDepthHitRateAndTrim(t *testing.T) {
 		}
 	})
 	e.Run()
-	if obs.counts[alloc.ObsPoolMiss] != 3 || obs.counts[alloc.ObsPoolHit] != 2 {
-		t.Errorf("observer saw %d misses / %d hits, want 3/2",
-			obs.counts[alloc.ObsPoolMiss], obs.counts[alloc.ObsPoolHit])
+	if obs.counts[sim.EvPoolMiss] != 3 || obs.counts[sim.EvPoolHit] != 2 {
+		t.Errorf("tracer saw %d misses / %d hits, want 3/2",
+			obs.counts[sim.EvPoolMiss], obs.counts[sim.EvPoolHit])
 	}
-	if obs.counts[alloc.ObsPoolTrim] != 1 || obs.bytes[alloc.ObsPoolTrim] != 48 {
-		t.Errorf("observer saw %d trims (%d bytes), want 1 trim of 48 bytes",
-			obs.counts[alloc.ObsPoolTrim], obs.bytes[alloc.ObsPoolTrim])
+	if obs.counts[sim.EvPoolTrim] != 1 || obs.bytes[sim.EvPoolTrim] != 48 {
+		t.Errorf("tracer saw %d trims (%d bytes), want 1 trim of 48 bytes",
+			obs.counts[sim.EvPoolTrim], obs.bytes[sim.EvPoolTrim])
 	}
 }
 
@@ -264,13 +264,13 @@ func TestPoolDepthHitRateAndTrim(t *testing.T) {
 // full shard is a release, observed as such.
 func TestPoolMaxObjectsRelease(t *testing.T) {
 	obs := newObsCounter()
-	e := sim.New(sim.Config{Processors: 2})
+	e := sim.New(sim.Config{Processors: 2, Tracer: obs})
 	sp := mem.NewSpace()
 	under, err := alloc.New("serial", e, sp, alloc.Options{Threads: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt := pool.NewRuntime(e, under, pool.Config{Shards: 1, MaxObjects: 1, SingleThreaded: true, Observer: obs})
+	rt := pool.NewRuntime(e, under, pool.Config{Shards: 1, MaxObjects: 1, SingleThreaded: true})
 	p := rt.NewClassPool("Node", 32)
 	e.Go("t0", func(c *sim.Ctx) {
 		r1, _ := p.Alloc(c)
@@ -283,9 +283,9 @@ func TestPoolMaxObjectsRelease(t *testing.T) {
 		}
 	})
 	e.Run()
-	if obs.counts[alloc.ObsPoolRelease] != 1 || obs.bytes[alloc.ObsPoolRelease] != 32 {
-		t.Errorf("observer saw %d releases (%d bytes), want 1 of 32 bytes",
-			obs.counts[alloc.ObsPoolRelease], obs.bytes[alloc.ObsPoolRelease])
+	if obs.counts[sim.EvPoolRelease] != 1 || obs.bytes[sim.EvPoolRelease] != 32 {
+		t.Errorf("tracer saw %d releases (%d bytes), want 1 of 32 bytes",
+			obs.counts[sim.EvPoolRelease], obs.bytes[sim.EvPoolRelease])
 	}
 }
 
@@ -297,7 +297,7 @@ func TestTimelineSamplingBoundaries(t *testing.T) {
 	drive := func() *heapobsv.Timeline {
 		tl := &heapobsv.Timeline{Interval: 100}
 		for _, now := range []int64{0, 50, 99, 150, 420, 430, 999} {
-			tl.Observe(now, alloc.ObsAlloc, 16)
+			tl.Event(sim.Event{Time: now, Kind: sim.EvHeapAlloc, Arg1: 16})
 		}
 		tl.Finish(1234)
 		return tl
@@ -332,15 +332,20 @@ func TestTimelineSamplingBoundaries(t *testing.T) {
 // birth/death sequence.
 func TestSiteProfileHandCounted(t *testing.T) {
 	p := heapobsv.NewSiteProfile()
-	p.Enter(0, "main", 0)
-	p.Enter(0, "build", 10)
-	p.Alloc(0, "build@5", "Node", 48, mem.Ref(0x1000))
-	p.Alloc(0, "build@5", "Node", 48, mem.Ref(0x2000))
-	p.Alloc(0, "build@7", "", 256, mem.Ref(0x3000)) // buffer: no class
-	p.Exit(0, 20)
-	p.Free(0, mem.Ref(0x2000))
-	p.Free(0, mem.Ref(0x9999)) // unknown ref: ignored
-	p.Alloc(0, "main@12", "Node", 48, mem.Ref(0x4000))
+	for _, e := range []sim.Event{
+		{Kind: sim.EvEnter, Detail: "main"},
+		{Kind: sim.EvEnter, Detail: "build", Time: 10},
+		{Kind: sim.EvAlloc, Detail: "Node", Site: "build@5(Node)", Arg1: 48, Arg2: 0x1000},
+		{Kind: sim.EvBirth, Detail: "Node", Site: "build@5(Node)", Arg1: 48, Arg2: 0x2000},
+		{Kind: sim.EvAlloc, Detail: "buffer", Site: "build@7", Arg1: 256, Arg2: 0x3000},
+		{Kind: sim.EvAlloc, Detail: "Node", Arg1: 48, Arg2: 0x5000}, // no site: not attributed
+		{Kind: sim.EvExit, Time: 20},
+		{Kind: sim.EvDeath, Arg1: 0x2000},
+		{Kind: sim.EvFree, Arg1: 0x9999}, // unknown ref: ignored
+		{Kind: sim.EvBirth, Detail: "Node", Site: "main@12(Node)", Arg1: 48, Arg2: 0x4000},
+	} {
+		p.Event(e)
+	}
 
 	wantAlloc := "main;build;build@5(Node) 96\nmain;build;build@7 256\nmain;main@12(Node) 48\n"
 	if got := p.Folded(heapobsv.MetricAllocBytes); got != wantAlloc {
@@ -370,7 +375,7 @@ func TestObservationDoesNotChangeMakespans(t *testing.T) {
 			t.Fatal(err)
 		}
 		cfg := treeCfg
-		cfg.HeapObserver = &heapobsv.Timeline{Interval: 1000}
+		cfg.Tracer = &heapobsv.Timeline{Interval: 1000}
 		observed, err := workload.RunTree(strategy, cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -388,7 +393,7 @@ func TestObservationDoesNotChangeMakespans(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bgwCfg.HeapObserver = &heapobsv.Timeline{Interval: 1000}
+	bgwCfg.Tracer = &heapobsv.Timeline{Interval: 1000}
 	obsBGw, err := bgw.Run(bgwCfg)
 	if err != nil {
 		t.Fatal(err)
@@ -420,8 +425,7 @@ int main() {
 		t.Fatal(err)
 	}
 	obsVM, err := vm.RunSource(prog, vm.Config{
-		HeapObserver: &heapobsv.Timeline{Interval: 1000},
-		HeapProf:     heapobsv.NewSiteProfile(),
+		Tracer: sim.NewTee(&heapobsv.Timeline{Interval: 1000}, heapobsv.NewSiteProfile()),
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -6,12 +6,16 @@ import (
 	"strings"
 
 	"amplify/internal/mem"
+	"amplify/internal/sim"
 )
 
 // SiteProfile is a pprof-style allocation-site profile: every object
 // and buffer birth is attributed to its MiniCC `fn@line` site plus the
 // shadow call stack leading there, and deaths keep live bytes/objects
-// exact. It implements the VM's HeapProfiler interface.
+// exact. It is a sim.Tracer fed by the VM's enter/exit, birth and
+// death events. Pool hits and shadow reuses count as births and deaths
+// too: the profile tracks program-level object lifetimes, not
+// allocator traffic.
 type SiteProfile struct {
 	stacks map[int][]string     // per-thread shadow call stacks
 	sites  map[string]*siteStat // keyed by "caller;...;fn@line(class)"
@@ -38,29 +42,32 @@ func NewSiteProfile() *SiteProfile {
 	}
 }
 
-// Enter pushes fn onto the thread's shadow stack.
-func (p *SiteProfile) Enter(thread int, fn string, now int64) {
-	p.stacks[thread] = append(p.stacks[thread], fn)
-}
-
-// Exit pops the thread's shadow stack.
-func (p *SiteProfile) Exit(thread int, now int64) {
-	st := p.stacks[thread]
-	if len(st) > 0 {
-		p.stacks[thread] = st[:len(st)-1]
+// Event implements sim.Tracer: enter/exit maintain the per-thread
+// shadow stacks, births and deaths the site counters. Births without a
+// Site (workload generators) are not attributed.
+func (p *SiteProfile) Event(e sim.Event) {
+	switch e.Kind {
+	case sim.EvEnter:
+		p.stacks[e.Thread] = append(p.stacks[e.Thread], e.Detail)
+	case sim.EvExit:
+		if st := p.stacks[e.Thread]; len(st) > 0 {
+			p.stacks[e.Thread] = st[:len(st)-1]
+		}
+	case sim.EvAlloc, sim.EvBirth:
+		if e.Site != "" {
+			p.birth(e.Thread, e.Site, e.Arg1, mem.Ref(e.Arg2))
+		}
+	case sim.EvFree, sim.EvDeath:
+		p.death(mem.Ref(e.Arg1))
 	}
 }
 
-// Alloc records the birth of an object of class at the given site
-// ("fn@line") on the calling thread.
-func (p *SiteProfile) Alloc(thread int, site, class string, bytes int64, ref mem.Ref) {
-	leaf := site
-	if class != "" {
-		leaf = site + "(" + class + ")"
-	}
-	key := leaf
+// birth records an object of the given bytes born at site
+// ("fn@line(Class)") on the thread.
+func (p *SiteProfile) birth(thread int, site string, bytes int64, ref mem.Ref) {
+	key := site
 	if st := p.stacks[thread]; len(st) > 0 {
-		key = strings.Join(st, ";") + ";" + leaf
+		key = strings.Join(st, ";") + ";" + site
 	}
 	s := p.sites[key]
 	if s == nil {
@@ -77,9 +84,9 @@ func (p *SiteProfile) Alloc(thread int, site, class string, bytes int64, ref mem
 	p.live[ref] = liveObj{key: key, bytes: bytes}
 }
 
-// Free records the death of the object at ref, wherever it was born.
+// death records the death of the object at ref, wherever it was born.
 // Unknown refs (births outside the profiled engine) are ignored.
-func (p *SiteProfile) Free(thread int, ref mem.Ref) {
+func (p *SiteProfile) death(ref mem.Ref) {
 	obj, ok := p.live[ref]
 	if !ok {
 		return

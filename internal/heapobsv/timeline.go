@@ -1,8 +1,8 @@
 // Package heapobsv is the heap-introspection layer: it turns the
-// allocator observer hooks (alloc.Observer), the pull-based inspectors
-// (alloc.Inspector, pool.Runtime.Inspect) and the VM's allocation-site
-// hooks into deterministic artifacts — virtual-time heap timelines
-// (JSONL/CSV) and pprof-style allocation-site profiles (folded stacks).
+// simulation's event stream (sim.Tracer) plus the pull-based inspectors
+// (alloc.Inspector, pool.Runtime.Inspect, reached through pool.Watcher)
+// into deterministic artifacts — virtual-time heap timelines (JSONL/CSV)
+// and pprof-style allocation-site profiles (folded stacks).
 //
 // Everything here is host-side bookkeeping: no simulated work is ever
 // charged, so a run with observation enabled produces byte-identical
@@ -17,6 +17,7 @@ import (
 	"amplify/internal/alloc"
 	"amplify/internal/mem"
 	"amplify/internal/pool"
+	"amplify/internal/sim"
 )
 
 // DefaultInterval is the sampling period, in cycles, when Timeline's
@@ -42,7 +43,7 @@ type Sample struct {
 	IntFragBP   int64 `json:"int_frag_bp"`
 	ExtFragBP   int64 `json:"ext_frag_bp"`
 
-	// Cumulative event counters (alloc.Observer).
+	// Cumulative event counters (the event stream).
 	Allocs       int64 `json:"allocs"`
 	Frees        int64 `json:"frees"`
 	PoolHits     int64 `json:"pool_hits"`
@@ -60,7 +61,7 @@ type Sample struct {
 }
 
 // Timeline samples heap state whenever virtual time crosses an
-// interval boundary, driven purely by the allocator events it
+// interval boundary, driven purely by the allocator and pool events it
 // observes. Because sampling depends only on virtual time and the
 // deterministic event order, the exported artifact is byte-identical
 // across hosts and -j values.
@@ -83,40 +84,38 @@ type Timeline struct {
 	samples []Sample
 }
 
-// Watch implements alloc.Watcher: it attaches the address space and
-// allocator whose state the samples report.
-func (t *Timeline) Watch(sp *mem.Space, a alloc.Allocator) {
-	t.sp = sp
-	t.a = a
+// Watch implements pool.Watcher: it attaches the address space,
+// allocator and pool runtime (nil for pool-less runs) whose state the
+// samples report.
+func (t *Timeline) Watch(sp *mem.Space, a alloc.Allocator, rt *pool.Runtime) {
+	t.sp, t.a, t.rt = sp, a, rt
 }
 
-// WatchPools attaches an Amplify pool runtime so samples include pool
-// retention and hit rates.
-func (t *Timeline) WatchPools(rt *pool.Runtime) { t.rt = rt }
-
-// Observe implements alloc.Observer.
-func (t *Timeline) Observe(now int64, op alloc.ObsOp, bytes int64) {
-	switch op {
-	case alloc.ObsAlloc:
+// Event implements sim.Tracer. Allocator and pool events advance the
+// counters and may trigger a sample; every other kind is ignored.
+func (t *Timeline) Event(e sim.Event) {
+	switch e.Kind {
+	case sim.EvHeapAlloc:
 		t.allocs++
-	case alloc.ObsFree:
+	case sim.EvHeapFree:
 		t.frees++
-	case alloc.ObsPoolHit:
+	case sim.EvPoolHit:
 		t.poolHits++
-	case alloc.ObsPoolMiss:
+		t.poolSteals += e.Arg3 // 1 when served from another shard
+	case sim.EvPoolMiss:
 		t.poolMisses++
-	case alloc.ObsPoolSteal:
-		t.poolHits++
-		t.poolSteals++
-	case alloc.ObsPoolRelease:
+	case sim.EvPoolRelease:
 		t.poolReleases++
-	case alloc.ObsPoolTrim:
-		t.trimmedBytes += bytes
-	case alloc.ObsShadowReuse:
+	case sim.EvPoolTrim:
+		t.trimmedBytes += e.Arg1
+	case sim.EvShadowReuse:
 		t.shadowReuses++
-	case alloc.ObsShadowMiss:
+	case sim.EvShadowMiss:
 		t.shadowMisses++
+	default:
+		return
 	}
+	now := e.Time
 	if now >= t.next {
 		t.sample(now)
 		iv := t.Interval

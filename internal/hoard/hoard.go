@@ -56,7 +56,6 @@ type Allocator struct {
 	sbOf  map[mem.Ref]*superblock
 	huge  map[mem.Ref]int64
 	stats alloc.Stats
-	obs   alloc.Observer
 }
 
 // New creates a Hoard-style allocator with one heap per processor plus
@@ -92,9 +91,7 @@ func New(e *sim.Engine, sp *mem.Space, heaps int) *Allocator {
 
 func init() {
 	alloc.Register("hoard", func(e *sim.Engine, sp *mem.Space, opt alloc.Options) alloc.Allocator {
-		a := New(e, sp, opt.Arenas)
-		a.obs = opt.Observer
-		return a
+		return New(e, sp, opt.Arenas)
 	})
 }
 
@@ -140,9 +137,7 @@ func (a *Allocator) Alloc(c *sim.Ctx, size int64) mem.Ref {
 		ref := a.sp.Sbrk(c, usable)
 		a.huge[ref] = usable
 		a.stats.Count(size, usable)
-		if a.obs != nil {
-			alloc.EmitAlloc(a.obs, c, size, usable, ref)
-		}
+		c.Emit(sim.Event{Kind: sim.EvHeapAlloc, Arg1: usable, Arg2: int64(ref), Arg3: size})
 		return ref
 	}
 	hi := a.heapFor(c.ThreadID())
@@ -152,9 +147,7 @@ func (a *Allocator) Alloc(c *sim.Ctx, size int64) mem.Ref {
 	ref := sb.pop(c)
 	a.stats.Count(size, sb.blockSize)
 	h.lock.Unlock(c)
-	if a.obs != nil {
-		alloc.EmitAlloc(a.obs, c, size, sb.blockSize, ref)
-	}
+	c.Emit(sim.Event{Kind: sim.EvHeapAlloc, Arg1: sb.blockSize, Arg2: int64(ref), Arg3: size})
 	return ref
 }
 
@@ -209,9 +202,7 @@ func (a *Allocator) Free(c *sim.Ctx, ref mem.Ref) {
 	if usable, ok := a.huge[ref]; ok {
 		delete(a.huge, ref)
 		a.stats.Uncount(usable)
-		if a.obs != nil {
-			alloc.EmitFree(a.obs, c, usable, ref)
-		}
+		c.Trace(sim.EvHeapFree, "", usable, int64(ref))
 		return
 	}
 	sb, ok := a.sbOf[ref]
@@ -230,9 +221,7 @@ func (a *Allocator) Free(c *sim.Ctx, ref mem.Ref) {
 		a.release(c, h, sb)
 	}
 	h.lock.Unlock(c)
-	if a.obs != nil {
-		alloc.EmitFree(a.obs, c, sb.blockSize, ref)
-	}
+	c.Trace(sim.EvHeapFree, "", sb.blockSize, int64(ref))
 }
 
 // release moves a fully-empty superblock from h to the global heap.

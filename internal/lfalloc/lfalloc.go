@@ -94,7 +94,6 @@ type Allocator struct {
 	loc   map[mem.Ref]int64
 	huge  map[mem.Ref]int64
 	stats alloc.Stats
-	obs   alloc.Observer
 }
 
 // New creates the lock-free allocator. The size-class head words live
@@ -121,9 +120,7 @@ func New(e *sim.Engine, sp *mem.Space) *Allocator {
 
 func init() {
 	alloc.Register("lfalloc", func(e *sim.Engine, sp *mem.Space, opt alloc.Options) alloc.Allocator {
-		a := New(e, sp)
-		a.obs = opt.Observer
-		return a
+		return New(e, sp)
 	})
 }
 
@@ -205,9 +202,7 @@ func (a *Allocator) Alloc(c *sim.Ctx, size int64) mem.Ref {
 		ref := a.sp.Sbrk(c, usable)
 		a.huge[ref] = usable
 		a.stats.Count(size, usable)
-		if a.obs != nil {
-			alloc.EmitAlloc(a.obs, c, size, usable, ref)
-		}
+		c.Emit(sim.Event{Kind: sim.EvHeapAlloc, Arg1: usable, Arg2: int64(ref), Arg3: size})
 		return ref
 	}
 	var ref mem.Ref
@@ -242,9 +237,7 @@ func (a *Allocator) Alloc(c *sim.Ctx, size int64) mem.Ref {
 	}
 	cl.live++
 	a.stats.Count(size, cl.blockSize)
-	if a.obs != nil {
-		alloc.EmitAlloc(a.obs, c, size, cl.blockSize, ref)
-	}
+	c.Emit(sim.Event{Kind: sim.EvHeapAlloc, Arg1: cl.blockSize, Arg2: int64(ref), Arg3: size})
 	return ref
 }
 
@@ -258,9 +251,7 @@ func (a *Allocator) Free(c *sim.Ctx, ref mem.Ref) {
 	if usable, ok := a.huge[ref]; ok {
 		delete(a.huge, ref)
 		a.stats.Uncount(usable)
-		if a.obs != nil {
-			alloc.EmitFree(a.obs, c, usable, ref)
-		}
+		c.Trace(sim.EvHeapFree, "", usable, int64(ref))
 		return
 	}
 	l, ok := a.loc[ref]
@@ -277,9 +268,7 @@ func (a *Allocator) Free(c *sim.Ctx, ref mem.Ref) {
 		cl.freePriv++
 		c.Write(uint64(ref), 8) // private list link
 	}
-	if a.obs != nil {
-		alloc.EmitFree(a.obs, c, cl.blockSize, ref)
-	}
+	c.Trace(sim.EvHeapFree, "", cl.blockSize, int64(ref))
 }
 
 // UsableSize implements alloc.Allocator.

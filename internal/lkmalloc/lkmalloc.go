@@ -34,7 +34,6 @@ type Allocator struct {
 	heaps []*heap
 	owner map[mem.Ref]int
 	stats alloc.Stats
-	obs   alloc.Observer
 }
 
 // New creates an LKmalloc-style allocator with one heap per processor
@@ -56,9 +55,7 @@ func New(e *sim.Engine, sp *mem.Space, heaps int) *Allocator {
 
 func init() {
 	alloc.Register("lkmalloc", func(e *sim.Engine, sp *mem.Space, opt alloc.Options) alloc.Allocator {
-		a := New(e, sp, opt.Arenas)
-		a.obs = opt.Observer
-		return a
+		return New(e, sp, opt.Arenas)
 	})
 }
 
@@ -82,9 +79,7 @@ func (a *Allocator) Alloc(c *sim.Ctx, size int64) mem.Ref {
 	n := h.core.UsableSize(ref)
 	a.stats.Count(size, n)
 	h.lock.Unlock(c)
-	if a.obs != nil {
-		alloc.EmitAlloc(a.obs, c, size, n, ref)
-	}
+	c.Emit(sim.Event{Kind: sim.EvHeapAlloc, Arg1: n, Arg2: int64(ref), Arg3: size})
 	return ref
 }
 
@@ -100,9 +95,7 @@ func (a *Allocator) Free(c *sim.Ctx, ref mem.Ref) {
 	a.stats.Uncount(n)
 	h.core.Free(c, ref)
 	h.lock.Unlock(c)
-	if a.obs != nil {
-		alloc.EmitFree(a.obs, c, n, ref)
-	}
+	c.Trace(sim.EvHeapFree, "", n, int64(ref))
 }
 
 // UsableSize implements alloc.Allocator.

@@ -37,7 +37,7 @@ int main() {
 
 func TestVMProfilerAttribution(t *testing.T) {
 	p := NewProfiler()
-	res, err := vm.RunSource(profSrc, vm.Config{Profiler: p})
+	res, err := vm.RunSource(profSrc, vm.Config{Tracer: p})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +60,7 @@ func TestVMProfilerDoesNotChangeMakespan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	profiled, err := vm.RunSource(profSrc, vm.Config{Profiler: NewProfiler()})
+	profiled, err := vm.RunSource(profSrc, vm.Config{Tracer: NewProfiler()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,11 +71,11 @@ func TestVMProfilerDoesNotChangeMakespan(t *testing.T) {
 
 // treeTrace runs the tree workload under a recorder and returns the
 // result plus the recorded events.
-func treeTrace(t *testing.T, strategy string, tracer sim.Tracer, mask sim.Mask) workload.Result {
+func treeTrace(t *testing.T, strategy string, tracer sim.Tracer) workload.Result {
 	t.Helper()
 	res, err := workload.RunTree(strategy, workload.TreeConfig{
 		Depth: 3, Trees: 400, Threads: 8, Processors: 8,
-		Tracer: tracer, TraceMask: mask,
+		Tracer: tracer,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -90,10 +90,10 @@ func treeTrace(t *testing.T, strategy string, tracer sim.Tracer, mask sim.Mask) 
 // the underlying heap).
 func TestTraceShowsHeapLockSerialization(t *testing.T) {
 	mask := sim.MaskOf(sim.EvLockContended, sim.EvLockAcquire, sim.EvLockRelease)
-	serialRec := &sim.Recorder{Max: 2_000_000}
-	treeTrace(t, "serial", serialRec, mask)
-	ampRec := &sim.Recorder{Max: 2_000_000}
-	treeTrace(t, "amplify", ampRec, mask)
+	serialRec := &sim.Recorder{Max: 2_000_000, Mask: mask}
+	treeTrace(t, "serial", serialRec)
+	ampRec := &sim.Recorder{Max: 2_000_000, Mask: mask}
+	treeTrace(t, "amplify", ampRec)
 
 	slices := func(rec *sim.Recorder) int {
 		n := 0
@@ -128,8 +128,8 @@ func TestTraceShowsHeapLockSerialization(t *testing.T) {
 // a recorder must not move a single virtual timestamp.
 func TestTracingDoesNotChangeMakespan(t *testing.T) {
 	for _, strategy := range []string{"serial", "amplify"} {
-		plain := treeTrace(t, strategy, nil, 0)
-		traced := treeTrace(t, strategy, &sim.Recorder{Max: 2_000_000}, 0)
+		plain := treeTrace(t, strategy, nil)
+		traced := treeTrace(t, strategy, &sim.Recorder{Max: 2_000_000})
 		if plain.Makespan != traced.Makespan {
 			t.Errorf("%s: tracing changed the makespan: %d vs %d", strategy, plain.Makespan, traced.Makespan)
 		}
@@ -141,7 +141,7 @@ func TestTracingDoesNotChangeMakespan(t *testing.T) {
 func TestExportedTraceDeterministic(t *testing.T) {
 	export := func() ([]byte, []byte) {
 		rec := &sim.Recorder{Max: 2_000_000}
-		treeTrace(t, "serial", rec, 0)
+		treeTrace(t, "serial", rec)
 		cj, err := ChromeTrace(rec.Snapshot(), 8)
 		if err != nil {
 			t.Fatal(err)

@@ -1,6 +1,6 @@
 // Package obsv is the virtual-time observability layer: it turns the
-// simulator's event stream (sim.Tracer) and the VM's execution hooks
-// into artifacts a person or a tool can read — Chrome trace_event JSON
+// simulator's event stream (sim.Tracer), including the VM's function
+// enter/exit events, into artifacts a person or a tool can read — Chrome trace_event JSON
 // loadable in chrome://tracing or Perfetto, a compact JSONL stream for
 // programmatic diffing, pprof-style folded stacks attributing simulated
 // cycles to MiniCC functions, a per-lock contention profile, and a

@@ -108,12 +108,12 @@ func TestProfilerExactAttribution(t *testing.T) {
 	p := NewProfiler()
 	// Thread 0: main [0,100), calls f at 10 which runs [10,40), calls g
 	// at 20 running [20,30). Self times: main 70, f 20, g 10.
-	p.Enter(0, "main", 0)
-	p.Enter(0, "f", 10)
-	p.Enter(0, "g", 20)
-	p.Exit(0, 30)
-	p.Exit(0, 40)
-	p.Exit(0, 100)
+	p.enter(0, "main", 0)
+	p.enter(0, "f", 10)
+	p.enter(0, "g", 20)
+	p.exit(0, 30)
+	p.exit(0, 40)
+	p.exit(0, 100)
 	folded := p.Folded()
 	for _, want := range []string{"main 70", "main;f 20", "main;f;g 10"} {
 		if !strings.Contains(folded, want+"\n") {
@@ -127,8 +127,8 @@ func TestProfilerExactAttribution(t *testing.T) {
 
 func TestProfilerFinishClosesOpenFrames(t *testing.T) {
 	p := NewProfiler()
-	p.Enter(0, "main", 0)
-	p.Enter(0, "loop", 10)
+	p.enter(0, "main", 0)
+	p.enter(0, "loop", 10)
 	p.Finish(50)
 	if got := p.TotalAttributed(); got != 50 {
 		t.Errorf("TotalAttributed = %d, want 50", got)
@@ -142,8 +142,8 @@ func TestProfilerSampled(t *testing.T) {
 	p := NewProfiler()
 	p.SamplePeriod = 10
 	// f runs [0,95): crosses boundaries 10,20,...,90 → 9 samples.
-	p.Enter(0, "f", 0)
-	p.Exit(0, 95)
+	p.enter(0, "f", 0)
+	p.exit(0, 95)
 	if !strings.Contains(p.Folded(), "f 9") {
 		t.Errorf("sampled folded output wrong:\n%s", p.Folded())
 	}
@@ -151,10 +151,10 @@ func TestProfilerSampled(t *testing.T) {
 
 func TestProfilerSeparateThreadStacks(t *testing.T) {
 	p := NewProfiler()
-	p.Enter(0, "main", 0)
-	p.Enter(1, "worker", 0)
-	p.Exit(1, 30)
-	p.Exit(0, 50)
+	p.enter(0, "main", 0)
+	p.enter(1, "worker", 0)
+	p.exit(1, 30)
+	p.exit(0, 50)
 	folded := p.Folded()
 	if !strings.Contains(folded, "main 50") || !strings.Contains(folded, "worker 30") {
 		t.Errorf("per-thread stacks mixed:\n%s", folded)

@@ -4,16 +4,19 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+
+	"amplify/internal/sim"
 )
 
 // Profiler attributes simulated cycles to MiniCC functions through a
-// shadow call stack: the VM calls Enter at every function call and Exit
-// at every return, stamped with the virtual clock. Attribution is
-// exact — the interval between consecutive stamps is charged as self
-// time to the function on top of the stack — and optionally sampled:
-// with SamplePeriod > 0 each interval also contributes one sample per
-// period boundary it crosses, which is what a wall-clock profiler
-// interrupting every P cycles would have observed.
+// shadow call stack: it is a sim.Tracer fed by the VM's EvEnter at
+// every function call and EvExit at every return, stamped with the
+// virtual clock. Attribution is exact — the interval between
+// consecutive stamps is charged as self time to the function on top of
+// the stack — and optionally sampled: with SamplePeriod > 0 each
+// interval also contributes one sample per period boundary it crosses,
+// which is what a wall-clock profiler interrupting every P cycles would
+// have observed.
 //
 // The simulator's coroutine scheduler runs one simulated thread at a
 // time, so the profiler needs no locking even though it is shared by
@@ -72,8 +75,19 @@ func (p *Profiler) charge(tp *threadProf, now int64) {
 	tp.stamp = now
 }
 
-// Enter pushes fn onto thread's shadow stack at virtual time now.
-func (p *Profiler) Enter(thread int, fn string, now int64) {
+// Event implements sim.Tracer; kinds other than EvEnter and EvExit are
+// ignored.
+func (p *Profiler) Event(e sim.Event) {
+	switch e.Kind {
+	case sim.EvEnter:
+		p.enter(e.Thread, e.Detail, e.Time)
+	case sim.EvExit:
+		p.exit(e.Thread, e.Time)
+	}
+}
+
+// enter pushes fn onto thread's shadow stack at virtual time now.
+func (p *Profiler) enter(thread int, fn string, now int64) {
 	tp := p.thread(thread)
 	p.charge(tp, now)
 	parent := p.root
@@ -88,8 +102,8 @@ func (p *Profiler) Enter(thread int, fn string, now int64) {
 	tp.stack = append(tp.stack, child)
 }
 
-// Exit pops thread's shadow stack at virtual time now.
-func (p *Profiler) Exit(thread int, now int64) {
+// exit pops thread's shadow stack at virtual time now.
+func (p *Profiler) exit(thread int, now int64) {
 	tp := p.thread(thread)
 	p.charge(tp, now)
 	if n := len(tp.stack); n > 0 {

@@ -53,10 +53,6 @@ type Config struct {
 	// one thread allocates and another frees never reuse structures:
 	// they accumulate in the freeing thread's shard.
 	StealShards bool
-	// Observer, when non-nil, receives a pool event per hit, miss,
-	// steal, release, trim and shadow decision, in virtual time.
-	// Observation charges nothing and never changes a makespan.
-	Observer alloc.Observer
 }
 
 func (c Config) withDefaults(e *sim.Engine) Config {
@@ -209,9 +205,6 @@ func (p *ClassPool) Alloc(c *sim.Ctx) (ref mem.Ref, reused bool) {
 			s.lock.Unlock(c)
 		}
 		c.Trace(sim.EvPoolHit, p.class, p.size, int64(ref))
-		if o := p.rt.cfg.Observer; o != nil {
-			o.Observe(c.Now(), alloc.ObsPoolHit, p.size)
-		}
 		return ref, true
 	}
 	if s.lock != nil {
@@ -226,19 +219,13 @@ func (p *ClassPool) Alloc(c *sim.Ctx) (ref mem.Ref, reused bool) {
 		if ref, ok := p.steal(c, s); ok {
 			p.Hits++
 			p.Steals++
-			c.Trace(sim.EvPoolHit, p.class, p.size, int64(ref))
-			if o := p.rt.cfg.Observer; o != nil {
-				o.Observe(c.Now(), alloc.ObsPoolSteal, p.size)
-			}
+			c.Emit(sim.Event{Kind: sim.EvPoolHit, Detail: p.class, Arg1: p.size, Arg2: int64(ref), Arg3: 1})
 			return ref, true
 		}
 	}
 	p.Misses++
 	ref = p.rt.under.Alloc(c, p.size)
 	c.Trace(sim.EvPoolMiss, p.class, p.size, int64(ref))
-	if o := p.rt.cfg.Observer; o != nil {
-		o.Observe(c.Now(), alloc.ObsPoolMiss, p.size)
-	}
 	return ref, false
 }
 
@@ -292,9 +279,7 @@ func (p *ClassPool) Free(c *sim.Ctx, ref mem.Ref) bool {
 		}
 		p.Released++
 		p.rt.under.Free(c, ref)
-		if o := p.rt.cfg.Observer; o != nil {
-			o.Observe(c.Now(), alloc.ObsPoolRelease, p.size)
-		}
+		c.Trace(sim.EvPoolRelease, p.class, p.size, 0)
 		return false
 	}
 	c.Write(uint64(ref), 8)
@@ -378,18 +363,12 @@ func (r *Runtime) ShadowRealloc(c *sim.Ctx, shadowRef mem.Ref, shadowSize, want 
 		if want <= shadowSize && want >= lower {
 			r.ShadowReuses++
 			c.Trace(sim.EvShadowReuse, "", want, shadowSize)
-			if o := r.cfg.Observer; o != nil {
-				o.Observe(c.Now(), alloc.ObsShadowReuse, shadowSize)
-			}
 			return shadowRef, shadowSize
 		}
 		r.under.Free(c, shadowRef)
 	}
 	r.ShadowMisses++
 	c.Trace(sim.EvShadowMiss, "", want, shadowSize)
-	if o := r.cfg.Observer; o != nil {
-		o.Observe(c.Now(), alloc.ObsShadowMiss, want)
-	}
 	ref := r.under.Alloc(c, want)
 	return ref, r.under.UsableSize(ref)
 }

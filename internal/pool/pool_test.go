@@ -304,3 +304,32 @@ func TestNoStealByDefault(t *testing.T) {
 	})
 	e.Run()
 }
+
+// watchRecorder is a tracer that records its Watch attachment.
+type watchRecorder struct {
+	sp *mem.Space
+	a  alloc.Allocator
+	rt *Runtime
+}
+
+func (w *watchRecorder) Event(sim.Event) {}
+func (w *watchRecorder) Watch(sp *mem.Space, a alloc.Allocator, rt *Runtime) {
+	w.sp, w.a, w.rt = sp, a, rt
+}
+
+// TestWatchThroughNestedTee: Watch reaches every Watcher inside nested
+// sim.Tee fan-outs, skips tracers that only count events, and is a
+// no-op on a nil tracer.
+func TestWatchThroughNestedTee(t *testing.T) {
+	_, rt := newRuntime(t, 2, Config{})
+	sp := mem.NewSpace()
+	a, b := &watchRecorder{}, &watchRecorder{}
+	var plain sim.Recorder
+	Watch(sim.NewTee(a, sim.NewTee(&plain, b)), sp, rt.Underlying(), rt)
+	for _, w := range []*watchRecorder{a, b} {
+		if w.sp != sp || w.a != rt.Underlying() || w.rt != rt {
+			t.Errorf("watcher attached to %+v", *w)
+		}
+	}
+	Watch(nil, sp, rt.Underlying(), nil)
+}

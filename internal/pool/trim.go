@@ -1,7 +1,6 @@
 package pool
 
 import (
-	"amplify/internal/alloc"
 	"amplify/internal/mem"
 	"amplify/internal/sim"
 )
@@ -40,8 +39,8 @@ func (p *ClassPool) Trim(c *sim.Ctx, keep int) []mem.Ref {
 		p.rt.under.Free(c, ref)
 		p.Released++
 	}
-	if o := p.rt.cfg.Observer; o != nil && len(released) > 0 {
-		o.Observe(c.Now(), alloc.ObsPoolTrim, int64(len(released))*p.size)
+	if len(released) > 0 {
+		c.Trace(sim.EvPoolTrim, p.class, int64(len(released))*p.size, 0)
 	}
 	return released
 }

@@ -38,7 +38,6 @@ type Allocator struct {
 	// owner maps each live block to its arena.
 	owner map[mem.Ref]int
 	stats alloc.Stats
-	obs   alloc.Observer
 }
 
 // New creates a ptmalloc-style allocator with one initial arena.
@@ -60,7 +59,6 @@ func init() {
 		if opt.Arenas > 0 {
 			a.max = opt.Arenas
 		}
-		a.obs = opt.Observer
 		return a
 	})
 }
@@ -120,9 +118,7 @@ func (a *Allocator) Alloc(c *sim.Ctx, size int64) mem.Ref {
 	n := ar.heap.UsableSize(ref)
 	a.stats.Count(size, n)
 	ar.lock.Unlock(c)
-	if a.obs != nil {
-		alloc.EmitAlloc(a.obs, c, size, n, ref)
-	}
+	c.Emit(sim.Event{Kind: sim.EvHeapAlloc, Arg1: n, Arg2: int64(ref), Arg3: size})
 	return ref
 }
 
@@ -140,9 +136,7 @@ func (a *Allocator) Free(c *sim.Ctx, ref mem.Ref) {
 	a.stats.Uncount(n)
 	ar.heap.Free(c, ref)
 	ar.lock.Unlock(c)
-	if a.obs != nil {
-		alloc.EmitFree(a.obs, c, n, ref)
-	}
+	c.Trace(sim.EvHeapFree, "", n, int64(ref))
 }
 
 // UsableSize implements alloc.Allocator.

@@ -23,7 +23,6 @@ type Allocator struct {
 	heap  *heapcore.Heap
 	lock  *sim.Mutex
 	stats alloc.Stats
-	obs   alloc.Observer
 }
 
 // New creates the baseline allocator.
@@ -37,9 +36,7 @@ func New(e *sim.Engine, sp *mem.Space) *Allocator {
 
 func init() {
 	alloc.Register("serial", func(e *sim.Engine, sp *mem.Space, opt alloc.Options) alloc.Allocator {
-		a := New(e, sp)
-		a.obs = opt.Observer
-		return a
+		return New(e, sp)
 	})
 }
 
@@ -53,9 +50,7 @@ func (a *Allocator) Alloc(c *sim.Ctx, size int64) mem.Ref {
 	n := a.heap.UsableSize(ref)
 	a.stats.Count(size, n)
 	a.lock.Unlock(c)
-	if a.obs != nil {
-		alloc.EmitAlloc(a.obs, c, size, n, ref)
-	}
+	c.Emit(sim.Event{Kind: sim.EvHeapAlloc, Arg1: n, Arg2: int64(ref), Arg3: size})
 	return ref
 }
 
@@ -66,9 +61,7 @@ func (a *Allocator) Free(c *sim.Ctx, ref mem.Ref) {
 	a.stats.Uncount(n)
 	a.heap.Free(c, ref)
 	a.lock.Unlock(c)
-	if a.obs != nil {
-		alloc.EmitFree(a.obs, c, n, ref)
-	}
+	c.Trace(sim.EvHeapFree, "", n, int64(ref))
 }
 
 // UsableSize implements alloc.Allocator.

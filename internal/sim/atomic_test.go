@@ -164,12 +164,13 @@ func TestContendedFAAPingPong(t *testing.T) {
 	}
 }
 
-// TestAtomicTraceMask checks the EvAtomic* kinds flow through the trace
-// mask filter: a mask enabling only CAS events records nothing else.
+// TestAtomicTraceMask checks the EvAtomic* kinds flow through the
+// recorder's mask filter: a mask enabling only CAS events records
+// nothing else.
 func TestAtomicTraceMask(t *testing.T) {
 	run := func(mask Mask) *Recorder {
-		rec := &Recorder{}
-		e := New(Config{Processors: 1, Tracer: rec, TraceMask: mask})
+		rec := &Recorder{Mask: mask}
+		e := New(Config{Processors: 1, Tracer: rec})
 		e.Go("t0", func(c *Ctx) {
 			c.CAS(0xD000, 0, 1)
 			c.FAA(0xD000, 1)

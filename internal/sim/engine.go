@@ -21,15 +21,11 @@ type Config struct {
 	// yields to the scheduler. Used by tests to validate that leases do
 	// not change results beyond cache-batching noise.
 	Exact bool
-	// Tracer, when non-nil, receives simulation events (thread
+	// Tracer, when non-nil, receives every simulation event (thread
 	// lifecycle, lock traffic, allocator and pool activity, cache
-	// coherence, channel/waitgroup operations, migrations).
+	// coherence, channel/waitgroup operations, migrations, and the
+	// events the VM and runtimes emit through Ctx.Trace/Emit).
 	Tracer Tracer
-	// TraceMask selects which event kinds reach the tracer; zero means
-	// all kinds. Filtering happens before the Event is built, so a
-	// recorder interested only in lock traffic pays nothing for the
-	// (much noisier) cache events.
-	TraceMask Mask
 	// linearScan selects the pre-heap reference scheduler: a linear
 	// scan over all threads per event and no lease self-renewal. It
 	// exists so tests can verify the heap scheduler is behaviorally
@@ -89,7 +85,6 @@ type Engine struct {
 	threadPanic      any
 	threadPanicStack []byte
 	tracer           Tracer
-	traceMask        Mask
 
 	// Mutexes registers every mutex created on this engine so that Run
 	// can report per-lock statistics and deadlocks can be diagnosed.
@@ -108,15 +103,10 @@ type Engine struct {
 // New returns an engine for the given configuration.
 func New(cfg Config) *Engine {
 	cfg = cfg.withDefaults()
-	mask := cfg.TraceMask
-	if mask == 0 {
-		mask = AllEvents
-	}
 	e := &Engine{
-		cfg:       cfg,
-		cost:      cfg.Cost,
-		tracer:    cfg.Tracer,
-		traceMask: mask,
+		cfg:    cfg,
+		cost:   cfg.Cost,
+		tracer: cfg.Tracer,
 	}
 	e.cache = newCache(cfg.LineSize, &e.cost)
 	return e

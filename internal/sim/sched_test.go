@@ -111,11 +111,12 @@ func TestHeapSchedulerMatchesLinearScan(t *testing.T) {
 	for _, sc := range scenarios {
 		for _, procs := range []int{4, 8} {
 			for _, exact := range []bool{false, true} {
-				var refRec, heapRec Recorder
-				refRec.Max, heapRec.Max = 1<<30, 1<<30
 				// Preempt events are left out: without lease self-renewal
 				// the linear scan also preempts where the heap renews.
-				cfg := Config{Processors: procs, Exact: exact, Tracer: &refRec, TraceMask: AllEvents &^ MaskOf(EvPreempt)}
+				mask := AllEvents &^ MaskOf(EvPreempt)
+				refRec := Recorder{Max: 1 << 30, Mask: mask}
+				heapRec := Recorder{Max: 1 << 30, Mask: mask}
+				cfg := Config{Processors: procs, Exact: exact, Tracer: &refRec}
 				cfg.linearScan = true
 				ref := sc.build(cfg)
 				refMakespan := ref.Run()

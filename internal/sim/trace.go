@@ -2,18 +2,24 @@ package sim
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
 )
 
 // EventKind classifies trace events.
 type EventKind int8
 
-// Event kinds. The first seven are the original vocabulary; the rest
-// grew it to full coverage of the simulated machine: allocator traffic,
-// pool free-list behavior, shadow-pointer reuse, cache-coherence
-// invalidations, channel and waitgroup operations, scheduler
-// preemptions and mutex hand-offs. Keep the block dense and append
-// only: eventNames and Recorder.DroppedByKind are indexed by it.
+// Event kinds. The first seven are the original vocabulary; the next
+// nineteen grew it to full coverage of the simulated machine:
+// program-level allocation traffic, pool free-list behavior,
+// shadow-pointer reuse, cache-coherence invalidations, channel and
+// waitgroup operations, scheduler preemptions and mutex hand-offs.
+// Those 26 are the machine kinds a Recorder keeps by default. The kinds
+// after them feed the profilers and heap observers: function
+// activations, allocator-level requests, program-level births and
+// deaths the pool runtime serves, and pool releases and trims. Keep the
+// block dense and append only: eventNames and Recorder.DroppedByKind
+// are indexed by it.
 const (
 	EvThreadStart EventKind = iota
 	EvThreadDone
@@ -24,9 +30,9 @@ const (
 	EvMigrate
 	EvLockHandoff   // releaser handed the mutex to a waiter (Arg1 = waiter slot)
 	EvPreempt       // lease expired and the scheduler ran someone else
-	EvAlloc         // heap allocation (Detail = class, Arg1 = size, Arg2 = address)
-	EvFree          // heap free (Detail = class, Arg1 = address)
-	EvPoolHit       // structure-pool allocation served from a free list
+	EvAlloc         // program-level object or buffer allocated by a direct allocator call (Detail = class or "buffer", Arg1 = size, Arg2 = address, Site = VM allocation site)
+	EvFree          // program-level object or buffer freed by a direct allocator call (Detail = class or "buffer", Arg1 = address)
+	EvPoolHit       // structure-pool allocation served from a free list (Detail = class, Arg1 = size, Arg2 = address, Arg3 = 1 when stolen from another shard)
 	EvPoolMiss      // structure-pool allocation that fell back to the heap
 	EvShadowReuse   // realloc served by reusing the shadow block (Arg1 = want, Arg2 = shadow size)
 	EvShadowMiss    // realloc that had to go to the heap (Arg1 = want, Arg2 = shadow size)
@@ -41,9 +47,17 @@ const (
 	EvAtomicFAA     // fetch-and-add on a simulated cell (Arg1 = addr, Arg2 = delta)
 	EvAtomicLoad    // atomic load of a simulated cell (Arg1 = addr)
 	EvAtomicStore   // atomic store to a simulated cell (Arg1 = addr)
+	EvEnter         // VM function activation begins (Detail = function)
+	EvExit          // VM function activation returns
+	EvHeapAlloc     // allocator served a request (Arg1 = granted bytes, Arg2 = address, Arg3 = requested bytes)
+	EvHeapFree      // allocator released a block (Arg1 = granted bytes, Arg2 = address)
+	EvBirth         // program-level object or buffer served by the pool runtime (Detail = class, Arg1 = size, Arg2 = address, Site = VM allocation site)
+	EvDeath         // program-level object or buffer handed back to the pool runtime (Arg1 = address)
+	EvPoolRelease   // pool at its object limit returned a structure to the allocator (Detail = class, Arg1 = size)
+	EvPoolTrim      // pool trim returned retained structures to the allocator (Detail = class, Arg1 = bytes released)
 
 	// NumEventKinds is the size of the kind space (for per-kind tables).
-	NumEventKinds = int(EvAtomicStore) + 1
+	NumEventKinds = int(EvPoolTrim) + 1
 )
 
 // eventNames is dense, indexed by EventKind — the trace path does no
@@ -75,6 +89,14 @@ var eventNames = [NumEventKinds]string{
 	EvAtomicFAA:     "faa",
 	EvAtomicLoad:    "atomic-load",
 	EvAtomicStore:   "atomic-store",
+	EvEnter:         "enter",
+	EvExit:          "exit",
+	EvHeapAlloc:     "heap-alloc",
+	EvHeapFree:      "heap-free",
+	EvBirth:         "birth",
+	EvDeath:         "death",
+	EvPoolRelease:   "pool-release",
+	EvPoolTrim:      "pool-trim",
 }
 
 // String names the kind.
@@ -85,11 +107,15 @@ func (k EventKind) String() string {
 	return fmt.Sprintf("EventKind(%d)", int(k))
 }
 
-// Mask is a bit set of event kinds for Config.TraceMask.
+// Mask is a bit set of event kinds for Recorder.Mask.
 type Mask uint64
 
 // AllEvents enables every event kind.
 const AllEvents Mask = 1<<NumEventKinds - 1
+
+// MachineEvents enables the 26 machine kinds (EvThreadStart through
+// EvAtomicStore): the events a Recorder keeps when its Mask is zero.
+const MachineEvents Mask = 1<<(EvAtomicStore+1) - 1
 
 // MaskOf builds a mask enabling exactly the given kinds.
 func MaskOf(kinds ...EventKind) Mask {
@@ -103,33 +129,78 @@ func MaskOf(kinds ...EventKind) Mask {
 // Has reports whether the mask enables kind.
 func (m Mask) Has(k EventKind) bool { return m&(1<<uint(k)) != 0 }
 
-// Event is one simulation occurrence. Arg1/Arg2 carry kind-specific
+// Event is one simulation occurrence. Arg1-Arg3 carry kind-specific
 // numeric payload (sizes, addresses, counts) so emission never formats
-// strings; Detail is a name that already existed (thread, mutex,
-// channel, class) — never built per event.
+// strings; Detail and Site are names that already existed (thread,
+// mutex, channel, class, function, the compiled "fn@line(Class)"
+// allocation site) — never built per event.
 type Event struct {
 	Time   int64
 	Thread int
 	CPU    int
 	Kind   EventKind
 	Detail string
+	Site   string
 	Arg1   int64
 	Arg2   int64
+	Arg3   int64
 }
 
-// Tracer receives events as they happen. Implementations must be cheap;
-// the engine calls them synchronously. A nil tracer costs one branch.
+// Tracer receives events as they happen: the one push interface for
+// observing a simulation. Implementations must be cheap and must not
+// charge simulated work; the engine calls them synchronously, one
+// simulated thread at a time, so they need no locking. A nil tracer
+// costs one branch per event site.
 type Tracer interface {
 	Event(Event)
 }
 
-// Recorder is a bounded in-memory Tracer with two truncation modes:
+// Tee delivers every event to each of its tracers, in order.
+type Tee []Tracer
+
+// Event implements Tracer.
+func (t Tee) Event(e Event) {
+	for _, tr := range t {
+		tr.Event(e)
+	}
+}
+
+// NewTee composes tracers into one. Nil entries — including nil
+// pointers stored in the interface — are dropped, so callers can pass
+// every optional consumer unconditionally: the result is nil when none
+// is left (keeping the engine's one-branch detached path) and the
+// tracer itself when one is.
+func NewTee(tracers ...Tracer) Tracer {
+	var t Tee
+	for _, tr := range tracers {
+		if tr == nil {
+			continue
+		}
+		if v := reflect.ValueOf(tr); v.Kind() == reflect.Pointer && v.IsNil() {
+			continue
+		}
+		t = append(t, tr)
+	}
+	switch len(t) {
+	case 0:
+		return nil
+	case 1:
+		return t[0]
+	}
+	return t
+}
+
+// Recorder is a bounded in-memory Tracer of the kinds its Mask selects,
+// with two truncation modes:
 // keep-earliest (the default — recording stops at the bound) and
 // keep-latest (Ring — a ring buffer overwrites the oldest event).
 // Either way Dropped counts the events lost, and DroppedByKind splits
 // the count per event kind. The event storage is allocated once, so a
 // full recorder appends nothing on the steady state.
 type Recorder struct {
+	// Mask selects the kinds recorded; zero means MachineEvents.
+	// Events of other kinds are ignored, not counted as dropped.
+	Mask Mask
 	// Max bounds the number of retained events; zero means 100000.
 	Max int
 	// Ring selects keep-latest truncation: the buffer wraps and the
@@ -154,6 +225,13 @@ func (r *Recorder) limit() int {
 
 // Event implements Tracer.
 func (r *Recorder) Event(e Event) {
+	mask := r.Mask
+	if mask == 0 {
+		mask = MachineEvents
+	}
+	if !mask.Has(e.Kind) {
+		return
+	}
 	limit := r.limit()
 	if len(r.Events) < limit {
 		if cap(r.Events) == 0 {
@@ -217,50 +295,51 @@ func (r *Recorder) Timeline() string {
 // trace emits an event if tracing is enabled. The nil check is the
 // entire cost of an untraced run: one branch per event site.
 func (e *Engine) trace(t *Thread, kind EventKind, detail string) {
-	if e.tracer == nil {
-		return
+	if e.tracer != nil {
+		e.emit(t, kind, detail, 0, 0)
 	}
-	e.emit(t, kind, detail, 0, 0)
 }
 
 // traceArgs is trace with the numeric payload fields.
 func (e *Engine) traceArgs(t *Thread, kind EventKind, detail string, a1, a2 int64) {
-	if e.tracer == nil {
-		return
+	if e.tracer != nil {
+		e.emit(t, kind, detail, a1, a2)
 	}
-	e.emit(t, kind, detail, a1, a2)
 }
 
-// emit applies the per-kind filter and delivers the event. Callers have
-// already checked the tracer is non-nil.
+// emit delivers an event built from its fields; emitEvent delivers one
+// the caller built, stamping the time, thread and CPU. Callers have
+// already checked the tracer is non-nil. Both are kept out of line so
+// the nil check in front of them inlines into every event site: a
+// detached run pays one branch, not a call.
+//
+//go:noinline
 func (e *Engine) emit(t *Thread, kind EventKind, detail string, a1, a2 int64) {
-	if !e.traceMask.Has(kind) {
-		return
-	}
-	e.tracer.Event(Event{
-		Time:   t.clock,
-		Thread: t.slot,
-		CPU:    t.lastCPU,
-		Kind:   kind,
-		Detail: detail,
-		Arg1:   a1,
-		Arg2:   a2,
-	})
+	e.emitEvent(t, Event{Kind: kind, Detail: detail, Arg1: a1, Arg2: a2})
 }
 
-// Trace emits a custom event from workload or runtime code (allocator
-// layers, pools, the VM) onto the engine's trace stream. With no
-// tracer configured it costs one branch. detail must be a name that
-// already exists (a class or channel name) — building strings at the
-// call site would defeat the zero-alloc path.
+//go:noinline
+func (e *Engine) emitEvent(t *Thread, ev Event) {
+	ev.Time, ev.Thread, ev.CPU = t.clock, t.slot, t.lastCPU
+	e.tracer.Event(ev)
+}
+
+// Trace emits an event from workload or runtime code (allocators,
+// pools, the VM) onto the engine's event stream. With no tracer
+// attached it costs one branch. detail must be a name that already
+// exists (a class or channel name) — building strings at the call site
+// would defeat the zero-alloc path.
 func (c *Ctx) Trace(kind EventKind, detail string, a1, a2 int64) {
-	t := c.t
-	if t.e.tracer == nil {
-		return
+	if t := c.t; t.e.tracer != nil {
+		t.e.emit(t, kind, detail, a1, a2)
 	}
-	t.e.emit(t, kind, detail, a1, a2)
 }
 
-// Traced reports whether the engine has a tracer attached, for callers
-// that want to skip preparing event payloads entirely.
-func (c *Ctx) Traced() bool { return c.t.e.tracer != nil }
+// Emit is Trace for events that carry a Site or Arg3: the caller fills
+// the payload, Emit stamps the time, thread and CPU. Like Trace it
+// costs one branch with no tracer attached.
+func (c *Ctx) Emit(e Event) {
+	if t := c.t; t.e.tracer != nil {
+		t.e.emitEvent(t, e)
+	}
+}

@@ -5,8 +5,8 @@ import (
 )
 
 func TestRingRecorderKeepsLatest(t *testing.T) {
-	rec := &Recorder{Max: 4, Ring: true}
-	e := New(Config{Processors: 1, Tracer: rec, TraceMask: MaskOf(EvLockAcquire)})
+	rec := &Recorder{Max: 4, Ring: true, Mask: MaskOf(EvLockAcquire)}
+	e := New(Config{Processors: 1, Tracer: rec})
 	m := e.NewMutex("m")
 	e.Go("w", func(c *Ctx) {
 		for i := 0; i < 10; i++ {
@@ -33,8 +33,8 @@ func TestRingRecorderKeepsLatest(t *testing.T) {
 		}
 	}
 	first := snap[0]
-	var all Recorder
-	e2 := New(Config{Processors: 1, Tracer: &all, TraceMask: MaskOf(EvLockAcquire)})
+	all := Recorder{Mask: MaskOf(EvLockAcquire)}
+	e2 := New(Config{Processors: 1, Tracer: &all})
 	m2 := e2.NewMutex("m")
 	e2.Go("w", func(c *Ctx) {
 		for i := 0; i < 10; i++ {
@@ -49,8 +49,8 @@ func TestRingRecorderKeepsLatest(t *testing.T) {
 }
 
 func TestKeepEarliestCountsDroppedKinds(t *testing.T) {
-	rec := &Recorder{Max: 2}
-	e := New(Config{Processors: 1, Tracer: rec, TraceMask: MaskOf(EvLockAcquire, EvLockRelease)})
+	rec := &Recorder{Max: 2, Mask: MaskOf(EvLockAcquire, EvLockRelease)}
+	e := New(Config{Processors: 1, Tracer: rec})
 	m := e.NewMutex("m")
 	e.Go("w", func(c *Ctx) {
 		for i := 0; i < 3; i++ {
@@ -70,8 +70,8 @@ func TestKeepEarliestCountsDroppedKinds(t *testing.T) {
 }
 
 func TestTraceMaskFilters(t *testing.T) {
-	rec := &Recorder{}
-	e := New(Config{Processors: 2, Tracer: rec, TraceMask: MaskOf(EvLockContended)})
+	rec := &Recorder{Mask: MaskOf(EvLockContended)}
+	e := New(Config{Processors: 2, Tracer: rec})
 	m := e.NewMutex("m")
 	for i := 0; i < 2; i++ {
 		e.Go("w", func(c *Ctx) {

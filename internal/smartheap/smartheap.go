@@ -48,7 +48,6 @@ type Allocator struct {
 	caches  map[int]*threadCache
 	sizeOf  map[mem.Ref]int64
 	stats   alloc.Stats
-	obs     alloc.Observer
 }
 
 // New creates the allocator.
@@ -70,9 +69,7 @@ func New(e *sim.Engine, sp *mem.Space) *Allocator {
 
 func init() {
 	alloc.Register("smartheap", func(e *sim.Engine, sp *mem.Space, opt alloc.Options) alloc.Allocator {
-		a := New(e, sp)
-		a.obs = opt.Observer
-		return a
+		return New(e, sp)
 	})
 }
 
@@ -111,9 +108,7 @@ func (a *Allocator) Alloc(c *sim.Ctx, size int64) mem.Ref {
 		a.sizeOf[ref] = usable
 		a.stats.Count(size, usable)
 		a.lock.Unlock(c)
-		if a.obs != nil {
-			alloc.EmitAlloc(a.obs, c, size, usable, ref)
-		}
+		c.Emit(sim.Event{Kind: sim.EvHeapAlloc, Arg1: usable, Arg2: int64(ref), Arg3: size})
 		return ref
 	}
 	c.Work(PathOps)
@@ -129,9 +124,7 @@ func (a *Allocator) Alloc(c *sim.Ctx, size int64) mem.Ref {
 	c.Read(uint64(ref), 8)
 	c.Write(listAddr, 8)
 	a.stats.Count(size, a.classes[ci].size)
-	if a.obs != nil {
-		alloc.EmitAlloc(a.obs, c, size, a.classes[ci].size, ref)
-	}
+	c.Emit(sim.Event{Kind: sim.EvHeapAlloc, Arg1: a.classes[ci].size, Arg2: int64(ref), Arg3: size})
 	return ref
 }
 
@@ -157,9 +150,7 @@ func (a *Allocator) Free(c *sim.Ctx, ref mem.Ref) {
 	}
 	ci := a.classFor(usable)
 	a.stats.Uncount(usable)
-	if a.obs != nil {
-		alloc.EmitFree(a.obs, c, usable, ref)
-	}
+	c.Trace(sim.EvHeapFree, "", usable, int64(ref))
 	if ci < 0 {
 		a.lock.Lock(c)
 		a.shared.Free(c, ref)

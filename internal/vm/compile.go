@@ -26,10 +26,12 @@ type Program struct {
 	Consts []int64
 	Strs   []string // string-literal table
 	Names  []string // method/field-name table for dynamic dispatch
-	// Sites is the allocation-site table: "fn@line" strings that the C
-	// operand of OpNew/OpPlacementNew/OpNewArray/OpPoolAlloc/OpRealloc
-	// indexes. Sites[0] is the "?" sentinel, so an unset C operand
-	// resolves to an unknown site rather than a wrong one.
+	// Sites is the allocation-site table that the C operand of
+	// OpNew/OpPlacementNew/OpNewArray/OpPoolAlloc/OpRealloc indexes:
+	// "fn@line(Class)" for objects, "fn@line" for buffers — the Site of
+	// the birth events those opcodes emit. Sites[0] is the "?"
+	// sentinel, so an unset C operand resolves to an unknown site rather
+	// than a wrong one.
 	Sites []string
 	// FuncID maps free-function names to Fn indices.
 	FuncID map[string]int
@@ -276,10 +278,16 @@ func (c *compiler) emit(op Op, a, b int32) int {
 	return len(c.code) - 1
 }
 
-// site interns "fn@line" for the source position and returns its index
-// in p.Sites, for the C operand of allocating opcodes.
-func (c *compiler) site(pos cc.Pos) int32 {
-	key := fmt.Sprintf("%s@%d", c.fnName, pos.Line)
+// site interns "fn@line(class)" — "fn@line" when class is empty — for
+// the source position and returns its index in p.Sites, for the C
+// operand of allocating opcodes.
+func (c *compiler) site(pos cc.Pos, class string) int32 {
+	var key string
+	if class == "" {
+		key = fmt.Sprintf("%s@%d", c.fnName, pos.Line)
+	} else {
+		key = fmt.Sprintf("%s@%d(%s)", c.fnName, pos.Line, class)
+	}
 	if id, ok := c.p.siteID[key]; ok {
 		return id
 	}
@@ -570,7 +578,7 @@ func (c *compiler) expr(e cc.Expr) error {
 			return err
 		}
 		at := c.emit(op, id, int32(len(e.Args)))
-		c.code[at].C = c.site(e.Pos)
+		c.code[at].C = c.site(e.Pos, e.Class)
 		return nil
 	case *cc.NewArray:
 		if err := c.expr(e.Len); err != nil {
@@ -581,7 +589,7 @@ func (c *compiler) expr(e cc.Expr) error {
 			elem = cc.FieldSize
 		}
 		at := c.emit(OpNewArray, elem, 0)
-		c.code[at].C = c.site(e.Pos)
+		c.code[at].C = c.site(e.Pos, "")
 		return nil
 	}
 	return fmt.Errorf("vm: cannot compile expression %T", e)
@@ -718,7 +726,7 @@ func (c *compiler) intrinsic(e *cc.Call) error {
 			return err
 		}
 		at := c.emit(OpPoolAlloc, id, 0)
-		c.code[at].C = c.site(e.Pos)
+		c.code[at].C = c.site(e.Pos, e.Args[0].(*cc.Ident).Name)
 		return nil
 	case "__pool_free":
 		id, err := c.classIdx(e.Args[0].(*cc.Ident).Name)
@@ -737,7 +745,7 @@ func (c *compiler) intrinsic(e *cc.Call) error {
 			return err
 		}
 		at := c.emit(OpFrameAlloc, id, 0)
-		c.code[at].C = c.site(e.Pos)
+		c.code[at].C = c.site(e.Pos, e.Args[0].(*cc.Ident).Name)
 		return nil
 	case "__frame_free":
 		id, err := c.classIdx(e.Args[0].(*cc.Ident).Name)
@@ -757,7 +765,7 @@ func (c *compiler) intrinsic(e *cc.Call) error {
 		}
 		// B=1 selects the lock-free thread-private pool mode.
 		at := c.emit(OpPoolAlloc, id, 1)
-		c.code[at].C = c.site(e.Pos)
+		c.code[at].C = c.site(e.Pos, e.Args[0].(*cc.Ident).Name)
 		return nil
 	case "__pool_free_tl":
 		id, err := c.classIdx(e.Args[0].(*cc.Ident).Name)
@@ -779,7 +787,7 @@ func (c *compiler) intrinsic(e *cc.Call) error {
 			return err
 		}
 		at := c.emit(OpPoolReserve, id, 0)
-		c.code[at].C = c.site(e.Pos)
+		c.code[at].C = c.site(e.Pos, e.Args[0].(*cc.Ident).Name)
 		c.emit(OpNull, 0, 0)
 		return nil
 	case "realloc":
@@ -790,7 +798,7 @@ func (c *compiler) intrinsic(e *cc.Call) error {
 			return err
 		}
 		at := c.emit(OpRealloc, 0, 0)
-		c.code[at].C = c.site(e.Pos)
+		c.code[at].C = c.site(e.Pos, "")
 		return nil
 	case "__shadow_save":
 		if err := c.expr(e.Args[0]); err != nil {

@@ -25,27 +25,13 @@ type Config struct {
 	Strategy   string
 	Pool       pool.Config
 	MaxSteps   int64
-	Tracer     sim.Tracer
-	// TraceMask restricts which event kinds reach the tracer (zero
-	// means all).
-	TraceMask sim.Mask
-	// Profiler receives function enter/exit hooks. Setting it disables
-	// bulk work batching so virtual timestamps are exact at call
-	// boundaries.
-	Profiler Profiler
-	// HeapObserver receives allocator and pool events (alloc.Observer).
-	// It is threaded to the underlying allocator and the pool runtime;
-	// when it also implements alloc.Watcher (or WatchPools), it is
-	// attached to the run's address space, allocator and pool runtime
-	// before execution. Observation is host-side only — a non-nil
-	// observer never changes makespans.
-	HeapObserver alloc.Observer
-	// HeapProf receives allocation-site hooks (births and deaths keyed
-	// by the compiled Sites table) plus the same Enter/Exit shadow-stack
-	// hooks as Profiler. Unlike Profiler it does not disable bulk work
-	// batching: site attribution needs call nesting, not exact
-	// timestamps, so counts are unaffected.
-	HeapProf HeapProfiler
+	// Tracer receives the run's event stream: the machine's events plus
+	// the VM's function enter/exit and program-level births and deaths
+	// at their compiled "fn@line(Class)" sites. A tracer implementing
+	// pool.Watcher is also attached to the run's address space,
+	// allocator and pool runtime before execution. Observation is
+	// host-side only — a tracer never changes makespans.
+	Tracer sim.Tracer
 	// NoOpt makes RunSource compile without the peephole pass (see
 	// Options.NoOpt). Programs compiled with Compile/CompileOpts carry
 	// their own setting and ignore this field.
@@ -56,31 +42,6 @@ type Config struct {
 	// deterministic simulated numbers, and a non-nil recorder never
 	// changes makespans (it does not affect bulk work batching).
 	Spans *telemetry.Recorder
-}
-
-// Profiler observes function activations in virtual time. The VM calls
-// Enter on every call and Exit on every return, stamped with the
-// simulated clock; obsv.Profiler implements it (the interface lives
-// here so the VM does not depend on the exporter package). A nil
-// profiler costs one branch per call.
-type Profiler interface {
-	Enter(thread int, fn string, now int64)
-	Exit(thread int, now int64)
-}
-
-// HeapProfiler observes allocation sites: every program-level birth
-// (new, new[], pool alloc, realloc) and death (delete, delete[], pool
-// free, shadow save, realloc) with the "fn@line" site the compiler
-// recorded and the shadow call stack maintained via Enter/Exit.
-// heapobsv.SiteProfile implements it (the interface lives here so the
-// VM does not depend on the exporter package). Pool hits and shadow
-// reuses count as births/deaths too: the profile tracks program-level
-// object lifetimes, not allocator traffic.
-type HeapProfiler interface {
-	Enter(thread int, fn string, now int64)
-	Exit(thread int, now int64)
-	Alloc(thread int, site, class string, bytes int64, ref mem.Ref)
-	Free(thread int, ref mem.Ref)
 }
 
 func (c Config) withDefaults() Config {
@@ -158,14 +119,13 @@ func Run(p *Program, cfg Config) (res Result, err error) {
 	if !ok {
 		return res, fmt.Errorf("vm: program has no main function")
 	}
-	e := sim.New(sim.Config{Processors: cfg.Processors, Tracer: cfg.Tracer, TraceMask: cfg.TraceMask})
+	e := sim.New(sim.Config{Processors: cfg.Processors, Tracer: cfg.Tracer})
 	sp := mem.NewSpace()
-	under, err := alloc.New(cfg.Strategy, e, sp, alloc.Options{Observer: cfg.HeapObserver})
+	under, err := alloc.New(cfg.Strategy, e, sp, alloc.Options{})
 	if err != nil {
 		return res, err
 	}
 	pcfg := cfg.Pool
-	pcfg.Observer = cfg.HeapObserver
 	if !p.Src.UsesThreads {
 		pcfg.SingleThreaded = true
 	}
@@ -184,20 +144,11 @@ func Run(p *Program, cfg Config) (res Result, err error) {
 		// stores, allocator calls). Threaded programs charge per unit —
 		// under oversubscription Ctx.Work dilates each charge with an
 		// integer division, so batching would perturb makespans. A
-		// tracer or profiler also forces per-unit charging to keep
-		// event and call-boundary timestamps exact.
-		bulk: !p.Src.UsesThreads && cfg.Tracer == nil && cfg.Profiler == nil,
-		prof: cfg.Profiler,
-		hp:   cfg.HeapProf,
+		// tracer also forces per-unit charging to keep event and
+		// call-boundary timestamps exact.
+		bulk: !p.Src.UsesThreads && cfg.Tracer == nil,
 	}
-	if cfg.HeapObserver != nil {
-		if w, ok := cfg.HeapObserver.(alloc.Watcher); ok {
-			w.Watch(sp, under)
-		}
-		if w, ok := cfg.HeapObserver.(interface{ WatchPools(*pool.Runtime) }); ok {
-			w.WatchPools(m.rt)
-		}
-	}
+	pool.Watch(cfg.Tracer, sp, under, m.rt)
 	e.Go("main", func(c *sim.Ctx) {
 		ret := m.exec(c, p.Fns[mainID], mem.Nil, nil)
 		m.flushWork(c)
@@ -348,8 +299,6 @@ type machine struct {
 	// yet flushed to the simulator.
 	bulk     bool
 	pending  int64
-	prof     Profiler
-	hp       HeapProfiler
 	out      strings.Builder
 	exitCode int64
 	// curFn/curPC track the executing site for fault messages.
@@ -480,12 +429,7 @@ func (m *machine) flushWork(c *sim.Ctx) {
 func (m *machine) exec(c *sim.Ctx, fn *Fn, this mem.Ref, args []value) value {
 	prevFn, prevPC := m.curFn, m.curPC
 	m.curFn = fn
-	if m.prof != nil {
-		m.prof.Enter(c.ThreadID(), fn.Name, c.Now())
-	}
-	if m.hp != nil {
-		m.hp.Enter(c.ThreadID(), fn.Name, c.Now())
-	}
+	c.Trace(sim.EvEnter, fn.Name, 0, 0)
 	slots := m.getFrame(fn.Slots)
 	copy(slots, args)
 	stack := m.getStack()
@@ -671,9 +615,6 @@ loop:
 			m.flushWork(c)
 			m.alloc.Free(c, v.ref)
 			c.Trace(sim.EvFree, "buffer", int64(v.ref), 0)
-			if m.hp != nil {
-				m.hp.Free(c.ThreadID(), v.ref)
-			}
 		case OpRet:
 			ret = stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
@@ -728,9 +669,7 @@ loop:
 			} else {
 				m.h.ensure(ref).setObject(ci)
 			}
-			if m.hp != nil {
-				m.hp.Alloc(c.ThreadID(), m.p.Sites[ins.C], ci.decl.Name, ci.decl.Size, ref)
-			}
+			c.Emit(sim.Event{Kind: sim.EvBirth, Detail: ci.decl.Name, Site: m.p.Sites[ins.C], Arg1: ci.decl.Size, Arg2: int64(ref)})
 			stack = append(stack, rv(ref))
 		case OpPoolFree:
 			v := stack[len(stack)-1]
@@ -753,13 +692,11 @@ loop:
 			if pooled := fpl.Free(c, v.ref); !pooled {
 				s.state = stFreed
 			}
-			if m.hp != nil {
-				m.hp.Free(c.ThreadID(), v.ref)
-			}
+			c.Trace(sim.EvDeath, "", int64(v.ref), 0)
 		case OpFrameAlloc:
 			// Frame promotion (__frame_alloc): a constructed-pending slot
 			// in the frame region. The region is outside the simulated
-			// heap, so the heap profiler never sees promoted objects. A
+			// heap, so it emits no birth or death events. A
 			// reused same-class slot keeps its old object record — like
 			// pool reuse, so its shadow pointers stay meaningful and
 			// placement new can revive the children.
@@ -791,8 +728,8 @@ loop:
 			m.rt.Frame().Free(c, ci.decl.Size, v.ref)
 		case OpPoolReserve:
 			// Pool pre-sizing (__pool_reserve). Reserved structures stay
-			// pool-internal until first use; the heap profiler records
-			// their birth at the OpPoolAlloc that pops them.
+			// pool-internal until first use; their birth event is
+			// emitted at the OpPoolAlloc that pops them.
 			n := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
 			ci := m.p.classes[ins.A]
@@ -827,9 +764,7 @@ loop:
 			}
 			// Saved or released, the buffer is dead at the program level;
 			// a later realloc reusing the shadow records a fresh birth.
-			if m.hp != nil {
-				m.hp.Free(c.ThreadID(), v.ref)
-			}
+			c.Trace(sim.EvDeath, "", int64(v.ref), 0)
 		case OpLoadLocalField:
 			recv := slots[ins.A]
 			s := m.objSlot(recv.ref, &m.cLoadField)
@@ -858,12 +793,7 @@ loop:
 	}
 	m.putFrame(slots)
 	m.putStack(stack)
-	if m.prof != nil {
-		m.prof.Exit(c.ThreadID(), c.Now())
-	}
-	if m.hp != nil {
-		m.hp.Exit(c.ThreadID(), c.Now())
-	}
+	c.Trace(sim.EvExit, "", 0, 0)
 	m.curFn, m.curPC = prevFn, prevPC
 	return ret
 }
@@ -969,13 +899,10 @@ func (m *machine) doNew(c *sim.Ctx, ci *classInfo, placement value, args []value
 	} else {
 		ref = m.alloc.Alloc(c, ci.decl.Size)
 		m.h.ensure(ref).setObject(ci)
-		c.Trace(sim.EvAlloc, ci.decl.Name, ci.decl.Size, int64(ref))
 		// The operator-new path above allocates inside ci.opNew and
 		// records its birth at the inner OpPoolAlloc/OpNewArray site;
 		// only the direct path records here.
-		if m.hp != nil {
-			m.hp.Alloc(c.ThreadID(), m.p.Sites[site], ci.decl.Name, ci.decl.Size, ref)
-		}
+		c.Emit(sim.Event{Kind: sim.EvAlloc, Detail: ci.decl.Name, Site: m.p.Sites[site], Arg1: ci.decl.Size, Arg2: int64(ref)})
 	}
 	m.runCtor(c, ci, ref, args)
 	return rv(ref)
@@ -999,9 +926,6 @@ func (m *machine) doDelete(c *sim.Ctx, v value) {
 	s.state = stFreed
 	m.alloc.Free(c, v.ref)
 	c.Trace(sim.EvFree, s.class.decl.Name, int64(v.ref), 0)
-	if m.hp != nil {
-		m.hp.Free(c.ThreadID(), v.ref)
-	}
 }
 
 func (m *machine) newBuffer(c *sim.Ctx, elemSize int32, n int64, site int32) value {
@@ -1015,10 +939,7 @@ func (m *machine) newBuffer(c *sim.Ctx, elemSize int32, n int64, site int32) val
 	}
 	ref := m.alloc.Alloc(c, size)
 	m.h.ensure(ref).setBuffer(elemSize, n, m.alloc.UsableSize(ref))
-	c.Trace(sim.EvAlloc, "buffer", size, int64(ref))
-	if m.hp != nil {
-		m.hp.Alloc(c.ThreadID(), m.p.Sites[site], "", size, ref)
-	}
+	c.Emit(sim.Event{Kind: sim.EvAlloc, Detail: "buffer", Site: m.p.Sites[site], Arg1: size, Arg2: int64(ref)})
 	return rv(ref)
 }
 
@@ -1041,18 +962,14 @@ func (m *machine) doRealloc(c *sim.Ctx, ptr value, n int64, site int32) value {
 		prev = m.bufSlot(ptr.ref, &m.cMisc)
 		prevUsable, elemSize = prev.usable, prev.elemSize
 		prev.state = stFreed
-		if m.hp != nil {
-			m.hp.Free(c.ThreadID(), ptr.ref)
-		}
+		c.Trace(sim.EvDeath, "", int64(ptr.ref), 0)
 	}
 	size := n
 	if size == 0 {
 		size = 1
 	}
 	ref, usable := m.rt.ShadowRealloc(c, ptr.ref, prevUsable, size)
-	if m.hp != nil {
-		m.hp.Alloc(c.ThreadID(), m.p.Sites[site], "", size, ref)
-	}
+	c.Emit(sim.Event{Kind: sim.EvBirth, Detail: "buffer", Site: m.p.Sites[site], Arg1: size, Arg2: int64(ref)})
 	length := n / int64(elemSize)
 	if prev != nil && ref == ptr.ref {
 		prev.length = length

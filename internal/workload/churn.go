@@ -5,6 +5,7 @@ import (
 
 	"amplify/internal/alloc"
 	"amplify/internal/mem"
+	"amplify/internal/pool"
 	"amplify/internal/sim"
 )
 
@@ -31,12 +32,9 @@ type ChurnConfig struct {
 	// Work is extra per-cycle computation, diluting allocator cost the
 	// way application logic would. Zero means pure allocator pressure.
 	Work int64
-	// Tracer/TraceMask feed the simulator's event stream.
-	Tracer    sim.Tracer
-	TraceMask sim.Mask
-	// HeapObserver receives allocator events; when it implements
-	// alloc.Watcher it is attached before the run. Host-side only.
-	HeapObserver alloc.Observer
+	// Tracer receives the run's event stream; a pool.Watcher tracer is
+	// attached to the run's space and allocator first. Host-side only.
+	Tracer sim.Tracer
 }
 
 func (cfg ChurnConfig) withDefaults() ChurnConfig {
@@ -82,15 +80,15 @@ func ChurnStrategies() []string {
 // (any registered alloc strategy) and returns its measurements.
 func RunChurn(strategy string, cfg ChurnConfig) (ChurnResult, error) {
 	cfg = cfg.withDefaults()
-	e := sim.New(sim.Config{Processors: cfg.Processors, Tracer: cfg.Tracer, TraceMask: cfg.TraceMask})
+	e := sim.New(sim.Config{Processors: cfg.Processors, Tracer: cfg.Tracer})
 	sp := mem.NewSpace()
 	res := ChurnResult{Strategy: strategy, Config: cfg}
 
-	a, err := alloc.New(strategy, e, sp, alloc.Options{Threads: cfg.Threads, Observer: cfg.HeapObserver})
+	a, err := alloc.New(strategy, e, sp, alloc.Options{Threads: cfg.Threads})
 	if err != nil {
 		return res, err
 	}
-	watchHeap(cfg.HeapObserver, sp, a, nil)
+	pool.Watch(cfg.Tracer, sp, a, nil)
 
 	// A two-sided start gate puts every worker into the churn at the
 	// same virtual instant: spawns are staggered by the spawn cost, so

@@ -6,6 +6,7 @@ import (
 	"amplify/internal/alloc"
 	"amplify/internal/alloctrace"
 	"amplify/internal/mem"
+	"amplify/internal/pool"
 	"amplify/internal/sim"
 )
 
@@ -26,13 +27,9 @@ type ReplayConfig struct {
 	Trace *alloctrace.Trace
 	// Processors simulated; zero means 8.
 	Processors int
-	// Tracer/TraceMask feed the simulator's event stream.
-	Tracer    sim.Tracer
-	TraceMask sim.Mask
-	// HeapObserver receives allocator events; when it implements
-	// alloc.Watcher it is attached before the run. Attaching an
-	// alloctrace.Recorder here re-captures the replay. Host-side only.
-	HeapObserver alloc.Observer
+	// Tracer receives the run's event stream; a pool.Watcher tracer is
+	// attached to the run's space and allocator first. Host-side only.
+	Tracer sim.Tracer
 }
 
 // ReplayResult summarizes a replay run.
@@ -100,13 +97,13 @@ func RunReplay(strategy string, cfg ReplayConfig) (ReplayResult, error) {
 		}
 	}
 
-	e := sim.New(sim.Config{Processors: cfg.Processors, Tracer: cfg.Tracer, TraceMask: cfg.TraceMask})
+	e := sim.New(sim.Config{Processors: cfg.Processors, Tracer: cfg.Tracer})
 	sp := mem.NewSpace()
-	a, err := alloc.New(strategy, e, sp, alloc.Options{Threads: len(tr.Threads), Observer: cfg.HeapObserver})
+	a, err := alloc.New(strategy, e, sp, alloc.Options{Threads: len(tr.Threads)})
 	if err != nil {
 		return res, err
 	}
-	watchHeap(cfg.HeapObserver, sp, a, nil)
+	pool.Watch(cfg.Tracer, sp, a, nil)
 
 	var gates []*sim.WaitGroup // in alloc event order
 	for i, marked := range gateOf {

@@ -62,7 +62,7 @@ func TestReplayRecaptureIdempotent(t *testing.T) {
 		t.Fatal(err)
 	}
 	rec1 := alloctrace.NewRecorder("recapture")
-	if _, err := RunReplay("ptmalloc", ReplayConfig{Trace: tr, HeapObserver: rec1}); err != nil {
+	if _, err := RunReplay("ptmalloc", ReplayConfig{Trace: tr, Tracer: rec1}); err != nil {
 		t.Fatal(err)
 	}
 	t1 := rec1.Trace()
@@ -78,7 +78,7 @@ func TestReplayRecaptureIdempotent(t *testing.T) {
 	}
 
 	rec2 := alloctrace.NewRecorder("recapture")
-	if _, err := RunReplay("ptmalloc", ReplayConfig{Trace: t1, HeapObserver: rec2}); err != nil {
+	if _, err := RunReplay("ptmalloc", ReplayConfig{Trace: t1, Tracer: rec2}); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(rec2.Trace().Encode(), t1.Encode()) {

@@ -76,16 +76,11 @@ type TreeConfig struct {
 	KeepPoolLocks bool
 	// Exact disables the simulator's lease optimization.
 	Exact bool
-	// Tracer receives simulation events (nil disables tracing at the
-	// cost of one branch per event site); TraceMask restricts the kinds
-	// delivered (zero means all).
-	Tracer    sim.Tracer
-	TraceMask sim.Mask
-	// HeapObserver receives allocator and pool events (heap timelines,
-	// fragmentation sampling). When it also implements alloc.Watcher or
-	// WatchPools it is attached to the run's space/allocator/pool
-	// runtime before execution. Host-side only: never changes makespans.
-	HeapObserver alloc.Observer
+	// Tracer receives the run's event stream (nil disables tracing at
+	// the cost of one branch per event site). A pool.Watcher tracer is
+	// also attached to the run's space, allocator and pool runtime
+	// before execution. Host-side only: never changes makespans.
+	Tracer sim.Tracer
 }
 
 func (cfg TreeConfig) withDefaults() TreeConfig {
@@ -137,18 +132,18 @@ func Strategies() []string {
 // and returns its measurements.
 func RunTree(strategy string, cfg TreeConfig) (Result, error) {
 	cfg = cfg.withDefaults()
-	e := sim.New(sim.Config{Processors: cfg.Processors, Exact: cfg.Exact, Tracer: cfg.Tracer, TraceMask: cfg.TraceMask})
+	e := sim.New(sim.Config{Processors: cfg.Processors, Exact: cfg.Exact, Tracer: cfg.Tracer})
 	sp := mem.NewSpace()
 
 	res := Result{Strategy: strategy, Config: cfg}
 
 	switch strategy {
 	case "serial", "ptmalloc", "hoard", "smartheap", "lkmalloc", "lfalloc":
-		a, err := alloc.New(strategy, e, sp, alloc.Options{Threads: cfg.Threads, Arenas: cfg.Arenas, Observer: cfg.HeapObserver})
+		a, err := alloc.New(strategy, e, sp, alloc.Options{Threads: cfg.Threads, Arenas: cfg.Arenas})
 		if err != nil {
 			return res, err
 		}
-		watchHeap(cfg.HeapObserver, sp, a, nil)
+		pool.Watch(cfg.Tracer, sp, a, nil)
 		forEachThread(e, cfg, func(c *sim.Ctx, trees int) {
 			plainWorker(c, a, cfg, trees)
 		})
@@ -157,17 +152,16 @@ func RunTree(strategy string, cfg TreeConfig) (Result, error) {
 		res.Heap = inspectHeap(a)
 
 	case "amplify":
-		under, err := alloc.New("serial", e, sp, alloc.Options{Threads: cfg.Threads, Observer: cfg.HeapObserver})
+		under, err := alloc.New("serial", e, sp, alloc.Options{Threads: cfg.Threads})
 		if err != nil {
 			return res, err
 		}
 		pcfg := cfg.Pool
-		pcfg.Observer = cfg.HeapObserver
 		if cfg.Threads == 1 && !cfg.KeepPoolLocks {
 			pcfg.SingleThreaded = true
 		}
 		rt := pool.NewRuntime(e, under, pcfg)
-		watchHeap(cfg.HeapObserver, sp, under, rt)
+		pool.Watch(cfg.Tracer, sp, under, rt)
 		np := rt.NewClassPool("Node", AmpNodeSize)
 		forEachThread(e, cfg, func(c *sim.Ctx, trees int) {
 			amplifiedWorker(c, rt, np, cfg, trees)
@@ -182,17 +176,16 @@ func RunTree(strategy string, cfg TreeConfig) (Result, error) {
 		// §2.1's traditional object pool: every node goes through the
 		// class pool individually — no structure reuse, so a 15-node
 		// tree costs 15 pool operations instead of Amplify's one.
-		under, err := alloc.New("serial", e, sp, alloc.Options{Threads: cfg.Threads, Observer: cfg.HeapObserver})
+		under, err := alloc.New("serial", e, sp, alloc.Options{Threads: cfg.Threads})
 		if err != nil {
 			return res, err
 		}
 		pcfg := cfg.Pool
-		pcfg.Observer = cfg.HeapObserver
 		if cfg.Threads == 1 {
 			pcfg.SingleThreaded = true
 		}
 		rt := pool.NewRuntime(e, under, pcfg)
-		watchHeap(cfg.HeapObserver, sp, under, rt)
+		pool.Watch(cfg.Tracer, sp, under, rt)
 		np := rt.NewClassPool("Node", PlainNodeSize)
 		forEachThread(e, cfg, func(c *sim.Ctx, trees int) {
 			objectPoolWorker(c, np, cfg, trees)
@@ -204,11 +197,11 @@ func RunTree(strategy string, cfg TreeConfig) (Result, error) {
 		res.Heap = inspectHeap(under)
 
 	case "handmade":
-		under, err := alloc.New("serial", e, sp, alloc.Options{Threads: cfg.Threads, Observer: cfg.HeapObserver})
+		under, err := alloc.New("serial", e, sp, alloc.Options{Threads: cfg.Threads})
 		if err != nil {
 			return res, err
 		}
-		watchHeap(cfg.HeapObserver, sp, under, nil)
+		pool.Watch(cfg.Tracer, sp, under, nil)
 		var hits, misses int64
 		forEachThread(e, cfg, func(c *sim.Ctx, trees int) {
 			h, m := handmadeWorker(c, under, cfg, trees)
@@ -229,23 +222,6 @@ func RunTree(strategy string, cfg TreeConfig) (Result, error) {
 	res.Footprint = sp.Footprint()
 	res.FailedTryLocks = failedTryLocks(e)
 	return res, nil
-}
-
-// watchHeap attaches a heap observer to the run's address space,
-// allocator and (when present) pool runtime, for observers that want
-// to pull state during the run rather than just count events.
-func watchHeap(o alloc.Observer, sp *mem.Space, a alloc.Allocator, rt *pool.Runtime) {
-	if o == nil {
-		return
-	}
-	if w, ok := o.(alloc.Watcher); ok {
-		w.Watch(sp, a)
-	}
-	if rt != nil {
-		if w, ok := o.(interface{ WatchPools(*pool.Runtime) }); ok {
-			w.WatchPools(rt)
-		}
-	}
 }
 
 // inspectHeap snapshots the allocator's introspection state, when it
