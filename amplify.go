@@ -204,21 +204,18 @@ func RunProgram(src string, cfg RunConfig) (RunResult, error) {
 	return RunResult{}, fmt.Errorf("amplify: unknown engine %q (want vm or ast)", cfg.Engine)
 }
 
-// Experiments lists the experiment names accepted by Experiment:
-// table1, fig4 through fig11, claims, memory, pipeline, sensitivity
-// and endtoend.
+// Experiments lists the experiment names accepted by Experiment, in
+// the order `amplifybench -exp all` runs them: table1, fig4 through
+// fig11, claims, memory, pipeline, sensitivity, escape, scale,
+// contend, replay and endtoend.
 func Experiments() []string {
-	return append(bench.Names(), "endtoend")
+	return bench.Names()
 }
 
 // Experiment regenerates one of the paper's tables or figures and
 // returns it as rendered text. Set quick for reduced run sizes.
 func Experiment(name string, quick bool) (string, error) {
-	r := bench.NewRunner(quick)
-	if name == "endtoend" {
-		return r.EndToEnd()
-	}
-	out, err := r.Run(name)
+	out, err := bench.NewRunner(quick).Run(name)
 	if err != nil {
 		return "", fmt.Errorf("amplify: %w", err)
 	}

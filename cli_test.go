@@ -334,6 +334,48 @@ func TestCLIAllocFailFast(t *testing.T) {
 	}
 }
 
+// TestCLIBenchRejectsBadArguments: amplifybench refuses an unknown
+// -exp name, an unknown -format, and -format with -json with a plain
+// exit 1 before any experiment prints, naming every experiment.
+func TestCLIBenchRejectsBadArguments(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds binaries")
+	}
+	bin := buildTools(t)
+	names, err := exec.Command(filepath.Join(bin, "amplifybench"), "-list").Output()
+	if err != nil {
+		t.Fatalf("amplifybench -list: %v", err)
+	}
+	all := strings.Fields(string(names))
+	if len(all) != 18 {
+		t.Fatalf("-list = %v, want 18 experiments", all)
+	}
+	for _, args := range [][]string{
+		{"-quick", "-exp", "fig4,bogus"},
+		{"-quick", "-exp", "table1", "-format", "bogus"},
+		{"-quick", "-exp", "table1", "-json", "-format", "csv"},
+	} {
+		cmd := exec.Command(filepath.Join(bin, "amplifybench"), args...)
+		var stdout, stderr bytes.Buffer
+		cmd.Stdout, cmd.Stderr = &stdout, &stderr
+		err := cmd.Run()
+		if exitErr, ok := err.(*exec.ExitError); !ok || exitErr.ExitCode() != 1 {
+			t.Errorf("%v: err = %v (want exit 1)\n%s", args, err, stderr.String())
+			continue
+		}
+		if stdout.Len() != 0 {
+			t.Errorf("%v: printed before failing:\n%s", args, stdout.String())
+		}
+		if args[2] == "fig4,bogus" {
+			for _, name := range all {
+				if !strings.Contains(stderr.String(), name) {
+					t.Errorf("unknown -exp error does not list %q:\n%s", name, stderr.String())
+				}
+			}
+		}
+	}
+}
+
 func TestCLIErrors(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds binaries")

@@ -7,10 +7,13 @@
 //
 // Flags:
 //
-//	-exp name     one of table1, fig4..fig11, claims, escape, endtoend,
-//	              or "all" (see -list for the full set)
+//	-exp list     comma-separated experiments (see -list), or "all";
+//	              unknown names fail before any experiment runs
 //	-quick        smaller runs (coarser thread grid, fewer trees/CDRs)
 //	-list         list experiment names and exit
+//	-format f     text (default), csv or chart; csv and chart render
+//	              figures and leave other experiments as text; not
+//	              with -json
 //	-j N          run up to N independent simulations concurrently
 //	              (default: the host's CPU count; output is identical
 //	              for every N — only wall-clock changes)
@@ -88,7 +91,7 @@ func run() error {
 	exp := flag.String("exp", "all", "experiment to run (see -list)")
 	quick := flag.Bool("quick", false, "reduced experiment sizes")
 	list := flag.Bool("list", false, "list experiments")
-	format := flag.String("format", "text", "text | csv | chart (figures only)")
+	format := flag.String("format", "text", "text | csv | chart (csv and chart apply to figures; not with -json)")
 	jobs := flag.Int("j", runtime.NumCPU(), "max concurrent simulations")
 	jsonOut := flag.Bool("json", false, "emit machine-readable report on stdout")
 	noOpt := flag.Bool("no-opt", false, "disable the VM bytecode optimizer (identical simulated results, slower host)")
@@ -121,10 +124,40 @@ func run() error {
 		return runHostBench()
 	}
 
-	names := append(bench.Names(), "endtoend")
 	if *list {
-		fmt.Println(strings.Join(names, "\n"))
+		fmt.Println(strings.Join(bench.Names(), "\n"))
 		return nil
+	}
+
+	// Refuse every bad argument before any simulation runs: a typo
+	// should cost milliseconds, not a warm-up.
+	todo := bench.Names()
+	if *exp != "all" {
+		todo = strings.Split(*exp, ",")
+		for _, name := range todo {
+			if err := bench.Valid(name); err != nil {
+				return err
+			}
+		}
+	}
+	switch *format {
+	case "text", "csv", "chart":
+	default:
+		return fmt.Errorf("unknown -format %q (want text, csv or chart)", *format)
+	}
+	formatSet := false
+	flag.Visit(func(f *flag.Flag) { formatSet = formatSet || f.Name == "format" })
+	if formatSet && *jsonOut {
+		return fmt.Errorf("-format does not apply to -json reports")
+	}
+	var contendAllocs []string
+	if *allocList != "" {
+		contendAllocs = strings.Split(*allocList, ",")
+		for _, n := range contendAllocs {
+			if err := alloc.Valid(n); err != nil {
+				return err
+			}
+		}
 	}
 
 	if *cpuprofile != "" {
@@ -142,23 +175,7 @@ func run() error {
 	r := bench.NewRunner(*quick)
 	r.Jobs = *jobs
 	r.VMNoOpt = *noOpt
-	if *allocList != "" {
-		// Fail fast on unknown allocator names, before any simulation
-		// runs: a typo'd -alloc should cost milliseconds, not a warm-up.
-		names := strings.Split(*allocList, ",")
-		for _, n := range names {
-			if err := alloc.Valid(n); err != nil {
-				return err
-			}
-		}
-		r.ContendAllocs = names
-	}
-	var todo []string
-	if *exp == "all" {
-		todo = []string{"table1", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "claims", "memory", "pipeline", "sensitivity", "escape", "scale", "contend", "replay", "endtoend"}
-	} else {
-		todo = strings.Split(*exp, ",")
-	}
+	r.ContendAllocs = contendAllocs
 
 	start := time.Now()
 	// Warm the memo with up to -j concurrent simulations; each
@@ -342,22 +359,7 @@ func runText(r *bench.Runner, todo []string, format string) error {
 			fmt.Println()
 		}
 		start := time.Now()
-		var out string
-		var err error
-		switch {
-		case name == "endtoend" && format == "text":
-			out, err = r.EndToEnd()
-		case (format == "csv" || format == "chart") && (strings.HasPrefix(name, "fig") || name == "endtoend"):
-			var f *bench.Figure
-			f, err = r.Figure(name)
-			if err == nil && format == "csv" {
-				out = f.CSV()
-			} else if err == nil {
-				out = f.Chart(16)
-			}
-		default:
-			out, err = r.Run(name)
-		}
+		out, err := r.Render(name, format)
 		if err != nil {
 			return err
 		}

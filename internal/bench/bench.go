@@ -7,10 +7,11 @@ package bench
 
 import (
 	"fmt"
-	"sort"
 	"strings"
+	"sync"
 
 	"amplify/internal/bgw"
+	"amplify/internal/sim"
 	"amplify/internal/workload"
 
 	_ "amplify/internal/hoard"
@@ -61,6 +62,10 @@ type Runner struct {
 
 	quick bool
 	cells cellStore
+	// EngineSpeedup's host measurement, taken once.
+	speedupOnce sync.Once
+	speedup     float64
+	speedupErr  error
 	// contendGridOverride substitutes the contention grid (tests only).
 	contendGridOverride []contendPoint
 }
@@ -86,28 +91,44 @@ func NewRunner(quick bool) *Runner {
 	return r
 }
 
-// run executes (or recalls) one synthetic tree run.
-func (r *Runner) run(strategy string, depth, threads int) (workload.Result, error) {
-	return r.runAt(strategy, depth, threads, 0)
-}
-
-// runAt executes (or recalls) one synthetic tree run on a machine with
-// the given processor count (0 means the default 8).
-func (r *Runner) runAt(strategy string, depth, threads, procs int) (workload.Result, error) {
-	v, err := r.cells.do(treeKey(strategy, depth, threads, procs), func() (any, error) {
-		return workload.RunTree(strategy, workload.TreeConfig{
+// treeCell is one synthetic tree run on a machine with the given
+// processor count. procs 0 is canonicalized to the default
+// 8-processor machine so the sensitivity sweep's 8P column shares the
+// speedup figures' measurements.
+func (r *Runner) treeCell(strategy string, depth, threads, procs int) cell {
+	if procs == 0 {
+		procs = 8
+	}
+	return cell{fmt.Sprintf("tree/%s/depth%d/threads%d/procs%d", strategy, depth, threads, procs),
+		treeRun(strategy, workload.TreeConfig{
 			Depth:      depth,
 			Trees:      r.Trees,
 			Threads:    threads,
 			Processors: procs,
 			InitWork:   InitWork,
 			UseWork:    UseWork,
-		})
-	})
-	if err != nil {
-		return workload.Result{}, err
+		})}
+}
+
+// treeRun measures one tree run; its result is a workload.Result.
+func treeRun(strategy string, cfg workload.TreeConfig) func(sim.Tracer) (measured, error) {
+	return func(tr sim.Tracer) (measured, error) {
+		c := cfg
+		c.Tracer = tr
+		res, err := workload.RunTree(strategy, c)
+		m := measuredOf(res, res.Makespan, res.Footprint, res.Alloc, res.Heap, res.Sim)
+		m.counters = append(simCounters("cells.tree", res.Sim, res.Alloc),
+			counter{"pool.hits", res.PoolHits},
+			counter{"pool.misses", res.PoolMisses},
+			counter{"pool.failed_trylocks", res.FailedTryLocks})
+		return m, err
 	}
-	return v.(workload.Result), nil
+}
+
+// run measures (or recalls) one synthetic tree run on the default
+// 8-processor machine.
+func (r *Runner) run(strategy string, depth, threads int) (workload.Result, error) {
+	return resultOf[workload.Result](r, r.treeCell(strategy, depth, threads, 0))
 }
 
 // Speedup is the paper's metric: execution time of one thread under the
@@ -124,26 +145,35 @@ func (r *Runner) Speedup(strategy string, depth, threads int) (float64, error) {
 	return float64(base.Makespan) / float64(res.Makespan), nil
 }
 
-// bgwKey names a BGw memo cell.
-func bgwKey(strategy string, amplify, objects bool, threads int) string {
-	return fmt.Sprintf("bgw/%s/amplify%v/objects%v/threads%d", strategy, amplify, objects, threads)
-}
-
-// runBGw executes (or recalls) one BGw run.
-func (r *Runner) runBGw(strategy string, amplify, objects bool, threads int) (bgw.Result, error) {
-	v, err := r.cells.do(bgwKey(strategy, amplify, objects, threads), func() (any, error) {
-		return bgw.Run(bgw.Config{
+// bgwCell is one BGw run.
+func (r *Runner) bgwCell(strategy string, amplify, objects bool, threads int) cell {
+	return cell{fmt.Sprintf("bgw/%s/amplify%v/objects%v/threads%d", strategy, amplify, objects, threads),
+		bgwRun(bgw.Config{
 			CDRs:       r.CDRs,
 			Threads:    threads,
 			Strategy:   strategy,
 			Amplify:    amplify,
 			ObjectsToo: objects,
-		})
-	})
-	if err != nil {
-		return bgw.Result{}, err
+		})}
+}
+
+// bgwRun measures one BGw run; its result is a bgw.Result.
+func bgwRun(cfg bgw.Config) func(sim.Tracer) (measured, error) {
+	return func(tr sim.Tracer) (measured, error) {
+		c := cfg
+		c.Tracer = tr
+		res, err := bgw.Run(c)
+		m := measuredOf(res, res.Makespan, res.Footprint, res.Alloc, res.Heap, res.Sim)
+		m.counters = append(simCounters("cells.bgw", res.Sim, res.Alloc),
+			counter{"pool.hits", res.PoolHits},
+			counter{"shadow.reuses", res.ShadowReuses})
+		return m, err
 	}
-	return v.(bgw.Result), nil
+}
+
+// runBGw measures (or recalls) one BGw run.
+func (r *Runner) runBGw(strategy string, amplify, objects bool, threads int) (bgw.Result, error) {
+	return resultOf[bgw.Result](r, r.bgwCell(strategy, amplify, objects, threads))
 }
 
 // Series is one plotted line: a method and its value per x-axis entry.
@@ -213,24 +243,6 @@ func (f *Figure) CSV() string {
 	return b.String()
 }
 
-// Figure returns the named figure's data (fig4..fig11), for callers
-// that want the series rather than rendered text.
-func (r *Runner) Figure(name string) (*Figure, error) {
-	switch name {
-	case "fig4", "fig5", "fig6":
-		return r.SpeedupFigure(int(name[3] - '3'))
-	case "fig7", "fig8", "fig9":
-		return r.ScaleupFigure(int(name[3] - '6'))
-	case "fig10":
-		return r.HandmadeFigure()
-	case "fig11":
-		return r.BGwFigure()
-	case "endtoend":
-		return r.EndToEndFigure()
-	}
-	return nil, fmt.Errorf("bench: %q has no figure data", name)
-}
-
 // Table1 reproduces Table 1: the size of the data structures in the
 // three test cases.
 func Table1() string {
@@ -242,6 +254,12 @@ func Table1() string {
 	}
 	return b.String()
 }
+
+// The strategies plotted by the speedup figures and by Figure 10.
+var (
+	speedupStrategies  = []string{"ptmalloc", "hoard", "amplify"}
+	handmadeStrategies = []string{"ptmalloc", "hoard", "amplify", "handmade"}
+)
 
 // depthOfCase maps the paper's test case number to its tree depth.
 func depthOfCase(tc int) int { return []int{0, 1, 3, 5}[tc] }
@@ -257,7 +275,7 @@ func (r *Runner) SpeedupFigure(testCase int) (*Figure, error) {
 		YLabel: "speedup vs 1-thread standard heap",
 		X:      r.Threads,
 	}
-	for _, s := range []string{"ptmalloc", "hoard", "amplify"} {
+	for _, s := range speedupStrategies {
 		vals := make([]float64, 0, len(r.Threads))
 		for _, th := range r.Threads {
 			v, err := r.Speedup(s, depth, th)
@@ -311,7 +329,7 @@ func (r *Runner) HandmadeFigure() (*Figure, error) {
 			"The handmade pool is the theoretical maximum for a pre-processor.",
 		},
 	}
-	for _, s := range []string{"ptmalloc", "hoard", "amplify", "handmade"} {
+	for _, s := range handmadeStrategies {
 		vals := make([]float64, 0, len(r.WideThreads))
 		for _, th := range r.WideThreads {
 			v, err := r.Speedup(s, depth, th)
@@ -464,63 +482,4 @@ func (r *Runner) Claims() (string, error) {
 	fmt.Fprintf(&b, "  BGw shadow realloc reuse rate: %.1f%%\n",
 		100*float64(bamp.ShadowReuses)/float64(int64(r.CDRs)*6))
 	return b.String(), nil
-}
-
-// Names lists the experiment identifiers accepted by Run.
-func Names() []string {
-	names := []string{"table1", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "claims", "memory", "pipeline", "sensitivity", "escape", "scale", "contend", "replay"}
-	sort.Strings(names)
-	return names
-}
-
-// Run executes the named experiment and returns its rendered text.
-func (r *Runner) Run(name string) (string, error) {
-	switch name {
-	case "table1":
-		return Table1(), nil
-	case "fig4", "fig5", "fig6":
-		f, err := r.SpeedupFigure(int(name[3] - '3'))
-		if err != nil {
-			return "", err
-		}
-		return f.Render(), nil
-	case "fig7", "fig8", "fig9":
-		f, err := r.ScaleupFigure(int(name[3] - '6'))
-		if err != nil {
-			return "", err
-		}
-		return f.Render(), nil
-	case "fig10":
-		f, err := r.HandmadeFigure()
-		if err != nil {
-			return "", err
-		}
-		return f.Render(), nil
-	case "fig11":
-		f, err := r.BGwFigure()
-		if err != nil {
-			return "", err
-		}
-		return f.Render(), nil
-	case "claims":
-		return r.Claims()
-	case "memory":
-		return r.Memory()
-	case "pipeline":
-		return r.Pipeline()
-	case "sensitivity":
-		return r.Sensitivity()
-	case "escape":
-		return r.Escape()
-	case "scale":
-		return r.Scale()
-	case "contend":
-		return r.Contend()
-	case "replay":
-		return r.Replay()
-	case "endtoend":
-		return r.EndToEnd()
-	default:
-		return "", fmt.Errorf("bench: unknown experiment %q (have %v)", name, Names())
-	}
 }

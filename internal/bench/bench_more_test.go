@@ -85,7 +85,7 @@ func TestMemoryExperiment(t *testing.T) {
 
 func TestEndToEndExperiment(t *testing.T) {
 	r := tinyRunner()
-	out, err := r.EndToEnd()
+	out, err := r.Run("endtoend")
 	if err != nil {
 		t.Fatal(err)
 	}

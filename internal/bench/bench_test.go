@@ -27,8 +27,8 @@ func TestTable1(t *testing.T) {
 
 func TestNames(t *testing.T) {
 	names := Names()
-	if len(names) != 17 {
-		t.Fatalf("Names() = %v, want 17 experiments", names)
+	if len(names) != 18 || names[0] != "table1" || names[17] != "endtoend" {
+		t.Fatalf("Names() = %v, want the 18 experiments in -exp all order", names)
 	}
 }
 

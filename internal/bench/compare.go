@@ -70,54 +70,142 @@ func (c *Comparison) Format() string {
 // heap section — but a report from an unrelated tool is an error, not
 // an empty diff that would pass CI vacuously.
 func Compare(baseline, current *Report, thresholdPct float64) (*Comparison, error) {
-	for _, r := range []*Report{baseline, current} {
-		if !strings.HasPrefix(r.Schema, "amplify-bench/") {
-			return nil, fmt.Errorf("bench: unknown report schema %q", r.Schema)
+	c, err := newComparison("report", "amplify-bench/", baseline.Schema, current.Schema, thresholdPct)
+	if err != nil {
+		return nil, err
+	}
+	c.diff(reportMetrics(baseline), reportMetrics(current),
+		"no overlapping cells: the baseline and the report measure disjoint runs")
+	return c, nil
+}
+
+// CompareHost diffs a fresh host-benchmark report against a committed
+// baseline (BENCH_host.json). Unlike Compare, everything here is a
+// host wall-clock measurement — noisy by construction — so the
+// threshold is expected to be generous (tens of percent, not zero):
+// the gate exists to catch order-of-magnitude host regressions, not
+// single-digit drift. NsPerOp and AllocsPerOp are compared per
+// benchmark name; lower is better for both. Benchmarks present in only
+// one report are tolerated and counted, like cells in Compare.
+func CompareHost(baseline, current *HostReport, thresholdPct float64) (*Comparison, error) {
+	c, err := newComparison("host report", "amplify-hostbench/", baseline.Schema, current.Schema, thresholdPct)
+	if err != nil {
+		return nil, err
+	}
+	if baseline.GoVersion != current.GoVersion {
+		c.Notes = append(c.Notes, fmt.Sprintf("go version skew: baseline %s, current %s",
+			baseline.GoVersion, current.GoVersion))
+	}
+	c.diff(hostMetrics(baseline), hostMetrics(current),
+		"no overlapping benchmarks: the baseline and the report measure disjoint suites")
+	return c, nil
+}
+
+// newComparison checks both reports' schemas against the kind's
+// prefix — a report from an unrelated tool is an error, not an empty
+// diff that would pass CI vacuously — and notes schema skew.
+func newComparison(kind, prefix, baseSchema, curSchema string, thresholdPct float64) (*Comparison, error) {
+	for _, schema := range []string{baseSchema, curSchema} {
+		if !strings.HasPrefix(schema, prefix) {
+			return nil, fmt.Errorf("bench: unknown %s schema %q", kind, schema)
 		}
 	}
 	if thresholdPct < 0 {
 		return nil, fmt.Errorf("bench: negative threshold %g", thresholdPct)
 	}
 	c := &Comparison{Threshold: thresholdPct}
-	if baseline.Schema != current.Schema {
-		c.Notes = append(c.Notes, fmt.Sprintf("schema skew: baseline %s, current %s",
-			baseline.Schema, current.Schema))
-	}
-
-	for _, key := range sortedCellKeys(baseline.Makespans, current.Makespans) {
-		om, inOld := baseline.Makespans[key]
-		nm, inNew := current.Makespans[key]
-		switch {
-		case !inNew:
-			c.OnlyOld++
-			continue
-		case !inOld:
-			c.OnlyNew++
-			continue
-		}
-		c.Common++
-		c.compareValue("makespan", key, om, nm, false)
-		ob, oldHas := baseline.Heap[key]
-		nb, newHas := current.Heap[key]
-		if !oldHas || !newHas {
-			continue // v1/v2 baseline, or cell predates heap capture
-		}
-		c.compareValue("footprint", key, ob.Footprint, nb.Footprint, false)
-		c.compareValue("peak_bytes", key, ob.PeakBytes, nb.PeakBytes, false)
-		c.compareValue("int_frag_bp", key, ob.IntFragBP, nb.IntFragBP, true)
-		c.compareValue("ext_frag_bp", key, ob.ExtFragBP, nb.ExtFragBP, true)
-	}
-	if c.Common == 0 {
-		c.Regressions = append(c.Regressions,
-			"no overlapping cells: the baseline and the report measure disjoint runs")
+	if baseSchema != curSchema {
+		c.Notes = append(c.Notes, fmt.Sprintf("schema skew: baseline %s, current %s", baseSchema, curSchema))
 	}
 	return c, nil
 }
 
-// compareValue classifies one metric's old→new movement. Lower is
-// better for every compared metric. absoluteBP switches from the
-// relative percent threshold to an absolute basis-point slack
-// (threshold×100), for metrics whose baseline is legitimately zero.
+// metric is one named number of a compared key; lower is better.
+// absoluteBP switches from the relative percent threshold to an
+// absolute basis-point slack (threshold×100), for metrics whose
+// baseline is legitimately zero.
+type metric struct {
+	name       string
+	v          int64
+	absoluteBP bool
+}
+
+// reportMetrics lists every cell's compared numbers: the makespan,
+// then the heap record when the report has one for the cell (v1/v2
+// reports, and cells that predate heap capture, have none).
+func reportMetrics(rep *Report) map[string][]metric {
+	m := make(map[string][]metric, len(rep.Makespans))
+	for key, ms := range rep.Makespans {
+		vals := []metric{{"makespan", ms, false}}
+		if h, ok := rep.Heap[key]; ok {
+			vals = append(vals,
+				metric{"footprint", h.Footprint, false},
+				metric{"peak_bytes", h.PeakBytes, false},
+				metric{"int_frag_bp", h.IntFragBP, true},
+				metric{"ext_frag_bp", h.ExtFragBP, true})
+		}
+		m[key] = vals
+	}
+	return m
+}
+
+// hostMetrics lists every host benchmark's compared numbers.
+func hostMetrics(rep *HostReport) map[string][]metric {
+	m := make(map[string][]metric, len(rep.Benchmarks))
+	for _, b := range rep.Benchmarks {
+		m[b.Name] = []metric{{"ns_per_op", b.NsPerOp, false}, {"allocs_per_op", b.AllocsPerOp, false}}
+	}
+	return m
+}
+
+// eachPair calls f for every metric both sides carry, keys in sorted
+// order, and counts the keys: on both sides, and on one side only.
+func eachPair(old, new map[string][]metric, f func(key string, o, n metric)) (common, onlyOld, onlyNew int) {
+	keys := make([]string, 0, len(old)+len(new))
+	for k := range old {
+		keys = append(keys, k)
+	}
+	for k := range new {
+		if _, ok := old[k]; !ok {
+			keys = append(keys, k)
+		}
+	}
+	sort.Strings(keys)
+	for _, key := range keys {
+		om, inOld := old[key]
+		nm, inNew := new[key]
+		switch {
+		case !inNew:
+			onlyOld++
+			continue
+		case !inOld:
+			onlyNew++
+			continue
+		}
+		common++
+		for _, o := range om {
+			for _, n := range nm {
+				if n.name == o.name {
+					f(key, o, n)
+				}
+			}
+		}
+	}
+	return common, onlyOld, onlyNew
+}
+
+// diff classifies every paired metric, and flags an empty overlap as a
+// regression with the given message.
+func (c *Comparison) diff(old, new map[string][]metric, disjoint string) {
+	c.Common, c.OnlyOld, c.OnlyNew = eachPair(old, new, func(key string, o, n metric) {
+		c.compareValue(o.name, key, o.v, n.v, o.absoluteBP)
+	})
+	if c.Common == 0 {
+		c.Regressions = append(c.Regressions, disjoint)
+	}
+}
+
+// compareValue classifies one metric's old→new movement.
 func (c *Comparison) compareValue(metric, key string, old, new int64, absoluteBP bool) {
 	if old == new {
 		return
@@ -127,23 +215,27 @@ func (c *Comparison) compareValue(metric, key string, old, new int64, absoluteBP
 		delta = fmt.Sprintf("%+dbp", new-old)
 	}
 	line := fmt.Sprintf("%s %s: %d -> %d (%s)", metric, key, old, new, delta)
-	if new < old {
+	switch {
+	case new < old:
 		c.Improvements = append(c.Improvements, line)
-		return
-	}
-	over := false
-	if absoluteBP {
-		over = float64(new-old) > c.Threshold*100
-	} else if old == 0 {
-		over = true // anything from a zero baseline exceeds any relative bar
-	} else {
-		over = relPct(old, new) > c.Threshold
-	}
-	if over {
+	case exceeds(old, new, absoluteBP, c.Threshold):
 		c.Regressions = append(c.Regressions, line)
-	} else {
+	default:
 		c.Notes = append(c.Notes, "within threshold: "+line)
 	}
+}
+
+// exceeds reports whether a rise from old to new is past the
+// threshold: percent, or percentage points (×100 bp) for absoluteBP
+// metrics. Any rise from a zero baseline exceeds a relative bar.
+func exceeds(old, new int64, absoluteBP bool, thresholdPct float64) bool {
+	switch {
+	case absoluteBP:
+		return float64(new-old) > thresholdPct*100
+	case old == 0:
+		return true
+	}
+	return relPct(old, new) > thresholdPct
 }
 
 // relPct is the relative change from old to new in percent.
@@ -152,22 +244,4 @@ func relPct(old, new int64) float64 {
 		return 0
 	}
 	return 100 * float64(new-old) / float64(old)
-}
-
-// sortedCellKeys merges the key sets of both makespan maps in sorted
-// order, so comparison output is deterministic.
-func sortedCellKeys(a, b map[string]int64) []string {
-	seen := make(map[string]bool, len(a)+len(b))
-	keys := make([]string, 0, len(a)+len(b))
-	for k := range a {
-		seen[k] = true
-		keys = append(keys, k)
-	}
-	for k := range b {
-		if !seen[k] {
-			keys = append(keys, k)
-		}
-	}
-	sort.Strings(keys)
-	return keys
 }

@@ -1,6 +1,9 @@
 package bench
 
 import (
+	"encoding/json"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -165,4 +168,49 @@ func TestCompareZeroBaseline(t *testing.T) {
 	if !cmp.Regressed() {
 		t.Error("growth from zero baseline not flagged")
 	}
+}
+
+// TestCompareOutputPinned pins the -compare text for both report
+// kinds: the committed simulated baseline against a perturbed copy
+// (regressions, improvements, sub-threshold drift, cells on one side
+// only) and the committed host baseline against a perturbed copy.
+func TestCompareOutputPinned(t *testing.T) {
+	cur := loadBaseline(t)
+	old := deflated(t, cur, []string{"tree/amplify/depth3/threads8/procs8", "replay/handoff/hoard"})
+	old.Makespans["contend/serial/p8/threads8"] += 1000
+	old.Makespans["fig99/gone"] = 5
+	delete(old.Makespans, "e2e/serial/threads1")
+	h := old.Heap["escape/builder/classic"]
+	h.IntFragBP += 40
+	h.ExtFragBP -= 7
+	h.PeakBytes *= 2
+	old.Heap["escape/builder/classic"] = h
+	c, err := Compare(old, cur, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkGolden(t, "compare.txt", c.Format())
+
+	raw, err := os.ReadFile(filepath.Join("..", "..", "BENCH_host.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var hostOld, hostCur HostReport
+	if err := json.Unmarshal(raw, &hostOld); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(raw, &hostCur); err != nil {
+		t.Fatal(err)
+	}
+	hostCur.GoVersion = "go1.99"
+	hostCur.Benchmarks[0].NsPerOp *= 3
+	hostCur.Benchmarks[1].NsPerOp /= 2
+	hostCur.Benchmarks[2].AllocsPerOp++
+	hostCur.Benchmarks[3].NsPerOp += hostCur.Benchmarks[3].NsPerOp / 10
+	hostCur.Benchmarks = append(hostCur.Benchmarks[:5], HostBenchmark{Name: "vm/new_row", NsPerOp: 7, AllocsPerOp: 1})
+	hc, err := CompareHost(&hostOld, &hostCur, 50)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkGolden(t, "compare-host.txt", hc.Format())
 }

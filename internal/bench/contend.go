@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"amplify/internal/sim"
 	"amplify/internal/workload"
 )
 
@@ -71,25 +72,23 @@ func (r *Runner) contendOpsPerThread() int {
 	return contendOps
 }
 
-// contendKey names a contention memo cell.
-func contendKey(strategy string, procs, threads int) string {
-	return fmt.Sprintf("contend/%s/p%d/threads%d", strategy, procs, threads)
-}
-
-// runContend executes (or recalls) one contention cell.
-func (r *Runner) runContend(strategy string, procs, threads int) (workload.ChurnResult, error) {
-	v, err := r.cells.do(contendKey(strategy, procs, threads), func() (any, error) {
-		return workload.RunChurn(strategy, workload.ChurnConfig{
-			Threads:      threads,
-			OpsPerThread: r.contendOpsPerThread(),
-			Size:         contendSize,
-			Processors:   procs,
-		})
-	})
-	if err != nil {
-		return workload.ChurnResult{}, err
+// contendCell is one contention run.
+func (r *Runner) contendCell(strategy string, pt contendPoint) cell {
+	cfg := workload.ChurnConfig{
+		Threads:      pt.Threads,
+		OpsPerThread: r.contendOpsPerThread(),
+		Size:         contendSize,
+		Processors:   pt.Procs,
 	}
-	return v.(workload.ChurnResult), nil
+	return cell{fmt.Sprintf("contend/%s/p%d/threads%d", strategy, pt.Procs, pt.Threads),
+		func(tr sim.Tracer) (measured, error) {
+			c := cfg
+			c.Tracer = tr
+			res, err := workload.RunChurn(strategy, c)
+			m := measuredOf(res, res.Makespan, res.Footprint, res.Alloc, res.Heap, res.Sim)
+			m.counters = simCounters("cells.contend", res.Sim, res.Alloc)
+			return m, err
+		}}
 }
 
 // Contend renders the contention grid: one row per (P, T) cell with
@@ -110,7 +109,7 @@ func (r *Runner) Contend() (string, error) {
 		best, bestMS := "", int64(0)
 		var cas, casFail, faaLoads int64
 		for _, s := range allocs {
-			res, err := r.runContend(s, pt.Procs, pt.Threads)
+			res, err := r.cells.do(r.contendCell(s, pt))
 			if err != nil {
 				return "", err
 			}

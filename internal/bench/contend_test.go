@@ -17,12 +17,13 @@ func contendTestRunner() *Runner {
 // simulated results, and the cell lands in Makespans/HeapCells.
 func TestContendCellDeterministic(t *testing.T) {
 	a := contendTestRunner()
-	r1, err := a.runContend("lfalloc", 8, 32)
+	c := a.contendCell("lfalloc", contendPoint{8, 32})
+	r1, err := a.cells.do(c)
 	if err != nil {
 		t.Fatal(err)
 	}
 	b := contendTestRunner()
-	r2, err := b.runContend("lfalloc", 8, 32)
+	r2, err := b.cells.do(b.contendCell("lfalloc", contendPoint{8, 32}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,7 +33,7 @@ func TestContendCellDeterministic(t *testing.T) {
 	if r1.Sim.AtomicCAS == 0 {
 		t.Error("lfalloc contend cell recorded no CAS operations")
 	}
-	key := contendKey("lfalloc", 8, 32)
+	key := c.key
 	if _, ok := a.Makespans()[key]; !ok {
 		t.Errorf("cell %s missing from Makespans", key)
 	}

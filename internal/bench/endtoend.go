@@ -7,6 +7,7 @@ import (
 
 	"amplify/internal/core"
 	"amplify/internal/interp"
+	"amplify/internal/sim"
 	"amplify/internal/vm"
 )
 
@@ -90,23 +91,6 @@ func e2eRows() []e2eRow {
 	}
 }
 
-// e2eCell addresses one (row, thread-count) execution.
-type e2eCell struct {
-	row     e2eRow
-	threads int
-}
-
-// e2eResult is the memoized measurement of one cell.
-type e2eResult struct {
-	Makespan int64
-	Allocs   int64
-	// Heap numbers for the report's heap map (schema v3).
-	Footprint int64
-	PeakBytes int64
-	IntFragBP int64
-	ExtFragBP int64
-}
-
 // e2ePerThread returns the trees-per-thread base count for the
 // Runner's size tier.
 func (r *Runner) e2ePerThread() int {
@@ -116,90 +100,78 @@ func (r *Runner) e2ePerThread() int {
 	return 120
 }
 
-// endToEndCells enumerates every execution EndToEnd needs.
-func (r *Runner) endToEndCells() []e2eCell {
-	var cells []e2eCell
-	for _, row := range e2eRows() {
-		for _, th := range e2eThreadGrid {
-			cells = append(cells, e2eCell{row: row, threads: th})
-		}
+// e2eCell is one end-to-end program: the synthetic tree churn at the
+// given thread count, pre-processed for the amplified row.
+func (r *Runner) e2eCell(row e2eRow, threads int) cell {
+	var rewrite *core.Options
+	if row.amplify {
+		rewrite = &core.Options{}
 	}
-	return cells
+	// Fixed total work split across threads, as in the speedup
+	// experiments: 8*perThread trees overall.
+	src := treeSource(threads, r.e2ePerThread()*8/threads, e2eDepth)
+	return r.vmCell(fmt.Sprintf("e2e/%s/threads%d", row.name, threads), src, rewrite, row.alloc)
 }
 
-// e2eKey names an end-to-end memo cell.
-func e2eKey(cell e2eCell) string {
-	return fmt.Sprintf("e2e/%s/threads%d", cell.row.name, cell.threads)
-}
-
-// runEndToEndCell pre-processes (for the amplified row) and executes
-// one MiniCC program on the bytecode VM, memoized. On the quick sizes
-// the tree-walking interpreter re-runs the same program as a
-// cross-check: both engines share the allocator, pool and simulator
-// layers, so heap behavior must agree exactly and virtual time to
-// within the engines' instruction-accounting difference.
-func (r *Runner) runEndToEndCell(cell e2eCell) (e2eResult, error) {
-	v, err := r.cells.do(e2eKey(cell), func() (any, error) {
-		// Fixed total work split across threads, as in the speedup
-		// experiments: 8*perThread trees overall.
-		src := treeSource(cell.threads, r.e2ePerThread()*8/cell.threads, e2eDepth)
-		if cell.row.amplify {
-			out, _, err := core.Rewrite(src, core.Options{})
+// vmCell pre-processes src (when rewrite is set) and executes it on the
+// bytecode VM over the strategy's allocator; its result is a
+// vm.Result. On the quick sizes the tree-walking interpreter re-runs
+// the same program as a cross-check: both engines share the allocator,
+// pool and simulator layers, so heap behavior must agree exactly and
+// virtual time to within the engines' instruction-accounting
+// difference. VM cells count themselves as cells.e2e and their heap
+// allocations in Report.Metrics.
+func (r *Runner) vmCell(key, src string, rewrite *core.Options, strategy string) cell {
+	return cell{key, func(tr sim.Tracer) (measured, error) {
+		prog := src
+		if rewrite != nil {
+			out, _, err := core.Rewrite(src, *rewrite)
 			if err != nil {
-				return nil, err
+				return measured{}, err
 			}
-			src = out
+			prog = out
 		}
-		res, err := vm.RunSource(src, vm.Config{Strategy: cell.row.alloc, NoOpt: r.VMNoOpt})
+		res, err := vm.RunSource(prog, vm.Config{Strategy: strategy, NoOpt: r.VMNoOpt, Tracer: tr})
 		if err != nil {
-			return nil, err
+			return measured{}, err
 		}
 		if res.ExitCode != 0 {
-			return nil, fmt.Errorf("endtoend %s/%d: exit code %d", cell.row.name, cell.threads, res.ExitCode)
+			return measured{}, fmt.Errorf("bench: %s: exit code %d", key, res.ExitCode)
 		}
 		if r.quick {
-			if err := crossCheckInterp(src, cell, res); err != nil {
-				return nil, err
+			if err := crossCheckInterp(prog, strategy, key, res); err != nil {
+				return measured{}, err
 			}
 		}
-		return e2eResult{
-			Makespan:  res.Makespan,
-			Allocs:    res.Alloc.Allocs,
-			Footprint: res.Footprint,
-			PeakBytes: res.Alloc.PeakBytes,
-			IntFragBP: fragBP(res.Heap.ReqBytes, res.Heap.GrantedBytes),
-			ExtFragBP: fragBP(res.Heap.LargestFree, res.Heap.FreeBytes),
-		}, nil
-	})
-	if err != nil {
-		return e2eResult{}, err
-	}
-	return v.(e2eResult), nil
+		m := measuredOf(res, res.Makespan, res.Footprint, res.Alloc, res.Heap, res.Sim)
+		m.counters = []counter{{"cells.e2e", 1}, {"alloc.allocs", res.Alloc.Allocs}}
+		return m, nil
+	}}
 }
 
 // crossCheckInterp validates a VM measurement against the tree-walking
 // interpreter: identical program output, exit code and heap-allocation
 // count, and a virtual-time ratio within the engines' documented 2x
 // cost-accounting band.
-func crossCheckInterp(src string, cell e2eCell, vres vm.Result) error {
-	ires, err := interp.RunSource(src, interp.Config{Strategy: cell.row.alloc})
+func crossCheckInterp(src, strategy, key string, vres vm.Result) error {
+	ires, err := interp.RunSource(src, interp.Config{Strategy: strategy})
 	if err != nil {
-		return fmt.Errorf("endtoend cross-check %s/%d: interp: %w", cell.row.name, cell.threads, err)
+		return fmt.Errorf("bench: cross-check %s: interp: %w", key, err)
 	}
 	if ires.ExitCode != vres.ExitCode {
-		return fmt.Errorf("endtoend cross-check %s/%d: exit code vm %d != interp %d",
-			cell.row.name, cell.threads, vres.ExitCode, ires.ExitCode)
+		return fmt.Errorf("bench: cross-check %s: exit code vm %d != interp %d",
+			key, vres.ExitCode, ires.ExitCode)
 	}
 	if ires.Output != vres.Output {
-		return fmt.Errorf("endtoend cross-check %s/%d: engine outputs differ", cell.row.name, cell.threads)
+		return fmt.Errorf("bench: cross-check %s: engine outputs differ", key)
 	}
 	if ires.Alloc.Allocs != vres.Alloc.Allocs {
-		return fmt.Errorf("endtoend cross-check %s/%d: heap allocations vm %d != interp %d",
-			cell.row.name, cell.threads, vres.Alloc.Allocs, ires.Alloc.Allocs)
+		return fmt.Errorf("bench: cross-check %s: heap allocations vm %d != interp %d",
+			key, vres.Alloc.Allocs, ires.Alloc.Allocs)
 	}
 	if ratio := float64(vres.Makespan) / float64(ires.Makespan); ratio < 0.5 || ratio > 2.0 {
-		return fmt.Errorf("endtoend cross-check %s/%d: makespan ratio %.2f (vm %d, interp %d) outside 2x band",
-			cell.row.name, cell.threads, ratio, vres.Makespan, ires.Makespan)
+		return fmt.Errorf("bench: cross-check %s: makespan ratio %.2f (vm %d, interp %d) outside 2x band",
+			key, ratio, vres.Makespan, ires.Makespan)
 	}
 	return nil
 }
@@ -212,44 +184,44 @@ func crossCheckInterp(src string, cell e2eCell, vres vm.Result) error {
 // deterministic figure text that the parallel-vs-sequential tests and
 // CI diff byte-for-byte.
 func (r *Runner) EngineSpeedup() (float64, error) {
-	v, err := r.cells.do("e2e/enginespeedup", func() (any, error) {
-		src := treeSource(1, r.e2ePerThread()*8, e2eDepth)
-		measure := func(noOpt bool) (vm.Result, float64, error) {
-			var res vm.Result
-			best := 0.0
-			for i := 0; i < 3; i++ {
-				start := time.Now()
-				rr, err := vm.RunSource(src, vm.Config{NoOpt: noOpt})
-				sec := time.Since(start).Seconds()
-				if err != nil {
-					return vm.Result{}, 0, err
-				}
-				if i == 0 || sec < best {
-					best = sec
-				}
-				res = rr
+	r.speedupOnce.Do(func() { r.speedup, r.speedupErr = r.engineSpeedup() })
+	return r.speedup, r.speedupErr
+}
+
+// engineSpeedup is EngineSpeedup's measurement.
+func (r *Runner) engineSpeedup() (float64, error) {
+	src := treeSource(1, r.e2ePerThread()*8, e2eDepth)
+	measure := func(noOpt bool) (vm.Result, float64, error) {
+		var res vm.Result
+		best := 0.0
+		for i := 0; i < 3; i++ {
+			start := time.Now()
+			rr, err := vm.RunSource(src, vm.Config{NoOpt: noOpt})
+			sec := time.Since(start).Seconds()
+			if err != nil {
+				return vm.Result{}, 0, err
 			}
-			return res, best, nil
+			if i == 0 || sec < best {
+				best = sec
+			}
+			res = rr
 		}
-		opt, optSec, err := measure(false)
-		if err != nil {
-			return nil, err
-		}
-		slow, slowSec, err := measure(true)
-		if err != nil {
-			return nil, err
-		}
-		if opt.Makespan != slow.Makespan || opt.Alloc != slow.Alloc ||
-			opt.Output != slow.Output || opt.ExitCode != slow.ExitCode {
-			return nil, fmt.Errorf("endtoend: optimizer changed simulated results (makespan %d vs %d)",
-				opt.Makespan, slow.Makespan)
-		}
-		return slowSec / optSec, nil
-	})
+		return res, best, nil
+	}
+	opt, optSec, err := measure(false)
 	if err != nil {
 		return 0, err
 	}
-	return v.(float64), nil
+	slow, slowSec, err := measure(true)
+	if err != nil {
+		return 0, err
+	}
+	if opt.Makespan != slow.Makespan || opt.Alloc != slow.Alloc ||
+		opt.Output != slow.Output || opt.ExitCode != slow.ExitCode {
+		return 0, fmt.Errorf("endtoend: optimizer changed simulated results (makespan %d vs %d)",
+			opt.Makespan, slow.Makespan)
+	}
+	return slowSec / optSec, nil
 }
 
 // EndToEndFigure exercises the complete pipeline of the paper with the
@@ -269,7 +241,7 @@ func (r *Runner) EndToEndFigure() (*Figure, error) {
 		YLabel: "speedup vs 1-thread standard heap",
 		X:      e2eThreadGrid,
 	}
-	base, err := r.runEndToEndCell(e2eCell{row: e2eRows()[0], threads: 1})
+	base, err := resultOf[vm.Result](r, r.e2eCell(e2eRows()[0], 1))
 	if err != nil {
 		return nil, err
 	}
@@ -277,15 +249,15 @@ func (r *Runner) EndToEndFigure() (*Figure, error) {
 	for _, row := range e2eRows() {
 		vals := make([]float64, 0, len(e2eThreadGrid))
 		for _, th := range e2eThreadGrid {
-			res, err := r.runEndToEndCell(e2eCell{row: row, threads: th})
+			res, err := resultOf[vm.Result](r, r.e2eCell(row, th))
 			if err != nil {
 				return nil, err
 			}
 			if th == 8 {
 				if row.amplify {
-					ampAllocs = res.Allocs
+					ampAllocs = res.Alloc.Allocs
 				} else if row.name == "ptmalloc" {
-					plainAllocs = res.Allocs
+					plainAllocs = res.Alloc.Allocs
 				}
 			}
 			vals = append(vals, float64(base.Makespan)/float64(res.Makespan))
@@ -301,13 +273,4 @@ func (r *Runner) EndToEndFigure() (*Figure, error) {
 	fig.Notes = append(fig.Notes,
 		"bytecode optimizer verified: -O and -no-opt produce identical simulated results (host speedup in the JSON engine_speedup field)")
 	return fig, nil
-}
-
-// EndToEnd renders EndToEndFigure as text.
-func (r *Runner) EndToEnd() (string, error) {
-	fig, err := r.EndToEndFigure()
-	if err != nil {
-		return "", err
-	}
-	return fig.Render(), nil
 }

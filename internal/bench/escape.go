@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"amplify/internal/core"
-	"amplify/internal/interp"
 	"amplify/internal/vet"
 	"amplify/internal/vm"
 )
@@ -141,58 +140,14 @@ int main() {
 `, msgs)
 }
 
-// escKey names one escape memo cell.
-func escKey(workload string, escape bool) string {
+// escapeCell is one corpus workload pre-processed with or without the
+// analysis-driven rewrites.
+func (r *Runner) escapeCell(w escWorkload, escape bool) cell {
 	variant := "classic"
 	if escape {
 		variant = "escape"
 	}
-	return fmt.Sprintf("escape/%s/%s", workload, variant)
-}
-
-// runEscapeCell pre-processes one corpus workload (with or without the
-// analysis-driven rewrites) and executes it on the bytecode VM,
-// memoized. On quick sizes the tree-walking interpreter re-runs the
-// program as a cross-check, like the end-to-end experiment.
-func (r *Runner) runEscapeCell(w escWorkload, escape bool) (e2eResult, error) {
-	v, err := r.cells.do(escKey(w.name, escape), func() (any, error) {
-		out, _, err := core.Rewrite(w.src, core.Options{Escape: escape})
-		if err != nil {
-			return nil, err
-		}
-		res, err := vm.RunSource(out, vm.Config{NoOpt: r.VMNoOpt})
-		if err != nil {
-			return nil, err
-		}
-		if res.ExitCode != 0 {
-			return nil, fmt.Errorf("escape %s: exit code %d", escKey(w.name, escape), res.ExitCode)
-		}
-		if r.quick {
-			ires, err := interp.RunSource(out, interp.Config{})
-			if err != nil {
-				return nil, fmt.Errorf("escape cross-check %s: interp: %w", w.name, err)
-			}
-			if ires.Output != res.Output || ires.ExitCode != res.ExitCode {
-				return nil, fmt.Errorf("escape cross-check %s: engine results differ", w.name)
-			}
-			if ires.Alloc.Allocs != res.Alloc.Allocs {
-				return nil, fmt.Errorf("escape cross-check %s: heap allocations vm %d != interp %d",
-					w.name, res.Alloc.Allocs, ires.Alloc.Allocs)
-			}
-		}
-		return e2eResult{
-			Makespan:  res.Makespan,
-			Allocs:    res.Alloc.Allocs,
-			Footprint: res.Footprint,
-			PeakBytes: res.Alloc.PeakBytes,
-			IntFragBP: fragBP(res.Heap.ReqBytes, res.Heap.GrantedBytes),
-			ExtFragBP: fragBP(res.Heap.LargestFree, res.Heap.FreeBytes),
-		}, nil
-	})
-	if err != nil {
-		return e2eResult{}, err
-	}
-	return v.(e2eResult), nil
+	return r.vmCell(fmt.Sprintf("escape/%s/%s", w.name, variant), w.src, &core.Options{Escape: escape}, "")
 }
 
 // EscapeSiteReport is one `new` site's verdict in the bench report.
@@ -251,18 +206,18 @@ func (r *Runner) Escape() (string, error) {
 	fmt.Fprintf(&b, "%-10s %14s %14s %8s %12s %12s\n",
 		"workload", "classic", "escape", "speedup", "classic-peak", "escape-peak")
 	for _, w := range r.escWorkloads() {
-		classic, err := r.runEscapeCell(w, false)
+		classic, err := resultOf[vm.Result](r, r.escapeCell(w, false))
 		if err != nil {
 			return "", err
 		}
-		esc, err := r.runEscapeCell(w, true)
+		esc, err := resultOf[vm.Result](r, r.escapeCell(w, true))
 		if err != nil {
 			return "", err
 		}
 		fmt.Fprintf(&b, "%-10s %14d %14d %7.2fx %12d %12d\n",
 			w.name, classic.Makespan, esc.Makespan,
 			float64(classic.Makespan)/float64(esc.Makespan),
-			classic.PeakBytes, esc.PeakBytes)
+			classic.Alloc.PeakBytes, esc.Alloc.PeakBytes)
 	}
 	verdicts, err := r.EscapeVerdicts()
 	if err != nil {

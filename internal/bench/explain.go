@@ -3,19 +3,13 @@ package bench
 import (
 	"fmt"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 
-	"amplify/internal/alloc"
-	"amplify/internal/alloctrace"
-	"amplify/internal/core"
 	"amplify/internal/heapobsv"
 	"amplify/internal/obsv"
 	"amplify/internal/sim"
 	"amplify/internal/telemetry"
-	"amplify/internal/vm"
-	"amplify/internal/workload"
 )
 
 // ExplainSchema identifies the attribution-report layout emitted by
@@ -158,8 +152,8 @@ func Explain(baseline, current *Report, opts ExplainOptions) (*Explanation, erro
 			if p.note != "" {
 				ce.Note = p.note
 			} else {
-				if p.makespan != current.Makespans[reg.cell] {
-					ce.Note = fmt.Sprintf("probe makespan %d differs from report %d: the tree changed since the report was written; attributions describe the current tree", p.makespan, current.Makespans[reg.cell])
+				if p.Makespan != current.Makespans[reg.cell] {
+					ce.Note = fmt.Sprintf("probe makespan %d differs from report %d: the tree changed since the report was written; attributions describe the current tree", p.Makespan, current.Makespans[reg.cell])
 				}
 				ce.Attributions = attribute(reg, p, opts)
 			}
@@ -184,48 +178,21 @@ func Explain(baseline, current *Report, opts ExplainOptions) (*Explanation, erro
 // the threshold-exceeding degradations ranked worst-first (severity
 // desc, then cell asc, then metric asc — fully deterministic).
 func findRegressions(baseline, current *Report, thresholdPct float64) (regs []regression, onlyOld, onlyNew int) {
-	check := func(cell, metric string, old, new int64, absoluteBP bool) {
-		if new <= old {
+	_, onlyOld, onlyNew = eachPair(reportMetrics(baseline), reportMetrics(current), func(cell string, o, n metric) {
+		if n.v <= o.v || !exceeds(o.v, n.v, o.absoluteBP, thresholdPct) {
 			return
 		}
-		var over bool
 		var sevBP int64
-		if absoluteBP {
-			over = float64(new-old) > thresholdPct*100
-			sevBP = new - old
-		} else if old == 0 {
-			over = true
-			sevBP = 10000
-		} else {
-			over = relPct(old, new) > thresholdPct
-			sevBP = (new - old) * 10000 / old
-		}
-		if over {
-			regs = append(regs, regression{cell, metric, old, new, sevBP})
-		}
-	}
-	for _, key := range sortedCellKeys(baseline.Makespans, current.Makespans) {
-		om, inOld := baseline.Makespans[key]
-		nm, inNew := current.Makespans[key]
 		switch {
-		case !inNew:
-			onlyOld++
-			continue
-		case !inOld:
-			onlyNew++
-			continue
+		case o.absoluteBP:
+			sevBP = n.v - o.v
+		case o.v == 0:
+			sevBP = 10000
+		default:
+			sevBP = (n.v - o.v) * 10000 / o.v
 		}
-		check(key, "makespan", om, nm, false)
-		ob, oldHas := baseline.Heap[key]
-		nb, newHas := current.Heap[key]
-		if !oldHas || !newHas {
-			continue
-		}
-		check(key, "footprint", ob.Footprint, nb.Footprint, false)
-		check(key, "peak_bytes", ob.PeakBytes, nb.PeakBytes, false)
-		check(key, "int_frag_bp", ob.IntFragBP, nb.IntFragBP, true)
-		check(key, "ext_frag_bp", ob.ExtFragBP, nb.ExtFragBP, true)
-	}
+		regs = append(regs, regression{cell, o.name, o.v, n.v, sevBP})
+	})
 	sort.Slice(regs, func(i, j int) bool {
 		if regs[i].severityBP != regs[j].severityBP {
 			return regs[i].severityBP > regs[j].severityBP
@@ -258,18 +225,13 @@ func selectCells(regs []regression, max int) (cells []string, dropped int) {
 
 // cellProbe is one profiled re-run of a regressed cell.
 type cellProbe struct {
-	makespan  int64
-	footprint int64
-	stats     sim.Stats
-	locks     []obsv.LockStats
-	heap      alloc.HeapInfo
-	// cycles / sites are set only for cells that execute MiniCC
-	// programs on the VM (e2e/, escape/), where fn@line attribution
-	// exists.
+	measured
+	locks []obsv.LockStats
+	// cycles and sites attribute to fn@line sites; only cells that
+	// execute MiniCC programs on the VM (e2e/, escape/) fill them.
 	cycles string
 	sites  *heapobsv.SiteProfile
-	// note is set instead of data for cell families with no profiled
-	// re-run path.
+	// note is set instead of data for a key no experiment enumerates.
 	note string
 }
 
@@ -278,24 +240,46 @@ type cellProbe struct {
 var lockEvents = sim.MaskOf(sim.EvLockAcquire, sim.EvLockContended, sim.EvLockHandoff)
 
 // runProbes re-runs the given cells with profiling, up to jobs at a
-// time on the host. Results are keyed by cell, so assembly order — and
-// therefore the report bytes — is independent of jobs.
-func runProbes(cells []string, current *Report, jobs int) (map[string]*cellProbe, error) {
+// time on the host. Each key is looked up among the cells the
+// experiment table enumerates for the current report's mode, and that
+// cell's own run is re-executed with the lock tracer, the cycle
+// profiler and the heap site profiler attached. Observation never
+// changes simulated results, so the probe's makespan must match the
+// report's — a mismatch means the tree moved, and Explain surfaces it
+// as a note rather than an error. Results are keyed by cell, so
+// assembly order — and therefore the report bytes — is independent of
+// jobs.
+func runProbes(keys []string, current *Report, jobs int) (map[string]*cellProbe, error) {
 	pr := NewRunner(current.Quick)
 	pr.VMNoOpt = current.VMNoOpt
 	pr.Jobs = jobs
-	probes := make(map[string]*cellProbe, len(cells))
+	enumerated := make(map[string]cell)
+	for _, e := range experiments {
+		for _, c := range e.cells(pr) {
+			enumerated[c.key] = c
+		}
+	}
+	probes := make(map[string]*cellProbe, len(keys))
 	var mu sync.Mutex
-	tasks := make([]func() error, 0, len(cells))
-	for _, cell := range cells {
-		cell := cell
+	tasks := make([]func() error, 0, len(keys))
+	for _, key := range keys {
+		c, ok := enumerated[key]
+		if !ok {
+			probes[key] = &cellProbe{note: "no profiled re-run: no experiment enumerates this cell in this mode; see report-level metric deltas"}
+			continue
+		}
 		tasks = append(tasks, func() error {
-			p, err := pr.probeCell(cell)
+			rec := &sim.Recorder{Max: 4_000_000, Mask: lockEvents}
+			prof := obsv.NewProfiler()
+			sites := heapobsv.NewSiteProfile()
+			m, err := c.run(sim.NewTee(rec, prof, sites))
 			if err != nil {
-				return fmt.Errorf("bench: probing %s: %w", cell, err)
+				return fmt.Errorf("bench: probing %s: %w", key, err)
 			}
+			prof.Finish(m.Makespan)
+			p := &cellProbe{measured: m, locks: obsv.LockProfile(rec.Snapshot()), cycles: prof.Folded(), sites: sites}
 			mu.Lock()
-			probes[cell] = p
+			probes[key] = p
 			mu.Unlock()
 			return nil
 		})
@@ -304,137 +288,6 @@ func runProbes(cells []string, current *Report, jobs int) (map[string]*cellProbe
 		return nil, err
 	}
 	return probes, nil
-}
-
-// probeCell parses a memo-cell key back into its workload and re-runs
-// it with the lock tracer (and, for VM cells, the cycle and heap-site
-// profilers) attached. Observation never changes simulated results, so
-// the probe's makespan must match the report's — a mismatch means the
-// tree moved, and is surfaced as a note rather than an error.
-func (r *Runner) probeCell(cell string) (*cellProbe, error) {
-	parts := strings.Split(cell, "/")
-	rec := &sim.Recorder{Max: 4_000_000, Mask: lockEvents}
-	switch parts[0] {
-	case "tree": // tree/<s>/depth<d>/threads<t>/procs<p>
-		if len(parts) != 5 {
-			break
-		}
-		depth, err1 := numSuffix(parts[2], "depth")
-		threads, err2 := numSuffix(parts[3], "threads")
-		procs, err3 := numSuffix(parts[4], "procs")
-		if err1 != nil || err2 != nil || err3 != nil {
-			break
-		}
-		res, err := workload.RunTree(parts[1], workload.TreeConfig{
-			Depth: depth, Trees: r.Trees, Threads: threads, Processors: procs,
-			InitWork: InitWork, UseWork: UseWork,
-			Tracer: rec,
-		})
-		if err != nil {
-			return nil, err
-		}
-		return &cellProbe{makespan: res.Makespan, footprint: res.Footprint,
-			stats: res.Sim, locks: obsv.LockProfile(rec.Snapshot()), heap: res.Heap}, nil
-	case "contend": // contend/<s>/p<P>/threads<T>
-		if len(parts) != 4 {
-			break
-		}
-		procs, err1 := numSuffix(parts[2], "p")
-		threads, err2 := numSuffix(parts[3], "threads")
-		if err1 != nil || err2 != nil {
-			break
-		}
-		res, err := workload.RunChurn(parts[1], workload.ChurnConfig{
-			Threads: threads, OpsPerThread: r.contendOpsPerThread(), Size: contendSize,
-			Processors: procs, Tracer: rec,
-		})
-		if err != nil {
-			return nil, err
-		}
-		return &cellProbe{makespan: res.Makespan, footprint: res.Footprint,
-			stats: res.Sim, locks: obsv.LockProfile(rec.Snapshot()), heap: res.Heap}, nil
-	case "replay": // replay/<corpus>/<s>
-		if len(parts) != 3 {
-			break
-		}
-		tr, err := alloctrace.Corpus(parts[1])
-		if err != nil {
-			return nil, err
-		}
-		res, err := workload.RunReplay(parts[2], workload.ReplayConfig{
-			Trace: tr, Tracer: rec,
-		})
-		if err != nil {
-			return nil, err
-		}
-		return &cellProbe{makespan: res.Makespan, footprint: res.Footprint,
-			stats: res.Sim, locks: obsv.LockProfile(rec.Snapshot()), heap: res.Heap}, nil
-	case "e2e": // e2e/<row>/threads<t>
-		if len(parts) != 3 {
-			break
-		}
-		threads, err := numSuffix(parts[2], "threads")
-		if err != nil {
-			break
-		}
-		for _, row := range e2eRows() {
-			if row.name != parts[1] {
-				continue
-			}
-			src := treeSource(threads, r.e2ePerThread()*8/threads, e2eDepth)
-			if row.amplify {
-				out, _, err := core.Rewrite(src, core.Options{})
-				if err != nil {
-					return nil, err
-				}
-				src = out
-			}
-			return r.probeVM(src, row.alloc, rec)
-		}
-	case "escape": // escape/<w>/<classic|escape>
-		if len(parts) != 3 || (parts[2] != "classic" && parts[2] != "escape") {
-			break
-		}
-		for _, w := range r.escWorkloads() {
-			if w.name != parts[1] {
-				continue
-			}
-			out, _, err := core.Rewrite(w.src, core.Options{Escape: parts[2] == "escape"})
-			if err != nil {
-				return nil, err
-			}
-			return r.probeVM(out, "", rec)
-		}
-	}
-	return &cellProbe{note: "no profiled re-run for this cell family; see report-level metric deltas"}, nil
-}
-
-// probeVM executes a MiniCC program with every profiler attached: the
-// lock tracer, the cycle profiler (fn@line makespan attribution) and
-// the heap site profiler (fn@line byte attribution).
-func (r *Runner) probeVM(src, strategy string, rec *sim.Recorder) (*cellProbe, error) {
-	prof := obsv.NewProfiler()
-	sites := heapobsv.NewSiteProfile()
-	res, err := vm.RunSource(src, vm.Config{
-		Strategy: strategy, NoOpt: r.VMNoOpt,
-		Tracer: sim.NewTee(rec, prof, sites),
-	})
-	if err != nil {
-		return nil, err
-	}
-	prof.Finish(res.Makespan)
-	return &cellProbe{makespan: res.Makespan, footprint: res.Footprint,
-		stats: res.Sim, locks: obsv.LockProfile(rec.Snapshot()), heap: res.Heap,
-		cycles: prof.Folded(), sites: sites}, nil
-}
-
-// numSuffix parses the integer after the expected prefix of one key
-// segment ("threads64" → 64).
-func numSuffix(segment, prefix string) (int, error) {
-	if !strings.HasPrefix(segment, prefix) {
-		return 0, fmt.Errorf("bench: key segment %q lacks prefix %q", segment, prefix)
-	}
-	return strconv.Atoi(segment[len(prefix):])
 }
 
 // attribute decomposes one regressed metric into ranked contributors
@@ -450,23 +303,23 @@ func attribute(reg regression, p *cellProbe, opts ExplainOptions) []Attribution 
 	cost := sim.DefaultCost()
 	switch reg.metric {
 	case "makespan":
-		total := p.makespan
+		total := p.Makespan
 		for _, l := range p.locks {
 			out = append(out, Attribution{Kind: "lock", Name: l.Name,
 				Value: l.WaitCycles, ShareBP: share(l.WaitCycles, total),
 				Detail: fmt.Sprintf("%d contended of %d acquires, max %d waiters", l.Contended, l.Acquires, l.MaxWaiters)})
 		}
-		atomics := p.stats.AtomicCAS + p.stats.AtomicFAA + p.stats.AtomicLoads + p.stats.AtomicStores
+		atomics := p.Sim.AtomicCAS + p.Sim.AtomicFAA + p.Sim.AtomicLoads + p.Sim.AtomicStores
 		if atomics > 0 {
 			v := atomics * cost.Atomic
 			out = append(out, Attribution{Kind: "atomic", Name: "atomic-ops",
 				Value: v, ShareBP: share(v, total),
-				Detail: fmt.Sprintf("%d CAS (%d failed), %d FAA, %d loads, %d stores", p.stats.AtomicCAS, p.stats.AtomicCASFailed, p.stats.AtomicFAA, p.stats.AtomicLoads, p.stats.AtomicStores)})
+				Detail: fmt.Sprintf("%d CAS (%d failed), %d FAA, %d loads, %d stores", p.Sim.AtomicCAS, p.Sim.AtomicCASFailed, p.Sim.AtomicFAA, p.Sim.AtomicLoads, p.Sim.AtomicStores)})
 		}
-		if v := p.stats.CacheMisses*cost.CacheMiss + p.stats.CacheRFOs*cost.CacheRFO; v > 0 {
+		if v := p.Sim.CacheMisses*cost.CacheMiss + p.Sim.CacheRFOs*cost.CacheRFO; v > 0 {
 			out = append(out, Attribution{Kind: "cache", Name: "cache-misses",
 				Value: v, ShareBP: share(v, total),
-				Detail: fmt.Sprintf("%d misses, %d RFOs", p.stats.CacheMisses, p.stats.CacheRFOs)})
+				Detail: fmt.Sprintf("%d misses, %d RFOs", p.Sim.CacheMisses, p.Sim.CacheRFOs)})
 		}
 		for name, cycles := range telemetry.LeafTotals(telemetry.ParseFolded(p.cycles)) {
 			out = append(out, Attribution{Kind: "site", Name: name,
@@ -474,16 +327,16 @@ func attribute(reg regression, p *cellProbe, opts ExplainOptions) []Attribution 
 		}
 	case "footprint", "peak_bytes":
 		total := reg.new
-		free := p.heap.FreeBytes
-		wild := p.heap.WildernessFree
-		if live := p.footprint - free - wild; live > 0 {
+		free := p.Heap.FreeBytes
+		wild := p.Heap.WildernessFree
+		if live := p.Footprint - free - wild; live > 0 {
 			out = append(out, Attribution{Kind: "heap", Name: "live_bytes",
 				Value: live, ShareBP: share(live, total), Detail: "bytes still allocated at exit"})
 		}
 		if free > 0 {
 			out = append(out, Attribution{Kind: "heap", Name: "free_bytes",
 				Value: free, ShareBP: share(free, total),
-				Detail: fmt.Sprintf("%d free blocks retained, largest %d", p.heap.FreeBlocks, p.heap.LargestFree)})
+				Detail: fmt.Sprintf("%d free blocks retained, largest %d", p.Heap.FreeBlocks, p.Heap.LargestFree)})
 		}
 		if wild > 0 {
 			out = append(out, Attribution{Kind: "heap", Name: "wilderness_free",
@@ -501,12 +354,12 @@ func attribute(reg regression, p *cellProbe, opts ExplainOptions) []Attribution 
 		}
 	case "int_frag_bp":
 		out = append(out, Attribution{Kind: "heap", Name: "granted_vs_requested",
-			Value:  p.heap.GrantedBytes - p.heap.ReqBytes,
-			Detail: fmt.Sprintf("requested %d, size classes granted %d", p.heap.ReqBytes, p.heap.GrantedBytes)})
+			Value:  p.Heap.GrantedBytes - p.Heap.ReqBytes,
+			Detail: fmt.Sprintf("requested %d, size classes granted %d", p.Heap.ReqBytes, p.Heap.GrantedBytes)})
 	case "ext_frag_bp":
 		out = append(out, Attribution{Kind: "heap", Name: "free_list_shatter",
-			Value:  p.heap.FreeBytes - p.heap.LargestFree,
-			Detail: fmt.Sprintf("%d free bytes in %d blocks, largest only %d", p.heap.FreeBytes, p.heap.FreeBlocks, p.heap.LargestFree)})
+			Value:  p.Heap.FreeBytes - p.Heap.LargestFree,
+			Detail: fmt.Sprintf("%d free bytes in %d blocks, largest only %d", p.Heap.FreeBytes, p.Heap.FreeBlocks, p.Heap.LargestFree)})
 	}
 	// Context rows (ShareBP 0) always survive; share-carrying rows
 	// must clear the noise floor.

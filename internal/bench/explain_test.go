@@ -90,8 +90,8 @@ func TestExplainNamesTheLock(t *testing.T) {
 func TestExplainDeterministicAcrossJobs(t *testing.T) {
 	old, cur, _ := seededReports(t)
 	// A second regressed cell makes the probe pool actually parallel.
-	old.Makespans["tree/serial/depth1/threads2/procs8"] = 1
-	cur.Makespans["tree/serial/depth1/threads2/procs8"] = 100
+	old.Makespans["tree/ptmalloc/depth1/threads2/procs8"] = 1
+	cur.Makespans["tree/ptmalloc/depth1/threads2/procs8"] = 100
 
 	var texts [2]string
 	var jsons [2][]byte
@@ -130,17 +130,17 @@ func TestExplainCleanAndUnknownCells(t *testing.T) {
 		t.Errorf("clean Format:\n%s", ex.Format())
 	}
 
-	// A cell family without a probe path is noted, never an error.
+	// A key no experiment enumerates is noted, never an error.
 	old := &Report{Schema: ReportSchema, Quick: true,
-		Makespans: map[string]int64{"bgw/serial/amplifyfalse/objectsfalse/threads2": 100}}
+		Makespans: map[string]int64{"bgw/serial/amplifyfalse/objectsfalse/threads3": 100}}
 	cur := &Report{Schema: ReportSchema, Quick: true,
-		Makespans: map[string]int64{"bgw/serial/amplifyfalse/objectsfalse/threads2": 200}}
+		Makespans: map[string]int64{"bgw/serial/amplifyfalse/objectsfalse/threads3": 200}}
 	ex, err = Explain(old, cur, ExplainOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(ex.Cells) != 1 || !strings.Contains(ex.Cells[0].Note, "no profiled re-run") {
-		t.Errorf("bgw cell explanation = %+v", ex.Cells)
+		t.Errorf("unenumerated cell explanation = %+v", ex.Cells)
 	}
 
 	// Foreign schemas are an error, not an empty explanation.
@@ -214,5 +214,46 @@ func TestExplainSelectsWorstCells(t *testing.T) {
 	}
 	if !found {
 		t.Errorf("no coverage note about the dropped cell: %v", ex.Notes)
+	}
+}
+
+// TestExplainEveryFamily seeds a makespan and footprint regression on
+// one quick-grid cell of every family: each probe must reproduce the
+// report's makespan and attribute both regressions.
+func TestExplainEveryFamily(t *testing.T) {
+	if testing.Short() {
+		t.Skip("re-runs one quick cell per family")
+	}
+	cells := []string{
+		"tree/serial/depth3/threads8/procs8",
+		"tree-capped/amplify/depth3/threads8/max1",
+		"bgw/smartheap/amplifytrue/objectsfalse/threads2",
+		"bgw-shadowcap/smartheap/threads4/cap64",
+		"pipe/smartheap/amplifytrue/stealtrue/workers4",
+		"contend/lfalloc/p8/threads64",
+		"replay/handoff/hoard",
+		"e2e/ptmalloc/threads2",
+		"escape/msgring/classic",
+		"scale/amplify/p8/threads10000",
+	}
+	cur := loadBaseline(t)
+	ex, err := Explain(deflated(t, cur, cells), cur, ExplainOptions{MaxCells: len(cells)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	explained := map[string]int{}
+	for _, c := range ex.Cells {
+		if c.Note != "" {
+			t.Errorf("%s %s: note %q", c.Metric, c.Cell, c.Note)
+		}
+		if len(c.Attributions) == 0 {
+			t.Errorf("%s %s: no attributions", c.Metric, c.Cell)
+		}
+		explained[c.Cell]++
+	}
+	for _, c := range cells {
+		if explained[c] != 2 {
+			t.Errorf("%s: %d regressions explained, want makespan and footprint", c, explained[c])
+		}
 	}
 }

@@ -6,9 +6,7 @@ import (
 	"os"
 	"path/filepath"
 
-	"amplify/internal/core"
 	"amplify/internal/heapobsv"
-	"amplify/internal/vm"
 	"amplify/internal/workload"
 )
 
@@ -78,16 +76,11 @@ func (r *Runner) ExportHeap(dir string) error {
 	return os.WriteFile(filepath.Join(dir, "heap-summary.json"), append(summary, '\n'), 0o644)
 }
 
-// siteProfile runs the amplified end-to-end MiniCC program under the
-// allocation-site profiler and returns its folded stacks and table.
+// siteProfile runs profiledCell under the allocation-site profiler and
+// returns its folded stacks and table.
 func (r *Runner) siteProfile() (folded, table string, err error) {
-	src := treeSource(4, 30, e2eDepth)
-	amped, _, err := core.Rewrite(src, core.Options{})
-	if err != nil {
-		return "", "", err
-	}
 	prof := heapobsv.NewSiteProfile()
-	if _, err := vm.RunSource(amped, vm.Config{Tracer: prof}); err != nil {
+	if _, err := r.profiledCell().run(prof); err != nil {
 		return "", "", fmt.Errorf("bench: site profile run: %w", err)
 	}
 	return prof.Folded(heapobsv.MetricAllocBytes), prof.Table(), nil

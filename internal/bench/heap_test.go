@@ -188,8 +188,12 @@ func TestReportHeapSection(t *testing.T) {
 		t.Errorf("headline = %+v", h)
 	}
 	var maxFoot int64
-	for _, key := range r.cellKeys("fig4") {
-		if c, ok := rep.Heap[key]; ok && c.Footprint > maxFoot {
+	fig4, err := lookup("fig4")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, cell := range fig4.cells(r) {
+		if c, ok := rep.Heap[cell.key]; ok && c.Footprint > maxFoot {
 			maxFoot = c.Footprint
 		}
 	}

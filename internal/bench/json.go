@@ -2,12 +2,7 @@ package bench
 
 import (
 	"runtime"
-	"strings"
 	"time"
-
-	"amplify/internal/alloc"
-	"amplify/internal/bgw"
-	"amplify/internal/workload"
 )
 
 // ReportSchema identifies the BENCH.json layout; bump on incompatible
@@ -121,11 +116,16 @@ func (r *Runner) Report(names []string) (*Report, error) {
 		Jobs:     r.Jobs,
 		HostCPUs: runtime.NumCPU(),
 	}
+	var headlineCells [][]cell
 	for _, name := range names {
+		e, err := lookup(name)
+		if err != nil {
+			return nil, err
+		}
 		start := time.Now()
 		er := ExperimentReport{Name: name}
-		if strings.HasPrefix(name, "fig") || name == "endtoend" {
-			f, err := r.Figure(name)
+		if e.figure != nil {
+			f, err := e.figure(r)
 			if err != nil {
 				return nil, err
 			}
@@ -134,47 +134,41 @@ func (r *Runner) Report(names []string) (*Report, error) {
 				er.Series = append(er.Series, SeriesReport{Name: s.Name, Values: s.Values})
 			}
 			er.Headline = headlineOf(f)
-			if name == "endtoend" {
-				if er.EngineSpeedup, err = r.EngineSpeedup(); err != nil {
-					return nil, err
-				}
-			}
-		} else if _, err := r.Run(name); err != nil {
+		} else if _, err := e.render(r); err != nil {
 			return nil, err
 		}
-		if name == "escape" {
-			verdicts, err := r.EscapeVerdicts()
-			if err != nil {
+		if e.report != nil {
+			if err := e.report(r, rep, &er); err != nil {
 				return nil, err
 			}
-			rep.Escape = verdicts
 		}
 		er.WallSeconds = time.Since(start).Seconds()
 		rep.Experiments = append(rep.Experiments, er)
+		// Headlines need the full heap map, so they are stamped after
+		// the experiment loop: each summarizes the cells it reads.
+		headlineCells = append(headlineCells, e.cells(r))
 	}
 	rep.Makespans = r.Makespans()
 	rep.Metrics = r.Metrics()
 	rep.Heap = r.HeapCells()
-	// Headlines need the full heap map, so they are stamped after the
-	// experiment loop: each experiment summarizes the cells it reads.
-	for i := range rep.Experiments {
-		rep.Experiments[i].Heap = heapHeadlineOf(r.cellKeys(rep.Experiments[i].Name), rep.Heap)
+	for i, cells := range headlineCells {
+		rep.Experiments[i].Heap = heapHeadlineOf(cells, rep.Heap)
 	}
 	return rep, nil
 }
 
-// heapHeadlineOf condenses the named cells' heap records, or nil when
-// none of the keys carry heap data.
-func heapHeadlineOf(keys []string, cells map[string]HeapCell) *HeapHeadline {
+// heapHeadlineOf condenses the heap records of the given cells, or nil
+// when none of them carry heap data.
+func heapHeadlineOf(cells []cell, heap map[string]HeapCell) *HeapHeadline {
 	var h *HeapHeadline
 	var sum, n int64
-	seen := make(map[string]bool, len(keys))
-	for _, k := range keys {
-		c, ok := cells[k]
-		if !ok || seen[k] {
+	seen := make(map[string]bool, len(cells))
+	for _, cl := range cells {
+		c, ok := heap[cl.key]
+		if !ok || seen[cl.key] {
 			continue
 		}
-		seen[k] = true
+		seen[cl.key] = true
 		if h == nil {
 			h = &HeapHeadline{}
 		}
@@ -213,35 +207,15 @@ func headlineOf(f *Figure) *Headline {
 // memo cell, keyed like Makespans.
 func (r *Runner) HeapCells() map[string]HeapCell {
 	m := make(map[string]HeapCell)
-	r.cells.completed(func(key string, val any) {
-		switch v := val.(type) {
-		case workload.Result:
-			m[key] = heapCellOf(v.Footprint, v.Alloc.PeakBytes, v.Heap)
-		case workload.ChurnResult:
-			m[key] = heapCellOf(v.Footprint, v.Alloc.PeakBytes, v.Heap)
-		case workload.ReplayResult:
-			m[key] = heapCellOf(v.Footprint, v.Alloc.PeakBytes, v.Heap)
-		case bgw.Result:
-			m[key] = heapCellOf(v.Footprint, v.Alloc.PeakBytes, v.Heap)
-		case bgw.PipelineResult:
-			m[key] = heapCellOf(v.Footprint, v.Alloc.PeakBytes, v.Heap)
-		case e2eResult:
-			m[key] = HeapCell{Footprint: v.Footprint, PeakBytes: v.PeakBytes,
-				IntFragBP: v.IntFragBP, ExtFragBP: v.ExtFragBP}
-		case scaleCell:
-			m[key] = heapCellOf(v.Res.Footprint, v.Res.Alloc.PeakBytes, v.Res.Heap)
+	r.cells.completed(func(key string, v measured) {
+		m[key] = HeapCell{
+			Footprint: v.Footprint,
+			PeakBytes: v.PeakBytes,
+			IntFragBP: fragBP(v.Heap.ReqBytes, v.Heap.GrantedBytes),
+			ExtFragBP: fragBP(v.Heap.LargestFree, v.Heap.FreeBytes),
 		}
 	})
 	return m
-}
-
-func heapCellOf(footprint, peak int64, hi alloc.HeapInfo) HeapCell {
-	return HeapCell{
-		Footprint: footprint,
-		PeakBytes: peak,
-		IntFragBP: fragBP(hi.ReqBytes, hi.GrantedBytes),
-		ExtFragBP: fragBP(hi.LargestFree, hi.FreeBytes),
-	}
 }
 
 // fragBP is (1 - part/whole) in basis points; zero when whole is zero.
@@ -257,23 +231,6 @@ func fragBP(part, whole int64) int64 {
 // the serialized form is stable for diffing across runs.
 func (r *Runner) Makespans() map[string]int64 {
 	m := make(map[string]int64)
-	r.cells.completed(func(key string, val any) {
-		switch v := val.(type) {
-		case workload.Result:
-			m[key] = v.Makespan
-		case workload.ChurnResult:
-			m[key] = v.Makespan
-		case workload.ReplayResult:
-			m[key] = v.Makespan
-		case bgw.Result:
-			m[key] = v.Makespan
-		case bgw.PipelineResult:
-			m[key] = v.Makespan
-		case e2eResult:
-			m[key] = v.Makespan
-		case scaleCell:
-			m[key] = v.Res.Makespan
-		}
-	})
+	r.cells.completed(func(key string, v measured) { m[key] = v.Makespan })
 	return m
 }

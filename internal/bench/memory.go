@@ -9,6 +9,9 @@ import (
 	"amplify/internal/workload"
 )
 
+// memoryStrategies are the rows of the memory table.
+var memoryStrategies = []string{"serial", "ptmalloc", "hoard", "amplify", "handmade"}
+
 // Memory reproduces the §5.1 memory-consumption discussion as a table:
 // the process footprint of each strategy on each test case (8 threads),
 // the paper's observation that neither the synthetic programs nor BGw
@@ -19,7 +22,7 @@ func (r *Runner) Memory() (string, error) {
 	b.WriteString("Memory consumption (§5.1/§5.2)\n")
 	b.WriteString("Process footprint in KiB, 8 threads, full synthetic runs:\n\n")
 	fmt.Fprintf(&b, "%-11s %10s %10s %10s\n", "strategy", "case 1", "case 2", "case 3")
-	for _, s := range []string{"serial", "ptmalloc", "hoard", "amplify", "handmade"} {
+	for _, s := range memoryStrategies {
 		fmt.Fprintf(&b, "%-11s", s)
 		for _, depth := range []int{1, 3, 5} {
 			res, err := r.run(s, depth, 8)
@@ -49,7 +52,7 @@ func (r *Runner) Memory() (string, error) {
 
 	// Limiter effect on a workload that would otherwise retain many
 	// structures: a capped pool releases the excess.
-	capped, err := r.runCappedTree()
+	capped, err := resultOf[workload.Result](r, r.cappedTreeCell())
 	if err != nil {
 		return "", err
 	}
@@ -64,7 +67,7 @@ func (r *Runner) Memory() (string, error) {
 	if err != nil {
 		return "", err
 	}
-	cappedBGw, err := r.runShadowCappedBGw()
+	cappedBGw, err := resultOf[bgw.Result](r, r.shadowCapBGwCell())
 	if err != nil {
 		return "", err
 	}
@@ -77,38 +80,19 @@ func (r *Runner) Memory() (string, error) {
 	return b.String(), nil
 }
 
-// Fixed keys of the two limiter memo cells.
-const (
-	cappedTreeKey   = "tree-capped/amplify/depth3/threads8/max1"
-	shadowCapBGwKey = "bgw-shadowcap/smartheap/threads4/cap64"
-)
-
-// runCappedTree executes (or recalls) the MaxObjects=1 limiter run.
-func (r *Runner) runCappedTree() (workload.Result, error) {
-	v, err := r.cells.do(cappedTreeKey, func() (any, error) {
-		return workload.RunTree("amplify", workload.TreeConfig{
-			Depth: 3, Trees: r.Trees, Threads: 8,
-			InitWork: InitWork, UseWork: UseWork,
-			Pool: pool.Config{MaxObjects: 1},
-		})
-	})
-	if err != nil {
-		return workload.Result{}, err
-	}
-	return v.(workload.Result), nil
+// cappedTreeCell is the MaxObjects=1 pool limiter run.
+func (r *Runner) cappedTreeCell() cell {
+	return cell{"tree-capped/amplify/depth3/threads8/max1", treeRun("amplify", workload.TreeConfig{
+		Depth: 3, Trees: r.Trees, Threads: 8,
+		InitWork: InitWork, UseWork: UseWork,
+		Pool: pool.Config{MaxObjects: 1},
+	})}
 }
 
-// runShadowCappedBGw executes (or recalls) the MaxShadowBytes=64
-// limiter run.
-func (r *Runner) runShadowCappedBGw() (bgw.Result, error) {
-	v, err := r.cells.do(shadowCapBGwKey, func() (any, error) {
-		return bgw.Run(bgw.Config{
-			CDRs: r.CDRs, Threads: 4, Strategy: "smartheap", Amplify: true,
-			Pool: pool.Config{MaxShadowBytes: 64},
-		})
-	})
-	if err != nil {
-		return bgw.Result{}, err
-	}
-	return v.(bgw.Result), nil
+// shadowCapBGwCell is the MaxShadowBytes=64 shadow limiter run.
+func (r *Runner) shadowCapBGwCell() cell {
+	return cell{"bgw-shadowcap/smartheap/threads4/cap64", bgwRun(bgw.Config{
+		CDRs: r.CDRs, Threads: 4, Strategy: "smartheap", Amplify: true,
+		Pool: pool.Config{MaxShadowBytes: 64},
+	})}
 }

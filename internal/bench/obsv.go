@@ -6,11 +6,9 @@ import (
 	"os"
 	"path/filepath"
 
-	"amplify/internal/bgw"
 	"amplify/internal/core"
 	"amplify/internal/obsv"
 	"amplify/internal/sim"
-	"amplify/internal/vm"
 	"amplify/internal/workload"
 )
 
@@ -21,61 +19,13 @@ import (
 // nothing about any single run — the per-cell resolution lives in
 // Makespans and the trace exports.
 func (r *Runner) Metrics() map[string]int64 {
-	reg := obsv.NewRegistry()
-	addSim := func(st sim.Stats) {
-		reg.Add("sim.lock.acquires", st.LockAcquires)
-		reg.Add("sim.lock.contended", st.LockContended)
-		reg.Add("sim.lock.wait_cycles", st.LockWaitTime)
-		reg.Add("sim.cache.hits", st.CacheHits)
-		reg.Add("sim.cache.misses", st.CacheMisses)
-		reg.Add("sim.cache.invalidations", st.CacheInvalidations)
-		reg.Add("sim.cache.rfos", st.CacheRFOs)
-		reg.Add("sim.migrations", st.Migrations)
-		reg.Add("sim.chan.sends", st.ChanSends)
-		reg.Add("sim.chan.recvs", st.ChanRecvs)
-		reg.Add("sim.chan.blocked_sends", st.ChanBlockedSends)
-		reg.Add("sim.chan.blocked_recvs", st.ChanBlockedRecvs)
-		reg.Add("sim.wg.waits", st.WaitGroupWaits)
-		reg.Add("sim.wg.dones", st.WaitGroupDones)
-		reg.Add("sim.atomic.cas", st.AtomicCAS)
-		reg.Add("sim.atomic.cas_failed", st.AtomicCASFailed)
-		reg.Add("sim.atomic.faa", st.AtomicFAA)
-		reg.Add("sim.atomic.loads", st.AtomicLoads)
-		reg.Add("sim.atomic.stores", st.AtomicStores)
-	}
-	r.cells.completed(func(key string, val any) {
-		switch v := val.(type) {
-		case workload.Result:
-			reg.Add("cells.tree", 1)
-			addSim(v.Sim)
-			reg.Add("alloc.allocs", v.Alloc.Allocs)
-			reg.Add("alloc.frees", v.Alloc.Frees)
-			reg.Add("pool.hits", v.PoolHits)
-			reg.Add("pool.misses", v.PoolMisses)
-			reg.Add("pool.failed_trylocks", v.FailedTryLocks)
-		case workload.ChurnResult:
-			reg.Add("cells.contend", 1)
-			addSim(v.Sim)
-			reg.Add("alloc.allocs", v.Alloc.Allocs)
-			reg.Add("alloc.frees", v.Alloc.Frees)
-		case workload.ReplayResult:
-			reg.Add("cells.replay", 1)
-			addSim(v.Sim)
-			reg.Add("alloc.allocs", v.Alloc.Allocs)
-			reg.Add("alloc.frees", v.Alloc.Frees)
-		case bgw.Result:
-			reg.Add("cells.bgw", 1)
-			addSim(v.Sim)
-			reg.Add("alloc.allocs", v.Alloc.Allocs)
-			reg.Add("alloc.frees", v.Alloc.Frees)
-			reg.Add("pool.hits", v.PoolHits)
-			reg.Add("shadow.reuses", v.ShadowReuses)
-		case e2eResult:
-			reg.Add("cells.e2e", 1)
-			reg.Add("alloc.allocs", v.Allocs)
+	m := make(map[string]int64)
+	r.cells.completed(func(_ string, v measured) {
+		for _, c := range v.counters {
+			m[c.name] += c.v
 		}
 	})
-	return reg.Snapshot()
+	return m
 }
 
 // traceTreeConfig is the fixed, small tree run the exports trace: big
@@ -160,19 +110,20 @@ func (r *Runner) ExportTraces(dir string) error {
 	return os.WriteFile(filepath.Join(dir, "metrics.json"), metrics, 0o644)
 }
 
-// foldedProfile runs the amplified end-to-end MiniCC program under the
-// cycle profiler and returns its folded stacks.
+// profiledCell is the amplified end-to-end MiniCC program the profile
+// exports run with a profiler attached.
+func (r *Runner) profiledCell() cell {
+	return r.vmCell("export/amplify/threads4", treeSource(4, 30, e2eDepth), &core.Options{}, "")
+}
+
+// foldedProfile runs profiledCell under the cycle profiler and returns
+// its folded stacks.
 func (r *Runner) foldedProfile() (string, error) {
-	src := treeSource(4, 30, e2eDepth)
-	amped, _, err := core.Rewrite(src, core.Options{})
-	if err != nil {
-		return "", err
-	}
 	prof := obsv.NewProfiler()
-	res, err := vm.RunSource(amped, vm.Config{Tracer: prof})
+	m, err := r.profiledCell().run(prof)
 	if err != nil {
 		return "", fmt.Errorf("bench: profile run: %w", err)
 	}
-	prof.Finish(res.Makespan)
+	prof.Finish(m.Makespan)
 	return prof.Folded(), nil
 }

@@ -6,6 +6,7 @@ import (
 
 	"amplify/internal/bgw"
 	"amplify/internal/pool"
+	"amplify/internal/sim"
 )
 
 // pipelineVariant is one row of the pipeline extension experiment.
@@ -24,26 +25,22 @@ func pipelineVariants() []pipelineVariant {
 
 var pipelineWorkerGrid = []int{1, 2, 4, 7}
 
-// pipeKey names a pipeline-BGw memo cell.
-func pipeKey(workers int, amplify, steal bool) string {
-	return fmt.Sprintf("pipe/smartheap/amplify%v/steal%v/workers%d", amplify, steal, workers)
-}
-
-// runPipeline executes (or recalls) one pipeline-BGw run. The pool
-// configuration is fixed (MaxObjects 64) and only read by the
-// amplified variants.
-func (r *Runner) runPipeline(workers int, amplify, steal bool) (bgw.PipelineResult, error) {
-	v, err := r.cells.do(pipeKey(workers, amplify, steal), func() (any, error) {
-		return bgw.RunPipeline(bgw.PipelineConfig{
-			CDRs: r.CDRs, Workers: workers, Strategy: "smartheap",
-			Amplify: amplify, Steal: steal,
-			Pool: pool.Config{MaxObjects: 64},
-		})
-	})
-	if err != nil {
-		return bgw.PipelineResult{}, err
+// pipeCell is one pipeline-BGw run. The pool configuration is fixed
+// (MaxObjects 64) and only read by the amplified variants. Pipeline
+// cells add nothing to Report.Metrics.
+func (r *Runner) pipeCell(workers int, amplify, steal bool) cell {
+	cfg := bgw.PipelineConfig{
+		CDRs: r.CDRs, Workers: workers, Strategy: "smartheap",
+		Amplify: amplify, Steal: steal,
+		Pool: pool.Config{MaxObjects: 64},
 	}
-	return v.(bgw.PipelineResult), nil
+	return cell{fmt.Sprintf("pipe/smartheap/amplify%v/steal%v/workers%d", amplify, steal, workers),
+		func(tr sim.Tracer) (measured, error) {
+			c := cfg
+			c.Tracer = tr
+			res, err := bgw.RunPipeline(c)
+			return measuredOf(res, res.Makespan, res.Footprint, res.Alloc, res.Heap, res.Sim), err
+		}}
 }
 
 // Pipeline is an extension experiment: BGw restructured as the
@@ -57,7 +54,7 @@ func (r *Runner) Pipeline() (string, error) {
 	b.WriteString("Pipeline BGw (extension): parser -> queue -> processors\n")
 	fmt.Fprintf(&b, "%d CDRs, 8 simulated CPUs; speedup vs 1-worker plain smartheap\n\n", r.CDRs)
 
-	base, err := r.runPipeline(1, false, false)
+	base, err := resultOf[bgw.PipelineResult](r, r.pipeCell(1, false, false))
 	if err != nil {
 		return "", err
 	}
@@ -70,7 +67,7 @@ func (r *Runner) Pipeline() (string, error) {
 		fmt.Fprintf(&b, "%-22s", v.name)
 		var last bgw.PipelineResult
 		for _, w := range pipelineWorkerGrid {
-			res, err := r.runPipeline(w, v.amplify, v.steal)
+			res, err := resultOf[bgw.PipelineResult](r, r.pipeCell(w, v.amplify, v.steal))
 			if err != nil {
 				return "", err
 			}

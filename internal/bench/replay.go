@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"amplify/internal/alloctrace"
+	"amplify/internal/sim"
 	"amplify/internal/workload"
 )
 
@@ -21,24 +22,18 @@ import (
 // committed testdata/traces/ artifacts are the same bytes, pinned by
 // test and CI checksum.
 
-// replayKey names a replay memo cell.
-func replayKey(corpus, strategy string) string {
-	return fmt.Sprintf("replay/%s/%s", corpus, strategy)
-}
-
-// runReplay executes (or recalls) one corpus × allocator replay cell.
-func (r *Runner) runReplay(corpus, strategy string) (workload.ReplayResult, error) {
-	v, err := r.cells.do(replayKey(corpus, strategy), func() (any, error) {
-		tr, err := alloctrace.Corpus(corpus)
+// replayCell is one corpus × allocator replay run.
+func replayCell(corpus, strategy string) cell {
+	return cell{fmt.Sprintf("replay/%s/%s", corpus, strategy), func(tr sim.Tracer) (measured, error) {
+		trace, err := alloctrace.Corpus(corpus)
 		if err != nil {
-			return nil, err
+			return measured{}, err
 		}
-		return workload.RunReplay(strategy, workload.ReplayConfig{Trace: tr})
-	})
-	if err != nil {
-		return workload.ReplayResult{}, err
-	}
-	return v.(workload.ReplayResult), nil
+		res, err := workload.RunReplay(strategy, workload.ReplayConfig{Trace: trace, Tracer: tr})
+		m := measuredOf(res, res.Makespan, res.Footprint, res.Alloc, res.Heap, res.Sim)
+		m.counters = simCounters("cells.replay", res.Sim, res.Alloc)
+		return m, err
+	}}
 }
 
 // Replay renders the trace-replay grid: one row per corpus with the
@@ -66,7 +61,7 @@ func (r *Runner) Replay() (string, error) {
 		fmt.Fprintf(&b, "%-12s %8d %7.1f%%", corpus, st.Events, xfree)
 		best, bestMS := "", int64(0)
 		for _, s := range allocs {
-			res, err := r.runReplay(corpus, s)
+			res, err := r.cells.do(replayCell(corpus, s))
 			if err != nil {
 				return "", err
 			}

@@ -3,8 +3,8 @@ package bench
 import (
 	"fmt"
 	"strings"
-	"time"
 
+	"amplify/internal/sim"
 	"amplify/internal/workload"
 )
 
@@ -53,47 +53,29 @@ func (r *Runner) scaleGrid() []scalePoint {
 	}
 }
 
-// scaleKey names a scale memo cell.
-func scaleKey(procs, threads int) string {
-	return fmt.Sprintf("scale/amplify/p%d/threads%d", procs, threads)
-}
-
-// scaleCell pairs the deterministic simulation result with the host
-// wall-clock of its first computation (memo recalls keep the original
-// timing).
-type scaleCell struct {
-	Res  workload.Result
-	Wall float64
-}
-
-// runScale executes (or recalls) one scale cell: threads threads, one
-// depth-1 tree each, on a P-processor machine under the Amplify pools.
-func (r *Runner) runScale(procs, threads int) (scaleCell, error) {
-	v, err := r.cells.do(scaleKey(procs, threads), func() (any, error) {
-		start := time.Now()
-		res, err := workload.RunTree("amplify", workload.TreeConfig{
-			Depth:      1,
-			Trees:      threads,
-			Threads:    threads,
-			Processors: procs,
-			InitWork:   InitWork,
-			UseWork:    UseWork,
-		})
-		if err != nil {
-			return nil, err
-		}
-		return scaleCell{Res: res, Wall: time.Since(start).Seconds()}, nil
+// scaleGridCell is one scale run: threads threads, one depth-1 tree
+// each, on a P-processor machine under the Amplify pools. Scale cells
+// add nothing to Report.Metrics.
+func scaleGridCell(pt scalePoint) cell {
+	run := treeRun("amplify", workload.TreeConfig{
+		Depth:      1,
+		Trees:      pt.Threads,
+		Threads:    pt.Threads,
+		Processors: pt.Procs,
+		InitWork:   InitWork,
+		UseWork:    UseWork,
 	})
-	if err != nil {
-		return scaleCell{}, err
-	}
-	return v.(scaleCell), nil
+	return cell{fmt.Sprintf("scale/amplify/p%d/threads%d", pt.Procs, pt.Threads), func(tr sim.Tracer) (measured, error) {
+		m, err := run(tr)
+		m.counters = nil
+		return m, err
+	}}
 }
 
 // scaleEvents is the throughput numerator: the simulation events with
 // a per-event host cost (cache-line accesses and lock acquisitions).
-func scaleEvents(res workload.Result) int64 {
-	return res.Sim.CacheHits + res.Sim.CacheMisses + res.Sim.LockAcquires
+func scaleEvents(st sim.Stats) int64 {
+	return st.CacheHits + st.CacheMisses + st.LockAcquires
 }
 
 // Scale renders the scale grid. Makespans are deterministic;
@@ -103,17 +85,17 @@ func (r *Runner) Scale() (string, error) {
 	b.WriteString("Scale grid: tree churn on datacenter-size machines (amplify pools)\n")
 	b.WriteString("   procs    threads          makespan      sim events   host wall   Mev/s\n")
 	for _, pt := range r.scaleGrid() {
-		c, err := r.runScale(pt.Procs, pt.Threads)
+		c, err := r.cells.do(scaleGridCell(pt))
 		if err != nil {
 			return "", err
 		}
-		ev := scaleEvents(c.Res)
+		ev := scaleEvents(c.Sim)
 		mevs := 0.0
 		if c.Wall > 0 {
 			mevs = float64(ev) / c.Wall / 1e6
 		}
 		fmt.Fprintf(&b, "%8d %10d %17d %15d %10.2fs %7.1f\n",
-			pt.Procs, pt.Threads, c.Res.Makespan, ev, c.Wall, mevs)
+			pt.Procs, pt.Threads, c.Makespan, ev, c.Wall, mevs)
 	}
 	return b.String(), nil
 }

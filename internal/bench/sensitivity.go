@@ -3,6 +3,8 @@ package bench
 import (
 	"fmt"
 	"strings"
+
+	"amplify/internal/workload"
 )
 
 var (
@@ -29,12 +31,12 @@ func (r *Runner) Sensitivity() (string, error) {
 
 	values := map[string][]float64{}
 	for _, p := range sensitivityProcs {
-		base, err := r.runAt("serial", 3, 1, p)
+		base, err := resultOf[workload.Result](r, r.treeCell("serial", 3, 1, p))
 		if err != nil {
 			return "", err
 		}
 		for _, s := range sensitivityStrategies {
-			res, err := r.runAt(s, 3, p, p)
+			res, err := resultOf[workload.Result](r, r.treeCell(s, 3, p, p))
 			if err != nil {
 				return "", err
 			}

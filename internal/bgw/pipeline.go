@@ -30,6 +30,8 @@ type PipelineConfig struct {
 	ParseWork   int64
 	ProcessWork int64
 	Pool        pool.Config
+	// Tracer receives the run's event stream, as in Config.
+	Tracer sim.Tracer
 }
 
 func (cfg PipelineConfig) withDefaults() PipelineConfig {
@@ -85,7 +87,7 @@ type record struct {
 // RunPipeline executes the producer/consumer BGw variant.
 func RunPipeline(cfg PipelineConfig) (PipelineResult, error) {
 	cfg = cfg.withDefaults()
-	e := sim.New(sim.Config{Processors: cfg.Processors})
+	e := sim.New(sim.Config{Processors: cfg.Processors, Tracer: cfg.Tracer})
 	sp := mem.NewSpace()
 	res := PipelineResult{Config: cfg}
 
@@ -101,6 +103,7 @@ func RunPipeline(cfg PipelineConfig) (PipelineResult, error) {
 		rt = pool.NewRuntime(e, base, pcfg)
 		recPool = rt.NewClassPool("CDRRecord", AmpRecordSize)
 	}
+	pool.Watch(cfg.Tracer, sp, base, rt)
 	// Shadow state of pooled records: the array blocks parked in each
 	// record's shadow fields (the Go-side mirror of those fields).
 	recShadows := make(map[mem.Ref]*record)
