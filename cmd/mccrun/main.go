@@ -76,6 +76,7 @@ import (
 
 	"amplify/internal/alloc"
 	"amplify/internal/alloctrace"
+	"amplify/internal/cc"
 	"amplify/internal/core"
 	"amplify/internal/heapobsv"
 	"amplify/internal/interp"
@@ -201,10 +202,16 @@ func run(args []string) (int, error) {
 	}
 	if *vetFirst {
 		sp := spans.Start("vet")
-		res, err := vet.CheckSource(src)
+		// One parse and one analysis serve both reports; Escape reuses
+		// the escape analysis Check ran on the same tree.
+		prog, err := cc.Parse(src)
+		if err == nil {
+			err = cc.Analyze(prog)
+		}
 		if err != nil {
 			return 0, err
 		}
+		res := vet.Check(prog)
 		fmt.Fprint(os.Stderr, res.String())
 		if res.HasErrors() {
 			errs, _ := res.Counts()
@@ -212,11 +219,7 @@ func run(args []string) (int, error) {
 		}
 		// The program is clean, so also print what the interprocedural
 		// analysis concluded about its allocation sites.
-		esc, err := vet.EscapeSource(src)
-		if err != nil {
-			return 0, err
-		}
-		fmt.Fprint(os.Stderr, esc.String())
+		fmt.Fprint(os.Stderr, vet.Escape(prog).String())
 		sp.End()
 	}
 	if *amplify {

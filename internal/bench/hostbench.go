@@ -7,9 +7,12 @@ import (
 
 	"amplify/internal/alloctrace"
 	"amplify/internal/cc"
+	"amplify/internal/core"
 	"amplify/internal/heapobsv"
+	"amplify/internal/mccgen"
 	"amplify/internal/obsv"
 	"amplify/internal/sim"
+	"amplify/internal/vet"
 	"amplify/internal/vm"
 	"amplify/internal/workload"
 )
@@ -251,5 +254,79 @@ func HostBench() (*HostReport, error) {
 		}
 		rep.Benchmarks = append(rep.Benchmarks, HostBenchmark{Name: sb.name, NsPerOp: best.Nanoseconds(), AllocsPerOp: allocs})
 	}
+
+	toolRows, err := toolPathHostBench()
+	if err != nil {
+		return nil, err
+	}
+	rep.Benchmarks = append(rep.Benchmarks, toolRows...)
 	return rep, nil
+}
+
+// toolPathHostBench times the tool-path layers one by one on one large
+// generated program (41 KB of source): the front end, vet with escape
+// analysis, the analysis-driven rewrite, and -O compilation.
+func toolPathHostBench() ([]HostBenchmark, error) {
+	const rounds, allocRuns = 10, 3
+	src := mccgen.Generate(mccgen.Config{Seed: 5, MaxClasses: 64, MaxFields: 12, Iterations: 2})
+	parse := func() (*cc.Program, error) {
+		prog, err := cc.Parse(src)
+		if err != nil {
+			return nil, err
+		}
+		return prog, cc.Analyze(prog)
+	}
+	prog, err := parse()
+	if err != nil {
+		return nil, fmt.Errorf("hostbench tool path: %w", err)
+	}
+	auto := map[string]string{}
+	for _, e := range vet.Check(prog).Ineligible() {
+		auto[e.Class] = e.Reason
+	}
+	// A tree serves one vet run: the escape analysis is memoized on it.
+	// Every run of that row takes a tree parsed beforehand.
+	trees := make([]*cc.Program, 1+rounds+allocRuns)
+	for i := range trees {
+		if trees[i], err = parse(); err != nil {
+			return nil, err
+		}
+	}
+	rows := []struct {
+		name string
+		run  func() error
+	}{
+		{"front/parse_analyze", func() error {
+			_, err := parse()
+			return err
+		}},
+		{"vet/check_escape", func() error {
+			t := trees[0]
+			trees = trees[1:]
+			vet.Check(t)
+			vet.Escape(t)
+			return nil
+		}},
+		{"core/rewrite", func() error {
+			_, _, err := core.Rewrite(src, core.Options{AutoExclude: auto, Escape: true})
+			return err
+		}},
+		{"vm/compile", func() error {
+			_, err := vm.CompileOpts(prog, vm.Options{})
+			return err
+		}},
+	}
+	var out []HostBenchmark
+	for _, r := range rows {
+		best, err := minOf(rounds, r.run)
+		if err != nil {
+			return nil, fmt.Errorf("hostbench %s: %w", r.name, err)
+		}
+		allocs, err := allocsPerOp(allocRuns, r.run)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, HostBenchmark{Name: r.name, NsPerOp: best.Nanoseconds(), AllocsPerOp: allocs})
+	}
+	return out, nil
 }

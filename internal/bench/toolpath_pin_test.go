@@ -259,6 +259,13 @@ func TestToolPathAllocs(t *testing.T) {
 			vet.Escape(prog)
 		})
 	}
+	const maxCompile, maxVetEscape = 1600, 6500
 	n := float64(len(srcs))
 	t.Logf("per program: compile %.0f allocs, vet+escape %.0f allocs", compile/n, vetEscape/n)
+	if compile/n > maxCompile {
+		t.Errorf("compile: %.0f allocs per program, want at most %d", compile/n, maxCompile)
+	}
+	if vetEscape/n > maxVetEscape {
+		t.Errorf("vet+escape: %.0f allocs per program, want at most %d", vetEscape/n, maxVetEscape)
+	}
 }

@@ -1,5 +1,7 @@
 package cc
 
+import "sync"
+
 // Type is a MiniCC type: a base name plus pointer depth. Base names are
 // "int", "char", "void", "uint" or a class name.
 type Type struct {
@@ -42,6 +44,31 @@ type Program struct {
 	// UsesThreads reports whether any spawn statement occurs; the
 	// pre-processor elides pool locks when it is false (§5.1).
 	UsesThreads bool
+
+	// One result derived from the tree as last analyzed; see Memo.
+	memoMu  sync.Mutex
+	memoKey any
+	memoVal any
+}
+
+// Memo returns the value the program holds under key, a non-nil
+// comparable value, calling build to compute and keep it when the
+// program holds none. The program has one slot: a value under another
+// key is replaced. build must not call Memo on the same program.
+//
+// Analyze empties the slot, so a value describes the tree as Analyze
+// last saw it. build may derive anything from the analyzed tree; the
+// value must be read-only once built; and code that mutates the tree
+// must call Analyze again before anyone next calls Memo. The rewriter
+// in internal/core reads its analyses before it mutates the tree and
+// re-analyzes after.
+func (p *Program) Memo(key any, build func() any) any {
+	p.memoMu.Lock()
+	defer p.memoMu.Unlock()
+	if p.memoKey != key {
+		p.memoKey, p.memoVal = key, build()
+	}
+	return p.memoVal
 }
 
 // Decl is a top-level declaration.

@@ -23,16 +23,28 @@ func NewLexer(src string) *Lexer {
 
 // Lex tokenizes the whole input.
 func Lex(src string) ([]Token, error) {
+	toks, err := lexAppend(make([]Token, 0, tokenCap(src)), src)
+	if err != nil {
+		return nil, err
+	}
+	return toks, nil
+}
+
+// tokenCap is the token capacity to lex src into. MiniCC source
+// averages about 3.6 bytes per token, so len/3 tokens hold the whole
+// stream of typical programs; sparser input (comments, deep
+// indentation) only wastes capacity, and denser input falls back to
+// append's growth.
+func tokenCap(src string) int { return len(src)/3 + 1 }
+
+// lexAppend appends src's tokens to toks. On error it returns what it
+// appended so far along with the error.
+func lexAppend(toks []Token, src string) ([]Token, error) {
 	lx := NewLexer(src)
-	// MiniCC source averages about 3.6 bytes per token, so one
-	// allocation of len/3 tokens holds the whole stream of typical
-	// programs; sparser input (comments, deep indentation) only wastes
-	// capacity, and denser input falls back to append's growth.
-	toks := make([]Token, 0, len(src)/3+1)
 	for {
 		t, err := lx.Next()
 		if err != nil {
-			return nil, err
+			return toks, err
 		}
 		toks = append(toks, t)
 		if t.Kind == EOF {

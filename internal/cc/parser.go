@@ -1,6 +1,9 @@
 package cc
 
-import "fmt"
+import (
+	"fmt"
+	"sync"
+)
 
 // Parser is a recursive-descent parser for MiniCC.
 type Parser struct {
@@ -13,7 +16,18 @@ type Parser struct {
 
 // Parse lexes and parses a translation unit.
 func Parse(src string) (*Program, error) {
-	toks, err := Lex(src)
+	buf := tokenPool.Get().(*[]Token)
+	if cap(*buf) < tokenCap(src) {
+		*buf = make([]Token, 0, tokenCap(src))
+	}
+	toks, err := lexAppend((*buf)[:0], src)
+	defer func() {
+		// Keep the grown buffer, but no token text: a pooled buffer must
+		// not hold the source alive.
+		clear(toks)
+		*buf = toks[:0]
+		tokenPool.Put(buf)
+	}()
 	if err != nil {
 		return nil, err
 	}
@@ -27,6 +41,10 @@ func Parse(src string) (*Program, error) {
 	}
 	return p.parseProgram()
 }
+
+// tokenPool recycles Parse's token buffers: a large program's token
+// stream is a large allocation, zeroed on every parse otherwise.
+var tokenPool = sync.Pool{New: func() any { return new([]Token) }}
 
 // MustParse parses src and panics on error (tests and examples).
 func MustParse(src string) *Program {

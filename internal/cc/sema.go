@@ -35,8 +35,11 @@ var Intrinsics = map[string]Type{
 // identifiers (local / parameter / implicit field), infers expression
 // types for the checks the rewriter depends on, and records whether the
 // program spawns threads. It must be called before Rewrite, Print on
-// rewritten output, or interpretation.
+// rewritten output, or interpretation. It drops the value Memo holds.
 func Analyze(prog *Program) error {
+	prog.memoMu.Lock()
+	prog.memoKey, prog.memoVal = nil, nil
+	prog.memoMu.Unlock()
 	prog.Classes = make(map[string]*ClassDecl)
 	prog.Funcs = make(map[string]*FuncDecl)
 	prog.UsesThreads = false

@@ -72,6 +72,8 @@ type Node struct {
 	Body   *cc.Block
 	Params []*cc.Param
 	Edges  []Edge
+	// env types the body's expressions; built once with the graph.
+	env *typeEnv
 	// Mult bounds how many times the callable runs per execution of
 	// main: 0 when unreachable, Unbounded under recursion or inside
 	// loops without static trip counts.
@@ -130,7 +132,8 @@ func BuildGraph(prog *cc.Program) *Graph {
 	}
 	for _, name := range g.Order {
 		n := g.Nodes[name]
-		w := &edgeWalker{g: g, n: n, env: newTypeEnv(g.prog, n)}
+		n.env = newTypeEnv(g.prog, n)
+		w := &edgeWalker{g: g, n: n}
 		w.stmt(n.Body, 1)
 		sort.SliceStable(n.Edges, func(i, j int) bool {
 			a, b := n.Edges[i], n.Edges[j]
@@ -238,9 +241,8 @@ func (t *typeEnv) classOf(e cc.Expr) *cc.ClassDecl {
 // edgeWalker collects one body's outgoing edges, threading the loop
 // multiplicity through nested statements.
 type edgeWalker struct {
-	g   *Graph
-	n   *Node
-	env *typeEnv
+	g *Graph
+	n *Node
 }
 
 func (w *edgeWalker) add(callee string, pos cc.Pos, spawn bool, mult int64) {
@@ -278,7 +280,7 @@ func (w *edgeWalker) stmt(s cc.Stmt, mult int64) {
 		w.expr(s.X, mult)
 	case *cc.DeleteStmt:
 		w.expr(s.X, mult)
-		if cd := w.env.classOf(s.X); cd != nil && !s.Array {
+		if cd := w.n.env.classOf(s.X); cd != nil && !s.Array {
 			if dt := cd.Dtor(); dt != nil && dt.Body != nil && !dt.Synthetic {
 				w.add(methodNodeName(dt), s.Pos, false, mult)
 			}
@@ -322,7 +324,7 @@ func (w *edgeWalker) expr(e cc.Expr, mult int64) {
 		for _, a := range e.Args {
 			w.expr(a, mult)
 		}
-		if cd := w.env.classOf(e.Recv); cd != nil {
+		if cd := w.n.env.classOf(e.Recv); cd != nil {
 			if m := cd.MethodByName(e.Name); m != nil && m.Body != nil && !m.Synthetic {
 				w.add(methodNodeName(m), e.Pos, false, mult)
 			}

@@ -203,7 +203,7 @@ func (o *oset) union(src oset) bool {
 	return changed
 }
 
-// siteFact accumulates per-site evidence during the final pass.
+// siteFact accumulates per-site evidence during a sweep.
 type siteFact struct {
 	node  *Node
 	expr  *cc.NewExpr
@@ -249,7 +249,7 @@ type escAnalysis struct {
 	g    *Graph
 	sums map[string]*summary
 
-	// Final-pass products.
+	// Evidence recorded by the last sweep.
 	facts       map[*cc.NewExpr]*siteFact
 	order       []*cc.NewExpr
 	tokens      map[cc.Expr]*tokenFact
@@ -258,33 +258,37 @@ type escAnalysis struct {
 	passes      map[string]*bodyPass
 }
 
+// escapeKey is the cc.Program memo key of the escape analysis.
+type escapeKey struct{}
+
+// analyze returns the escape analysis of an analyzed program, running
+// it once per analyzed tree: Check and Escape on the same tree share
+// one run through the program's memo (cc.Program.Memo).
+func analyze(prog *cc.Program) *escAnalysis {
+	return prog.Memo(escapeKey{}, func() any { return runEscape(prog) }).(*escAnalysis)
+}
+
 // runEscape performs the analysis on an analyzed program.
 func runEscape(prog *cc.Program) *escAnalysis {
-	an := &escAnalysis{
-		prog:        prog,
-		g:           BuildGraph(prog),
-		sums:        map[string]*summary{},
-		facts:       map[*cc.NewExpr]*siteFact{},
-		tokens:      map[cc.Expr]*tokenFact{},
-		sharedSeeds: map[string]bool{},
-		passes:      map[string]*bodyPass{},
-	}
+	an := &escAnalysis{prog: prog, g: BuildGraph(prog), sums: map[string]*summary{}}
 	for _, name := range an.g.Order {
 		an.sums[name] = &summary{params: make([]pfacts, len(an.g.Nodes[name].Params))}
 	}
 	// Global summary fixpoint: monotone boolean facts over a finite
-	// lattice, so the loop terminates.
+	// lattice, so the loop terminates. Every sweep records site and
+	// leak evidence into fresh tables. Summary updates do not depend on
+	// that evidence, and the first sweep that changes nothing saw the
+	// final summaries throughout, so its evidence is the result.
 	for changed := true; changed; {
 		changed = false
+		an.facts, an.order = map[*cc.NewExpr]*siteFact{}, nil
+		an.tokens, an.tokenOrder = map[cc.Expr]*tokenFact{}, nil
+		an.sharedSeeds, an.passes = map[string]bool{}, map[string]*bodyPass{}
 		for _, name := range an.g.Order {
-			if an.runBody(an.g.Nodes[name], false) {
+			if an.runBody(an.g.Nodes[name]) {
 				changed = true
 			}
 		}
-	}
-	// Final pass with stable summaries records site and leak evidence.
-	for _, name := range an.g.Order {
-		an.runBody(an.g.Nodes[name], true)
 	}
 	return an
 }
@@ -294,11 +298,9 @@ func runEscape(prog *cc.Program) *escAnalysis {
 type bodyPass struct {
 	an         *escAnalysis
 	n          *Node
-	env        *typeEnv
 	sum        *summary
 	paramIdx   map[string]int
 	locals     map[string]*oset
-	final      bool
 	changed    bool
 	sumChanged bool
 
@@ -306,12 +308,11 @@ type bodyPass struct {
 	declared map[string]int
 }
 
-func (an *escAnalysis) runBody(n *Node, final bool) bool {
+func (an *escAnalysis) runBody(n *Node) bool {
 	p := &bodyPass{
-		an: an, n: n, env: newTypeEnv(an.prog, n),
+		an: an, n: n,
 		sum: an.sums[n.Name], paramIdx: map[string]int{},
 		locals:   map[string]*oset{},
-		final:    final,
 		assigned: map[string]bool{},
 		declared: map[string]int{},
 	}
@@ -330,9 +331,7 @@ func (an *escAnalysis) runBody(n *Node, final bool) bool {
 			break
 		}
 	}
-	if final {
-		an.passes[n.Name] = p
-	}
+	an.passes[n.Name] = p
 	return p.changed || p.sumChanged
 }
 
@@ -386,9 +385,6 @@ func (p *bodyPass) fact(e *cc.NewExpr) *siteFact {
 // escaping callee, return handled separately).
 func (p *bodyPass) escapeVal(o oset, reason string) {
 	p.markParams(o, pfacts{escapes: true})
-	if !p.final {
-		return
-	}
 	for s := range o.sites {
 		p.fact(s).escape(reason)
 	}
@@ -398,9 +394,6 @@ func (p *bodyPass) escapeVal(o oset, reason string) {
 // spawnVal records that a value is handed to another thread.
 func (p *bodyPass) spawnVal(o oset) {
 	p.markParams(o, pfacts{escapes: true, spawns: true})
-	if !p.final {
-		return
-	}
 	for s := range o.sites {
 		f := p.fact(s)
 		f.spawns = true
@@ -412,9 +405,6 @@ func (p *bodyPass) spawnVal(o oset) {
 // deleteVal records that a value is deleted (directly or via callee).
 func (p *bodyPass) deleteVal(o oset, direct *cc.DeleteStmt, x cc.Expr) {
 	p.markParams(o, pfacts{deletes: true})
-	if !p.final {
-		return
-	}
 	for s := range o.sites {
 		f := p.fact(s)
 		if direct != nil {
@@ -435,9 +425,6 @@ func (p *bodyPass) deleteVal(o oset, direct *cc.DeleteStmt, x cc.Expr) {
 
 // consume marks fresh-returning call results as owned by someone.
 func (p *bodyPass) consume(o oset) {
-	if !p.final {
-		return
-	}
 	for t := range o.tokens {
 		if tf := p.an.tokens[t]; tf != nil {
 			tf.consumed = true
@@ -466,21 +453,17 @@ func (p *bodyPass) stmt(s cc.Stmt, mult int64) {
 		}
 	case *cc.VarDecl:
 		if s.Init == nil {
-			if p.final {
-				p.declared[s.Name]++
-			}
+			p.declared[s.Name]++
 			return
 		}
 		rv := p.expr(s.Init, mult)
 		if p.localSet(s.Name).union(rv) {
 			p.changed = true
 		}
-		if p.final {
-			p.declared[s.Name]++
-			if ne, ok := stripParens(s.Init).(*cc.NewExpr); ok && ne.Placement == nil {
-				if f := p.an.facts[ne]; f != nil && f.local == "" {
-					f.local = s.Name
-				}
+		p.declared[s.Name]++
+		if ne, ok := stripParens(s.Init).(*cc.NewExpr); ok && ne.Placement == nil {
+			if f := p.an.facts[ne]; f != nil && f.local == "" {
+				f.local = s.Name
 			}
 		}
 	case *cc.ExprStmt:
@@ -514,12 +497,10 @@ func (p *bodyPass) stmt(s cc.Stmt, mult int64) {
 				p.sumChangedSet()
 			}
 		}
-		if p.final {
-			for site := range rv.sites {
-				p.fact(site).escape("returned to the caller")
-			}
-			p.consume(rv)
+		for site := range rv.sites {
+			p.fact(site).escape("returned to the caller")
 		}
+		p.consume(rv)
 	case *cc.DeleteStmt:
 		rv := p.expr(s.X, mult)
 		p.deleteVal(rv, s, s.X)
@@ -527,10 +508,8 @@ func (p *bodyPass) stmt(s cc.Stmt, mult int64) {
 		for _, a := range s.Args {
 			av := p.expr(a, mult)
 			p.spawnVal(av)
-			if p.final {
-				if t := p.env.typeOf(a); t.IsClassPointer(p.an.prog.Classes) {
-					p.an.sharedSeeds[t.Name] = true
-				}
+			if t := p.n.env.typeOf(a); t.IsClassPointer(p.an.prog.Classes) {
+				p.an.sharedSeeds[t.Name] = true
 			}
 		}
 	case *cc.Join:
@@ -548,7 +527,7 @@ func (p *bodyPass) callFacts(f pfacts, av oset, what string) {
 	if f.deletes {
 		p.deleteVal(av, nil, nil)
 	}
-	if p.final && f.returns {
+	if f.returns {
 		for s := range av.sites {
 			p.fact(s).block("may alias out through " + what + "'s return value")
 		}
@@ -603,15 +582,13 @@ func (p *bodyPass) expr(e cc.Expr, mult int64) oset {
 			p.ctorArgs(e, mult)
 			return pl
 		}
-		if p.final {
-			if _, known := p.an.prog.Classes[e.Class]; known {
-				f := p.fact(e)
-				f.mult = mult
-			}
+		_, known := p.an.prog.Classes[e.Class]
+		if known {
+			p.fact(e).mult = mult
 		}
 		p.ctorArgs(e, mult)
 		var o oset
-		if _, known := p.an.prog.Classes[e.Class]; known {
+		if known {
 			o.addSite(e)
 		}
 		return o
@@ -654,9 +631,7 @@ func (p *bodyPass) assignTo(lhs cc.Expr, rv oset, mult int64) {
 		if p.localSet(l.Name).union(rv) {
 			p.changed = true
 		}
-		if p.final {
-			p.assigned[l.Name] = true
-		}
+		p.assigned[l.Name] = true
 	case *cc.FieldAccess:
 		p.expr(l.Recv, mult)
 		p.escapeVal(rv, "a store into field "+l.Name)
@@ -694,11 +669,9 @@ func (p *bodyPass) call(e *cc.Call, mult int64) oset {
 	}
 	if sum != nil && sum.returnsFresh {
 		out.addToken(e)
-		if p.final {
-			if p.an.tokens[e] == nil {
-				p.an.tokens[e] = &tokenFact{pos: e.Pos, callee: e.Func, node: p.n}
-				p.an.tokenOrder = append(p.an.tokenOrder, e)
-			}
+		if p.an.tokens[e] == nil {
+			p.an.tokens[e] = &tokenFact{pos: e.Pos, callee: e.Func, node: p.n}
+			p.an.tokenOrder = append(p.an.tokenOrder, e)
 		}
 	}
 	return out
@@ -706,7 +679,7 @@ func (p *bodyPass) call(e *cc.Call, mult int64) oset {
 
 func (p *bodyPass) methodCall(e *cc.MethodCall, mult int64) oset {
 	rv := p.expr(e.Recv, mult)
-	cd := p.env.classOf(e.Recv)
+	cd := p.n.env.classOf(e.Recv)
 	var m *cc.Method
 	if cd != nil {
 		m = cd.MethodByName(e.Name)
@@ -738,15 +711,13 @@ func (p *bodyPass) methodCall(e *cc.MethodCall, mult int64) oset {
 	}
 	if sum != nil && sum.returnsFresh {
 		out.addToken(e)
-		if p.final {
-			if p.an.tokens[e] == nil {
-				name := e.Name
-				if m != nil {
-					name = methodNodeName(m)
-				}
-				p.an.tokens[e] = &tokenFact{pos: e.Pos, callee: name, node: p.n}
-				p.an.tokenOrder = append(p.an.tokenOrder, e)
+		if p.an.tokens[e] == nil {
+			name := e.Name
+			if m != nil {
+				name = methodNodeName(m)
 			}
+			p.an.tokens[e] = &tokenFact{pos: e.Pos, callee: name, node: p.n}
+			p.an.tokenOrder = append(p.an.tokenOrder, e)
 		}
 	}
 	return out
@@ -796,7 +767,8 @@ func (an *escAnalysis) leakDiags() []Diag {
 	return out
 }
 
-// Escape runs the interprocedural analysis and assembles the report.
+// Escape runs the interprocedural analysis, or reuses the run Check
+// made on the same analyzed tree, and assembles the report.
 // The program must be analyzed (Escape analyzes it when needed, like
 // Check).
 func Escape(prog *cc.Program) *EscapeReport {
@@ -808,7 +780,7 @@ func Escape(prog *cc.Program) *EscapeReport {
 			}
 		}
 	}
-	an := runEscape(prog)
+	an := analyze(prog)
 	shared := an.sharedClasses()
 	r := &EscapeReport{
 		promote:        map[*cc.NewExpr]string{},

@@ -3,6 +3,7 @@ package vet
 import (
 	"os"
 	"path/filepath"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
@@ -75,6 +76,11 @@ func FuzzVet(f *testing.F) {
 			if d.Severity != codeSeverity[d.Code] {
 				t.Errorf("escape severity mismatch for %s: %+v", d.Code, d)
 			}
+		}
+		// Both results carry the V008 findings of the one analysis run
+		// they share on this tree.
+		if c, e := diagsWithCode(res.Diags, CodeInterprocLeak), diagsWithCode(rep.Diags, CodeInterprocLeak); !reflect.DeepEqual(c, e) {
+			t.Errorf("V008 findings differ: Check %v, Escape %v", c, e)
 		}
 		_ = rep.String()
 		if _, err := rep.JSON("fuzz"); err != nil {

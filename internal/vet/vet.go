@@ -267,7 +267,7 @@ func Check(prog *cc.Program) *Result {
 	// The interprocedural layer contributes V008: allocations that
 	// escape their creating function with no reachable delete on any
 	// caller path.
-	c.diags = append(c.diags, runEscape(prog).leakDiags()...)
+	c.diags = append(c.diags, analyze(prog).leakDiags()...)
 	sortDiags(c.diags)
 	return &Result{Diags: c.diags}
 }

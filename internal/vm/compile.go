@@ -2,6 +2,7 @@ package vm
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"amplify/internal/cc"
@@ -126,7 +127,7 @@ func CompileOpts(src *cc.Program, opt Options) (*Program, error) {
 			p.classes = append(p.classes, &classInfo{id: int32(len(p.classes)), decl: d})
 			for _, m := range d.Methods {
 				key := methodKey{d.Name, m.Kind, m.Name}
-				p.methodID[key] = p.reserve(fmt.Sprintf("%s::%s/%d", d.Name, m.Name, m.Kind))
+				p.methodID[key] = p.reserve(d.Name + "::" + m.Name + "/" + strconv.Itoa(int(m.Kind)))
 			}
 		}
 	}
@@ -282,15 +283,15 @@ func (c *compiler) emit(op Op, a, b int32) int {
 // the source position and returns its index in p.Sites, for the C
 // operand of allocating opcodes.
 func (c *compiler) site(pos cc.Pos, class string) int32 {
-	var key string
-	if class == "" {
-		key = fmt.Sprintf("%s@%d", c.fnName, pos.Line)
-	} else {
-		key = fmt.Sprintf("%s@%d(%s)", c.fnName, pos.Line, class)
+	var buf [64]byte
+	b := strconv.AppendInt(append(append(buf[:0], c.fnName...), '@'), int64(pos.Line), 10)
+	if class != "" {
+		b = append(append(append(b, '('), class...), ')')
 	}
-	if id, ok := c.p.siteID[key]; ok {
+	if id, ok := c.p.siteID[string(b)]; ok {
 		return id
 	}
+	key := string(b)
 	id := int32(len(c.p.Sites))
 	c.p.Sites = append(c.p.Sites, key)
 	c.p.siteID[key] = id
@@ -595,6 +596,13 @@ func (c *compiler) expr(e cc.Expr) error {
 	return fmt.Errorf("vm: cannot compile expression %T", e)
 }
 
+// binaryOps maps the eagerly evaluated binary operators to opcodes.
+var binaryOps = map[cc.Kind]Op{
+	cc.Plus: OpAdd, cc.Minus: OpSub, cc.Star: OpMul, cc.Slash: OpDiv,
+	cc.Percent: OpMod, cc.Eq: OpEq, cc.Ne: OpNe, cc.Lt: OpLt,
+	cc.Le: OpLe, cc.Gt: OpGt, cc.Ge: OpGe,
+}
+
 func (c *compiler) binary(e *cc.Binary) error {
 	// Short-circuit forms compile to jumps.
 	if e.Op == cc.AndAnd || e.Op == cc.OrOr {
@@ -624,12 +632,7 @@ func (c *compiler) binary(e *cc.Binary) error {
 	if err := c.expr(e.Y); err != nil {
 		return err
 	}
-	ops := map[cc.Kind]Op{
-		cc.Plus: OpAdd, cc.Minus: OpSub, cc.Star: OpMul, cc.Slash: OpDiv,
-		cc.Percent: OpMod, cc.Eq: OpEq, cc.Ne: OpNe, cc.Lt: OpLt,
-		cc.Le: OpLe, cc.Gt: OpGt, cc.Ge: OpGe,
-	}
-	op, ok := ops[e.Op]
+	op, ok := binaryOps[e.Op]
 	if !ok {
 		return fmt.Errorf("vm: unknown binary operator")
 	}

@@ -23,9 +23,10 @@ package vm
 
 // optimize runs the peephole pass over every function to fixpoint.
 func optimize(p *Program) {
+	var pp peepholer
 	for _, fn := range p.Fns {
 		for range 8 { // patterns cascade; fixpoint in a few passes
-			code, changed := peephole(p, fn.Code)
+			code, changed := pp.pass(p, fn.Code)
 			fn.Code = code
 			if !changed {
 				break
@@ -34,9 +35,18 @@ func optimize(p *Program) {
 	}
 }
 
-// jumpTargets marks every pc a branch can land on.
-func jumpTargets(code []Instr) []bool {
-	t := make([]bool, len(code)+1)
+// peepholer holds a pass's pc-indexed tables, reused across passes and
+// functions.
+type peepholer struct {
+	target   []bool  // pcs a branch can land on
+	oldToNew []int32 // old pc → new pc
+}
+
+// jumpTargets marks in t every pc a branch can land on, reusing t's
+// storage.
+func jumpTargets(t []bool, code []Instr) []bool {
+	t = resize(t, len(code)+1)
+	clear(t)
 	for _, ins := range code {
 		switch ins.Op {
 		case OpJmp, OpJmpFalse, OpJmpTrue:
@@ -44,6 +54,14 @@ func jumpTargets(code []Instr) []bool {
 		}
 	}
 	return t
+}
+
+// resize returns s with length n, reusing its storage when it fits.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // purePush reports whether ins only pushes one value, with no side
@@ -194,12 +212,15 @@ func match(p *Program, code []Instr, pc int, target []bool) (Instr, int) {
 	return Instr{}, 0
 }
 
-// peephole runs one rewrite pass over a code sequence, renumbering
-// jumps through the old→new pc map.
-func peephole(p *Program, code []Instr) ([]Instr, bool) {
-	target := jumpTargets(code)
-	out := make([]Instr, 0, len(code))
-	oldToNew := make([]int32, len(code)+1)
+// pass runs one rewrite pass over a code sequence, compacting it in
+// place and renumbering jumps through the old→new pc map. The output
+// never overtakes the input: it writes out[len(out)] with len(out) ≤ pc,
+// and match reads only code[pc:pc+3].
+func (pp *peepholer) pass(p *Program, code []Instr) ([]Instr, bool) {
+	pp.target = jumpTargets(pp.target, code)
+	pp.oldToNew = resize(pp.oldToNew, len(code)+1)
+	target, oldToNew := pp.target, pp.oldToNew
+	out := code[:0]
 	changed := false
 	for pc := 0; pc < len(code); {
 		ins, n := match(p, code, pc, target)
@@ -216,7 +237,7 @@ func peephole(p *Program, code []Instr) ([]Instr, bool) {
 	}
 	oldToNew[len(code)] = int32(len(out))
 	if !changed {
-		return code, false
+		return out, false
 	}
 	for i := range out {
 		switch out[i].Op {
