@@ -26,8 +26,10 @@ import (
 	"fmt"
 
 	"amplify/internal/bench"
+	"amplify/internal/cc"
 	"amplify/internal/core"
 	"amplify/internal/interp"
+	"amplify/internal/target"
 	"amplify/internal/vet"
 	"amplify/internal/vm"
 )
@@ -100,10 +102,14 @@ func Rewrite(src string, opt RewriteOptions) (string, *RewriteReport, error) {
 // diagnostic codes — the map feeds auto-exclusion (see the amplify
 // CLI's -auto-exclude flag).
 func Vet(src string) (findings string, clean bool, ineligible map[string]string, err error) {
-	res, err := vet.CheckSource(src)
+	prog, err := cc.Parse(src)
+	if err == nil {
+		err = cc.Analyze(prog)
+	}
 	if err != nil {
 		return "", false, nil, err
 	}
+	res := vet.Check(prog)
 	ineligible = map[string]string{}
 	for _, e := range res.Ineligible() {
 		ineligible[e.Class] = e.Reason
@@ -153,55 +159,43 @@ type RunResult struct {
 
 // RunProgram executes MiniCC source on the simulated multiprocessor.
 func RunProgram(src string, cfg RunConfig) (RunResult, error) {
-	switch cfg.Engine {
-	case "", "vm":
-		res, err := vm.RunSource(src, vm.Config{
-			Processors: cfg.Processors,
-			Strategy:   cfg.Allocator,
-			MaxSteps:   cfg.MaxSteps,
-		})
-		if err != nil {
-			return RunResult{}, err
-		}
-		return RunResult{
-			Output:         res.Output,
-			ExitCode:       res.ExitCode,
-			Makespan:       res.Makespan,
-			HeapAllocs:     res.Alloc.Allocs,
-			HeapFrees:      res.Alloc.Frees,
-			PoolHits:       res.PoolHits,
-			PoolMisses:     res.PoolMisses,
-			ShadowReuses:   res.ShadowReuses,
-			LockAcquires:   res.Sim.LockAcquires,
-			LockContended:  res.Sim.LockContended,
-			CacheMisses:    res.Sim.CacheMisses,
-			FootprintBytes: res.Footprint,
-		}, nil
-	case "ast":
-		res, err := interp.RunSource(src, interp.Config{
-			Processors: cfg.Processors,
-			Strategy:   cfg.Allocator,
-			MaxSteps:   cfg.MaxSteps,
-		})
-		if err != nil {
-			return RunResult{}, err
-		}
-		return RunResult{
-			Output:         res.Output,
-			ExitCode:       res.ExitCode,
-			Makespan:       res.Makespan,
-			HeapAllocs:     res.Alloc.Allocs,
-			HeapFrees:      res.Alloc.Frees,
-			PoolHits:       res.PoolHits,
-			PoolMisses:     res.PoolMisses,
-			ShadowReuses:   res.ShadowReuses,
-			LockAcquires:   res.Sim.LockAcquires,
-			LockContended:  res.Sim.LockContended,
-			CacheMisses:    res.Sim.CacheMisses,
-			FootprintBytes: res.Footprint,
-		}, nil
+	if cfg.Engine != "" && cfg.Engine != "vm" && cfg.Engine != "ast" {
+		return RunResult{}, fmt.Errorf("amplify: unknown engine %q (want vm or ast)", cfg.Engine)
 	}
-	return RunResult{}, fmt.Errorf("amplify: unknown engine %q (want vm or ast)", cfg.Engine)
+	prog, err := cc.Parse(src)
+	if err == nil {
+		err = cc.Analyze(prog)
+	}
+	if err != nil {
+		return RunResult{}, err
+	}
+	mcfg := target.Config{Processors: cfg.Processors, Strategy: cfg.Allocator, MaxSteps: cfg.MaxSteps}
+	var res target.Result
+	if cfg.Engine == "ast" {
+		res, err = interp.Run(prog, mcfg)
+	} else {
+		var p *vm.Program
+		if p, err = vm.CompileOpts(prog, vm.Options{}); err == nil {
+			res, err = vm.Run(p, mcfg)
+		}
+	}
+	if err != nil {
+		return RunResult{}, err
+	}
+	return RunResult{
+		Output:         res.Output,
+		ExitCode:       res.ExitCode,
+		Makespan:       res.Makespan,
+		HeapAllocs:     res.Alloc.Allocs,
+		HeapFrees:      res.Alloc.Frees,
+		PoolHits:       res.PoolHits,
+		PoolMisses:     res.PoolMisses,
+		ShadowReuses:   res.ShadowReuses,
+		LockAcquires:   res.Sim.LockAcquires,
+		LockContended:  res.Sim.LockContended,
+		CacheMisses:    res.Sim.CacheMisses,
+		FootprintBytes: res.Footprint,
+	}, nil
 }
 
 // Experiments lists the experiment names accepted by Experiment, in

@@ -21,6 +21,7 @@ import (
 	"amplify/internal/mem"
 	"amplify/internal/pool"
 	"amplify/internal/sim"
+	"amplify/internal/target"
 	"amplify/internal/workload"
 )
 
@@ -174,11 +175,11 @@ int main() {
 		if err != nil {
 			b.Fatal(err)
 		}
-		plain, err := interp.RunSource(src, interp.Config{})
+		plain, err := interp.Run(cc.MustAnalyze(cc.MustParse(src)), target.Config{})
 		if err != nil {
 			b.Fatal(err)
 		}
-		amp, err := interp.RunSource(out, interp.Config{})
+		amp, err := interp.Run(cc.MustAnalyze(cc.MustParse(out)), target.Config{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -352,7 +353,7 @@ func BenchmarkPreprocessor(b *testing.B) {
 func BenchmarkInterpreter(b *testing.B) {
 	src := benchSource()
 	for i := 0; i < b.N; i++ {
-		if _, err := interp.RunSource(src, interp.Config{}); err != nil {
+		if _, err := interp.Run(cc.MustAnalyze(cc.MustParse(src)), target.Config{}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -38,6 +38,7 @@ import (
 	"os"
 	"strings"
 
+	"amplify/internal/cc"
 	"amplify/internal/core"
 	"amplify/internal/telemetry"
 	"amplify/internal/vet"
@@ -76,18 +77,14 @@ func main() {
 
 	if *vetOnly || *vetJSON {
 		sp = spans.Start("vet")
-		runVet(src, flag.Arg(0), *vetJSON)
+		runVet(analyze(src), flag.Arg(0), *vetJSON)
 		sp.End()
 		root.End()
 		writeSpans(spans, *spansOut)
 		return
 	}
 	if *escapeJSON {
-		rep, err := vet.EscapeSource(src)
-		if err != nil {
-			fatal(err)
-		}
-		raw, err := rep.JSON(flag.Arg(0))
+		raw, err := vet.Escape(analyze(src)).JSON(flag.Arg(0))
 		if err != nil {
 			fatal(err)
 		}
@@ -103,20 +100,27 @@ func main() {
 	if *exclude != "" {
 		opt.Exclude = strings.Split(*exclude, ",")
 	}
+	// -auto-exclude vets the tree it then rewrites: one parse, and one
+	// escape analysis shared by the vet and -escape.
+	var prog *cc.Program
 	if *autoExclude {
 		sp = spans.Start("vet")
-		excl, err := vet.EligibilitySource(src)
+		prog = analyze(src)
+		excl := vet.Check(prog).Ineligible()
 		sp.Set("ineligible", int64(len(excl))).End()
-		if err != nil {
-			fatal(err)
-		}
 		opt.AutoExclude = map[string]string{}
 		for _, e := range excl {
 			opt.AutoExclude[e.Class] = e.Reason
 		}
 	}
 	sp = spans.Start("rewrite")
-	transformed, rep, err := core.Rewrite(src, opt)
+	var transformed string
+	var rep *core.Report
+	if prog != nil {
+		transformed, rep, err = core.RewriteProgram(prog, opt)
+	} else {
+		transformed, rep, err = core.Rewrite(src, opt)
+	}
 	sp.Set("out_bytes", int64(len(transformed))).End()
 	if err != nil {
 		fatal(err)
@@ -152,14 +156,11 @@ func writeSpans(spans *telemetry.Recorder, path string) {
 	}
 }
 
-// runVet analyzes the source without transforming it. Diagnostics go
+// runVet checks the program without transforming it. Diagnostics go
 // to stderr (or JSON to stdout); the exit code is 1 when any
 // error-severity finding exists, so the command works as a CI gate.
-func runVet(src, path string, asJSON bool) {
-	res, err := vet.CheckSource(src)
-	if err != nil {
-		fatal(err)
-	}
+func runVet(prog *cc.Program, path string, asJSON bool) {
+	res := vet.Check(prog)
 	if asJSON {
 		raw, err := res.JSON(path)
 		if err != nil {
@@ -177,6 +178,18 @@ func runVet(src, path string, asJSON bool) {
 	if res.HasErrors() {
 		os.Exit(1)
 	}
+}
+
+// analyze parses and analyzes the input; a failure is fatal.
+func analyze(src string) *cc.Program {
+	prog, err := cc.Parse(src)
+	if err == nil {
+		err = cc.Analyze(prog)
+	}
+	if err != nil {
+		fatal(err)
+	}
+	return prog
 }
 
 func readInput(path string) (string, error) {

@@ -82,22 +82,11 @@ import (
 	"amplify/internal/interp"
 	"amplify/internal/obsv"
 	"amplify/internal/sim"
+	"amplify/internal/target"
 	"amplify/internal/telemetry"
 	"amplify/internal/vet"
 	"amplify/internal/vm"
 )
-
-// runResult is the engine-independent result view.
-type runResult struct {
-	output               string
-	exitCode             int64
-	makespan             int64
-	alloc                alloc.Stats
-	poolHits, poolMisses int64
-	shadowReuses         int64
-	sim                  sim.Stats
-	footprint            int64
-}
 
 func main() {
 	code, err := run(os.Args[1:])
@@ -200,15 +189,13 @@ func run(args []string) (int, error) {
 	if err != nil {
 		return 0, err
 	}
+	// -vet and -amplify share one analyzed tree: the rewrite takes the
+	// tree vet checked, and an -escape rewrite reuses the escape
+	// analysis Check ran on it.
+	var prog *cc.Program
 	if *vetFirst {
 		sp := spans.Start("vet")
-		// One parse and one analysis serve both reports; Escape reuses
-		// the escape analysis Check ran on the same tree.
-		prog, err := cc.Parse(src)
-		if err == nil {
-			err = cc.Analyze(prog)
-		}
-		if err != nil {
+		if prog, err = analyze(src); err != nil {
 			return 0, err
 		}
 		res := vet.Check(prog)
@@ -224,11 +211,14 @@ func run(args []string) (int, error) {
 	}
 	if *amplify {
 		sp := spans.Start("amplify")
-		transformed, rep, err := core.Rewrite(src, core.Options{
-			ArraysOnly: *arraysOnly,
-			Mode:       core.Mode(*mode),
-			Escape:     *escape,
-		})
+		opt := core.Options{ArraysOnly: *arraysOnly, Mode: core.Mode(*mode), Escape: *escape}
+		var transformed string
+		var rep *core.Report
+		if prog != nil {
+			transformed, rep, err = core.RewriteProgram(prog, opt)
+		} else {
+			transformed, rep, err = core.Rewrite(src, opt)
+		}
 		if err != nil {
 			return 0, err
 		}
@@ -266,22 +256,19 @@ func run(args []string) (int, error) {
 		recorder = alloctrace.NewRecorder(fs.Arg(0))
 	}
 	tracer := sim.NewTee(timelineRec, rec, prof, timeline, sites, recorder)
-	var res runResult
-	switch *engine {
-	case "ast":
-		r, err := interp.RunSource(src, interp.Config{Processors: *procs, Strategy: *allocName, Tracer: tracer})
-		if err != nil {
-			return 0, err
+	// The run parses the text it executes: after -amplify that is the
+	// rewritten source, whose positions name the program's sites.
+	cfg := target.Config{Processors: *procs, Strategy: *allocName, Tracer: tracer}
+	var res target.Result
+	if *engine == "ast" {
+		if prog, err = analyze(src); err == nil {
+			res, err = interp.Run(prog, cfg)
 		}
-		res = runResult{r.Output, r.ExitCode, r.Makespan, r.Alloc,
-			r.PoolHits, r.PoolMisses, r.ShadowReuses, r.Sim, r.Footprint}
-	case "vm":
-		r, err := vm.RunSource(src, vm.Config{Processors: *procs, Strategy: *allocName, NoOpt: *noOpt, Spans: spans, Tracer: tracer})
-		if err != nil {
-			return 0, err
-		}
-		res = runResult{r.Output, r.ExitCode, r.Makespan, r.Alloc,
-			r.PoolHits, r.PoolMisses, r.ShadowReuses, r.Sim, r.Footprint}
+	} else {
+		res, err = runVM(src, vm.Options{NoOpt: *noOpt}, cfg, spans)
+	}
+	if err != nil {
+		return 0, err
 	}
 	root.End()
 	if timelineRec != nil {
@@ -290,7 +277,7 @@ func run(args []string) (int, error) {
 	// The program's output is printed before the artifacts are written,
 	// so a failed export never swallows it; a failed stdout write (full
 	// disk, closed pipe) is itself an error, not a silent exit 0.
-	if _, err := io.WriteString(os.Stdout, res.output); err != nil {
+	if _, err := io.WriteString(os.Stdout, res.Output); err != nil {
 		return 0, fmt.Errorf("writing program output: %w", err)
 	}
 	if err := writeArtifacts(rec, prof, timeline, sites, spans, res, *procs,
@@ -311,23 +298,66 @@ func run(args []string) (int, error) {
 	}
 	if *stats {
 		fmt.Fprintf(os.Stderr, "execution statistics (%s engine)\n", *engine)
-		fmt.Fprintf(os.Stderr, "  makespan:        %d cycles\n", res.makespan)
-		fmt.Fprintf(os.Stderr, "  heap allocs:     %d (frees %d)\n", res.alloc.Allocs, res.alloc.Frees)
-		fmt.Fprintf(os.Stderr, "  pool hits:       %d (misses %d)\n", res.poolHits, res.poolMisses)
-		fmt.Fprintf(os.Stderr, "  shadow reuses:   %d\n", res.shadowReuses)
-		fmt.Fprintf(os.Stderr, "  lock acquires:   %d (contended %d)\n", res.sim.LockAcquires, res.sim.LockContended)
-		fmt.Fprintf(os.Stderr, "  cache misses:    %d (hits %d)\n", res.sim.CacheMisses, res.sim.CacheHits)
+		fmt.Fprintf(os.Stderr, "  makespan:        %d cycles\n", res.Makespan)
+		fmt.Fprintf(os.Stderr, "  heap allocs:     %d (frees %d)\n", res.Alloc.Allocs, res.Alloc.Frees)
+		fmt.Fprintf(os.Stderr, "  pool hits:       %d (misses %d)\n", res.PoolHits, res.PoolMisses)
+		fmt.Fprintf(os.Stderr, "  shadow reuses:   %d\n", res.ShadowReuses)
+		fmt.Fprintf(os.Stderr, "  lock acquires:   %d (contended %d)\n", res.Sim.LockAcquires, res.Sim.LockContended)
+		fmt.Fprintf(os.Stderr, "  cache misses:    %d (hits %d)\n", res.Sim.CacheMisses, res.Sim.CacheHits)
 		fmt.Fprintf(os.Stderr, "  atomic ops:      %d CAS (%d failed), %d FAA, %d loads, %d stores\n",
-			res.sim.AtomicCAS, res.sim.AtomicCASFailed, res.sim.AtomicFAA, res.sim.AtomicLoads, res.sim.AtomicStores)
-		fmt.Fprintf(os.Stderr, "  footprint:       %d bytes\n", res.footprint)
+			res.Sim.AtomicCAS, res.Sim.AtomicCASFailed, res.Sim.AtomicFAA, res.Sim.AtomicLoads, res.Sim.AtomicStores)
+		fmt.Fprintf(os.Stderr, "  footprint:       %d bytes\n", res.Footprint)
 	}
-	return int(res.exitCode), nil
+	return int(res.ExitCode), nil
+}
+
+// analyze parses and analyzes a MiniCC program.
+func analyze(src string) (*cc.Program, error) {
+	prog, err := cc.Parse(src)
+	if err == nil {
+		err = cc.Analyze(prog)
+	}
+	return prog, err
+}
+
+// runVM parses, analyzes, compiles and runs src on the bytecode VM,
+// recording each phase as a span: parse, sema, compile and simulate.
+func runVM(src string, opt vm.Options, cfg target.Config, spans *telemetry.Recorder) (target.Result, error) {
+	sp := spans.Start("parse").Set("src_bytes", int64(len(src)))
+	prog, err := cc.Parse(src)
+	sp.End()
+	if err != nil {
+		return target.Result{}, err
+	}
+	sp = spans.Start("sema")
+	err = cc.Analyze(prog)
+	sp.End()
+	if err != nil {
+		return target.Result{}, err
+	}
+	sp = spans.Start("compile")
+	p, err := vm.CompileOpts(prog, opt)
+	if err != nil {
+		sp.End()
+		return target.Result{}, err
+	}
+	sp.Set("functions", int64(len(p.Fns))).End()
+	sp = spans.Start("simulate")
+	defer sp.End()
+	res, err := vm.Run(p, cfg)
+	if err != nil {
+		return res, err
+	}
+	sp.Set("makespan", res.Makespan).
+		Set("allocs", res.Alloc.Allocs).
+		Set("footprint", res.Footprint)
+	return res, nil
 }
 
 // writeArtifacts emits the requested observability files. Every JSON
 // artifact is checked with json.Valid before it reaches disk.
 func writeArtifacts(rec *sim.Recorder, prof *obsv.Profiler, timeline *heapobsv.Timeline, sites *heapobsv.SiteProfile,
-	spans *telemetry.Recorder, res runResult, procs int,
+	spans *telemetry.Recorder, res target.Result, procs int,
 	traceOut, traceJSONL, profileOut, heapTimeline, heapProfile, metricsOut, spansOut string) error {
 	var events []sim.Event
 	if rec != nil {
@@ -367,7 +397,7 @@ func writeArtifacts(rec *sim.Recorder, prof *obsv.Profiler, timeline *heapobsv.T
 		warnDropped(os.Stderr, rec, traceJSONL)
 	}
 	if profileOut != "" {
-		prof.Finish(res.makespan)
+		prof.Finish(res.Makespan)
 		if err := os.WriteFile(profileOut, []byte(prof.Folded()), 0o644); err != nil {
 			return err
 		}
@@ -378,7 +408,7 @@ func writeArtifacts(rec *sim.Recorder, prof *obsv.Profiler, timeline *heapobsv.T
 		warnDropped(os.Stderr, rec, profileOut+".locks")
 	}
 	if heapTimeline != "" {
-		timeline.Finish(res.makespan)
+		timeline.Finish(res.Makespan)
 		out := timeline.JSONL()
 		if strings.HasSuffix(heapTimeline, ".csv") {
 			out = timeline.CSV()
@@ -398,27 +428,27 @@ func writeArtifacts(rec *sim.Recorder, prof *obsv.Profiler, timeline *heapobsv.T
 	}
 	if metricsOut != "" {
 		reg := obsv.NewRegistry()
-		reg.Set("makespan", res.makespan)
-		reg.Set("alloc.allocs", res.alloc.Allocs)
-		reg.Set("alloc.frees", res.alloc.Frees)
-		reg.Set("alloc.peak_bytes", res.alloc.PeakBytes)
-		reg.Set("pool.hits", res.poolHits)
-		reg.Set("pool.misses", res.poolMisses)
-		reg.Set("shadow.reuses", res.shadowReuses)
-		reg.Set("sim.lock.acquires", res.sim.LockAcquires)
-		reg.Set("sim.lock.contended", res.sim.LockContended)
-		reg.Set("sim.lock.wait_cycles", res.sim.LockWaitTime)
-		reg.Set("sim.cache.hits", res.sim.CacheHits)
-		reg.Set("sim.cache.misses", res.sim.CacheMisses)
-		reg.Set("sim.cache.invalidations", res.sim.CacheInvalidations)
-		reg.Set("sim.cache.rfos", res.sim.CacheRFOs)
-		reg.Set("sim.atomic.cas", res.sim.AtomicCAS)
-		reg.Set("sim.atomic.cas_failed", res.sim.AtomicCASFailed)
-		reg.Set("sim.atomic.faa", res.sim.AtomicFAA)
-		reg.Set("sim.atomic.loads", res.sim.AtomicLoads)
-		reg.Set("sim.atomic.stores", res.sim.AtomicStores)
-		reg.Set("sim.migrations", res.sim.Migrations)
-		reg.Set("footprint.bytes", res.footprint)
+		reg.Set("makespan", res.Makespan)
+		reg.Set("alloc.allocs", res.Alloc.Allocs)
+		reg.Set("alloc.frees", res.Alloc.Frees)
+		reg.Set("alloc.peak_bytes", res.Alloc.PeakBytes)
+		reg.Set("pool.hits", res.PoolHits)
+		reg.Set("pool.misses", res.PoolMisses)
+		reg.Set("shadow.reuses", res.ShadowReuses)
+		reg.Set("sim.lock.acquires", res.Sim.LockAcquires)
+		reg.Set("sim.lock.contended", res.Sim.LockContended)
+		reg.Set("sim.lock.wait_cycles", res.Sim.LockWaitTime)
+		reg.Set("sim.cache.hits", res.Sim.CacheHits)
+		reg.Set("sim.cache.misses", res.Sim.CacheMisses)
+		reg.Set("sim.cache.invalidations", res.Sim.CacheInvalidations)
+		reg.Set("sim.cache.rfos", res.Sim.CacheRFOs)
+		reg.Set("sim.atomic.cas", res.Sim.AtomicCAS)
+		reg.Set("sim.atomic.cas_failed", res.Sim.AtomicCASFailed)
+		reg.Set("sim.atomic.faa", res.Sim.AtomicFAA)
+		reg.Set("sim.atomic.loads", res.Sim.AtomicLoads)
+		reg.Set("sim.atomic.stores", res.Sim.AtomicStores)
+		reg.Set("sim.migrations", res.Sim.Migrations)
+		reg.Set("footprint.bytes", res.Footprint)
 		spans.AddTo(reg)
 		out, err := reg.JSON()
 		if err != nil {

@@ -14,8 +14,10 @@ import (
 	"fmt"
 	"strings"
 
+	"amplify/internal/cc"
 	"amplify/internal/core"
 	"amplify/internal/interp"
+	"amplify/internal/target"
 )
 
 const carProgram = `
@@ -117,11 +119,11 @@ func main() {
 	printExcerpt(transformed, "class Car {", "void factory")
 
 	fmt.Println("=== Executing on the simulated 8-CPU machine ===")
-	plain, err := interp.RunSource(carProgram, interp.Config{Strategy: "serial"})
+	plain, err := interp.Run(cc.MustAnalyze(cc.MustParse(carProgram)), target.Config{Strategy: "serial"})
 	if err != nil {
 		panic(err)
 	}
-	amp, err := interp.RunSource(transformed, interp.Config{Strategy: "serial"})
+	amp, err := interp.Run(cc.MustAnalyze(cc.MustParse(transformed)), target.Config{Strategy: "serial"})
 	if err != nil {
 		panic(err)
 	}

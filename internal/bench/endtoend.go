@@ -5,6 +5,7 @@ import (
 	"strings"
 	"time"
 
+	"amplify/internal/cc"
 	"amplify/internal/core"
 	"amplify/internal/interp"
 	"amplify/internal/sim"
@@ -123,15 +124,19 @@ func (r *Runner) e2eCell(row e2eRow, threads int) cell {
 // allocations in Report.Metrics.
 func (r *Runner) vmCell(key, src string, rewrite *core.Options, strategy string) cell {
 	return cell{key, func(tr sim.Tracer) (measured, error) {
-		prog := src
+		text := src
 		if rewrite != nil {
 			out, _, err := core.Rewrite(src, *rewrite)
 			if err != nil {
 				return measured{}, err
 			}
-			prog = out
+			text = out
 		}
-		res, err := vm.RunSource(prog, vm.Config{Strategy: strategy, NoOpt: r.VMNoOpt, Tracer: tr})
+		p, err := compile(text, r.VMNoOpt)
+		if err != nil {
+			return measured{}, err
+		}
+		res, err := vm.Run(p, vm.Config{Strategy: strategy, Tracer: tr})
 		if err != nil {
 			return measured{}, err
 		}
@@ -139,7 +144,7 @@ func (r *Runner) vmCell(key, src string, rewrite *core.Options, strategy string)
 			return measured{}, fmt.Errorf("bench: %s: exit code %d", key, res.ExitCode)
 		}
 		if r.quick {
-			if err := crossCheckInterp(prog, strategy, key, res); err != nil {
+			if err := crossCheckInterp(p.Src, strategy, key, res); err != nil {
 				return measured{}, err
 			}
 		}
@@ -149,12 +154,30 @@ func (r *Runner) vmCell(key, src string, rewrite *core.Options, strategy string)
 	}}
 }
 
+// analyze parses and analyzes a MiniCC program.
+func analyze(src string) (*cc.Program, error) {
+	prog, err := cc.Parse(src)
+	if err == nil {
+		err = cc.Analyze(prog)
+	}
+	return prog, err
+}
+
+// compile parses, analyzes and compiles a MiniCC program for the VM.
+func compile(src string, noOpt bool) (*vm.Program, error) {
+	prog, err := analyze(src)
+	if err != nil {
+		return nil, err
+	}
+	return vm.CompileOpts(prog, vm.Options{NoOpt: noOpt})
+}
+
 // crossCheckInterp validates a VM measurement against the tree-walking
 // interpreter: identical program output, exit code and heap-allocation
 // count, and a virtual-time ratio within the engines' documented 2x
 // cost-accounting band.
-func crossCheckInterp(src, strategy, key string, vres vm.Result) error {
-	ires, err := interp.RunSource(src, interp.Config{Strategy: strategy})
+func crossCheckInterp(prog *cc.Program, strategy, key string, vres vm.Result) error {
+	ires, err := interp.Run(prog, vm.Config{Strategy: strategy})
 	if err != nil {
 		return fmt.Errorf("bench: cross-check %s: interp: %w", key, err)
 	}
@@ -196,7 +219,10 @@ func (r *Runner) engineSpeedup() (float64, error) {
 		best := 0.0
 		for i := 0; i < 3; i++ {
 			start := time.Now()
-			rr, err := vm.RunSource(src, vm.Config{NoOpt: noOpt})
+			p, err := compile(src, noOpt)
+			if err == nil {
+				res, err = vm.Run(p, vm.Config{})
+			}
 			sec := time.Since(start).Seconds()
 			if err != nil {
 				return vm.Result{}, 0, err
@@ -204,7 +230,6 @@ func (r *Runner) engineSpeedup() (float64, error) {
 			if i == 0 || sec < best {
 				best = sec
 			}
-			res = rr
 		}
 		return res, best, nil
 	}

@@ -175,10 +175,11 @@ type EscapeWorkloadReport struct {
 func (r *Runner) EscapeVerdicts() ([]EscapeWorkloadReport, error) {
 	var out []EscapeWorkloadReport
 	for _, w := range r.escWorkloads() {
-		rep, err := vet.EscapeSource(w.src)
+		prog, err := analyze(w.src)
 		if err != nil {
 			return nil, fmt.Errorf("escape verdicts %s: %w", w.name, err)
 		}
+		rep := vet.Escape(prog)
 		wr := EscapeWorkloadReport{
 			Workload:    w.name,
 			Sites:       []EscapeSiteReport{},

@@ -17,6 +17,9 @@ var parseSeeds = []string{
 	"int main() { return 1 + 2 * (3 - 4) / 5 % 6; }",
 	"class C { C() { x = new(xShadow) C(); } ~C() { x->~C(); } C* x; C* xShadow; }; int main() { return 0; }",
 	`int main() { print("hi\n\t\\", 1 && 0 || !2); return 0; }`,
+	// A raw non-ASCII byte: the printer must write it back raw, since
+	// the lexer reads no \x escape.
+	"int main(){print(\"caf\xe9\");return 0;}",
 	"/* comment */ int main() { // line\n return 0; }",
 	"class D { public: D() { v = new int[4]; } int get(int i) { if (i < 0) { return -i; } else return v[i]; } int* v; }; int main() { D* d = new D(); return d->get(1) >= 0 != (2 <= 3); }",
 }

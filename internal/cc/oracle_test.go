@@ -250,6 +250,10 @@ func (l *oracleLexer) Next() (Token, error) {
 	return Token{}, errf(pos, "unexpected character %q", string(c))
 }
 
+// oracleEscapes spells the four escapes the lexer reads; every other
+// byte of a string literal prints raw.
+var oracleEscapes = strings.NewReplacer("\n", `\n`, "\t", `\t`, `\`, `\\`, `"`, `\"`)
+
 // Print renders a program back to MiniCC source. The output of the
 // Amplify rewriter is printed with this and can be re-parsed; golden
 // tests compare it textually.
@@ -464,7 +468,7 @@ func oracleExpr(e Expr) string {
 	case *IntLit:
 		return fmt.Sprintf("%d", e.Value)
 	case *StrLit:
-		return fmt.Sprintf("%q", e.Value)
+		return `"` + oracleEscapes.Replace(e.Value) + `"`
 	case *NullLit:
 		return "null"
 	case *Ident:

@@ -42,6 +42,28 @@ func (p *printer) put(parts ...string) {
 	}
 }
 
+// quote writes s as a string literal. It escapes only what the lexer
+// unescapes — newline, tab, backslash and double quote — and writes
+// every other byte raw, so any literal the lexer read prints back to
+// one it reads the same.
+func (p *printer) quote(s string) {
+	p.b.WriteByte('"')
+	for i := 0; i < len(s); i++ {
+		switch c := s[i]; c {
+		case '\n':
+			p.b.WriteString(`\n`)
+		case '\t':
+			p.b.WriteString(`\t`)
+		case '\\', '"':
+			p.b.WriteByte('\\')
+			p.b.WriteByte(c)
+		default:
+			p.b.WriteByte(c)
+		}
+	}
+	p.b.WriteByte('"')
+}
+
 // pad writes the indentation of a new line.
 func (p *printer) pad() {
 	for i := 0; i < p.indent; i++ {
@@ -268,7 +290,7 @@ func (p *printer) expr(e Expr) {
 		var buf [20]byte
 		p.b.Write(strconv.AppendInt(buf[:0], e.Value, 10))
 	case *StrLit:
-		p.put(strconv.Quote(e.Value))
+		p.quote(e.Value)
 	case *NullLit:
 		p.put("null")
 	case *Ident:

@@ -61,7 +61,7 @@ type Options struct {
 	// Exclude lists classes that must not be amplified.
 	Exclude []string
 	// AutoExclude maps classes to the analyzer verdict that made them
-	// ineligible (typically vet.Eligibility output). Auto-excluded
+	// ineligible (typically vet.Result.Ineligible output). Auto-excluded
 	// classes are skipped exactly like Exclude entries but reported
 	// separately, so a report distinguishes the designer's choices from
 	// the analyzer's.
@@ -182,21 +182,33 @@ func (r *Report) String() string {
 }
 
 // Rewrite runs the pre-processor over src and returns the transformed
-// source plus a report. The input is parsed and analyzed; the output is
-// guaranteed to re-parse and re-analyze.
+// source plus a report: RewriteProgram on the parsed and analyzed
+// input.
 func Rewrite(src string, opt Options) (string, *Report, error) {
-	if opt.Mode == "" {
-		opt.Mode = ModeShadow
-	}
-	if opt.Mode != ModeShadow && opt.Mode != ModeFlag {
-		return "", nil, fmt.Errorf("core: unknown mode %q", opt.Mode)
+	if err := opt.checkMode(); err != nil {
+		return "", nil, err
 	}
 	prog, err := cc.Parse(src)
+	if err == nil {
+		err = cc.Analyze(prog)
+	}
 	if err != nil {
 		return "", nil, err
 	}
-	if err := cc.Analyze(prog); err != nil {
+	return RewriteProgram(prog, opt)
+}
+
+// RewriteProgram runs the pre-processor over a program cc.Analyze
+// accepted, rewriting the tree in place (and re-analyzing it), and
+// returns the printed result plus a report. The output is guaranteed
+// to re-parse and re-analyze. Analyses already memoized on the tree —
+// the escape analysis a vet.Check ran — are reused, not re-run.
+func RewriteProgram(prog *cc.Program, opt Options) (string, *Report, error) {
+	if err := opt.checkMode(); err != nil {
 		return "", nil, err
+	}
+	if opt.Mode == "" {
+		opt.Mode = ModeShadow
 	}
 	rw := &rewriter{prog: prog, opt: opt, report: &Report{
 		Skipped:      map[string]string{},
@@ -217,6 +229,15 @@ func Rewrite(src string, opt Options) (string, *Report, error) {
 		return "", nil, fmt.Errorf("core: generated source does not analyze: %w", err)
 	}
 	return out, rw.report, nil
+}
+
+// checkMode rejects a Mode other than the two modes and the empty
+// default.
+func (o Options) checkMode() error {
+	if o.Mode != "" && o.Mode != ModeShadow && o.Mode != ModeFlag {
+		return fmt.Errorf("core: unknown mode %q", o.Mode)
+	}
+	return nil
 }
 
 type rewriter struct {

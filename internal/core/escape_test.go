@@ -5,8 +5,8 @@ import (
 	"testing"
 
 	"amplify/internal/core"
-	"amplify/internal/interp"
 	"amplify/internal/mccgen"
+	"amplify/internal/target"
 	"amplify/internal/vm"
 )
 
@@ -127,7 +127,7 @@ func TestEscapeOffIsByteStable(t *testing.T) {
 // TestEscapeDifferentialBothEngines runs the escape-rewritten program
 // in both engines and requires behavior identical to the original.
 func TestEscapeDifferentialBothEngines(t *testing.T) {
-	plain, err := interp.RunSource(escSrc, interp.Config{})
+	plain, err := runAST(escSrc, target.Config{})
 	if err != nil {
 		t.Fatalf("plain run: %v", err)
 	}
@@ -136,14 +136,14 @@ func TestEscapeDifferentialBothEngines(t *testing.T) {
 	if err != nil {
 		t.Fatalf("rewrite: %v", err)
 	}
-	ti, err := interp.RunSource(out, interp.Config{})
+	ti, err := runAST(out, target.Config{})
 	if err != nil {
 		t.Fatalf("interp run: %v\n%s", err, out)
 	}
 	if sortedLines(ti.Output) != want {
 		t.Errorf("interp diverged:\n%s\nvs\n%s", ti.Output, plain.Output)
 	}
-	tv, err := vm.RunSource(out, vm.Config{})
+	tv, err := runVM(out, vm.Config{})
 	if err != nil {
 		t.Fatalf("vm run: %v\n%s", err, out)
 	}
@@ -162,7 +162,7 @@ func TestEscapeDifferentialRandomPrograms(t *testing.T) {
 			cfg.Threads = 3
 		}
 		src := mccgen.Generate(cfg)
-		plain, err := interp.RunSource(src, interp.Config{})
+		plain, err := runAST(src, target.Config{})
 		if err != nil {
 			t.Fatalf("seed %d: plain run failed: %v", seed, err)
 		}
@@ -171,7 +171,7 @@ func TestEscapeDifferentialRandomPrograms(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: rewrite failed: %v\nprogram:\n%s", seed, err, src)
 		}
-		gi, err := interp.RunSource(out, interp.Config{})
+		gi, err := runAST(out, target.Config{})
 		if err != nil {
 			t.Fatalf("seed %d: interp run failed: %v\ntransformed:\n%s", seed, err, out)
 		}
@@ -179,7 +179,7 @@ func TestEscapeDifferentialRandomPrograms(t *testing.T) {
 			t.Fatalf("seed %d: interp diverged\nplain:\n%s\ngot:\n%s\nprogram:\n%s\ntransformed:\n%s",
 				seed, plain.Output, gi.Output, src, out)
 		}
-		gv, err := vm.RunSource(out, vm.Config{})
+		gv, err := runVM(out, vm.Config{})
 		if err != nil {
 			t.Fatalf("seed %d: vm run failed: %v\ntransformed:\n%s", seed, err, out)
 		}
@@ -202,11 +202,11 @@ func TestEscapeReducesAllocatorTraffic(t *testing.T) {
 	if err != nil {
 		t.Fatalf("rewrite: %v", err)
 	}
-	rc, err := interp.RunSource(classic, interp.Config{})
+	rc, err := runAST(classic, target.Config{})
 	if err != nil {
 		t.Fatalf("classic run: %v", err)
 	}
-	re, err := interp.RunSource(esc, interp.Config{})
+	re, err := runAST(esc, target.Config{})
 	if err != nil {
 		t.Fatalf("escape run: %v", err)
 	}

@@ -10,6 +10,7 @@ func FuzzRewrite(f *testing.F) {
 	f.Add(rootChildSrc, true, false)
 	f.Add(rootChildSrc, false, true)
 	f.Add("class A { public: A() { } int x; }; int main() { return 0; }", false, false)
+	f.Add("int main(){print(\"caf\xe9\");return 0;}", false, false)
 	f.Fuzz(func(t *testing.T, src string, arraysOnly, flagMode bool) {
 		opt := Options{ArraysOnly: arraysOnly}
 		if flagMode {

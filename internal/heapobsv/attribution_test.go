@@ -7,6 +7,7 @@ import (
 
 	"amplify/internal/alloc"
 	"amplify/internal/alloctrace"
+	"amplify/internal/cc"
 	"amplify/internal/core"
 	"amplify/internal/heapobsv"
 	"amplify/internal/obsv"
@@ -14,6 +15,15 @@ import (
 	"amplify/internal/vm"
 	"amplify/internal/workload"
 )
+
+// runVM parses, analyzes, compiles and runs src on the VM.
+func runVM(src string, cfg vm.Config) (vm.Result, error) {
+	p, err := vm.Compile(cc.MustAnalyze(cc.MustParse(src)))
+	if err != nil {
+		return vm.Result{}, err
+	}
+	return vm.Run(p, cfg)
+}
 
 // attributionProg allocates from several sites across several threads
 // so site attribution, the shadow stack and the trace recorder all have
@@ -55,7 +65,7 @@ func TestVMSiteAttribution(t *testing.T) {
 	prof := obsv.NewProfiler()
 	sites := heapobsv.NewSiteProfile()
 	rec := alloctrace.NewRecorder("attribution")
-	res, err := vm.RunSource(attributionProg, vm.Config{Tracer: sim.NewTee(prof, sites, rec)})
+	res, err := runVM(attributionProg, vm.Config{Tracer: sim.NewTee(prof, sites, rec)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +156,7 @@ func TestComposedConsumersChangeNothing(t *testing.T) {
 	}
 	vmRun := func(src string) observedRun {
 		return func(tr sim.Tracer) (int64, sim.Stats, alloc.Stats) {
-			res, err := vm.RunSource(src, vm.Config{Strategy: "ptmalloc", Tracer: tr})
+			res, err := runVM(src, vm.Config{Strategy: "ptmalloc", Tracer: tr})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -420,11 +420,11 @@ int main() {
     return 0;
 }
 `
-	bareVM, err := vm.RunSource(prog, vm.Config{})
+	bareVM, err := runVM(prog, vm.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	obsVM, err := vm.RunSource(prog, vm.Config{
+	obsVM, err := runVM(prog, vm.Config{
 		Tracer: sim.NewTee(&heapobsv.Timeline{Interval: 1000}, heapobsv.NewSiteProfile()),
 	})
 	if err != nil {

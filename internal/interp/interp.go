@@ -17,107 +17,30 @@ import (
 	"amplify/internal/mem"
 	"amplify/internal/pool"
 	"amplify/internal/sim"
-
-	_ "amplify/internal/hoard"
-	_ "amplify/internal/lfalloc"
-	_ "amplify/internal/lkmalloc"
-	_ "amplify/internal/ptmalloc"
-	_ "amplify/internal/serial"
-	_ "amplify/internal/smartheap"
+	"amplify/internal/target"
 )
 
-// Config parameterizes an execution.
-type Config struct {
-	// Processors simulated; zero means 8.
-	Processors int
-	// Strategy is the C-library allocator underneath ("serial",
-	// "ptmalloc", "hoard", "smartheap").
-	Strategy string
-	// Pool configures the Amplify runtime used by pre-processed
-	// programs. SingleThreaded is set automatically for programs that
-	// never spawn.
-	Pool pool.Config
-	// MaxSteps bounds interpreted statements per thread (guards against
-	// non-terminating inputs). Zero means 50 million.
-	MaxSteps int64
-	// Tracer, when non-nil, receives the simulation's event stream.
-	Tracer sim.Tracer
-}
-
-func (c Config) withDefaults() Config {
-	if c.Processors <= 0 {
-		c.Processors = 8
-	}
-	if c.Strategy == "" {
-		c.Strategy = "serial"
-	}
-	if c.MaxSteps <= 0 {
-		c.MaxSteps = 50_000_000
-	}
-	return c
-}
-
-// Result summarizes an execution.
-type Result struct {
-	// Output is everything print() wrote, in virtual-time order.
-	Output string
-	// ExitCode is main's return value.
-	ExitCode int64
-	// Makespan is the completion time in virtual cycles.
-	Makespan int64
-	Sim      sim.Stats
-	Alloc    alloc.Stats
-	// PoolHits/PoolMisses aggregate over all class pools (pre-processed
-	// programs only).
-	PoolHits     int64
-	PoolMisses   int64
-	ShadowReuses int64
-	// PlacementFallbacks counts placement-new reorganizations (§3.2's
-	// non-identical-structure path).
-	PlacementFallbacks int64
-	Footprint          int64
-}
-
-// RunSource parses, analyzes and runs a MiniCC program.
-func RunSource(src string, cfg Config) (Result, error) {
-	prog, err := cc.Parse(src)
-	if err != nil {
-		return Result{}, err
-	}
-	if err := cc.Analyze(prog); err != nil {
-		return Result{}, err
-	}
-	return Run(prog, cfg)
-}
-
-// Run executes an analyzed program.
-func Run(prog *cc.Program, cfg Config) (res Result, err error) {
-	cfg = cfg.withDefaults()
+// Run executes an analyzed program. MaxSteps bounds interpreted
+// statements per thread.
+func Run(prog *cc.Program, cfg target.Config) (res target.Result, err error) {
 	if prog.Funcs["main"] == nil {
 		return res, fmt.Errorf("interp: program has no main function")
 	}
-	e := sim.New(sim.Config{Processors: cfg.Processors, Tracer: cfg.Tracer})
-	sp := mem.NewSpace()
-	under, err := alloc.New(cfg.Strategy, e, sp, alloc.Options{})
+	mc, err := target.Boot(cfg, prog.UsesThreads)
 	if err != nil {
 		return res, err
 	}
-	pcfg := cfg.Pool
-	if !prog.UsesThreads {
-		pcfg.SingleThreaded = true
-	}
 	m := &machine{
 		prog:     prog,
-		cfg:      cfg,
-		e:        e,
-		alloc:    under,
-		rt:       pool.NewRuntime(e, under, pcfg),
+		maxSteps: mc.MaxSteps,
+		alloc:    mc.Alloc,
+		rt:       mc.Pools,
 		pools:    make(map[string]*pool.ClassPool),
 		objects:  make(map[mem.Ref]*object),
 		buffers:  make(map[mem.Ref]*buffer),
-		joinable: e.NewWaitGroup(),
+		joinable: mc.Engine.NewWaitGroup(),
 	}
-	e.Go("main", func(c *sim.Ctx) {
+	mc.Engine.Go("main", func(c *sim.Ctx) {
 		ret := m.callFunc(c, prog.Funcs["main"], nil)
 		m.exitCode = ret.i
 	})
@@ -130,18 +53,10 @@ func Run(prog *cc.Program, cfg Config) (res Result, err error) {
 			err = re
 		}
 	}()
-	res.Makespan = e.Run()
+	res = mc.Run()
 	res.Output = m.out.String()
 	res.ExitCode = m.exitCode
-	res.Sim = e.Stats()
-	res.Alloc = under.Stats()
-	res.ShadowReuses = m.rt.ShadowReuses
 	res.PlacementFallbacks = m.placementFallbacks
-	res.Footprint = sp.Footprint()
-	for _, p := range m.rt.Pools() {
-		res.PoolHits += p.Hits
-		res.PoolMisses += p.Misses
-	}
 	return res, nil
 }
 
@@ -265,8 +180,7 @@ func (f *frame) set(name string, v value) bool {
 // machine is the shared execution state.
 type machine struct {
 	prog     *cc.Program
-	cfg      Config
-	e        *sim.Engine
+	maxSteps int64
 	alloc    alloc.Allocator
 	rt       *pool.Runtime
 	pools    map[string]*pool.ClassPool
@@ -347,8 +261,8 @@ func (m *machine) getBuffer(pos Pos, ref mem.Ref) *buffer {
 // step charges interpretation work and enforces the step bound.
 func (m *machine) step(c *sim.Ctx, f *frame) {
 	*f.steps++
-	if *f.steps > m.cfg.MaxSteps {
-		panic(rtErr(Pos{}, "step limit exceeded (%d); non-terminating program?", m.cfg.MaxSteps))
+	if *f.steps > m.maxSteps {
+		panic(rtErr(Pos{}, "step limit exceeded (%d); non-terminating program?", m.maxSteps))
 	}
 	c.Work(1)
 }

@@ -1,15 +1,31 @@
 package interp
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
+	"amplify/internal/cc"
 	"amplify/internal/core"
+	"amplify/internal/target"
 )
 
-func run(t *testing.T, src string, cfg Config) Result {
+// execute parses, analyzes and runs src.
+func execute(src string, cfg target.Config) (target.Result, error) {
+	prog, err := cc.Parse(src)
+	if err == nil {
+		err = cc.Analyze(prog)
+	}
+	if err != nil {
+		return target.Result{}, err
+	}
+	return Run(prog, cfg)
+}
+
+func run(t *testing.T, src string, cfg target.Config) target.Result {
 	t.Helper()
-	r, err := RunSource(src, cfg)
+	r, err := execute(src, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,7 +44,7 @@ int main() {
     print(10 / 3, 10 % 3, -x);
     return x;
 }
-`, Config{})
+`, target.Config{})
 	if r.ExitCode != 20 {
 		t.Errorf("exit = %d, want 20", r.ExitCode)
 	}
@@ -58,7 +74,7 @@ int main() {
     }
     return sum;
 }
-`, Config{})
+`, target.Config{})
 	if r.ExitCode != 20 || r.Output != "ok\n" {
 		t.Errorf("exit=%d output=%q", r.ExitCode, r.Output)
 	}
@@ -91,7 +107,7 @@ int main() {
     delete c;
     return v;
 }
-`, Config{})
+`, target.Config{})
 	if r.ExitCode != 13 {
 		t.Errorf("exit = %d, want 13", r.ExitCode)
 	}
@@ -117,7 +133,7 @@ int main() {
     delete[] b;
     return sum;
 }
-`, Config{})
+`, target.Config{})
 	if r.ExitCode != 30 {
 		t.Errorf("exit = %d, want 30", r.ExitCode)
 	}
@@ -141,7 +157,7 @@ int main() {
     print("all done");
     return 0;
 }
-`, Config{})
+`, target.Config{})
 	if !strings.HasSuffix(r.Output, "all done\n") {
 		t.Errorf("join did not order output:\n%s", r.Output)
 	}
@@ -179,11 +195,11 @@ void f() { }
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			cfg := Config{}
+			cfg := target.Config{}
 			if tc.name == "step limit" {
 				cfg.MaxSteps = 10_000
 			}
-			_, err := RunSource(tc.src, cfg)
+			_, err := execute(tc.src, cfg)
 			if err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("err = %v, want containing %q", err, tc.want)
 			}
@@ -257,8 +273,8 @@ func amplified(t *testing.T, src string, opt core.Options) string {
 }
 
 func TestAmplifiedProgramEquivalent(t *testing.T) {
-	plain := run(t, treeProgram, Config{Strategy: "serial"})
-	amp := run(t, amplified(t, treeProgram, core.Options{}), Config{Strategy: "serial"})
+	plain := run(t, treeProgram, target.Config{Strategy: "serial"})
+	amp := run(t, amplified(t, treeProgram, core.Options{}), target.Config{Strategy: "serial"})
 	if plain.Output != amp.Output {
 		t.Fatalf("amplified output differs:\nplain:\n%s\namplified:\n%s", plain.Output, amp.Output)
 	}
@@ -268,8 +284,8 @@ func TestAmplifiedProgramEquivalent(t *testing.T) {
 }
 
 func TestAmplifiedProgramAllocatesFarLess(t *testing.T) {
-	plain := run(t, treeProgram, Config{Strategy: "serial"})
-	amp := run(t, amplified(t, treeProgram, core.Options{}), Config{Strategy: "serial"})
+	plain := run(t, treeProgram, target.Config{Strategy: "serial"})
+	amp := run(t, amplified(t, treeProgram, core.Options{}), target.Config{Strategy: "serial"})
 	// Plain: 80 trees x 15 nodes = 1200 heap allocations. Amplified:
 	// one warm structure per thread (2 x 15), everything else reused.
 	if plain.Alloc.Allocs != 1200 {
@@ -284,16 +300,16 @@ func TestAmplifiedProgramAllocatesFarLess(t *testing.T) {
 }
 
 func TestAmplifiedProgramFaster(t *testing.T) {
-	plain := run(t, treeProgram, Config{Strategy: "serial"})
-	amp := run(t, amplified(t, treeProgram, core.Options{}), Config{Strategy: "serial"})
+	plain := run(t, treeProgram, target.Config{Strategy: "serial"})
+	amp := run(t, amplified(t, treeProgram, core.Options{}), target.Config{Strategy: "serial"})
 	if amp.Makespan >= plain.Makespan {
 		t.Errorf("amplified not faster: %d vs %d", amp.Makespan, plain.Makespan)
 	}
 }
 
 func TestFlagModeEquivalent(t *testing.T) {
-	plain := run(t, treeProgram, Config{Strategy: "serial"})
-	flag := run(t, amplified(t, treeProgram, core.Options{Mode: core.ModeFlag}), Config{Strategy: "serial"})
+	plain := run(t, treeProgram, target.Config{Strategy: "serial"})
+	flag := run(t, amplified(t, treeProgram, core.Options{Mode: core.ModeFlag}), target.Config{Strategy: "serial"})
 	if plain.Output != flag.Output {
 		t.Fatalf("flag-mode output differs:\nplain:\n%s\nflag:\n%s", plain.Output, flag.Output)
 	}
@@ -339,8 +355,8 @@ int main() {
     return 0;
 }
 `
-	plain := run(t, src, Config{})
-	amp := run(t, amplified(t, src, core.Options{}), Config{})
+	plain := run(t, src, target.Config{})
+	amp := run(t, amplified(t, src, core.Options{}), target.Config{})
 	if plain.Output != amp.Output {
 		t.Fatalf("outputs differ: %q vs %q", plain.Output, amp.Output)
 	}
@@ -354,8 +370,8 @@ int main() {
 
 func TestArraysOnlyModeEquivalent(t *testing.T) {
 	src := treeProgram
-	arr := run(t, amplified(t, src, core.Options{ArraysOnly: true}), Config{})
-	plain := run(t, src, Config{})
+	arr := run(t, amplified(t, src, core.Options{ArraysOnly: true}), target.Config{})
+	plain := run(t, src, target.Config{})
 	if arr.Output != plain.Output {
 		t.Fatal("ArraysOnly changed program behavior")
 	}
@@ -376,7 +392,7 @@ int main() {
     return 0;
 }
 `
-	_, err := RunSource(src, Config{})
+	_, err := execute(src, target.Config{})
 	if err == nil || !strings.Contains(err.Error(), "placement new: shadow holds A, want B") {
 		t.Fatalf("err = %v, want placement type check", err)
 	}
@@ -385,66 +401,19 @@ int main() {
 // TestPlacementReorganization exercises §3.2's non-identical-structure
 // path: a program that allocates through the same field in a loop finds
 // the shadow already live on the second iteration and must fall back to
-// a normal allocation — without changing program behavior.
+// a normal allocation — without changing program behavior. Both
+// engines' fallback counts are compared in vm's
+// TestCrossEngineDifferential.
 func TestPlacementReorganization(t *testing.T) {
-	src := `
-class Item {
-public:
-    Item(int v, Item* n) {
-        val = v;
-        next = n;
-    }
-    ~Item() {
-        delete next;
-    }
-    int sum() {
-        int s = val;
-        if (next) {
-            s = s + next->sum();
-        }
-        return s;
-    }
-private:
-    int val;
-    Item* next;
-};
-
-class Bag {
-public:
-    Bag(int n) {
-        head = null;
-        for (int i = 0; i < n; i = i + 1) {
-            head = new Item(i, head);
-        }
-    }
-    ~Bag() {
-        delete head;
-    }
-    int sum() {
-        return head->sum();
-    }
-private:
-    Item* head;
-};
-
-int main() {
-    int total = 0;
-    for (int r = 0; r < 10; r = r + 1) {
-        Bag* b = new Bag(4);
-        total = total + b->sum();
-        delete b;
-    }
-    print("total", total);
-    return 0;
-}
-`
-	plain := run(t, src, Config{})
-	amp := run(t, amplified(t, src, core.Options{}), Config{})
+	raw, err := os.ReadFile(filepath.Join("..", "..", "testdata", "programs", "placement.mcc"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := string(raw)
+	plain := run(t, src, target.Config{})
+	amp := run(t, amplified(t, src, core.Options{}), target.Config{})
 	if plain.Output != amp.Output {
 		t.Fatalf("reorganization changed semantics: %q vs %q", plain.Output, amp.Output)
-	}
-	if amp.PlacementFallbacks == 0 {
-		t.Error("expected placement fallbacks for loop-built list")
 	}
 	// Reuse still pays off: the head item and the Bag come from shadows
 	// and pools, so the amplified run allocates strictly less.
@@ -470,15 +439,15 @@ int main() {
     return v;
 }
 `
-	r := run(t, src, Config{})
+	r := run(t, src, target.Config{})
 	if r.ExitCode != 7 {
 		t.Errorf("exit = %d, want 7", r.ExitCode)
 	}
 }
 
 func TestDeterministicInterpretation(t *testing.T) {
-	a := run(t, treeProgram, Config{Strategy: "ptmalloc"})
-	b := run(t, treeProgram, Config{Strategy: "ptmalloc"})
+	a := run(t, treeProgram, target.Config{Strategy: "ptmalloc"})
+	b := run(t, treeProgram, target.Config{Strategy: "ptmalloc"})
 	if a.Makespan != b.Makespan || a.Output != b.Output {
 		t.Fatal("non-deterministic interpretation")
 	}
@@ -487,7 +456,7 @@ func TestDeterministicInterpretation(t *testing.T) {
 func TestDifferentAllocatorsSameSemantics(t *testing.T) {
 	var outputs []string
 	for _, s := range []string{"serial", "ptmalloc", "hoard", "smartheap"} {
-		r := run(t, treeProgram, Config{Strategy: s})
+		r := run(t, treeProgram, target.Config{Strategy: s})
 		outputs = append(outputs, r.Output)
 	}
 	for i := 1; i < len(outputs); i++ {
@@ -499,7 +468,7 @@ func TestDifferentAllocatorsSameSemantics(t *testing.T) {
 
 func TestSingleThreadedPoolElision(t *testing.T) {
 	single := strings.ReplaceAll(treeProgram, "spawn churn(40, 3);\n    spawn churn(40, 3);\n    join;", "churn(40, 3);")
-	amp := run(t, amplified(t, single, core.Options{}), Config{})
+	amp := run(t, amplified(t, single, core.Options{}), target.Config{})
 	// Pool locks are elided; the only lock traffic left is the
 	// underlying malloc serving the warmup misses.
 	mallocLocks := amp.Alloc.Allocs + amp.Alloc.Frees
@@ -522,7 +491,7 @@ int main() {
     print("outer", x);
     return x;
 }
-`, Config{})
+`, target.Config{})
 	if r.Output != "inner 2\nouter 1\n" || r.ExitCode != 1 {
 		t.Fatalf("output=%q exit=%d", r.Output, r.ExitCode)
 	}

@@ -5,10 +5,20 @@ import (
 	"strings"
 	"testing"
 
+	"amplify/internal/cc"
 	"amplify/internal/sim"
 	"amplify/internal/vm"
 	"amplify/internal/workload"
 )
+
+// runVM parses, analyzes, compiles and runs src on the VM.
+func runVM(src string, cfg vm.Config) (vm.Result, error) {
+	p, err := vm.Compile(cc.MustAnalyze(cc.MustParse(src)))
+	if err != nil {
+		return vm.Result{}, err
+	}
+	return vm.Run(p, cfg)
+}
 
 const profSrc = `
 int fib(int n) {
@@ -37,7 +47,7 @@ int main() {
 
 func TestVMProfilerAttribution(t *testing.T) {
 	p := NewProfiler()
-	res, err := vm.RunSource(profSrc, vm.Config{Tracer: p})
+	res, err := runVM(profSrc, vm.Config{Tracer: p})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,11 +66,11 @@ func TestVMProfilerAttribution(t *testing.T) {
 }
 
 func TestVMProfilerDoesNotChangeMakespan(t *testing.T) {
-	plain, err := vm.RunSource(profSrc, vm.Config{})
+	plain, err := runVM(profSrc, vm.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	profiled, err := vm.RunSource(profSrc, vm.Config{Tracer: NewProfiler()})
+	profiled, err := runVM(profSrc, vm.Config{Tracer: NewProfiler()})
 	if err != nil {
 		t.Fatal(err)
 	}

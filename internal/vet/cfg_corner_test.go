@@ -41,7 +41,7 @@ int main() {
     return 0;
 }
 `
-	res := mustCheck(t, src)
+	res := checkSrc(t, src)
 	if len(res.Diags) != 0 {
 		t.Fatalf("clean program with dead tail produced diags:\n%s", res.String())
 	}
@@ -64,7 +64,7 @@ int main() {
     return 0;
 }
 `
-	res := mustCheck(t, src)
+	res := checkSrc(t, src)
 	for _, d := range res.Diags {
 		if d.Pos.Line < 1 || d.Pos.Col < 1 {
 			t.Fatalf("diagnostic without position: %+v", d)
@@ -87,7 +87,7 @@ func TestCFGLoopBackEdgeDeleteReallocate(t *testing.T) {
     return r;
 }
 `
-	res := mustCheck(t, src)
+	res := checkSrc(t, src)
 	if len(res.Diags) != 0 {
 		t.Fatalf("delete-then-reallocate loop is clean, got:\n%s", res.String())
 	}
@@ -116,7 +116,7 @@ int main() {
     return 0;
 }
 `
-	res := mustCheck(t, src)
+	res := checkSrc(t, src)
 	if got := diagsWithCode(res.Diags, CodeUseAfterDelete); len(got) != 1 {
 		t.Fatalf("want 1 V002 after one-sided delete merge, got %d:\n%s", len(got), res.String())
 	}
@@ -141,7 +141,7 @@ int main() {
     return 0;
 }
 `
-	res := mustCheck(t, src)
+	res := checkSrc(t, src)
 	if len(res.Diags) != 0 {
 		t.Fatalf("both-branch delete is clean, got:\n%s", res.String())
 	}

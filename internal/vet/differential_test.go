@@ -5,9 +5,11 @@ import (
 	"strings"
 	"testing"
 
+	"amplify/internal/cc"
 	"amplify/internal/core"
 	"amplify/internal/interp"
 	"amplify/internal/mccgen"
+	"amplify/internal/target"
 	"amplify/internal/vet"
 )
 
@@ -17,6 +19,26 @@ func sortedLines(s string) string {
 	lines := strings.Split(strings.TrimRight(s, "\n"), "\n")
 	sort.Strings(lines)
 	return strings.Join(lines, "\n")
+}
+
+// analyzed parses and analyzes src.
+func analyzed(t *testing.T, src string) *cc.Program {
+	t.Helper()
+	prog := cc.MustParse(src)
+	if err := cc.Analyze(prog); err != nil {
+		t.Fatal(err)
+	}
+	return prog
+}
+
+// interpret runs src on the interpreter.
+func interpret(t *testing.T, src string) target.Result {
+	t.Helper()
+	res, err := interp.Run(analyzed(t, src), target.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
 }
 
 func hasCode(res *vet.Result, code string) bool {
@@ -49,24 +71,15 @@ func TestVetCleanProgramsPreserveBehavior(t *testing.T) {
 			cfg.Threads = 3
 		}
 		src := mccgen.Generate(cfg)
-		res, err := vet.CheckSource(src)
-		if err != nil {
-			t.Fatalf("seed %d: vet failed: %v\n%s", seed, err, src)
-		}
-		plain, err := interp.RunSource(src, interp.Config{})
-		if err != nil {
-			t.Fatalf("seed %d: plain run failed: %v", seed, err)
-		}
+		res := vet.Check(analyzed(t, src))
+		plain := interpret(t, src)
 		want := sortedLines(plain.Output)
 		for _, m := range modes {
 			out, _, err := core.Rewrite(src, m.opt)
 			if err != nil {
 				t.Fatalf("seed %d %s: rewrite failed: %v", seed, m.name, err)
 			}
-			got, err := interp.RunSource(out, interp.Config{})
-			if err != nil {
-				t.Fatalf("seed %d %s: transformed run failed: %v", seed, m.name, err)
-			}
+			got := interpret(t, out)
 			diverged := sortedLines(got.Output) != want || got.ExitCode != plain.ExitCode
 			if diverged && !hasCode(res, vet.CodeUseAfterDelete) {
 				t.Fatalf("seed %d %s: behavior diverged on a program vet did not flag with V002\nvet:\n%splain:\n%s\ntransformed output:\n%s",
@@ -130,10 +143,7 @@ int main() {
 // divergence the differential test above guards against, and pins that
 // vet predicts it.
 func TestUseAfterDeleteDivergenceIsFlagged(t *testing.T) {
-	res, err := vet.CheckSource(divergingSrc)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := vet.Check(analyzed(t, divergingSrc))
 	if !hasCode(res, vet.CodeUseAfterDelete) {
 		t.Fatalf("V002 not reported:\n%s", res.String())
 	}
@@ -142,15 +152,12 @@ func TestUseAfterDeleteDivergenceIsFlagged(t *testing.T) {
 		t.Fatalf("exclusions = %+v, want Holder", excl)
 	}
 
-	plain, err := interp.RunSource(divergingSrc, interp.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	plain := interpret(t, divergingSrc)
 	out, _, err := core.Rewrite(divergingSrc, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	amp, err := interp.RunSource(out, interp.Config{})
+	amp, err := interp.Run(analyzed(t, out), target.Config{})
 	if err != nil {
 		// The usual outcome: logical deletion ran the destructor but
 		// kept the memory, and the simulator's use-after-destroy check
@@ -171,10 +178,7 @@ func TestUseAfterDeleteDivergenceIsFlagged(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fixed, err := interp.RunSource(safe, interp.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	fixed := interpret(t, safe)
 	if fixed.Output != plain.Output {
 		t.Errorf("auto-excluded output = %q, want original %q", fixed.Output, plain.Output)
 	}

@@ -768,18 +768,10 @@ func (an *escAnalysis) leakDiags() []Diag {
 }
 
 // Escape runs the interprocedural analysis, or reuses the run Check
-// made on the same analyzed tree, and assembles the report.
-// The program must be analyzed (Escape analyzes it when needed, like
-// Check).
+// made on the same analyzed tree, and assembles the report. Like
+// Check, it panics on a tree cc.Analyze never ran on.
 func Escape(prog *cc.Program) *EscapeReport {
-	if prog.Classes == nil {
-		if err := cc.Analyze(prog); err != nil {
-			return &EscapeReport{
-				promote: map[*cc.NewExpr]string{}, promoteDeletes: map[*cc.DeleteStmt]string{},
-				threadLocal: map[string]bool{}, presize: map[string]int64{},
-			}
-		}
-	}
+	mustBeAnalyzed(prog, "Escape")
 	an := analyze(prog)
 	shared := an.sharedClasses()
 	r := &EscapeReport{
@@ -912,18 +904,6 @@ func aliasedElsewhere(p *bodyPass, e *cc.NewExpr, local string) bool {
 		}
 	}
 	return false
-}
-
-// EscapeSource parses, analyzes and escape-analyzes MiniCC source.
-func EscapeSource(src string) (*EscapeReport, error) {
-	prog, err := cc.Parse(src)
-	if err != nil {
-		return nil, err
-	}
-	if err := cc.Analyze(prog); err != nil {
-		return nil, err
-	}
-	return Escape(prog), nil
 }
 
 // String renders the report as an aligned, deterministic text summary.

@@ -12,20 +12,7 @@ import (
 
 func mustEscape(t *testing.T, src string) *EscapeReport {
 	t.Helper()
-	r, err := EscapeSource(src)
-	if err != nil {
-		t.Fatalf("escape analysis failed: %v", err)
-	}
-	return r
-}
-
-func mustCheck(t *testing.T, src string) *Result {
-	t.Helper()
-	res, err := CheckSource(src)
-	if err != nil {
-		t.Fatalf("vet failed: %v", err)
-	}
-	return res
+	return Escape(analyzed(t, src))
 }
 
 func diagsWithCode(diags []Diag, code string) []Diag {
@@ -186,7 +173,7 @@ func TestEscapeThreadLocalVsShared(t *testing.T) {
 		}
 	}
 	// A clean hand-off program must not trip the new diagnostics.
-	res := mustCheck(t, escThreads)
+	res := checkSrc(t, escThreads)
 	for _, code := range []string{CodeCrossThreadUAD, CodeInterprocLeak} {
 		if len(diagsWithCode(res.Diags, code)) != 0 {
 			t.Errorf("false-positive %s:\n%s", code, res.String())
@@ -306,7 +293,7 @@ int main() {
 `
 
 func TestInterprocLeakV008(t *testing.T) {
-	res := mustCheck(t, escLeak)
+	res := checkSrc(t, escLeak)
 	leaks := diagsWithCode(res.Diags, CodeInterprocLeak)
 	if len(leaks) != 1 {
 		t.Fatalf("want exactly 1 V008, got %d:\n%s", len(leaks), res.String())
@@ -358,7 +345,7 @@ func TestCrossThreadUseAfterDeleteV007(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			res := mustCheck(t, crossThreadSrc(tc.body))
+			res := checkSrc(t, crossThreadSrc(tc.body))
 			got := diagsWithCode(res.Diags, CodeCrossThreadUAD)
 			if len(got) != tc.want {
 				t.Fatalf("want %d V007, got %d:\n%s", tc.want, len(got), res.String())
@@ -424,7 +411,7 @@ int main() {
 	}
 	// V009 is advisory detail of the Escape report only; plain Check
 	// must not surface it.
-	res := mustCheck(t, src)
+	res := checkSrc(t, src)
 	if len(diagsWithCode(res.Diags, CodeEscapeBlocked)) != 0 {
 		t.Errorf("Check must not emit V009:\n%s", res.String())
 	}
@@ -509,7 +496,7 @@ func TestEscapeJSONDeterministic(t *testing.T) {
 func TestVetDiagOrderDeterministic(t *testing.T) {
 	var first string
 	for run := 0; run < 5; run++ {
-		res := mustCheck(t, sixDefects)
+		res := checkSrc(t, sixDefects)
 		if !sort.SliceIsSorted(res.Diags, func(i, j int) bool {
 			a, b := res.Diags[i], res.Diags[j]
 			if a.Pos.Line != b.Pos.Line {

@@ -1,6 +1,7 @@
 package vet
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -46,6 +47,25 @@ func TestCheckThenEscapeSharesOneAnalysis(t *testing.T) {
 		if got, want := escapeJSON(t, rep), escapeJSON(t, Escape(analyzed(t, src))); got != want {
 			t.Errorf("%s: Escape after Check on one tree:\n%s\nwant:\n%s", name, got, want)
 		}
+	}
+}
+
+// TestUnanalyzedTreePanics: Check and Escape read the analyzer's
+// tables, so a tree cc.Analyze never ran on — here one it would reject
+// — must stop them, not pass for a clean program.
+func TestUnanalyzedTreePanics(t *testing.T) {
+	for name, run := range map[string]func(*cc.Program){
+		"Check":  func(p *cc.Program) { Check(p) },
+		"Escape": func(p *cc.Program) { Escape(p) },
+	} {
+		func() {
+			defer func() {
+				if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "call cc.Analyze first") {
+					t.Errorf("%s on an unanalyzed tree: recovered %v, want the precondition panic", name, r)
+				}
+			}()
+			run(cc.MustParse("int main(){ return x; }"))
+		}()
 	}
 }
 

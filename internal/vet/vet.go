@@ -58,7 +58,7 @@
 //	                       frame-promoted (escapes via return, field
 //	                       store, spawn, unbounded lifetime, ...)
 //
-// V001–V005 are errors and carry a class-level verdict: Eligibility
+// V001–V005 are errors and carry a class-level verdict: Ineligible
 // folds them into the set of classes the pre-processor must
 // auto-exclude. V007 is an error too but names the offending hand-off,
 // not a class. V006 and V008 are warnings and do not affect
@@ -244,15 +244,12 @@ func (r *Result) Ineligible() []Exclusion {
 	return out
 }
 
-// Check analyzes a parsed program. The program must have been analyzed
-// with cc.Analyze (CheckSource does both); if it was not, Check
-// analyzes it first and returns an empty result when that fails.
+// Check analyzes a program that cc.Analyze accepted. It panics on a
+// tree that was never analyzed: the checks read the analyzer's types
+// and class table, and an empty result would pass a broken program as
+// clean.
 func Check(prog *cc.Program) *Result {
-	if prog.Classes == nil {
-		if err := cc.Analyze(prog); err != nil {
-			return &Result{}
-		}
-	}
+	mustBeAnalyzed(prog, "Check")
 	c := &checker{prog: prog, seen: map[string]bool{}}
 	for _, d := range prog.Decls {
 		switch d := d.(type) {
@@ -294,31 +291,11 @@ func sortDiags(diags []Diag) {
 	})
 }
 
-// CheckSource parses, analyzes and checks MiniCC source.
-func CheckSource(src string) (*Result, error) {
-	prog, err := cc.Parse(src)
-	if err != nil {
-		return nil, err
+// mustBeAnalyzed panics unless cc.Analyze has run on prog.
+func mustBeAnalyzed(prog *cc.Program, fn string) {
+	if prog.Classes == nil {
+		panic("vet." + fn + ": the program was not analyzed (call cc.Analyze first)")
 	}
-	if err := cc.Analyze(prog); err != nil {
-		return nil, err
-	}
-	return Check(prog), nil
-}
-
-// Eligibility runs the analyzer and returns the classes that must not
-// be amplified. It is the auto-exclude input for core.Options.
-func Eligibility(prog *cc.Program) []Exclusion {
-	return Check(prog).Ineligible()
-}
-
-// EligibilitySource is Eligibility over raw source.
-func EligibilitySource(src string) ([]Exclusion, error) {
-	res, err := CheckSource(src)
-	if err != nil {
-		return nil, err
-	}
-	return res.Ineligible(), nil
 }
 
 // JSON renders the result as machine-readable findings for CI.

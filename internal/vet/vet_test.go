@@ -83,11 +83,7 @@ int main() {
 
 func checkSrc(t *testing.T, src string) *Result {
 	t.Helper()
-	res, err := CheckSource(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return res
+	return Check(analyzed(t, src))
 }
 
 // TestGoldenSixDefects is the acceptance check from the issue: one
@@ -129,10 +125,7 @@ func TestGoldenSixDefects(t *testing.T) {
 // TestGoldenEligibility pins the auto-exclude verdict for the golden
 // program: only Bad is condemned; Leaky's findings are warnings.
 func TestGoldenEligibility(t *testing.T) {
-	excl, err := EligibilitySource(sixDefects)
-	if err != nil {
-		t.Fatal(err)
-	}
+	excl := checkSrc(t, sixDefects).Ineligible()
 	if len(excl) != 1 {
 		t.Fatalf("exclusions = %+v, want exactly one", excl)
 	}
@@ -213,11 +206,7 @@ int main() {
 
 func mustElig(t *testing.T, src string) []Exclusion {
 	t.Helper()
-	excl, err := EligibilitySource(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return excl
+	return checkSrc(t, src).Ineligible()
 }
 
 // TestCtorlessClass: pointer fields without any constructor are V001.
@@ -486,10 +475,7 @@ int main() {
     return 0;
 }
 `
-	res, err := CheckSource(src)
-	if err != nil {
-		t.Skipf("realloc form not accepted by sema: %v", err)
-	}
+	res := checkSrc(t, src)
 	for _, d := range res.Diags {
 		if d.Code == CodeFieldEscape {
 			t.Errorf("intrinsic call flagged as escape: %s", d)

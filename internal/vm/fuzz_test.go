@@ -49,8 +49,15 @@ func FuzzVMDiff(f *testing.F) {
 			return err != nil && strings.Contains(err.Error(), "step limit exceeded")
 		}
 
-		opt, err := RunSource(src, Config{MaxSteps: maxSteps})
-		noOpt, noOptErr := RunSource(src, Config{MaxSteps: maxSteps, NoOpt: true})
+		runAt := func(o Options) (Result, error) {
+			p, err := CompileOpts(prog, o)
+			if err != nil {
+				return Result{}, err
+			}
+			return Run(p, Config{MaxSteps: maxSteps})
+		}
+		opt, err := runAt(Options{})
+		noOpt, noOptErr := runAt(Options{NoOpt: true})
 		if stepLimited(err) || stepLimited(noOptErr) {
 			t.Skip("step limit")
 		}
@@ -77,7 +84,7 @@ func FuzzVMDiff(f *testing.F) {
 		// VM vs interpreter, at both optimization levels: same observable
 		// behavior (output order can differ between engines only through
 		// thread interleaving, so compare sorted lines).
-		iRes, iErr := interp.RunSource(src, interp.Config{MaxSteps: maxSteps})
+		iRes, iErr := interp.Run(prog, Config{MaxSteps: maxSteps})
 		if stepLimited(iErr) {
 			t.Skip("step limit")
 		}

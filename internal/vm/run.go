@@ -9,134 +9,35 @@ import (
 	"amplify/internal/mem"
 	"amplify/internal/pool"
 	"amplify/internal/sim"
-	"amplify/internal/telemetry"
-
-	_ "amplify/internal/hoard"
-	_ "amplify/internal/lfalloc"
-	_ "amplify/internal/lkmalloc"
-	_ "amplify/internal/ptmalloc"
-	_ "amplify/internal/serial"
-	_ "amplify/internal/smartheap"
+	"amplify/internal/target"
 )
 
-// Config parameterizes VM execution; the fields mirror interp.Config.
-type Config struct {
-	Processors int
-	Strategy   string
-	Pool       pool.Config
-	MaxSteps   int64
-	// Tracer receives the run's event stream: the machine's events plus
-	// the VM's function enter/exit and program-level births and deaths
-	// at their compiled "fn@line(Class)" sites. A tracer implementing
-	// pool.Watcher is also attached to the run's address space,
-	// allocator and pool runtime before execution. Observation is
-	// host-side only — a tracer never changes makespans.
-	Tracer sim.Tracer
-	// NoOpt makes RunSource compile without the peephole pass (see
-	// Options.NoOpt). Programs compiled with Compile/CompileOpts carry
-	// their own setting and ignore this field.
-	NoOpt bool
-	// Spans records host-time pipeline spans (parse/sema/compile/
-	// simulate) on the given telemetry recorder. Purely host-side
-	// bookkeeping: span durations are wall-clock, span attributes are
-	// deterministic simulated numbers, and a non-nil recorder never
-	// changes makespans (it does not affect bulk work batching).
-	Spans *telemetry.Recorder
-}
+// Config parameterizes VM execution. The VM's event stream carries the
+// machine's events plus function enter/exit and program-level births
+// and deaths at their compiled "fn@line(Class)" sites.
+type Config = target.Config
 
-func (c Config) withDefaults() Config {
-	if c.Processors <= 0 {
-		c.Processors = 8
-	}
-	if c.Strategy == "" {
-		c.Strategy = "serial"
-	}
-	if c.MaxSteps <= 0 {
-		c.MaxSteps = 50_000_000
-	}
-	return c
-}
-
-// Result mirrors interp.Result for the VM engine.
-type Result struct {
-	Output       string
-	ExitCode     int64
-	Makespan     int64
-	Sim          sim.Stats
-	Alloc        alloc.Stats
-	PoolHits     int64
-	PoolMisses   int64
-	ShadowReuses int64
-	Footprint    int64
-	// Heap is the allocator's post-run introspection snapshot
-	// (fragmentation, free-list state, per-arena occupancy).
-	Heap alloc.HeapInfo
-	// Pools breaks the pool counters down per class.
-	Pools []PoolStat
-}
-
-// PoolStat is one class pool's counters.
-type PoolStat struct {
-	Class    string `json:"class"`
-	Size     int64  `json:"size"`
-	Hits     int64  `json:"hits"`
-	Misses   int64  `json:"misses"`
-	Released int64  `json:"released"`
-	Steals   int64  `json:"steals"`
-	Retained int    `json:"retained"`
-}
-
-// RunSource parses, analyzes, compiles and runs a MiniCC program.
-func RunSource(src string, cfg Config) (Result, error) {
-	sp := cfg.Spans.Start("parse").Set("src_bytes", int64(len(src)))
-	prog, err := cc.Parse(src)
-	sp.End()
-	if err != nil {
-		return Result{}, err
-	}
-	sp = cfg.Spans.Start("sema")
-	err = cc.Analyze(prog)
-	sp.End()
-	if err != nil {
-		return Result{}, err
-	}
-	sp = cfg.Spans.Start("compile")
-	compiled, err := CompileOpts(prog, Options{NoOpt: cfg.NoOpt})
-	if err != nil {
-		sp.End()
-		return Result{}, err
-	}
-	sp.Set("functions", int64(len(compiled.Fns))).End()
-	return Run(compiled, cfg)
-}
+// Result summarizes a VM run.
+type Result = target.Result
 
 // Run executes a compiled program on the simulated machine.
 func Run(p *Program, cfg Config) (res Result, err error) {
-	cfg = cfg.withDefaults()
-	span := cfg.Spans.Start("simulate")
-	defer span.End()
 	mainID, ok := p.FuncID["main"]
 	if !ok {
 		return res, fmt.Errorf("vm: program has no main function")
 	}
-	e := sim.New(sim.Config{Processors: cfg.Processors, Tracer: cfg.Tracer})
-	sp := mem.NewSpace()
-	under, err := alloc.New(cfg.Strategy, e, sp, alloc.Options{})
+	mc, err := target.Boot(cfg, p.Src.UsesThreads)
 	if err != nil {
 		return res, err
 	}
-	pcfg := cfg.Pool
-	if !p.Src.UsesThreads {
-		pcfg.SingleThreaded = true
-	}
 	m := &machine{
 		p:        p,
-		cfg:      cfg,
-		alloc:    under,
-		rt:       pool.NewRuntime(e, under, pcfg),
+		maxSteps: mc.MaxSteps,
+		alloc:    mc.Alloc,
+		rt:       mc.Pools,
 		pools:    make([]*pool.ClassPool, len(p.classes)),
 		ics:      make([]methodIC, p.methodSites),
-		joinable: e.NewWaitGroup(),
+		joinable: mc.Engine.NewWaitGroup(),
 		// Single-threaded programs run one sim thread: no dilation, no
 		// migration, an infinite scheduling lease. There, N unit work
 		// charges and one N-cycle charge are exactly equivalent, so the
@@ -146,10 +47,9 @@ func Run(p *Program, cfg Config) (res Result, err error) {
 		// integer division, so batching would perturb makespans. A
 		// tracer also forces per-unit charging to keep event and
 		// call-boundary timestamps exact.
-		bulk: !p.Src.UsesThreads && cfg.Tracer == nil,
+		bulk: !p.Src.UsesThreads && mc.Tracer == nil,
 	}
-	pool.Watch(cfg.Tracer, sp, under, m.rt)
-	e.Go("main", func(c *sim.Ctx) {
+	mc.Engine.Go("main", func(c *sim.Ctx) {
 		ret := m.exec(c, p.Fns[mainID], mem.Nil, nil)
 		m.flushWork(c)
 		m.exitCode = ret.i
@@ -163,32 +63,10 @@ func Run(p *Program, cfg Config) (res Result, err error) {
 			err = ve
 		}
 	}()
-	res.Makespan = e.Run()
+	res = mc.Run()
 	res.Output = m.out.String()
 	res.ExitCode = m.exitCode
-	res.Sim = e.Stats()
-	res.Alloc = under.Stats()
-	res.ShadowReuses = m.rt.ShadowReuses
-	res.Footprint = sp.Footprint()
-	if insp, ok := under.(alloc.Inspector); ok {
-		res.Heap = insp.Inspect()
-	}
-	span.Set("makespan", res.Makespan).
-		Set("allocs", res.Alloc.Allocs).
-		Set("footprint", res.Footprint)
-	for _, pl := range m.rt.Pools() {
-		res.PoolHits += pl.Hits
-		res.PoolMisses += pl.Misses
-		res.Pools = append(res.Pools, PoolStat{
-			Class:    pl.Class(),
-			Size:     pl.Size(),
-			Hits:     pl.Hits,
-			Misses:   pl.Misses,
-			Released: pl.Released,
-			Steals:   pl.Steals,
-			Retained: pl.FreeCount(),
-		})
-	}
+	res.PlacementFallbacks = m.placementFallbacks
 	return res, nil
 }
 
@@ -270,10 +148,10 @@ type methodIC struct {
 }
 
 type machine struct {
-	p     *Program
-	cfg   Config
-	alloc alloc.Allocator
-	rt    *pool.Runtime
+	p        *Program
+	maxSteps int64
+	alloc    alloc.Allocator
+	rt       *pool.Runtime
 	// pools is indexed by class id (dense, from the Program).
 	pools []*pool.ClassPool
 	// h maps refs to object/buffer records with no map hashing.
@@ -301,6 +179,9 @@ type machine struct {
 	pending  int64
 	out      strings.Builder
 	exitCode int64
+	// placementFallbacks counts placement news whose shadow object was
+	// still live (Result.PlacementFallbacks).
+	placementFallbacks int64
 	// curFn/curPC track the executing site for fault messages.
 	curFn *Fn
 	curPC int
@@ -440,8 +321,8 @@ loop:
 		m.curPC = pc
 		ins := fn.Code[pc]
 		m.steps += int64(ins.W)
-		if m.steps > m.cfg.MaxSteps {
-			m.fail("step limit exceeded (%d); non-terminating program?", m.cfg.MaxSteps)
+		if m.steps > m.maxSteps {
+			m.fail("step limit exceeded (%d); non-terminating program?", m.maxSteps)
 		}
 		if m.bulk {
 			m.pending += int64(ins.W)
@@ -882,6 +763,7 @@ func (m *machine) doNew(c *sim.Ctx, ci *classInfo, placement value, args []value
 		}
 		// Live shadow: the structure is not identical — reorganize by
 		// allocating normally (§3.2).
+		m.placementFallbacks++
 	}
 	var ref mem.Ref
 	if ci.opNew >= 0 {
