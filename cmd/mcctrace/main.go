@@ -34,13 +34,6 @@ import (
 	"amplify/internal/alloc"
 	"amplify/internal/alloctrace"
 	"amplify/internal/workload"
-
-	_ "amplify/internal/hoard"
-	_ "amplify/internal/lfalloc"
-	_ "amplify/internal/lkmalloc"
-	_ "amplify/internal/ptmalloc"
-	_ "amplify/internal/serial"
-	_ "amplify/internal/smartheap"
 )
 
 func main() {

@@ -15,9 +15,6 @@ import (
 	"fmt"
 
 	"amplify/internal/bgw"
-
-	_ "amplify/internal/serial"
-	_ "amplify/internal/smartheap"
 )
 
 func main() {

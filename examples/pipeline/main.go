@@ -17,8 +17,6 @@ import (
 
 	"amplify/internal/bgw"
 	"amplify/internal/pool"
-
-	_ "amplify/internal/smartheap"
 )
 
 func main() {

@@ -67,9 +67,6 @@ func (s *Stats) Uncount(n int64) {
 
 // Options configure allocator construction.
 type Options struct {
-	// Threads is the number of workload threads that will use the
-	// allocator (used to size arenas, heaps and per-thread caches).
-	Threads int
 	// Arenas overrides the arena/heap count for multi-heap allocators;
 	// zero means the strategy's default.
 	Arenas int

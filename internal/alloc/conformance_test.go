@@ -60,7 +60,7 @@ func runOn(t *testing.T, strategy string, fn func(c *sim.Ctx, a alloc.Allocator)
 	t.Helper()
 	e := sim.New(sim.Config{Processors: 8})
 	sp := mem.NewSpace()
-	a, err := alloc.New(strategy, e, sp, alloc.Options{Threads: 1})
+	a, err := alloc.New(strategy, e, sp, alloc.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +219,7 @@ func TestParallelChurn(t *testing.T) {
 		t.Run(s, func(t *testing.T) {
 			e := sim.New(sim.Config{Processors: 4})
 			sp := mem.NewSpace()
-			a, err := alloc.New(s, e, sp, alloc.Options{Threads: 6})
+			a, err := alloc.New(s, e, sp, alloc.Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -256,7 +256,7 @@ func TestSerialDoesNotScale(t *testing.T) {
 	makespan := func(threads int) int64 {
 		e := sim.New(sim.Config{Processors: 8})
 		sp := mem.NewSpace()
-		a, _ := alloc.New("serial", e, sp, alloc.Options{Threads: threads})
+		a, _ := alloc.New("serial", e, sp, alloc.Options{})
 		total := 2400
 		per := total / threads
 		for i := 0; i < threads; i++ {
@@ -280,7 +280,7 @@ func TestPtmallocScales(t *testing.T) {
 	makespan := func(strategy string, threads int) int64 {
 		e := sim.New(sim.Config{Processors: 8})
 		sp := mem.NewSpace()
-		a, _ := alloc.New(strategy, e, sp, alloc.Options{Threads: threads})
+		a, _ := alloc.New(strategy, e, sp, alloc.Options{})
 		total := 2400
 		per := total / threads
 		for i := 0; i < threads; i++ {

@@ -77,7 +77,7 @@ func TestObserverConformance(t *testing.T) {
 		t.Run(s, func(t *testing.T) {
 			// Baseline run without an observer: observation must be free.
 			e0 := sim.New(sim.Config{Processors: 4})
-			a0, err := alloc.New(s, e0, mem.NewSpace(), alloc.Options{Threads: 4})
+			a0, err := alloc.New(s, e0, mem.NewSpace(), alloc.Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -86,7 +86,7 @@ func TestObserverConformance(t *testing.T) {
 
 			obs := &countingTracer{t: t}
 			e := sim.New(sim.Config{Processors: 4, Tracer: obs})
-			a, err := alloc.New(s, e, mem.NewSpace(), alloc.Options{Threads: 4})
+			a, err := alloc.New(s, e, mem.NewSpace(), alloc.Options{})
 			if err != nil {
 				t.Fatal(err)
 			}

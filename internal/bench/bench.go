@@ -13,13 +13,6 @@ import (
 	"amplify/internal/bgw"
 	"amplify/internal/sim"
 	"amplify/internal/workload"
-
-	_ "amplify/internal/hoard"
-	_ "amplify/internal/lfalloc"
-	_ "amplify/internal/lkmalloc"
-	_ "amplify/internal/ptmalloc"
-	_ "amplify/internal/serial"
-	_ "amplify/internal/smartheap"
 )
 
 // Calibrated experiment parameters: the per-node application work that
@@ -116,7 +109,7 @@ func treeRun(strategy string, cfg workload.TreeConfig) func(sim.Tracer) (measure
 		c := cfg
 		c.Tracer = tr
 		res, err := workload.RunTree(strategy, c)
-		m := measuredOf(res, res.Makespan, res.Footprint, res.Alloc, res.Heap, res.Sim)
+		m := measuredOf(res, res.Counters)
 		m.counters = append(simCounters("cells.tree", res.Sim, res.Alloc),
 			counter{"pool.hits", res.PoolHits},
 			counter{"pool.misses", res.PoolMisses},
@@ -163,7 +156,7 @@ func bgwRun(cfg bgw.Config) func(sim.Tracer) (measured, error) {
 		c := cfg
 		c.Tracer = tr
 		res, err := bgw.Run(c)
-		m := measuredOf(res, res.Makespan, res.Footprint, res.Alloc, res.Heap, res.Sim)
+		m := measuredOf(res, res.Counters)
 		m.counters = append(simCounters("cells.bgw", res.Sim, res.Alloc),
 			counter{"pool.hits", res.PoolHits},
 			counter{"shadow.reuses", res.ShadowReuses})

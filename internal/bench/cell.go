@@ -7,6 +7,7 @@ import (
 
 	"amplify/internal/alloc"
 	"amplify/internal/sim"
+	"amplify/internal/target"
 )
 
 // cell is one simulation of an experiment grid: the key that names it
@@ -19,15 +20,11 @@ type cell struct {
 	run func(tr sim.Tracer) (measured, error)
 }
 
-// measured is one cell's outcome: the numbers every family reports,
-// the family's contribution to Report.Metrics, and the family's own
-// result for its table (read with resultOf).
+// measured is one cell's outcome: the machine's counters every family
+// reports, the family's contribution to Report.Metrics, and the
+// family's own result for its table (read with resultOf).
 type measured struct {
-	Makespan  int64
-	Footprint int64
-	PeakBytes int64
-	Heap      alloc.HeapInfo
-	Sim       sim.Stats
+	target.Counters
 	// Wall is the host seconds of the memoized run; recalls keep it.
 	Wall     float64
 	counters []counter
@@ -70,9 +67,9 @@ func simCounters(family string, st sim.Stats, a alloc.Stats) []counter {
 	}
 }
 
-// measuredOf fills the uniform numbers of a family result.
-func measuredOf(result any, makespan, footprint int64, a alloc.Stats, h alloc.HeapInfo, st sim.Stats) measured {
-	return measured{Makespan: makespan, Footprint: footprint, PeakBytes: a.PeakBytes, Heap: h, Sim: st, result: result}
+// measuredOf pairs a family result with its machine counters.
+func measuredOf(result any, c target.Counters) measured {
+	return measured{Counters: c, result: result}
 }
 
 // resultOf runs (or recalls) c and returns its family's result.

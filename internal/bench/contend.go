@@ -85,7 +85,7 @@ func (r *Runner) contendCell(strategy string, pt contendPoint) cell {
 			c := cfg
 			c.Tracer = tr
 			res, err := workload.RunChurn(strategy, c)
-			m := measuredOf(res, res.Makespan, res.Footprint, res.Alloc, res.Heap, res.Sim)
+			m := measuredOf(res, res.Counters)
 			m.counters = simCounters("cells.contend", res.Sim, res.Alloc)
 			return m, err
 		}}

@@ -148,7 +148,7 @@ func (r *Runner) vmCell(key, src string, rewrite *core.Options, strategy string)
 				return measured{}, err
 			}
 		}
-		m := measuredOf(res, res.Makespan, res.Footprint, res.Alloc, res.Heap, res.Sim)
+		m := measuredOf(res, res.Counters)
 		m.counters = []counter{{"cells.e2e", 1}, {"alloc.allocs", res.Alloc.Allocs}}
 		return m, nil
 	}}

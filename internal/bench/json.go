@@ -210,7 +210,7 @@ func (r *Runner) HeapCells() map[string]HeapCell {
 	r.cells.completed(func(key string, v measured) {
 		m[key] = HeapCell{
 			Footprint: v.Footprint,
-			PeakBytes: v.PeakBytes,
+			PeakBytes: v.Alloc.PeakBytes,
 			IntFragBP: fragBP(v.Heap.ReqBytes, v.Heap.GrantedBytes),
 			ExtFragBP: fragBP(v.Heap.LargestFree, v.Heap.FreeBytes),
 		}

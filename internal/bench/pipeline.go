@@ -39,7 +39,7 @@ func (r *Runner) pipeCell(workers int, amplify, steal bool) cell {
 			c := cfg
 			c.Tracer = tr
 			res, err := bgw.RunPipeline(c)
-			return measuredOf(res, res.Makespan, res.Footprint, res.Alloc, res.Heap, res.Sim), err
+			return measuredOf(res, res.Counters), err
 		}}
 }
 

@@ -30,7 +30,7 @@ func replayCell(corpus, strategy string) cell {
 			return measured{}, err
 		}
 		res, err := workload.RunReplay(strategy, workload.ReplayConfig{Trace: trace, Tracer: tr})
-		m := measuredOf(res, res.Makespan, res.Footprint, res.Alloc, res.Heap, res.Sim)
+		m := measuredOf(res, res.Counters)
 		m.counters = simCounters("cells.replay", res.Sim, res.Alloc)
 		return m, err
 	}}

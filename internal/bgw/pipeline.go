@@ -7,6 +7,7 @@ import (
 	"amplify/internal/mem"
 	"amplify/internal/pool"
 	"amplify/internal/sim"
+	"amplify/internal/target"
 )
 
 // PipelineConfig parameterizes the producer/consumer variant of the
@@ -38,9 +39,6 @@ func (cfg PipelineConfig) withDefaults() PipelineConfig {
 	if cfg.CDRs <= 0 {
 		cfg.CDRs = 5000
 	}
-	if cfg.Processors <= 0 {
-		cfg.Processors = 8
-	}
 	if cfg.Workers <= 0 {
 		cfg.Workers = 4
 	}
@@ -59,21 +57,14 @@ func (cfg PipelineConfig) withDefaults() PipelineConfig {
 	return cfg
 }
 
-// PipelineResult reports a pipeline run.
+// PipelineResult reports a pipeline run: the machine's counters
+// (PoolHits/PoolMisses count the record pool, ShadowReuses the
+// processors' work-buffer reallocations served from shadow memory)
+// plus the record pool's steals.
 type PipelineResult struct {
+	target.Counters
 	Config     PipelineConfig
-	Makespan   int64
-	Sim        sim.Stats
-	Alloc      alloc.Stats
-	PoolHits   int64
-	PoolMisses int64
 	PoolSteals int64
-	// ShadowReuses counts the processors' work-buffer reallocations
-	// served from shadow memory.
-	ShadowReuses int64
-	Footprint    int64
-	// Heap is the underlying allocator's post-run introspection snapshot.
-	Heap alloc.HeapInfo
 }
 
 // record is a parsed CDR travelling from the parser to a processor.
@@ -87,23 +78,21 @@ type record struct {
 // RunPipeline executes the producer/consumer BGw variant.
 func RunPipeline(cfg PipelineConfig) (PipelineResult, error) {
 	cfg = cfg.withDefaults()
-	e := sim.New(sim.Config{Processors: cfg.Processors, Tracer: cfg.Tracer})
-	sp := mem.NewSpace()
 	res := PipelineResult{Config: cfg}
-
-	base, err := alloc.New(cfg.Strategy, e, sp, alloc.Options{Threads: cfg.Workers + 1})
+	pcfg := cfg.Pool
+	pcfg.StealShards = cfg.Steal
+	m, err := target.Boot(target.Config{Processors: cfg.Processors, Strategy: cfg.Strategy, Pool: pcfg, Tracer: cfg.Tracer}, target.Options{})
 	if err != nil {
 		return res, err
 	}
+	// Stages take the amplified path exactly when they hold a runtime.
+	e, base := m.Engine, m.Alloc
 	var rt *pool.Runtime
 	var recPool *pool.ClassPool
 	if cfg.Amplify {
-		pcfg := cfg.Pool
-		pcfg.StealShards = cfg.Steal
-		rt = pool.NewRuntime(e, base, pcfg)
+		rt = m.Pools
 		recPool = rt.NewClassPool("CDRRecord", AmpRecordSize)
 	}
-	pool.Watch(cfg.Tracer, sp, base, rt)
 	// Shadow state of pooled records: the array blocks parked in each
 	// record's shadow fields (the Go-side mirror of those fields).
 	recShadows := make(map[mem.Ref]*record)
@@ -123,20 +112,9 @@ func RunPipeline(cfg PipelineConfig) (PipelineResult, error) {
 			})
 		}
 	})
-	res.Makespan = e.Run()
-	res.Sim = e.Stats()
-	res.Alloc = base.Stats()
-	if rt != nil {
-		res.ShadowReuses = rt.ShadowReuses
-	}
+	res.Counters = m.Run()
 	if recPool != nil {
-		res.PoolHits = recPool.Hits
-		res.PoolMisses = recPool.Misses
 		res.PoolSteals = recPool.Steals
-	}
-	res.Footprint = sp.Footprint()
-	if insp, ok := base.(alloc.Inspector); ok {
-		res.Heap = insp.Inspect()
 	}
 	return res, nil
 }

@@ -25,9 +25,6 @@ func runOn(t *testing.T, strategy string, opt alloc.Options, tr sim.Tracer, fn f
 	t.Helper()
 	e := sim.New(sim.Config{Processors: 8, Tracer: tr})
 	sp := mem.NewSpace()
-	if opt.Threads == 0 {
-		opt.Threads = 1
-	}
 	a, err := alloc.New(strategy, e, sp, opt)
 	if err != nil {
 		t.Fatal(err)
@@ -207,7 +204,7 @@ func TestPoolDepthHitRateAndTrim(t *testing.T) {
 	obs := newObsCounter()
 	e := sim.New(sim.Config{Processors: 2, Tracer: obs})
 	sp := mem.NewSpace()
-	under, err := alloc.New("serial", e, sp, alloc.Options{Threads: 1})
+	under, err := alloc.New("serial", e, sp, alloc.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,7 +263,7 @@ func TestPoolMaxObjectsRelease(t *testing.T) {
 	obs := newObsCounter()
 	e := sim.New(sim.Config{Processors: 2, Tracer: obs})
 	sp := mem.NewSpace()
-	under, err := alloc.New("serial", e, sp, alloc.Options{Threads: 1})
+	under, err := alloc.New("serial", e, sp, alloc.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

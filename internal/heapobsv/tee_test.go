@@ -17,7 +17,7 @@ func poolScenario(t *testing.T, tr sim.Tracer) int64 {
 	t.Helper()
 	e := sim.New(sim.Config{Processors: 2, Tracer: tr})
 	sp := mem.NewSpace()
-	under, err := alloc.New("serial", e, sp, alloc.Options{Threads: 1})
+	under, err := alloc.New("serial", e, sp, alloc.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -26,7 +26,7 @@ func Run(prog *cc.Program, cfg target.Config) (res target.Result, err error) {
 	if prog.Funcs["main"] == nil {
 		return res, fmt.Errorf("interp: program has no main function")
 	}
-	mc, err := target.Boot(cfg, prog.UsesThreads)
+	mc, err := target.Boot(cfg, target.Options{ElidePoolLocks: !prog.UsesThreads})
 	if err != nil {
 		return res, err
 	}
@@ -53,7 +53,7 @@ func Run(prog *cc.Program, cfg target.Config) (res target.Result, err error) {
 			err = re
 		}
 	}()
-	res = mc.Run()
+	res.Counters = mc.Run()
 	res.Output = m.out.String()
 	res.ExitCode = m.exitCode
 	res.PlacementFallbacks = m.placementFallbacks

@@ -19,8 +19,8 @@ type Watcher interface {
 }
 
 // Watch attaches a run's space, allocator and pool runtime to every
-// Watcher in tr, looking through sim.Tee fan-outs. Every runner that
-// builds its own allocator calls it once, before the simulation starts.
+// Watcher in tr, looking through sim.Tee fan-outs. internal/target's
+// boot calls it once per run, before the simulation starts.
 func Watch(tr sim.Tracer, sp *mem.Space, a alloc.Allocator, rt *Runtime) {
 	switch t := tr.(type) {
 	case sim.Tee:

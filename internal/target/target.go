@@ -1,9 +1,11 @@
-// Package target is the simulated machine both MiniCC engines run on:
-// one configuration, one boot (simulator, address space, C-library
-// allocator and Amplify pool runtime) and one result harvest. The
-// engines (internal/vm's bytecode loop and internal/interp's tree
-// walker) bring only their execution, so every Result field means the
-// same thing on both.
+// Package target is the simulated machine every run boots: one
+// configuration, one boot (simulator, address space, C-library
+// allocator and Amplify pool runtime) and one harvest of the machine's
+// counters. The MiniCC engines (internal/vm's bytecode loop and
+// internal/interp's tree walker) and the Go workload runners
+// (internal/workload's tree, churn and replay, internal/bgw's BGw and
+// pipeline) bring only their threads, so every Counters field means the
+// same thing on all of them.
 package target
 
 import (
@@ -28,11 +30,10 @@ type Config struct {
 	// empty means "serial".
 	Strategy string
 	// Pool configures the Amplify runtime used by pre-processed
-	// programs. SingleThreaded is set automatically for programs that
-	// never spawn.
+	// programs and pool-based workloads.
 	Pool pool.Config
-	// MaxSteps bounds executed work (guards against non-terminating
-	// inputs); zero means 50 million.
+	// MaxSteps bounds executed work of the MiniCC engines (guards
+	// against non-terminating inputs); zero means 50 million.
 	MaxSteps int64
 	// Tracer receives the run's event stream. A tracer implementing
 	// pool.Watcher is also attached to the run's address space,
@@ -41,32 +42,57 @@ type Config struct {
 	Tracer sim.Tracer
 }
 
-// Result summarizes a run.
+// Options are the boot settings only some runs use.
+type Options struct {
+	// ElidePoolLocks builds a single-threaded pool runtime: the
+	// pre-processor's lock elision for programs that never spawn
+	// (§5.1).
+	ElidePoolLocks bool
+	// Arenas overrides the arena/heap count of multi-heap allocators;
+	// zero means the strategy default.
+	Arenas int
+	// Exact disables the simulator's lease optimization.
+	Exact bool
+}
+
+// Counters are the machine's counters after a run, the core of every
+// run's result.
+type Counters struct {
+	// Makespan is the completion time of the slowest thread in virtual
+	// cycles.
+	Makespan int64
+	// Sim aggregates lock, cache, channel and atomic statistics.
+	Sim sim.Stats
+	// Alloc are the C-library allocator's counters; under a pool
+	// runtime they count only pool misses (heap fallbacks).
+	Alloc alloc.Stats
+	// Footprint is the simulated process memory consumption in bytes.
+	Footprint int64
+	// Heap is the allocator's post-run introspection snapshot
+	// (fragmentation, free-list state, per-arena occupancy).
+	Heap alloc.HeapInfo
+	// PoolHits/PoolMisses aggregate over all class pools; ShadowReuses
+	// counts array allocations served from shadow memory.
+	PoolHits     int64
+	PoolMisses   int64
+	ShadowReuses int64
+}
+
+// Result summarizes a MiniCC program run: the machine's counters plus
+// what the engine reports.
 type Result struct {
+	Counters
 	// Output is everything print() wrote, in virtual-time order.
 	Output string
 	// ExitCode is main's return value.
 	ExitCode int64
-	// Makespan is the completion time in virtual cycles.
-	Makespan int64
-	Sim      sim.Stats
-	Alloc    alloc.Stats
-	// PoolHits/PoolMisses aggregate over all class pools (pre-processed
-	// programs only).
-	PoolHits     int64
-	PoolMisses   int64
-	ShadowReuses int64
 	// PlacementFallbacks counts placement-new reorganizations (§3.2's
 	// non-identical-structure path: the shadow object was still live).
 	PlacementFallbacks int64
-	Footprint          int64
-	// Heap is the allocator's post-run introspection snapshot
-	// (fragmentation, free-list state, per-arena occupancy).
-	Heap alloc.HeapInfo
 }
 
 // Machine is one booted run: the configuration with its defaults
-// applied and the layers an engine executes against.
+// applied and the layers a run executes against.
 type Machine struct {
 	Config
 	Engine *sim.Engine
@@ -75,47 +101,44 @@ type Machine struct {
 	Pools  *pool.Runtime
 }
 
-// Boot builds the machine for one run of a program. Programs that never
-// spawn (usesThreads false) get a single-threaded pool runtime.
-func Boot(cfg Config, usesThreads bool) (*Machine, error) {
-	if cfg.Processors <= 0 {
-		cfg.Processors = 8
-	}
+// Boot builds the machine for one run.
+func Boot(cfg Config, opt Options) (*Machine, error) {
 	if cfg.Strategy == "" {
 		cfg.Strategy = "serial"
 	}
 	if cfg.MaxSteps <= 0 {
 		cfg.MaxSteps = 50_000_000
 	}
-	m := &Machine{Config: cfg, Engine: sim.New(sim.Config{Processors: cfg.Processors, Tracer: cfg.Tracer}), Space: mem.NewSpace()}
+	e := sim.New(sim.Config{Processors: cfg.Processors, Exact: opt.Exact, Tracer: cfg.Tracer})
+	cfg.Processors = e.Processors()
+	m := &Machine{Config: cfg, Engine: e, Space: mem.NewSpace()}
 	var err error
-	if m.Alloc, err = alloc.New(cfg.Strategy, m.Engine, m.Space, alloc.Options{}); err != nil {
+	if m.Alloc, err = alloc.New(cfg.Strategy, e, m.Space, alloc.Options{Arenas: opt.Arenas}); err != nil {
 		return nil, err
 	}
 	pcfg := cfg.Pool
-	pcfg.SingleThreaded = pcfg.SingleThreaded || !usesThreads
-	m.Pools = pool.NewRuntime(m.Engine, m.Alloc, pcfg)
+	pcfg.SingleThreaded = pcfg.SingleThreaded || opt.ElidePoolLocks
+	m.Pools = pool.NewRuntime(e, m.Alloc, pcfg)
 	pool.Watch(cfg.Tracer, m.Space, m.Alloc, m.Pools)
 	return m, nil
 }
 
 // Run simulates until every thread has finished and harvests the
-// machine's counters. The engine fills in Output, ExitCode and
-// PlacementFallbacks.
-func (m *Machine) Run() Result {
-	res := Result{
+// machine's counters.
+func (m *Machine) Run() Counters {
+	st := Counters{
 		Makespan:     m.Engine.Run(),
 		Sim:          m.Engine.Stats(),
 		Alloc:        m.Alloc.Stats(),
-		ShadowReuses: m.Pools.ShadowReuses,
 		Footprint:    m.Space.Footprint(),
+		ShadowReuses: m.Pools.ShadowReuses,
 	}
 	if insp, ok := m.Alloc.(alloc.Inspector); ok {
-		res.Heap = insp.Inspect()
+		st.Heap = insp.Inspect()
 	}
 	for _, pl := range m.Pools.Pools() {
-		res.PoolHits += pl.Hits
-		res.PoolMisses += pl.Misses
+		st.PoolHits += pl.Hits
+		st.PoolMisses += pl.Misses
 	}
-	return res
+	return st
 }

@@ -69,14 +69,6 @@ func DiffCounts(old, new map[string]int64, minShareBP int64) []Delta {
 	return out
 }
 
-// DiffFolded diffs two folded-stack profiles (the "frame;frame;leaf N"
-// format obsv.Profiler.Folded and heapobsv.SiteProfile.Folded emit —
-// cycle profiles and heap site profiles share the syntax). Each stack
-// is one key; ranking and thresholding are DiffCounts's.
-func DiffFolded(old, new string, minShareBP int64) []Delta {
-	return DiffCounts(ParseFolded(old), ParseFolded(new), minShareBP)
-}
-
 // ParseFolded reads a folded-stack profile into a stack→value map.
 // Malformed lines (no space-separated trailing integer) are skipped —
 // the differ is used on artifacts from older binaries too, and a

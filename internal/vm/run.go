@@ -26,7 +26,7 @@ func Run(p *Program, cfg Config) (res Result, err error) {
 	if !ok {
 		return res, fmt.Errorf("vm: program has no main function")
 	}
-	mc, err := target.Boot(cfg, p.Src.UsesThreads)
+	mc, err := target.Boot(cfg, target.Options{ElidePoolLocks: !p.Src.UsesThreads})
 	if err != nil {
 		return res, err
 	}
@@ -63,7 +63,7 @@ func Run(p *Program, cfg Config) (res Result, err error) {
 			err = ve
 		}
 	}()
-	res = mc.Run()
+	res.Counters = mc.Run()
 	res.Output = m.out.String()
 	res.ExitCode = m.exitCode
 	res.PlacementFallbacks = m.placementFallbacks

@@ -3,10 +3,8 @@ package workload
 import (
 	"strconv"
 
-	"amplify/internal/alloc"
-	"amplify/internal/mem"
-	"amplify/internal/pool"
 	"amplify/internal/sim"
+	"amplify/internal/target"
 )
 
 // The churn workload is the contention-scaling scenario the 2001 paper
@@ -33,14 +31,12 @@ type ChurnConfig struct {
 	// way application logic would. Zero means pure allocator pressure.
 	Work int64
 	// Tracer receives the run's event stream; a pool.Watcher tracer is
-	// attached to the run's space and allocator first. Host-side only.
+	// attached to the run's space, allocator and pool runtime first.
+	// Host-side only.
 	Tracer sim.Tracer
 }
 
 func (cfg ChurnConfig) withDefaults() ChurnConfig {
-	if cfg.Processors <= 0 {
-		cfg.Processors = 8
-	}
 	if cfg.Threads <= 0 {
 		cfg.Threads = 1
 	}
@@ -53,21 +49,12 @@ func (cfg ChurnConfig) withDefaults() ChurnConfig {
 	return cfg
 }
 
-// ChurnResult summarizes a churn run.
+// ChurnResult summarizes a churn run: the machine's counters plus the
+// run's strategy and configuration.
 type ChurnResult struct {
+	target.Counters
 	Strategy string
 	Config   ChurnConfig
-
-	// Makespan is the completion time of the slowest thread.
-	Makespan int64
-	// Sim aggregates lock, cache and atomic-operation statistics.
-	Sim sim.Stats
-	// Alloc are the allocator's counters.
-	Alloc alloc.Stats
-	// Footprint is the simulated memory consumption in bytes.
-	Footprint int64
-	// Heap is the allocator's post-run introspection snapshot.
-	Heap alloc.HeapInfo
 }
 
 // ChurnStrategies lists the allocators the contention experiment
@@ -80,15 +67,12 @@ func ChurnStrategies() []string {
 // (any registered alloc strategy) and returns its measurements.
 func RunChurn(strategy string, cfg ChurnConfig) (ChurnResult, error) {
 	cfg = cfg.withDefaults()
-	e := sim.New(sim.Config{Processors: cfg.Processors, Tracer: cfg.Tracer})
-	sp := mem.NewSpace()
 	res := ChurnResult{Strategy: strategy, Config: cfg}
-
-	a, err := alloc.New(strategy, e, sp, alloc.Options{Threads: cfg.Threads})
+	m, err := target.Boot(target.Config{Processors: cfg.Processors, Strategy: strategy, Tracer: cfg.Tracer}, target.Options{})
 	if err != nil {
 		return res, err
 	}
-	pool.Watch(cfg.Tracer, sp, a, nil)
+	e, a := m.Engine, m.Alloc
 
 	// A two-sided start gate puts every worker into the churn at the
 	// same virtual instant: spawns are staggered by the spawn cost, so
@@ -117,10 +101,6 @@ func RunChurn(strategy string, cfg ChurnConfig) (ChurnResult, error) {
 		ready.Wait(c)
 		gate.Done(c)
 	})
-	res.Makespan = e.Run()
-	res.Sim = e.Stats()
-	res.Alloc = a.Stats()
-	res.Footprint = sp.Footprint()
-	res.Heap = inspectHeap(a)
+	res.Counters = m.Run()
 	return res, nil
 }

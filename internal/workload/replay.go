@@ -3,11 +3,10 @@ package workload
 import (
 	"fmt"
 
-	"amplify/internal/alloc"
 	"amplify/internal/alloctrace"
 	"amplify/internal/mem"
-	"amplify/internal/pool"
 	"amplify/internal/sim"
+	"amplify/internal/target"
 )
 
 // The replay workload drives a recorded allocation trace back through
@@ -28,27 +27,19 @@ type ReplayConfig struct {
 	// Processors simulated; zero means 8.
 	Processors int
 	// Tracer receives the run's event stream; a pool.Watcher tracer is
-	// attached to the run's space and allocator first. Host-side only.
+	// attached to the run's space, allocator and pool runtime first.
+	// Host-side only.
 	Tracer sim.Tracer
 }
 
-// ReplayResult summarizes a replay run.
+// ReplayResult summarizes a replay run: the machine's counters plus
+// the corpus driven.
 type ReplayResult struct {
+	target.Counters
 	Strategy string
 	// TraceName and per-trace counters identify the corpus driven.
 	TraceName string
 	Stats     alloctrace.Stats
-
-	// Makespan is the completion time of the slowest thread.
-	Makespan int64
-	// Sim aggregates lock, cache and atomic-operation statistics.
-	Sim sim.Stats
-	// Alloc are the allocator's counters.
-	Alloc alloc.Stats
-	// Footprint is the simulated memory consumption in bytes.
-	Footprint int64
-	// Heap is the allocator's post-run introspection snapshot.
-	Heap alloc.HeapInfo
 }
 
 // ReplayStrategies lists the allocators the replay experiment compares:
@@ -80,9 +71,6 @@ func RunReplay(strategy string, cfg ReplayConfig) (ReplayResult, error) {
 	tr := cfg.Trace
 	res.TraceName = tr.Name
 	res.Stats = tr.Stats()
-	if cfg.Processors <= 0 {
-		cfg.Processors = 8
-	}
 
 	// Partition the stream per thread and mark cross-thread lifetimes.
 	// gateOf maps an alloc event to 1 + its gate's index in gates, or 0
@@ -97,13 +85,11 @@ func RunReplay(strategy string, cfg ReplayConfig) (ReplayResult, error) {
 		}
 	}
 
-	e := sim.New(sim.Config{Processors: cfg.Processors, Tracer: cfg.Tracer})
-	sp := mem.NewSpace()
-	a, err := alloc.New(strategy, e, sp, alloc.Options{Threads: len(tr.Threads)})
+	m, err := target.Boot(target.Config{Processors: cfg.Processors, Strategy: strategy, Tracer: cfg.Tracer}, target.Options{})
 	if err != nil {
 		return res, err
 	}
-	pool.Watch(cfg.Tracer, sp, a, nil)
+	e, a := m.Engine, m.Alloc
 
 	var gates []*sim.WaitGroup // in alloc event order
 	for i, marked := range gateOf {
@@ -149,10 +135,6 @@ func RunReplay(strategy string, cfg ReplayConfig) (ReplayResult, error) {
 		ready.Wait(c)
 		gate.Done(c)
 	})
-	res.Makespan = e.Run()
-	res.Sim = e.Stats()
-	res.Alloc = a.Stats()
-	res.Footprint = sp.Footprint()
-	res.Heap = inspectHeap(a)
+	res.Counters = m.Run()
 	return res, nil
 }

@@ -27,6 +27,7 @@ import (
 	"amplify/internal/mem"
 	"amplify/internal/pool"
 	"amplify/internal/sim"
+	"amplify/internal/target"
 )
 
 // Node sizes in bytes. The paper's nodes hold two (32-bit) child
@@ -67,11 +68,11 @@ type TreeConfig struct {
 	// Arenas overrides the arena/heap count of multi-heap allocators
 	// (ptmalloc, hoard); zero means the strategy default.
 	Arenas int
-	// Pool configures the Amplify runtime (strategy "amplify" only).
-	// SingleThreaded is forced on when Threads == 1, mirroring the
-	// pre-processor's lock elision for non-threaded programs, unless
-	// KeepPoolLocks is set (the lock-elision ablation needs the locked
-	// build of a single-threaded program).
+	// Pool configures the Amplify runtime (pool strategies "amplify"
+	// and "objectpool"). SingleThreaded is forced on when Threads == 1,
+	// mirroring the pre-processor's lock elision for non-threaded
+	// programs, unless KeepPoolLocks is set (the lock-elision ablation
+	// needs the locked build of a single-threaded program).
 	Pool          pool.Config
 	KeepPoolLocks bool
 	// Exact disables the simulator's lease optimization.
@@ -84,9 +85,6 @@ type TreeConfig struct {
 }
 
 func (cfg TreeConfig) withDefaults() TreeConfig {
-	if cfg.Processors <= 0 {
-		cfg.Processors = 8
-	}
 	if cfg.Threads <= 0 {
 		cfg.Threads = 1
 	}
@@ -96,31 +94,17 @@ func (cfg TreeConfig) withDefaults() TreeConfig {
 	return cfg
 }
 
-// Result summarizes a run.
+// Result summarizes a run. The machine's counters come from
+// target.Counters; for the pool strategies Alloc counts only pool misses
+// (heap fallbacks), and for "handmade" PoolHits/PoolMisses count the
+// thread-private pools.
 type Result struct {
+	target.Counters
 	Strategy string
 	Config   TreeConfig
-
-	// Makespan is the completion time of the slowest thread in virtual
-	// cycles: the experiment's "execution time".
-	Makespan int64
-	// Sim aggregates lock and cache statistics.
-	Sim sim.Stats
-	// Alloc are the underlying allocator's counters; for "amplify" and
-	// "handmade" they count only pool misses (heap fallbacks).
-	Alloc alloc.Stats
-	// Footprint is the simulated process memory consumption in bytes.
-	Footprint int64
-	// PoolHits/PoolMisses count structure-pool operations (pool-based
-	// strategies only).
-	PoolHits   int64
-	PoolMisses int64
 	// FailedTryLocks counts failed trylock attempts across all mutexes
 	// (the quantity §5.1 reports as "failed lock attempts").
 	FailedTryLocks int64
-	// Heap is the underlying allocator's post-run introspection snapshot
-	// (fragmentation, free-list state, per-arena occupancy).
-	Heap alloc.HeapInfo
 }
 
 // Strategies lists the tree-workload strategy names.
@@ -132,105 +116,53 @@ func Strategies() []string {
 // and returns its measurements.
 func RunTree(strategy string, cfg TreeConfig) (Result, error) {
 	cfg = cfg.withDefaults()
-	e := sim.New(sim.Config{Processors: cfg.Processors, Exact: cfg.Exact, Tracer: cfg.Tracer})
-	sp := mem.NewSpace()
-
 	res := Result{Strategy: strategy, Config: cfg}
-
+	under := strategy
 	switch strategy {
+	case "amplify", "objectpool", "handmade":
+		under = "serial" // the pool strategies fall back to the serial heap
 	case "serial", "ptmalloc", "hoard", "smartheap", "lkmalloc", "lfalloc":
-		a, err := alloc.New(strategy, e, sp, alloc.Options{Threads: cfg.Threads, Arenas: cfg.Arenas})
-		if err != nil {
-			return res, err
-		}
-		pool.Watch(cfg.Tracer, sp, a, nil)
-		forEachThread(e, cfg, func(c *sim.Ctx, trees int) {
-			plainWorker(c, a, cfg, trees)
-		})
-		res.Makespan = e.Run()
-		res.Alloc = a.Stats()
-		res.Heap = inspectHeap(a)
+	default:
+		return res, fmt.Errorf("workload: unknown strategy %q (have %v)", strategy, Strategies())
+	}
+	m, err := target.Boot(target.Config{Processors: cfg.Processors, Strategy: under, Pool: cfg.Pool, Tracer: cfg.Tracer},
+		target.Options{ElidePoolLocks: cfg.Threads == 1 && !cfg.KeepPoolLocks, Arenas: cfg.Arenas, Exact: cfg.Exact})
+	if err != nil {
+		return res, err
+	}
 
+	var hits, misses int64
+	switch strategy {
 	case "amplify":
-		under, err := alloc.New("serial", e, sp, alloc.Options{Threads: cfg.Threads})
-		if err != nil {
-			return res, err
-		}
-		pcfg := cfg.Pool
-		if cfg.Threads == 1 && !cfg.KeepPoolLocks {
-			pcfg.SingleThreaded = true
-		}
-		rt := pool.NewRuntime(e, under, pcfg)
-		pool.Watch(cfg.Tracer, sp, under, rt)
-		np := rt.NewClassPool("Node", AmpNodeSize)
-		forEachThread(e, cfg, func(c *sim.Ctx, trees int) {
-			amplifiedWorker(c, rt, np, cfg, trees)
+		np := m.Pools.NewClassPool("Node", AmpNodeSize)
+		forEachThread(m.Engine, cfg, func(c *sim.Ctx, trees int) {
+			amplifiedWorker(c, m.Pools, np, cfg, trees)
 		})
-		res.Makespan = e.Run()
-		res.Alloc = under.Stats()
-		res.PoolHits = np.Hits
-		res.PoolMisses = np.Misses
-		res.Heap = inspectHeap(under)
-
 	case "objectpool":
 		// §2.1's traditional object pool: every node goes through the
 		// class pool individually — no structure reuse, so a 15-node
 		// tree costs 15 pool operations instead of Amplify's one.
-		under, err := alloc.New("serial", e, sp, alloc.Options{Threads: cfg.Threads})
-		if err != nil {
-			return res, err
-		}
-		pcfg := cfg.Pool
-		if cfg.Threads == 1 {
-			pcfg.SingleThreaded = true
-		}
-		rt := pool.NewRuntime(e, under, pcfg)
-		pool.Watch(cfg.Tracer, sp, under, rt)
-		np := rt.NewClassPool("Node", PlainNodeSize)
-		forEachThread(e, cfg, func(c *sim.Ctx, trees int) {
+		np := m.Pools.NewClassPool("Node", PlainNodeSize)
+		forEachThread(m.Engine, cfg, func(c *sim.Ctx, trees int) {
 			objectPoolWorker(c, np, cfg, trees)
 		})
-		res.Makespan = e.Run()
-		res.Alloc = under.Stats()
-		res.PoolHits = np.Hits
-		res.PoolMisses = np.Misses
-		res.Heap = inspectHeap(under)
-
 	case "handmade":
-		under, err := alloc.New("serial", e, sp, alloc.Options{Threads: cfg.Threads})
-		if err != nil {
-			return res, err
-		}
-		pool.Watch(cfg.Tracer, sp, under, nil)
-		var hits, misses int64
-		forEachThread(e, cfg, func(c *sim.Ctx, trees int) {
-			h, m := handmadeWorker(c, under, cfg, trees)
+		forEachThread(m.Engine, cfg, func(c *sim.Ctx, trees int) {
+			h, mi := handmadeWorker(c, m.Alloc, cfg, trees)
 			hits += h
-			misses += m
+			misses += mi
 		})
-		res.Makespan = e.Run()
-		res.Alloc = under.Stats()
-		res.PoolHits = hits
-		res.PoolMisses = misses
-		res.Heap = inspectHeap(under)
-
 	default:
-		return res, fmt.Errorf("workload: unknown strategy %q (have %v)", strategy, Strategies())
+		forEachThread(m.Engine, cfg, func(c *sim.Ctx, trees int) {
+			plainWorker(c, m.Alloc, cfg, trees)
+		})
 	}
-
-	res.Sim = e.Stats()
-	res.Footprint = sp.Footprint()
-	res.FailedTryLocks = failedTryLocks(e)
+	res.Counters = m.Run()
+	if strategy == "handmade" {
+		res.PoolHits, res.PoolMisses = hits, misses
+	}
+	res.FailedTryLocks = failedTryLocks(m.Engine)
 	return res, nil
-}
-
-// inspectHeap snapshots the allocator's introspection state, when it
-// exposes any.
-func inspectHeap(a alloc.Allocator) alloc.HeapInfo {
-	if insp, ok := a.(alloc.Inspector); ok {
-		return insp.Inspect()
-	}
-	return alloc.HeapInfo{}
 }
 
 // failedTryLocks sums failed trylock attempts over every mutex.
