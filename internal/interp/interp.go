@@ -141,40 +141,14 @@ func zeroFor(t cc.Type) value {
 	return intVal(0)
 }
 
-// frame is one activation record. Locals live in a scope chain so that
+// frame is one activation record. Locals live in a scope stack so that
 // nested blocks shadow correctly (matching the VM's compile-time slot
 // resolution).
 type frame struct {
-	scopes []map[string]value
-	this   mem.Ref
-	class  *cc.ClassDecl
-	steps  *int64
-}
-
-func (f *frame) push() { f.scopes = append(f.scopes, map[string]value{}) }
-func (f *frame) pop()  { f.scopes = f.scopes[:len(f.scopes)-1] }
-
-func (f *frame) declare(name string, v value) {
-	f.scopes[len(f.scopes)-1][name] = v
-}
-
-func (f *frame) lookup(name string) (value, bool) {
-	for i := len(f.scopes) - 1; i >= 0; i-- {
-		if v, ok := f.scopes[i][name]; ok {
-			return v, true
-		}
-	}
-	return value{}, false
-}
-
-func (f *frame) set(name string, v value) bool {
-	for i := len(f.scopes) - 1; i >= 0; i-- {
-		if _, ok := f.scopes[i][name]; ok {
-			f.scopes[i][name] = v
-			return true
-		}
-	}
-	return false
+	vars  cc.Scopes[value]
+	this  mem.Ref
+	class *cc.ClassDecl
+	steps *int64
 }
 
 // machine is the shared execution state.
@@ -271,9 +245,9 @@ func (m *machine) step(c *sim.Ctx, f *frame) {
 func (m *machine) callFunc(c *sim.Ctx, fd *cc.FuncDecl, args []value) value {
 	var steps int64
 	f := &frame{steps: &steps}
-	f.push()
+	f.vars.Push()
 	for i, p := range fd.Params {
-		f.declare(p.Name, args[i])
+		f.vars.Declare(p.Name, args[i])
 	}
 	ret, _ := m.execBlock(c, f, fd.Body)
 	return ret
@@ -283,9 +257,9 @@ func (m *machine) callFunc(c *sim.Ctx, fd *cc.FuncDecl, args []value) value {
 func (m *machine) callMethod(c *sim.Ctx, this mem.Ref, meth *cc.Method, args []value) value {
 	var steps int64
 	f := &frame{this: this, class: meth.Class, steps: &steps}
-	f.push()
+	f.vars.Push()
 	for i, p := range meth.Params {
-		f.declare(p.Name, args[i])
+		f.vars.Declare(p.Name, args[i])
 	}
 	ret, _ := m.execBlock(c, f, meth.Body)
 	return ret
@@ -294,8 +268,8 @@ func (m *machine) callMethod(c *sim.Ctx, this mem.Ref, meth *cc.Method, args []v
 // execBlock runs statements in a fresh lexical scope; the bool reports
 // early return.
 func (m *machine) execBlock(c *sim.Ctx, f *frame, b *cc.Block) (value, bool) {
-	f.push()
-	defer f.pop()
+	f.vars.Push()
+	defer f.vars.Pop()
 	for _, s := range b.Stmts {
 		if ret, returned := m.execStmt(c, f, s); returned {
 			return ret, true
@@ -314,7 +288,7 @@ func (m *machine) execStmt(c *sim.Ctx, f *frame, s cc.Stmt) (value, bool) {
 		if s.Init != nil {
 			v = m.eval(c, f, s.Init)
 		}
-		f.declare(s.Name, v)
+		f.vars.Declare(s.Name, v)
 		return value{}, false
 	case *cc.ExprStmt:
 		m.eval(c, f, s.X)
@@ -336,8 +310,8 @@ func (m *machine) execStmt(c *sim.Ctx, f *frame, s cc.Stmt) (value, bool) {
 		}
 		return value{}, false
 	case *cc.For:
-		f.push()
-		defer f.pop()
+		f.vars.Push()
+		defer f.vars.Pop()
 		if s.Init != nil {
 			if ret, returned := m.execStmt(c, f, s.Init); returned {
 				return ret, true
@@ -524,11 +498,11 @@ func (m *machine) readIdent(c *sim.Ctx, f *frame, e *cc.Ident) value {
 	case cc.FieldIdent:
 		return m.readField(c, e.Pos, f.this, e.Name)
 	default:
-		v, ok := f.lookup(e.Name)
+		v, ok := f.vars.Lookup(e.Name)
 		if !ok {
 			panic(rtErr(e.Pos, "unbound identifier %s", e.Name))
 		}
-		return v
+		return *v
 	}
 }
 
@@ -574,9 +548,11 @@ func (m *machine) assign(c *sim.Ctx, f *frame, lhs cc.Expr, v value) {
 			m.writeField(c, lhs.Pos, f.this, lhs.Name, v)
 			return
 		}
-		if !f.set(lhs.Name, v) {
+		slot, ok := f.vars.Lookup(lhs.Name)
+		if !ok {
 			panic(rtErr(lhs.Pos, "unbound identifier %s", lhs.Name))
 		}
+		*slot = v
 	case *cc.FieldAccess:
 		recv := m.eval(c, f, lhs.Recv)
 		m.writeField(c, lhs.Pos, recv.ref, lhs.Name, v)

@@ -117,35 +117,41 @@ func CompileOpts(src *cc.Program, opt Options) (*Program, error) {
 		strID:    map[string]int{},
 		siteID:   map[string]int32{"?": 0},
 	}
-	// Reserve ids first so calls can reference later definitions.
+	// Reserve ids first so calls can reference later definitions. A
+	// name declared twice keeps its last body; the slot reserved for the
+	// earlier one stays empty under a placeholder name.
 	for _, d := range src.Decls {
 		switch d := d.(type) {
 		case *cc.FuncDecl:
-			p.FuncID[d.Name] = p.reserve("func " + d.Name)
+			if old, dup := p.FuncID[d.Name]; dup {
+				p.Fns[old].Name = "func " + d.Name
+			}
+			p.FuncID[d.Name] = p.reserve()
 		case *cc.ClassDecl:
 			p.classID[d.Name] = len(p.classes)
 			p.classes = append(p.classes, &classInfo{id: int32(len(p.classes)), decl: d})
 			for _, m := range d.Methods {
 				key := methodKey{d.Name, m.Kind, m.Name}
-				p.methodID[key] = p.reserve(d.Name + "::" + m.Name + "/" + strconv.Itoa(int(m.Kind)))
+				if old, dup := p.methodID[key]; dup {
+					p.Fns[old].Name = d.Name + "::" + m.Name + "/" + strconv.Itoa(int(m.Kind))
+				}
+				p.methodID[key] = p.reserve()
 			}
 		}
 	}
+	c := &compiler{p: p}
 	for _, d := range src.Decls {
 		switch d := d.(type) {
 		case *cc.FuncDecl:
-			fn, err := p.compileBody(d.Name, nil, cc.PlainMethod, d.Params, d.Body)
-			if err != nil {
+			if err := c.body(p.Fns[p.FuncID[d.Name]], d.Name, nil, cc.PlainMethod, d.Params, d.Body); err != nil {
 				return nil, err
 			}
-			*p.Fns[p.FuncID[d.Name]] = *fn
 		case *cc.ClassDecl:
 			for _, m := range d.Methods {
-				fn, err := p.compileBody(methodName(d, m), d, m.Kind, m.Params, m.Body)
-				if err != nil {
+				fn := p.Fns[p.methodID[methodKey{d.Name, m.Kind, m.Name}]]
+				if err := c.body(fn, methodName(d, m), d, m.Kind, m.Params, m.Body); err != nil {
 					return nil, err
 				}
-				*p.Fns[p.methodID[methodKey{d.Name, m.Kind, m.Name}]] = *fn
 			}
 		}
 	}
@@ -210,8 +216,9 @@ func methodName(d *cc.ClassDecl, m *cc.Method) string {
 	return d.Name + "::" + m.Name
 }
 
-func (p *Program) reserve(name string) int {
-	p.Fns = append(p.Fns, &Fn{Name: name})
+// reserve adds an empty function for a body compiled later.
+func (p *Program) reserve() int {
+	p.Fns = append(p.Fns, &Fn{})
 	return len(p.Fns) - 1
 }
 
@@ -242,28 +249,30 @@ func (p *Program) name(s string) int32 {
 	return int32(len(p.Names) - 1)
 }
 
-// compiler holds per-function state.
+// compiler holds the state of the body being compiled.
 type compiler struct {
 	p      *Program
 	class  *cc.ClassDecl
 	fnName string
 	code   []Instr
-	scopes []map[string]int
-	slots  int
+	// vars maps the locals in scope to their slots.
+	vars  cc.Scopes[int]
+	slots int
 }
 
-func (p *Program) compileBody(name string, class *cc.ClassDecl, kind cc.MethodKind, params []*cc.Param, body *cc.Block) (*Fn, error) {
-	c := &compiler{p: p, class: class, fnName: name}
-	c.push()
+// body compiles one function or method body into fn.
+func (c *compiler) body(fn *Fn, name string, class *cc.ClassDecl, kind cc.MethodKind, params []*cc.Param, body *cc.Block) error {
+	c.class, c.fnName, c.code, c.slots = class, name, nil, 0
+	c.vars.Reset()
+	c.vars.Push()
 	for _, prm := range params {
 		c.declare(prm.Name)
 	}
 	if err := c.block(body); err != nil {
-		return nil, err
+		return err
 	}
-	c.pop()
 	c.emit(OpRetVoid, 0, 0)
-	fn := &Fn{
+	*fn = Fn{
 		Name:   name,
 		Params: len(params),
 		Slots:  c.slots,
@@ -271,7 +280,7 @@ func (p *Program) compileBody(name string, class *cc.ClassDecl, kind cc.MethodKi
 		Class:  class,
 		Kind:   kind,
 	}
-	return fn, nil
+	return nil
 }
 
 func (c *compiler) emit(op Op, a, b int32) int {
@@ -312,28 +321,23 @@ func (c *compiler) patch(at int, target int) {
 	c.code[at].A = int32(target)
 }
 
-func (c *compiler) push() { c.scopes = append(c.scopes, map[string]int{}) }
-func (c *compiler) pop()  { c.scopes = c.scopes[:len(c.scopes)-1] }
-
 func (c *compiler) declare(name string) int {
 	slot := c.slots
 	c.slots++
-	c.scopes[len(c.scopes)-1][name] = slot
+	c.vars.Declare(name, slot)
 	return slot
 }
 
 func (c *compiler) lookup(name string) (int, bool) {
-	for i := len(c.scopes) - 1; i >= 0; i-- {
-		if s, ok := c.scopes[i][name]; ok {
-			return s, true
-		}
+	if slot, ok := c.vars.Lookup(name); ok {
+		return *slot, true
 	}
 	return 0, false
 }
 
 func (c *compiler) block(b *cc.Block) error {
-	c.push()
-	defer c.pop()
+	c.vars.Push()
+	defer c.vars.Pop()
 	for _, s := range b.Stmts {
 		if err := c.stmt(s); err != nil {
 			return err
@@ -398,8 +402,8 @@ func (c *compiler) stmt(s cc.Stmt) error {
 		c.patch(jf, len(c.code))
 		return nil
 	case *cc.For:
-		c.push()
-		defer c.pop()
+		c.vars.Push()
+		defer c.vars.Pop()
 		if s.Init != nil {
 			if err := c.stmt(s.Init); err != nil {
 				return err
