@@ -11,12 +11,13 @@ import "amplify/internal/cc"
 // and uses are analyzed exactly once per traversal.
 
 // instr is one CFG instruction: a non-structural cc.Stmt (*cc.VarDecl,
-// *cc.ExprStmt, *cc.DeleteStmt, *cc.Return, *cc.Spawn, *cc.Join) or a
-// cond wrapping an expression evaluated for control flow or effect.
-type instr any
-
-// cond is an expression evaluated at the end of a block.
-type cond struct{ X cc.Expr }
+// *cc.ExprStmt, *cc.DeleteStmt, *cc.Return, *cc.Spawn, *cc.Join), or,
+// when stmt is nil, an expression cond evaluated at the end of a block
+// for control flow or effect.
+type instr struct {
+	stmt cc.Stmt
+	cond cc.Expr
+}
 
 // block is a basic block.
 type block struct {
@@ -32,10 +33,14 @@ type graph struct {
 	exit   *block
 }
 
-// buildCFG lowers a body to its control-flow graph.
-func buildCFG(body *cc.Block) *graph {
-	g := &graph{}
-	b := &cfgBuilder{g: g}
+// cfgBuilder lowers bodies to graphs. It reuses one graph and its
+// blocks from body to body, so a graph is valid until the next build.
+type cfgBuilder struct{ g graph }
+
+// build lowers a body to its control-flow graph.
+func (b *cfgBuilder) build(body *cc.Block) *graph {
+	g := &b.g
+	g.blocks = g.blocks[:0]
 	g.entry = b.newBlock()
 	g.exit = b.newBlock()
 	end := b.stmts(g.entry, body.Stmts)
@@ -43,10 +48,16 @@ func buildCFG(body *cc.Block) *graph {
 	return g
 }
 
-type cfgBuilder struct{ g *graph }
-
 func (b *cfgBuilder) newBlock() *block {
-	blk := &block{id: len(b.g.blocks)}
+	id := len(b.g.blocks)
+	var blk *block
+	if id < cap(b.g.blocks) {
+		blk = b.g.blocks[:id+1][id]
+	}
+	if blk == nil {
+		blk = &block{}
+	}
+	*blk = block{id: id, instrs: blk.instrs[:0], succs: blk.succs[:0]}
 	b.g.blocks = append(b.g.blocks, blk)
 	return blk
 }
@@ -67,7 +78,7 @@ func (b *cfgBuilder) stmt(cur *block, s cc.Stmt) *block {
 	case *cc.Block:
 		return b.stmts(cur, s.Stmts)
 	case *cc.If:
-		cur.instrs = append(cur.instrs, cond{s.Cond})
+		cur.instrs = append(cur.instrs, instr{cond: s.Cond})
 		join := b.newBlock()
 		then := b.newBlock()
 		b.edge(cur, then)
@@ -83,7 +94,7 @@ func (b *cfgBuilder) stmt(cur *block, s cc.Stmt) *block {
 	case *cc.While:
 		head := b.newBlock()
 		b.edge(cur, head)
-		head.instrs = append(head.instrs, cond{s.Cond})
+		head.instrs = append(head.instrs, instr{cond: s.Cond})
 		body := b.newBlock()
 		b.edge(head, body)
 		b.edge(b.stmt(body, s.Body), head)
@@ -97,26 +108,26 @@ func (b *cfgBuilder) stmt(cur *block, s cc.Stmt) *block {
 		head := b.newBlock()
 		b.edge(cur, head)
 		if s.Cond != nil {
-			head.instrs = append(head.instrs, cond{s.Cond})
+			head.instrs = append(head.instrs, instr{cond: s.Cond})
 		}
 		body := b.newBlock()
 		b.edge(head, body)
 		end := b.stmt(body, s.Body)
 		if s.Post != nil {
-			end.instrs = append(end.instrs, cond{s.Post})
+			end.instrs = append(end.instrs, instr{cond: s.Post})
 		}
 		b.edge(end, head)
 		after := b.newBlock()
 		b.edge(head, after)
 		return after
 	case *cc.Return:
-		cur.instrs = append(cur.instrs, s)
+		cur.instrs = append(cur.instrs, instr{stmt: s})
 		b.edge(cur, b.g.exit)
 		// Statements after a return are unreachable; give them a block
 		// with no predecessors so the dataflow never visits them.
 		return b.newBlock()
 	default:
-		cur.instrs = append(cur.instrs, s)
+		cur.instrs = append(cur.instrs, instr{stmt: s})
 		return cur
 	}
 }
