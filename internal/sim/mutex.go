@@ -123,6 +123,3 @@ func (m *Mutex) Unlock(c *Ctx) {
 	m.e.wake(t, w, m.e.cost.LockHandoff)
 	t.maybeYield()
 }
-
-// Held reports whether the mutex is currently owned (for tests).
-func (m *Mutex) Held() bool { return m.owner != nil }
