@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"amplify/internal/cc"
+	"amplify/internal/mccgen"
 )
 
 // benchProgram parses, analyzes and compiles a source once; benchmarks
@@ -234,5 +235,45 @@ func BenchmarkPeepholeCompile(b *testing.B) {
 		if _, err := Compile(prog); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// benchSrc is the front end's benchmark program (internal/cc): 49 KB of
+// generated source, up to 64 classes of up to 12 fields.
+var benchSrc = mccgen.Generate(mccgen.Config{Seed: 28, MaxClasses: 64, MaxFields: 12, Iterations: 2})
+
+// ledgerSrc is the program of the tool-path rows of BENCH_host.json.
+var ledgerSrc = mccgen.Generate(mccgen.Config{Seed: 5, MaxClasses: 64, MaxFields: 12, Iterations: 2})
+
+// BenchmarkCompile measures -O compilation of the analyzed benchSrc.
+func BenchmarkCompile(b *testing.B) {
+	prog, err := analyze(benchSrc)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, err := CompileOpts(prog, Options{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// TestCompileAllocBudget bounds -O compilation's allocations on the
+// ledger program: one scope stack per compile, not a map per block.
+// The ceiling is the measured count plus 10%.
+func TestCompileAllocBudget(t *testing.T) {
+	const budget = 1740
+	prog, err := analyze(ledgerSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := testing.AllocsPerRun(3, func() {
+		if _, err := CompileOpts(prog, Options{}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if got > budget {
+		t.Errorf("vm.CompileOpts: %.0f allocs per run, budget %d", got, budget)
 	}
 }
