@@ -264,8 +264,8 @@ func HostBench() (*HostReport, error) {
 }
 
 // toolPathHostBench times the tool-path layers one by one on one large
-// generated program (41 KB of source): the front end, vet with escape
-// analysis, the analysis-driven rewrite, and -O compilation.
+// generated program (41 KB of source): the parser, sema, vet with
+// escape analysis, the analysis-driven rewrite, and -O compilation.
 func toolPathHostBench() ([]HostBenchmark, error) {
 	const rounds, allocRuns = 10, 3
 	src := mccgen.Generate(mccgen.Config{Seed: 5, MaxClasses: 64, MaxFields: 12, Iterations: 2})
@@ -285,20 +285,28 @@ func toolPathHostBench() ([]HostBenchmark, error) {
 		auto[e.Class] = e.Reason
 	}
 	// A tree serves one vet run: the escape analysis is memoized on it.
-	// Every run of that row takes a tree parsed beforehand.
+	// Every run of that row takes a tree parsed beforehand. The sema row
+	// re-analyzes one parsed tree; Analyze rebuilds every table it fills.
 	trees := make([]*cc.Program, 1+rounds+allocRuns)
 	for i := range trees {
 		if trees[i], err = parse(); err != nil {
 			return nil, err
 		}
 	}
+	parsed, err := cc.Parse(src)
+	if err != nil {
+		return nil, err
+	}
 	rows := []struct {
 		name string
 		run  func() error
 	}{
-		{"front/parse_analyze", func() error {
-			_, err := parse()
+		{"front/parse", func() error {
+			_, err := cc.Parse(src)
 			return err
+		}},
+		{"front/sema", func() error {
+			return cc.Analyze(parsed)
 		}},
 		{"vet/check_escape", func() error {
 			t := trees[0]
