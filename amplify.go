@@ -120,13 +120,15 @@ func Vet(src string) (findings string, clean bool, ineligible map[string]string,
 // RunConfig parameterizes program execution on the simulated machine.
 type RunConfig struct {
 	// Allocator is the C-library allocator: "serial" (default; the
-	// Solaris-style baseline), "ptmalloc", "hoard", "smartheap" or
-	// "lkmalloc".
+	// Solaris-style baseline), "ptmalloc", "hoard", "smartheap",
+	// "lkmalloc" or "lfalloc".
 	Allocator string
 	// Processors is the simulated CPU count (default 8, the paper's
 	// machines).
 	Processors int
-	// MaxSteps bounds interpreted statements (default 50 million).
+	// MaxSteps bounds the program's executed work, in the steps both
+	// engines count, as a guard against non-terminating programs
+	// (default 50 million).
 	MaxSteps int64
 	// Engine selects the execution engine: "vm" (compiled bytecode,
 	// default) or "ast" (tree-walking interpreter). The two are

@@ -174,12 +174,6 @@ func (h *Heap) UsableSize(ref mem.Ref) int64 {
 	return n
 }
 
-// Owns reports whether ref was carved by this heap.
-func (h *Heap) Owns(ref mem.Ref) bool {
-	_, ok := h.sizes.get(ref)
-	return ok
-}
-
 // Alloc carves or reuses a block of at least size bytes.
 func (h *Heap) Alloc(c *sim.Ctx, size int64) mem.Ref {
 	h.Allocs++
@@ -271,7 +265,7 @@ func (h *Heap) Free(c *sim.Ctx, ref mem.Ref) {
 // open-addressed table of (ref, size) pairs (Fibonacci hashing, linear
 // probing), which the garbage collector never scans and whose probe
 // reads one host cache line. There is no deletion: freed blocks keep
-// their entries, as UsableSize and Owns answer for freed blocks too,
+// their entries, as UsableSize answers for freed blocks too,
 // and a carved address is never carved again.
 type blockIndex struct {
 	slots []blockSlot

@@ -95,11 +95,11 @@ func TestFreeUnknownPanics(t *testing.T) {
 func TestOwns(t *testing.T) {
 	withHeap(t, func(c *sim.Ctx, h *Heap) {
 		r := h.Alloc(c, 20)
-		if !h.Owns(r) {
-			t.Error("Owns(allocated) = false")
+		if _, ok := h.sizes.get(r); !ok {
+			t.Error("allocated block not in the block index")
 		}
-		if h.Owns(mem.Ref(0x9999)) {
-			t.Error("Owns(bogus) = true")
+		if _, ok := h.sizes.get(mem.Ref(0x9999)); ok {
+			t.Error("bogus block found in the block index")
 		}
 	})
 }

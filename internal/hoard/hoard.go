@@ -257,9 +257,6 @@ func (a *Allocator) UsableSize(ref mem.Ref) int64 {
 // Stats implements alloc.Allocator.
 func (a *Allocator) Stats() alloc.Stats { return a.stats }
 
-// HeapOf exposes the heap index a thread maps to (for tests).
-func (a *Allocator) HeapOf(tid int) int { return a.heapFor(tid) }
-
 // Inspect implements alloc.Inspector. Each Hoard heap (global heap
 // included) becomes one ArenaInfo; free bytes are the unused blocks of
 // the heap's superblocks, and the largest free block is the biggest

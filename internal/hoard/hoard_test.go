@@ -15,7 +15,7 @@ func TestHeapModulation(t *testing.T) {
 	// explanation for Figure 10.
 	seen := map[int]int{}
 	for tid := 0; tid < 8; tid++ {
-		seen[a.HeapOf(tid)]++
+		seen[a.heapFor(tid)]++
 	}
 	if len(seen) != 4 {
 		t.Fatalf("distinct heaps = %d, want 4", len(seen))
@@ -25,7 +25,7 @@ func TestHeapModulation(t *testing.T) {
 			t.Fatalf("heap %d has %d threads, want 2", h, n)
 		}
 	}
-	if a.HeapOf(0) == 0 {
+	if a.heapFor(0) == 0 {
 		t.Fatal("thread mapped to the global heap")
 	}
 }

@@ -31,10 +31,6 @@ func (e *Engine) setAtomicWord(addr uint64, v int64) {
 	e.atomics[addr] = v
 }
 
-// AtomicValue reports the current value of the cell at addr without
-// charging any simulated work (for tests and post-run inspection).
-func (e *Engine) AtomicValue(addr uint64) int64 { return e.atomicWord(addr) }
-
 // CAS atomically compares the 8-byte cell at addr with old and, when
 // equal, replaces it with new. It reports whether the swap happened.
 // Both outcomes charge the line's write access (a failed CAS still

@@ -19,7 +19,7 @@ func TestCASSemantics(t *testing.T) {
 		}
 	})
 	e.Run()
-	if got := e.AtomicValue(0x9000); got != 9 {
+	if got := e.atomicWord(0x9000); got != 9 {
 		t.Fatalf("final cell value = %d, want 9", got)
 	}
 	st := e.Stats()
@@ -43,7 +43,7 @@ func TestFAASemantics(t *testing.T) {
 		}
 	})
 	e.Run()
-	if got := e.AtomicValue(0xA000); got != 101 {
+	if got := e.atomicWord(0xA000); got != 101 {
 		t.Fatalf("final cell value = %d, want 101", got)
 	}
 	st := e.Stats()
@@ -108,7 +108,7 @@ func TestContendedCASPingPong(t *testing.T) {
 	if st.AtomicCAS != 4 || st.AtomicCASFailed != 1 {
 		t.Errorf("stats = %+v, want 4 CAS with 1 failure", st)
 	}
-	if got := e.AtomicValue(addr); got != 4 {
+	if got := e.atomicWord(addr); got != 4 {
 		t.Errorf("final value = %d, want 4", got)
 	}
 }
@@ -159,7 +159,7 @@ func TestContendedFAAPingPong(t *testing.T) {
 	if st := e.Stats(); st.AtomicFAA != 4 {
 		t.Errorf("AtomicFAA = %d, want 4", st.AtomicFAA)
 	}
-	if got := e.AtomicValue(addr); got != 4 {
+	if got := e.atomicWord(addr); got != 4 {
 		t.Errorf("final value = %d, want 4", got)
 	}
 }

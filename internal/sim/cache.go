@@ -20,8 +20,7 @@ package sim
 // paged arrays are no alternative because workloads touch a few lines
 // per region of a brk space that realloc can grow very large.
 type Cache struct {
-	lineShift uint
-	cost      *CostModel
+	cost *CostModel
 
 	// recs is the per-line table; n counts its occupied slots.
 	recs []lineRec
@@ -69,27 +68,21 @@ type sharerRec struct {
 	seen uint32
 }
 
+// lineShift is log2 of the cache-line size: lines are 64 bytes.
+const lineShift = 6
+
 const (
 	lineTableMinSize  = 1024 // slots; 32 KiB
 	extraTableMinSize = 256  // slots; 4 KiB, allocated on first use
 )
 
-// newCache returns a cache model with the given line size, which must
-// be a power of two.
-func newCache(lineSize int64, cost *CostModel) *Cache {
-	shift := uint(0)
-	for int64(1)<<shift < lineSize {
-		shift++
-	}
+// newCache returns a cache model that prices accesses with cost.
+func newCache(cost *CostModel) *Cache {
 	return &Cache{
-		lineShift: shift,
-		cost:      cost,
-		recs:      make([]lineRec, lineTableMinSize),
+		cost: cost,
+		recs: make([]lineRec, lineTableMinSize),
 	}
 }
-
-// LineSize reports the cache line size in bytes.
-func (c *Cache) LineSize() int64 { return int64(1) << c.lineShift }
 
 // access charges t for touching [addr, addr+size) on processor cpu.
 // write distinguishes stores from loads.
@@ -97,8 +90,8 @@ func (c *Cache) access(t *Thread, cpu int, addr uint64, size int64, write bool) 
 	if size <= 0 {
 		size = 1
 	}
-	first := addr >> c.lineShift
-	last := (addr + uint64(size) - 1) >> c.lineShift
+	first := addr >> lineShift
+	last := (addr + uint64(size) - 1) >> lineShift
 	for line := first; line <= last; line++ {
 		c.accessLine(t, cpu, line, write)
 	}

@@ -13,28 +13,23 @@ import (
 // Cache without the host-side record layout or memo, so every charged
 // cycle, counter and coherence event must match.
 type refCache struct {
-	lineShift uint
-	cost      *CostModel
-	global    refLineMap
-	seen      []refLineMap
+	cost   *CostModel
+	global refLineMap
+	seen   []refLineMap
 
 	Hits, Misses, Invalidations, RFOs int64
 }
 
-func newRefCache(p int, lineSize int64, cost *CostModel) *refCache {
-	shift := uint(0)
-	for int64(1)<<shift < lineSize {
-		shift++
-	}
-	return &refCache{lineShift: shift, cost: cost, seen: make([]refLineMap, p)}
+func newRefCache(p int, cost *CostModel) *refCache {
+	return &refCache{cost: cost, seen: make([]refLineMap, p)}
 }
 
 func (c *refCache) access(t *Thread, cpu int, addr uint64, size int64, write bool) {
 	if size <= 0 {
 		size = 1
 	}
-	first := addr >> c.lineShift
-	last := (addr + uint64(size) - 1) >> c.lineShift
+	first := addr >> lineShift
+	last := (addr + uint64(size) - 1) >> lineShift
 	for line := first; line <= last; line++ {
 		c.accessLine(t, cpu, line, write)
 	}
@@ -147,7 +142,7 @@ func checkCacheModel(t *testing.T, p int, ops []cacheOp) {
 	gotRec.Max, wantRec.Max = 1<<30, 1<<30
 	ge := New(Config{Processors: p, Tracer: &gotRec})
 	we := New(Config{Processors: p, Tracer: &wantRec})
-	ref := newRefCache(p, we.cfg.LineSize, &we.cost)
+	ref := newRefCache(p, &we.cost)
 	gt, wt := ge.newThread("got", nil), we.newThread("want", nil)
 	c := ge.cache
 	for i, op := range ops {

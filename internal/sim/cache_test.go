@@ -78,21 +78,6 @@ func TestAccessSpanningLines(t *testing.T) {
 	}
 }
 
-func TestLineSizeConfig(t *testing.T) {
-	e := New(Config{Processors: 1, LineSize: 32})
-	if e.Cache().LineSize() != 32 {
-		t.Fatalf("line size = %d", e.Cache().LineSize())
-	}
-	e.Go("w", func(c *Ctx) {
-		c.Read(0x1000, 8)
-		c.Read(0x1020, 8) // 32 bytes away: different line under 32B lines
-	})
-	e.Run()
-	if e.Cache().Misses != 2 {
-		t.Fatalf("misses = %d, want 2 with 32-byte lines", e.Cache().Misses)
-	}
-}
-
 // BenchmarkCacheAccess measures one 8-byte access through the cache
 // model (a quarter of them stores), with processors taking turns on
 // either 64 dense lines that every processor shares or 64k lines

@@ -44,8 +44,7 @@ type CostModel struct {
 	Migration int64
 }
 
-// DefaultCost returns the cost model used by all experiments unless a
-// test overrides individual prices.
+// DefaultCost returns the prices every engine charges.
 func DefaultCost() CostModel {
 	return CostModel{
 		Op:          1,

@@ -33,7 +33,7 @@
 // below the second-smallest runnable clock. Operations that could make
 // another thread runnable earlier (unlock handoff, spawn, waitgroup
 // completion) shrink the lease accordingly, preserving the scheduling
-// invariant. Within a lease window, memory accesses by the leaseholder
-// are not interleaved with other threads' accesses; this slightly batches
-// cache-model traffic but affects all allocation strategies equally.
+// invariant. No other thread could act before the lease ends, so a
+// lease changes no simulated result, only how often the host switches
+// coroutines.
 package sim

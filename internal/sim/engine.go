@@ -6,53 +6,29 @@ import (
 	"runtime"
 )
 
-// Config parameterizes the simulated machine.
+// Config parameterizes the simulated machine. Every other parameter is
+// fixed: the engine prices events with DefaultCost, models 64-byte
+// cache lines and rotates the threads of an oversubscribed machine
+// across processors every migrationPeriod cycles.
 type Config struct {
-	// Processors is the number of CPUs (the paper's machines had 8).
+	// Processors is the number of CPUs; zero means 8, the paper's
+	// machines.
 	Processors int
-	// MigrationPeriod is the virtual-time interval after which threads
-	// rotate between processors when the machine is oversubscribed.
-	MigrationPeriod int64
-	// LineSize is the cache-line size in bytes (power of two).
-	LineSize int64
-	// Cost prices the primitive events; zero value means DefaultCost.
-	Cost CostModel
-	// Exact disables the lease optimization so that every engine call
-	// yields to the scheduler. Used by tests to validate that leases do
-	// not change results beyond cache-batching noise.
-	Exact bool
 	// Tracer, when non-nil, receives every simulation event (thread
 	// lifecycle, lock traffic, allocator and pool activity, cache
 	// coherence, channel/waitgroup operations, migrations, and the
 	// events the VM and runtimes emit through Ctx.Trace/Emit).
 	Tracer Tracer
-	// linearScan selects the pre-heap reference scheduler: a linear
-	// scan over all threads per event and no lease self-renewal. It
-	// exists so tests can verify the heap scheduler is behaviorally
-	// identical; it is unexported because nothing else should use it.
-	linearScan bool
 }
 
-func (c Config) withDefaults() Config {
-	if c.Processors <= 0 {
-		c.Processors = 8
-	}
-	if c.MigrationPeriod <= 0 {
-		c.MigrationPeriod = 200_000
-	}
-	if c.LineSize <= 0 {
-		c.LineSize = 64
-	}
-	if c.Cost == (CostModel{}) {
-		c.Cost = DefaultCost()
-	}
-	return c
-}
+// migrationPeriod is the virtual-time interval after which threads
+// rotate between processors when the machine is oversubscribed.
+const migrationPeriod = 200_000
 
 // Engine is a deterministic discrete-event SMP simulator. Create one
 // with New, add threads with Go, then call Run.
 type Engine struct {
-	cfg     Config
+	procs   int
 	cost    CostModel
 	cache   *Cache
 	threads []*Thread
@@ -102,21 +78,20 @@ type Engine struct {
 
 // New returns an engine for the given configuration.
 func New(cfg Config) *Engine {
-	cfg = cfg.withDefaults()
 	e := &Engine{
-		cfg:    cfg,
-		cost:   cfg.Cost,
+		procs:  cfg.Processors,
+		cost:   DefaultCost(),
 		tracer: cfg.Tracer,
 	}
-	e.cache = newCache(cfg.LineSize, &e.cost)
+	if e.procs <= 0 {
+		e.procs = 8
+	}
+	e.cache = newCache(&e.cost)
 	return e
 }
 
 // Processors reports the number of simulated CPUs.
-func (e *Engine) Processors() int { return e.cfg.Processors }
-
-// Cost returns the engine's cost model.
-func (e *Engine) Cost() CostModel { return e.cost }
+func (e *Engine) Processors() int { return e.procs }
 
 // Cache returns the engine's cache model (for statistics).
 func (e *Engine) Cache() *Cache { return e.cache }
@@ -137,7 +112,7 @@ func (e *Engine) newThread(name string, fn func(*Ctx)) *Thread {
 		lastCPU: -1,
 		heapIdx: -1,
 	}
-	t.home = t.slot % e.cfg.Processors
+	t.home = t.slot % e.procs
 	t.lastCPU = t.home
 	e.threads = append(e.threads, t)
 	return t
@@ -158,15 +133,36 @@ func (e *Engine) Go(name string, fn func(*Ctx)) *Thread {
 // the makespan (the largest completion time). It panics on deadlock,
 // printing the lock graph, and re-raises a thread's panic.
 //
-// Run is a central scheduling loop: it picks the next thread, grants
-// its lease and resumes the thread's worker coroutine, which runs until
-// the thread yields, blocks or finishes and then switches straight back
-// here. Each switch is a direct coroutine transfer, not a channel
-// operation, so the Go scheduler never runs between two simulated
-// events. A preempted thread has already chosen its successor, which
-// Run starts without consulting the heap. On every exit, normal or
-// not, the workers are stopped.
+// Run is a central scheduling loop: it pops the next thread off the
+// ready heap, grants its lease and resumes the thread's worker
+// coroutine, which runs until the thread yields, blocks or finishes and
+// then switches straight back here. Each switch is a direct coroutine
+// transfer, not a channel operation, so the Go scheduler never runs
+// between two simulated events. A preempted thread has already chosen
+// its successor, which Run starts without consulting the heap. On every
+// exit, normal or not, the workers are stopped.
 func (e *Engine) Run() int64 {
+	e.start()
+	defer e.stopWorkers()
+	for e.live > 0 {
+		t := e.handoff
+		if t != nil {
+			e.handoff = nil
+		} else if t = e.ready.pop(); t == nil {
+			panic(e.deadlockReport())
+		}
+		e.grant(t, e.heapLease())
+		t.w.next()
+		if e.threadPanic != nil {
+			e.rethrowThreadPanic()
+		}
+	}
+	return e.Makespan()
+}
+
+// start queues every thread registered with Go. It panics when the
+// engine has already run.
+func (e *Engine) start() {
 	if e.started {
 		panic("sim: Run called twice")
 	}
@@ -179,37 +175,6 @@ func (e *Engine) Run() int64 {
 			e.trace(t, EvThreadStart, t.name)
 		}
 	}
-	defer e.stopWorkers()
-	for e.live > 0 {
-		t := e.handoff
-		if t != nil {
-			e.handoff = nil
-			e.grant(t, e.heapLease())
-		} else if t = e.dispatch(); t == nil {
-			panic(e.deadlockReport())
-		}
-		t.w.next()
-		if e.threadPanic != nil {
-			e.rethrowThreadPanic()
-		}
-	}
-	return e.Makespan()
-}
-
-// dispatch picks the next thread to run and grants it (see grant), or
-// returns nil when no thread is runnable.
-func (e *Engine) dispatch() *Thread {
-	var t *Thread
-	var lease int64
-	if e.cfg.linearScan {
-		t, lease = e.pickMin()
-	} else if t = e.ready.pop(); t != nil {
-		lease = e.heapLease()
-	}
-	if t != nil {
-		e.grant(t, lease)
-	}
-	return t
 }
 
 // heapLease is the lease of a thread just taken off the ready heap: the
@@ -221,14 +186,10 @@ func (e *Engine) heapLease() int64 {
 	return math.MaxInt64
 }
 
-// grant marks t running with a lease up to the runner-up's clock,
-// unless Exact forces a yield on every event, and binds t to a worker
-// at its first dispatch.
+// grant marks t running with a lease up to the runner-up's clock, and
+// binds t to a worker at its first dispatch.
 func (e *Engine) grant(t *Thread, lease int64) {
 	t.state = stateRunning
-	if e.cfg.Exact {
-		lease = math.MinInt64 // always yield
-	}
 	t.lease = lease
 	if t.w == nil {
 		e.bindWorker(t)
@@ -247,48 +208,10 @@ func (e *Engine) rethrowThreadPanic() {
 	panic(e.threadPanic)
 }
 
-// pickMin selects the ready thread with the smallest clock (ties broken
-// by slot) and the clock of the runner-up, which bounds the winner's
-// lease. It is the linear-scan reference scheduler, kept only for the
-// equivalence tests that pin the heap scheduler to it; it differs from
-// the heap only in how the next thread is picked and in having no lease
-// self-renewal (see yieldCheck).
-func (e *Engine) pickMin() (*Thread, int64) {
-	var best *Thread
-	second := int64(math.MaxInt64)
-	for _, t := range e.threads {
-		if t.state != stateReady {
-			continue
-		}
-		if best == nil || t.clock < best.clock {
-			if best != nil {
-				second = best.clock
-			}
-			best = t
-		} else if t.clock < second {
-			second = t.clock
-		}
-	}
-	return best, second
-}
-
 // Makespan reports the largest thread completion time seen so far. It
-// is an O(1) read of the running max maintained by advance and wake;
-// scanMakespan is the O(threads) reference it is pinned to by test.
+// is an O(1) read of the running max maintained by advance and wake.
 func (e *Engine) Makespan() int64 {
 	return e.maxClock
-}
-
-// scanMakespan recomputes the makespan by scanning every thread. Kept
-// as the reference implementation for the Makespan regression test.
-func (e *Engine) scanMakespan() int64 {
-	var m int64
-	for _, t := range e.threads {
-		if t.clock > m {
-			m = t.clock
-		}
-	}
-	return m
 }
 
 func (e *Engine) deadlockReport() string {

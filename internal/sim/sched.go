@@ -1,10 +1,10 @@
 package sim
 
 // readyHeap is an indexed binary min-heap over the ready threads,
-// ordered by (clock, slot). The root is the thread pickMin would choose
-// by scanning: the smallest clock, ties broken toward the lowest slot —
-// so heap scheduling reproduces the scan's decisions exactly, in
-// O(log R) per event instead of O(threads).
+// ordered by (clock, slot). The root is the thread a scan over every
+// thread would choose: the smallest clock, ties broken toward the
+// lowest slot — so heap scheduling reproduces the scan's decisions
+// exactly, in O(log R) per event instead of O(threads).
 //
 // Entries are stable while queued: a thread's clock only changes while
 // it runs, and a running thread is never in the heap (it is popped
@@ -113,9 +113,7 @@ func (h *readyHeap) swap(i, j int) {
 // caller must have finalized t.clock: the heap is keyed on it.
 func (e *Engine) enqueue(t *Thread) {
 	t.state = stateReady
-	if !e.cfg.linearScan {
-		e.ready.push(t)
-	}
+	e.ready.push(t)
 }
 
 // wake makes w runnable no earlier than t's current time plus delay

@@ -1,0 +1,277 @@
+package sim
+
+import (
+	"crypto/sha256"
+	"fmt"
+	"math"
+	"math/rand"
+	"testing"
+)
+
+// runLinear is the reference scheduler the ready heap replaced: Run
+// with every pick made by a linear scan over all threads (see pickMin)
+// instead of by the heap root. The heap still holds the ready threads,
+// because yieldCheck and wake maintain it, so the chosen thread is
+// removed from it by slot, and a preempted thread's handoff choice is
+// put back and re-decided by the scan.
+func runLinear(e *Engine) int64 {
+	e.start()
+	defer e.stopWorkers()
+	for e.live > 0 {
+		if h := e.handoff; h != nil {
+			e.handoff = nil
+			e.ready.push(h)
+		}
+		t, lease := pickMin(e)
+		if t == nil {
+			panic(e.deadlockReport())
+		}
+		e.ready.remove(t)
+		e.grant(t, lease)
+		t.w.next()
+		if e.threadPanic != nil {
+			e.rethrowThreadPanic()
+		}
+	}
+	return e.Makespan()
+}
+
+// pickMin selects the ready thread with the smallest clock (ties broken
+// by slot) and the clock of the runner-up, which bounds the winner's
+// lease.
+func pickMin(e *Engine) (*Thread, int64) {
+	var best *Thread
+	second := int64(math.MaxInt64)
+	for _, t := range e.threads {
+		if t.state != stateReady {
+			continue
+		}
+		if best == nil || t.clock < best.clock {
+			if best != nil {
+				second = best.clock
+			}
+			best = t
+		} else if t.clock < second {
+			second = t.clock
+		}
+	}
+	return best, second
+}
+
+// scanMakespan recomputes the makespan by scanning every thread: the
+// reference for the running max Makespan reads.
+func scanMakespan(e *Engine) int64 {
+	var m int64
+	for _, t := range e.threads {
+		if t.clock > m {
+			m = t.clock
+		}
+	}
+	return m
+}
+
+// remove takes t out of the heap wherever it sits.
+func (h *readyHeap) remove(t *Thread) {
+	i, last := t.heapIdx, len(h.ts)-1
+	if i < 0 {
+		panic("sim: thread " + t.name + " is not queued")
+	}
+	h.swap(i, last)
+	h.ts[last] = nil
+	h.ts = h.ts[:last]
+	if i < last {
+		h.down(i)
+		h.up(i)
+	}
+	t.heapIdx = -1
+}
+
+// schedRun is what one run of a scenario lets a test observe.
+type schedRun struct {
+	makespan int64
+	stats    Stats
+	clocks   []int64
+	events   []Event
+}
+
+func observeRun(build func(Config) *Engine, procs int, run func(*Engine) int64) schedRun {
+	rec := Recorder{Max: 1 << 30, Mask: AllEvents}
+	e := build(Config{Processors: procs, Tracer: &rec})
+	r := schedRun{makespan: run(e), stats: e.Stats(), events: rec.Events}
+	for _, t := range e.Threads() {
+		r.clocks = append(r.clocks, t.Clock())
+	}
+	return r
+}
+
+// checkMatchesLinear runs a scenario on the engine and on runLinear and
+// fails on any difference in makespan, statistics, per-thread
+// completion clock or event stream, preemptions included. It returns
+// the engine's run.
+func checkMatchesLinear(t *testing.T, id string, procs int, build func(Config) *Engine) schedRun {
+	t.Helper()
+	heap := observeRun(build, procs, (*Engine).Run)
+	ref := observeRun(build, procs, runLinear)
+	if heap.makespan != ref.makespan {
+		t.Errorf("%s: makespan %d (heap) != %d (linear scan)", id, heap.makespan, ref.makespan)
+	}
+	if heap.stats != ref.stats {
+		t.Errorf("%s: stats diverge\nheap: %+v\nscan: %+v", id, heap.stats, ref.stats)
+	}
+	if len(heap.clocks) != len(ref.clocks) {
+		t.Errorf("%s: %d threads (heap) != %d (linear scan)", id, len(heap.clocks), len(ref.clocks))
+	} else {
+		for i := range heap.clocks {
+			if heap.clocks[i] != ref.clocks[i] {
+				t.Errorf("%s: thread %d completion %d (heap) != %d (linear scan)", id, i, heap.clocks[i], ref.clocks[i])
+			}
+		}
+	}
+	for i := range min(len(heap.events), len(ref.events)) {
+		if heap.events[i] != ref.events[i] {
+			t.Errorf("%s: event %d is %+v (heap), %+v (linear scan)", id, i, heap.events[i], ref.events[i])
+			break
+		}
+	}
+	if len(heap.events) != len(ref.events) {
+		t.Errorf("%s: %d events (heap) != %d (linear scan)", id, len(heap.events), len(ref.events))
+	}
+	return heap
+}
+
+// streamHash is the SHA-256 of a run's event stream without its
+// preemptions, one "%+v" line per event.
+func streamHash(events []Event) string {
+	h := sha256.New()
+	for _, ev := range events {
+		if ev.Kind != EvPreempt {
+			fmt.Fprintf(h, "%+v\n", ev)
+		}
+	}
+	return fmt.Sprintf("%x", h.Sum(nil))
+}
+
+// TestHeapSchedulerMatchesLinearScan pins the heap scheduler to the
+// linear-scan reference on the torture scenario and on lockstep
+// threads with tied clocks that preempt on every step, on 8 processors
+// and oversubscribed on 4. The reference shares yieldCheck and wake
+// with the engine, so each scenario's makespan and event stream are
+// also pinned to the values the pre-heap scheduler produced, which
+// yielded on every lease expiry; its preemptions differ, so they are
+// left out of the hash.
+func TestHeapSchedulerMatchesLinearScan(t *testing.T) {
+	lockstep8 := func(cfg Config) *Engine { return lockstep(cfg, 8, 200) }
+	for _, pin := range []struct {
+		name     string
+		build    func(Config) *Engine
+		procs    int
+		makespan int64
+		events   int
+		sha      string
+	}{
+		{"torture", torture, 4, 137630, 495, "7d9fce0ac613d17769c5099d3ec6bd1c42270bdf7d7dec1f87cac28c8949c614"},
+		{"torture", torture, 8, 106380, 471, "67e598cb5bc21b8708d0a823e90581dbde8d4125f75682281b02b6b1726560ce"},
+		{"lockstep", lockstep8, 4, 40374, 3196, "e4b31d19ea89e6ad1869d75f2cf74d438b931d3d3daf819e6f09fa21f2f05464"},
+		{"lockstep", lockstep8, 8, 20200, 3180, "01ac7c15fb0bd12ad8fe57b8f67cb91f437a4554a04da0153e37f3bdcb5b93be"},
+	} {
+		id := fmt.Sprintf("%s P=%d", pin.name, pin.procs)
+		r := checkMatchesLinear(t, id, pin.procs, pin.build)
+		var n int
+		for _, ev := range r.events {
+			if ev.Kind != EvPreempt {
+				n++
+			}
+		}
+		if got := streamHash(r.events); r.makespan != pin.makespan || n != pin.events || got != pin.sha {
+			t.Errorf("%s: makespan %d, %d events, stream %s; pinned %d, %d, %s",
+				id, r.makespan, n, got, pin.makespan, pin.events, pin.sha)
+		}
+	}
+}
+
+// scripted builds an engine whose threads run scripts decoded from
+// data. The first byte sets the number of top-level threads (1-6), and
+// the rest is split evenly among them. Each script byte is one
+// operation: the low three bits pick it and the high five give its
+// argument. A thread holds at most one of the two mutexes, never waits
+// while holding it, and only waits for threads it spawned, so no script
+// can deadlock. Spawns nest two deep and stop at 24 children.
+func scripted(cfg Config, data []byte) *Engine {
+	e := New(cfg)
+	if len(data) == 0 {
+		return e
+	}
+	locks := [2]*Mutex{e.NewMutexAt("a", 0x8000), e.NewMutexAt("b", 0x8040)}
+	spawned := 0
+	var run func(c *Ctx, script []byte, depth int)
+	run = func(c *Ctx, script []byte, depth int) {
+		wg := c.Engine().NewWaitGroup()
+		var held *Mutex
+		for i, b := range script {
+			arg := int64(b >> 3)
+			addr := 0x10000 + uint64(arg)*24 // three 8-byte words per line
+			switch b & 7 {
+			case 0:
+				c.Advance(1 + arg*arg*61)
+			case 1:
+				if held == nil {
+					held = locks[arg&1]
+					held.Lock(c)
+				}
+			case 2:
+				if held != nil {
+					held.Unlock(c)
+					held = nil
+				}
+			case 3:
+				c.Read(addr, 8)
+			case 4:
+				c.Write(addr, 8)
+			case 5:
+				if depth < 2 && spawned < 24 {
+					spawned++
+					child := script[i+1 : min(len(script), i+2+int(arg&7))]
+					wg.Add(1)
+					c.Go("child", func(cc *Ctx) {
+						run(cc, child, depth+1)
+						wg.Done(cc)
+					})
+				}
+			case 6:
+				if held == nil {
+					wg.Wait(c)
+				}
+			case 7:
+				if held == nil && locks[arg&1].TryLock(c) {
+					held = locks[arg&1]
+				}
+			}
+		}
+		if held != nil {
+			held.Unlock(c)
+		}
+		wg.Wait(c)
+	}
+	n := 1 + int(data[0])%6
+	rest := data[1:]
+	for k := 0; k < n; k++ {
+		script := rest[k*len(rest)/n : (k+1)*len(rest)/n]
+		e.Go(fmt.Sprintf("t%d", k), func(c *Ctx) { run(c, script, 0) })
+	}
+	return e
+}
+
+// FuzzSchedule checks the heap scheduler against the linear-scan
+// reference on random thread scripts (see scripted) on 1-8 processors.
+func FuzzSchedule(f *testing.F) {
+	rng := rand.New(rand.NewSource(3))
+	for i, n := range []int{8, 64, 256} {
+		seed := make([]byte, n)
+		rng.Read(seed)
+		f.Add(uint8(1+3*i), seed) // 2, 5 and 8 processors
+	}
+	f.Fuzz(func(t *testing.T, procs uint8, data []byte) {
+		p := 1 + int(procs)%8
+		checkMatchesLinear(t, fmt.Sprintf("P=%d", p), p, func(cfg Config) *Engine { return scripted(cfg, data) })
+	})
+}

@@ -94,98 +94,23 @@ func lockstep(cfg Config, n, steps int) *Engine {
 	return e
 }
 
-// TestHeapSchedulerMatchesLinearScan pins the heap scheduler to the
-// pre-heap reference implementation: identical makespan, aggregate
-// statistics and event stream, on both the Exact and the lease
-// configuration, for the torture scenario and for lockstep threads
-// with tied clocks that preempt on every step (on 8 processors and
-// oversubscribed on 4).
-func TestHeapSchedulerMatchesLinearScan(t *testing.T) {
-	scenarios := []struct {
-		name  string
-		build func(Config) *Engine
-	}{
-		{"torture", torture},
-		{"lockstep", func(cfg Config) *Engine { return lockstep(cfg, 8, 200) }},
-	}
-	for _, sc := range scenarios {
-		for _, procs := range []int{4, 8} {
-			for _, exact := range []bool{false, true} {
-				// Preempt events are left out: without lease self-renewal
-				// the linear scan also preempts where the heap renews.
-				mask := AllEvents &^ MaskOf(EvPreempt)
-				refRec := Recorder{Max: 1 << 30, Mask: mask}
-				heapRec := Recorder{Max: 1 << 30, Mask: mask}
-				cfg := Config{Processors: procs, Exact: exact, Tracer: &refRec}
-				cfg.linearScan = true
-				ref := sc.build(cfg)
-				refMakespan := ref.Run()
-				refStats := ref.Stats()
-
-				cfg.linearScan = false
-				cfg.Tracer = &heapRec
-				heap := sc.build(cfg)
-				heapMakespan := heap.Run()
-				heapStats := heap.Stats()
-
-				id := fmt.Sprintf("%s P=%d exact=%v", sc.name, procs, exact)
-				if heapMakespan != refMakespan {
-					t.Errorf("%s: makespan %d (heap) != %d (linear scan)", id, heapMakespan, refMakespan)
-				}
-				if heapStats != refStats {
-					t.Errorf("%s: stats diverge\nheap: %+v\nscan: %+v", id, heapStats, refStats)
-				}
-				for i := range heap.Threads() {
-					if hc, rc := heap.Threads()[i].Clock(), ref.Threads()[i].Clock(); hc != rc {
-						t.Errorf("%s: thread %d completion %d != %d", id, i, hc, rc)
-					}
-				}
-				if len(heapRec.Events) != len(refRec.Events) {
-					t.Errorf("%s: %d events (heap) != %d (linear scan)", id, len(heapRec.Events), len(refRec.Events))
-					continue
-				}
-				for i, ev := range heapRec.Events {
-					if ev != refRec.Events[i] {
-						t.Errorf("%s: event %d is %+v (heap), %+v (linear scan)", id, i, ev, refRec.Events[i])
-						break
-					}
-				}
-			}
-		}
-	}
-}
-
-// TestExactMatchesLeaseOnTorture checks the lease fast path against the
-// always-yield mode on the scheduling-heavy scenario: the lease is a
-// pure host-side optimization, so virtual time must not move.
-func TestExactMatchesLeaseOnTorture(t *testing.T) {
-	lease := torture(Config{Processors: 4})
-	exact := torture(Config{Processors: 4, Exact: true})
-	lm, em := lease.Run(), exact.Run()
-	// Cache-access batching inside a lease window can move line
-	// ownership slightly; everything else is identical (see doc.go).
-	ratio := float64(lm) / float64(em)
-	if ratio < 0.98 || ratio > 1.02 {
-		t.Errorf("lease makespan %d vs exact %d (ratio %.4f)", lm, em, ratio)
-	}
-}
-
-// TestMakespanMatchesScan pins the O(1) running-max Makespan to the
-// O(threads) scan it replaced, on the scheduling-heavy torture
-// scenario under both schedulers and both lease modes.
+// TestMakespanMatchesScan pins the O(1) running-max Makespan to an
+// O(threads) scan, on the scheduling-heavy torture scenario under the
+// engine and under the linear-scan reference.
 func TestMakespanMatchesScan(t *testing.T) {
 	for _, linear := range []bool{false, true} {
-		for _, exact := range []bool{false, true} {
-			cfg := Config{Processors: 4, Exact: exact}
-			cfg.linearScan = linear
-			e := torture(cfg)
-			got := e.Run()
-			if want := e.scanMakespan(); got != want {
-				t.Errorf("linear=%v exact=%v: Makespan() %d != scan %d", linear, exact, got, want)
-			}
-			if got != e.Makespan() {
-				t.Errorf("linear=%v exact=%v: Run result %d != Makespan() %d", linear, exact, got, e.Makespan())
-			}
+		e := torture(Config{Processors: 4})
+		var m int64
+		if linear {
+			m = runLinear(e)
+		} else {
+			m = e.Run()
+		}
+		if want := scanMakespan(e); m != want {
+			t.Errorf("linear=%v: Makespan() %d != scan %d", linear, m, want)
+		}
+		if m != e.Makespan() {
+			t.Errorf("linear=%v: Run result %d != Makespan() %d", linear, m, e.Makespan())
 		}
 	}
 }
@@ -199,7 +124,7 @@ func TestMakespanMidRun(t *testing.T) {
 		e.Go("w", func(c *Ctx) {
 			for i := 0; i < 50; i++ {
 				c.Advance(int64(10 + w*7))
-				if got, want := e.Makespan(), e.scanMakespan(); got != want {
+				if got, want := e.Makespan(), scanMakespan(e); got != want {
 					t.Errorf("mid-run Makespan() %d != scan %d", got, want)
 				}
 				checks++
@@ -402,15 +327,17 @@ func BenchmarkThreadWake(b *testing.B) {
 // enough that every thread crosses migration epochs repeatedly.
 func BenchmarkOversubscribedMigration(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		e := New(Config{Processors: 8, MigrationPeriod: 10_000})
+		e := New(Config{Processors: 8})
 		for w := 0; w < 32; w++ {
 			e.Go("w", func(c *Ctx) {
 				for j := 0; j < 100; j++ {
-					c.Advance(997)
+					c.Advance(19_937)
 				}
 			})
 		}
-		e.Run()
+		if got := e.Run(); got < 20*migrationPeriod {
+			b.Fatalf("makespan %d crosses fewer than 20 migration periods", got)
+		}
 	}
 }
 

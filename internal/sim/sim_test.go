@@ -193,30 +193,6 @@ func TestDeterminism(t *testing.T) {
 	}
 }
 
-func TestExactModeMatchesLeaseMode(t *testing.T) {
-	run := func(exact bool) int64 {
-		cfg := testConfig(4)
-		cfg.Exact = exact
-		e := New(cfg)
-		m := e.NewMutex("m")
-		for i := 0; i < 5; i++ {
-			e.Go("w", func(c *Ctx) {
-				for j := 0; j < 40; j++ {
-					m.Lock(c)
-					c.Advance(23)
-					m.Unlock(c)
-					c.Advance(101)
-				}
-			})
-		}
-		return e.Run()
-	}
-	lease, exact := run(false), run(true)
-	if lease != exact {
-		t.Fatalf("lease mode makespan %d != exact mode %d", lease, exact)
-	}
-}
-
 func TestSpawnAndWaitGroup(t *testing.T) {
 	e := New(testConfig(4))
 	wg := e.NewWaitGroup()
@@ -241,39 +217,35 @@ func TestSpawnAndWaitGroup(t *testing.T) {
 	}
 }
 
-func TestMigrationWhenOversubscribed(t *testing.T) {
-	cfg := testConfig(2)
-	cfg.MigrationPeriod = 1000
-	e := New(cfg)
-	for i := 0; i < 4; i++ { // 4 threads, 2 CPUs
+// migrationRun runs 4 CPU-bound threads on procs processors for at
+// least five migration periods and returns the engine.
+func migrationRun(t *testing.T, procs int) *Engine {
+	t.Helper()
+	e := New(testConfig(procs))
+	for i := 0; i < 4; i++ {
 		e.Go("w", func(c *Ctx) {
 			for j := 0; j < 100; j++ {
-				c.Advance(100)
+				c.Advance(migrationPeriod / 20)
 			}
 		})
 	}
-	e.Run()
-	var migs int64
-	for _, th := range e.Threads() {
-		migs += th.Migrations
+	if got := e.Run(); got < 5*migrationPeriod {
+		t.Fatalf("makespan %d crosses fewer than 5 migration periods", got)
 	}
-	if migs == 0 {
-		t.Fatal("expected migrations with threads > processors")
+	return e
+}
+
+func TestMigrationWhenOversubscribed(t *testing.T) {
+	e := migrationRun(t, 2) // 4 threads, 2 CPUs
+	for _, th := range e.Threads() {
+		if th.Migrations == 0 {
+			t.Fatalf("thread %d never migrated with threads > processors", th.Slot())
+		}
 	}
 }
 
 func TestNoMigrationWhenUndersubscribed(t *testing.T) {
-	cfg := testConfig(4)
-	cfg.MigrationPeriod = 100
-	e := New(cfg)
-	for i := 0; i < 4; i++ {
-		e.Go("w", func(c *Ctx) {
-			for j := 0; j < 100; j++ {
-				c.Advance(100)
-			}
-		})
-	}
-	e.Run()
+	e := migrationRun(t, 4)
 	for _, th := range e.Threads() {
 		if th.Migrations != 0 {
 			t.Fatalf("thread %d migrated %d times with T == P", th.Slot(), th.Migrations)

@@ -2,7 +2,6 @@ package sim
 
 import (
 	"fmt"
-	"math"
 	"runtime/debug"
 )
 
@@ -87,8 +86,8 @@ func (t *Thread) Clock() int64 { return t.clock }
 // changed since the last advance.
 func (t *Thread) advance(cycles int64) {
 	e := t.e
-	if r := int64(e.running); r > int64(e.cfg.Processors) {
-		cycles = cycles * r / int64(e.cfg.Processors)
+	if r := int64(e.running); r > int64(e.procs) {
+		cycles = cycles * r / int64(e.procs)
 	}
 	t.clock += cycles
 	cpu := t.cpu()
@@ -105,15 +104,15 @@ func (t *Thread) advance(cycles int64) {
 
 // cpu computes the processor the thread currently runs on. With at most
 // P live threads every thread stays on its home processor; with more,
-// threads rotate across processors every MigrationPeriod of virtual
+// threads rotate across processors every migrationPeriod of virtual
 // time, modelling the OS spreading an oversubscribed run queue.
 func (t *Thread) cpu() int {
 	e := t.e
-	if e.live <= e.cfg.Processors {
+	if e.live <= e.procs {
 		return t.home
 	}
-	epoch := t.clock / e.cfg.MigrationPeriod
-	return int((int64(t.slot) + epoch) % int64(e.cfg.Processors))
+	epoch := t.clock / migrationPeriod
+	return int((int64(t.slot) + epoch) % int64(e.procs))
 }
 
 // yield suspends the thread's worker coroutine, returning control to
@@ -154,25 +153,13 @@ func (t *Thread) maybeYield() {
 // and a pop would make, at one sift-down.
 func (t *Thread) yieldCheck() {
 	e := t.e
-	if !e.cfg.linearScan {
-		if n := e.ready.peek(); n == nil || schedBefore(t, n) {
-			if !e.cfg.Exact {
-				if n == nil {
-					t.lease = math.MaxInt64
-				} else {
-					t.lease = n.clock
-				}
-			}
-			return
-		}
+	if n := e.ready.peek(); n == nil || schedBefore(t, n) {
+		t.lease = e.heapLease()
+		return
 	}
 	e.trace(t, EvPreempt, "")
-	if e.cfg.linearScan {
-		e.enqueue(t)
-	} else {
-		t.state = stateReady
-		e.handoff = e.ready.replaceTop(t)
-	}
+	t.state = stateReady
+	e.handoff = e.ready.replaceTop(t)
 	t.yield()
 }
 

@@ -51,8 +51,6 @@ type Options struct {
 	// Arenas overrides the arena/heap count of multi-heap allocators;
 	// zero means the strategy default.
 	Arenas int
-	// Exact disables the simulator's lease optimization.
-	Exact bool
 }
 
 // Counters are the machine's counters after a run, the core of every
@@ -109,7 +107,7 @@ func Boot(cfg Config, opt Options) (*Machine, error) {
 	if cfg.MaxSteps <= 0 {
 		cfg.MaxSteps = 50_000_000
 	}
-	e := sim.New(sim.Config{Processors: cfg.Processors, Exact: opt.Exact, Tracer: cfg.Tracer})
+	e := sim.New(sim.Config{Processors: cfg.Processors, Tracer: cfg.Tracer})
 	cfg.Processors = e.Processors()
 	m := &Machine{Config: cfg, Engine: e, Space: mem.NewSpace()}
 	var err error

@@ -95,7 +95,6 @@ type EscapeReport struct {
 	promote        map[*cc.NewExpr]string
 	promoteDeletes map[*cc.DeleteStmt]string
 	threadLocal    map[string]bool
-	presize        map[string]int64
 }
 
 // PromoteSite reports whether the rewriter may frame-promote this new
@@ -115,9 +114,6 @@ func (r *EscapeReport) PromoteDelete(d *cc.DeleteStmt) (string, bool) {
 // IsThreadLocal reports whether no instance of the class crosses a
 // thread boundary.
 func (r *EscapeReport) IsThreadLocal(class string) bool { return r.threadLocal[class] }
-
-// PresizeFor returns the pre-sizing bound for a class, or 0.
-func (r *EscapeReport) PresizeFor(class string) int64 { return r.presize[class] }
 
 // pfacts summarizes what a callee may do with one incoming pointer.
 type pfacts struct {
@@ -813,7 +809,6 @@ func Escape(prog *cc.Program) *EscapeReport {
 		promote:        map[*cc.NewExpr]string{},
 		promoteDeletes: map[*cc.DeleteStmt]string{},
 		threadLocal:    map[string]bool{},
-		presize:        map[string]int64{},
 	}
 
 	// Class partition.
@@ -896,6 +891,7 @@ func Escape(prog *cc.Program) *EscapeReport {
 	// Pre-sizing: total finite allocation bound of pooled (non-promoted)
 	// sites, per class, clamped to a useful range.
 	const presizeMin, presizeCap = 8, 4096
+	presize := map[string]int64{}
 	for _, e := range an.order {
 		f := an.facts[e]
 		if _, promoted := r.promote[e]; promoted {
@@ -905,17 +901,15 @@ func Escape(prog *cc.Program) *EscapeReport {
 		if b == Unbounded || b <= 0 {
 			continue
 		}
-		r.presize[f.class] = addBound(r.presize[f.class], b)
+		presize[f.class] = addBound(presize[f.class], b)
 	}
 	for _, name := range classNames {
-		n := r.presize[name]
+		n := presize[name]
 		if n < presizeMin {
-			delete(r.presize, name)
 			continue
 		}
 		if n > presizeCap || n == Unbounded {
 			n = presizeCap
-			r.presize[name] = n
 		}
 		r.Presize = append(r.Presize, ClassBound{Class: name, Count: n})
 	}

@@ -222,9 +222,6 @@ func TestEscapeBoundsAndPresize(t *testing.T) {
 	if len(r.Presize) != 1 || r.Presize[0].Class != "P" || r.Presize[0].Count != 20 {
 		t.Fatalf("want pre-size hint P=20, got %+v", r.Presize)
 	}
-	if got := r.PresizeFor("P"); got != 20 {
-		t.Fatalf("PresizeFor(P) = %d, want 20", got)
-	}
 	// The caller consumes the fresh result: no V008.
 	if len(diagsWithCode(r.Diags, CodeInterprocLeak)) != 0 {
 		t.Fatalf("false-positive V008:\n%s", r.String())

@@ -75,8 +75,6 @@ type TreeConfig struct {
 	// needs the locked build of a single-threaded program).
 	Pool          pool.Config
 	KeepPoolLocks bool
-	// Exact disables the simulator's lease optimization.
-	Exact bool
 	// Tracer receives the run's event stream (nil disables tracing at
 	// the cost of one branch per event site). A pool.Watcher tracer is
 	// also attached to the run's space, allocator and pool runtime
@@ -126,7 +124,7 @@ func RunTree(strategy string, cfg TreeConfig) (Result, error) {
 		return res, fmt.Errorf("workload: unknown strategy %q (have %v)", strategy, Strategies())
 	}
 	m, err := target.Boot(target.Config{Processors: cfg.Processors, Strategy: under, Pool: cfg.Pool, Tracer: cfg.Tracer},
-		target.Options{ElidePoolLocks: cfg.Threads == 1 && !cfg.KeepPoolLocks, Arenas: cfg.Arenas, Exact: cfg.Exact})
+		target.Options{ElidePoolLocks: cfg.Threads == 1 && !cfg.KeepPoolLocks, Arenas: cfg.Arenas})
 	if err != nil {
 		return res, err
 	}

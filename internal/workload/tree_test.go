@@ -246,20 +246,3 @@ func TestMemoryFootprintBounded(t *testing.T) {
 		t.Errorf("amplify footprint %d vs plain %d", amp.Footprint, plain.Footprint)
 	}
 }
-
-func TestExactModeAgreesOnOrdering(t *testing.T) {
-	// The lease optimization must not change who wins.
-	run := func(strategy string) int64 {
-		c := cfg(3, 4)
-		c.Exact = true
-		c.Trees = 300
-		r, err := RunTree(strategy, c)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return r.Makespan
-	}
-	if !(run("amplify") < run("ptmalloc")) {
-		t.Error("exact mode: amplify not faster than ptmalloc")
-	}
-}

@@ -67,7 +67,7 @@ func TestRunnerResultsPinned(t *testing.T) {
 	}
 	tree("amplify/1-locked", "amplify", workload.TreeConfig{Depth: 3, Trees: 120, Threads: 1, KeepPoolLocks: true})
 	tree("ptmalloc/4-arenas2", "ptmalloc", workload.TreeConfig{Depth: 3, Trees: 120, Threads: 4, Arenas: 2})
-	tree("hoard/4-exact", "hoard", workload.TreeConfig{Depth: 1, Trees: 60, Threads: 4, Exact: true})
+	tree("hoard/4-depth1", "hoard", workload.TreeConfig{Depth: 1, Trees: 60, Threads: 4})
 	tree("amplify/4-capped", "amplify", workload.TreeConfig{Depth: 3, Trees: 120, Threads: 4, Processors: 2})
 
 	for _, s := range workload.ChurnStrategies() {
