@@ -64,11 +64,15 @@ var cliPinFlows = map[string][]string{
 	"amplify-escape-json":         {"amplify", "-escape-json"},
 	"amplify-auto-exclude":        {"amplify", "-auto-exclude", "-report"},
 	"amplify-auto-exclude-escape": {"amplify", "-auto-exclude", "-escape", "-report"},
+	"amplify-report":              {"amplify", "-report"},
+	"amplify-flag-report":         {"amplify", "-mode", "flag", "-report"},
 	"mccrun-vet":                  {"mccrun", "-vet"},
 	"mccrun-vet-amplify-escape":   {"mccrun", "-vet", "-amplify", "-escape", "-stats"},
 	"mccrun-ast":                  {"mccrun", "-engine", "ast", "-stats"},
 	"mccrun-no-opt":               {"mccrun", "-no-opt", "-stats"},
 	"mccrun-amplify-metrics":      {"mccrun", "-amplify", "-metrics", "-"},
+	"mccrun-ast-amplify":          {"mccrun", "-engine", "ast", "-amplify", "-stats"},
+	"mccrun-amplify-flag":         {"mccrun", "-amplify", "-mode", "flag", "-stats"},
 }
 
 // TestCLIOutputsPinned runs every pinned flow on every pinned input
