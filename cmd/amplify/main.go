@@ -26,9 +26,9 @@
 //	                (per-site classification, class partition, pre-size
 //	                hints, V008/V009 findings) as deterministic JSON
 //	-spans file     write a JSONL span stream of the pre-processor
-//	                pipeline (read -> vet -> rewrite -> write) with
-//	                host-time durations and deterministic attributes;
-//	                use - for stderr
+//	                pipeline (read -> parse -> sema -> vet -> rewrite ->
+//	                write) with host-time durations and deterministic
+//	                attributes; use - for stderr
 package main
 
 import (
@@ -75,16 +75,19 @@ func main() {
 		fatal(err)
 	}
 
+	// One analyzed tree serves every mode: the vet, the escape
+	// analysis (shared by the vet and -escape) and the rewrite.
+	prog := analyze(src, spans)
 	if *vetOnly || *vetJSON {
 		sp = spans.Start("vet")
-		runVet(analyze(src), flag.Arg(0), *vetJSON)
+		runVet(prog, flag.Arg(0), *vetJSON)
 		sp.End()
 		root.End()
 		writeSpans(spans, *spansOut)
 		return
 	}
 	if *escapeJSON {
-		raw, err := vet.Escape(analyze(src)).JSON(flag.Arg(0))
+		raw, err := vet.Escape(prog).JSON(flag.Arg(0))
 		if err != nil {
 			fatal(err)
 		}
@@ -100,12 +103,8 @@ func main() {
 	if *exclude != "" {
 		opt.Exclude = strings.Split(*exclude, ",")
 	}
-	// -auto-exclude vets the tree it then rewrites: one parse, and one
-	// escape analysis shared by the vet and -escape.
-	var prog *cc.Program
 	if *autoExclude {
 		sp = spans.Start("vet")
-		prog = analyze(src)
 		excl := vet.Check(prog).Ineligible()
 		sp.Set("ineligible", int64(len(excl))).End()
 		opt.AutoExclude = map[string]string{}
@@ -114,13 +113,7 @@ func main() {
 		}
 	}
 	sp = spans.Start("rewrite")
-	var transformed string
-	var rep *core.Report
-	if prog != nil {
-		transformed, rep, err = core.RewriteProgram(prog, opt)
-	} else {
-		transformed, rep, err = core.Rewrite(src, opt)
-	}
+	transformed, _, rep, err := core.RewriteProgram(prog, opt)
 	sp.Set("out_bytes", int64(len(transformed))).End()
 	if err != nil {
 		fatal(err)
@@ -180,11 +173,16 @@ func runVet(prog *cc.Program, path string, asJSON bool) {
 	}
 }
 
-// analyze parses and analyzes the input; a failure is fatal.
-func analyze(src string) *cc.Program {
+// analyze parses and analyzes the input, recording each phase as a
+// span; a failure is fatal.
+func analyze(src string, spans *telemetry.Recorder) *cc.Program {
+	sp := spans.Start("parse").Set("src_bytes", int64(len(src)))
 	prog, err := cc.Parse(src)
+	sp.End()
 	if err == nil {
+		sp = spans.Start("sema")
 		err = cc.Analyze(prog)
+		sp.End()
 	}
 	if err != nil {
 		fatal(err)

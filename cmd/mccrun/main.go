@@ -47,7 +47,7 @@
 //	-metrics f    write a JSON metrics snapshot of the run, including
 //	              per-span counters; use - for stderr
 //	-spans f      write a JSONL span stream of the whole pipeline (read
-//	              -> vet -> amplify -> parse -> sema -> compile ->
+//	              -> parse -> sema -> vet -> amplify -> compile ->
 //	              simulate) with host-time durations and deterministic
 //	              attributes; use - for stderr. With -trace-out the
 //	              spans also appear as a dedicated host track in the
@@ -189,15 +189,24 @@ func run(args []string) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	// -vet and -amplify share one analyzed tree: the rewrite takes the
-	// tree vet checked, and an -escape rewrite reuses the escape
-	// analysis Check ran on it.
-	var prog *cc.Program
+	// One parse serves the whole run: -vet checks the tree (an -escape
+	// rewrite reuses the escape analysis Check ran on it), -amplify
+	// rewrites it and hands back the analyzed tree of its output, and
+	// the engine runs whichever tree results.
+	sp = spans.Start("parse").Set("src_bytes", int64(len(src)))
+	prog, err := cc.Parse(src)
+	sp.End()
+	if err != nil {
+		return 0, err
+	}
+	sp = spans.Start("sema")
+	err = cc.Analyze(prog)
+	sp.End()
+	if err != nil {
+		return 0, err
+	}
 	if *vetFirst {
 		sp := spans.Start("vet")
-		if prog, err = analyze(src); err != nil {
-			return 0, err
-		}
 		res := vet.Check(prog)
 		fmt.Fprint(os.Stderr, res.String())
 		if res.HasErrors() {
@@ -212,18 +221,12 @@ func run(args []string) (int, error) {
 	if *amplify {
 		sp := spans.Start("amplify")
 		opt := core.Options{ArraysOnly: *arraysOnly, Mode: core.Mode(*mode), Escape: *escape}
-		var transformed string
-		var rep *core.Report
-		if prog != nil {
-			transformed, rep, err = core.RewriteProgram(prog, opt)
-		} else {
-			transformed, rep, err = core.Rewrite(src, opt)
-		}
+		transformed, tree, rep, err := core.RewriteProgram(prog, opt)
 		if err != nil {
 			return 0, err
 		}
 		sp.Set("out_bytes", int64(len(transformed))).End()
-		src = transformed
+		prog = tree
 		if *stats {
 			fmt.Fprint(os.Stderr, rep.String())
 		}
@@ -256,16 +259,14 @@ func run(args []string) (int, error) {
 		recorder = alloctrace.NewRecorder(fs.Arg(0))
 	}
 	tracer := sim.NewTee(timelineRec, rec, prof, timeline, sites, recorder)
-	// The run parses the text it executes: after -amplify that is the
-	// rewritten source, whose positions name the program's sites.
+	// After -amplify the tree is the rewritten source's, so its
+	// positions name the printed program's sites.
 	cfg := target.Config{Processors: *procs, Strategy: *allocName, Tracer: tracer}
 	var res target.Result
 	if *engine == "ast" {
-		if prog, err = analyze(src); err == nil {
-			res, err = interp.Run(prog, cfg)
-		}
+		res, err = interp.Run(prog, cfg)
 	} else {
-		res, err = runVM(src, vm.Options{NoOpt: *noOpt}, cfg, spans)
+		res, err = runVM(prog, vm.Options{NoOpt: *noOpt}, cfg, spans)
 	}
 	if err != nil {
 		return 0, err
@@ -311,31 +312,10 @@ func run(args []string) (int, error) {
 	return int(res.ExitCode), nil
 }
 
-// analyze parses and analyzes a MiniCC program.
-func analyze(src string) (*cc.Program, error) {
-	prog, err := cc.Parse(src)
-	if err == nil {
-		err = cc.Analyze(prog)
-	}
-	return prog, err
-}
-
-// runVM parses, analyzes, compiles and runs src on the bytecode VM,
-// recording each phase as a span: parse, sema, compile and simulate.
-func runVM(src string, opt vm.Options, cfg target.Config, spans *telemetry.Recorder) (target.Result, error) {
-	sp := spans.Start("parse").Set("src_bytes", int64(len(src)))
-	prog, err := cc.Parse(src)
-	sp.End()
-	if err != nil {
-		return target.Result{}, err
-	}
-	sp = spans.Start("sema")
-	err = cc.Analyze(prog)
-	sp.End()
-	if err != nil {
-		return target.Result{}, err
-	}
-	sp = spans.Start("compile")
+// runVM compiles and runs an analyzed program on the bytecode VM,
+// recording each phase as a span: compile and simulate.
+func runVM(prog *cc.Program, opt vm.Options, cfg target.Config, spans *telemetry.Recorder) (target.Result, error) {
+	sp := spans.Start("compile")
 	p, err := vm.CompileOpts(prog, opt)
 	if err != nil {
 		sp.End()

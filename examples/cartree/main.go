@@ -107,7 +107,19 @@ int main() {
 `
 
 func main() {
-	transformed, report, err := core.Rewrite(carProgram, core.Options{})
+	// One parse: the plain tree runs first, because the rewrite
+	// consumes it; the amplified run executes the tree the rewrite
+	// hands back.
+	prog := cc.MustAnalyze(cc.MustParse(carProgram))
+	plain, err := interp.Run(prog, target.Config{Strategy: "serial"})
+	if err != nil {
+		panic(err)
+	}
+	transformed, tree, report, err := core.RewriteProgram(prog, core.Options{})
+	if err != nil {
+		panic(err)
+	}
+	amp, err := interp.Run(tree, target.Config{Strategy: "serial"})
 	if err != nil {
 		panic(err)
 	}
@@ -119,14 +131,6 @@ func main() {
 	printExcerpt(transformed, "class Car {", "void factory")
 
 	fmt.Println("=== Executing on the simulated 8-CPU machine ===")
-	plain, err := interp.Run(cc.MustAnalyze(cc.MustParse(carProgram)), target.Config{Strategy: "serial"})
-	if err != nil {
-		panic(err)
-	}
-	amp, err := interp.Run(cc.MustAnalyze(cc.MustParse(transformed)), target.Config{Strategy: "serial"})
-	if err != nil {
-		panic(err)
-	}
 	fmt.Print(plain.Output)
 	if plain.Output != amp.Output {
 		panic("amplified program diverged!")

@@ -124,15 +124,14 @@ func (r *Runner) e2eCell(row e2eRow, threads int) cell {
 // allocations in Report.Metrics.
 func (r *Runner) vmCell(key, src string, rewrite *core.Options, strategy string) cell {
 	return cell{key, func(tr sim.Tracer) (measured, error) {
-		text := src
-		if rewrite != nil {
-			out, _, err := core.Rewrite(src, *rewrite)
-			if err != nil {
-				return measured{}, err
-			}
-			text = out
+		prog, err := analyze(src)
+		if err == nil && rewrite != nil {
+			_, prog, _, err = core.RewriteProgram(prog, *rewrite)
 		}
-		p, err := compile(text, r.VMNoOpt)
+		if err != nil {
+			return measured{}, err
+		}
+		p, err := vm.CompileOpts(prog, vm.Options{NoOpt: r.VMNoOpt})
 		if err != nil {
 			return measured{}, err
 		}

@@ -195,17 +195,22 @@ func Rewrite(src string, opt Options) (string, *Report, error) {
 	if err != nil {
 		return "", nil, err
 	}
-	return RewriteProgram(prog, opt)
+	out, _, rep, err := RewriteProgram(prog, opt)
+	return out, rep, err
 }
 
 // RewriteProgram runs the pre-processor over a program cc.Analyze
-// accepted, rewriting the tree in place (and re-analyzing it), and
-// returns the printed result plus a report. The output is guaranteed
-// to re-parse and re-analyze. Analyses already memoized on the tree —
-// the escape analysis a vet.Check ran — are reused, not re-run.
-func RewriteProgram(prog *cc.Program, opt Options) (string, *Report, error) {
+// accepted and returns the printed result, the analyzed tree of that
+// result, and a report. The tree is the output parsed and analyzed
+// again, so its positions are those of the printed program; callers
+// compile or run it instead of parsing the output. RewriteProgram
+// consumes prog: the rewrite mutates it in place and leaves it
+// unanalyzed, so prog must not be used afterwards. Analyses already
+// memoized on prog — the escape analysis a vet.Check ran — are reused,
+// not re-run.
+func RewriteProgram(prog *cc.Program, opt Options) (string, *cc.Program, *Report, error) {
 	if err := opt.checkMode(); err != nil {
-		return "", nil, err
+		return "", nil, nil, err
 	}
 	if opt.Mode == "" {
 		opt.Mode = ModeShadow
@@ -216,19 +221,19 @@ func RewriteProgram(prog *cc.Program, opt Options) (string, *Report, error) {
 		ShadowFields: map[string]int{},
 	}}
 	if err := rw.run(); err != nil {
-		return "", nil, err
+		return "", nil, nil, err
 	}
 	out := cc.Print(prog)
-	// The transform must produce a valid program; verify before handing
-	// it to the caller.
-	check, err := cc.Parse(out)
+	// The transform must produce a valid program; the verification
+	// parse is also the tree handed back.
+	tree, err := cc.Parse(out)
 	if err != nil {
-		return "", nil, fmt.Errorf("core: generated source does not parse: %w", err)
+		return "", nil, nil, fmt.Errorf("core: generated source does not parse: %w", err)
 	}
-	if err := cc.Analyze(check); err != nil {
-		return "", nil, fmt.Errorf("core: generated source does not analyze: %w", err)
+	if err := cc.Analyze(tree); err != nil {
+		return "", nil, nil, fmt.Errorf("core: generated source does not analyze: %w", err)
 	}
-	return out, rw.report, nil
+	return out, tree, rw.report, nil
 }
 
 // checkMode rejects a Mode other than the two modes and the empty
@@ -315,8 +320,7 @@ func (rw *rewriter) run() error {
 	rw.applyPromotions()
 	rw.injectReserves()
 	rw.report.SingleThreaded = !rw.prog.UsesThreads
-	// Re-analyze so new fields get offsets and new nodes get resolved.
-	return cc.Analyze(rw.prog)
+	return nil
 }
 
 // addShadowFields appends a shadow (or flag) companion for every

@@ -190,7 +190,8 @@ func TestRewriteKeepsRawStringBytes(t *testing.T) {
 // TestRewriteProgramMatchesRewrite: the tree path the CLIs take — parse
 // and analyze once, vet, then RewriteProgram on the vetted tree — must
 // produce exactly the output and report Rewrite produces from the
-// source, with and without the escape-driven rewrites.
+// source, with and without the escape-driven rewrites, and the tree it
+// returns must compile exactly as that output does.
 func TestRewriteProgramMatchesRewrite(t *testing.T) {
 	corpus := []string{escSrc}
 	for seed := int64(0); seed < 25; seed++ {
@@ -204,10 +205,11 @@ func TestRewriteProgramMatchesRewrite(t *testing.T) {
 				auto[e.Class] = e.Reason
 			}
 			opt := core.Options{AutoExclude: auto, Escape: escape}
-			got, gotRep, err := core.RewriteProgram(prog, opt)
+			got, tree, gotRep, err := core.RewriteProgram(prog, opt)
 			if err != nil {
 				t.Fatalf("program %d escape=%v: RewriteProgram: %v", i, escape, err)
 			}
+			core.CheckReturnedTree(t, got, tree)
 			want, wantRep, err := core.Rewrite(src, opt)
 			if err != nil {
 				t.Fatalf("program %d escape=%v: Rewrite: %v", i, escape, err)

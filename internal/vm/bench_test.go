@@ -4,7 +4,9 @@ import (
 	"testing"
 
 	"amplify/internal/cc"
+	"amplify/internal/core"
 	"amplify/internal/mccgen"
+	"amplify/internal/vet"
 )
 
 // benchProgram parses, analyzes and compiles a source once; benchmarks
@@ -275,5 +277,35 @@ func TestCompileAllocBudget(t *testing.T) {
 	})
 	if got > budget {
 		t.Errorf("vm.CompileOpts: %.0f allocs per run, budget %d", got, budget)
+	}
+}
+
+// TestToolPathAllocBudget bounds the allocations of the tool path on
+// the ledger program: analyze, vet.Check, the rewrite with the vetted
+// classes auto-excluded and the escape-driven rewrites on, then -O
+// compilation of the tree the rewrite returns. The rewrite's one
+// verification parse is the only parse of its output. The ceiling is
+// the measured count plus 10%.
+func TestToolPathAllocBudget(t *testing.T) {
+	const budget = 31400
+	got := testing.AllocsPerRun(3, func() {
+		prog, err := analyze(ledgerSrc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		auto := map[string]string{}
+		for _, e := range vet.Check(prog).Ineligible() {
+			auto[e.Class] = e.Reason
+		}
+		_, tree, _, err := core.RewriteProgram(prog, core.Options{AutoExclude: auto, Escape: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := CompileOpts(tree, Options{}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if got > budget {
+		t.Errorf("tool path: %.0f allocs per program, budget %d", got, budget)
 	}
 }
