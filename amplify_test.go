@@ -131,6 +131,23 @@ func TestFacadeBadInputs(t *testing.T) {
 	}
 }
 
+func TestFacadeVet(t *testing.T) {
+	findings, clean, ineligible, err := Vet(cliPinInputs["clean"])
+	if err != nil || !clean || len(ineligible) != 0 {
+		t.Errorf("clean program: clean=%v ineligible=%v err=%v\n%s", clean, ineligible, err, findings)
+	}
+	findings, clean, ineligible, err = Vet(cliProgram)
+	if err != nil || clean || len(ineligible) != 1 || ineligible["Node"] != "V001 ctor-uninit" {
+		t.Errorf("V001 program: clean=%v ineligible=%v err=%v", clean, ineligible, err)
+	}
+	if !strings.Contains(findings, "V001 error") {
+		t.Errorf("V001 program: findings lack the V001 diagnostic:\n%s", findings)
+	}
+	if _, _, _, err := Vet(cliPinInputs["parse"]); err == nil {
+		t.Error("parse error: no error returned")
+	}
+}
+
 func TestFacadeExperimentNames(t *testing.T) {
 	names := Experiments()
 	want := map[string]bool{"table1": true, "fig4": true, "fig11": true, "claims": true, "endtoend": true}

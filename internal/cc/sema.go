@@ -34,8 +34,9 @@ var Intrinsics = map[string]Type{
 // Analyze resolves names, computes class layouts, classifies
 // identifiers (local / parameter / implicit field), infers expression
 // types for the checks the rewriter depends on, and records whether the
-// program spawns threads. It must be called before Rewrite, Print on
-// rewritten output, or interpretation. It drops the value Memo holds.
+// program spawns threads. It must be called before the rewriter, vet,
+// compilation or interpretation; Print is syntactic and needs no
+// analysis. It drops the value Memo holds.
 func Analyze(prog *Program) error {
 	prog.memoMu.Lock()
 	prog.memoKey, prog.memoVal = nil, nil
