@@ -335,8 +335,9 @@ func TestCLIAllocFailFast(t *testing.T) {
 }
 
 // TestCLIBenchRejectsBadArguments: amplifybench refuses an unknown
-// -exp name, an unknown -format, and -format with -json with a plain
-// exit 1 before any experiment prints, naming every experiment.
+// -exp name, an unknown -format, -format with -json, and any flag its
+// mode would ignore with a plain exit 1 before anything prints or is
+// written, naming every experiment or the ignored flag and the mode.
 func TestCLIBenchRejectsBadArguments(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds binaries")
@@ -350,10 +351,28 @@ func TestCLIBenchRejectsBadArguments(t *testing.T) {
 	if len(all) != 18 {
 		t.Fatalf("-list = %v, want 18 experiments", all)
 	}
+	dir := t.TempDir()
+	observeDir := filepath.Join(dir, "observe")
+	report := filepath.Join(dir, "r.json")
+	if err := os.WriteFile(report, []byte(`{"schema":"amplify-bench/7","makespans":{}}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	ignored := map[string]string{ // args[0] -> the one stderr line
+		"-compare": "amplifybench: -exp does not apply to -compare\n",
+		"-list":    "amplifybench: -exp does not apply to -list\n",
+		"-explain": "amplifybench: -explain does not apply to -compare\n",
+		"-no-opt":  "amplifybench: -no-opt does not apply to -explain\n",
+		"-exp":     "amplifybench: -threshold does not apply to an experiment run\n",
+	}
 	for _, args := range [][]string{
 		{"-quick", "-exp", "fig4,bogus"},
 		{"-quick", "-exp", "table1", "-format", "bogus"},
 		{"-quick", "-exp", "table1", "-json", "-format", "csv"},
+		{"-compare", "-exp", "bogus", "-quick", "-observe", observeDir, report, report},
+		{"-list", "-exp", "bogus", "-format", "nope"},
+		{"-explain", "-compare", report, report},
+		{"-no-opt", "-explain", report, report},
+		{"-exp", "table1", "-threshold", "5"},
 	} {
 		cmd := exec.Command(filepath.Join(bin, "amplifybench"), args...)
 		var stdout, stderr bytes.Buffer
@@ -366,6 +385,9 @@ func TestCLIBenchRejectsBadArguments(t *testing.T) {
 		if stdout.Len() != 0 {
 			t.Errorf("%v: printed before failing:\n%s", args, stdout.String())
 		}
+		if want, ok := ignored[args[0]]; ok && stderr.String() != want {
+			t.Errorf("%v: stderr = %q, want %q", args, stderr.String(), want)
+		}
 		if args[2] == "fig4,bogus" {
 			for _, name := range all {
 				if !strings.Contains(stderr.String(), name) {
@@ -373,6 +395,9 @@ func TestCLIBenchRejectsBadArguments(t *testing.T) {
 				}
 			}
 		}
+	}
+	if _, err := os.Stat(observeDir); !os.IsNotExist(err) {
+		t.Errorf("a refused -compare created its -observe directory: %v", err)
 	}
 }
 
@@ -749,6 +774,18 @@ func TestCLIRecordTrace(t *testing.T) {
 	}
 	if !strings.Contains(string(out), "ptmalloc") || !strings.Contains(string(out), "makespan") {
 		t.Errorf("replay output missing result line:\n%s", out)
+	}
+
+	// replay -record-trace writes the re-captured trace through the same
+	// writer as mccrun, JSONL mirror included.
+	rePath := filepath.Join(dir, "replayed.trace")
+	if out, err := exec.Command(filepath.Join(bin, "mcctrace"), "replay", "-record-trace", rePath, tracePath).CombinedOutput(); err != nil {
+		t.Fatalf("mcctrace replay -record-trace: %v\n%s", err, out)
+	}
+	for _, p := range []string{rePath, rePath + ".jsonl"} {
+		if fi, err := os.Stat(p); err != nil || fi.Size() == 0 {
+			t.Errorf("re-captured artifact %s missing or empty: %v", p, err)
+		}
 	}
 }
 

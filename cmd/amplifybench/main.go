@@ -22,16 +22,14 @@
 //	-alloc list   comma-separated allocators for the contend experiment
 //	              (default serial,ptmalloc,hoard,lfalloc); unknown names
 //	              fail fast with the registered strategies
-//	-trace-dir d  export observability artifacts into d: Chrome traces
-//	              of the tree workload under serial/ptmalloc/amplify, a
-//	              JSONL event stream, a per-lock contention profile,
-//	              folded stacks of the end-to-end MiniCC program, and a
-//	              metrics.json snapshot
-//	-heap-dir d   export heap-introspection artifacts into d:
-//	              virtual-time heap timelines (JSONL+CSV) of the tree
-//	              workload under serial/ptmalloc/amplify, allocation-site
-//	              folded stacks of the end-to-end program, and a
-//	              heap-summary.json of per-cell footprint/fragmentation
+//	-observe d    export the 16 observation artifacts into d: Chrome
+//	              traces and heap timelines (JSONL+CSV) of the tree
+//	              workload under serial/ptmalloc/amplify, the serial
+//	              run's JSONL event stream and per-lock contention
+//	              profile, cycle and allocation-site folded stacks of
+//	              the end-to-end MiniCC program with a per-site table, a
+//	              metrics.json snapshot and a heap-summary.json of
+//	              per-cell footprint/fragmentation
 //	-compare old new  diff two bench reports (no experiments are run);
 //	              exits 3 when a makespan, footprint or fragmentation
 //	              number regressed past -threshold; host-benchmark
@@ -54,6 +52,13 @@
 //	              enforces it — only host wall-clock changes
 //	-cpuprofile f write a pprof CPU profile of the whole run to f
 //	-memprofile f write a pprof heap profile (post-GC) to f
+//
+// -compare, -explain, -host-bench and -list each select a mode; without
+// one, amplifybench runs experiments. A flag the selected mode would
+// ignore is refused with exit 1 before anything runs: -compare reads
+// only -threshold, -explain only -threshold, -j and -json, -host-bench
+// and -list nothing else, and an experiment run everything but
+// -threshold.
 package main
 
 import (
@@ -64,6 +69,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strings"
 	"time"
 
@@ -97,14 +103,38 @@ func run() error {
 	noOpt := flag.Bool("no-opt", false, "disable the VM bytecode optimizer (identical simulated results, slower host)")
 	allocList := flag.String("alloc", "", "comma-separated allocators for the contend experiment (default "+strings.Join(workload.ChurnStrategies(), ",")+")")
 	hostBench := flag.Bool("host-bench", false, "run the host-side Go benchmarks (VM, scheduler) and emit a BENCH_host JSON report on stdout; no simulation experiments are run")
-	traceDir := flag.String("trace-dir", "", "export trace/profile/metrics artifacts into this directory")
-	heapDir := flag.String("heap-dir", "", "export heap timeline/site-profile/summary artifacts into this directory")
+	observeDir := flag.String("observe", "", "export the trace, profile, heap and metrics artifacts into this directory")
 	compare := flag.Bool("compare", false, "diff two bench reports: amplifybench -compare baseline.json current.json")
 	explain := flag.Bool("explain", false, "attribute regressions between two bench reports: amplifybench -explain baseline.json current.json")
 	threshold := flag.Float64("threshold", 0, "with -compare/-explain: allowed degradation in percent (0 = exact)")
 	cpuprofile := flag.String("cpuprofile", "", "write CPU profile to file")
 	memprofile := flag.String("memprofile", "", "write heap profile to file")
 	flag.Parse()
+
+	// Each mode reads only some flags: refuse one it would ignore,
+	// naming the flag and the mode, before anything runs.
+	mode, reads := "an experiment run", []string{"exp", "quick", "format", "j", "json", "no-opt", "alloc", "observe", "cpuprofile", "memprofile"}
+	switch {
+	case *compare:
+		mode, reads = "-compare", []string{"compare", "threshold"}
+	case *explain:
+		mode, reads = "-explain", []string{"explain", "threshold", "j", "json"}
+	case *hostBench:
+		mode, reads = "-host-bench", []string{"host-bench"}
+	case *list:
+		mode, reads = "-list", []string{"list"}
+	}
+	set := map[string]bool{}
+	var ignored string
+	flag.Visit(func(f *flag.Flag) {
+		set[f.Name] = true
+		if ignored == "" && !slices.Contains(reads, f.Name) {
+			ignored = f.Name
+		}
+	})
+	if ignored != "" {
+		return fmt.Errorf("-%s does not apply to %s", ignored, mode)
+	}
 
 	if *compare {
 		if flag.NArg() != 2 {
@@ -145,9 +175,7 @@ func run() error {
 	default:
 		return fmt.Errorf("unknown -format %q (want text, csv or chart)", *format)
 	}
-	formatSet := false
-	flag.Visit(func(f *flag.Flag) { formatSet = formatSet || f.Name == "format" })
-	if formatSet && *jsonOut {
+	if set["format"] && *jsonOut {
 		return fmt.Errorf("-format does not apply to -json reports")
 	}
 	var contendAllocs []string
@@ -202,18 +230,11 @@ func run() error {
 		return err
 	}
 
-	if *traceDir != "" {
-		if err := r.ExportTraces(*traceDir); err != nil {
+	if *observeDir != "" {
+		if err := r.Export(*observeDir); err != nil {
 			return err
 		}
-		fmt.Fprintf(os.Stderr, "observability artifacts written to %s\n", *traceDir)
-	}
-
-	if *heapDir != "" {
-		if err := r.ExportHeap(*heapDir); err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "heap artifacts written to %s\n", *heapDir)
+		fmt.Fprintf(os.Stderr, "observation artifacts written to %s\n", *observeDir)
 	}
 
 	if *memprofile != "" {

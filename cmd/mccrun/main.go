@@ -62,8 +62,8 @@
 // run's single event stream; consumers never see each other, so an
 // artifact is the same whether its flag is given alone or with all the
 // others. -trace N bounds only the stderr timeline; an artifact written
-// from a recorder that hit its 4,000,000-event cap is reported on
-// stderr.
+// from a recorder that hit its obsv.MaxEvents cap (4,000,000 events)
+// is reported on stderr.
 package main
 
 import (
@@ -71,8 +71,8 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"log"
 	"os"
-	"strings"
 
 	"amplify/internal/alloc"
 	"amplify/internal/alloctrace"
@@ -231,37 +231,31 @@ func run(args []string) (int, error) {
 			fmt.Fprint(os.Stderr, rep.String())
 		}
 	}
-	// Every consumer below is a sim.Tracer; nil ones are dropped when
-	// they are composed into the run's one event stream. The -trace
-	// timeline has a recorder of its own, so its bound never truncates
-	// the exported artifacts.
-	var timelineRec, rec *sim.Recorder
+	// The observation set holds one consumer per observer flag; the
+	// -trace timeline has a recorder of its own, so its bound never
+	// truncates the exported artifacts.
+	obs := &obsv.Set{Procs: *procs, Spans: spans, Warn: log.New(os.Stderr, "mccrun: ", 0)}
 	if *trace > 0 {
-		timelineRec = &sim.Recorder{Max: *trace}
+		obs.Head = &sim.Recorder{Max: *trace}
 	}
 	if *traceOut != "" || *traceJSONL != "" || *profileOut != "" {
-		rec = &sim.Recorder{Max: maxEvents}
+		obs.Events = &sim.Recorder{Max: obsv.MaxEvents}
 	}
-	var prof *obsv.Profiler
 	if *profileOut != "" {
-		prof = obsv.NewProfiler()
+		obs.Profile = obsv.NewProfiler()
 	}
-	var timeline *heapobsv.Timeline
 	if *heapTimeline != "" {
-		timeline = &heapobsv.Timeline{Interval: *heapInterval}
+		obs.Heap = &heapobsv.Timeline{Interval: *heapInterval}
 	}
-	var sites *heapobsv.SiteProfile
 	if *heapProfile != "" {
-		sites = heapobsv.NewSiteProfile()
+		obs.Sites = heapobsv.NewSiteProfile()
 	}
-	var recorder *alloctrace.Recorder
 	if *recordTrace != "" {
-		recorder = alloctrace.NewRecorder(fs.Arg(0))
+		obs.Allocs = alloctrace.NewRecorder(fs.Arg(0))
 	}
-	tracer := sim.NewTee(timelineRec, rec, prof, timeline, sites, recorder)
 	// After -amplify the tree is the rewritten source's, so its
 	// positions name the printed program's sites.
-	cfg := target.Config{Processors: *procs, Strategy: *allocName, Tracer: tracer}
+	cfg := target.Config{Processors: *procs, Strategy: *allocName, Tracer: obs.Tracer()}
 	var res target.Result
 	if *engine == "ast" {
 		res, err = interp.Run(prog, cfg)
@@ -272,8 +266,9 @@ func run(args []string) (int, error) {
 		return 0, err
 	}
 	root.End()
-	if timelineRec != nil {
-		fmt.Fprint(os.Stderr, timelineRec.Timeline())
+	obs.Finish(res.Makespan)
+	if obs.Head != nil {
+		fmt.Fprint(os.Stderr, obs.Head.Timeline())
 	}
 	// The program's output is printed before the artifacts are written,
 	// so a failed export never swallows it; a failed stdout write (full
@@ -281,19 +276,28 @@ func run(args []string) (int, error) {
 	if _, err := io.WriteString(os.Stdout, res.Output); err != nil {
 		return 0, fmt.Errorf("writing program output: %w", err)
 	}
-	if err := writeArtifacts(rec, prof, timeline, sites, spans, res, *procs,
-		*traceOut, *traceJSONL, *profileOut, *heapTimeline, *heapProfile, *metricsOut, *spansOut); err != nil {
-		return 0, err
+	for _, f := range []struct {
+		flag, suffix string
+		art          obsv.Artifact
+	}{
+		{*spansOut, "", obsv.SpansJSONL},
+		{*traceOut, "", obsv.ChromeJSON},
+		{*traceJSONL, "", obsv.EventsJSONL},
+		{*profileOut, "", obsv.CycleStacks},
+		{*profileOut, ".locks", obsv.LockTable},
+		{*heapTimeline, "", obsv.HeapTimeline},
+		{*heapProfile, "", obsv.SiteStacks},
+		{*heapProfile, ".sites", obsv.SiteTable},
+		{*recordTrace, "", obsv.AllocTrace},
+	} {
+		if f.flag != "" {
+			if err := obs.Write(f.flag+f.suffix, f.art); err != nil {
+				return 0, err
+			}
+		}
 	}
-	if *recordTrace != "" {
-		tr := recorder.Trace()
-		if err := tr.Validate(); err != nil {
-			return 0, fmt.Errorf("recorded trace failed validation: %w", err)
-		}
-		if err := os.WriteFile(*recordTrace, tr.Encode(), 0o644); err != nil {
-			return 0, err
-		}
-		if err := os.WriteFile(*recordTrace+".jsonl", tr.JSONL(), 0o644); err != nil {
+	if *metricsOut != "" {
+		if err := writeMetrics(*metricsOut, res, spans); err != nil {
 			return 0, err
 		}
 	}
@@ -334,134 +338,39 @@ func runVM(prog *cc.Program, opt vm.Options, cfg target.Config, spans *telemetry
 	return res, nil
 }
 
-// writeArtifacts emits the requested observability files. Every JSON
-// artifact is checked with json.Valid before it reaches disk.
-func writeArtifacts(rec *sim.Recorder, prof *obsv.Profiler, timeline *heapobsv.Timeline, sites *heapobsv.SiteProfile,
-	spans *telemetry.Recorder, res target.Result, procs int,
-	traceOut, traceJSONL, profileOut, heapTimeline, heapProfile, metricsOut, spansOut string) error {
-	var events []sim.Event
-	if rec != nil {
-		events = rec.Snapshot()
+// writeMetrics writes the run's counters and the deterministic side of
+// its spans as one JSON object with sorted keys; "-" routes it to
+// stderr, keeping the simulated program's stdout byte-diffable.
+func writeMetrics(path string, res target.Result, spans *telemetry.Recorder) error {
+	m := map[string]int64{
+		"makespan":                res.Makespan,
+		"alloc.allocs":            res.Alloc.Allocs,
+		"alloc.frees":             res.Alloc.Frees,
+		"alloc.peak_bytes":        res.Alloc.PeakBytes,
+		"pool.hits":               res.PoolHits,
+		"pool.misses":             res.PoolMisses,
+		"shadow.reuses":           res.ShadowReuses,
+		"sim.lock.acquires":       res.Sim.LockAcquires,
+		"sim.lock.contended":      res.Sim.LockContended,
+		"sim.lock.wait_cycles":    res.Sim.LockWaitTime,
+		"sim.cache.hits":          res.Sim.CacheHits,
+		"sim.cache.misses":        res.Sim.CacheMisses,
+		"sim.cache.invalidations": res.Sim.CacheInvalidations,
+		"sim.cache.rfos":          res.Sim.CacheRFOs,
+		"sim.atomic.cas":          res.Sim.AtomicCAS,
+		"sim.atomic.cas_failed":   res.Sim.AtomicCASFailed,
+		"sim.atomic.faa":          res.Sim.AtomicFAA,
+		"sim.atomic.loads":        res.Sim.AtomicLoads,
+		"sim.atomic.stores":       res.Sim.AtomicStores,
+		"sim.migrations":          res.Sim.Migrations,
+		"footprint.bytes":         res.Footprint,
 	}
-	if spansOut != "" {
-		out := spans.JSONL()
-		if spansOut == "-" {
-			if _, err := os.Stderr.Write(out); err != nil {
-				return err
-			}
-		} else if err := os.WriteFile(spansOut, out, 0o644); err != nil {
-			return err
-		}
+	spans.AddTo(m)
+	out, err := json.Marshal(m)
+	if err != nil {
+		return err
 	}
-	if traceOut != "" {
-		out, err := obsv.ChromeTraceSpans(events, procs, spans.Spans())
-		if err != nil {
-			return err
-		}
-		if !json.Valid(out) {
-			return fmt.Errorf("trace export produced invalid JSON")
-		}
-		if err := os.WriteFile(traceOut, out, 0o644); err != nil {
-			return err
-		}
-		warnDropped(os.Stderr, rec, traceOut)
-	}
-	if traceJSONL != "" {
-		out, err := obsv.JSONL(events)
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(traceJSONL, out, 0o644); err != nil {
-			return err
-		}
-		warnDropped(os.Stderr, rec, traceJSONL)
-	}
-	if profileOut != "" {
-		prof.Finish(res.Makespan)
-		if err := os.WriteFile(profileOut, []byte(prof.Folded()), 0o644); err != nil {
-			return err
-		}
-		locks := obsv.FormatLockProfile(obsv.LockProfile(events))
-		if err := os.WriteFile(profileOut+".locks", []byte(locks), 0o644); err != nil {
-			return err
-		}
-		warnDropped(os.Stderr, rec, profileOut+".locks")
-	}
-	if heapTimeline != "" {
-		timeline.Finish(res.Makespan)
-		out := timeline.JSONL()
-		if strings.HasSuffix(heapTimeline, ".csv") {
-			out = timeline.CSV()
-		}
-		if err := os.WriteFile(heapTimeline, out, 0o644); err != nil {
-			return err
-		}
-	}
-	if heapProfile != "" {
-		folded := sites.Folded(heapobsv.MetricAllocBytes)
-		if err := os.WriteFile(heapProfile, []byte(folded), 0o644); err != nil {
-			return err
-		}
-		if err := os.WriteFile(heapProfile+".sites", []byte(sites.Table()), 0o644); err != nil {
-			return err
-		}
-	}
-	if metricsOut != "" {
-		reg := obsv.NewRegistry()
-		reg.Set("makespan", res.Makespan)
-		reg.Set("alloc.allocs", res.Alloc.Allocs)
-		reg.Set("alloc.frees", res.Alloc.Frees)
-		reg.Set("alloc.peak_bytes", res.Alloc.PeakBytes)
-		reg.Set("pool.hits", res.PoolHits)
-		reg.Set("pool.misses", res.PoolMisses)
-		reg.Set("shadow.reuses", res.ShadowReuses)
-		reg.Set("sim.lock.acquires", res.Sim.LockAcquires)
-		reg.Set("sim.lock.contended", res.Sim.LockContended)
-		reg.Set("sim.lock.wait_cycles", res.Sim.LockWaitTime)
-		reg.Set("sim.cache.hits", res.Sim.CacheHits)
-		reg.Set("sim.cache.misses", res.Sim.CacheMisses)
-		reg.Set("sim.cache.invalidations", res.Sim.CacheInvalidations)
-		reg.Set("sim.cache.rfos", res.Sim.CacheRFOs)
-		reg.Set("sim.atomic.cas", res.Sim.AtomicCAS)
-		reg.Set("sim.atomic.cas_failed", res.Sim.AtomicCASFailed)
-		reg.Set("sim.atomic.faa", res.Sim.AtomicFAA)
-		reg.Set("sim.atomic.loads", res.Sim.AtomicLoads)
-		reg.Set("sim.atomic.stores", res.Sim.AtomicStores)
-		reg.Set("sim.migrations", res.Sim.Migrations)
-		reg.Set("footprint.bytes", res.Footprint)
-		spans.AddTo(reg)
-		out, err := reg.JSON()
-		if err != nil {
-			return err
-		}
-		if !json.Valid(out) {
-			return fmt.Errorf("metrics export produced invalid JSON")
-		}
-		// "-" routes the snapshot to stderr, keeping the simulated
-		// program's stdout byte-diffable against a recorded run.
-		if metricsOut == "-" {
-			if _, err := os.Stderr.Write(out); err != nil {
-				return err
-			}
-		} else if err := os.WriteFile(metricsOut, out, 0o644); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// maxEvents bounds the recorder behind -trace-out, -trace-jsonl and
-// -profile-out's lock table.
-const maxEvents = 4_000_000
-
-// warnDropped prints one line when an artifact is written from a
-// recorder that hit its bound, so a truncated export never passes for
-// a complete one.
-func warnDropped(w io.Writer, rec *sim.Recorder, path string) {
-	if rec.Dropped > 0 {
-		fmt.Fprintf(w, "mccrun: %s: the event recorder kept its first %d events and dropped %d; the artifact is truncated\n",
-			path, len(rec.Events), rec.Dropped)
-	}
+	return obsv.WriteJSON(path, out)
 }
 
 func readInput(path string) (string, error) {

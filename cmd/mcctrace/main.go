@@ -6,7 +6,7 @@
 //
 //	mcctrace gen [-dir d]                  synthesize the committed corpora
 //	mcctrace analyze [-json] trace...      print a trace's shape summary
-//	mcctrace replay [-alloc s] [-procs n] trace...
+//	mcctrace replay [-alloc s] [-procs n] [-record-trace f] trace...
 //	                                       drive a trace through an allocator
 //
 // analyze and replay accept - as a trace argument to read the binary
@@ -20,7 +20,8 @@
 // prints the deterministic text report (or JSON with -json). replay
 // runs the trace through the chosen allocator on the simulated SMP and
 // reports the makespan and allocator counters; all replayed numbers
-// are simulated and deterministic.
+// are simulated and deterministic. replay -record-trace f re-captures
+// the replayed request stream as f, with its JSONL mirror at f.jsonl.
 package main
 
 import (
@@ -33,6 +34,7 @@ import (
 
 	"amplify/internal/alloc"
 	"amplify/internal/alloctrace"
+	"amplify/internal/obsv"
 	"amplify/internal/workload"
 )
 
@@ -129,7 +131,7 @@ func runReplay(args []string) error {
 	fs := flag.NewFlagSet("mcctrace replay", flag.ExitOnError)
 	allocName := fs.String("alloc", "serial", "allocator: serial | ptmalloc | hoard | smartheap | lkmalloc | lfalloc")
 	procs := fs.Int("procs", 8, "simulated processors")
-	rerecord := fs.String("record-trace", "", "re-capture the replay as a binary trace (single input only)")
+	rerecord := fs.String("record-trace", "", "re-capture the replay as a binary trace (single input only); JSONL mirror goes to <file>.jsonl")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -147,25 +149,19 @@ func runReplay(args []string) error {
 		if err != nil {
 			return err
 		}
-		cfg := workload.ReplayConfig{Trace: tr, Processors: *procs}
-		var rec *alloctrace.Recorder
+		obs := &obsv.Set{}
 		if *rerecord != "" {
-			rec = alloctrace.NewRecorder(tr.Name)
-			cfg.Tracer = rec
+			obs.Allocs = alloctrace.NewRecorder(tr.Name)
 		}
-		res, err := workload.RunReplay(*allocName, cfg)
+		res, err := workload.RunReplay(*allocName, workload.ReplayConfig{Trace: tr, Processors: *procs, Tracer: obs.Tracer()})
 		if err != nil {
 			return err
 		}
 		fmt.Printf("%s x %s: makespan %d cycles, %d allocs / %d frees, footprint %d bytes, peak %d bytes\n",
 			res.TraceName, res.Strategy, res.Makespan,
 			res.Alloc.Allocs, res.Alloc.Frees, res.Footprint, res.Alloc.PeakBytes)
-		if rec != nil {
-			out := rec.Trace()
-			if err := out.Validate(); err != nil {
-				return fmt.Errorf("re-captured trace failed validation: %w", err)
-			}
-			if err := os.WriteFile(*rerecord, out.Encode(), 0o644); err != nil {
+		if *rerecord != "" {
+			if err := obs.Write(*rerecord, obsv.AllocTrace); err != nil {
 				return err
 			}
 		}

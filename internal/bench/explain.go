@@ -269,15 +269,14 @@ func runProbes(keys []string, current *Report, jobs int) (map[string]*cellProbe,
 			continue
 		}
 		tasks = append(tasks, func() error {
-			rec := &sim.Recorder{Max: 4_000_000, Mask: lockEvents}
-			prof := obsv.NewProfiler()
-			sites := heapobsv.NewSiteProfile()
-			m, err := c.run(sim.NewTee(rec, prof, sites))
+			obs := &obsv.Set{Events: &sim.Recorder{Max: obsv.MaxEvents, Mask: lockEvents},
+				Profile: obsv.NewProfiler(), Sites: heapobsv.NewSiteProfile()}
+			m, err := c.run(obs.Tracer())
 			if err != nil {
 				return fmt.Errorf("bench: probing %s: %w", key, err)
 			}
-			prof.Finish(m.Makespan)
-			p := &cellProbe{measured: m, locks: obsv.LockProfile(rec.Snapshot()), cycles: prof.Folded(), sites: sites}
+			obs.Finish(m.Makespan)
+			p := &cellProbe{measured: m, locks: obsv.LockProfile(obs.Events.Snapshot()), cycles: obs.Profile.Folded(), sites: obs.Sites}
 			mu.Lock()
 			probes[key] = p
 			mu.Unlock()

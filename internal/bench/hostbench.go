@@ -193,14 +193,15 @@ func HostBench() (*HostReport, error) {
 	}
 
 	// Observation overhead on the tree program: no tracer, then every
-	// event-stream consumer attached through one fan-out (as mccrun
-	// attaches them when every observer flag is given).
+	// event-stream consumer attached through one observation set (as
+	// mccrun attaches them when every observer flag is given).
 	if err := vmRow("observe/detached", treeBuild, detached); err != nil {
 		return nil, err
 	}
 	all := func() sim.Tracer {
-		return sim.NewTee(&sim.Recorder{Max: 4_000_000}, obsv.NewProfiler(), &heapobsv.Timeline{},
-			heapobsv.NewSiteProfile(), alloctrace.NewRecorder("observe"))
+		obs := &obsv.Set{Events: &sim.Recorder{Max: obsv.MaxEvents}, Profile: obsv.NewProfiler(),
+			Heap: &heapobsv.Timeline{}, Sites: heapobsv.NewSiteProfile(), Allocs: alloctrace.NewRecorder("observe")}
+		return obs.Tracer()
 	}
 	if err := vmRow("observe/all", treeBuild, all); err != nil {
 		return nil, err

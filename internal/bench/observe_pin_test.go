@@ -8,9 +8,9 @@ import (
 	"amplify/internal/obsv/obsvpin"
 )
 
-// TestExportArtifactsPinned compares every ExportTraces and ExportHeap
-// artifact of a micro runner (memo warmed by fig4, as the CLI warms it
-// before exporting) against testdata/observe/SHA256SUMS, which was
+// TestExportArtifactsPinned compares every Export artifact of a micro
+// runner (memo warmed by fig4, as the CLI warms it before exporting)
+// against testdata/observe/SHA256SUMS, which was
 // produced before the observation hooks were unified onto one event
 // stream.
 func TestExportArtifactsPinned(t *testing.T) {
@@ -22,10 +22,7 @@ func TestExportArtifactsPinned(t *testing.T) {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
-	if err := r.ExportTraces(dir); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.ExportHeap(dir); err != nil {
+	if err := r.Export(dir); err != nil {
 		t.Fatal(err)
 	}
 	entries, err := os.ReadDir(dir)

@@ -3,10 +3,12 @@ package bench
 import (
 	"encoding/json"
 	"fmt"
+	"log"
 	"os"
 	"path/filepath"
 
 	"amplify/internal/core"
+	"amplify/internal/heapobsv"
 	"amplify/internal/obsv"
 	"amplify/internal/sim"
 	"amplify/internal/workload"
@@ -17,7 +19,7 @@ import (
 // into the Report (schema amplify-bench/2). Values are sums across
 // cells, so they are deterministic for a given experiment set but say
 // nothing about any single run — the per-cell resolution lives in
-// Makespans and the trace exports.
+// Makespans and Export's artifacts.
 func (r *Runner) Metrics() map[string]int64 {
 	m := make(map[string]int64)
 	r.cells.completed(func(_ string, v measured) {
@@ -28,7 +30,7 @@ func (r *Runner) Metrics() map[string]int64 {
 	return m
 }
 
-// traceTreeConfig is the fixed, small tree run the exports trace: big
+// traceTreeConfig is the fixed, small tree run Export observes: big
 // enough that heap-lock serialization is unmistakable under the
 // global-lock allocator, small enough that the Chrome JSON stays in
 // the tens of megabytes.
@@ -37,66 +39,90 @@ func (r *Runner) traceTreeConfig() workload.TreeConfig {
 		InitWork: InitWork, UseWork: UseWork}
 }
 
-// traceStrategies are the allocators whose tree runs ExportTraces
-// records: the global-lock baseline, the arena allocator, and Amplify.
+// traceStrategies are the allocators whose tree runs Export observes:
+// the global-lock baseline, the arena allocator, and Amplify.
 var traceStrategies = []string{"serial", "ptmalloc", "amplify"}
 
-// ExportTraces writes the observability artifacts into dir:
+// Export writes every observation artifact into dir:
 //
-//	trace-<strategy>.json   Chrome trace_event export of a tree run
-//	trace-serial.jsonl      the same serial run as compact JSONL
-//	trace-locks.txt         per-lock contention profile of the serial run
-//	profile-folded.txt      folded stacks of the end-to-end MiniCC program
-//	metrics.json            the unified metrics registry snapshot
+//	trace-<strategy>.json           Chrome trace_event export of a tree run
+//	heap-timeline-<strategy>.jsonl  virtual-time heap timeline of the
+//	heap-timeline-<strategy>.csv    same run (one JSON object / CSV row
+//	                                per sample)
+//	trace-serial.jsonl              the serial run as compact JSONL
+//	trace-locks.txt                 per-lock contention profile of the
+//	                                serial run
+//	profile-folded.txt              folded stacks of simulated cycles of
+//	                                the end-to-end MiniCC program
+//	heap-sites-folded.txt           allocation-site folded stacks of the
+//	                                same run
+//	heap-sites.txt                  the same site profile as a table
+//	metrics.json                    the unified metrics snapshot
+//	heap-summary.json               per-cell footprint/fragmentation
 //
-// Every JSON artifact is validated with json.Valid before it is
-// written; an invalid export is an error, never a file.
-func (r *Runner) ExportTraces(dir string) error {
+// Each strategy's tree runs once observed and once bare: observation
+// never charges simulated work, so the two makespans must be equal
+// (asserted here, not assumed). The end-to-end program runs once, with
+// the cycle and site profilers attached. Every artifact samples virtual
+// time, so all of them are byte-identical across hosts and -j values;
+// metrics.json and heap-summary.json cover the cells computed so far.
+func (r *Runner) Export(dir string) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
+	type file struct {
+		name string
+		art  obsv.Artifact
+	}
+	write := func(obs *obsv.Set, files ...file) error {
+		for _, f := range files {
+			if err := obs.Write(filepath.Join(dir, f.name), f.art); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	warn := log.New(os.Stderr, "bench: ", 0)
 	cfg := r.traceTreeConfig()
-	var serialEvents []sim.Event
 	for _, strategy := range traceStrategies {
-		rec := &sim.Recorder{Max: 4_000_000}
-		tcfg := cfg
-		tcfg.Tracer = rec
-		if _, err := workload.RunTree(strategy, tcfg); err != nil {
-			return fmt.Errorf("bench: trace run %s: %w", strategy, err)
-		}
-		events := rec.Snapshot()
-		out, err := obsv.ChromeTrace(events, tcfg.Processors)
+		bare, err := workload.RunTree(strategy, cfg)
 		if err != nil {
-			return fmt.Errorf("bench: chrome export %s: %w", strategy, err)
+			return fmt.Errorf("bench: baseline run %s: %w", strategy, err)
 		}
-		if !json.Valid(out) {
-			return fmt.Errorf("bench: chrome export %s: invalid JSON", strategy)
+		obs := &obsv.Set{Events: &sim.Recorder{Max: obsv.MaxEvents}, Heap: &heapobsv.Timeline{},
+			Procs: cfg.Processors, Warn: warn}
+		tcfg := cfg
+		tcfg.Tracer = obs.Tracer()
+		res, err := workload.RunTree(strategy, tcfg)
+		if err != nil {
+			return fmt.Errorf("bench: observed run %s: %w", strategy, err)
 		}
-		if err := os.WriteFile(filepath.Join(dir, "trace-"+strategy+".json"), out, 0o644); err != nil {
-			return err
+		if res.Makespan != bare.Makespan {
+			return fmt.Errorf("bench: observation changed %s makespan: %d != %d",
+				strategy, res.Makespan, bare.Makespan)
+		}
+		obs.Finish(res.Makespan)
+		files := []file{
+			{"trace-" + strategy + ".json", obsv.ChromeJSON},
+			{"heap-timeline-" + strategy + ".jsonl", obsv.HeapTimeline},
+			{"heap-timeline-" + strategy + ".csv", obsv.HeapTimeline},
 		}
 		if strategy == "serial" {
-			serialEvents = events
+			files = append(files, file{"trace-serial.jsonl", obsv.EventsJSONL}, file{"trace-locks.txt", obsv.LockTable})
+		}
+		if err := write(obs, files...); err != nil {
+			return err
 		}
 	}
 
-	jl, err := obsv.JSONL(serialEvents)
+	obs := &obsv.Set{Profile: obsv.NewProfiler(), Sites: heapobsv.NewSiteProfile()}
+	m, err := r.profiledCell().run(obs.Tracer())
 	if err != nil {
-		return fmt.Errorf("bench: jsonl export: %w", err)
+		return fmt.Errorf("bench: profile run: %w", err)
 	}
-	if err := os.WriteFile(filepath.Join(dir, "trace-serial.jsonl"), jl, 0o644); err != nil {
-		return err
-	}
-	locks := obsv.FormatLockProfile(obsv.LockProfile(serialEvents))
-	if err := os.WriteFile(filepath.Join(dir, "trace-locks.txt"), []byte(locks), 0o644); err != nil {
-		return err
-	}
-
-	folded, err := r.foldedProfile()
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(filepath.Join(dir, "profile-folded.txt"), []byte(folded), 0o644); err != nil {
+	obs.Finish(m.Makespan)
+	if err := write(obs, file{"profile-folded.txt", obsv.CycleStacks},
+		file{"heap-sites-folded.txt", obsv.SiteStacks}, file{"heap-sites.txt", obsv.SiteTable}); err != nil {
 		return err
 	}
 
@@ -104,26 +130,18 @@ func (r *Runner) ExportTraces(dir string) error {
 	if err != nil {
 		return err
 	}
-	if !json.Valid(metrics) {
-		return fmt.Errorf("bench: metrics export: invalid JSON")
+	if err := obsv.WriteJSON(filepath.Join(dir, "metrics.json"), metrics); err != nil {
+		return err
 	}
-	return os.WriteFile(filepath.Join(dir, "metrics.json"), metrics, 0o644)
+	summary, err := json.MarshalIndent(r.HeapCells(), "", "  ")
+	if err != nil {
+		return err
+	}
+	return obsv.WriteJSON(filepath.Join(dir, "heap-summary.json"), append(summary, '\n'))
 }
 
-// profiledCell is the amplified end-to-end MiniCC program the profile
-// exports run with a profiler attached.
+// profiledCell is the amplified end-to-end MiniCC program Export runs
+// with the cycle and site profilers attached.
 func (r *Runner) profiledCell() cell {
 	return r.vmCell("export/amplify/threads4", treeSource(4, 30, e2eDepth), &core.Options{}, "")
-}
-
-// foldedProfile runs profiledCell under the cycle profiler and returns
-// its folded stacks.
-func (r *Runner) foldedProfile() (string, error) {
-	prof := obsv.NewProfiler()
-	m, err := r.profiledCell().run(prof)
-	if err != nil {
-		return "", fmt.Errorf("bench: profile run: %w", err)
-	}
-	prof.Finish(m.Makespan)
-	return prof.Folded(), nil
 }

@@ -98,46 +98,43 @@ func TestVMSiteAttribution(t *testing.T) {
 	}
 }
 
-// consumer builds one fresh event-stream consumer and, after the run,
-// renders everything it observed as bytes.
+// consumer puts one fresh event-stream consumer into its slot of an
+// observation set, closes it by hand as a caller without the set would,
+// and renders everything it observed as bytes.
 type consumer struct {
-	name string
-	new  func() (sim.Tracer, func(makespan int64) []byte)
+	name   string
+	attach func(s *obsv.Set) sim.Tracer
+	finish func(s *obsv.Set, makespan int64)
+	render func(s *obsv.Set) []byte
 }
 
 var consumers = []consumer{
-	{"sim.Recorder", func() (sim.Tracer, func(int64) []byte) {
-		rec := &sim.Recorder{Max: 1 << 20}
-		return rec, func(int64) []byte {
-			jl, err := obsv.JSONL(rec.Snapshot())
+	{"sim.Recorder",
+		func(s *obsv.Set) sim.Tracer { s.Events = &sim.Recorder{Max: 1 << 20}; return s.Events },
+		func(*obsv.Set, int64) {},
+		func(s *obsv.Set) []byte {
+			jl, err := obsv.JSONL(s.Events.Snapshot())
 			if err != nil {
 				panic(err)
 			}
-			return append(jl, obsv.FormatLockProfile(obsv.LockProfile(rec.Snapshot()))...)
-		}
-	}},
-	{"obsv.Profiler", func() (sim.Tracer, func(int64) []byte) {
-		p := obsv.NewProfiler()
-		return p, func(makespan int64) []byte {
-			p.Finish(makespan)
-			return []byte(p.Folded())
-		}
-	}},
-	{"heapobsv.Timeline", func() (sim.Tracer, func(int64) []byte) {
-		tl := &heapobsv.Timeline{Interval: 2000}
-		return tl, func(makespan int64) []byte {
-			tl.Finish(makespan)
-			return tl.JSONL()
-		}
-	}},
-	{"heapobsv.SiteProfile", func() (sim.Tracer, func(int64) []byte) {
-		p := heapobsv.NewSiteProfile()
-		return p, func(int64) []byte { return []byte(p.Folded(heapobsv.MetricAllocBytes) + p.Table()) }
-	}},
-	{"alloctrace.Recorder", func() (sim.Tracer, func(int64) []byte) {
-		rec := alloctrace.NewRecorder("composed")
-		return rec, func(int64) []byte { return rec.Trace().Encode() }
-	}},
+			return append(jl, obsv.FormatLockProfile(obsv.LockProfile(s.Events.Snapshot()))...)
+		}},
+	{"obsv.Profiler",
+		func(s *obsv.Set) sim.Tracer { s.Profile = obsv.NewProfiler(); return s.Profile },
+		func(s *obsv.Set, makespan int64) { s.Profile.Finish(makespan) },
+		func(s *obsv.Set) []byte { return []byte(s.Profile.Folded()) }},
+	{"heapobsv.Timeline",
+		func(s *obsv.Set) sim.Tracer { s.Heap = &heapobsv.Timeline{Interval: 2000}; return s.Heap },
+		func(s *obsv.Set, makespan int64) { s.Heap.Finish(makespan) },
+		func(s *obsv.Set) []byte { return s.Heap.JSONL() }},
+	{"heapobsv.SiteProfile",
+		func(s *obsv.Set) sim.Tracer { s.Sites = heapobsv.NewSiteProfile(); return s.Sites },
+		func(*obsv.Set, int64) {},
+		func(s *obsv.Set) []byte { return []byte(s.Sites.Folded(heapobsv.MetricAllocBytes) + s.Sites.Table()) }},
+	{"alloctrace.Recorder",
+		func(s *obsv.Set) sim.Tracer { s.Allocs = alloctrace.NewRecorder("composed"); return s.Allocs },
+		func(*obsv.Set, int64) {},
+		func(s *obsv.Set) []byte { return s.Allocs.Trace().Encode() }},
 }
 
 // observedRun is one simulated run with a tracer attached, reporting
@@ -145,10 +142,11 @@ var consumers = []consumer{
 type observedRun func(tr sim.Tracer) (makespan int64, st sim.Stats, al alloc.Stats)
 
 // TestComposedConsumersChangeNothing: every consumer of the event
-// stream produces byte-identical output whether it is attached alone or
-// inside one sim.Tee with all the others, and neither way changes the
-// makespan, the simulator's statistics or the allocator's counters of
-// the unobserved run.
+// stream produces byte-identical output whether it is attached alone
+// and closed by hand, or composed with all the others in one obsv.Set
+// and closed by its Finish, and neither way changes the makespan, the
+// simulator's statistics or the allocator's counters of the unobserved
+// run.
 func TestComposedConsumersChangeNothing(t *testing.T) {
 	amplified, _, err := core.Rewrite(attributionProg, core.Options{})
 	if err != nil {
@@ -185,23 +183,24 @@ func TestComposedConsumersChangeNothing(t *testing.T) {
 			}
 			alone := make([][]byte, len(consumers))
 			for i, c := range consumers {
-				tr, out := c.new()
-				makespan, st, al := run(tr)
+				s := &obsv.Set{}
+				makespan, st, al := run(c.attach(s))
 				check(c.name+" alone", makespan, st, al)
-				alone[i] = out(makespan)
+				c.finish(s, makespan)
+				alone[i] = c.render(s)
 			}
-			tracers := make([]sim.Tracer, len(consumers))
-			outs := make([]func(int64) []byte, len(consumers))
-			for i, c := range consumers {
-				tracers[i], outs[i] = c.new()
+			all := &obsv.Set{}
+			for _, c := range consumers {
+				c.attach(all)
 			}
-			makespan, st, al := run(sim.NewTee(tracers...))
+			makespan, st, al := run(all.Tracer())
 			check("all composed", makespan, st, al)
+			all.Finish(makespan)
 			for i, c := range consumers {
 				if len(alone[i]) == 0 {
 					t.Errorf("%s produced no output", c.name)
 				}
-				if got := outs[i](makespan); !bytes.Equal(got, alone[i]) {
+				if got := c.render(all); !bytes.Equal(got, alone[i]) {
 					t.Errorf("%s: composed output differs from solo (%d vs %d bytes)", c.name, len(got), len(alone[i]))
 				}
 			}

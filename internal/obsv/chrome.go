@@ -35,25 +35,21 @@ type chromeTrace struct {
 	DisplayTimeUnit string        `json:"displayTimeUnit"`
 }
 
-// ChromeTrace serializes a recorded event stream as Chrome trace_event
-// JSON: one track (tid) per virtual CPU, instant events for the point
-// occurrences (allocations, pool hits, migrations...), and async
-// "lock-wait" slices spanning each interval a thread spent blocked on
-// a mutex — the slices that make heap-lock serialization visible at a
-// glance in chrome://tracing or Perfetto. Virtual cycles are mapped
-// 1:1 to microseconds. procs is the simulated processor count (tracks
-// are emitted even for CPUs that saw no events).
-func ChromeTrace(events []sim.Event, procs int) ([]byte, error) {
-	return ChromeTraceSpans(events, procs, nil)
-}
-
-// ChromeTraceSpans is ChromeTrace with a dedicated host-time track:
-// the pipeline spans render as complete ("X") slices under PID 1,
-// nested by their recorded depth, alongside the virtual-CPU tracks of
-// PID 0. Span timestamps are host nanoseconds rebased to the earliest
+// ChromeTraceSpans serializes a recorded event stream as Chrome
+// trace_event JSON: one track (tid) per virtual CPU, instant events for
+// the point occurrences (allocations, pool hits, migrations...), and
+// async "lock-wait" slices spanning each interval a thread spent
+// blocked on a mutex — the slices that make heap-lock serialization
+// visible at a glance in chrome://tracing or Perfetto. Virtual cycles
+// are mapped 1:1 to microseconds. procs is the simulated processor
+// count (tracks are emitted even for CPUs that saw no events).
+//
+// spans add a dedicated host-time track: the pipeline spans render as
+// complete ("X") slices under PID 1, nested by their recorded depth,
+// alongside the virtual-CPU tracks of PID 0. Span timestamps are host nanoseconds rebased to the earliest
 // span and scaled to microseconds, so the host track starts at 0 like
 // the virtual one; the deterministic span attributes ride along as
-// args. With no spans the output is byte-identical to ChromeTrace.
+// args. The virtual-CPU tracks are the same with or without spans.
 func ChromeTraceSpans(events []sim.Event, procs int, spans []telemetry.Span) ([]byte, error) {
 	tr := chromeTrace{DisplayTimeUnit: "ms", TraceEvents: []chromeEvent{}}
 	tr.TraceEvents = append(tr.TraceEvents, chromeEvent{

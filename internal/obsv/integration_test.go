@@ -52,7 +52,7 @@ func TestVMProfilerAttribution(t *testing.T) {
 		t.Fatal(err)
 	}
 	p.Finish(res.Makespan)
-	attributed := p.TotalAttributed()
+	attributed := totalAttributed(p)
 	if attributed < res.Makespan*9/10 {
 		t.Errorf("attributed %d of %d cycles (%.1f%%), want >= 90%%",
 			attributed, res.Makespan, 100*float64(attributed)/float64(res.Makespan))
@@ -122,7 +122,7 @@ func TestTraceShowsHeapLockSerialization(t *testing.T) {
 		t.Errorf("amplify waits %d not an order of magnitude below serial %d", ampWaits, serialWaits)
 	}
 
-	out, err := ChromeTrace(serialRec.Snapshot(), 8)
+	out, err := ChromeTraceSpans(serialRec.Snapshot(), 8, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +152,7 @@ func TestExportedTraceDeterministic(t *testing.T) {
 	export := func() ([]byte, []byte) {
 		rec := &sim.Recorder{Max: 2_000_000}
 		treeTrace(t, "serial", rec)
-		cj, err := ChromeTrace(rec.Snapshot(), 8)
+		cj, err := ChromeTraceSpans(rec.Snapshot(), 8, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

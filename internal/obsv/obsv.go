@@ -3,8 +3,9 @@
 // enter/exit events, into artifacts a person or a tool can read — Chrome trace_event JSON
 // loadable in chrome://tracing or Perfetto, a compact JSONL stream for
 // programmatic diffing, pprof-style folded stacks attributing simulated
-// cycles to MiniCC functions, a per-lock contention profile, and a
-// snapshotable metrics registry.
+// cycles to MiniCC functions and a per-lock contention profile. Set
+// bundles these with the heap and allocation-trace consumers of one run:
+// it composes them, finishes them and writes their artifacts.
 //
 // The paper's whole argument is diagnostic — BGw's slowdown was only
 // understood by attributing time to heap-lock serialization, and

@@ -11,21 +11,14 @@ import (
 // Profiler attributes simulated cycles to MiniCC functions through a
 // shadow call stack: it is a sim.Tracer fed by the VM's EvEnter at
 // every function call and EvExit at every return, stamped with the
-// virtual clock. Attribution is exact — the interval between
+// virtual clock. Attribution is exact: the interval between
 // consecutive stamps is charged as self time to the function on top of
-// the stack — and optionally sampled: with SamplePeriod > 0 each
-// interval also contributes one sample per period boundary it crosses,
-// which is what a wall-clock profiler interrupting every P cycles would
-// have observed.
+// the stack.
 //
 // The simulator's coroutine scheduler runs one simulated thread at a
 // time, so the profiler needs no locking even though it is shared by
 // every thread.
 type Profiler struct {
-	// SamplePeriod, when positive, enables sampled counts alongside the
-	// exact attribution: Folded then reports samples, not cycles.
-	SamplePeriod int64
-
 	root    *pnode
 	threads map[int]*threadProf
 }
@@ -36,7 +29,6 @@ type pnode struct {
 	parent   *pnode
 	children map[string]*pnode
 	self     int64 // cycles attributed exactly
-	samples  int64 // period crossings (SamplePeriod mode)
 }
 
 // threadProf is one simulated thread's shadow stack.
@@ -66,11 +58,7 @@ func (p *Profiler) thread(id int) *threadProf {
 // on top of its stack.
 func (p *Profiler) charge(tp *threadProf, now int64) {
 	if n := len(tp.stack); n > 0 {
-		top := tp.stack[n-1]
-		top.self += now - tp.stamp
-		if p.SamplePeriod > 0 {
-			top.samples += now/p.SamplePeriod - tp.stamp/p.SamplePeriod
-		}
+		tp.stack[n-1].self += now - tp.stamp
 	}
 	tp.stamp = now
 }
@@ -127,24 +115,10 @@ func (p *Profiler) Finish(end int64) {
 	}
 }
 
-// TotalAttributed reports the cycles charged to named functions.
-func (p *Profiler) TotalAttributed() int64 {
-	var total int64
-	var walk func(n *pnode)
-	walk = func(n *pnode) {
-		total += n.self
-		for _, c := range n.children {
-			walk(c)
-		}
-	}
-	walk(p.root)
-	return total
-}
-
 // Folded renders the calling-context tree in the folded-stacks format
 // flamegraph.pl and pprof understand: one "a;b;c N" line per stack,
-// sorted, where N is exact self cycles (or samples when SamplePeriod
-// is set). Zero-valued stacks are omitted.
+// sorted, where N is exact self cycles. Zero-valued stacks are
+// omitted.
 func (p *Profiler) Folded() string {
 	var lines []string
 	var walk func(n *pnode, prefix string)
@@ -155,12 +129,8 @@ func (p *Profiler) Folded() string {
 				path += ";"
 			}
 			path += n.name
-			v := n.self
-			if p.SamplePeriod > 0 {
-				v = n.samples
-			}
-			if v > 0 {
-				lines = append(lines, fmt.Sprintf("%s %d", path, v))
+			if n.self > 0 {
+				lines = append(lines, fmt.Sprintf("%s %d", path, n.self))
 			}
 		}
 		names := make([]string, 0, len(n.children))

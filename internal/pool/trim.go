@@ -44,15 +44,3 @@ func (p *ClassPool) Trim(c *sim.Ctx, keep int) []mem.Ref {
 	}
 	return released
 }
-
-// TrimAll trims every pool of the runtime to the given per-shard
-// population and returns the released roots per class.
-func (r *Runtime) TrimAll(c *sim.Ctx, keep int) map[string][]mem.Ref {
-	out := make(map[string][]mem.Ref)
-	for _, p := range r.pools {
-		if released := p.Trim(c, keep); len(released) > 0 {
-			out[p.class] = released
-		}
-	}
-	return out
-}

@@ -62,6 +62,18 @@ func TestTrimToZeroAndNegative(t *testing.T) {
 	e.Run()
 }
 
+// trimAll trims every pool of the runtime to the given per-shard
+// population and returns the released roots per class.
+func trimAll(r *Runtime, c *sim.Ctx, keep int) map[string][]mem.Ref {
+	out := make(map[string][]mem.Ref)
+	for _, p := range r.pools {
+		if released := p.Trim(c, keep); len(released) > 0 {
+			out[p.class] = released
+		}
+	}
+	return out
+}
+
 func TestTrimAll(t *testing.T) {
 	e, rt := newRuntime(t, 2, Config{Shards: 1})
 	pa := rt.NewClassPool("A", 16)
@@ -77,9 +89,9 @@ func TestTrimAll(t *testing.T) {
 				p.Free(c, r)
 			}
 		}
-		out := rt.TrimAll(c, 1)
+		out := trimAll(rt, c, 1)
 		if len(out["A"]) != 3 || len(out["B"]) != 3 {
-			t.Errorf("TrimAll = %d/%d roots, want 3/3", len(out["A"]), len(out["B"]))
+			t.Errorf("trimAll = %d/%d roots, want 3/3", len(out["A"]), len(out["B"]))
 		}
 	})
 	e.Run()

@@ -239,7 +239,7 @@ func TestMigrationWhenOversubscribed(t *testing.T) {
 	e := migrationRun(t, 2) // 4 threads, 2 CPUs
 	for _, th := range e.Threads() {
 		if th.Migrations == 0 {
-			t.Fatalf("thread %d never migrated with threads > processors", th.Slot())
+			t.Fatalf("thread %d never migrated with threads > processors", th.slot)
 		}
 	}
 }
@@ -248,7 +248,7 @@ func TestNoMigrationWhenUndersubscribed(t *testing.T) {
 	e := migrationRun(t, 4)
 	for _, th := range e.Threads() {
 		if th.Migrations != 0 {
-			t.Fatalf("thread %d migrated %d times with T == P", th.Slot(), th.Migrations)
+			t.Fatalf("thread %d migrated %d times with T == P", th.slot, th.Migrations)
 		}
 	}
 }

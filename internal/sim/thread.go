@@ -72,10 +72,6 @@ type Thread struct {
 // Name reports the thread's name.
 func (t *Thread) Name() string { return t.name }
 
-// Slot reports the thread's creation index, which also determines its
-// home processor (slot mod P).
-func (t *Thread) Slot() int { return t.slot }
-
 // Clock reports the thread's current virtual time. After Engine.Run it
 // is the thread's completion time.
 func (t *Thread) Clock() int64 { return t.clock }

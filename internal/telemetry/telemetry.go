@@ -3,14 +3,14 @@
 // compile → simulate → export), with stable IDs, deterministic
 // attributes, and exporters the rest of the observability stack builds
 // on (JSONL stream, Chrome host track via internal/obsv, metrics
-// registry unification).
+// snapshot counters).
 //
 // The split between deterministic and host-measured data is the load-
 // bearing design rule: span *identity* (ID, name, nesting, sequence,
 // attributes) depends only on what the program did, so it is
 // byte-identical across hosts and -j values; span *timing* (StartNS,
 // DurNS) is host wall-clock and therefore excluded from every artifact
-// that determinism tests diff (CanonicalJSONL, AddTo). The package is
+// that determinism tests diff (AddTo). The package is
 // stdlib-only so obsv, heapobsv, vm, bench and the commands can all
 // import it without cycles.
 package telemetry
@@ -157,26 +157,15 @@ func (r *Recorder) Spans() []Span {
 
 // JSONL renders the spans as one JSON object per line in start order,
 // keys in a fixed order and attrs sorted, including the host
-// timestamps. For a byte-stable artifact use CanonicalJSONL.
-func (r *Recorder) JSONL() []byte { return r.jsonl(true) }
-
-// CanonicalJSONL is JSONL with start_ns and dur_ns zeroed: only the
-// deterministic span structure remains, so the bytes are identical
-// across hosts, runs and -j values. Determinism tests diff this form.
-func (r *Recorder) CanonicalJSONL() []byte { return r.jsonl(false) }
-
-func (r *Recorder) jsonl(host bool) []byte {
+// timestamps.
+func (r *Recorder) JSONL() []byte {
 	if r == nil {
 		return nil
 	}
 	var b strings.Builder
 	for _, s := range r.spans {
-		start, dur := s.StartNS, s.DurNS
-		if !host {
-			start, dur = 0, 0
-		}
 		fmt.Fprintf(&b, `{"id":%q,"name":%q,"parent":%q,"depth":%d,"seq":%d,"start_ns":%d,"dur_ns":%d`,
-			s.ID, s.Name, s.Parent, s.Depth, s.Seq, start, dur)
+			s.ID, s.Name, s.Parent, s.Depth, s.Seq, s.StartNS, s.DurNS)
 		if len(s.Attrs) > 0 {
 			b.WriteString(`,"attrs":{`)
 			for i, k := range sortedKeys(s.Attrs) {
@@ -193,18 +182,17 @@ func (r *Recorder) jsonl(host bool) []byte {
 }
 
 // AddTo folds the deterministic side of every span into a metrics
-// registry (obsv.Registry satisfies the interface): a count per span
-// name plus every attribute, prefixed "span.". Host durations are
-// deliberately excluded — the registry feeds bench reports whose
-// metrics must stay byte-identical across hosts.
-func (r *Recorder) AddTo(reg interface{ Add(name string, v int64) }) {
+// snapshot: a count per span name plus every attribute, prefixed
+// "span.". Host durations are deliberately excluded — the snapshot
+// must stay byte-identical across hosts.
+func (r *Recorder) AddTo(m map[string]int64) {
 	if r == nil {
 		return
 	}
 	for _, s := range r.spans {
-		reg.Add("span."+s.Name+".count", 1)
-		for _, k := range sortedKeys(s.Attrs) {
-			reg.Add("span."+s.Name+"."+k, s.Attrs[k])
+		m["span."+s.Name+".count"]++
+		for k, v := range s.Attrs {
+			m["span."+s.Name+"."+k] += v
 		}
 	}
 }

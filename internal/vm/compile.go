@@ -3,7 +3,6 @@ package vm
 import (
 	"fmt"
 	"strconv"
-	"strings"
 
 	"amplify/internal/cc"
 	"amplify/internal/mem"
@@ -77,16 +76,6 @@ type methodKey struct {
 	class string
 	kind  cc.MethodKind
 	name  string
-}
-
-// Disassemble renders a compiled function for debugging and tests.
-func (p *Program) Disassemble(fn *Fn) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s (params=%d slots=%d)\n", fn.Name, fn.Params, fn.Slots)
-	for i, ins := range fn.Code {
-		fmt.Fprintf(&b, "%4d  %s\n", i, ins)
-	}
-	return b.String()
 }
 
 // Options configure compilation.
