@@ -157,9 +157,9 @@ func HostBench() (*HostReport, error) {
 
 	// vmRow times one compiled program with a fresh tracer per run
 	// (newTracer returns nil for a detached run).
-	vmRow := func(name string, p *vm.Program, newTracer func() sim.Tracer) error {
+	vmRow := func(name string, p *vm.Program, strategy string, newTracer func() sim.Tracer) error {
 		run := func() error {
-			_, err := vm.Run(p, vm.Config{Tracer: newTracer()})
+			_, err := vm.Run(p, vm.Config{Strategy: strategy, Tracer: newTracer()})
 			return err
 		}
 		best, err := minOf(40, run)
@@ -187,15 +187,25 @@ func HostBench() (*HostReport, error) {
 		if s.name == "exec_tree_build" {
 			treeBuild = p
 		}
-		if err := vmRow("vm/"+s.name, p, detached); err != nil {
+		if err := vmRow("vm/"+s.name, p, "", detached); err != nil {
 			return nil, err
 		}
+	}
+	// The threaded VM path: the end-to-end tree program on 4 threads
+	// over ptmalloc (the quick grid's e2e/ptmalloc/threads4 cell),
+	// where simulated threads run ahead through private work.
+	threaded, err := compile(treeSource(4, 120, e2eDepth), false)
+	if err != nil {
+		return nil, fmt.Errorf("hostbench vm/threaded_tree: %w", err)
+	}
+	if err := vmRow("vm/threaded_tree", threaded, "ptmalloc", detached); err != nil {
+		return nil, err
 	}
 
 	// Observation overhead on the tree program: no tracer, then every
 	// event-stream consumer attached through one observation set (as
 	// mccrun attaches them when every observer flag is given).
-	if err := vmRow("observe/detached", treeBuild, detached); err != nil {
+	if err := vmRow("observe/detached", treeBuild, "", detached); err != nil {
 		return nil, err
 	}
 	all := func() sim.Tracer {
@@ -203,7 +213,7 @@ func HostBench() (*HostReport, error) {
 			Heap: &heapobsv.Timeline{}, Sites: heapobsv.NewSiteProfile(), Allocs: alloctrace.NewRecorder("observe")}
 		return obs.Tracer()
 	}
-	if err := vmRow("observe/all", treeBuild, all); err != nil {
+	if err := vmRow("observe/all", treeBuild, "", all); err != nil {
 		return nil, err
 	}
 

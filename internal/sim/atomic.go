@@ -15,8 +15,10 @@ package sim
 // attempt the operation (on real hardware a lock cmpxchg performs its
 // RFO whether or not the compare wins), so a CAS on a line last
 // written elsewhere pays the RFO and its version bump invalidates
-// every other processor's copy. AtomicStore is a plain write access
-// plus the fence price; AtomicLoad charges only a read.
+// every other processor's copy. AtomicLoad charges only a read. No
+// runtime issues plain atomic stores; the tests' AtomicStore helper
+// charges a write access plus the fence price and counts them in
+// Thread.AtomicStores.
 
 // atomicWord reads the cell at addr, host-side.
 func (e *Engine) atomicWord(addr uint64) int64 {
@@ -89,17 +91,4 @@ func (c *Ctx) AtomicLoad(addr uint64) int64 {
 	e.traceArgs(t, EvAtomicLoad, "", int64(addr), 0)
 	t.maybeYield()
 	return v
-}
-
-// AtomicStore writes the 8-byte cell at addr with release semantics: a
-// write access through the cache model plus the fence price.
-func (c *Ctx) AtomicStore(addr uint64, v int64) {
-	t := c.t
-	e := t.e
-	e.setAtomicWord(addr, v)
-	e.cache.access(t, t.cpu(), addr, 8, true)
-	t.advance(e.cost.Atomic)
-	t.AtomicStores++
-	e.traceArgs(t, EvAtomicStore, "", int64(addr), v)
-	t.maybeYield()
 }

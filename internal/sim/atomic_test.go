@@ -238,3 +238,17 @@ func TestAtomicDeterminism(t *testing.T) {
 		t.Fatalf("AtomicFAA = %d, want %d", st1.AtomicFAA, 16*50)
 	}
 }
+
+// AtomicStore writes the 8-byte cell at addr with release semantics: a
+// write access through the cache model plus the fence price. No
+// simulated runtime issues plain atomic stores, so only tests carry it.
+func (c *Ctx) AtomicStore(addr uint64, v int64) {
+	t := c.t
+	e := t.e
+	e.setAtomicWord(addr, v)
+	e.cache.access(t, t.cpu(), addr, 8, true)
+	t.advance(e.cost.Atomic)
+	t.AtomicStores++
+	e.traceArgs(t, EvAtomicStore, "", int64(addr), v)
+	t.maybeYield()
+}

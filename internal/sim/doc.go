@@ -36,4 +36,15 @@
 // invariant. No other thread could act before the lease ends, so a
 // lease changes no simulated result, only how often the host switches
 // coroutines.
+//
+// Ctx.Compute goes further for private work, which reads and writes
+// only the calling thread's own state: while the engine is untraced and
+// not oversubscribed it lets the thread run ahead of the others without
+// yielding, in a segment that Ctx.Sync closes once every other thread
+// has caught up in virtual time. A caller of Compute must call Sync
+// before it touches shared state (any other engine operation, or host
+// state another thread reads); the engine syncs a thread when its
+// function returns. A spawn that oversubscribes the machine rolls open
+// segments back to the units that precede it, so run-ahead too changes
+// no simulated result.
 package sim

@@ -42,6 +42,10 @@ type Engine struct {
 	// handoff is the thread a preempted thread swapped out of the heap
 	// root (see yieldCheck): Run starts it next without a pop.
 	handoff *Thread
+	// segments counts open run-ahead segments (see Ctx.Compute).
+	segments int
+	// dispatches counts the worker resumes Run has made.
+	dispatches int64
 
 	// maxClock is the largest thread clock ever reached, maintained by
 	// advance and wake so Makespan is O(1) instead of an O(threads)
@@ -109,10 +113,9 @@ func (e *Engine) newThread(name string, fn func(*Ctx)) *Thread {
 		name:    name,
 		fn:      fn,
 		state:   stateNew,
-		lastCPU: -1,
 		heapIdx: -1,
 	}
-	t.home = t.slot % e.procs
+	t.home = int32(t.slot % e.procs)
 	t.lastCPU = t.home
 	e.threads = append(e.threads, t)
 	return t
@@ -152,6 +155,7 @@ func (e *Engine) Run() int64 {
 			panic(e.deadlockReport())
 		}
 		e.grant(t, e.heapLease())
+		e.dispatches++
 		t.w.next()
 		if e.threadPanic != nil {
 			e.rethrowThreadPanic()

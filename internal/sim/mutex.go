@@ -24,16 +24,10 @@ type Mutex struct {
 	WaitTime int64
 }
 
-// NewMutex creates a mutex registered on the engine.
-func (e *Engine) NewMutex(name string) *Mutex {
-	m := &Mutex{e: e, name: name}
-	e.mutexes = append(e.mutexes, m)
-	return m
-}
-
-// NewMutexAt creates a mutex whose lock word lives at the given
-// simulated address, making its coherence traffic visible to the cache
-// model.
+// NewMutexAt creates a mutex registered on the engine whose lock word
+// lives at the given simulated address, making its coherence traffic
+// visible to the cache model. Address zero means no lock word: the
+// mutex then charges only lock prices.
 func (e *Engine) NewMutexAt(name string, addr uint64) *Mutex {
 	m := &Mutex{e: e, name: name, addr: addr}
 	e.mutexes = append(e.mutexes, m)

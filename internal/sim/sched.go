@@ -8,7 +8,9 @@ package sim
 //
 // Entries are stable while queued: a thread's clock only changes while
 // it runs, and a running thread is never in the heap (it is popped
-// before being resumed and re-pushed only when it parks again). Each
+// before being resumed and re-pushed only when it parks again). The
+// one exception is a spawn's rollback of run-ahead segments, which
+// moves queued clocks back and then restores the order with init. Each
 // thread carries its heap index so membership is O(1) to check and
 // double-insertion is caught immediately.
 type readyHeap struct {
@@ -50,9 +52,9 @@ func (h *readyHeap) push(t *Thread) {
 	if t.heapIdx != -1 {
 		panic("sim: thread " + t.name + " enqueued twice")
 	}
-	t.heapIdx = len(h.ts)
+	t.heapIdx = int32(len(h.ts))
 	h.ts = append(h.ts, t)
-	h.up(t.heapIdx)
+	h.up(len(h.ts) - 1)
 }
 
 // pop removes and returns the scheduling minimum, or nil when empty.
@@ -71,6 +73,13 @@ func (h *readyHeap) pop() *Thread {
 	}
 	t.heapIdx = -1
 	return t
+}
+
+// init restores the heap order after queued clocks changed in place.
+func (h *readyHeap) init() {
+	for i := len(h.ts)/2 - 1; i >= 0; i-- {
+		h.down(i)
+	}
 }
 
 func (h *readyHeap) up(i int) {
@@ -105,8 +114,8 @@ func (h *readyHeap) down(i int) {
 
 func (h *readyHeap) swap(i, j int) {
 	h.ts[i], h.ts[j] = h.ts[j], h.ts[i]
-	h.ts[i].heapIdx = i
-	h.ts[j].heapIdx = j
+	h.ts[i].heapIdx = int32(i)
+	h.ts[j].heapIdx = int32(j)
 }
 
 // enqueue marks t ready and inserts it into the ready queue. The

@@ -72,7 +72,7 @@ func scanMakespan(e *Engine) int64 {
 
 // remove takes t out of the heap wherever it sits.
 func (h *readyHeap) remove(t *Thread) {
-	i, last := t.heapIdx, len(h.ts)-1
+	i, last := int(t.heapIdx), len(h.ts)-1
 	if i < 0 {
 		panic("sim: thread " + t.name + " is not queued")
 	}
@@ -111,32 +111,37 @@ func observeRun(build func(Config) *Engine, procs int, run func(*Engine) int64) 
 func checkMatchesLinear(t *testing.T, id string, procs int, build func(Config) *Engine) schedRun {
 	t.Helper()
 	heap := observeRun(build, procs, (*Engine).Run)
-	ref := observeRun(build, procs, runLinear)
-	if heap.makespan != ref.makespan {
-		t.Errorf("%s: makespan %d (heap) != %d (linear scan)", id, heap.makespan, ref.makespan)
+	diffRuns(t, id, "heap", "linear scan", heap, observeRun(build, procs, runLinear))
+	return heap
+}
+
+// diffRuns fails on any difference between two runs of one scenario.
+func diffRuns(t *testing.T, id, gotName, wantName string, got, want schedRun) {
+	t.Helper()
+	if got.makespan != want.makespan {
+		t.Errorf("%s: makespan %d (%s) != %d (%s)", id, got.makespan, gotName, want.makespan, wantName)
 	}
-	if heap.stats != ref.stats {
-		t.Errorf("%s: stats diverge\nheap: %+v\nscan: %+v", id, heap.stats, ref.stats)
+	if got.stats != want.stats {
+		t.Errorf("%s: stats diverge\n%s: %+v\n%s: %+v", id, gotName, got.stats, wantName, want.stats)
 	}
-	if len(heap.clocks) != len(ref.clocks) {
-		t.Errorf("%s: %d threads (heap) != %d (linear scan)", id, len(heap.clocks), len(ref.clocks))
+	if len(got.clocks) != len(want.clocks) {
+		t.Errorf("%s: %d threads (%s) != %d (%s)", id, len(got.clocks), gotName, len(want.clocks), wantName)
 	} else {
-		for i := range heap.clocks {
-			if heap.clocks[i] != ref.clocks[i] {
-				t.Errorf("%s: thread %d completion %d (heap) != %d (linear scan)", id, i, heap.clocks[i], ref.clocks[i])
+		for i := range got.clocks {
+			if got.clocks[i] != want.clocks[i] {
+				t.Errorf("%s: thread %d completion %d (%s) != %d (%s)", id, i, got.clocks[i], gotName, want.clocks[i], wantName)
 			}
 		}
 	}
-	for i := range min(len(heap.events), len(ref.events)) {
-		if heap.events[i] != ref.events[i] {
-			t.Errorf("%s: event %d is %+v (heap), %+v (linear scan)", id, i, heap.events[i], ref.events[i])
+	for i := range min(len(got.events), len(want.events)) {
+		if got.events[i] != want.events[i] {
+			t.Errorf("%s: event %d is %+v (%s), %+v (%s)", id, i, got.events[i], gotName, want.events[i], wantName)
 			break
 		}
 	}
-	if len(heap.events) != len(ref.events) {
-		t.Errorf("%s: %d events (heap) != %d (linear scan)", id, len(heap.events), len(ref.events))
+	if len(got.events) != len(want.events) {
+		t.Errorf("%s: %d events (%s) != %d (%s)", id, len(got.events), gotName, len(want.events), wantName)
 	}
-	return heap
 }
 
 // streamHash is the SHA-256 of a run's event stream without its
@@ -193,10 +198,13 @@ func TestHeapSchedulerMatchesLinearScan(t *testing.T) {
 // data. The first byte sets the number of top-level threads (1-6), and
 // the rest is split evenly among them. Each script byte is one
 // operation: the low three bits pick it and the high five give its
-// argument. A thread holds at most one of the two mutexes, never waits
-// while holding it, and only waits for threads it spawned, so no script
-// can deadlock. Spawns nest two deep and stop at 24 children.
-func scripted(cfg Config, data []byte) *Engine {
+// argument. Operation 0 with an odd argument is private work: Compute
+// when runAhead is set, the same number of Work(1) calls otherwise; a
+// script calls Sync before every other operation. A thread holds at
+// most one of the two mutexes, never waits while holding it, and only
+// waits for threads it spawned, so no script can deadlock. Spawns nest
+// two deep and stop at 24 children.
+func scripted(cfg Config, data []byte, runAhead bool) *Engine {
 	e := New(cfg)
 	if len(data) == 0 {
 		return e
@@ -210,6 +218,17 @@ func scripted(cfg Config, data []byte) *Engine {
 		for i, b := range script {
 			arg := int64(b >> 3)
 			addr := 0x10000 + uint64(arg)*24 // three 8-byte words per line
+			if b&7 == 0 && arg&1 == 1 {
+				if runAhead {
+					c.Compute(arg)
+				} else {
+					for range arg {
+						c.Work(1)
+					}
+				}
+				continue
+			}
+			c.Sync()
 			switch b & 7 {
 			case 0:
 				c.Advance(1 + arg*arg*61)
@@ -247,6 +266,7 @@ func scripted(cfg Config, data []byte) *Engine {
 				}
 			}
 		}
+		c.Sync()
 		if held != nil {
 			held.Unlock(c)
 		}
@@ -261,8 +281,62 @@ func scripted(cfg Config, data []byte) *Engine {
 	return e
 }
 
+// checkRunAhead runs a script untraced twice: on the engine with
+// run-ahead, and on the linear-scan reference with every private unit
+// charged as Work(1). It fails on any difference in makespan,
+// statistics or per-thread completion clock.
+func checkRunAhead(t *testing.T, id string, procs int, data []byte) {
+	t.Helper()
+	untraced := func(runAhead bool, run func(*Engine) int64) schedRun {
+		e := scripted(Config{Processors: procs}, data, runAhead)
+		r := schedRun{makespan: run(e), stats: e.Stats()}
+		for _, th := range e.Threads() {
+			r.clocks = append(r.clocks, th.Clock())
+		}
+		return r
+	}
+	diffRuns(t, id, "run-ahead", "per unit", untraced(true, (*Engine).Run), untraced(false, runLinear))
+}
+
+// Script bytes for hand-built scenarios (see scripted).
+const (
+	opAdvance2  = 2<<3 | 0  // Advance(245)
+	opAdvance30 = 30<<3 | 0 // Advance(54901)
+	opCompute31 = 31<<3 | 0 // 31 private units
+	opLockA     = 0<<3 | 1
+	opSpawn1    = 0<<3 | 5 // child runs the next byte
+	opNoop      = 6        // Wait with nothing spawned
+)
+
+// crossingSeeds are scripts in which a spawn takes the live count past
+// P while other threads have open run-ahead segments, late enough
+// (past the first migration period) that the units a rollback turns
+// into debt cost a migration, and a lock race decides who pays for
+// it. The first byte of each is the thread count minus one.
+var crossingSeeds = []struct {
+	procs uint8
+	data  []byte
+}{
+	// P=3: t1 runs ahead, t0 spawns, t2 takes lock a during the window
+	// in which t1's debt is charged.
+	{3, []byte{2,
+		opAdvance30, opAdvance30, opAdvance30, opAdvance30, 0, opSpawn1, opNoop, opNoop,
+		opAdvance30, opAdvance30, opAdvance30, opAdvance30, opCompute31, opLockA, opNoop, opNoop,
+		opAdvance30, opAdvance30, opAdvance30, opAdvance30, opAdvance2, opLockA, opAdvance30, opNoop,
+	}},
+	// P=4: t1 and t2 both have open segments at t0's spawn.
+	{4, []byte{3,
+		opAdvance30, opAdvance30, opAdvance30, opAdvance30, 0, opSpawn1, opNoop, opNoop,
+		opAdvance30, opAdvance30, opAdvance30, opAdvance30, opCompute31, opLockA, opNoop, opNoop,
+		opAdvance30, opAdvance30, opAdvance30, opAdvance30, opCompute31, opLockA, opNoop, opNoop,
+		opAdvance30, opAdvance30, opAdvance30, opAdvance30, opAdvance2, opLockA, opAdvance30, opNoop,
+	}},
+}
+
 // FuzzSchedule checks the heap scheduler against the linear-scan
-// reference on random thread scripts (see scripted) on 1-8 processors.
+// reference on random thread scripts (see scripted) on 1-8 processors:
+// traced, where private work is charged per unit and the event streams
+// must match, and untraced, where the engine runs ahead through it.
 func FuzzSchedule(f *testing.F) {
 	rng := rand.New(rand.NewSource(3))
 	for i, n := range []int{8, 64, 256} {
@@ -270,8 +344,13 @@ func FuzzSchedule(f *testing.F) {
 		rng.Read(seed)
 		f.Add(uint8(1+3*i), seed) // 2, 5 and 8 processors
 	}
+	for _, s := range crossingSeeds {
+		f.Add(s.procs-1, s.data)
+	}
 	f.Fuzz(func(t *testing.T, procs uint8, data []byte) {
 		p := 1 + int(procs)%8
-		checkMatchesLinear(t, fmt.Sprintf("P=%d", p), p, func(cfg Config) *Engine { return scripted(cfg, data) })
+		id := fmt.Sprintf("P=%d", p)
+		checkMatchesLinear(t, id, p, func(cfg Config) *Engine { return scripted(cfg, data, true) })
+		checkRunAhead(t, id, p, data)
 	})
 }

@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+	"unsafe"
 )
 
 // torture builds a scenario exercising every scheduling path: mutex
@@ -179,7 +180,7 @@ func TestAbnormalExitsLeakNoGoroutines(t *testing.T) {
 	before := runtime.NumGoroutine()
 	for i := 0; i < 100; i++ {
 		e := New(Config{Processors: 2})
-		m := e.NewMutex("m")
+		m := e.NewMutexAt("m", 0)
 		e.Go("holder", func(c *Ctx) {
 			m.Lock(c)
 			c.Advance(1_000_000) // preempted while holding m
@@ -199,7 +200,7 @@ func TestAbnormalExitsLeakNoGoroutines(t *testing.T) {
 	}
 	for i := 0; i < 100; i++ {
 		e := New(Config{Processors: 2})
-		a, b := e.NewMutex("a"), e.NewMutex("b")
+		a, b := e.NewMutexAt("a", 0), e.NewMutexAt("b", 0)
 		e.Go("ab", func(c *Ctx) {
 			a.Lock(c)
 			c.Advance(50)
@@ -261,7 +262,7 @@ func TestReadyHeapOrdering(t *testing.T) {
 func BenchmarkLockHandoff(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		e := New(Config{Processors: 8})
-		m := e.NewMutex("hot")
+		m := e.NewMutexAt("hot", 0)
 		for w := 0; w < 8; w++ {
 			e.Go("w", func(c *Ctx) {
 				for j := 0; j < 200; j++ {
@@ -291,6 +292,40 @@ func BenchmarkPreemptHandoff(b *testing.B) {
 					}
 				})
 			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			e.Run()
+		})
+	}
+}
+
+// computeLockstep builds n threads on 8 processors that alternate
+// Compute(3) with a Read of a line only they touch, from the same start
+// time. Charged per unit, every step ties their clocks and preempts;
+// run ahead, a thread yields only when its Sync finds another thread
+// behind it.
+func computeLockstep(cfg Config, n, steps int) *Engine {
+	e := New(cfg)
+	for w := 0; w < n; w++ {
+		line := uint64(1<<20) + uint64(w)*64
+		e.Go(fmt.Sprintf("step%d", w), func(c *Ctx) {
+			for range steps {
+				c.Compute(3)
+				c.Sync()
+				c.Read(line, 8)
+			}
+		})
+	}
+	return e
+}
+
+// BenchmarkComputeRunAhead measures the run-ahead path on the lockstep
+// shape of BenchmarkPreemptHandoff: each step is Compute(3), Sync and a
+// private Read.
+func BenchmarkComputeRunAhead(b *testing.B) {
+	for _, n := range []int{2, 8} {
+		b.Run(fmt.Sprintf("threads=%d", n), func(b *testing.B) {
+			e := computeLockstep(Config{Processors: 8}, n, b.N/n+1)
 			b.ReportAllocs()
 			b.ResetTimer()
 			e.Run()
@@ -402,5 +437,38 @@ func BenchmarkUncontendedRun(b *testing.B) {
 			})
 		}
 		e.Run()
+	}
+}
+
+// TestRunAheadDispatches pins the number of worker resumes Run makes
+// for eight lockstep threads alternating private work with private
+// reads (computeLockstep), against the per-unit run a tracer forces.
+// Both runs must agree on every clock; the untraced one must resume
+// workers exactly as often as pinned, so losing run-ahead fails here
+// even though no simulated result would change.
+func TestRunAheadDispatches(t *testing.T) {
+	var rec Recorder
+	ahead := computeLockstep(Config{Processors: 8}, 8, 100)
+	unit := computeLockstep(Config{Processors: 8, Tracer: &rec}, 8, 100)
+	if a, u := ahead.Run(), unit.Run(); a != u {
+		t.Fatalf("makespan %d (run-ahead) != %d (per unit)", a, u)
+	}
+	for i, th := range ahead.Threads() {
+		if th.Clock() != unit.Threads()[i].Clock() {
+			t.Errorf("thread %d: clock %d (run-ahead) != %d (per unit)", i, th.Clock(), unit.Threads()[i].Clock())
+		}
+	}
+	const wantAhead, wantUnit = 1608, 3208
+	if ahead.dispatches != wantAhead || unit.dispatches != wantUnit {
+		t.Errorf("worker resumes: %d run ahead, %d per unit; pinned %d and %d",
+			ahead.dispatches, unit.dispatches, wantAhead, wantUnit)
+	}
+}
+
+// TestThreadSize pins the Thread record at 192 bytes, three cache
+// lines: a larger record measurably slowed spawn-heavy runs.
+func TestThreadSize(t *testing.T) {
+	if n := unsafe.Sizeof(Thread{}); n != 192 {
+		t.Errorf("Thread is %d bytes, want 192", n)
 	}
 }

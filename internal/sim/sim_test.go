@@ -48,7 +48,7 @@ func TestProcessorSharingDilation(t *testing.T) {
 
 func TestMutexSerializes(t *testing.T) {
 	e := New(testConfig(8))
-	m := e.NewMutex("m")
+	m := e.NewMutexAt("m", 0)
 	for i := 0; i < 4; i++ {
 		e.Go("w", func(c *Ctx) {
 			m.Lock(c)
@@ -70,7 +70,7 @@ func TestMutexSerializes(t *testing.T) {
 
 func TestMutexFIFOHandoff(t *testing.T) {
 	e := New(testConfig(8))
-	m := e.NewMutex("m")
+	m := e.NewMutexAt("m", 0)
 	var order []int
 	for i := 0; i < 4; i++ {
 		e.Go("w", func(c *Ctx) {
@@ -91,7 +91,7 @@ func TestMutexFIFOHandoff(t *testing.T) {
 
 func TestTryLock(t *testing.T) {
 	e := New(testConfig(8))
-	m := e.NewMutex("m")
+	m := e.NewMutexAt("m", 0)
 	var gotLock, failed bool
 	e.Go("holder", func(c *Ctx) {
 		m.Lock(c)
@@ -126,7 +126,7 @@ func TestUnlockNotOwnerPanics(t *testing.T) {
 		}
 	}()
 	e := New(testConfig(2))
-	m := e.NewMutex("m")
+	m := e.NewMutexAt("m", 0)
 	e.Go("w", func(c *Ctx) { m.Unlock(c) })
 	e.Run()
 }
@@ -173,7 +173,7 @@ func TestFalseSharingCostsMore(t *testing.T) {
 func TestDeterminism(t *testing.T) {
 	run := func() int64 {
 		e := New(testConfig(4))
-		m := e.NewMutex("m")
+		m := e.NewMutexAt("m", 0)
 		for i := 0; i < 6; i++ {
 			e.Go("w", func(c *Ctx) {
 				for j := 0; j < 50; j++ {
@@ -255,7 +255,7 @@ func TestNoMigrationWhenUndersubscribed(t *testing.T) {
 
 func TestStatsAggregation(t *testing.T) {
 	e := New(testConfig(2))
-	m := e.NewMutex("m")
+	m := e.NewMutexAt("m", 0)
 	for i := 0; i < 2; i++ {
 		e.Go("w", func(c *Ctx) {
 			m.Lock(c)

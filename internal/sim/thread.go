@@ -25,6 +25,21 @@ type Thread struct {
 	name  string
 	fn    func(*Ctx)
 	state threadState
+	// ahead is set while the thread has an open run-ahead segment (see
+	// Compute).
+	ahead bool
+
+	// lastCPU is the processor the thread most recently ran on, used to
+	// charge migration costs.
+	lastCPU int32
+	// home is slot mod P, precomputed: the processor the thread owns
+	// whenever the machine is not oversubscribed. Caching it keeps an
+	// integer division out of cpu(), which runs on every cache access
+	// and work charge.
+	home int32
+	// heapIdx is the thread's position in the engine's ready heap, or
+	// -1 while it is not queued.
+	heapIdx int32
 
 	// clock is the thread's virtual time: the moment its next action
 	// begins.
@@ -32,17 +47,11 @@ type Thread struct {
 	// lease is the time up to which the thread may run without yielding
 	// back to the scheduler (see package comment).
 	lease int64
-	// lastCPU is the processor the thread most recently ran on, used to
-	// charge migration costs.
-	lastCPU int
-	// home is slot mod P, precomputed: the processor the thread owns
-	// whenever the machine is not oversubscribed. Caching it keeps an
-	// integer division out of cpu(), which runs on every cache access
-	// and work charge.
-	home int
-	// heapIdx is the thread's position in the engine's ready heap, or
-	// -1 while it is not queued.
-	heapIdx int
+	// segStart is the clock at which the open run-ahead segment began.
+	segStart int64
+	// debt counts private work units a rollback took back from a
+	// segment; the thread's next Sync charges them one at a time.
+	debt int64
 
 	// w is the pooled worker coroutine currently executing this thread.
 	// It is bound at the thread's first dispatch and returned to the
@@ -87,8 +96,8 @@ func (t *Thread) advance(cycles int64) {
 	}
 	t.clock += cycles
 	cpu := t.cpu()
-	if cpu != t.lastCPU {
-		t.lastCPU = cpu
+	if cpu != int(t.lastCPU) {
+		t.lastCPU = int32(cpu)
 		t.Migrations++
 		t.clock += e.cost.Migration
 		e.trace(t, EvMigrate, "")
@@ -105,7 +114,7 @@ func (t *Thread) advance(cycles int64) {
 func (t *Thread) cpu() int {
 	e := t.e
 	if e.live <= e.procs {
-		return t.home
+		return int(t.home)
 	}
 	epoch := t.clock / migrationPeriod
 	return int((int64(t.slot) + epoch) % int64(e.procs))
@@ -182,8 +191,10 @@ func (t *Thread) exec() {
 		e.idleWorkers = append(e.idleWorkers, t.w)
 		t.w = nil
 	}()
-	ctx := &Ctx{t: t}
-	t.fn(ctx)
+	t.fn(&Ctx{t: t})
+	if t.ahead {
+		t.sync()
+	}
 }
 
 // Ctx is the execution context handed to a thread function. It is valid
@@ -239,15 +250,130 @@ func (c *Ctx) Sbrk() {
 	c.t.maybeYield()
 }
 
+// Compute charges n units of private work: work that reads and writes
+// only the calling thread's own state. It is exactly n Work(1) calls,
+// except that while the engine is untraced and not oversubscribed, and
+// the thread is on its home processor, it opens (or extends) a
+// run-ahead segment instead: the clock moves by n·Op with no lease
+// check and no yield, however far that takes the thread past the
+// others. The caller must call Sync before its next engine operation;
+// the engine syncs a thread whose function returns.
+//
+// Run-ahead is exact because, under those conditions, the price of a
+// private unit depends on nothing another thread can change except a
+// spawn that makes the live count exceed P, and Go rolls open segments
+// back at that crossing (see rollBack).
+func (c *Ctx) Compute(n int64) {
+	t := c.t
+	if t.ahead {
+		t.clock += n * t.e.cost.Op
+		return
+	}
+	t.compute(n)
+}
+
+// compute is the slow path of Compute, split out so the segment-open
+// check above inlines into the caller. A thread owes debt only while it
+// is parked in Sync, so it never owes any here.
+func (t *Thread) compute(n int64) {
+	e := t.e
+	if e.tracer == nil && e.live <= e.procs && t.lastCPU == t.home {
+		t.ahead = true
+		t.segStart = t.clock
+		e.segments++
+		t.clock += n * e.cost.Op
+		return
+	}
+	for range n {
+		t.advance(e.cost.Op)
+		t.maybeYield()
+	}
+}
+
+// Sync ends the calling thread's run-ahead segment, if it has one: it
+// charges any debt a rollback left one unit at a time, yields until the
+// thread is again the scheduling minimum, so every other thread's
+// action before that moment in virtual time has happened, and commits
+// the segment. Without an open segment it does nothing.
+func (c *Ctx) Sync() {
+	if c.t.ahead {
+		c.t.sync()
+	}
+}
+
+func (t *Thread) sync() {
+	e := t.e
+	for {
+		for t.debt > 0 {
+			t.debt--
+			t.advance(e.cost.Op)
+			t.maybeYield()
+		}
+		if n := e.ready.peek(); n == nil || schedBefore(t, n) {
+			break
+		}
+		t.state = stateReady
+		e.handoff = e.ready.replaceTop(t)
+		t.yield()
+	}
+	if t.ahead {
+		t.commit()
+	}
+}
+
+// commit closes t's segment at t's current clock.
+func (t *Thread) commit() {
+	t.ahead = false
+	t.e.segments--
+	if t.clock > t.e.maxClock {
+		t.e.maxClock = t.clock
+	}
+}
+
+// rollBack is called when spawner s, whose action began at clock at,
+// takes the live count past P. Every open segment belongs to a queued
+// thread parked in Sync, and its units were priced as if the machine
+// were not oversubscribed. Each such thread keeps the units that began
+// before the spawn's (clock, slot) key, which run before the spawn in
+// virtual-time order too; its clock returns to the end of those units
+// and the rest become debt, which its Sync charges under the new
+// regime. s's lease shrinks so it cannot pass a rolled-back clock.
+func (e *Engine) rollBack(s *Thread, at int64) {
+	op := e.cost.Op
+	for _, t := range e.ready.ts {
+		if !t.ahead {
+			continue
+		}
+		n := (t.clock - t.segStart) / op
+		d := at - t.segStart
+		keep := max(0, (d+op-1)/op)
+		if d >= 0 && d%op == 0 && t.slot < s.slot {
+			keep++
+		}
+		keep = min(keep, n)
+		t.clock = t.segStart + keep*op
+		t.debt += n - keep
+		t.commit()
+		if t.clock < s.lease {
+			s.lease = t.clock
+		}
+	}
+	e.ready.init()
+}
+
 // Go spawns a new thread from inside the simulation. The child starts
 // at the parent's current time plus the spawn cost. No host goroutine
 // is created here: the child is bound to a pooled worker at its first
 // dispatch, so spawning is just a heap push on the host.
 func (c *Ctx) Go(name string, fn func(*Ctx)) *Thread {
 	t := c.t
+	at := t.clock
 	t.advance(t.e.cost.Spawn)
 	nt := t.e.newThread(name, fn)
 	t.e.live++
+	if t.e.segments > 0 && t.e.live > t.e.procs {
+		t.e.rollBack(t, at)
+	}
 	t.e.wake(t, nt, 0)
 	t.e.trace(t, EvSpawn, name)
 	t.e.trace(nt, EvThreadStart, name)

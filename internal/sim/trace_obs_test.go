@@ -7,7 +7,7 @@ import (
 func TestRingRecorderKeepsLatest(t *testing.T) {
 	rec := &Recorder{Max: 4, Ring: true, Mask: MaskOf(EvLockAcquire)}
 	e := New(Config{Processors: 1, Tracer: rec})
-	m := e.NewMutex("m")
+	m := e.NewMutexAt("m", 0)
 	e.Go("w", func(c *Ctx) {
 		for i := 0; i < 10; i++ {
 			m.Lock(c)
@@ -35,7 +35,7 @@ func TestRingRecorderKeepsLatest(t *testing.T) {
 	first := snap[0]
 	all := Recorder{Mask: MaskOf(EvLockAcquire)}
 	e2 := New(Config{Processors: 1, Tracer: &all})
-	m2 := e2.NewMutex("m")
+	m2 := e2.NewMutexAt("m", 0)
 	e2.Go("w", func(c *Ctx) {
 		for i := 0; i < 10; i++ {
 			m2.Lock(c)
@@ -51,7 +51,7 @@ func TestRingRecorderKeepsLatest(t *testing.T) {
 func TestKeepEarliestCountsDroppedKinds(t *testing.T) {
 	rec := &Recorder{Max: 2, Mask: MaskOf(EvLockAcquire, EvLockRelease)}
 	e := New(Config{Processors: 1, Tracer: rec})
-	m := e.NewMutex("m")
+	m := e.NewMutexAt("m", 0)
 	e.Go("w", func(c *Ctx) {
 		for i := 0; i < 3; i++ {
 			m.Lock(c)
@@ -72,7 +72,7 @@ func TestKeepEarliestCountsDroppedKinds(t *testing.T) {
 func TestTraceMaskFilters(t *testing.T) {
 	rec := &Recorder{Mask: MaskOf(EvLockContended)}
 	e := New(Config{Processors: 2, Tracer: rec})
-	m := e.NewMutex("m")
+	m := e.NewMutexAt("m", 0)
 	for i := 0; i < 2; i++ {
 		e.Go("w", func(c *Ctx) {
 			m.Lock(c)
@@ -92,7 +92,7 @@ func TestTraceMaskFilters(t *testing.T) {
 func TestHandoffTraced(t *testing.T) {
 	rec := &Recorder{}
 	e := New(Config{Processors: 2, Tracer: rec})
-	m := e.NewMutex("m")
+	m := e.NewMutexAt("m", 0)
 	for i := 0; i < 2; i++ {
 		e.Go("w", func(c *Ctx) {
 			m.Lock(c)

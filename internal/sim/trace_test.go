@@ -10,7 +10,7 @@ func TestTracerRecordsLifecycleAndLocks(t *testing.T) {
 	rec := &Recorder{}
 	cfg := Config{Processors: 2, Tracer: rec}
 	e := New(cfg)
-	m := e.NewMutex("m")
+	m := e.NewMutexAt("m", 0)
 	e.Go("a", func(c *Ctx) {
 		m.Lock(c)
 		c.Advance(1000)
@@ -57,7 +57,7 @@ func TestTracerRecordsLifecycleAndLocks(t *testing.T) {
 func TestRecorderBound(t *testing.T) {
 	rec := &Recorder{Max: 3}
 	e := New(Config{Processors: 1, Tracer: rec})
-	m := e.NewMutex("m")
+	m := e.NewMutexAt("m", 0)
 	e.Go("w", func(c *Ctx) {
 		for i := 0; i < 10; i++ {
 			m.Lock(c)

@@ -33,7 +33,14 @@ type Config struct {
 	// programs and pool-based workloads.
 	Pool pool.Config
 	// MaxSteps bounds executed work of the MiniCC engines (guards
-	// against non-terminating inputs); zero means 50 million.
+	// against non-terminating inputs); zero means 50 million. The
+	// budget is shared by all threads of a program and counted in the
+	// order the simulator executes instructions. An untraced run that
+	// is not oversubscribed lets threads run ahead through private
+	// work (sim.Ctx.Compute), so in a threaded program the instruction
+	// the error names can differ from a traced run's; it is the same on
+	// every run with the same configuration. A single-threaded program
+	// trips at the same instruction either way.
 	MaxSteps int64
 	// Tracer receives the run's event stream. A tracer implementing
 	// pool.Watcher is also attached to the run's address space,

@@ -1,12 +1,20 @@
 package vm
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
 	"amplify/internal/cc"
 	"amplify/internal/interp"
+	"amplify/internal/sim"
 )
+
+// dropEvents is a tracer that discards every event; attaching it turns
+// the simulator's run-ahead off without observing anything.
+type dropEvents struct{}
+
+func (dropEvents) Event(sim.Event) {}
 
 // FuzzVMDiff feeds arbitrary programs through the VM at both
 // optimization levels and through the tree-walking interpreter, and
@@ -15,7 +23,10 @@ import (
 // Between -O and -no-opt the agreement is exact down to the simulated
 // makespan and allocation counters: the peephole pass carries the work
 // charge of what it fuses, so optimization must be invisible to the
-// simulated machine. Seeds mirror internal/vet's FuzzVet corpus.
+// simulated machine. A program that spawns also runs at -O with a
+// tracer that drops every event, which charges every unit as Work(1)
+// instead of running ahead; its counters must match exactly too. Seeds
+// mirror internal/vet's FuzzVet corpus.
 func FuzzVMDiff(f *testing.F) {
 	seeds := []string{
 		"",
@@ -49,17 +60,28 @@ func FuzzVMDiff(f *testing.F) {
 			return err != nil && strings.Contains(err.Error(), "step limit exceeded")
 		}
 
-		runAt := func(o Options) (Result, error) {
+		runAt := func(o Options, tr sim.Tracer) (Result, error) {
 			p, err := CompileOpts(prog, o)
 			if err != nil {
 				return Result{}, err
 			}
-			return Run(p, Config{MaxSteps: maxSteps})
+			return Run(p, Config{MaxSteps: maxSteps, Tracer: tr})
 		}
-		opt, err := runAt(Options{})
-		noOpt, noOptErr := runAt(Options{NoOpt: true})
+		opt, err := runAt(Options{}, nil)
+		noOpt, noOptErr := runAt(Options{NoOpt: true}, nil)
 		if stepLimited(err) || stepLimited(noOptErr) {
 			t.Skip("step limit")
+		}
+
+		if prog.UsesThreads {
+			unit, unitErr := runAt(Options{}, dropEvents{})
+			if (err == nil) != (unitErr == nil) {
+				t.Fatalf("run-ahead changed failure: err=%v, per-unit err=%v\nprogram:\n%s", err, unitErr, src)
+			}
+			if err == nil && (!reflect.DeepEqual(opt.Counters, unit.Counters) || opt.Output != unit.Output || opt.ExitCode != unit.ExitCode) {
+				t.Fatalf("run-ahead changed the run:\nrun-ahead: exit=%d out=%q %+v\nper unit:  exit=%d out=%q %+v\nprogram:\n%s",
+					opt.ExitCode, opt.Output, opt.Counters, unit.ExitCode, unit.Output, unit.Counters, src)
+			}
 		}
 
 		if (err == nil) != (noOptErr == nil) {

@@ -150,6 +150,23 @@ var opNames = [...]string{
 	OpFrameAlloc: "falloc", OpFrameFree: "ffree", OpPoolReserve: "preserve",
 }
 
+// privateOp marks the opcodes that make no simulator call and touch
+// only the executing thread's frame and operand stack. A threaded run
+// charges their work as run-ahead (sim.Ctx.Compute) and syncs before
+// every other opcode. Division and modulo are not private because they
+// can fault; the arithmetic ops below fault only on pointer operands,
+// and exec syncs before that check.
+var privateOp = [256]bool{
+	OpNop: true, OpConst: true, OpNull: true,
+	OpLoadLocal: true, OpStoreLocal: true, OpLoadThis: true,
+	OpAdd: true, OpSub: true, OpMul: true, OpNeg: true, OpNot: true,
+	OpEq: true, OpNe: true, OpLt: true, OpLe: true, OpGt: true, OpGe: true,
+	OpJmp: true, OpJmpFalse: true, OpJmpTrue: true,
+	OpDup: true, OpPop: true, OpAddConst: true,
+	OpCall: true, OpCallL1: true, OpCallL2: true,
+	OpRet: true, OpRetVoid: true,
+}
+
 // String names the opcode.
 func (o Op) String() string {
 	if int(o) < len(opNames) && opNames[o] != "" {

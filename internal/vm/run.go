@@ -42,10 +42,11 @@ func Run(p *Program, cfg Config) (res Result, err error) {
 		// migration, an infinite scheduling lease. There, N unit work
 		// charges and one N-cycle charge are exactly equivalent, so the
 		// interpreter batches charges between observable events (loads,
-		// stores, allocator calls). Threaded programs charge per unit —
-		// under oversubscription Ctx.Work dilates each charge with an
-		// integer division, so batching would perturb makespans. A
-		// tracer also forces per-unit charging to keep event and
+		// stores, allocator calls). Threaded programs charge through
+		// Ctx.Compute, which is per unit under oversubscription (each
+		// charge is dilated with an integer division, so batching
+		// would perturb makespans) and runs ahead otherwise. A tracer
+		// also forces per-unit charging to keep event and
 		// call-boundary timestamps exact.
 		bulk: !p.Src.UsesThreads && mc.Tracer == nil,
 	}
@@ -327,13 +328,14 @@ loop:
 		if m.bulk {
 			m.pending += int64(ins.W)
 		} else {
-			// One Work call per fused instruction, not one bulk charge:
-			// Ctx.Work dilates each charge under oversubscription with
-			// an integer division, so Work(2) can round differently
-			// than two Work(1)s and optimization would perturb
-			// makespans.
-			for range int(ins.W) {
-				c.Work(1)
+			// Compute charges per unit whenever it does not run ahead,
+			// never one bulk charge: Ctx.Work dilates each charge under
+			// oversubscription with an integer division, so Work(2) can
+			// round differently than two Work(1)s and optimization
+			// would perturb makespans.
+			c.Compute(int64(ins.W))
+			if !privateOp[ins.Op] {
+				c.Sync()
 			}
 		}
 		switch ins.Op {
@@ -409,6 +411,9 @@ loop:
 			y := stack[len(stack)-1]
 			x := stack[len(stack)-2]
 			stack = stack[:len(stack)-1]
+			if (x.kind == 'r' || y.kind == 'r') && ins.Op != OpEq && ins.Op != OpNe {
+				c.Sync() // pointer arithmetic faults
+			}
 			stack[len(stack)-1] = m.arith(ins.Op, x, y)
 		case OpNeg:
 			stack[len(stack)-1] = iv(-stack[len(stack)-1].i)
@@ -523,6 +528,7 @@ loop:
 			fnID := ins.A
 			c.Go(fmt.Sprintf("%s#%d", m.p.Fns[fnID].Name, m.spawned), func(c2 *sim.Ctx) {
 				m.exec(c2, m.p.Fns[fnID], mem.Nil, args)
+				c2.Sync()
 				m.joinable.Done(c2)
 			})
 		case OpJoin:
@@ -659,6 +665,7 @@ loop:
 		case OpAddConst:
 			x := stack[len(stack)-1]
 			if x.kind == 'r' {
+				c.Sync()
 				m.fail("invalid pointer arithmetic")
 			}
 			stack[len(stack)-1] = iv(x.i + m.p.Consts[ins.A])
@@ -736,15 +743,20 @@ func (m *machine) arith(op Op, x, y value) value {
 	return value{}
 }
 
+// runCtor, runDtor and the operator new/delete calls below sync after
+// the nested activation: it may return ahead (its last opcode is
+// private), and the helper code after it touches shared state.
 func (m *machine) runCtor(c *sim.Ctx, ci *classInfo, ref mem.Ref, args []value) {
 	if ci.ctor >= 0 {
 		m.exec(c, m.p.Fns[ci.ctor], ref, args)
+		c.Sync()
 	}
 }
 
 func (m *machine) runDtor(c *sim.Ctx, s *hslot, ref mem.Ref) {
 	if s.class.dtor >= 0 {
 		m.exec(c, m.p.Fns[s.class.dtor], ref, nil)
+		c.Sync()
 	}
 	s.state = stDestroyed
 }
@@ -769,6 +781,7 @@ func (m *machine) doNew(c *sim.Ctx, ci *classInfo, placement value, args []value
 	if ci.opNew >= 0 {
 		m.argScratch[0] = iv(ci.decl.Size)
 		v := m.exec(c, m.p.Fns[ci.opNew], mem.Nil, m.argScratch[:1])
+		c.Sync()
 		if v.kind != 'r' || v.ref == mem.Nil {
 			m.fail("operator new of %s returned %s", ci.decl.Name, v.text())
 		}
@@ -803,6 +816,7 @@ func (m *machine) doDelete(c *sim.Ctx, v value) {
 	if s.class.opDelete >= 0 {
 		m.argScratch[0] = rv(v.ref)
 		m.exec(c, m.p.Fns[s.class.opDelete], v.ref, m.argScratch[:1])
+		c.Sync()
 		return
 	}
 	s.state = stFreed
