@@ -455,8 +455,9 @@ func (m *machine) eval(c *sim.Ctx, f *frame, e cc.Expr) value {
 		if i.i < 0 || i.i >= b.length {
 			panic(rtErr(e.Pos, "index %d out of range [0,%d)", i.i, b.length))
 		}
+		v := intVal(b.data[i.i])
 		c.Read(uint64(x.ref)+uint64(i.i)*uint64(elemSize(b.elem)), int64(elemSize(b.elem)))
-		return intVal(b.data[i.i])
+		return v
 	case *cc.NewExpr:
 		return m.evalNew(c, f, e)
 	case *cc.NewArray:
@@ -509,15 +510,18 @@ func (m *machine) readIdent(c *sim.Ctx, f *frame, e *cc.Ident) value {
 // readField loads a field through the cache model. Destroyed (shadowed
 // or pooled) objects may still be read by generated code — their
 // shadow pointers are exactly what placement new consults — so only
-// freed memory is an error.
+// freed memory is an error. Like every field and element access, and
+// as in the VM, the load takes effect at its start: the value is taken
+// before the access is charged.
 func (m *machine) readField(c *sim.Ctx, pos Pos, ref mem.Ref, name string) value {
 	o := m.getObject(pos, ref)
 	fl := o.class.FieldByName(name)
 	if fl == nil {
 		panic(rtErr(pos, "class %s has no field %s", o.class.Name, name))
 	}
+	v := o.fields[fieldIndex(o.class, name)]
 	c.Read(uint64(ref)+uint64(fl.Offset), cc.FieldSize)
-	return o.fields[fieldIndex(o.class, name)]
+	return v
 }
 
 func (m *machine) writeField(c *sim.Ctx, pos Pos, ref mem.Ref, name string, v value) {
@@ -526,8 +530,8 @@ func (m *machine) writeField(c *sim.Ctx, pos Pos, ref mem.Ref, name string, v va
 	if fl == nil {
 		panic(rtErr(pos, "class %s has no field %s", o.class.Name, name))
 	}
-	c.Write(uint64(ref)+uint64(fl.Offset), cc.FieldSize)
 	o.fields[fieldIndex(o.class, name)] = v
+	c.Write(uint64(ref)+uint64(fl.Offset), cc.FieldSize)
 }
 
 func fieldIndex(cd *cc.ClassDecl, name string) int {
@@ -563,8 +567,8 @@ func (m *machine) assign(c *sim.Ctx, f *frame, lhs cc.Expr, v value) {
 		if i.i < 0 || i.i >= b.length {
 			panic(rtErr(lhs.Pos, "index %d out of range [0,%d)", i.i, b.length))
 		}
-		c.Write(uint64(x.ref)+uint64(i.i)*uint64(elemSize(b.elem)), int64(elemSize(b.elem)))
 		b.data[i.i] = v.i
+		c.Write(uint64(x.ref)+uint64(i.i)*uint64(elemSize(b.elem)), int64(elemSize(b.elem)))
 	default:
 		panic(rtErr(Pos{}, "cannot assign to %T", lhs))
 	}

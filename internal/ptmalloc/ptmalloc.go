@@ -33,8 +33,9 @@ type Allocator struct {
 	sp     *mem.Space
 	arenas []*arena
 	max    int
-	// affinity maps thread slot -> index of the arena used last.
-	affinity map[int]int
+	// affinity[slot] is one plus the index of the arena thread slot
+	// moved to last, zero while it has never left its default arena.
+	affinity []int32
 	// owner maps each live block to its arena.
 	owner map[mem.Ref]int
 	stats alloc.Stats
@@ -43,11 +44,10 @@ type Allocator struct {
 // New creates a ptmalloc-style allocator with one initial arena.
 func New(e *sim.Engine, sp *mem.Space) *Allocator {
 	a := &Allocator{
-		e:        e,
-		sp:       sp,
-		max:      MaxArenasPerCPU * e.Processors(),
-		affinity: make(map[int]int),
-		owner:    make(map[mem.Ref]int),
+		e:     e,
+		sp:    sp,
+		max:   MaxArenasPerCPU * e.Processors(),
+		owner: make(map[mem.Ref]int),
 	}
 	a.addArena()
 	return a
@@ -82,9 +82,10 @@ func (a *Allocator) Arenas() int { return len(a.arenas) }
 // lockArena implements the arena-selection protocol and returns the
 // locked arena's index.
 func (a *Allocator) lockArena(c *sim.Ctx) int {
-	pref, ok := a.affinity[c.ThreadID()]
-	if !ok {
-		pref = c.ThreadID() % len(a.arenas)
+	tid := c.ThreadID()
+	pref := tid % len(a.arenas)
+	if tid < len(a.affinity) && a.affinity[tid] != 0 {
+		pref = int(a.affinity[tid]) - 1
 	}
 	// Fast path: the last-used arena.
 	if a.arenas[pref].lock.TryLock(c) {
@@ -94,7 +95,7 @@ func (a *Allocator) lockArena(c *sim.Ctx) int {
 	for i := 1; i < len(a.arenas); i++ {
 		id := (pref + i) % len(a.arenas)
 		if a.arenas[id].lock.TryLock(c) {
-			a.affinity[c.ThreadID()] = id
+			a.setAffinity(tid, id)
 			return id
 		}
 	}
@@ -102,11 +103,19 @@ func (a *Allocator) lockArena(c *sim.Ctx) int {
 	if len(a.arenas) < a.max {
 		id := a.addArena()
 		a.arenas[id].lock.Lock(c)
-		a.affinity[c.ThreadID()] = id
+		a.setAffinity(tid, id)
 		return id
 	}
 	a.arenas[pref].lock.Lock(c)
 	return pref
+}
+
+// setAffinity records arena id as thread slot tid's preferred arena.
+func (a *Allocator) setAffinity(tid, id int) {
+	if tid >= len(a.affinity) {
+		a.affinity = append(a.affinity, make([]int32, tid+1-len(a.affinity))...)
+	}
+	a.affinity[tid] = int32(id + 1)
 }
 
 // Alloc implements alloc.Allocator.

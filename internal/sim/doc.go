@@ -47,4 +47,13 @@
 // function returns. A spawn that oversubscribes the machine rolls open
 // segments back to the units that precede it, so run-ahead too changes
 // no simulated result.
+//
+// The memory model the run-ahead rests on is that a shared access takes
+// effect at its start: a load's value is what memory held when the
+// load began in virtual time, and a store is visible from the moment it
+// began. Ctx.ReadAhead and Ctx.WriteAhead charge such an access through
+// the cache model and, when the charge expires the lease, open a
+// run-ahead segment where Compute would instead of yielding: the caller
+// has already moved the value, so nothing another thread does while the
+// access is charged can change it.
 package sim

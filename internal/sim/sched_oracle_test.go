@@ -200,10 +200,15 @@ func TestHeapSchedulerMatchesLinearScan(t *testing.T) {
 // operation: the low three bits pick it and the high five give its
 // argument. Operation 0 with an odd argument is private work: Compute
 // when runAhead is set, the same number of Work(1) calls otherwise; a
-// script calls Sync before every other operation. A thread holds at
-// most one of the two mutexes, never waits while holding it, and only
-// waits for threads it spawned, so no script can deadlock. Spawns nest
-// two deep and stop at 24 children.
+// script calls Sync before every other operation. A read or write
+// with an odd argument is a shared access that then runs ahead
+// (ReadAhead, WriteAhead) when runAhead is set. A spawn's child runs
+// the next 1-8 bytes of its parent's script; with argument bit 3 set
+// it signals its parent's WaitGroup before its script instead of
+// after, so it stays live past the delay-0 wake of a waiting parent.
+// A thread holds at most one of the two mutexes, never waits while
+// holding it, and only waits for threads it spawned, so no script can
+// deadlock. Spawns nest two deep and stop at 24 children.
 func scripted(cfg Config, data []byte, runAhead bool) *Engine {
 	e := New(cfg)
 	if len(data) == 0 {
@@ -243,17 +248,31 @@ func scripted(cfg Config, data []byte, runAhead bool) *Engine {
 					held = nil
 				}
 			case 3:
-				c.Read(addr, 8)
+				if runAhead && arg&1 == 1 {
+					c.ReadAhead(addr, 8)
+				} else {
+					c.Read(addr, 8)
+				}
 			case 4:
-				c.Write(addr, 8)
+				if runAhead && arg&1 == 1 {
+					c.WriteAhead(addr, 8)
+				} else {
+					c.Write(addr, 8)
+				}
 			case 5:
 				if depth < 2 && spawned < 24 {
 					spawned++
 					child := script[i+1 : min(len(script), i+2+int(arg&7))]
+					early := arg&8 != 0
 					wg.Add(1)
 					c.Go("child", func(cc *Ctx) {
+						if early {
+							wg.Done(cc)
+						}
 						run(cc, child, depth+1)
-						wg.Done(cc)
+						if !early {
+							wg.Done(cc)
+						}
 					})
 				}
 			case 6:
@@ -303,6 +322,8 @@ const (
 	opAdvance2  = 2<<3 | 0  // Advance(245)
 	opAdvance30 = 30<<3 | 0 // Advance(54901)
 	opCompute31 = 31<<3 | 0 // 31 private units
+	opAdvance4  = 4<<3 | 0  // Advance(977)
+	opCompute11 = 11<<3 | 0 // 11 private units
 	opLockA     = 0<<3 | 1
 	opSpawn1    = 0<<3 | 5 // child runs the next byte
 	opNoop      = 6        // Wait with nothing spawned
@@ -333,6 +354,32 @@ var crossingSeeds = []struct {
 	}},
 }
 
+// wakeGapSeed is a script in which a child's delay-0 wake of its
+// waiting parent is followed, at the same clock, by the parent's spawn
+// that takes the live count past P (DESIGN.md §12). On P=3, t0 reaches
+// 549,998 cycles and spawns M (slot 1), which spawns A (slot 2) and
+// waits for it. A signals M at 599,998 before its script, skips the
+// spawn (it is two deep) and computes; M then spawns B, the fourth
+// live thread. Per unit, A's first unit runs before M's spawn, on its
+// home processor 2; every later one runs after it, oversubscribed, in
+// the migration epoch from 600,000 that maps A to processor 2 too. A
+// segment opened for that first unit would be rolled back whole, and
+// its first debt unit would end at 599,999, in the epoch that maps A
+// to processor 1: two migrations the reference does not make.
+var wakeGapSeed = func() []byte {
+	data := []byte{0}
+	for range 10 {
+		data = append(data, opAdvance30)
+	}
+	return append(data, opAdvance4, opCompute11,
+		4<<3|5,      // spawn M, which runs the next five bytes
+		opNoop,      // t0 waits for M; M has nothing to wait for
+		(8|2)<<3|5,  // M spawns A, which signals first and runs the next three bytes
+		opNoop,      // M waits for A; A has nothing to wait for
+		opSpawn1,    // M spawns B; A is too deep to spawn
+		opCompute31) // A's first private units
+}()
+
 // FuzzSchedule checks the heap scheduler against the linear-scan
 // reference on random thread scripts (see scripted) on 1-8 processors:
 // traced, where private work is charged per unit and the event streams
@@ -347,6 +394,7 @@ func FuzzSchedule(f *testing.F) {
 	for _, s := range crossingSeeds {
 		f.Add(s.procs-1, s.data)
 	}
+	f.Add(uint8(2), wakeGapSeed)
 	f.Fuzz(func(t *testing.T, procs uint8, data []byte) {
 		p := 1 + int(procs)%8
 		id := fmt.Sprintf("P=%d", p)

@@ -465,6 +465,66 @@ func TestRunAheadDispatches(t *testing.T) {
 	}
 }
 
+// accessLockstep builds n threads on 8 processors that alternate
+// Compute(3) with a store to one line they all write, from the same
+// start time: each store pays a read-for-ownership whose price depends
+// on which thread wrote last. With ahead set the store is a WriteAhead,
+// after which the thread runs on into its next Compute; otherwise it is
+// a Write, whose lease check yields to a tied thread at once.
+func accessLockstep(cfg Config, n, steps int, ahead bool) *Engine {
+	e := New(cfg)
+	for w := 0; w < n; w++ {
+		e.Go(fmt.Sprintf("step%d", w), func(c *Ctx) {
+			for range steps {
+				c.Compute(3)
+				c.Sync()
+				if ahead {
+					c.WriteAhead(1<<20, 8)
+				} else {
+					c.Write(1<<20, 8)
+				}
+			}
+		})
+	}
+	return e
+}
+
+// TestWriteAheadDispatches pins the worker resumes Run makes for eight
+// lockstep threads that alternate private work with stores to a shared
+// line (accessLockstep): through WriteAhead, through Write, and per
+// unit under a tracer. All three runs must agree on every clock and
+// statistic, and WriteAhead must resume workers less often than Write.
+func TestWriteAheadDispatches(t *testing.T) {
+	var rec Recorder
+	runs := []*Engine{
+		accessLockstep(Config{Processors: 8}, 8, 100, true),
+		accessLockstep(Config{Processors: 8}, 8, 100, false),
+		accessLockstep(Config{Processors: 8, Tracer: &rec}, 8, 100, true),
+	}
+	for _, e := range runs {
+		e.Run()
+	}
+	for k, name := range []string{"Write", "per unit"} {
+		got, want := runs[0], runs[k+1]
+		if got.Stats() != want.Stats() {
+			t.Errorf("stats diverge\nWriteAhead: %+v\n%s: %+v", got.Stats(), name, want.Stats())
+		}
+		for i, th := range got.Threads() {
+			if th.Clock() != want.Threads()[i].Clock() {
+				t.Errorf("thread %d: clock %d (WriteAhead) != %d (%s)", i, th.Clock(), want.Threads()[i].Clock(), name)
+			}
+		}
+	}
+	const wantAhead, wantWrite, wantUnit = 816, 1509, 2911
+	if runs[0].dispatches != wantAhead || runs[1].dispatches != wantWrite || runs[2].dispatches != wantUnit {
+		t.Errorf("worker resumes: %d WriteAhead, %d Write, %d per unit; pinned %d, %d and %d",
+			runs[0].dispatches, runs[1].dispatches, runs[2].dispatches, wantAhead, wantWrite, wantUnit)
+	}
+	if runs[0].dispatches >= runs[1].dispatches {
+		t.Errorf("WriteAhead resumed workers %d times, Write %d", runs[0].dispatches, runs[1].dispatches)
+	}
+}
+
 // TestThreadSize pins the Thread record at 192 bytes, three cache
 // lines: a larger record measurably slowed spawn-heavy runs.
 func TestThreadSize(t *testing.T) {

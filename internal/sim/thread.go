@@ -252,11 +252,11 @@ func (c *Ctx) Sbrk() {
 
 // Compute charges n units of private work: work that reads and writes
 // only the calling thread's own state. It is exactly n Work(1) calls,
-// except that while the engine is untraced and not oversubscribed, and
-// the thread is on its home processor, it opens (or extends) a
-// run-ahead segment instead: the clock moves by n·Op with no lease
-// check and no yield, however far that takes the thread past the
-// others. The caller must call Sync before its next engine operation;
+// except that while the engine is untraced and not oversubscribed, the
+// thread is on its home processor and no queued thread sorts before it,
+// it opens (or extends) a run-ahead segment instead: the clock moves by
+// n·Op with no lease check and no yield, however far that takes the
+// thread past the others. The caller must call Sync before its next engine operation;
 // the engine syncs a thread whose function returns.
 //
 // Run-ahead is exact because, under those conditions, the price of a
@@ -275,18 +275,61 @@ func (c *Ctx) Compute(n int64) {
 // compute is the slow path of Compute, split out so the segment-open
 // check above inlines into the caller. A thread owes debt only while it
 // is parked in Sync, so it never owes any here.
+//
+// The per-unit reference checks the lease after each unit, not before
+// it, so a unit that follows an operation with no check of its own (a
+// WaitGroup Done that woke a lower-slot thread at the same clock) runs
+// before that thread although it sorts after it. rollBack places units
+// by key alone, so such a unit must not start a segment: compute
+// charges it per unit, which yields to the woken thread.
 func (t *Thread) compute(n int64) {
 	e := t.e
-	if e.tracer == nil && e.live <= e.procs && t.lastCPU == t.home {
-		t.ahead = true
-		t.segStart = t.clock
-		e.segments++
+	if p := e.ready.peek(); (p == nil || schedBefore(t, p)) && t.open() {
 		t.clock += n * e.cost.Op
 		return
 	}
 	for range n {
 		t.advance(e.cost.Op)
 		t.maybeYield()
+	}
+}
+
+// open starts a run-ahead segment at t's clock when run-ahead is exact
+// for it: the engine is untraced and not oversubscribed and t is on its
+// home processor. It reports whether it did.
+func (t *Thread) open() bool {
+	e := t.e
+	if e.tracer != nil || e.live > e.procs || t.lastCPU != t.home {
+		return false
+	}
+	t.ahead = true
+	t.segStart = t.clock
+	e.segments++
+	return true
+}
+
+// ReadAhead is Read for a load whose value the caller has already
+// taken: under the memory-model rule that a shared access takes effect
+// at its start, nothing another thread does while the load is charged
+// can change what it read. So when the charge expires the thread's
+// lease, instead of yielding to a thread that sorts before it, it
+// opens a run-ahead segment where Compute would, and the caller must
+// Sync before its next engine operation. Within the lease, and
+// wherever Compute would not run ahead, it is exactly Read.
+func (c *Ctx) ReadAhead(addr uint64, size int64) {
+	t := c.t
+	t.e.cache.access(t, t.cpu(), addr, size, false)
+	if t.clock >= t.lease && !t.open() {
+		t.yieldCheck()
+	}
+}
+
+// WriteAhead is ReadAhead for a store the caller has already made.
+func (c *Ctx) WriteAhead(addr uint64, size int64) {
+	t := c.t
+	t.e.cache.access(t, t.cpu(), addr, size, true)
+	if t.clock >= t.lease && !t.open() {
+		t.yieldCheck()
 	}
 }
 

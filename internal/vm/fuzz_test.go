@@ -39,6 +39,10 @@ func FuzzVMDiff(f *testing.F) {
 		"class C { C() { x = new(xShadow) C(); } ~C() { x->~C(); } C* x; C* xShadow; }; int main() { return 0; }",
 		`int main() { print("hi\n\t\\", 1 && 0 || !2); return 0; }`,
 		"/* comment */ int main() { // line\n return 0; }",
+		// Threads race on one field: how often each loops depends on
+		// how their loads and stores interleave, the printed line does
+		// not.
+		"class C { public: C() { n = 0; } int n; }; void bump(C* c) { while (c->n < 40) { c->n = c->n + 1; } } int main() { C* c = new C(); spawn bump(c); spawn bump(c); spawn bump(c); join; print(c->n >= 40); delete c; return 0; }",
 	}
 	for _, s := range seeds {
 		f.Add(s)

@@ -155,7 +155,8 @@ var opNames = [...]string{
 // charges their work as run-ahead (sim.Ctx.Compute) and syncs before
 // every other opcode. Division and modulo are not private because they
 // can fault; the arithmetic ops below fault only on pointer operands,
-// and exec syncs before that check.
+// and exec syncs before that check. TestPrivateOpsMakeNoEngineCall
+// holds every opcode listed here to that.
 var privateOp = [256]bool{
 	OpNop: true, OpConst: true, OpNull: true,
 	OpLoadLocal: true, OpStoreLocal: true, OpLoadThis: true,

@@ -356,6 +356,12 @@ loop:
 		case OpLoadThis:
 			stack = append(stack, rv(this))
 		case OpLoadField:
+			// Field and element accesses take effect at their start: the
+			// value moves before the access is charged, in every mode.
+			// ReadAhead and WriteAhead then let a threaded run go on
+			// into its next private opcodes instead of yielding (the
+			// next shared opcode syncs first). A bulk run's one thread
+			// never exhausts its lease, so there they are Read and Write.
 			recv := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
 			s := m.objSlot(recv.ref, &m.cLoadField)
@@ -367,8 +373,8 @@ loop:
 				}
 			}
 			m.flushWork(c)
-			c.Read(uint64(recv.ref)+uint64(s.class.offsets[idx]), cc.FieldSize)
 			stack = append(stack, s.fields[idx])
+			c.ReadAhead(uint64(recv.ref)+uint64(s.class.offsets[idx]), cc.FieldSize)
 		case OpStoreField:
 			recv := stack[len(stack)-1]
 			v := stack[len(stack)-2]
@@ -382,8 +388,8 @@ loop:
 				}
 			}
 			m.flushWork(c)
-			c.Write(uint64(recv.ref)+uint64(s.class.offsets[idx]), cc.FieldSize)
 			s.fields[idx] = v
+			c.WriteAhead(uint64(recv.ref)+uint64(s.class.offsets[idx]), cc.FieldSize)
 		case OpIndexLoad:
 			i := stack[len(stack)-1]
 			bref := stack[len(stack)-2]
@@ -393,8 +399,8 @@ loop:
 				m.fail("index %d out of range [0,%d)", i.i, s.length)
 			}
 			m.flushWork(c)
-			c.Read(uint64(bref.ref)+uint64(i.i)*uint64(s.elemSize), int64(s.elemSize))
 			stack = append(stack, iv(s.data[i.i]))
+			c.ReadAhead(uint64(bref.ref)+uint64(i.i)*uint64(s.elemSize), int64(s.elemSize))
 		case OpIndexStore:
 			i := stack[len(stack)-1]
 			bref := stack[len(stack)-2]
@@ -405,8 +411,8 @@ loop:
 				m.fail("index %d out of range [0,%d)", i.i, s.length)
 			}
 			m.flushWork(c)
-			c.Write(uint64(bref.ref)+uint64(i.i)*uint64(s.elemSize), int64(s.elemSize))
 			s.data[i.i] = v.i
+			c.WriteAhead(uint64(bref.ref)+uint64(i.i)*uint64(s.elemSize), int64(s.elemSize))
 		case OpAdd, OpSub, OpMul, OpDiv, OpMod, OpEq, OpNe, OpLt, OpLe, OpGt, OpGe:
 			y := stack[len(stack)-1]
 			x := stack[len(stack)-2]
@@ -660,8 +666,8 @@ loop:
 				m.fail("class %s has no field %s", s.class.decl.Name, m.p.Names[ins.B])
 			}
 			m.flushWork(c)
-			c.Read(uint64(recv.ref)+uint64(s.class.offsets[idx]), cc.FieldSize)
 			stack = append(stack, s.fields[idx])
+			c.ReadAhead(uint64(recv.ref)+uint64(s.class.offsets[idx]), cc.FieldSize)
 		case OpAddConst:
 			x := stack[len(stack)-1]
 			if x.kind == 'r' {
