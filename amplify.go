@@ -11,8 +11,8 @@
 //   - Rewrite runs the pre-processor over MiniCC source (a C++ subset
 //     with classes, new/delete, and spawn/join threading);
 //   - RunProgram executes MiniCC programs — original or rewritten — on
-//     a deterministic simulated multiprocessor (compiled to bytecode or
-//     tree-walked) with a choice of C-library allocators (Solaris-style
+//     a deterministic simulated multiprocessor (compiled to bytecode)
+//     with a choice of C-library allocators (Solaris-style
 //     serial malloc, ptmalloc, Hoard, a SmartHeap-like per-thread-cache
 //     allocator, LKmalloc);
 //   - Experiment regenerates the tables and figures of the paper's
@@ -28,7 +28,6 @@ import (
 	"amplify/internal/bench"
 	"amplify/internal/cc"
 	"amplify/internal/core"
-	"amplify/internal/interp"
 	"amplify/internal/target"
 	"amplify/internal/vet"
 	"amplify/internal/vm"
@@ -126,14 +125,10 @@ type RunConfig struct {
 	// Processors is the simulated CPU count (default 8, the paper's
 	// machines).
 	Processors int
-	// MaxSteps bounds the program's executed work, in the steps both
-	// engines count, as a guard against non-terminating programs
-	// (default 50 million).
+	// MaxSteps bounds the program's executed work, in the VM's
+	// unoptimized instruction count, as a guard against non-terminating
+	// programs (default 50 million).
 	MaxSteps int64
-	// Engine selects the execution engine: "vm" (compiled bytecode,
-	// default) or "ast" (tree-walking interpreter). The two are
-	// semantically equivalent (differentially tested).
-	Engine string
 }
 
 // RunResult reports a program execution.
@@ -161,9 +156,6 @@ type RunResult struct {
 
 // RunProgram executes MiniCC source on the simulated multiprocessor.
 func RunProgram(src string, cfg RunConfig) (RunResult, error) {
-	if cfg.Engine != "" && cfg.Engine != "vm" && cfg.Engine != "ast" {
-		return RunResult{}, fmt.Errorf("amplify: unknown engine %q (want vm or ast)", cfg.Engine)
-	}
 	prog, err := cc.Parse(src)
 	if err == nil {
 		err = cc.Analyze(prog)
@@ -173,13 +165,9 @@ func RunProgram(src string, cfg RunConfig) (RunResult, error) {
 	}
 	mcfg := target.Config{Processors: cfg.Processors, Strategy: cfg.Allocator, MaxSteps: cfg.MaxSteps}
 	var res target.Result
-	if cfg.Engine == "ast" {
-		res, err = interp.Run(prog, mcfg)
-	} else {
-		var p *vm.Program
-		if p, err = vm.CompileOpts(prog, vm.Options{}); err == nil {
-			res, err = vm.Run(p, mcfg)
-		}
+	var p *vm.Program
+	if p, err = vm.CompileOpts(prog, vm.Options{}); err == nil {
+		res, err = vm.Run(p, mcfg)
 	}
 	if err != nil {
 		return RunResult{}, err

@@ -324,8 +324,15 @@ func BenchmarkLexer(b *testing.B) {
 	src := benchSource()
 	b.SetBytes(int64(len(src)))
 	for i := 0; i < b.N; i++ {
-		if _, err := cc.Lex(src); err != nil {
-			b.Fatal(err)
+		lx := cc.NewLexer(src)
+		for {
+			t, err := lx.Next()
+			if err != nil {
+				b.Fatal(err)
+			}
+			if t.Kind == cc.EOF {
+				break
+			}
 		}
 	}
 }

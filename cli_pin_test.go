@@ -68,10 +68,8 @@ var cliPinFlows = map[string][]string{
 	"amplify-flag-report":         {"amplify", "-mode", "flag", "-report"},
 	"mccrun-vet":                  {"mccrun", "-vet"},
 	"mccrun-vet-amplify-escape":   {"mccrun", "-vet", "-amplify", "-escape", "-stats"},
-	"mccrun-ast":                  {"mccrun", "-engine", "ast", "-stats"},
 	"mccrun-no-opt":               {"mccrun", "-no-opt", "-stats"},
 	"mccrun-amplify-metrics":      {"mccrun", "-amplify", "-metrics", "-"},
-	"mccrun-ast-amplify":          {"mccrun", "-engine", "ast", "-amplify", "-stats"},
 	"mccrun-amplify-flag":         {"mccrun", "-amplify", "-mode", "flag", "-stats"},
 }
 

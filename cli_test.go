@@ -86,16 +86,14 @@ func TestCLIEndToEnd(t *testing.T) {
 		t.Fatalf("amplify -o: %v\n%s", err, out)
 	}
 
-	// mccrun on both engines and both variants agrees.
-	for _, engine := range []string{"vm", "ast"} {
-		for _, p := range []string{srcPath, ampPath} {
-			out, err := exec.Command(filepath.Join(bin, "mccrun"), "-engine", engine, p).CombinedOutput()
-			if err != nil {
-				t.Fatalf("mccrun %s %s: %v\n%s", engine, p, err, out)
-			}
-			if string(out) != "done\n" {
-				t.Errorf("mccrun %s %s output = %q", engine, p, out)
-			}
+	// mccrun runs both variants to the same output.
+	for _, p := range []string{srcPath, ampPath} {
+		out, err := exec.Command(filepath.Join(bin, "mccrun"), p).CombinedOutput()
+		if err != nil {
+			t.Fatalf("mccrun %s: %v\n%s", p, err, out)
+		}
+		if string(out) != "done\n" {
+			t.Errorf("mccrun %s output = %q", p, out)
 		}
 	}
 
@@ -127,9 +125,8 @@ func TestCLIEndToEnd(t *testing.T) {
 }
 
 // TestCLIHeapArtifacts covers the heap-introspection flags: mccrun
-// writes a timeline and a site profile, refuses them on the ast
-// engine, and a failed export exits non-zero without swallowing the
-// program's output.
+// writes a timeline and a site profile, and a failed export exits
+// non-zero without swallowing the program's output.
 func TestCLIHeapArtifacts(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds binaries")
@@ -180,12 +177,6 @@ func TestCLIHeapArtifacts(t *testing.T) {
 	}
 	if csv, _ := os.ReadFile(csvPath); !strings.HasPrefix(string(csv), "now,footprint") {
 		t.Errorf("csv timeline header wrong: %.60s", csv)
-	}
-
-	// The ast engine has no observer hooks.
-	if out, err := exec.Command(filepath.Join(bin, "mccrun"), "-engine", "ast",
-		"-heap-timeline", tlPath, srcPath).CombinedOutput(); err == nil {
-		t.Errorf("ast engine accepted -heap-timeline:\n%s", out)
 	}
 
 	// A failed export must exit non-zero and still deliver the
@@ -251,10 +242,19 @@ func TestCLICompare(t *testing.T) {
 		t.Errorf("regression not named:\n%s", out)
 	}
 
-	// -threshold forgives the 10% drift.
+	// -threshold forgives the 10% drift, before or after the files.
 	if out, err := exec.Command(filepath.Join(bin, "amplifybench"),
 		"-compare", "-threshold", "15", base, worse).CombinedOutput(); err != nil {
 		t.Fatalf("threshold 15%%: %v\n%s", err, out)
+	}
+	if out, err := exec.Command(filepath.Join(bin, "amplifybench"),
+		"-compare", base, worse, "-threshold", "15").CombinedOutput(); err != nil {
+		t.Fatalf("threshold 15%% after the files: %v\n%s", err, out)
+	}
+	out, err = exec.Command(filepath.Join(bin, "amplifybench"),
+		"-compare", base, worse, "-threshold", "0").CombinedOutput()
+	if exitErr, ok := err.(*exec.ExitError); !ok || exitErr.ExitCode() != 3 {
+		t.Fatalf("threshold 0 after the files: err = %v (want exit 3)\n%s", err, out)
 	}
 
 	garbage := write("garbage.json", "not json")
@@ -629,44 +629,6 @@ int main() {
 	}
 }
 
-// TestCLIEngineFailFast: a typo'd -engine name must fail immediately —
-// before the program file is even read — naming the valid engines.
-func TestCLIEngineFailFast(t *testing.T) {
-	if testing.Short() {
-		t.Skip("builds binaries")
-	}
-	bin := buildTools(t)
-
-	// The program path does not exist: if the engine check ran after
-	// reading the input, the error would be about the file instead.
-	// "closure" names the removed closure-compiled backend.
-	for _, engine := range []string{"turbo", "closure"} {
-		out, err := exec.Command(filepath.Join(bin, "mccrun"), "-engine", engine, "missing.mcc").CombinedOutput()
-		if exitErr, ok := err.(*exec.ExitError); !ok || exitErr.ExitCode() != 1 {
-			t.Fatalf("mccrun -engine %s: err = %v (want exit 1)\n%s", engine, err, out)
-		}
-		text := string(out)
-		if want := fmt.Sprintf("unknown engine %q (want vm or ast)", engine); !strings.Contains(text, want) {
-			t.Errorf("mccrun -engine %s error missing %q:\n%s", engine, want, text)
-		}
-		if strings.Contains(text, "missing.mcc") {
-			t.Errorf("engine validation ran after reading the input:\n%s", text)
-		}
-	}
-
-	// Valid engines still run.
-	srcPath := filepath.Join(t.TempDir(), "prog.mcc")
-	if err := os.WriteFile(srcPath, []byte(cliProgram), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	for _, engine := range []string{"vm", "ast"} {
-		out, err := exec.Command(filepath.Join(bin, "mccrun"), "-engine", engine, srcPath).CombinedOutput()
-		if err != nil {
-			t.Fatalf("mccrun -engine %s: %v\n%s", engine, err, out)
-		}
-	}
-}
-
 // TestCLIRejectsInapplicableFlags: a flag the chosen configuration
 // would silently ignore is an error — a plain message, exit 1, no stack
 // trace — raised before the program file is read.
@@ -684,7 +646,6 @@ func TestCLIRejectsInapplicableFlags(t *testing.T) {
 		{[]string{"-arrays-only", "-mode", "bogus"}, "-arrays-only needs -amplify"},
 		{[]string{"-mode", "flag"}, "-mode needs -amplify"},
 		{[]string{"-mode", "shadow"}, "-mode needs -amplify"},
-		{[]string{"-engine", "ast", "-no-opt"}, "-no-opt needs -engine vm"},
 		{[]string{"-heap-interval", "-7", "-heap-timeline", "h.jsonl"}, "-heap-interval must be positive"},
 		{[]string{"-heap-interval", "0", "-heap-timeline", "h.jsonl"}, "-heap-interval must be positive"},
 		{[]string{"-heap-interval", "100"}, "-heap-interval needs -heap-timeline"},
@@ -853,6 +814,13 @@ func TestCLIExplain(t *testing.T) {
 	}
 	if string(outs[0]) != string(outs[1]) {
 		t.Errorf("explain report differs between -j1 and -j8:\n--- j1 ---\n%s--- j8 ---\n%s", outs[0], outs[1])
+	}
+	// Flags after the report files apply just the same.
+	if out, err := exec.Command(filepath.Join(bin, "amplifybench"),
+		"-explain", old, new, "-j", "1").Output(); err != nil {
+		t.Fatalf("amplifybench -explain with -j after the files: %v\n%s", err, out)
+	} else if string(out) != string(outs[0]) {
+		t.Errorf("explain report with -j after the files differs:\n%s", out)
 	}
 	text := string(outs[0])
 	if !strings.Contains(text, "makespan contend/serial/p8/threads64") {

@@ -109,7 +109,10 @@ func run() error {
 	threshold := flag.Float64("threshold", 0, "with -compare/-explain: allowed degradation in percent (0 = exact)")
 	cpuprofile := flag.String("cpuprofile", "", "write CPU profile to file")
 	memprofile := flag.String("memprofile", "", "write heap profile to file")
-	flag.Parse()
+	files, err := parseInterspersed(flag.CommandLine, os.Args[1:])
+	if err != nil {
+		return err
+	}
 
 	// Each mode reads only some flags: refuse one it would ignore,
 	// naming the flag and the mode, before anything runs.
@@ -137,17 +140,17 @@ func run() error {
 	}
 
 	if *compare {
-		if flag.NArg() != 2 {
+		if len(files) != 2 {
 			return fmt.Errorf("-compare needs exactly two report files: baseline.json current.json")
 		}
-		return runCompare(flag.Arg(0), flag.Arg(1), *threshold)
+		return runCompare(files[0], files[1], *threshold)
 	}
 
 	if *explain {
-		if flag.NArg() != 2 {
+		if len(files) != 2 {
 			return fmt.Errorf("-explain needs exactly two report files: baseline.json current.json")
 		}
-		return runExplain(flag.Arg(0), flag.Arg(1), *threshold, *jobs, *jsonOut)
+		return runExplain(files[0], files[1], *threshold, *jobs, *jsonOut)
 	}
 
 	if *hostBench {
@@ -249,6 +252,29 @@ func run() error {
 		}
 	}
 	return nil
+}
+
+// parseInterspersed parses args like fs.Parse but also reads flags
+// that follow a positional argument, so -compare old.json new.json
+// -threshold 5 means what -compare -threshold 5 old.json new.json
+// does. It returns the positional arguments in order; everything after
+// a "--" is positional.
+func parseInterspersed(fs *flag.FlagSet, args []string) ([]string, error) {
+	var pos []string
+	for {
+		if err := fs.Parse(args); err != nil {
+			return nil, err
+		}
+		rest := fs.Args()
+		if len(rest) == 0 {
+			return pos, nil
+		}
+		if n := len(args) - len(rest); n > 0 && args[n-1] == "--" {
+			return append(pos, rest...), nil
+		}
+		pos = append(pos, rest[0])
+		args = rest[1:]
+	}
 }
 
 // runCompare diffs two bench report files and prints the summary; a

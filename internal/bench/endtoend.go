@@ -7,7 +7,6 @@ import (
 
 	"amplify/internal/cc"
 	"amplify/internal/core"
-	"amplify/internal/interp"
 	"amplify/internal/sim"
 	"amplify/internal/vm"
 )
@@ -101,9 +100,9 @@ func (r *Runner) e2ePerThread() int {
 	return 120
 }
 
-// e2eCell is one end-to-end program: the synthetic tree churn at the
-// given thread count, pre-processed for the amplified row.
-func (r *Runner) e2eCell(row e2eRow, threads int) cell {
+// e2eProgram is one end-to-end program: the synthetic tree churn at
+// the given thread count, pre-processed for the amplified row.
+func (r *Runner) e2eProgram(row e2eRow, threads int) vmProgram {
 	var rewrite *core.Options
 	if row.amplify {
 		rewrite = &core.Options{}
@@ -111,23 +110,36 @@ func (r *Runner) e2eCell(row e2eRow, threads int) cell {
 	// Fixed total work split across threads, as in the speedup
 	// experiments: 8*perThread trees overall.
 	src := treeSource(threads, r.e2ePerThread()*8/threads, e2eDepth)
-	return r.vmCell(fmt.Sprintf("e2e/%s/threads%d", row.name, threads), src, rewrite, row.alloc)
+	return vmProgram{fmt.Sprintf("e2e/%s/threads%d", row.name, threads), src, rewrite, row.alloc}
 }
 
-// vmCell pre-processes src (when rewrite is set) and executes it on the
-// bytecode VM over the strategy's allocator; its result is a
-// vm.Result. On the quick sizes the tree-walking interpreter re-runs
-// the same program as a cross-check: both engines share the allocator,
-// pool and simulator layers, so heap behavior must agree exactly and
-// virtual time to within the engines' instruction-accounting
-// difference. VM cells count themselves as cells.e2e and their heap
-// allocations in Report.Metrics.
-func (r *Runner) vmCell(key, src string, rewrite *core.Options, strategy string) cell {
-	return cell{key, func(tr sim.Tracer) (measured, error) {
-		prog, err := analyze(src)
-		if err == nil && rewrite != nil {
-			_, prog, _, err = core.RewriteProgram(prog, *rewrite)
-		}
+// vmProgram is the MiniCC program of one VM cell: the cell's key, its
+// source, the pre-processor options (nil runs the source unmodified)
+// and the C-library allocator.
+type vmProgram struct {
+	key, src string
+	rewrite  *core.Options
+	strategy string
+}
+
+// tree parses and analyzes the source and, when rewrite is set,
+// pre-processes it; the result is the tree the cell executes.
+func (p vmProgram) tree() (*cc.Program, error) {
+	prog, err := analyze(p.src)
+	if err == nil && p.rewrite != nil {
+		_, prog, _, err = core.RewriteProgram(prog, *p.rewrite)
+	}
+	return prog, err
+}
+
+// vmCell executes the program on the bytecode VM over its allocator;
+// its result is a vm.Result. VM cells count themselves as cells.e2e
+// and their heap allocations in Report.Metrics. The quick-size cells
+// are cross-checked against the tree-walking interpreter by
+// TestVMCellsMatchInterp.
+func (r *Runner) vmCell(vp vmProgram) cell {
+	return cell{vp.key, func(tr sim.Tracer) (measured, error) {
+		prog, err := vp.tree()
 		if err != nil {
 			return measured{}, err
 		}
@@ -135,17 +147,12 @@ func (r *Runner) vmCell(key, src string, rewrite *core.Options, strategy string)
 		if err != nil {
 			return measured{}, err
 		}
-		res, err := vm.Run(p, vm.Config{Strategy: strategy, Tracer: tr})
+		res, err := vm.Run(p, vm.Config{Strategy: vp.strategy, Tracer: tr})
 		if err != nil {
 			return measured{}, err
 		}
 		if res.ExitCode != 0 {
-			return measured{}, fmt.Errorf("bench: %s: exit code %d", key, res.ExitCode)
-		}
-		if r.quick {
-			if err := crossCheckInterp(p.Src, strategy, key, res); err != nil {
-				return measured{}, err
-			}
+			return measured{}, fmt.Errorf("bench: %s: exit code %d", vp.key, res.ExitCode)
 		}
 		m := measuredOf(res, res.Counters)
 		m.counters = []counter{{"cells.e2e", 1}, {"alloc.allocs", res.Alloc.Allocs}}
@@ -169,33 +176,6 @@ func compile(src string, noOpt bool) (*vm.Program, error) {
 		return nil, err
 	}
 	return vm.CompileOpts(prog, vm.Options{NoOpt: noOpt})
-}
-
-// crossCheckInterp validates a VM measurement against the tree-walking
-// interpreter: identical program output, exit code and heap-allocation
-// count, and a virtual-time ratio within the engines' documented 2x
-// cost-accounting band.
-func crossCheckInterp(prog *cc.Program, strategy, key string, vres vm.Result) error {
-	ires, err := interp.Run(prog, vm.Config{Strategy: strategy})
-	if err != nil {
-		return fmt.Errorf("bench: cross-check %s: interp: %w", key, err)
-	}
-	if ires.ExitCode != vres.ExitCode {
-		return fmt.Errorf("bench: cross-check %s: exit code vm %d != interp %d",
-			key, vres.ExitCode, ires.ExitCode)
-	}
-	if ires.Output != vres.Output {
-		return fmt.Errorf("bench: cross-check %s: engine outputs differ", key)
-	}
-	if ires.Alloc.Allocs != vres.Alloc.Allocs {
-		return fmt.Errorf("bench: cross-check %s: heap allocations vm %d != interp %d",
-			key, vres.Alloc.Allocs, ires.Alloc.Allocs)
-	}
-	if ratio := float64(vres.Makespan) / float64(ires.Makespan); ratio < 0.5 || ratio > 2.0 {
-		return fmt.Errorf("bench: cross-check %s: makespan ratio %.2f (vm %d, interp %d) outside 2x band",
-			key, ratio, vres.Makespan, ires.Makespan)
-	}
-	return nil
 }
 
 // EngineSpeedup measures, on the host, how much the VM's bytecode
@@ -255,7 +235,7 @@ func (r *Runner) engineSpeedup() (float64, error) {
 // the experiment that validates that the *pre-processor output itself*
 // — not a hand-written equivalent — delivers the speedups of Figures
 // 4-6. On quick sizes, every VM run is cross-checked against the
-// tree-walking interpreter.
+// tree-walking interpreter by TestVMCellsMatchInterp.
 func (r *Runner) EndToEndFigure() (*Figure, error) {
 	perThread := r.e2ePerThread()
 	fig := &Figure{
@@ -265,7 +245,7 @@ func (r *Runner) EndToEndFigure() (*Figure, error) {
 		YLabel: "speedup vs 1-thread standard heap",
 		X:      e2eThreadGrid,
 	}
-	base, err := resultOf[vm.Result](r, r.e2eCell(e2eRows()[0], 1))
+	base, err := resultOf[vm.Result](r, r.vmCell(r.e2eProgram(e2eRows()[0], 1)))
 	if err != nil {
 		return nil, err
 	}
@@ -273,7 +253,7 @@ func (r *Runner) EndToEndFigure() (*Figure, error) {
 	for _, row := range e2eRows() {
 		vals := make([]float64, 0, len(e2eThreadGrid))
 		for _, th := range e2eThreadGrid {
-			res, err := resultOf[vm.Result](r, r.e2eCell(row, th))
+			res, err := resultOf[vm.Result](r, r.vmCell(r.e2eProgram(row, th)))
 			if err != nil {
 				return nil, err
 			}

@@ -27,7 +27,8 @@ const escThreads = 4
 
 // escWorkloads returns the committed corpus, sized for the Runner's
 // tier. Every workload is deterministic and prints nothing from
-// spawned threads, so both engines must produce identical output.
+// spawned threads, so the VM and its interpreter oracle must produce
+// identical output.
 func (r *Runner) escWorkloads() []escWorkload {
 	churnTrees, builderIters, ringMsgs := 96, 96, 48
 	if r.quick {
@@ -140,14 +141,14 @@ int main() {
 `, msgs)
 }
 
-// escapeCell is one corpus workload pre-processed with or without the
-// analysis-driven rewrites.
-func (r *Runner) escapeCell(w escWorkload, escape bool) cell {
+// escapeProgram is one corpus workload pre-processed with or without
+// the analysis-driven rewrites.
+func escapeProgram(w escWorkload, escape bool) vmProgram {
 	variant := "classic"
 	if escape {
 		variant = "escape"
 	}
-	return r.vmCell(fmt.Sprintf("escape/%s/%s", w.name, variant), w.src, &core.Options{Escape: escape}, "")
+	return vmProgram{fmt.Sprintf("escape/%s/%s", w.name, variant), w.src, &core.Options{Escape: escape}, ""}
 }
 
 // EscapeSiteReport is one `new` site's verdict in the bench report.
@@ -207,11 +208,11 @@ func (r *Runner) Escape() (string, error) {
 	fmt.Fprintf(&b, "%-10s %14s %14s %8s %12s %12s\n",
 		"workload", "classic", "escape", "speedup", "classic-peak", "escape-peak")
 	for _, w := range r.escWorkloads() {
-		classic, err := resultOf[vm.Result](r, r.escapeCell(w, false))
+		classic, err := resultOf[vm.Result](r, r.vmCell(escapeProgram(w, false)))
 		if err != nil {
 			return "", err
 		}
-		esc, err := resultOf[vm.Result](r, r.escapeCell(w, true))
+		esc, err := resultOf[vm.Result](r, r.vmCell(escapeProgram(w, true)))
 		if err != nil {
 			return "", err
 		}

@@ -197,7 +197,7 @@ func sensitivityCells(r *Runner) []cell {
 func escapeCells(r *Runner) []cell {
 	var cells []cell
 	for _, w := range r.escWorkloads() {
-		cells = append(cells, r.escapeCell(w, false), r.escapeCell(w, true))
+		cells = append(cells, r.vmCell(escapeProgram(w, false)), r.vmCell(escapeProgram(w, true)))
 	}
 	return cells
 }
@@ -234,7 +234,7 @@ func endToEndCells(r *Runner) []cell {
 	var cells []cell
 	for _, row := range e2eRows() {
 		for _, th := range e2eThreadGrid {
-			cells = append(cells, r.e2eCell(row, th))
+			cells = append(cells, r.vmCell(r.e2eProgram(row, th)))
 		}
 	}
 	return cells

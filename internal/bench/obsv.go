@@ -116,7 +116,7 @@ func (r *Runner) Export(dir string) error {
 	}
 
 	obs := &obsv.Set{Profile: obsv.NewProfiler(), Sites: heapobsv.NewSiteProfile()}
-	m, err := r.profiledCell().run(obs.Tracer())
+	m, err := r.vmCell(profiledProgram).run(obs.Tracer())
 	if err != nil {
 		return fmt.Errorf("bench: profile run: %w", err)
 	}
@@ -140,8 +140,6 @@ func (r *Runner) Export(dir string) error {
 	return obsv.WriteJSON(filepath.Join(dir, "heap-summary.json"), append(summary, '\n'))
 }
 
-// profiledCell is the amplified end-to-end MiniCC program Export runs
-// with the cycle and site profilers attached.
-func (r *Runner) profiledCell() cell {
-	return r.vmCell("export/amplify/threads4", treeSource(4, 30, e2eDepth), &core.Options{}, "")
-}
+// profiledProgram is the amplified end-to-end MiniCC program Export
+// runs with the cycle and site profilers attached.
+var profiledProgram = vmProgram{"export/amplify/threads4", treeSource(4, 30, e2eDepth), &core.Options{}, ""}

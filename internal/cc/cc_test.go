@@ -7,6 +7,15 @@ import (
 	"testing/quick"
 )
 
+// Lex tokenizes the whole input, as the parser does before parsing.
+func Lex(src string) ([]Token, error) {
+	toks, err := lexAppend(make([]Token, 0, tokenCap(src)), src)
+	if err != nil {
+		return nil, err
+	}
+	return toks, nil
+}
+
 const carSrc = `
 class Engine {
 public:

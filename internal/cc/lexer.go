@@ -21,15 +21,6 @@ func NewLexer(src string) *Lexer {
 	return &Lexer{src: src, line: 1, col: 1}
 }
 
-// Lex tokenizes the whole input.
-func Lex(src string) ([]Token, error) {
-	toks, err := lexAppend(make([]Token, 0, tokenCap(src)), src)
-	if err != nil {
-		return nil, err
-	}
-	return toks, nil
-}
-
 // tokenCap is the token capacity to lex src into. MiniCC source
 // averages about 3.6 bytes per token, so len/3 tokens hold the whole
 // stream of typical programs; sparser input (comments, deep

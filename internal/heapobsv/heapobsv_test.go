@@ -57,8 +57,8 @@ func TestSerialFragmentationHandCounted(t *testing.T) {
 		if !reflect.DeepEqual(hi, want) {
 			t.Fatalf("after allocs: Inspect() = %+v, want %+v", hi, want)
 		}
-		if got := hi.InternalFrag(); got < 0.38 || got > 0.39 {
-			t.Errorf("InternalFrag = %v, want 1-720/1168 ~ 0.3836", got)
+		if got := frag(hi.ReqBytes, hi.GrantedBytes); got < 0.38 || got > 0.39 {
+			t.Errorf("internal fragmentation = %v, want 1-720/1168 ~ 0.3836", got)
 		}
 
 		// One freed block: the only free block is the largest, so
@@ -68,8 +68,8 @@ func TestSerialFragmentationHandCounted(t *testing.T) {
 		if hi.FreeBlocks != 1 || hi.FreeBytes != 112 || hi.LargestFree != 112 {
 			t.Fatalf("after free(112): %+v", hi)
 		}
-		if hi.ExternalFrag() != 0 {
-			t.Errorf("single free block: ExternalFrag = %v, want 0", hi.ExternalFrag())
+		if got := frag(hi.LargestFree, hi.FreeBytes); got != 0 {
+			t.Errorf("single free block: external fragmentation = %v, want 0", got)
 		}
 
 		// Two freed blocks in different bins: 1 - 112/144.
@@ -78,10 +78,17 @@ func TestSerialFragmentationHandCounted(t *testing.T) {
 		if hi.FreeBlocks != 2 || hi.FreeBytes != 144 || hi.LargestFree != 112 {
 			t.Fatalf("after free(32): %+v", hi)
 		}
-		if got := hi.ExternalFrag(); got < 0.22 || got > 0.23 {
-			t.Errorf("ExternalFrag = %v, want 1-112/144 ~ 0.2222", got)
+		if got := frag(hi.LargestFree, hi.FreeBytes); got < 0.22 || got > 0.23 {
+			t.Errorf("external fragmentation = %v, want 1-112/144 ~ 0.2222", got)
 		}
 	})
+}
+
+// frag is a fragmentation ratio, 1 - part/whole: internal
+// fragmentation over requested and granted bytes, external over the
+// largest free block and all free bytes.
+func frag(part, whole int64) float64 {
+	return 1 - float64(part)/float64(whole)
 }
 
 // TestTimelineSampleHandCounted drives a Timeline as the tracer of
@@ -197,10 +204,9 @@ func (o *obsCounter) Event(e sim.Event) {
 	o.bytes[e.Kind] += e.Arg1
 }
 
-// TestPoolDepthHitRateAndTrim hand-counts the pool introspection of a
-// miss/hit/trim scenario: 3 misses fill the pool, 2 hits drain it, a
-// trim evicts the remainder.
-func TestPoolDepthHitRateAndTrim(t *testing.T) {
+// TestPoolDepthAndHitCounts hand-counts the pool introspection of a
+// miss/hit scenario: 3 misses fill the pool and 2 hits drain it.
+func TestPoolDepthAndHitCounts(t *testing.T) {
 	obs := newObsCounter()
 	e := sim.New(sim.Config{Processors: 2, Tracer: obs})
 	sp := mem.NewSpace()
@@ -238,22 +244,11 @@ func TestPoolDepthHitRateAndTrim(t *testing.T) {
 		if !reflect.DeepEqual(pi.ShardDepths, []int64{1}) {
 			t.Errorf("shard depths = %v, want [1]", pi.ShardDepths)
 		}
-		if got := pi.HitRate(); got != 0.4 {
-			t.Errorf("hit rate = %v, want 2/5", got)
-		}
-
-		if released := p.Trim(c, 0); len(released) != 1 {
-			t.Errorf("trim released %d structures, want 1", len(released))
-		}
 	})
 	e.Run()
 	if obs.counts[sim.EvPoolMiss] != 3 || obs.counts[sim.EvPoolHit] != 2 {
 		t.Errorf("tracer saw %d misses / %d hits, want 3/2",
 			obs.counts[sim.EvPoolMiss], obs.counts[sim.EvPoolHit])
-	}
-	if obs.counts[sim.EvPoolTrim] != 1 || obs.bytes[sim.EvPoolTrim] != 48 {
-		t.Errorf("tracer saw %d trims (%d bytes), want 1 trim of 48 bytes",
-			obs.counts[sim.EvPoolTrim], obs.bytes[sim.EvPoolTrim])
 	}
 }
 

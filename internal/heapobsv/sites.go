@@ -159,17 +159,6 @@ func (p *SiteProfile) Table() string {
 	return b.String()
 }
 
-// Totals reports the profile-wide object and byte counters.
-func (p *SiteProfile) Totals() (allocObjs, allocBytes, liveObjs, liveBytes int64) {
-	for _, s := range p.sites {
-		allocObjs += s.allocObjs
-		allocBytes += s.allocBytes
-		liveObjs += s.liveObjs
-		liveBytes += s.liveBytes
-	}
-	return
-}
-
 func (p *SiteProfile) sortedKeys() []string {
 	keys := make([]string, 0, len(p.sites))
 	for k := range p.sites {

@@ -129,9 +129,6 @@ func (t *Timeline) Event(e sim.Event) {
 // Finish records the final sample at the run's makespan.
 func (t *Timeline) Finish(makespan int64) { t.sample(makespan) }
 
-// Samples returns the rows recorded so far.
-func (t *Timeline) Samples() []Sample { return t.samples }
-
 func (t *Timeline) sample(now int64) {
 	s := Sample{
 		Now:          now,

@@ -35,13 +35,15 @@ func TestSuperblockServesManyBlocks(t *testing.T) {
 	sp := mem.NewSpace()
 	a := New(e, sp, 0)
 	e.Go("w", func(c *sim.Ctx) {
-		before := sp.Sbrks()
+		// A superblock is smaller than a page, so one Sbrk grows the
+		// footprint by exactly one page.
+		before := sp.Footprint()
 		for i := 0; i < SuperblockSize/16; i++ {
 			a.Alloc(c, 16)
 		}
-		grew := sp.Sbrks() - before
-		if grew != 1 {
-			t.Errorf("sbrks for one superblock's worth of 16B blocks = %d, want 1", grew)
+		grew := sp.Footprint() - before
+		if grew != mem.PageSize {
+			t.Errorf("footprint growth for one superblock's worth of 16B blocks = %d, want one page", grew)
 		}
 	})
 	e.Run()
@@ -92,9 +94,9 @@ func TestGlobalHeapReuse(t *testing.T) {
 	})
 	e.Go("second", func(c *sim.Ctx) {
 		wg.Wait(c)
-		before := sp.Sbrks()
+		before := sp.Footprint()
 		a.Alloc(c, 64) // different heap (tid 1): should pull from global
-		if sp.Sbrks() != before {
+		if sp.Footprint() != before {
 			t.Error("second thread carved a new superblock instead of reusing the global heap")
 		}
 	})

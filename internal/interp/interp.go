@@ -1,11 +1,12 @@
-// Package interp executes MiniCC programs on the simulated SMP. It is
-// the "compiler and machine" of the reproduction pipeline: the same
-// source can be run unmodified over any C-library allocator, or — after
-// the Amplify pre-processor (internal/core) rewrote it — with the
-// structure-pool runtime intrinsics bound to internal/pool. Thread
-// spawn/join map to simulator threads, so a program's makespan,
-// allocation counts, lock contention and cache traffic are measured
-// exactly like the native workloads'.
+// Package interp executes MiniCC programs on the simulated SMP by
+// walking the analyzed tree. It is the test oracle of the bytecode VM
+// (internal/vm), the project's execution engine: only tests import it.
+// The same source can be run unmodified over any C-library allocator,
+// or — after the Amplify pre-processor (internal/core) rewrote it —
+// with the structure-pool runtime intrinsics bound to internal/pool.
+// Thread spawn/join map to simulator threads, so a program's output,
+// allocation counts and lock traffic must match the VM's exactly, and
+// its makespan within the engines' 2x cost-accounting band.
 package interp
 
 import (

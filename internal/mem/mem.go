@@ -21,9 +21,8 @@ const PageSize = 8192
 // coroutine scheduler runs one simulated thread at a time, so access
 // is single-threaded.
 type Space struct {
-	brk   uint64
-	base  uint64
-	sbrks int64
+	brk  uint64
+	base uint64
 }
 
 // NewSpace returns an address space whose break starts above the null
@@ -43,7 +42,6 @@ func (s *Space) Sbrk(c *sim.Ctx, n int64) Ref {
 	pages := (uint64(n) + PageSize - 1) / PageSize
 	r := Ref(s.brk)
 	s.brk += pages * PageSize
-	s.sbrks++
 	if c != nil {
 		c.Sbrk()
 	}
@@ -53,6 +51,3 @@ func (s *Space) Sbrk(c *sim.Ctx, n int64) Ref {
 // Footprint reports the total bytes ever obtained from the space — the
 // simulated process's memory consumption.
 func (s *Space) Footprint() int64 { return int64(s.brk - s.base) }
-
-// Sbrks reports how many break extensions were performed.
-func (s *Space) Sbrks() int64 { return s.sbrks }

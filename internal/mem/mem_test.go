@@ -21,9 +21,6 @@ func TestSbrkBasics(t *testing.T) {
 		}
 	})
 	e.Run()
-	if sp.Sbrks() != 2 {
-		t.Errorf("Sbrks = %d, want 2", sp.Sbrks())
-	}
 	if sp.Footprint() != 2*PageSize {
 		t.Errorf("Footprint = %d, want %d", sp.Footprint(), 2*PageSize)
 	}

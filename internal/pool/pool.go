@@ -315,14 +315,6 @@ type Info struct {
 	Released      int64   `json:"released"`
 }
 
-// HitRate is hits/(hits+misses), zero before the first allocation.
-func (i Info) HitRate() float64 {
-	if i.Hits+i.Misses == 0 {
-		return 0
-	}
-	return float64(i.Hits) / float64(i.Hits+i.Misses)
-}
-
 // Inspect snapshots every class pool. Host-side only: it charges no
 // simulated work, so observers may call it mid-run.
 func (r *Runtime) Inspect() []Info {

@@ -3,9 +3,50 @@ package pool
 import (
 	"testing"
 
+	"amplify/internal/alloc"
 	"amplify/internal/mem"
 	"amplify/internal/sim"
 )
+
+// Trim releases pooled structures until at most keep remain in each
+// shard, returning their root memory to the underlying allocator. It
+// implements the first §5.1 remedy for pool-held memory: "returning
+// memory from the pools to the operating system on demand, or when the
+// pools exceed a certain limit".
+//
+// Only the root objects' memory is released here; the caller receives
+// the released roots so it can walk their shadow pointers and release
+// the child structures as well — the pool cannot know the structure
+// shape. No engine calls it; it lives with its tests.
+func (p *ClassPool) Trim(c *sim.Ctx, keep int) []mem.Ref {
+	if keep < 0 {
+		keep = 0
+	}
+	var released []mem.Ref
+	for _, s := range p.sh {
+		if s.lock != nil {
+			s.lock.Lock(c)
+		}
+		for len(s.free) > keep {
+			n := len(s.free) - 1
+			ref := s.free[n]
+			s.free = s.free[:n]
+			c.Write(s.metaAddr, 8)
+			released = append(released, ref)
+		}
+		if s.lock != nil {
+			s.lock.Unlock(c)
+		}
+	}
+	for _, ref := range released {
+		p.rt.under.Free(c, ref)
+		p.Released++
+	}
+	if len(released) > 0 {
+		c.Trace(sim.EvPoolTrim, p.class, int64(len(released))*p.size, 0)
+	}
+	return released
+}
 
 func TestTrimReleasesExcess(t *testing.T) {
 	e, rt := newRuntime(t, 2, Config{Shards: 1})
@@ -95,4 +136,36 @@ func TestTrimAll(t *testing.T) {
 		}
 	})
 	e.Run()
+}
+
+// trimEvents records the pool-trim events of a run.
+type trimEvents []sim.Event
+
+func (r *trimEvents) Event(e sim.Event) {
+	if e.Kind == sim.EvPoolTrim {
+		*r = append(*r, e)
+	}
+}
+
+// TestTrimTraced: a trim that releases structures reports its class
+// and the released bytes to the run's tracer in one event; a trim that
+// releases nothing reports nothing.
+func TestTrimTraced(t *testing.T) {
+	var trims trimEvents
+	e := sim.New(sim.Config{Processors: 2, Tracer: &trims})
+	under, err := alloc.New("serial", e, mem.NewSpace(), alloc.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := NewRuntime(e, under, Config{Shards: 1, SingleThreaded: true}).NewClassPool("Node", 48)
+	e.Go("w", func(c *sim.Ctx) {
+		r, _ := p.Alloc(c)
+		p.Free(c, r)
+		p.Trim(c, 0)
+		p.Trim(c, 0)
+	})
+	e.Run()
+	if len(trims) != 1 || trims[0].Detail != "Node" || trims[0].Arg1 != 48 {
+		t.Errorf("tracer saw trims %+v, want one of 48 bytes of Node", trims)
+	}
 }

@@ -1,11 +1,11 @@
 // Package target is the simulated machine every run boots: one
 // configuration, one boot (simulator, address space, C-library
 // allocator and Amplify pool runtime) and one harvest of the machine's
-// counters. The MiniCC engines (internal/vm's bytecode loop and
-// internal/interp's tree walker) and the Go workload runners
-// (internal/workload's tree, churn and replay, internal/bgw's BGw and
-// pipeline) bring only their threads, so every Counters field means the
-// same thing on all of them.
+// counters. The MiniCC engine (internal/vm's bytecode loop), the
+// tree-walking test oracle it is checked against (internal/interp) and
+// the Go workload runners (internal/workload's tree, churn and replay,
+// internal/bgw's BGw and pipeline) bring only their threads, so every
+// Counters field means the same thing on all of them.
 package target
 
 import (

@@ -1,12 +1,13 @@
 // Package vm compiles MiniCC programs to bytecode and executes them on
-// the simulated SMP. It is a second, fully independent execution engine
-// next to the tree-walking interpreter (internal/interp): the two share
-// nothing but the front end, the allocators and the pool runtime, so
-// running both over the same program corpus cross-validates evaluation
-// order, scoping, object lifecycle and the Amplify runtime semantics.
-// The VM resolves locals to frame slots at compile time, models a
-// compiled program's tighter per-statement cost, and is the engine a
-// performance-conscious user would pick.
+// the simulated SMP. It is the project's one execution engine: the
+// root package, mccrun, the bench experiments and the examples all run
+// programs here. The tree-walking interpreter (internal/interp) is its
+// test oracle: the two share nothing but the front end, the allocators
+// and the pool runtime, so the differential tests that run both over
+// the same program corpus cross-validate evaluation order, scoping,
+// object lifecycle and the Amplify runtime semantics. The VM resolves
+// locals to frame slots at compile time and models a compiled
+// program's tighter per-statement cost.
 package vm
 
 import "fmt"

@@ -1,6 +1,8 @@
 package amplify
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"strconv"
 	"strings"
@@ -28,11 +30,19 @@ func runFields(makespan int64, st sim.Stats, a alloc.Stats, h alloc.HeapInfo, fo
 }
 
 // timelineBytes finishes tl at the run's makespan and renders every
-// sample it took.
-func timelineBytes(tl *heapobsv.Timeline, makespan int64) []byte {
+// sample it took, read back from the JSONL export (one object per
+// sample, every field by its JSON name).
+func timelineBytes(t *testing.T, tl *heapobsv.Timeline, makespan int64) []byte {
+	t.Helper()
 	tl.Finish(makespan)
 	var b strings.Builder
-	for _, s := range tl.Samples() {
+	dec := json.NewDecoder(bytes.NewReader(tl.JSONL()))
+	dec.DisallowUnknownFields()
+	for dec.More() {
+		var s heapobsv.Sample
+		if err := dec.Decode(&s); err != nil {
+			t.Fatal(err)
+		}
 		fmt.Fprintf(&b, "%+v\n", s)
 	}
 	return []byte(b.String())
@@ -119,13 +129,13 @@ func TestRunnerResultsPinned(t *testing.T) {
 		tl := &heapobsv.Timeline{Interval: 2000}
 		r, err := workload.RunTree("amplify", workload.TreeConfig{Depth: 3, Trees: 120, Threads: 4, Tracer: tl})
 		must(err)
-		got["traced/tree"] = timelineBytes(tl, r.Makespan)
+		got["traced/tree"] = timelineBytes(t, tl, r.Makespan)
 	}
 	{
 		tl := &heapobsv.Timeline{Interval: 2000}
 		r, err := workload.RunChurn("ptmalloc", workload.ChurnConfig{Threads: 4, OpsPerThread: 40, Tracer: tl})
 		must(err)
-		got["traced/churn"] = timelineBytes(tl, r.Makespan)
+		got["traced/churn"] = timelineBytes(t, tl, r.Makespan)
 	}
 	{
 		tr, err := alloctrace.Corpus("handoff")
@@ -133,19 +143,19 @@ func TestRunnerResultsPinned(t *testing.T) {
 		tl := &heapobsv.Timeline{Interval: 2000}
 		r, err := workload.RunReplay("hoard", workload.ReplayConfig{Trace: tr, Tracer: tl})
 		must(err)
-		got["traced/replay"] = timelineBytes(tl, r.Makespan)
+		got["traced/replay"] = timelineBytes(t, tl, r.Makespan)
 	}
 	{
 		tl := &heapobsv.Timeline{Interval: 2000}
 		r, err := bgw.Run(bgw.Config{CDRs: 120, Threads: 4, Amplify: true, ObjectsToo: true, Tracer: tl})
 		must(err)
-		got["traced/bgw"] = timelineBytes(tl, r.Makespan)
+		got["traced/bgw"] = timelineBytes(t, tl, r.Makespan)
 	}
 	{
 		tl := &heapobsv.Timeline{Interval: 2000}
 		r, err := bgw.RunPipeline(bgw.PipelineConfig{CDRs: 120, Amplify: true, Steal: true, Tracer: tl})
 		must(err)
-		got["traced/pipeline"] = timelineBytes(tl, r.Makespan)
+		got["traced/pipeline"] = timelineBytes(t, tl, r.Makespan)
 	}
 
 	obsvpin.Check(t, "testdata/runs/SHA256SUMS", "", got)
