@@ -50,7 +50,6 @@ type Sample struct {
 	PoolMisses   int64 `json:"pool_misses"`
 	PoolSteals   int64 `json:"pool_steals"`
 	PoolReleases int64 `json:"pool_releases"`
-	TrimmedBytes int64 `json:"trimmed_bytes"`
 	ShadowReuses int64 `json:"shadow_reuses"`
 	ShadowMisses int64 `json:"shadow_misses"`
 
@@ -78,7 +77,6 @@ type Timeline struct {
 	allocs, frees              int64
 	poolHits, poolMisses       int64
 	poolSteals, poolReleases   int64
-	trimmedBytes               int64
 	shadowReuses, shadowMisses int64
 
 	samples []Sample
@@ -106,8 +104,6 @@ func (t *Timeline) Event(e sim.Event) {
 		t.poolMisses++
 	case sim.EvPoolRelease:
 		t.poolReleases++
-	case sim.EvPoolTrim:
-		t.trimmedBytes += e.Arg1
 	case sim.EvShadowReuse:
 		t.shadowReuses++
 	case sim.EvShadowMiss:
@@ -138,7 +134,6 @@ func (t *Timeline) sample(now int64) {
 		PoolMisses:   t.poolMisses,
 		PoolSteals:   t.poolSteals,
 		PoolReleases: t.poolReleases,
-		TrimmedBytes: t.trimmedBytes,
 		ShadowReuses: t.shadowReuses,
 		ShadowMisses: t.shadowMisses,
 	}
@@ -188,7 +183,7 @@ var csvColumns = []string{
 	"int_frag_bp", "ext_frag_bp",
 	"allocs", "frees",
 	"pool_hits", "pool_misses", "pool_steals", "pool_releases",
-	"trimmed_bytes", "shadow_reuses", "shadow_misses",
+	"shadow_reuses", "shadow_misses",
 	"pool_retained", "pool_retained_bytes", "pool_hit_rate_bp",
 }
 
@@ -201,7 +196,7 @@ func (s *Sample) values() []int64 {
 		s.IntFragBP, s.ExtFragBP,
 		s.Allocs, s.Frees,
 		s.PoolHits, s.PoolMisses, s.PoolSteals, s.PoolReleases,
-		s.TrimmedBytes, s.ShadowReuses, s.ShadowMisses,
+		s.ShadowReuses, s.ShadowMisses,
 		s.PoolRetained, s.PoolRetainedBytes, s.PoolHitRateBP,
 	}
 }
