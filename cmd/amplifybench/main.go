@@ -58,7 +58,8 @@
 // ignore is refused with exit 1 before anything runs: -compare reads
 // only -threshold, -explain only -threshold, -j and -json, -host-bench
 // and -list nothing else, and an experiment run everything but
-// -threshold.
+// -threshold. Only -compare and -explain take file arguments; any
+// other mode refuses a stray one the same way.
 package main
 
 import (
@@ -137,6 +138,10 @@ func run() error {
 	})
 	if ignored != "" {
 		return fmt.Errorf("-%s does not apply to %s", ignored, mode)
+	}
+	// Only -compare and -explain read file arguments.
+	if !*compare && !*explain && len(files) > 0 {
+		return fmt.Errorf("argument %q does not apply to %s", files[0], mode)
 	}
 
 	if *compare {
