@@ -87,3 +87,18 @@ func TestAnalyzeAllocBudget(t *testing.T) {
 		t.Errorf("cc.Analyze: %.0f allocs per run, budget %d", got, budget)
 	}
 }
+
+// TestParseAllocBudget bounds the front end's allocations on the
+// ledger program: slabs of nodes and lists, not an object per node.
+// The ceiling is the measured count plus 10%.
+func TestParseAllocBudget(t *testing.T) {
+	const budget = 290
+	got := testing.AllocsPerRun(5, func() {
+		if _, err := Parse(ledgerSrc); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if got > budget {
+		t.Errorf("cc.Parse: %.0f allocs per run, budget %d", got, budget)
+	}
+}

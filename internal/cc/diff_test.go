@@ -3,6 +3,7 @@ package cc
 import (
 	"math/rand"
 	"reflect"
+	"sync"
 	"testing"
 
 	"amplify/internal/mccgen"
@@ -46,8 +47,9 @@ func checkLexDiff(t *testing.T, src string) {
 		t.Fatalf("Lex(%q) gave %d tokens, oracle %d", src, len(got), len(want))
 	}
 	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("Lex(%q) token %d = %+v, oracle %+v", src, i, got[i], want[i])
+		g := oracleToken{Kind: got[i].Kind, Text: got[i].Text(src), Int: got[i].Int, Pos: got[i].Pos}
+		if g != want[i] {
+			t.Fatalf("Lex(%q) token %d = %+v, oracle %+v", src, i, g, want[i])
 		}
 	}
 }
@@ -123,4 +125,36 @@ func checkPrintDiff(t *testing.T, i int, prog *Program) {
 	if got, want := Print(prog), oraclePrint(prog); got != want {
 		t.Fatalf("program %d: Print differs from the oracle\n--- Print ---\n%s\n--- oracle ---\n%s", i, got, want)
 	}
+}
+
+// TestConcurrentParse parses the differential programs from 8
+// goroutines at once and requires every tree to print exactly as a
+// sequential parse of the same source does: concurrent parses share
+// only the pooled token buffers, never a slab or a scratch stack.
+func TestConcurrentParse(t *testing.T) {
+	srcs := diffPrograms()
+	want := make([]string, len(srcs))
+	for i, src := range srcs {
+		want[i] = Print(MustParse(src))
+	}
+	var wg sync.WaitGroup
+	for g := range 8 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j := range srcs {
+				i := (j + g*len(srcs)/8) % len(srcs)
+				prog, err := Parse(srcs[i])
+				if err != nil {
+					t.Errorf("goroutine %d, program %d: %v", g, i, err)
+					return
+				}
+				if got := Print(prog); got != want[i] {
+					t.Errorf("goroutine %d, program %d: concurrent parse prints differently", g, i)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

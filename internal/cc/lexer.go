@@ -2,6 +2,7 @@ package cc
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"unicode"
 	"unicode/utf8"
@@ -10,16 +11,19 @@ import (
 // Lexer turns MiniCC source into tokens. It handles // and /* */
 // comments and tracks line/column positions.
 type Lexer struct {
-	src  string
-	off  int
-	line int
-	col  int
+	src       string
+	off       int
+	line      int
+	lineStart int // offset of the current line's first byte
 }
 
 // NewLexer returns a lexer over src.
 func NewLexer(src string) *Lexer {
-	return &Lexer{src: src, line: 1, col: 1}
+	return &Lexer{src: src, line: 1}
 }
+
+// maxSrc is the longest source a Token's 32-bit offsets can span.
+const maxSrc = math.MaxInt32
 
 // tokenCap is the token capacity to lex src into. MiniCC source
 // averages about 3.6 bytes per token, so len/3 tokens hold the whole
@@ -32,77 +36,62 @@ func tokenCap(src string) int { return len(src)/3 + 1 }
 // appended so far along with the error.
 func lexAppend(toks []Token, src string) ([]Token, error) {
 	lx := NewLexer(src)
+	if err := lx.checkLen(); err != nil {
+		return toks, err
+	}
 	for {
-		t, err := lx.Next()
-		if err != nil {
-			return toks, err
+		toks = slices.Grow(toks, 1)[:len(toks)+1]
+		t := &toks[len(toks)-1]
+		if err := lx.next(t); err != nil {
+			return toks[:len(toks)-1], err
 		}
-		toks = append(toks, t)
 		if t.Kind == EOF {
 			return toks, nil
 		}
 	}
 }
 
-func (l *Lexer) peek() byte {
-	if l.off >= len(l.src) {
-		return 0
-	}
-	return l.src[l.off]
-}
-
-func (l *Lexer) peek2() byte {
-	if l.off+1 >= len(l.src) {
-		return 0
-	}
-	return l.src[l.off+1]
-}
-
-func (l *Lexer) advance() byte {
-	c := l.src[l.off]
-	l.off++
-	if c == '\n' {
-		l.line++
-		l.col = 1
-	} else {
-		l.col++
-	}
-	return c
-}
-
-func (l *Lexer) pos() Pos { return Pos{Line: l.line, Col: l.col} }
-
-// skipSpace consumes whitespace and comments.
-func (l *Lexer) skipSpace() error {
-	for l.off < len(l.src) {
-		c := l.peek()
-		switch {
-		case c == ' ' || c == '\t' || c == '\r' || c == '\n':
-			l.advance()
-		case c == '/' && l.peek2() == '/':
-			for l.off < len(l.src) && l.peek() != '\n' {
-				l.advance()
-			}
-		case c == '/' && l.peek2() == '*':
-			start := l.pos()
-			l.advance()
-			l.advance()
-			for {
-				if l.off >= len(l.src) {
-					return errf(start, "unterminated block comment")
-				}
-				if l.peek() == '*' && l.peek2() == '/' {
-					l.advance()
-					l.advance()
-					break
-				}
-				l.advance()
-			}
-		default:
-			return nil
-		}
+// checkLen refuses a source longer than a Token's offsets can span.
+func (l *Lexer) checkLen() error {
+	if len(l.src) > maxSrc {
+		return errf(Pos{Line: 1, Col: 1}, "source longer than %d bytes", maxSrc)
 	}
 	return nil
+}
+
+// pos returns the position of byte off, which lies on the current line.
+func (l *Lexer) pos(off int) Pos { return Pos{Line: l.line, Col: off - l.lineStart + 1} }
+
+// skipComment consumes the comment that starts at l.off, if one does,
+// and reports whether one did.
+func (l *Lexer) skipComment() (bool, error) {
+	src, off := l.src, l.off
+	if off+1 >= len(src) || src[off] != '/' {
+		return false, nil
+	}
+	switch src[off+1] {
+	case '/':
+		if i := strings.IndexByte(src[off:], '\n'); i >= 0 {
+			l.off = off + i
+		} else {
+			l.off = len(src)
+		}
+		return true, nil
+	case '*':
+		body := src[off+2:]
+		end := strings.Index(body, "*/")
+		if end < 0 {
+			return false, errf(l.pos(off), "unterminated block comment")
+		}
+		body = body[:end]
+		if nl := strings.LastIndexByte(body, '\n'); nl >= 0 {
+			l.line += strings.Count(body, "\n")
+			l.lineStart = off + 2 + nl + 1
+		}
+		l.off = off + 2 + end + 2
+		return true, nil
+	}
+	return false, nil
 }
 
 // isIdentStart and isIdentPart classify one byte. ASCII bytes are
@@ -123,89 +112,158 @@ func isIdentPart(c byte) bool {
 	return unicode.IsLetter(rune(c)) || unicode.IsDigit(rune(c))
 }
 
+// identStart and identPart tabulate isIdentStart and isIdentPart for
+// every byte.
+var identStart, identPart = identTables()
+
+func identTables() (start, part [256]bool) {
+	for c := range 256 {
+		start[c], part[c] = isIdentStart(byte(c)), isIdentPart(byte(c))
+	}
+	return start, part
+}
+
 // Next returns the next token.
 func (l *Lexer) Next() (Token, error) {
-	if err := l.skipSpace(); err != nil {
+	if err := l.checkLen(); err != nil {
 		return Token{}, err
 	}
-	pos := l.pos()
-	if l.off >= len(l.src) {
-		return Token{Kind: EOF, Pos: pos}, nil
+	var t Token
+	if err := l.next(&t); err != nil {
+		return Token{}, err
 	}
-	c := l.peek()
+	return t, nil
+}
+
+// next lexes the next token into t, overwriting every field; the caller
+// has checked the source's length.
+func (l *Lexer) next(t *Token) error {
+	// Skip whitespace and comments.
+	src, off := l.src, l.off
+	for off < len(src) {
+		switch src[off] {
+		case ' ', '\t', '\r':
+			off++
+			continue
+		case '\n':
+			off++
+			l.line++
+			l.lineStart = off
+			continue
+		case '/':
+			l.off = off
+			skipped, err := l.skipComment()
+			if err != nil {
+				return err
+			}
+			if skipped {
+				off = l.off
+				continue
+			}
+		}
+		break
+	}
+	l.off = off
+	*t = Token{Pos: l.pos(off)}
+	if off >= len(src) {
+		return nil // EOF
+	}
+	// A token never spans a newline, so lexing one moves only the offset.
+	c := src[off]
 	switch {
-	case isIdentStart(c):
-		// Identifiers hold no newline, so the column moves with the
-		// offset, and the text is a substring of the source.
-		start := l.off
-		for l.off < len(l.src) && isIdentPart(l.src[l.off]) {
-			l.off++
+	case identStart[c]:
+		start := off
+		for off++; off < len(src) && identPart[src[off]]; off++ {
 		}
-		l.col += l.off - start
-		word := l.src[start:l.off]
-		if k, ok := keywords[word]; ok {
-			return Token{Kind: k, Text: word, Pos: pos}, nil
-		}
-		return Token{Kind: IDENT, Text: word, Pos: pos}, nil
+		l.off = off
+		t.Kind = keyword(src[start:off])
+		t.Off, t.End = int32(start), int32(off)
+		return nil
 
 	case c >= '0' && c <= '9':
 		var n int64
-		for l.off < len(l.src) && l.peek() >= '0' && l.peek() <= '9' {
-			d := int64(l.advance() - '0')
+		for ; off < len(src) && src[off] >= '0' && src[off] <= '9'; off++ {
+			d := int64(src[off] - '0')
 			if n > (math.MaxInt64-d)/10 {
-				return Token{}, errf(pos, "integer literal overflows int64")
+				return errf(t.Pos, "integer literal overflows int64")
 			}
 			n = n*10 + d
 		}
-		if l.off < len(l.src) && isIdentStart(l.peek()) {
-			return Token{}, errf(pos, "malformed number")
+		l.off = off
+		if off < len(src) && identStart[src[off]] {
+			return errf(t.Pos, "malformed number")
 		}
-		return Token{Kind: INTLIT, Int: n, Pos: pos}, nil
+		t.Kind, t.Int = INTLIT, n
+		return nil
 
 	case c == '"':
-		l.advance()
-		var sb strings.Builder
-		for {
-			if l.off >= len(l.src) || l.peek() == '\n' {
-				return Token{}, errf(pos, "unterminated string literal")
+		start := off + 1
+		for off = start; ; {
+			if off >= len(src) || src[off] == '\n' {
+				return errf(t.Pos, "unterminated string literal")
 			}
-			ch := l.advance()
+			ch := src[off]
+			off++
 			if ch == '"' {
 				break
 			}
 			if ch == '\\' {
-				if l.off >= len(l.src) {
-					return Token{}, errf(pos, "unterminated escape")
+				if off >= len(src) {
+					return errf(t.Pos, "unterminated escape")
 				}
-				esc := l.advance()
-				switch esc {
-				case 'n':
-					sb.WriteByte('\n')
-				case 't':
-					sb.WriteByte('\t')
-				case '\\', '"':
-					sb.WriteByte(esc)
+				switch esc := src[off]; esc {
+				case 'n', 't', '\\', '"':
+					off++
 				default:
-					return Token{}, errf(pos, "unknown escape \\%c", esc)
+					return errf(t.Pos, "unknown escape \\%c", esc)
 				}
-				continue
 			}
-			sb.WriteByte(ch)
 		}
-		return Token{Kind: STRLIT, Text: sb.String(), Pos: pos}, nil
+		l.off = off
+		t.Kind = STRLIT
+		t.Off, t.End = int32(start), int32(off-1)
+		return nil
 	}
 
-	if k := twoCharOp(c, l.peek2()); k != EOF {
-		l.off += 2
-		l.col += 2
-		return Token{Kind: k, Pos: pos}, nil
+	var c2 byte
+	if off+1 < len(src) {
+		c2 = src[off+1]
+	}
+	if k := twoCharOp(c, c2); k != EOF {
+		l.off = off + 2
+		t.Kind = k
+		return nil
 	}
 	if k := oneCharOps[c]; k != EOF {
-		l.off++
-		l.col++
-		return Token{Kind: k, Pos: pos}, nil
+		l.off = off + 1
+		t.Kind = k
+		return nil
 	}
-	return Token{}, errf(pos, "unexpected character %q", string(c))
+	return errf(t.Pos, "unexpected character %q", string(c))
+}
+
+// unescape resolves the escapes of a string literal body the lexer
+// accepted: \n, \t, \\ and \".
+func unescape(body string) string {
+	if strings.IndexByte(body, '\\') < 0 {
+		return body
+	}
+	var sb strings.Builder
+	sb.Grow(len(body))
+	for i := 0; i < len(body); i++ {
+		c := body[i]
+		if c == '\\' {
+			i++
+			switch c = body[i]; c {
+			case 'n':
+				c = '\n'
+			case 't':
+				c = '\t'
+			}
+		}
+		sb.WriteByte(c)
+	}
+	return sb.String()
 }
 
 // twoCharOp returns the operator spelled c c2, or EOF if there is none.

@@ -2,8 +2,10 @@ package cc
 
 // Test-only oracles: the lexer and printer as they were before the
 // front end was rewritten to avoid allocation (substring identifiers,
-// byte-compared operators, a streaming printer). The differential tests
-// in diff_test.go hold the rewrite to their output. The one
+// pointer-free tokens, table-driven byte classes, byte-compared
+// operators, a streaming printer), with their own token type and
+// keyword table. The differential tests in diff_test.go hold the
+// rewrite to their output. The one
 // deliberate change is the lexer's integer-overflow check, fixed here
 // exactly as in lexer.go, so both sides agree on wrapping literals.
 
@@ -13,6 +15,24 @@ import (
 	"strings"
 	"unicode"
 )
+
+// oracleToken is a token as the lexer produced it before tokens were
+// made pointer-free: Text holds an identifier's or keyword's spelling
+// and a string literal's unescaped body.
+type oracleToken struct {
+	Kind Kind
+	Text string
+	Int  int64
+	Pos  Pos
+}
+
+var oracleKeywords = map[string]Kind{
+	"class": KwClass, "public": KwPublic, "private": KwPrivate, "if": KwIf,
+	"else": KwElse, "while": KwWhile, "for": KwFor, "return": KwReturn,
+	"new": KwNew, "delete": KwDelete, "this": KwThis, "int": KwInt,
+	"char": KwChar, "void": KwVoid, "uint": KwUint, "spawn": KwSpawn,
+	"join": KwJoin, "operator": KwOperator, "null": KwNull,
+}
 
 // oracleLexer turns MiniCC source into tokens. It handles // and /* */
 // comments and tracks line/column positions.
@@ -29,9 +49,9 @@ func newOracleLexer(src string) *oracleLexer {
 }
 
 // oracleLex tokenizes the whole input.
-func oracleLex(src string) ([]Token, error) {
+func oracleLex(src string) ([]oracleToken, error) {
 	lx := newOracleLexer(src)
-	var toks []Token
+	var toks []oracleToken
 	for {
 		t, err := lx.Next()
 		if err != nil {
@@ -114,13 +134,13 @@ func oracleIsIdentPart(c byte) bool {
 }
 
 // Next returns the next token.
-func (l *oracleLexer) Next() (Token, error) {
+func (l *oracleLexer) Next() (oracleToken, error) {
 	if err := l.skipSpace(); err != nil {
-		return Token{}, err
+		return oracleToken{}, err
 	}
 	pos := l.pos()
 	if l.off >= len(l.src) {
-		return Token{Kind: EOF, Pos: pos}, nil
+		return oracleToken{Kind: EOF, Pos: pos}, nil
 	}
 	c := l.peek()
 	switch {
@@ -130,31 +150,31 @@ func (l *oracleLexer) Next() (Token, error) {
 			sb.WriteByte(l.advance())
 		}
 		word := sb.String()
-		if k, ok := keywords[word]; ok {
-			return Token{Kind: k, Text: word, Pos: pos}, nil
+		if k, ok := oracleKeywords[word]; ok {
+			return oracleToken{Kind: k, Text: word, Pos: pos}, nil
 		}
-		return Token{Kind: IDENT, Text: word, Pos: pos}, nil
+		return oracleToken{Kind: IDENT, Text: word, Pos: pos}, nil
 
 	case c >= '0' && c <= '9':
 		var n int64
 		for l.off < len(l.src) && l.peek() >= '0' && l.peek() <= '9' {
 			d := int64(l.advance() - '0')
 			if n > (math.MaxInt64-d)/10 {
-				return Token{}, errf(pos, "integer literal overflows int64")
+				return oracleToken{}, errf(pos, "integer literal overflows int64")
 			}
 			n = n*10 + d
 		}
 		if l.off < len(l.src) && oracleIsIdentStart(l.peek()) {
-			return Token{}, errf(pos, "malformed number")
+			return oracleToken{}, errf(pos, "malformed number")
 		}
-		return Token{Kind: INTLIT, Int: n, Pos: pos}, nil
+		return oracleToken{Kind: INTLIT, Int: n, Pos: pos}, nil
 
 	case c == '"':
 		l.advance()
 		var sb strings.Builder
 		for {
 			if l.off >= len(l.src) || l.peek() == '\n' {
-				return Token{}, errf(pos, "unterminated string literal")
+				return oracleToken{}, errf(pos, "unterminated string literal")
 			}
 			ch := l.advance()
 			if ch == '"' {
@@ -162,7 +182,7 @@ func (l *oracleLexer) Next() (Token, error) {
 			}
 			if ch == '\\' {
 				if l.off >= len(l.src) {
-					return Token{}, errf(pos, "unterminated escape")
+					return oracleToken{}, errf(pos, "unterminated escape")
 				}
 				esc := l.advance()
 				switch esc {
@@ -173,20 +193,20 @@ func (l *oracleLexer) Next() (Token, error) {
 				case '\\', '"':
 					sb.WriteByte(esc)
 				default:
-					return Token{}, errf(pos, "unknown escape \\%c", esc)
+					return oracleToken{}, errf(pos, "unknown escape \\%c", esc)
 				}
 				continue
 			}
 			sb.WriteByte(ch)
 		}
-		return Token{Kind: STRLIT, Text: sb.String(), Pos: pos}, nil
+		return oracleToken{Kind: STRLIT, Text: sb.String(), Pos: pos}, nil
 	}
 
-	mk := func(k Kind, n int) (Token, error) {
+	mk := func(k Kind, n int) (oracleToken, error) {
 		for i := 0; i < n; i++ {
 			l.advance()
 		}
-		return Token{Kind: k, Pos: pos}, nil
+		return oracleToken{Kind: k, Pos: pos}, nil
 	}
 	two := string(c) + string(l.peek2())
 	switch two {
@@ -247,7 +267,7 @@ func (l *oracleLexer) Next() (Token, error) {
 	case '!':
 		return mk(Not, 1)
 	}
-	return Token{}, errf(pos, "unexpected character %q", string(c))
+	return oracleToken{}, errf(pos, "unexpected character %q", string(c))
 }
 
 // oracleEscapes spells the four escapes the lexer reads; every other

@@ -7,11 +7,13 @@ import (
 
 // Parser is a recursive-descent parser for MiniCC.
 type Parser struct {
+	src  string
 	toks []Token
 	pos  int
 	// classNames collects class declarations seen so far, so that
 	// `Name*` can be recognized as a type in declarations.
 	classNames map[string]bool
+	nodes
 }
 
 // Parse lexes and parses a translation unit.
@@ -22,28 +24,32 @@ func Parse(src string) (*Program, error) {
 	}
 	toks, err := lexAppend((*buf)[:0], src)
 	defer func() {
-		// Keep the grown buffer, but no token text: a pooled buffer must
-		// not hold the source alive.
-		clear(toks)
 		*buf = toks[:0]
 		tokenPool.Put(buf)
 	}()
 	if err != nil {
 		return nil, err
 	}
-	p := &Parser{toks: toks, classNames: map[string]bool{}}
 	// Pre-scan for class names so classes may reference classes declared
 	// later in the file.
+	n := 0
 	for i := 0; i+1 < len(toks); i++ {
 		if toks[i].Kind == KwClass && toks[i+1].Kind == IDENT {
-			p.classNames[toks[i+1].Text] = true
+			n++
+		}
+	}
+	p := &Parser{src: src, toks: toks, classNames: make(map[string]bool, n)}
+	for i := 0; i+1 < len(toks); i++ {
+		if toks[i].Kind == KwClass && toks[i+1].Kind == IDENT {
+			p.classNames[p.text(&toks[i+1])] = true
 		}
 	}
 	return p.parseProgram()
 }
 
 // tokenPool recycles Parse's token buffers: a large program's token
-// stream is a large allocation, zeroed on every parse otherwise.
+// stream is a large allocation, zeroed on every parse otherwise. Tokens
+// hold no pointer, so a pooled buffer keeps no source alive.
 var tokenPool = sync.Pool{New: func() any { return new([]Token) }}
 
 // MustParse parses src and panics on error (tests and examples).
@@ -55,11 +61,14 @@ func MustParse(src string) *Program {
 	return prog
 }
 
-func (p *Parser) cur() Token  { return p.toks[p.pos] }
-func (p *Parser) peek() Token { return p.toks[min(p.pos+1, len(p.toks)-1)] }
+func (p *Parser) cur() *Token { return &p.toks[p.pos] }
+func (p *Parser) kind() Kind  { return p.toks[p.pos].Kind }
+func (p *Parser) peek() *Token {
+	return &p.toks[min(p.pos+1, len(p.toks)-1)]
+}
 
-func (p *Parser) next() Token {
-	t := p.toks[p.pos]
+func (p *Parser) next() *Token {
+	t := &p.toks[p.pos]
 	if p.pos < len(p.toks)-1 {
 		p.pos++
 	}
@@ -67,34 +76,38 @@ func (p *Parser) next() Token {
 }
 
 func (p *Parser) accept(k Kind) bool {
-	if p.cur().Kind == k {
+	if p.kind() == k {
 		p.next()
 		return true
 	}
 	return false
 }
 
-func (p *Parser) expect(k Kind) (Token, error) {
-	if p.cur().Kind != k {
-		return Token{}, errf(p.cur().Pos, "expected %s, found %s", k, p.describe(p.cur()))
+func (p *Parser) expect(k Kind) (*Token, error) {
+	if p.kind() != k {
+		return nil, errf(p.cur().Pos, "expected %s, found %s", k, p.describe(p.cur()))
 	}
 	return p.next(), nil
 }
 
-func (p *Parser) describe(t Token) string {
+// text returns t's text: identifiers, keywords and string literals are
+// read from the source here and nowhere else.
+func (p *Parser) text(t *Token) string { return t.Text(p.src) }
+
+func (p *Parser) describe(t *Token) string {
 	if t.Kind == IDENT {
-		return fmt.Sprintf("identifier %q", t.Text)
+		return fmt.Sprintf("identifier %q", p.text(t))
 	}
 	return t.Kind.String()
 }
 
-// isTypeStart reports whether the current token can begin a type.
-func (p *Parser) isTypeStart(t Token) bool {
+// isTypeStart reports whether t can begin a type.
+func (p *Parser) isTypeStart(t *Token) bool {
 	switch t.Kind {
 	case KwInt, KwChar, KwVoid, KwUint:
 		return true
 	case IDENT:
-		return p.classNames[t.Text]
+		return p.classNames[p.text(t)]
 	}
 	return false
 }
@@ -113,7 +126,7 @@ func (p *Parser) parseType() (Type, error) {
 	case KwUint:
 		name = "uint"
 	case IDENT:
-		name = t.Text
+		name = p.text(t)
 	default:
 		return Type{}, errf(t.Pos, "expected type, found %s", p.describe(t))
 	}
@@ -127,21 +140,23 @@ func (p *Parser) parseType() (Type, error) {
 
 func (p *Parser) parseProgram() (*Program, error) {
 	prog := &Program{}
-	for p.cur().Kind != EOF {
-		if p.cur().Kind == KwClass {
+	mark := p.declList.mark()
+	for p.kind() != EOF {
+		if p.kind() == KwClass {
 			cd, err := p.parseClass()
 			if err != nil {
 				return nil, err
 			}
-			prog.Decls = append(prog.Decls, cd)
+			p.declList.push(cd)
 			continue
 		}
 		fd, err := p.parseFunc()
 		if err != nil {
 			return nil, err
 		}
-		prog.Decls = append(prog.Decls, fd)
+		p.declList.push(fd)
 	}
+	prog.Decls = p.declList.done(mark)
 	return prog, nil
 }
 
@@ -151,13 +166,14 @@ func (p *Parser) parseClass() (*ClassDecl, error) {
 	if err != nil {
 		return nil, err
 	}
-	cd := &ClassDecl{Name: nameTok.Text, Pos: kw.Pos}
+	cd := p.classes.new(ClassDecl{Name: p.text(nameTok), Pos: kw.Pos})
 	if _, err := p.expect(LBrace); err != nil {
 		return nil, err
 	}
+	fields, methods := p.fieldList.mark(), p.methodList.mark()
 	access := Private // C++ default for class
-	for p.cur().Kind != RBrace {
-		switch p.cur().Kind {
+	for p.kind() != RBrace {
+		switch p.kind() {
 		case KwPublic:
 			p.next()
 			if _, err := p.expect(Colon); err != nil {
@@ -179,8 +195,8 @@ func (p *Parser) parseClass() (*ClassDecl, error) {
 			if err != nil {
 				return nil, err
 			}
-			if nt.Text != cd.Name {
-				return nil, errf(nt.Pos, "destructor ~%s in class %s", nt.Text, cd.Name)
+			if name := p.text(nt); name != cd.Name {
+				return nil, errf(nt.Pos, "destructor ~%s in class %s", name, cd.Name)
 			}
 			if _, err := p.expect(LParen); err != nil {
 				return nil, err
@@ -192,12 +208,12 @@ func (p *Parser) parseClass() (*ClassDecl, error) {
 			if err != nil {
 				return nil, err
 			}
-			cd.Methods = append(cd.Methods, &Method{
+			p.methodList.push(p.methods.new(Method{
 				Kind: Dtor, Body: body, Access: access, Pos: tpos, Class: cd,
-			})
+			}))
 			continue
 		case IDENT:
-			if p.cur().Text == cd.Name && p.peek().Kind == LParen {
+			if p.text(p.cur()) == cd.Name && p.peek().Kind == LParen {
 				// Constructor.
 				cpos := p.next().Pos
 				params, err := p.parseParams()
@@ -208,9 +224,9 @@ func (p *Parser) parseClass() (*ClassDecl, error) {
 				if err != nil {
 					return nil, err
 				}
-				cd.Methods = append(cd.Methods, &Method{
+				p.methodList.push(p.methods.new(Method{
 					Kind: Ctor, Params: params, Body: body, Access: access, Pos: cpos, Class: cd,
-				})
+				}))
 				continue
 			}
 		}
@@ -219,10 +235,10 @@ func (p *Parser) parseClass() (*ClassDecl, error) {
 		if err != nil {
 			return nil, err
 		}
-		if p.cur().Kind == KwOperator {
+		if p.kind() == KwOperator {
 			opos := p.next().Pos
 			var kind MethodKind
-			switch p.cur().Kind {
+			switch p.kind() {
 			case KwNew:
 				kind = OpNew
 			case KwDelete:
@@ -239,16 +255,16 @@ func (p *Parser) parseClass() (*ClassDecl, error) {
 			if err != nil {
 				return nil, err
 			}
-			cd.Methods = append(cd.Methods, &Method{
+			p.methodList.push(p.methods.new(Method{
 				Kind: kind, Ret: ty, Params: params, Body: body, Access: access, Pos: opos, Class: cd,
-			})
+			}))
 			continue
 		}
 		nt, err := p.expect(IDENT)
 		if err != nil {
 			return nil, err
 		}
-		if p.cur().Kind == LParen {
+		if p.kind() == LParen {
 			params, err := p.parseParams()
 			if err != nil {
 				return nil, err
@@ -257,16 +273,16 @@ func (p *Parser) parseClass() (*ClassDecl, error) {
 			if err != nil {
 				return nil, err
 			}
-			cd.Methods = append(cd.Methods, &Method{
-				Kind: PlainMethod, Ret: ty, Name: nt.Text, Params: params,
+			p.methodList.push(p.methods.new(Method{
+				Kind: PlainMethod, Ret: ty, Name: p.text(nt), Params: params,
 				Body: body, Access: access, Pos: nt.Pos, Class: cd,
-			})
+			}))
 			continue
 		}
 		if _, err := p.expect(Semi); err != nil {
 			return nil, err
 		}
-		cd.Fields = append(cd.Fields, &Field{Type: ty, Name: nt.Text, Access: access, Pos: nt.Pos})
+		p.fieldList.push(p.fields.new(Field{Type: ty, Name: p.text(nt), Access: access, Pos: nt.Pos}))
 	}
 	if _, err := p.expect(RBrace); err != nil {
 		return nil, err
@@ -274,6 +290,7 @@ func (p *Parser) parseClass() (*ClassDecl, error) {
 	if _, err := p.expect(Semi); err != nil {
 		return nil, err
 	}
+	cd.Fields, cd.Methods = p.fieldList.done(fields), p.methodList.done(methods)
 	return cd, nil
 }
 
@@ -294,16 +311,16 @@ func (p *Parser) parseFunc() (*FuncDecl, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &FuncDecl{Ret: ty, Name: nt.Text, Params: params, Body: body, Pos: nt.Pos}, nil
+	return p.funcs.new(FuncDecl{Ret: ty, Name: p.text(nt), Params: params, Body: body, Pos: nt.Pos}), nil
 }
 
 func (p *Parser) parseParams() ([]*Param, error) {
 	if _, err := p.expect(LParen); err != nil {
 		return nil, err
 	}
-	var params []*Param
-	for p.cur().Kind != RParen {
-		if len(params) > 0 {
+	mark := p.paramList.mark()
+	for p.kind() != RParen {
+		if p.paramList.mark() > mark {
 			if _, err := p.expect(Comma); err != nil {
 				return nil, err
 			}
@@ -316,10 +333,10 @@ func (p *Parser) parseParams() ([]*Param, error) {
 		if err != nil {
 			return nil, err
 		}
-		params = append(params, &Param{Type: ty, Name: nt.Text, Pos: nt.Pos})
+		p.paramList.push(p.params.new(Param{Type: ty, Name: p.text(nt), Pos: nt.Pos}))
 	}
 	p.next() // RParen
-	return params, nil
+	return p.paramList.done(mark), nil
 }
 
 func (p *Parser) parseBlock() (*Block, error) {
@@ -327,19 +344,19 @@ func (p *Parser) parseBlock() (*Block, error) {
 	if err != nil {
 		return nil, err
 	}
-	b := &Block{Pos: lb.Pos}
-	for p.cur().Kind != RBrace {
-		if p.cur().Kind == EOF {
+	mark := p.stmtList.mark()
+	for p.kind() != RBrace {
+		if p.kind() == EOF {
 			return nil, errf(lb.Pos, "unterminated block")
 		}
 		s, err := p.parseStmt()
 		if err != nil {
 			return nil, err
 		}
-		b.Stmts = append(b.Stmts, s)
+		p.stmtList.push(s)
 	}
 	p.next()
-	return b, nil
+	return p.blocks.new(Block{Stmts: p.stmtList.done(mark), Pos: lb.Pos}), nil
 }
 
 func (p *Parser) parseStmt() (Stmt, error) {
@@ -369,7 +386,7 @@ func (p *Parser) parseStmt() (Stmt, error) {
 				return nil, err
 			}
 		}
-		return &If{Cond: cond, Then: then, Else: els, Pos: t.Pos}, nil
+		return p.ifs.new(If{Cond: cond, Then: then, Else: els, Pos: t.Pos}), nil
 	case KwWhile:
 		p.next()
 		if _, err := p.expect(LParen); err != nil {
@@ -386,14 +403,14 @@ func (p *Parser) parseStmt() (Stmt, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &While{Cond: cond, Body: body, Pos: t.Pos}, nil
+		return p.whiles.new(While{Cond: cond, Body: body, Pos: t.Pos}), nil
 	case KwFor:
 		p.next()
 		if _, err := p.expect(LParen); err != nil {
 			return nil, err
 		}
-		f := &For{Pos: t.Pos}
-		if p.cur().Kind != Semi {
+		f := p.fors.new(For{Pos: t.Pos})
+		if p.kind() != Semi {
 			if p.isTypeStart(p.cur()) && p.peekIsDecl() {
 				vd, err := p.parseVarDecl()
 				if err != nil {
@@ -405,7 +422,7 @@ func (p *Parser) parseStmt() (Stmt, error) {
 				if err != nil {
 					return nil, err
 				}
-				f.Init = &ExprStmt{X: x, Pos: t.Pos}
+				f.Init = p.exprStmts.new(ExprStmt{X: x, Pos: t.Pos})
 				if _, err := p.expect(Semi); err != nil {
 					return nil, err
 				}
@@ -413,7 +430,7 @@ func (p *Parser) parseStmt() (Stmt, error) {
 		} else {
 			p.next()
 		}
-		if p.cur().Kind != Semi {
+		if p.kind() != Semi {
 			cond, err := p.parseExpr()
 			if err != nil {
 				return nil, err
@@ -423,7 +440,7 @@ func (p *Parser) parseStmt() (Stmt, error) {
 		if _, err := p.expect(Semi); err != nil {
 			return nil, err
 		}
-		if p.cur().Kind != RParen {
+		if p.kind() != RParen {
 			post, err := p.parseExpr()
 			if err != nil {
 				return nil, err
@@ -441,8 +458,8 @@ func (p *Parser) parseStmt() (Stmt, error) {
 		return f, nil
 	case KwReturn:
 		p.next()
-		r := &Return{Pos: t.Pos}
-		if p.cur().Kind != Semi {
+		r := p.returns.new(Return{Pos: t.Pos})
+		if p.kind() != Semi {
 			x, err := p.parseExpr()
 			if err != nil {
 				return nil, err
@@ -469,7 +486,7 @@ func (p *Parser) parseStmt() (Stmt, error) {
 		if _, err := p.expect(Semi); err != nil {
 			return nil, err
 		}
-		return &DeleteStmt{X: x, Array: array, Pos: t.Pos}, nil
+		return p.deletes.new(DeleteStmt{X: x, Array: array, Pos: t.Pos}), nil
 	case KwSpawn:
 		p.next()
 		nt, err := p.expect(IDENT)
@@ -486,13 +503,13 @@ func (p *Parser) parseStmt() (Stmt, error) {
 		if _, err := p.expect(Semi); err != nil {
 			return nil, err
 		}
-		return &Spawn{Func: nt.Text, Args: args, Pos: t.Pos}, nil
+		return p.spawns.new(Spawn{Func: p.text(nt), Args: args, Pos: t.Pos}), nil
 	case KwJoin:
 		p.next()
 		if _, err := p.expect(Semi); err != nil {
 			return nil, err
 		}
-		return &Join{Pos: t.Pos}, nil
+		return p.joins.new(Join{Pos: t.Pos}), nil
 	}
 	if p.isTypeStart(t) && p.peekIsDecl() {
 		return p.parseVarDecl()
@@ -504,7 +521,7 @@ func (p *Parser) parseStmt() (Stmt, error) {
 	if _, err := p.expect(Semi); err != nil {
 		return nil, err
 	}
-	return &ExprStmt{X: x, Pos: t.Pos}, nil
+	return p.exprStmts.new(ExprStmt{X: x, Pos: t.Pos}), nil
 }
 
 // peekIsDecl disambiguates `T* x ...` declarations from expressions
@@ -538,7 +555,7 @@ func (p *Parser) parseVarDecl() (*VarDecl, error) {
 	if err != nil {
 		return nil, err
 	}
-	vd := &VarDecl{Type: ty, Name: nt.Text, Pos: nt.Pos}
+	vd := p.varDecls.new(VarDecl{Type: ty, Name: p.text(nt), Pos: nt.Pos})
 	if p.accept(Assign) {
 		init, err := p.parseExpr()
 		if err != nil {
@@ -553,9 +570,9 @@ func (p *Parser) parseVarDecl() (*VarDecl, error) {
 }
 
 func (p *Parser) parseArgs() ([]Expr, error) {
-	var args []Expr
-	for p.cur().Kind != RParen {
-		if len(args) > 0 {
+	mark := p.exprList.mark()
+	for p.kind() != RParen {
+		if p.exprList.mark() > mark {
 			if _, err := p.expect(Comma); err != nil {
 				return nil, err
 			}
@@ -564,10 +581,10 @@ func (p *Parser) parseArgs() ([]Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		args = append(args, a)
+		p.exprList.push(a)
 	}
 	p.next()
-	return args, nil
+	return p.exprList.done(mark), nil
 }
 
 // --- Expression parsing (precedence climbing).
@@ -579,13 +596,13 @@ func (p *Parser) parseAssign() (Expr, error) {
 	if err != nil {
 		return nil, err
 	}
-	if p.cur().Kind == Assign {
+	if p.kind() == Assign {
 		pos := p.next().Pos
 		rhs, err := p.parseAssign()
 		if err != nil {
 			return nil, err
 		}
-		return &AssignExpr{LHS: lhs, RHS: rhs, Pos: pos}, nil
+		return p.assigns.new(AssignExpr{LHS: lhs, RHS: rhs, Pos: pos}), nil
 	}
 	return lhs, nil
 }
@@ -607,7 +624,7 @@ func (p *Parser) parseBinary(minPrec int) (Expr, error) {
 		return nil, err
 	}
 	for {
-		op := p.cur().Kind
+		op := p.kind()
 		prec := 0
 		if int(op) < len(binaryPrec) {
 			prec = binaryPrec[op]
@@ -620,18 +637,18 @@ func (p *Parser) parseBinary(minPrec int) (Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		lhs = &Binary{Op: op, X: lhs, Y: rhs, Pos: pos}
+		lhs = p.binaries.new(Binary{Op: op, X: lhs, Y: rhs, Pos: pos})
 	}
 }
 
 func (p *Parser) parseUnary() (Expr, error) {
-	if k := p.cur().Kind; k == Not || k == Minus {
+	if k := p.kind(); k == Not || k == Minus {
 		pos := p.next().Pos
 		x, err := p.parseUnary()
 		if err != nil {
 			return nil, err
 		}
-		return &Unary{Op: k, X: x, Pos: pos}, nil
+		return p.unaries.new(Unary{Op: k, X: x, Pos: pos}), nil
 	}
 	return p.parsePostfix()
 }
@@ -642,7 +659,7 @@ func (p *Parser) parsePostfix() (Expr, error) {
 		return nil, err
 	}
 	for {
-		switch p.cur().Kind {
+		switch p.kind() {
 		case Arrow, Dot:
 			p.next()
 			if p.accept(Tilde) {
@@ -656,7 +673,7 @@ func (p *Parser) parsePostfix() (Expr, error) {
 				if _, err := p.expect(RParen); err != nil {
 					return nil, err
 				}
-				x = &DtorCall{Recv: x, Class: nt.Text, Pos: nt.Pos}
+				x = p.dtorCalls.new(DtorCall{Recv: x, Class: p.text(nt), Pos: nt.Pos})
 				continue
 			}
 			nt, err := p.expect(IDENT)
@@ -668,9 +685,9 @@ func (p *Parser) parsePostfix() (Expr, error) {
 				if err != nil {
 					return nil, err
 				}
-				x = &MethodCall{Recv: x, Name: nt.Text, Args: args, Pos: nt.Pos}
+				x = p.methodCalls.new(MethodCall{Recv: x, Name: p.text(nt), Args: args, Pos: nt.Pos})
 			} else {
-				x = &FieldAccess{Recv: x, Name: nt.Text, Pos: nt.Pos}
+				x = p.fieldAccesses.new(FieldAccess{Recv: x, Name: p.text(nt), Pos: nt.Pos})
 			}
 		case LBracket:
 			pos := p.next().Pos
@@ -681,7 +698,7 @@ func (p *Parser) parsePostfix() (Expr, error) {
 			if _, err := p.expect(RBracket); err != nil {
 				return nil, err
 			}
-			x = &Index{X: x, I: i, Pos: pos}
+			x = p.indexes.new(Index{X: x, I: i, Pos: pos})
 		default:
 			return x, nil
 		}
@@ -693,16 +710,16 @@ func (p *Parser) parsePrimary() (Expr, error) {
 	switch t.Kind {
 	case INTLIT:
 		p.next()
-		return &IntLit{Value: t.Int, Pos: t.Pos}, nil
+		return p.intLits.new(IntLit{Value: t.Int, Pos: t.Pos}), nil
 	case STRLIT:
 		p.next()
-		return &StrLit{Value: t.Text, Pos: t.Pos}, nil
+		return p.strLits.new(StrLit{Value: p.text(t), Pos: t.Pos}), nil
 	case KwNull:
 		p.next()
-		return &NullLit{Pos: t.Pos}, nil
+		return p.nullLits.new(NullLit{Pos: t.Pos}), nil
 	case KwThis:
 		p.next()
-		return &This{Pos: t.Pos}, nil
+		return p.thises.new(This{Pos: t.Pos}), nil
 	case KwNew:
 		return p.parseNew()
 	case LParen:
@@ -714,18 +731,18 @@ func (p *Parser) parsePrimary() (Expr, error) {
 		if _, err := p.expect(RParen); err != nil {
 			return nil, err
 		}
-		return &Paren{X: x, Pos: t.Pos}, nil
+		return p.parens.new(Paren{X: x, Pos: t.Pos}), nil
 	case IDENT:
 		p.next()
-		if p.cur().Kind == LParen {
+		if p.kind() == LParen {
 			p.next()
 			args, err := p.parseArgs()
 			if err != nil {
 				return nil, err
 			}
-			return &Call{Func: t.Text, Args: args, Pos: t.Pos}, nil
+			return p.calls.new(Call{Func: p.text(t), Args: args, Pos: t.Pos}), nil
 		}
-		return &Ident{Name: t.Text, Pos: t.Pos}, nil
+		return p.idents.new(Ident{Name: p.text(t), Pos: t.Pos}), nil
 	}
 	return nil, errf(t.Pos, "expected expression, found %s", p.describe(t))
 }
@@ -735,7 +752,7 @@ func (p *Parser) parsePrimary() (Expr, error) {
 func (p *Parser) parseNew() (Expr, error) {
 	kw, _ := p.expect(KwNew)
 	var placement Expr
-	if p.cur().Kind == LParen {
+	if p.kind() == LParen {
 		p.next()
 		x, err := p.parseExpr()
 		if err != nil {
@@ -746,10 +763,10 @@ func (p *Parser) parseNew() (Expr, error) {
 		}
 		placement = x
 	}
-	switch p.cur().Kind {
+	switch p.kind() {
 	case KwChar, KwInt:
 		elem := "char"
-		if p.cur().Kind == KwInt {
+		if p.kind() == KwInt {
 			elem = "int"
 		}
 		p.next()
@@ -766,10 +783,10 @@ func (p *Parser) parseNew() (Expr, error) {
 		if _, err := p.expect(RBracket); err != nil {
 			return nil, err
 		}
-		return &NewArray{Elem: Type{Name: elem}, Len: n, Pos: kw.Pos}, nil
+		return p.newArrays.new(NewArray{Elem: Type{Name: elem}, Len: n, Pos: kw.Pos}), nil
 	case IDENT:
 		nt := p.next()
-		ne := &NewExpr{Class: nt.Text, Placement: placement, Pos: kw.Pos}
+		ne := p.newExprs.new(NewExpr{Class: p.text(nt), Placement: placement, Pos: kw.Pos})
 		if p.accept(LParen) {
 			args, err := p.parseArgs()
 			if err != nil {
@@ -780,4 +797,118 @@ func (p *Parser) parseNew() (Expr, error) {
 		return ne, nil
 	}
 	return nil, errf(p.cur().Pos, "expected type after 'new'")
+}
+
+// --- Node storage.
+
+// nodes hands out the AST nodes and lists of one parse: a slab per node
+// type, and a scratch stack and slab per list element type.
+type nodes struct {
+	classes       slab[ClassDecl]
+	fields        slab[Field]
+	methods       slab[Method]
+	funcs         slab[FuncDecl]
+	params        slab[Param]
+	blocks        slab[Block]
+	varDecls      slab[VarDecl]
+	exprStmts     slab[ExprStmt]
+	ifs           slab[If]
+	whiles        slab[While]
+	fors          slab[For]
+	returns       slab[Return]
+	deletes       slab[DeleteStmt]
+	spawns        slab[Spawn]
+	joins         slab[Join]
+	intLits       slab[IntLit]
+	strLits       slab[StrLit]
+	nullLits      slab[NullLit]
+	idents        slab[Ident]
+	thises        slab[This]
+	unaries       slab[Unary]
+	binaries      slab[Binary]
+	assigns       slab[AssignExpr]
+	calls         slab[Call]
+	methodCalls   slab[MethodCall]
+	dtorCalls     slab[DtorCall]
+	fieldAccesses slab[FieldAccess]
+	indexes       slab[Index]
+	newExprs      slab[NewExpr]
+	newArrays     slab[NewArray]
+	parens        slab[Paren]
+
+	declList   lists[Decl]
+	fieldList  lists[*Field]
+	methodList lists[*Method]
+	paramList  lists[*Param]
+	stmtList   lists[Stmt]
+	exprList   lists[Expr]
+}
+
+// Slab chunks start at slabMin elements and double up to slabMax, so a
+// small program's nodes take little more room than they need and a
+// large one's take an allocation per slabMax nodes.
+const (
+	slabMin = 4
+	slabMax = 64
+)
+
+// slab hands out values of one type from chunks. A chunk stays alive
+// while any value in it is referenced; the nodes of a tree live and die
+// together, so that keeps nothing alive longer than the tree.
+type slab[T any] struct {
+	free []T // the rest of the current chunk
+	size int // the current chunk's length
+}
+
+// new returns a pointer to a copy of v.
+func (s *slab[T]) new(v T) *T {
+	if len(s.free) == 0 {
+		s.grow(1)
+	}
+	n := &s.free[0]
+	*n = v
+	s.free = s.free[1:]
+	return n
+}
+
+// copyOf returns a copy of items whose length and capacity are
+// len(items), so that appending to it never writes into a neighbor; nil
+// when items is empty.
+func (s *slab[T]) copyOf(items []T) []T {
+	if len(items) == 0 {
+		return nil
+	}
+	if len(s.free) < len(items) {
+		s.grow(len(items))
+	}
+	l := s.free[:len(items):len(items)]
+	copy(l, items)
+	s.free = s.free[len(items):]
+	return l
+}
+
+// grow starts a chunk of at least n elements.
+func (s *slab[T]) grow(n int) {
+	s.size = min(max(2*s.size, slabMin), slabMax)
+	s.free = make([]T, max(s.size, n))
+}
+
+// lists collects the elements of the lists being parsed on one scratch
+// stack, where a nested list stacks above the list it is nested in, and
+// copies each finished list into a slab at its exact size.
+type lists[T any] struct {
+	stack []T
+	out   slab[T]
+}
+
+// mark returns the stack depth at which a list begins.
+func (l *lists[T]) mark() int { return len(l.stack) }
+
+func (l *lists[T]) push(v T) { l.stack = append(l.stack, v) }
+
+// done pops the elements pushed since mark and returns them as a list.
+func (l *lists[T]) done(mark int) []T {
+	items := l.out.copyOf(l.stack[mark:])
+	l.stack = l.stack[:mark]
+	return items
 }

@@ -94,12 +94,50 @@ func (k Kind) String() string {
 	return fmt.Sprintf("Kind(%d)", int(k))
 }
 
-var keywords = map[string]Kind{
-	"class": KwClass, "public": KwPublic, "private": KwPrivate, "if": KwIf,
-	"else": KwElse, "while": KwWhile, "for": KwFor, "return": KwReturn,
-	"new": KwNew, "delete": KwDelete, "this": KwThis, "int": KwInt,
-	"char": KwChar, "void": KwVoid, "uint": KwUint, "spawn": KwSpawn,
-	"join": KwJoin, "operator": KwOperator, "null": KwNull,
+// keyword returns the keyword kind spelled word, or IDENT if word is
+// no keyword.
+func keyword(word string) Kind {
+	switch word {
+	case "class":
+		return KwClass
+	case "public":
+		return KwPublic
+	case "private":
+		return KwPrivate
+	case "if":
+		return KwIf
+	case "else":
+		return KwElse
+	case "while":
+		return KwWhile
+	case "for":
+		return KwFor
+	case "return":
+		return KwReturn
+	case "new":
+		return KwNew
+	case "delete":
+		return KwDelete
+	case "this":
+		return KwThis
+	case "int":
+		return KwInt
+	case "char":
+		return KwChar
+	case "void":
+		return KwVoid
+	case "uint":
+		return KwUint
+	case "spawn":
+		return KwSpawn
+	case "join":
+		return KwJoin
+	case "operator":
+		return KwOperator
+	case "null":
+		return KwNull
+	}
+	return IDENT
 }
 
 // Pos is a source position.
@@ -110,12 +148,29 @@ type Pos struct {
 // String formats the position.
 func (p Pos) String() string { return fmt.Sprintf("%d:%d", p.Line, p.Col) }
 
-// Token is one lexical token.
+// Token is one lexical token. It holds no pointer, so a token buffer
+// is never scanned by the garbage collector and keeps no source alive:
+// its text is the byte span Off:End of the source it was lexed from,
+// read with Text.
 type Token struct {
 	Kind Kind
-	Text string // identifier, literal or string body
-	Int  int64  // INTLIT value
 	Pos  Pos
+	Int  int64 // INTLIT value
+	// Off and End delimit an identifier's or keyword's spelling, or a
+	// string literal's body between its quotes, escapes unresolved.
+	// They are zero for every other kind.
+	Off, End int32
+}
+
+// Text returns the token's text in src, the source it was lexed from:
+// the spelling of an identifier or keyword, the unescaped body of a
+// string literal, and "" for every other kind.
+func (t *Token) Text(src string) string {
+	s := src[t.Off:t.End]
+	if t.Kind == STRLIT {
+		return unescape(s)
+	}
+	return s
 }
 
 // Error is a front-end diagnostic with a position.
