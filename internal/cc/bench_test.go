@@ -92,7 +92,7 @@ func TestAnalyzeAllocBudget(t *testing.T) {
 // ledger program: slabs of nodes and lists, not an object per node.
 // The ceiling is the measured count plus 10%.
 func TestParseAllocBudget(t *testing.T) {
-	const budget = 290
+	const budget = 288
 	got := testing.AllocsPerRun(5, func() {
 		if _, err := Parse(ledgerSrc); err != nil {
 			t.Fatal(err)

@@ -62,11 +62,11 @@ func (l *Lexer) checkLen() error {
 // pos returns the position of byte off, which lies on the current line.
 func (l *Lexer) pos(off int) Pos { return Pos{Line: l.line, Col: off - l.lineStart + 1} }
 
-// skipComment consumes the comment that starts at l.off, if one does,
-// and reports whether one did.
+// skipComment consumes the comment that starts at l.off, a '/' byte, if
+// one does, and reports whether one did.
 func (l *Lexer) skipComment() (bool, error) {
 	src, off := l.src, l.off
-	if off+1 >= len(src) || src[off] != '/' {
+	if off+1 >= len(src) {
 		return false, nil
 	}
 	switch src[off+1] {

@@ -287,7 +287,7 @@ func TestCompileAllocBudget(t *testing.T) {
 // verification parse is the only parse of its output. The ceiling is
 // the measured count plus 10%.
 func TestToolPathAllocBudget(t *testing.T) {
-	const budget = 31400
+	const budget = 10560
 	got := testing.AllocsPerRun(3, func() {
 		prog, err := analyze(ledgerSrc)
 		if err != nil {
