@@ -857,7 +857,7 @@ const (
 // together, so that keeps nothing alive longer than the tree.
 type slab[T any] struct {
 	free []T // the rest of the current chunk
-	size int // the current chunk's length
+	size int // the length the next chunk doubles, up to slabMax
 }
 
 // new returns a pointer to a copy of v.
