@@ -46,21 +46,14 @@ func TestInitPreallocates(t *testing.T) {
 func TestNoLocksUsed(t *testing.T) {
 	e, under := setup(t)
 	p := New(under, 64, 1<<41)
-	serialLockAcquires := func() int64 {
-		var n int64
-		for _, th := range e.Threads() {
-			n += th.LockAcquires
-		}
-		return n
-	}
 	e.Go("w", func(c *sim.Ctx) {
 		p.Init(c, 4)
-		before := serialLockAcquires()
+		before := e.Stats().LockAcquires
 		for i := 0; i < 4; i++ {
 			r, _ := p.Alloc(c)
 			p.Free(c, r)
 		}
-		if serialLockAcquires() != before {
+		if e.Stats().LockAcquires != before {
 			t.Error("handmade pool hit path acquired a lock")
 		}
 	})

@@ -56,6 +56,7 @@ func (ch *Channel) Send(c *Ctx, v any) {
 		ch.e.traceArgs(t, EvChanSend, ch.name, int64(len(ch.buf)), 0)
 		if len(ch.recvQ) > 0 {
 			w := ch.recvQ[0]
+			ch.recvQ[0] = nil // the array outlives the woken thread
 			ch.recvQ = ch.recvQ[1:]
 			ch.wake(t, w)
 		}
@@ -87,6 +88,7 @@ func (ch *Channel) Recv(c *Ctx) (v any, ok bool) {
 			// A parked sender can now deliver into the freed slot.
 			if len(ch.sendQ) > 0 {
 				w := ch.sendQ[0]
+				ch.sendQ[0] = chanWaiter{} // the array outlives the woken thread
 				ch.sendQ = ch.sendQ[1:]
 				ch.buf = append(ch.buf, w.v)
 				ch.wake(t, w.t)

@@ -28,6 +28,13 @@
 // runnable thread with the smallest virtual clock. That makes every
 // simulation fully deterministic and independent of the host machine.
 //
+// The engine holds only the threads that have not finished. When a
+// thread finishes, its counters are folded into the engine's totals
+// (Engine.Stats) and the engine drops every reference to it, so host
+// memory grows with the threads alive at once, not with the threads a
+// run ever spawned. The *Thread that Engine.Go and Ctx.Go return is the
+// caller's handle and stays valid for as long as the caller keeps it.
+//
 // As an optimization the engine grants the running thread a lease: the
 // thread may execute engine calls without yielding while its clock stays
 // below the second-smallest runnable clock. Operations that could make

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 )
 
 // Config parameterizes the simulated machine. Every other parameter is
@@ -28,12 +29,23 @@ const migrationPeriod = 200_000
 // Engine is a deterministic discrete-event SMP simulator. Create one
 // with New, add threads with Go, then call Run.
 type Engine struct {
-	procs   int
-	cost    CostModel
-	cache   *Cache
-	threads []*Thread
+	procs int
+	cost  CostModel
+	cache *Cache
 
-	live    int // threads not yet done
+	// live holds the threads not yet done, in slot order until the
+	// first one retires (retire moves the last into the gap). It is the
+	// engine's only list of threads: a retired thread's counters are
+	// folded into retired, and the *Thread that Go returned belongs to
+	// whoever kept it, so host memory grows with the threads alive, not
+	// with the threads ever spawned.
+	live []*Thread
+	// slots counts the threads ever created: the next thread's slot.
+	slots int32
+	// retired sums the lock, migration and atomic counters of every
+	// retired thread (see Stats.addThread).
+	retired Stats
+
 	running int // threads ready or running (demanding a processor)
 
 	// ready holds the runnable threads ordered by (clock, slot); the
@@ -100,25 +112,41 @@ func (e *Engine) Processors() int { return e.procs }
 // Cache returns the engine's cache model (for statistics).
 func (e *Engine) Cache() *Cache { return e.cache }
 
-// Threads returns all threads ever created on the engine.
-func (e *Engine) Threads() []*Thread { return e.threads }
-
 // Mutexes returns every mutex created on the engine.
 func (e *Engine) Mutexes() []*Mutex { return e.mutexes }
 
 func (e *Engine) newThread(name string, fn func(*Ctx)) *Thread {
+	if e.slots == math.MaxInt32 {
+		panic("sim: more than 2^31-1 threads")
+	}
 	t := &Thread{
 		e:       e,
-		slot:    len(e.threads),
+		slot:    e.slots,
+		idx:     int32(len(e.live)),
 		name:    name,
 		fn:      fn,
 		state:   stateNew,
 		heapIdx: -1,
 	}
-	t.home = int32(t.slot % e.procs)
+	e.slots++
+	t.home = int32(int(t.slot) % e.procs)
 	t.lastCPU = t.home
-	e.threads = append(e.threads, t)
+	e.live = append(e.live, t)
 	return t
+}
+
+// retire folds a finished thread's counters into the engine's total and
+// drops it from the live set, the engine's last reference to it. The
+// thread function goes too; the handle keeps its name, clock and
+// counters for whoever holds it.
+func (e *Engine) retire(t *Thread) {
+	e.retired.addThread(t)
+	last := len(e.live) - 1
+	e.live[t.idx] = e.live[last]
+	e.live[t.idx].idx = t.idx
+	e.live[last] = nil
+	e.live = e.live[:last]
+	t.fn = nil
 }
 
 // Go registers a thread to start at time zero. It must be called before
@@ -147,7 +175,7 @@ func (e *Engine) Go(name string, fn func(*Ctx)) *Thread {
 func (e *Engine) Run() int64 {
 	e.start()
 	defer e.stopWorkers()
-	for e.live > 0 {
+	for len(e.live) > 0 {
 		t := e.handoff
 		if t != nil {
 			e.handoff = nil
@@ -164,20 +192,17 @@ func (e *Engine) Run() int64 {
 	return e.Makespan()
 }
 
-// start queues every thread registered with Go. It panics when the
-// engine has already run.
+// start queues every thread registered with Go, in slot order: none
+// has retired yet. It panics when the engine has already run.
 func (e *Engine) start() {
 	if e.started {
 		panic("sim: Run called twice")
 	}
 	e.started = true
-	for _, t := range e.threads {
-		if t.state == stateReady {
-			e.live++
-			e.running++
-			e.enqueue(t)
-			e.trace(t, EvThreadStart, t.name)
-		}
+	for _, t := range e.live {
+		e.running++
+		e.enqueue(t)
+		e.trace(t, EvThreadStart, t.name)
 	}
 }
 
@@ -218,9 +243,13 @@ func (e *Engine) Makespan() int64 {
 	return e.maxClock
 }
 
+// deadlockReport names every unfinished thread, in slot order, and
+// every held mutex.
 func (e *Engine) deadlockReport() string {
 	s := "sim: deadlock — no runnable thread\n"
-	for _, t := range e.threads {
+	ts := slices.Clone(e.live)
+	slices.SortFunc(ts, func(a, b *Thread) int { return int(a.slot - b.slot) })
+	for _, t := range ts {
 		s += fmt.Sprintf("  thread %d %q state=%d clock=%d\n", t.slot, t.name, t.state, t.clock)
 	}
 	for _, m := range e.mutexes {
@@ -263,25 +292,17 @@ type Stats struct {
 	AtomicStores    int64
 }
 
-// Stats returns aggregate statistics across all threads.
+// Stats returns aggregate statistics across all threads, retired and
+// unfinished alike, so a call during the run counts every thread too.
 func (e *Engine) Stats() Stats {
-	st := Stats{
-		Makespan:           e.Makespan(),
-		CacheHits:          e.cache.Hits,
-		CacheMisses:        e.cache.Misses,
-		CacheInvalidations: e.cache.Invalidations,
-		CacheRFOs:          e.cache.RFOs,
-	}
-	for _, t := range e.threads {
-		st.LockAcquires += t.LockAcquires
-		st.LockContended += t.LockContended
-		st.LockWaitTime += t.LockWaitTime
-		st.Migrations += t.Migrations
-		st.AtomicCAS += t.AtomicCAS
-		st.AtomicCASFailed += t.AtomicCASFailed
-		st.AtomicFAA += t.AtomicFAA
-		st.AtomicLoads += t.AtomicLoads
-		st.AtomicStores += t.AtomicStores
+	st := e.retired
+	st.Makespan = e.Makespan()
+	st.CacheHits = e.cache.Hits
+	st.CacheMisses = e.cache.Misses
+	st.CacheInvalidations = e.cache.Invalidations
+	st.CacheRFOs = e.cache.RFOs
+	for _, t := range e.live {
+		st.addThread(t)
 	}
 	for _, ch := range e.channels {
 		st.ChanSends += ch.Sends
@@ -294,4 +315,18 @@ func (e *Engine) Stats() Stats {
 		st.WaitGroupDones += wg.Dones
 	}
 	return st
+}
+
+// addThread folds t's lock, migration and atomic counters into st. Its
+// cache counters are not folded: the cache model keeps their totals.
+func (st *Stats) addThread(t *Thread) {
+	st.LockAcquires += t.LockAcquires
+	st.LockContended += t.LockContended
+	st.LockWaitTime += t.LockWaitTime
+	st.Migrations += t.Migrations
+	st.AtomicCAS += t.AtomicCAS
+	st.AtomicCASFailed += t.AtomicCASFailed
+	st.AtomicFAA += t.AtomicFAA
+	st.AtomicLoads += t.AtomicLoads
+	st.AtomicStores += t.AtomicStores
 }

@@ -1,5 +1,7 @@
 package sim
 
+import "slices"
+
 // Mutex is a virtual-time mutual-exclusion lock with FIFO direct
 // handoff. It records the contention statistics the paper monitors
 // ("failed lock attempts", §5.1).
@@ -110,8 +112,7 @@ func (m *Mutex) Unlock(c *Ctx) {
 		return
 	}
 	w := m.waiters[0]
-	copy(m.waiters, m.waiters[1:])
-	m.waiters = m.waiters[:len(m.waiters)-1]
+	m.waiters = slices.Delete(m.waiters, 0, 1) // clears the vacated tail
 	m.owner = w
 	m.e.traceArgs(t, EvLockHandoff, m.name, int64(w.slot), int64(len(m.waiters)))
 	m.e.wake(t, w, m.e.cost.LockHandoff)

@@ -5,11 +5,53 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
+// scenario is an engine together with the handle of every thread
+// spawned on it. The engine keeps only unfinished threads, so a test
+// that reads completion clocks or per-thread counters after the run
+// keeps the handles that Go and Ctx.Go return.
+type scenario struct {
+	*Engine
+	threads []*Thread
+}
+
+func newScenario(cfg Config) *scenario { return &scenario{Engine: New(cfg)} }
+
+// Go is Engine.Go, keeping the handle.
+func (s *scenario) Go(name string, fn func(*Ctx)) {
+	s.threads = append(s.threads, s.Engine.Go(name, fn))
+}
+
+// spawn is c.Go, keeping the handle. c.Go may yield, and another
+// thread may keep a handle meanwhile, so s.threads is read only after
+// c.Go returns.
+func (s *scenario) spawn(c *Ctx, name string, fn func(*Ctx)) {
+	th := c.Go(name, fn)
+	s.threads = append(s.threads, th)
+}
+
+// bySlot returns every thread of the scenario in slot order. A spawn
+// may yield before its handle is kept, so handles are kept in no
+// particular order; it panics when one is missing.
+func (s *scenario) bySlot() []*Thread {
+	ts := slices.Clone(s.threads)
+	slices.SortFunc(ts, func(a, b *Thread) int { return int(a.slot - b.slot) })
+	for i, th := range ts {
+		if int(th.slot) != i {
+			panic(fmt.Sprintf("sim: scenario lost the handle of thread %d", i))
+		}
+	}
+	if len(ts) != int(s.slots) {
+		panic(fmt.Sprintf("sim: scenario kept %d of %d thread handles", len(ts), s.slots))
+	}
+	return ts
+}
+
 // runLinear is the reference scheduler the ready heap replaced: Run
-// with every pick made by a linear scan over all threads (see pickMin)
+// with every pick made by a linear scan over the live threads (see pickMin)
 // instead of by the heap root. The heap still holds the ready threads,
 // because yieldCheck and wake maintain it, so the chosen thread is
 // removed from it by slot, and a preempted thread's handoff choice is
@@ -17,7 +59,7 @@ import (
 func runLinear(e *Engine) int64 {
 	e.start()
 	defer e.stopWorkers()
-	for e.live > 0 {
+	for len(e.live) > 0 {
 		if h := e.handoff; h != nil {
 			e.handoff = nil
 			e.ready.push(h)
@@ -38,15 +80,16 @@ func runLinear(e *Engine) int64 {
 
 // pickMin selects the ready thread with the smallest clock (ties broken
 // by slot) and the clock of the runner-up, which bounds the winner's
-// lease.
+// lease. The live set is in no particular order, so the tie-break is
+// explicit.
 func pickMin(e *Engine) (*Thread, int64) {
 	var best *Thread
 	second := int64(math.MaxInt64)
-	for _, t := range e.threads {
+	for _, t := range e.live {
 		if t.state != stateReady {
 			continue
 		}
-		if best == nil || t.clock < best.clock {
+		if best == nil || t.clock < best.clock || (t.clock == best.clock && t.slot < best.slot) {
 			if best != nil {
 				second = best.clock
 			}
@@ -58,11 +101,11 @@ func pickMin(e *Engine) (*Thread, int64) {
 	return best, second
 }
 
-// scanMakespan recomputes the makespan by scanning every thread: the
-// reference for the running max Makespan reads.
-func scanMakespan(e *Engine) int64 {
+// scanMakespan recomputes the makespan by scanning every thread of the
+// scenario: the reference for the running max Makespan reads.
+func scanMakespan(s *scenario) int64 {
 	var m int64
-	for _, t := range e.threads {
+	for _, t := range s.threads {
 		if t.clock > m {
 			m = t.clock
 		}
@@ -94,21 +137,28 @@ type schedRun struct {
 	events   []Event
 }
 
-func observeRun(build func(Config) *Engine, procs int, run func(*Engine) int64) schedRun {
+func observeRun(build func(Config) *scenario, procs int, run func(*Engine) int64) schedRun {
 	rec := Recorder{Max: 1 << 30, Mask: AllEvents}
-	e := build(Config{Processors: procs, Tracer: &rec})
-	r := schedRun{makespan: run(e), stats: e.Stats(), events: rec.Events}
-	for _, t := range e.Threads() {
-		r.clocks = append(r.clocks, t.Clock())
-	}
+	s := build(Config{Processors: procs, Tracer: &rec})
+	r := schedRun{makespan: run(s.Engine), stats: s.Stats(), events: rec.Events}
+	r.clocks = clocks(s)
 	return r
+}
+
+// clocks lists the scenario's thread clocks in slot order.
+func clocks(s *scenario) []int64 {
+	var cs []int64
+	for _, th := range s.bySlot() {
+		cs = append(cs, th.Clock())
+	}
+	return cs
 }
 
 // checkMatchesLinear runs a scenario on the engine and on runLinear and
 // fails on any difference in makespan, statistics, per-thread
 // completion clock or event stream, preemptions included. It returns
 // the engine's run.
-func checkMatchesLinear(t *testing.T, id string, procs int, build func(Config) *Engine) schedRun {
+func checkMatchesLinear(t *testing.T, id string, procs int, build func(Config) *scenario) schedRun {
 	t.Helper()
 	heap := observeRun(build, procs, (*Engine).Run)
 	diffRuns(t, id, "heap", "linear scan", heap, observeRun(build, procs, runLinear))
@@ -165,10 +215,10 @@ func streamHash(events []Event) string {
 // yielded on every lease expiry; its preemptions differ, so they are
 // left out of the hash.
 func TestHeapSchedulerMatchesLinearScan(t *testing.T) {
-	lockstep8 := func(cfg Config) *Engine { return lockstep(cfg, 8, 200) }
+	lockstep8 := func(cfg Config) *scenario { return lockstep(cfg, 8, 200) }
 	for _, pin := range []struct {
 		name     string
-		build    func(Config) *Engine
+		build    func(Config) *scenario
 		procs    int
 		makespan int64
 		events   int
@@ -209,12 +259,12 @@ func TestHeapSchedulerMatchesLinearScan(t *testing.T) {
 // A thread holds at most one of the two mutexes, never waits while
 // holding it, and only waits for threads it spawned, so no script can
 // deadlock. Spawns nest two deep and stop at 24 children.
-func scripted(cfg Config, data []byte, runAhead bool) *Engine {
-	e := New(cfg)
+func scripted(cfg Config, data []byte, runAhead bool) *scenario {
+	s := newScenario(cfg)
 	if len(data) == 0 {
-		return e
+		return s
 	}
-	locks := [2]*Mutex{e.NewMutexAt("a", 0x8000), e.NewMutexAt("b", 0x8040)}
+	locks := [2]*Mutex{s.NewMutexAt("a", 0x8000), s.NewMutexAt("b", 0x8040)}
 	spawned := 0
 	var run func(c *Ctx, script []byte, depth int)
 	run = func(c *Ctx, script []byte, depth int) {
@@ -265,7 +315,7 @@ func scripted(cfg Config, data []byte, runAhead bool) *Engine {
 					child := script[i+1 : min(len(script), i+2+int(arg&7))]
 					early := arg&8 != 0
 					wg.Add(1)
-					c.Go("child", func(cc *Ctx) {
+					s.spawn(c, "child", func(cc *Ctx) {
 						if early {
 							wg.Done(cc)
 						}
@@ -295,9 +345,9 @@ func scripted(cfg Config, data []byte, runAhead bool) *Engine {
 	rest := data[1:]
 	for k := 0; k < n; k++ {
 		script := rest[k*len(rest)/n : (k+1)*len(rest)/n]
-		e.Go(fmt.Sprintf("t%d", k), func(c *Ctx) { run(c, script, 0) })
+		s.Go(fmt.Sprintf("t%d", k), func(c *Ctx) { run(c, script, 0) })
 	}
-	return e
+	return s
 }
 
 // checkRunAhead runs a script untraced twice: on the engine with
@@ -307,11 +357,9 @@ func scripted(cfg Config, data []byte, runAhead bool) *Engine {
 func checkRunAhead(t *testing.T, id string, procs int, data []byte) {
 	t.Helper()
 	untraced := func(runAhead bool, run func(*Engine) int64) schedRun {
-		e := scripted(Config{Processors: procs}, data, runAhead)
-		r := schedRun{makespan: run(e), stats: e.Stats()}
-		for _, th := range e.Threads() {
-			r.clocks = append(r.clocks, th.Clock())
-		}
+		s := scripted(Config{Processors: procs}, data, runAhead)
+		r := schedRun{makespan: run(s.Engine), stats: s.Stats()}
+		r.clocks = clocks(s)
 		return r
 	}
 	diffRuns(t, id, "run-ahead", "per unit", untraced(true, (*Engine).Run), untraced(false, runLinear))
@@ -398,7 +446,7 @@ func FuzzSchedule(f *testing.F) {
 	f.Fuzz(func(t *testing.T, procs uint8, data []byte) {
 		p := 1 + int(procs)%8
 		id := fmt.Sprintf("P=%d", p)
-		checkMatchesLinear(t, id, p, func(cfg Config) *Engine { return scripted(cfg, data, true) })
+		checkMatchesLinear(t, id, p, func(cfg Config) *scenario { return scripted(cfg, data, true) })
 		checkRunAhead(t, id, p, data)
 	})
 }

@@ -12,11 +12,11 @@ import (
 // hand-off (contended and not), channel producer/consumer wake-ups,
 // waitgroup joins, mid-run spawns, and oversubscription (more threads
 // than processors, so migration and dilation kick in).
-func torture(cfg Config) *Engine {
-	e := New(cfg)
-	m := e.NewMutexAt("shared", 1<<20)
-	ch := e.NewChannel("queue", 3)
-	wg := e.NewWaitGroup()
+func torture(cfg Config) *scenario {
+	s := newScenario(cfg)
+	m := s.NewMutexAt("shared", 1<<20)
+	ch := s.NewChannel("queue", 3)
+	wg := s.NewWaitGroup()
 
 	producers := 3
 	consumers := 4
@@ -24,7 +24,7 @@ func torture(cfg Config) *Engine {
 
 	for p := 0; p < producers; p++ {
 		p := p
-		e.Go(fmt.Sprintf("prod%d", p), func(c *Ctx) {
+		s.Go(fmt.Sprintf("prod%d", p), func(c *Ctx) {
 			for i := 0; i < items; i++ {
 				c.Work(7 + int64(p))
 				ch.Send(c, p*1000+i)
@@ -36,13 +36,13 @@ func torture(cfg Config) *Engine {
 			}
 		})
 	}
-	e.Go("closer", func(c *Ctx) {
+	s.Go("closer", func(c *Ctx) {
 		// Spawn consumers mid-run, then close the channel when the
 		// producers are done (tracked coarsely by item count).
 		for k := 0; k < consumers; k++ {
 			wg.Add(1)
 			k := k
-			c.Go(fmt.Sprintf("cons%d", k), func(cc *Ctx) {
+			s.spawn(c, fmt.Sprintf("cons%d", k), func(cc *Ctx) {
 				for {
 					got, ok := ch.Recv(cc)
 					if !ok {
@@ -69,30 +69,30 @@ func torture(cfg Config) *Engine {
 	})
 	// CPU-bound background threads to oversubscribe the 4 processors.
 	for b := 0; b < 6; b++ {
-		e.Go(fmt.Sprintf("bg%d", b), func(c *Ctx) {
+		s.Go(fmt.Sprintf("bg%d", b), func(c *Ctx) {
 			for i := 0; i < 200; i++ {
 				c.Advance(97)
 				c.Read(uint64(3<<20)+uint64(i%16)*64, 8)
 			}
 		})
 	}
-	return e
+	return s
 }
 
 // lockstep builds n threads that each charge Work(1) per step from
 // the same start time. Their clocks stay tied, so every step expires
 // the lease and preempts: the pure handoff path.
-func lockstep(cfg Config, n, steps int) *Engine {
-	e := New(cfg)
+func lockstep(cfg Config, n, steps int) *scenario {
+	s := newScenario(cfg)
 	for w := 0; w < n; w++ {
-		e.Go(fmt.Sprintf("step%d", w), func(c *Ctx) {
+		s.Go(fmt.Sprintf("step%d", w), func(c *Ctx) {
 			for j := 0; j < steps; j++ {
 				c.Work(1)
 				c.Write(uint64(1<<20)+uint64(j%4)*64, 8)
 			}
 		})
 	}
-	return e
+	return s
 }
 
 // TestMakespanMatchesScan pins the O(1) running-max Makespan to an
@@ -100,14 +100,15 @@ func lockstep(cfg Config, n, steps int) *Engine {
 // engine and under the linear-scan reference.
 func TestMakespanMatchesScan(t *testing.T) {
 	for _, linear := range []bool{false, true} {
-		e := torture(Config{Processors: 4})
+		s := torture(Config{Processors: 4})
+		e := s.Engine
 		var m int64
 		if linear {
 			m = runLinear(e)
 		} else {
 			m = e.Run()
 		}
-		if want := scanMakespan(e); m != want {
+		if want := scanMakespan(s); m != want {
 			t.Errorf("linear=%v: Makespan() %d != scan %d", linear, m, want)
 		}
 		if m != e.Makespan() {
@@ -119,20 +120,20 @@ func TestMakespanMatchesScan(t *testing.T) {
 // TestMakespanMidRun checks the running max is also exact while the
 // simulation is still in flight (observability samplers read it).
 func TestMakespanMidRun(t *testing.T) {
-	e := New(Config{Processors: 2})
+	s := newScenario(Config{Processors: 2})
 	checks := 0
 	for w := 0; w < 4; w++ {
-		e.Go("w", func(c *Ctx) {
+		s.Go("w", func(c *Ctx) {
 			for i := 0; i < 50; i++ {
 				c.Advance(int64(10 + w*7))
-				if got, want := e.Makespan(), scanMakespan(e); got != want {
+				if got, want := s.Makespan(), scanMakespan(s); got != want {
 					t.Errorf("mid-run Makespan() %d != scan %d", got, want)
 				}
 				checks++
 			}
 		})
 	}
-	e.Run()
+	s.Run()
 	if checks == 0 {
 		t.Fatal("no mid-run checks executed")
 	}
@@ -233,7 +234,7 @@ func TestReadyHeapOrdering(t *testing.T) {
 		h.push(th)
 	}
 	var got []int64
-	var slots []int
+	var slots []int32
 	for h.len() > 0 {
 		th := h.pop()
 		got = append(got, th.clock)
@@ -304,11 +305,11 @@ func BenchmarkPreemptHandoff(b *testing.B) {
 // time. Charged per unit, every step ties their clocks and preempts;
 // run ahead, a thread yields only when its Sync finds another thread
 // behind it.
-func computeLockstep(cfg Config, n, steps int) *Engine {
-	e := New(cfg)
+func computeLockstep(cfg Config, n, steps int) *scenario {
+	s := newScenario(cfg)
 	for w := 0; w < n; w++ {
 		line := uint64(1<<20) + uint64(w)*64
-		e.Go(fmt.Sprintf("step%d", w), func(c *Ctx) {
+		s.Go(fmt.Sprintf("step%d", w), func(c *Ctx) {
 			for range steps {
 				c.Compute(3)
 				c.Sync()
@@ -316,7 +317,7 @@ func computeLockstep(cfg Config, n, steps int) *Engine {
 			}
 		})
 	}
-	return e
+	return s
 }
 
 // BenchmarkComputeRunAhead measures the run-ahead path on the lockstep
@@ -453,9 +454,10 @@ func TestRunAheadDispatches(t *testing.T) {
 	if a, u := ahead.Run(), unit.Run(); a != u {
 		t.Fatalf("makespan %d (run-ahead) != %d (per unit)", a, u)
 	}
-	for i, th := range ahead.Threads() {
-		if th.Clock() != unit.Threads()[i].Clock() {
-			t.Errorf("thread %d: clock %d (run-ahead) != %d (per unit)", i, th.Clock(), unit.Threads()[i].Clock())
+	ac, uc := clocks(ahead), clocks(unit)
+	for i := range ac {
+		if ac[i] != uc[i] {
+			t.Errorf("thread %d: clock %d (run-ahead) != %d (per unit)", i, ac[i], uc[i])
 		}
 	}
 	const wantAhead, wantUnit = 1608, 3208
@@ -471,10 +473,10 @@ func TestRunAheadDispatches(t *testing.T) {
 // on which thread wrote last. With ahead set the store is a WriteAhead,
 // after which the thread runs on into its next Compute; otherwise it is
 // a Write, whose lease check yields to a tied thread at once.
-func accessLockstep(cfg Config, n, steps int, ahead bool) *Engine {
-	e := New(cfg)
+func accessLockstep(cfg Config, n, steps int, ahead bool) *scenario {
+	s := newScenario(cfg)
 	for w := 0; w < n; w++ {
-		e.Go(fmt.Sprintf("step%d", w), func(c *Ctx) {
+		s.Go(fmt.Sprintf("step%d", w), func(c *Ctx) {
 			for range steps {
 				c.Compute(3)
 				c.Sync()
@@ -486,7 +488,7 @@ func accessLockstep(cfg Config, n, steps int, ahead bool) *Engine {
 			}
 		})
 	}
-	return e
+	return s
 }
 
 // TestWriteAheadDispatches pins the worker resumes Run makes for eight
@@ -496,7 +498,7 @@ func accessLockstep(cfg Config, n, steps int, ahead bool) *Engine {
 // statistic, and WriteAhead must resume workers less often than Write.
 func TestWriteAheadDispatches(t *testing.T) {
 	var rec Recorder
-	runs := []*Engine{
+	runs := []*scenario{
 		accessLockstep(Config{Processors: 8}, 8, 100, true),
 		accessLockstep(Config{Processors: 8}, 8, 100, false),
 		accessLockstep(Config{Processors: 8, Tracer: &rec}, 8, 100, true),
@@ -509,9 +511,10 @@ func TestWriteAheadDispatches(t *testing.T) {
 		if got.Stats() != want.Stats() {
 			t.Errorf("stats diverge\nWriteAhead: %+v\n%s: %+v", got.Stats(), name, want.Stats())
 		}
-		for i, th := range got.Threads() {
-			if th.Clock() != want.Threads()[i].Clock() {
-				t.Errorf("thread %d: clock %d (WriteAhead) != %d (%s)", i, th.Clock(), want.Threads()[i].Clock(), name)
+		gc, wc := clocks(got), clocks(want)
+		for i := range gc {
+			if gc[i] != wc[i] {
+				t.Errorf("thread %d: clock %d (WriteAhead) != %d (%s)", i, gc[i], wc[i], name)
 			}
 		}
 	}

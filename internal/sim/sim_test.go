@@ -133,7 +133,7 @@ func TestUnlockNotOwnerPanics(t *testing.T) {
 
 func TestCacheHitsAndMisses(t *testing.T) {
 	e := New(testConfig(2))
-	e.Go("w", func(c *Ctx) {
+	th := e.Go("w", func(c *Ctx) {
 		c.Read(0x1000, 8) // cold: miss
 		c.Read(0x1000, 8) // hit
 		c.Read(0x1004, 4) // same line: hit
@@ -141,7 +141,6 @@ func TestCacheHitsAndMisses(t *testing.T) {
 		c.Read(0x1040, 8) // next line: miss
 	})
 	e.Run()
-	th := e.Threads()[0]
 	if th.CacheMisses != 2 {
 		t.Errorf("misses = %d, want 2", th.CacheMisses)
 	}
@@ -218,26 +217,26 @@ func TestSpawnAndWaitGroup(t *testing.T) {
 }
 
 // migrationRun runs 4 CPU-bound threads on procs processors for at
-// least five migration periods and returns the engine.
-func migrationRun(t *testing.T, procs int) *Engine {
+// least five migration periods and returns the threads.
+func migrationRun(t *testing.T, procs int) []*Thread {
 	t.Helper()
 	e := New(testConfig(procs))
+	var ts []*Thread
 	for i := 0; i < 4; i++ {
-		e.Go("w", func(c *Ctx) {
+		ts = append(ts, e.Go("w", func(c *Ctx) {
 			for j := 0; j < 100; j++ {
 				c.Advance(migrationPeriod / 20)
 			}
-		})
+		}))
 	}
 	if got := e.Run(); got < 5*migrationPeriod {
 		t.Fatalf("makespan %d crosses fewer than 5 migration periods", got)
 	}
-	return e
+	return ts
 }
 
 func TestMigrationWhenOversubscribed(t *testing.T) {
-	e := migrationRun(t, 2) // 4 threads, 2 CPUs
-	for _, th := range e.Threads() {
+	for _, th := range migrationRun(t, 2) { // 4 threads, 2 CPUs
 		if th.Migrations == 0 {
 			t.Fatalf("thread %d never migrated with threads > processors", th.slot)
 		}
@@ -245,8 +244,7 @@ func TestMigrationWhenOversubscribed(t *testing.T) {
 }
 
 func TestNoMigrationWhenUndersubscribed(t *testing.T) {
-	e := migrationRun(t, 4)
-	for _, th := range e.Threads() {
+	for _, th := range migrationRun(t, 4) {
 		if th.Migrations != 0 {
 			t.Fatalf("thread %d migrated %d times with T == P", th.slot, th.Migrations)
 		}

@@ -18,10 +18,16 @@ const (
 
 // Thread is one simulated thread of execution. All fields are maintained
 // by the engine; workload code interacts with a thread only through the
-// *Ctx passed to its function.
+// *Ctx passed to its function. The *Thread that Engine.Go and Ctx.Go
+// return is the caller's handle: the engine drops its own references
+// when the thread finishes, and the handle stays valid for as long as
+// the caller keeps it.
 type Thread struct {
-	e     *Engine
-	slot  int
+	e    *Engine
+	slot int32
+	// idx is the thread's position in the engine's live set while it
+	// is unfinished.
+	idx   int32
 	name  string
 	fn    func(*Ctx)
 	state threadState
@@ -81,8 +87,9 @@ type Thread struct {
 // Name reports the thread's name.
 func (t *Thread) Name() string { return t.name }
 
-// Clock reports the thread's current virtual time. After Engine.Run it
-// is the thread's completion time.
+// Clock reports the thread's current virtual time. Once the thread has
+// finished it is the thread's completion time, which the handle keeps
+// after the engine has released the thread.
 func (t *Thread) Clock() int64 { return t.clock }
 
 // advance moves the thread's clock forward by cycles, dilated by the
@@ -113,7 +120,7 @@ func (t *Thread) advance(cycles int64) {
 // time, modelling the OS spreading an oversubscribed run queue.
 func (t *Thread) cpu() int {
 	e := t.e
-	if e.live <= e.procs {
+	if len(e.live) <= e.procs {
 		return int(t.home)
 	}
 	epoch := t.clock / migrationPeriod
@@ -185,7 +192,7 @@ func (t *Thread) exec() {
 			e.threadPanicStack = debug.Stack()
 		}
 		t.state = stateDone
-		e.live--
+		e.retire(t)
 		e.running--
 		e.trace(t, EvThreadDone, t.name)
 		e.idleWorkers = append(e.idleWorkers, t.w)
@@ -216,7 +223,7 @@ func (c *Ctx) Now() int64 { return c.t.clock }
 func (c *Ctx) CPU() int { return c.t.cpu() }
 
 // ThreadID reports the thread's slot index.
-func (c *Ctx) ThreadID() int { return c.t.slot }
+func (c *Ctx) ThreadID() int { return int(c.t.slot) }
 
 // Advance charges the thread cycles of pure computation.
 func (c *Ctx) Advance(cycles int64) {
@@ -299,7 +306,7 @@ func (t *Thread) compute(n int64) {
 // home processor. It reports whether it did.
 func (t *Thread) open() bool {
 	e := t.e
-	if e.tracer != nil || e.live > e.procs || t.lastCPU != t.home {
+	if e.tracer != nil || len(e.live) > e.procs || t.lastCPU != t.home {
 		return false
 	}
 	t.ahead = true
@@ -413,8 +420,7 @@ func (c *Ctx) Go(name string, fn func(*Ctx)) *Thread {
 	at := t.clock
 	t.advance(t.e.cost.Spawn)
 	nt := t.e.newThread(name, fn)
-	t.e.live++
-	if t.e.segments > 0 && t.e.live > t.e.procs {
+	if t.e.segments > 0 && len(t.e.live) > t.e.procs {
 		t.e.rollBack(t, at)
 	}
 	t.e.wake(t, nt, 0)

@@ -320,7 +320,7 @@ func (e *Engine) emit(t *Thread, kind EventKind, detail string, a1, a2 int64) {
 
 //go:noinline
 func (e *Engine) emitEvent(t *Thread, ev Event) {
-	ev.Time, ev.Thread, ev.CPU = t.clock, t.slot, int(t.lastCPU)
+	ev.Time, ev.Thread, ev.CPU = t.clock, int(t.slot), int(t.lastCPU)
 	e.tracer.Event(ev)
 }
 

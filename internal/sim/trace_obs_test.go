@@ -197,14 +197,14 @@ func TestStatsChannelWaitGroupHandCounted(t *testing.T) {
 func TestStatsCacheInvalidationsHandCounted(t *testing.T) {
 	const addr = 1 << 20
 	e := New(Config{Processors: 2})
-	e.Go("a", func(c *Ctx) {
+	a := e.Go("a", func(c *Ctx) {
 		c.Write(addr, 4)
 		c.Advance(10_000)
 		c.Write(addr, 4)
 		c.Advance(20_000)
 		c.Read(addr, 4)
 	})
-	e.Go("b", func(c *Ctx) {
+	b := e.Go("b", func(c *Ctx) {
 		c.Advance(5_000)
 		c.Read(addr, 4)
 		c.Advance(10_000)
@@ -222,11 +222,7 @@ func TestStatsCacheInvalidationsHandCounted(t *testing.T) {
 	if st.CacheMisses != 4 { // 2 cold + 2 invalidation refills
 		t.Errorf("misses = %d, want 4", st.CacheMisses)
 	}
-	var perThread int64
-	for _, th := range e.Threads() {
-		perThread += th.CacheInvalidations
-	}
-	if perThread != st.CacheInvalidations {
+	if perThread := a.CacheInvalidations + b.CacheInvalidations; perThread != st.CacheInvalidations {
 		t.Errorf("per-thread invalidations sum %d != folded %d", perThread, st.CacheInvalidations)
 	}
 }

@@ -45,6 +45,7 @@ func (wg *WaitGroup) Done(c *Ctx) {
 	for _, w := range wg.waiters {
 		t.e.wake(t, w, 0)
 	}
+	clear(wg.waiters)
 	wg.waiters = wg.waiters[:0]
 }
 
