@@ -13,8 +13,9 @@ import (
 )
 
 // cliPinInputs are the programs every pinned CLI flow runs on: a
-// vet-clean program, one with a V001 defect, a parse error and a sema
-// error.
+// vet-clean program, one with a V001 defect, a parse error, a sema
+// error, and a vet-clean program that reuses a local's name for
+// another class, handing the second class's objects to threads.
 var cliPinInputs = map[string]string{
 	"clean": `class Node {
 public:
@@ -54,6 +55,16 @@ int main() {
 	"v001":  cliProgram,
 	"parse": "int main() { return 1 +; }\n",
 	"sema":  "int main(){ return x; }\n",
+	"shadow": `class A { public: A() { v = 1; } int v; };
+class B { public: B() { w = 2; } int w; };
+void consume(B* b) { print(b->w); delete b; }
+int main() {
+    { A* p = new A(); delete p; }
+    for (int i = 0; i < 4; i = i + 1) { B* p = new B(); spawn consume(p); }
+    join;
+    return 0;
+}
+`,
 }
 
 // cliPinFlows are the pinned invocations: every flow that reads,

@@ -53,7 +53,7 @@ type HostReport struct {
 // vmHostSources are the MiniCC programs the VM rows time. treeChurn is
 // allocator/cache bound (the paper's test case 2 shape); arithLoop is
 // dispatch bound, isolating the bytecode loop from the simulation
-// models; methodCalls stresses the call machinery and inline caches.
+// models; methodCalls stresses the call machinery.
 var vmHostSources = []struct {
 	name string
 	src  string

@@ -455,7 +455,7 @@ func TestToolPathAllocs(t *testing.T) {
 			vet.Escape(prog)
 		})
 	}
-	const maxCompile, maxVetEscape = 780, 1580
+	const maxCompile, maxVetEscape = 725, 1330
 	n := float64(len(srcs))
 	t.Logf("per program: compile %.0f allocs, vet+escape %.0f allocs", compile/n, vetEscape/n)
 	if compile/n > maxCompile {

@@ -3,9 +3,11 @@ package cc
 // Scopes is a lexical scope chain kept as one binding stack: Push marks
 // where a block's bindings start, Pop drops them, and Lookup searches
 // from the innermost binding outwards, so a nested block shadows and a
-// popped block's names are gone. Sema, the VM compiler and the
-// interpreter all resolve locals through it; one stack serves a whole
-// function body, so entering a block allocates nothing.
+// popped block's names are gone. Sema resolves every local through
+// it, recording the slots the compiler and vet read; the interpreter,
+// the compiler's test oracle, keeps its locals in one of its own. One
+// stack serves a whole function body, so entering a block allocates
+// nothing.
 type Scopes[T any] struct {
 	binds []binding[T]
 	marks []int

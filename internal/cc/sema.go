@@ -34,9 +34,13 @@ var Intrinsics = map[string]Type{
 // Analyze resolves names, computes class layouts, classifies
 // identifiers (local / parameter / implicit field), infers expression
 // types for the checks the rewriter depends on, and records whether the
-// program spawns threads. It must be called before the rewriter, vet,
-// compilation or interpretation; Print is syntactic and needs no
-// analysis. It drops the value Memo holds.
+// program spawns threads. It is the program's one name resolver: it
+// records each parameter's, local's and local identifier's frame slot,
+// each body's slot count, and the field or method every member access
+// binds to, and the compiler and vet read these instead of resolving
+// names again. It must be called before the rewriter, vet, compilation
+// or interpretation; Print is syntactic and needs no analysis. It drops
+// the value Memo holds.
 func Analyze(prog *Program) error {
 	prog.memoMu.Lock()
 	prog.memoKey, prog.memoVal = nil, nil
@@ -84,11 +88,13 @@ func Analyze(prog *Program) error {
 				if err := a.checkBody(m.Class, m.Ret, m.Params, m.Body); err != nil {
 					return err
 				}
+				m.Slots = a.slots
 			}
 		case *FuncDecl:
 			if err := a.checkBody(nil, d.Ret, d.Params, d.Body); err != nil {
 				return err
 			}
+			d.Slots = a.slots
 		}
 	}
 	return nil
@@ -104,11 +110,20 @@ func MustAnalyze(prog *Program) *Program {
 
 type analyzer struct {
 	prog *Program
-	// scopes are the locals and parameters in scope.
-	scopes Scopes[Type]
+	// scopes are the locals and parameters in scope; slots counts the
+	// body's declarations so far, the next declaration's slot.
+	scopes Scopes[local]
+	slots  int
 	// method context:
 	class *ClassDecl // nil in free functions
 	ret   Type
+}
+
+// local is a parameter's or local's binding: its declared type and
+// its frame slot.
+type local struct {
+	t    Type
+	slot int
 }
 
 func (a *analyzer) layoutClass(cd *ClassDecl) error {
@@ -120,7 +135,7 @@ func (a *analyzer) layoutClass(cd *ClassDecl) error {
 		if err := a.checkTypeExists(f.Type, f.Pos); err != nil {
 			return err
 		}
-		f.Offset = off
+		f.Class, f.Offset = cd, off
 		off += FieldSize
 	}
 	cd.Size = off
@@ -141,24 +156,31 @@ func (a *analyzer) checkTypeExists(t Type, pos Pos) error {
 	return nil
 }
 
-func (a *analyzer) declare(name string, t Type, pos Pos) error {
-	if !a.scopes.Declare(name, t) {
+// declare binds name to the next frame slot, which it stores in *slot.
+// Every declaration gets a slot of its own, so a shadowing or sibling
+// declaration of a name never shares one.
+func (a *analyzer) declare(name string, t Type, pos Pos, slot *int) error {
+	*slot = a.slots
+	a.slots++
+	if !a.scopes.Declare(name, local{t, *slot}) {
 		return errf(pos, "redeclaration of %s", name)
 	}
 	return nil
 }
 
 // checkBody checks one function or method body. The parameters get a
-// scope of their own, so a body local may shadow a parameter.
+// scope of their own, so a body local may shadow a parameter. The
+// parameters take the first slots, then the locals take theirs in
+// declaration order.
 func (a *analyzer) checkBody(class *ClassDecl, ret Type, params []*Param, body *Block) error {
-	a.class, a.ret = class, ret
+	a.class, a.ret, a.slots = class, ret, 0
 	a.scopes.Reset()
 	a.scopes.Push()
 	for _, p := range params {
 		if err := a.checkTypeExists(p.Type, p.Pos); err != nil {
 			return err
 		}
-		if err := a.declare(p.Name, p.Type, p.Pos); err != nil {
+		if err := a.declare(p.Name, p.Type, p.Pos, &p.Slot); err != nil {
 			return err
 		}
 	}
@@ -189,7 +211,7 @@ func (a *analyzer) checkStmt(s Stmt) error {
 				return err
 			}
 		}
-		return a.declare(s.Name, s.Type, s.Pos)
+		return a.declare(s.Name, s.Type, s.Pos, &s.Slot)
 	case *ExprStmt:
 		_, err := a.checkExpr(s.X)
 		return err
@@ -282,9 +304,9 @@ func (a *analyzer) checkExpr(e Expr) (Type, error) {
 		}
 		return Type{Name: a.class.Name, Stars: 1}, nil
 	case *Ident:
-		if t, ok := a.scopes.Lookup(e.Name); ok {
-			e.Kind = LocalIdent
-			return *t, nil
+		if l, ok := a.scopes.Lookup(e.Name); ok {
+			e.Kind, e.Slot = LocalIdent, l.slot
+			return l.t, nil
 		}
 		if a.class != nil {
 			if f := a.class.FieldByName(e.Name); f != nil {
@@ -367,6 +389,7 @@ func (a *analyzer) checkExpr(e Expr) (Type, error) {
 				return Type{}, err
 			}
 		}
+		e.Method = m
 		return m.Ret, nil
 	case *DtorCall:
 		rt, err := a.checkExpr(e.Recv)

@@ -81,6 +81,6 @@ func bytecode(prog *cc.Program) string {
 			fmt.Fprintf(&b, "%d %d %d %d %d\n", ins.Op, ins.W, ins.A, ins.B, ins.C)
 		}
 	}
-	fmt.Fprintf(&b, "consts %v\nstrs %q\nnames %q\nsites %q\n", p.Consts, p.Strs, p.Names, p.Sites)
+	fmt.Fprintf(&b, "consts %v\nstrs %q\nsites %q\n", p.Consts, p.Strs, p.Sites)
 	return b.String()
 }

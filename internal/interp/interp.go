@@ -142,9 +142,10 @@ func zeroFor(t cc.Type) value {
 	return intVal(0)
 }
 
-// frame is one activation record. Locals live in a scope stack so that
-// nested blocks shadow correctly (matching the VM's compile-time slot
-// resolution).
+// frame is one activation record. Locals live in a scope stack of the
+// interpreter's own, resolved by name, so that the differential tests
+// check the frame slots sema records for the VM against an independent
+// resolution.
 type frame struct {
 	vars  cc.Scopes[value]
 	this  mem.Ref
@@ -426,6 +427,9 @@ func (m *machine) eval(c *sim.Ctx, f *frame, e cc.Expr) value {
 	case *cc.MethodCall:
 		recv := m.eval(c, f, e.Recv)
 		o := m.liveObject(e.Pos, recv.ref)
+		if o.class != e.Method.Class {
+			panic(rtErr(e.Pos, "method %s::%s called on %s object", e.Method.Class.Name, e.Name, o.class.Name))
+		}
 		meth := o.class.MethodByName(e.Name)
 		if meth == nil {
 			panic(rtErr(e.Pos, "class %s has no method %s", o.class.Name, e.Name))
@@ -448,7 +452,7 @@ func (m *machine) eval(c *sim.Ctx, f *frame, e cc.Expr) value {
 		return value{}
 	case *cc.FieldAccess:
 		recv := m.eval(c, f, e.Recv)
-		return m.readField(c, e.Pos, recv.ref, e.Name)
+		return m.readField(c, e.Pos, recv.ref, e.Field.Class, e.Name)
 	case *cc.Index:
 		x := m.eval(c, f, e.X)
 		i := m.eval(c, f, e.I)
@@ -498,7 +502,7 @@ func (m *machine) newBuffer(c *sim.Ctx, pos Pos, elem string, n int64) value {
 func (m *machine) readIdent(c *sim.Ctx, f *frame, e *cc.Ident) value {
 	switch e.Kind {
 	case cc.FieldIdent:
-		return m.readField(c, e.Pos, f.this, e.Name)
+		return m.readField(c, e.Pos, f.this, f.class, e.Name)
 	default:
 		v, ok := f.vars.Lookup(e.Name)
 		if !ok {
@@ -514,8 +518,8 @@ func (m *machine) readIdent(c *sim.Ctx, f *frame, e *cc.Ident) value {
 // freed memory is an error. Like every field and element access, and
 // as in the VM, the load takes effect at its start: the value is taken
 // before the access is charged.
-func (m *machine) readField(c *sim.Ctx, pos Pos, ref mem.Ref, name string) value {
-	o := m.getObject(pos, ref)
+func (m *machine) readField(c *sim.Ctx, pos Pos, ref mem.Ref, static *cc.ClassDecl, name string) value {
+	o := m.classObject(pos, ref, static, name)
 	fl := o.class.FieldByName(name)
 	if fl == nil {
 		panic(rtErr(pos, "class %s has no field %s", o.class.Name, name))
@@ -525,14 +529,26 @@ func (m *machine) readField(c *sim.Ctx, pos Pos, ref mem.Ref, name string) value
 	return v
 }
 
-func (m *machine) writeField(c *sim.Ctx, pos Pos, ref mem.Ref, name string, v value) {
-	o := m.getObject(pos, ref)
+func (m *machine) writeField(c *sim.Ctx, pos Pos, ref mem.Ref, static *cc.ClassDecl, name string, v value) {
+	o := m.classObject(pos, ref, static, name)
 	fl := o.class.FieldByName(name)
 	if fl == nil {
 		panic(rtErr(pos, "class %s has no field %s", o.class.Name, name))
 	}
 	o.fields[fieldIndex(o.class, name)] = v
 	c.Write(uint64(ref)+uint64(fl.Offset), cc.FieldSize)
+}
+
+// classObject is getObject for an access to field name of class
+// static, the receiver's static class. Members bind statically, as in
+// C++ and the VM, so an object of another class, reachable only through
+// a pointer converted via void*, faults.
+func (m *machine) classObject(pos Pos, ref mem.Ref, static *cc.ClassDecl, name string) *object {
+	o := m.getObject(pos, ref)
+	if o.class != static {
+		panic(rtErr(pos, "field %s::%s accessed on %s object", static.Name, name, o.class.Name))
+	}
+	return o
 }
 
 func fieldIndex(cd *cc.ClassDecl, name string) int {
@@ -550,7 +566,7 @@ func (m *machine) assign(c *sim.Ctx, f *frame, lhs cc.Expr, v value) {
 		m.assign(c, f, lhs.X, v)
 	case *cc.Ident:
 		if lhs.Kind == cc.FieldIdent {
-			m.writeField(c, lhs.Pos, f.this, lhs.Name, v)
+			m.writeField(c, lhs.Pos, f.this, f.class, lhs.Name, v)
 			return
 		}
 		slot, ok := f.vars.Lookup(lhs.Name)
@@ -560,7 +576,7 @@ func (m *machine) assign(c *sim.Ctx, f *frame, lhs cc.Expr, v value) {
 		*slot = v
 	case *cc.FieldAccess:
 		recv := m.eval(c, f, lhs.Recv)
-		m.writeField(c, lhs.Pos, recv.ref, lhs.Name, v)
+		m.writeField(c, lhs.Pos, recv.ref, lhs.Field.Class, lhs.Name, v)
 	case *cc.Index:
 		x := m.eval(c, f, lhs.X)
 		i := m.eval(c, f, lhs.I)

@@ -74,7 +74,10 @@ type Node struct {
 	Fn     *cc.FuncDecl
 	Body   *cc.Block
 	Params []*cc.Param
-	Edges  []Edge
+	// Slots is the body's frame-slot count; sema numbers the
+	// parameters first, then the locals.
+	Slots int
+	Edges []Edge
 	// env types the body's expressions; built once with the graph.
 	env *typeEnv
 	// Mult bounds how many times the callable runs per execution of
@@ -138,17 +141,20 @@ func BuildGraph(prog *cc.Program) *Graph {
 				if m.Synthetic || m.Body == nil {
 					continue
 				}
-				add(&Node{Name: methodNodeName(m), Class: d, Method: m, Body: m.Body, Params: m.Params})
+				add(&Node{Name: methodNodeName(m), Class: d, Method: m, Body: m.Body, Params: m.Params, Slots: m.Slots})
 			}
 		case *cc.FuncDecl:
 			if d.Body != nil {
-				add(&Node{Name: d.Name, Fn: d, Body: d.Body, Params: d.Params})
+				add(&Node{Name: d.Name, Fn: d, Body: d.Body, Params: d.Params, Slots: d.Slots})
 			}
 		}
 	}
 	for _, name := range g.Order {
 		n := g.Nodes[name]
-		n.env = newTypeEnv(g.prog, n)
+		n.env = &typeEnv{prog: g.prog, node: n, types: make([]cc.Type, n.Slots)}
+		for _, p := range n.Params {
+			n.env.types[p.Slot] = p.Type
+		}
 		w := &edgeWalker{g: g, n: n}
 		w.stmt(n.Body, 1)
 		slices.SortStableFunc(n.Edges, func(a, b Edge) int {
@@ -166,46 +172,15 @@ func BuildGraph(prog *cc.Program) *Graph {
 }
 
 // typeEnv resolves the static type of expressions inside one body: the
-// declared types of params and locals (collected in a prepass; MiniCC
-// bodies rarely shadow, and a name declared twice with different types
-// degrades to unknown), plus field, call and new types.
+// declared types of params and locals, plus field, call and new types.
 type typeEnv struct {
 	prog *cc.Program
 	node *Node
-	// index numbers the body's parameter and local names in the order
-	// they are first declared; the escape analysis indexes its
-	// per-local tables the same way. types[i] is name i's declared
-	// type, and param[i] its parameter position, or -1.
-	index map[string]int
+	// types[i] is the declared type of the parameter or local in frame
+	// slot i. The parameters' are known up front; each local's is
+	// recorded as the edge walk passes its declaration, which sema's
+	// scoping puts before every use.
 	types []cc.Type
-	param []int
-}
-
-func newTypeEnv(prog *cc.Program, n *Node) *typeEnv {
-	e := &typeEnv{prog: prog, node: n, index: map[string]int{}}
-	declare := func(name string, t cc.Type) int {
-		i, ok := e.index[name]
-		switch {
-		case !ok:
-			i = len(e.types)
-			e.index[name] = i
-			e.types = append(e.types, t)
-			e.param = append(e.param, -1)
-		case e.types[i] != t:
-			e.types[i] = cc.Type{} // conflicting shadowed decls
-		}
-		return i
-	}
-	for pos, p := range n.Params {
-		i := declare(p.Name, p.Type)
-		e.types[i], e.param[i] = p.Type, pos
-	}
-	walkStmt(n.Body, func(s cc.Stmt) {
-		if vd, ok := s.(*cc.VarDecl); ok {
-			declare(vd.Name, vd.Type)
-		}
-	}, func(cc.Expr) {})
-	return e
 }
 
 // typeOf computes the static type of e; the zero Type means unknown.
@@ -220,11 +195,11 @@ func (t *typeEnv) typeOf(e cc.Expr) cc.Type {
 			return cc.Type{Name: t.node.Class.Name, Stars: 1}
 		}
 	case *cc.Ident:
-		if e.Kind == cc.FieldIdent && e.Field != nil {
+		switch e.Kind {
+		case cc.FieldIdent:
 			return e.Field.Type
-		}
-		if i, ok := t.index[e.Name]; ok {
-			return t.types[i]
+		case cc.LocalIdent:
+			return t.types[e.Slot]
 		}
 	case *cc.Paren:
 		return t.typeOf(e.X)
@@ -240,15 +215,9 @@ func (t *typeEnv) typeOf(e cc.Expr) cc.Type {
 			return fd.Ret
 		}
 	case *cc.MethodCall:
-		if cd := t.classOf(e.Recv); cd != nil {
-			if m := cd.MethodByName(e.Name); m != nil {
-				return m.Ret
-			}
-		}
+		return e.Method.Ret
 	case *cc.FieldAccess:
-		if e.Field != nil {
-			return e.Field.Type
-		}
+		return e.Field.Type
 	case *cc.Index:
 		b := t.typeOf(e.X)
 		if b.Stars > 0 {
@@ -294,6 +263,7 @@ func (w *edgeWalker) stmt(s cc.Stmt, mult int64) {
 		}
 	case *cc.VarDecl:
 		w.expr(s.Init, mult)
+		w.n.env.types[s.Slot] = s.Type
 	case *cc.ExprStmt:
 		w.expr(s.X, mult)
 	case *cc.If:
@@ -357,10 +327,8 @@ func (w *edgeWalker) expr(e cc.Expr, mult int64) {
 		for _, a := range e.Args {
 			w.expr(a, mult)
 		}
-		if cd := w.n.env.classOf(e.Recv); cd != nil {
-			if m := cd.MethodByName(e.Name); m != nil && m.Body != nil && !m.Synthetic {
-				w.add(w.g.nodeName(m), e.Pos, false, mult)
-			}
+		if m := e.Method; m.Body != nil && !m.Synthetic {
+			w.add(w.g.nodeName(m), e.Pos, false, mult)
 		}
 	case *cc.DtorCall:
 		w.expr(e.Recv, mult)

@@ -223,8 +223,11 @@ type siteFact struct {
 	deletedDirect bool // `delete p` on the dedicated local
 	deletedVia    bool // deleted through an alias or callee
 	blocked       string
-	local         string
-	deletes       map[*cc.DeleteStmt]bool
+	// local names the dedicated local the site initializes, "" for
+	// none, and slot is its frame slot.
+	local   string
+	slot    int
+	deletes map[*cc.DeleteStmt]bool
 }
 
 func (f *siteFact) escape(prefix string, to route) {
@@ -311,7 +314,7 @@ func runEscape(prog *cc.Program) *escAnalysis {
 
 // bodyPass walks one body flow-insensitively, accumulating origin sets
 // per local until they stabilize. A node keeps one pass for every
-// sweep; its tables are indexed like the body's names (n.env.index).
+// sweep; its tables are indexed by frame slot.
 type bodyPass struct {
 	an         *escAnalysis
 	n          *Node
@@ -321,21 +324,19 @@ type bodyPass struct {
 
 	// locals are the origin sets of the locals the walk has assigned
 	// (held), nheld how many there are; assigned marks the locals an
-	// assignment targets, and declared counts the declarations of each
-	// name the current walk has passed.
+	// assignment targets.
 	locals   []oset
 	held     []bool
 	nheld    int
 	assigned []bool
-	declared []int
 }
 
 func (an *escAnalysis) runBody(n *Node) bool {
 	p := an.passes[n]
 	if p == nil {
-		k := len(n.env.types)
+		k := n.Slots
 		p = &bodyPass{an: an, n: n, locals: make([]oset, k), held: make([]bool, k),
-			assigned: make([]bool, k), declared: make([]int, k)}
+			assigned: make([]bool, k)}
 		an.passes[n] = p
 	}
 	p.sum = an.sums[n.Name]
@@ -348,8 +349,6 @@ func (an *escAnalysis) runBody(n *Node) bool {
 	// Inner fixpoint: origins of locals feed later (and earlier) uses.
 	for pass := 0; pass < p.nheld+8; pass++ {
 		p.changed = false
-		// The walk may repeat; declaration counts are per-walk facts.
-		clear(p.declared)
 		p.stmt(n.Body, 1)
 		if !p.changed {
 			break
@@ -358,24 +357,21 @@ func (an *escAnalysis) runBody(n *Node) bool {
 	return p.changed || p.sumChanged
 }
 
-func (p *bodyPass) localSet(name string) *oset {
-	i := p.n.env.index[name]
-	if !p.held[i] {
-		p.held[i] = true
+func (p *bodyPass) localSet(slot int) *oset {
+	if !p.held[slot] {
+		p.held[slot] = true
 		p.nheld++
 	}
-	return &p.locals[i]
+	return &p.locals[slot]
 }
 
-// origin computes the may-hold set of a name.
-func (p *bodyPass) nameOrigins(name string) oset {
+// slotOrigins computes the may-hold set of the local in slot i. The
+// parameters hold the first slots, so a parameter's slot is also its
+// position.
+func (p *bodyPass) slotOrigins(i int) oset {
 	var o oset
-	i, ok := p.n.env.index[name]
-	if !ok {
-		return o
-	}
-	if pos := p.n.env.param[i]; pos >= 0 && pos < 64 {
-		o.params |= 1 << uint(pos)
+	if i < len(p.n.Params) && i < 64 {
+		o.params |= 1 << uint(i)
 	}
 	if p.held[i] {
 		o.union(p.locals[i])
@@ -436,7 +432,7 @@ func (p *bodyPass) deleteVal(o oset, direct *cc.DeleteStmt, x cc.Expr) {
 	for s := range o.sites {
 		f := p.fact(s)
 		if direct != nil {
-			if id, ok := stripParens(x).(*cc.Ident); ok && f.local != "" && id.Name == f.local {
+			if id, ok := stripParens(x).(*cc.Ident); ok && f.local != "" && id.Kind == cc.LocalIdent && id.Slot == f.slot {
 				f.deletedDirect = true
 				if f.deletes == nil {
 					f.deletes = map[*cc.DeleteStmt]bool{}
@@ -484,17 +480,15 @@ func (p *bodyPass) stmt(s cc.Stmt, mult int64) {
 		}
 	case *cc.VarDecl:
 		if s.Init == nil {
-			p.declared[p.n.env.index[s.Name]]++
 			return
 		}
 		rv := p.expr(s.Init, mult)
-		if p.localSet(s.Name).union(rv) {
+		if p.localSet(s.Slot).union(rv) {
 			p.changed = true
 		}
-		p.declared[p.n.env.index[s.Name]]++
 		if ne, ok := stripParens(s.Init).(*cc.NewExpr); ok && ne.Placement == nil {
 			if f := p.an.facts[ne]; f != nil && f.local == "" {
-				f.local = s.Name
+				f.local, f.slot = s.Name, s.Slot
 			}
 		}
 	case *cc.ExprStmt:
@@ -574,10 +568,10 @@ func (p *bodyPass) expr(e cc.Expr, mult int64) oset {
 	case *cc.This:
 		return oset{recv: true}
 	case *cc.Ident:
-		if e.Kind == cc.FieldIdent {
+		if e.Kind != cc.LocalIdent {
 			return oset{}
 		}
-		return p.nameOrigins(e.Name)
+		return p.slotOrigins(e.Slot)
 	case *cc.Paren:
 		return p.expr(e.X, mult)
 	case *cc.Unary:
@@ -659,10 +653,10 @@ func (p *bodyPass) assignTo(lhs cc.Expr, rv oset, mult int64) {
 			p.escapeVal(rv, "", route{"a store into field ", l.Name, ""})
 			return
 		}
-		if p.localSet(l.Name).union(rv) {
+		if p.localSet(l.Slot).union(rv) {
 			p.changed = true
 		}
-		p.assigned[p.n.env.index[l.Name]] = true
+		p.assigned[l.Slot] = true
 	case *cc.FieldAccess:
 		p.expr(l.Recv, mult)
 		p.escapeVal(rv, "", route{"a store into field ", l.Name, ""})
@@ -710,13 +704,9 @@ func (p *bodyPass) call(e *cc.Call, mult int64) oset {
 
 func (p *bodyPass) methodCall(e *cc.MethodCall, mult int64) oset {
 	rv := p.expr(e.Recv, mult)
-	cd := p.n.env.classOf(e.Recv)
-	var m *cc.Method
-	if cd != nil {
-		m = cd.MethodByName(e.Name)
-	}
+	m := e.Method
 	var sum *summary
-	if m != nil && !m.Synthetic && m.Body != nil {
+	if !m.Synthetic && m.Body != nil {
 		sum = p.an.sums[p.an.g.nodeName(m)]
 	}
 	var out oset
@@ -743,11 +733,7 @@ func (p *bodyPass) methodCall(e *cc.MethodCall, mult int64) oset {
 	if sum != nil && sum.returnsFresh {
 		out.addToken(e)
 		if p.an.tokens[e] == nil {
-			name := e.Name
-			if m != nil {
-				name = p.an.g.nodeName(m)
-			}
-			p.an.tokens[e] = &tokenFact{pos: e.Pos, callee: name, node: p.n}
+			p.an.tokens[e] = &tokenFact{pos: e.Pos, callee: p.an.g.nodeName(m), node: p.n}
 			p.an.tokenOrder = append(p.an.tokenOrder, e)
 		}
 	}
@@ -855,9 +841,9 @@ func Escape(prog *cc.Program) *EscapeReport {
 			site.Reason = f.blocked
 		case f.local == "":
 			site.Reason = "allocation is not bound to a dedicated local"
-		case pass != nil && pass.reassigned(f.local):
+		case pass != nil && pass.assigned[f.slot]:
 			site.Reason = fmt.Sprintf("local %s is reassigned or redeclared", f.local)
-		case aliasedElsewhere(pass, e, f.local):
+		case aliasedElsewhere(pass, e, f.slot):
 			site.Reason = fmt.Sprintf("value of local %s aliases another local", f.local)
 		case !f.deletedDirect:
 			site.Reason = "no matching delete in the creating function"
@@ -920,20 +906,12 @@ func Escape(prog *cc.Program) *EscapeReport {
 	return r
 }
 
-// reassigned reports whether the body assigns local or declares it more
-// than once.
-func (p *bodyPass) reassigned(local string) bool {
-	i := p.n.env.index[local]
-	return p.assigned[i] || p.declared[i] > 1
-}
-
 // aliasedElsewhere reports whether a promotion candidate's value may
-// also live in a local other than its dedicated binding.
-func aliasedElsewhere(p *bodyPass, e *cc.NewExpr, local string) bool {
+// also live in a local other than its dedicated binding, in slot self.
+func aliasedElsewhere(p *bodyPass, e *cc.NewExpr, self int) bool {
 	if p == nil {
 		return false
 	}
-	self := p.n.env.index[local]
 	for i, o := range p.locals {
 		if i != self && p.held[i] && o.sites[e] {
 			return true

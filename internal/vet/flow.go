@@ -27,8 +27,8 @@ func (m pmask) only(bit pmask) bool { return m == bit }
 
 // astate is the abstract state at one program point, in slices indexed
 // per body: the masks of the enclosing class's tracked pointer fields
-// by field position, and one entry per pointer local by the index the
-// body's fa gives its name.
+// by field position, and one entry per local by the frame slot sema
+// gave its declaration (only pointer locals ever get a non-zero mask).
 type astate struct {
 	fields []pmask
 	locals []local
@@ -110,7 +110,7 @@ type aval struct {
 	// field is the index of the own-class tracked field whose current
 	// value this is (directly, or through a local alias), or -1.
 	field int
-	// local is the index of the pointer local whose current value this
+	// local is the slot of the pointer local whose current value this
 	// is, or -1.
 	local int
 	// fromNew marks a fresh allocation made by this very expression.
@@ -128,6 +128,14 @@ type funcCtx struct {
 }
 
 func (c funcCtx) isCtor() bool { return c.method != nil && c.method.Kind == cc.Ctor }
+
+// slots is the body's frame-slot count.
+func (c funcCtx) slots() int {
+	if c.fn != nil {
+		return c.fn.Slots
+	}
+	return c.method.Slots
+}
 
 func (c funcCtx) className() string {
 	if c.class == nil {
@@ -284,13 +292,10 @@ type fa struct {
 	// fields are the tracked fields of the enclosing class; a state's
 	// field masks are indexed like them.
 	fields []*cc.Field
-	// names are the body's pointer parameters and locals, each name
-	// once (same-named locals share an entry, as lexical scoping keeps
-	// them apart); index maps a name to its position in names and in a
-	// state's locals.
-	names []string
-	index map[string]int
-	// localPos remembers declaration positions for leak reports.
+	// names and localPos are the name and declaration position of each
+	// pointer parameter and local, by slot, for diagnostics; a local's
+	// are set when the walk first passes its declaration.
+	names    []string
 	localPos []cc.Pos
 	// in[b] is the entry state of block b once reached[b]; in[len-1]
 	// is the state a block's instructions update. The slabs back them.
@@ -322,11 +327,10 @@ func (a *fa) field(name string) int {
 	return -1
 }
 
-// local returns the index of the pointer local name when some path to
-// st declares it.
-func (a *fa) local(st astate, name string) (int, bool) {
-	i, ok := a.index[name]
-	return i, ok && st.locals[i].m != 0
+// localSlot returns the slot of the local identifier id when it is a
+// pointer local some path to st declares.
+func localSlot(st astate, id *cc.Ident) (int, bool) {
+	return id.Slot, id.Kind == cc.LocalIdent && st.locals[id.Slot].m != 0
 }
 
 // checkBody runs the dataflow over one function or method body; fields
@@ -335,27 +339,8 @@ func (c *checker) checkBody(ctx funcCtx, fields []*cc.Field, body *cc.Block, par
 	a := &c.flow
 	g := a.cfg.build(body)
 	a.c, a.ctx, a.fields = c, ctx, fields
-	a.names = a.names[:0]
-	clear(a.index)
-	declare := func(name string) {
-		if _, ok := a.index[name]; !ok {
-			a.index[name] = len(a.names)
-			a.names = append(a.names, name)
-		}
-	}
-	for _, p := range params {
-		if p.Type.IsPointer() {
-			declare(p.Name)
-		}
-	}
-	for _, b := range g.blocks {
-		for _, ins := range b.instrs {
-			if d, ok := ins.stmt.(*cc.VarDecl); ok && d.Type.IsPointer() {
-				declare(d.Name)
-			}
-		}
-	}
-	nb, nf, nl := len(g.blocks), len(fields), len(a.names)
+	nb, nf, nl := len(g.blocks), len(fields), ctx.slots()
+	a.names = grow(a.names, nl)
 	a.localPos = grow(a.localPos, nl)
 	a.fieldSlab = grow(a.fieldSlab, (nb+1)*nf)
 	a.localSlab = grow(a.localSlab, (nb+1)*nl)
@@ -375,9 +360,8 @@ func (c *checker) checkBody(ctx funcCtx, fields []*cc.Field, body *cc.Block, par
 	}
 	for _, p := range params {
 		if p.Type.IsPointer() {
-			i := a.index[p.Name]
-			entry.locals[i].m = stUnknown
-			a.localPos[i] = p.Pos
+			entry.locals[p.Slot].m = stUnknown
+			a.names[p.Slot], a.localPos[p.Slot] = p.Name, p.Pos
 		}
 	}
 
@@ -426,9 +410,8 @@ func (a *fa) transfer(st astate, ins instr) {
 			v = a.eval(st, s.Init)
 		}
 		if s.Type.IsPointer() {
-			i := a.index[s.Name]
-			a.localPos[i] = s.Pos
-			a.setLocal(st, i, v)
+			a.names[s.Slot], a.localPos[s.Slot] = s.Name, s.Pos
+			a.setLocal(st, s.Slot, v)
 		}
 	case *cc.ExprStmt:
 		a.eval(st, s.X)
@@ -479,9 +462,9 @@ func (a *fa) classPointerField(i int) bool {
 	return a.fields[i].Type.IsClassPointer(a.c.prog.Classes)
 }
 
-// setLocal strong-updates pointer local i. Reassigning a local also
-// ends its spawn hand-off: the variable no longer names the value the
-// spawned thread holds.
+// setLocal strong-updates the pointer local in slot i. Reassigning a
+// local also ends its spawn hand-off: the variable no longer names the
+// value the spawned thread holds.
 func (a *fa) setLocal(st astate, i int, v aval) {
 	m := v.m
 	if v.fromNew {
@@ -583,7 +566,7 @@ func ownFieldVal(st astate, i int) aval {
 	return aval{m: st.fields[i], field: i, local: -1}
 }
 
-// localVal is the value of pointer local i.
+// localVal is the value of the pointer local in slot i.
 func localVal(st astate, i int) aval {
 	l := st.locals[i]
 	return aval{m: l.m, field: l.field(), local: i}
@@ -602,7 +585,7 @@ func (a *fa) assign(st astate, lhs cc.Expr, rv aval, pos cc.Pos) aval {
 			}
 			return rv
 		}
-		if i, ok := a.local(st, l.Name); ok {
+		if i, ok := localSlot(st, l); ok {
 			a.setLocal(st, i, rv)
 			return localVal(st, i)
 		}
@@ -669,7 +652,7 @@ func (a *fa) eval(st astate, e cc.Expr) aval {
 			}
 			return opaque(stUnknown)
 		}
-		if i, ok := a.local(st, e.Name); ok {
+		if i, ok := localSlot(st, e); ok {
 			return localVal(st, i)
 		}
 		return opaque(stUnknown)

@@ -250,7 +250,7 @@ func (r *Result) Ineligible() []Exclusion {
 // clean.
 func Check(prog *cc.Program) *Result {
 	mustBeAnalyzed(prog, "Check")
-	c := &checker{prog: prog, seen: map[diagKey]bool{}, flow: fa{index: map[string]int{}}}
+	c := &checker{prog: prog, seen: map[diagKey]bool{}}
 	for _, d := range prog.Decls {
 		switch d := d.(type) {
 		case *cc.ClassDecl:

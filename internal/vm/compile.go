@@ -2,6 +2,7 @@ package vm
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 
 	"amplify/internal/cc"
@@ -25,7 +26,6 @@ type Program struct {
 	Fns    []*Fn
 	Consts []int64
 	Strs   []string // string-literal table
-	Names  []string // method/field-name table for dynamic dispatch
 	// Sites is the allocation-site table that the C operand of
 	// OpNew/OpPlacementNew/OpNewArray/OpPoolAlloc/OpRealloc indexes:
 	// "fn@line(Class)" for objects, "fn@line" for buffers — the Site of
@@ -37,45 +37,29 @@ type Program struct {
 	FuncID map[string]int
 	// Optimized records whether the peephole pass ran.
 	Optimized bool
-	// classes are the per-class dispatch records, indexed by the class
-	// ids that OpNew/OpDtor/OpPoolAlloc/OpPoolFree carry in A.
+	// classes are the per-class records, indexed by the class ids that
+	// OpNew/OpDtor/OpPoolAlloc/OpPoolFree carry in A and member
+	// accesses carry in C.
 	classes []*classInfo
-	// methodSites counts OpMethod sites; each site's C operand indexes
-	// the executing machine's inline-cache array.
-	methodSites int
-	// methodID maps class/kind/name to Fn indices.
-	methodID map[methodKey]int
+	// methodID maps each member function to its Fn index.
+	methodID map[*cc.Method]int
 	classID  map[string]int
-	nameID   map[string]int
 	constID  map[int64]int
 	strID    map[string]int
 	siteID   map[string]int32
 }
 
-// classInfo is the per-class compile-time dispatch record: everything
-// the run-time hot paths need, resolved to dense indices once per
-// Program. Classes are immutable after Compile, so none of these
-// tables ever needs invalidation.
+// classInfo is the per-class record: everything the run-time hot paths
+// need, resolved to dense indices once per Program.
 type classInfo struct {
 	id   int32
 	decl *cc.ClassDecl
-	// vtable and field table, indexed by global name id (p.Names).
-	// vtable[n] is the Fn index of the plain method named Names[n], or
-	// -1; fieldOf[n] is the field index of Names[n], or -1.
-	vtable  []int32
-	fieldOf []int32
 	// Lifecycle member functions as Fn indices, -1 when absent.
 	ctor, dtor, opNew, opDelete int32
 	// offsets[i] is Fields[i].Offset, lifted out of the AST.
 	offsets []int64
 	// proto is the zero value of the field array (null for pointers).
 	proto []value
-}
-
-type methodKey struct {
-	class string
-	kind  cc.MethodKind
-	name  string
 }
 
 // Options configure compilation.
@@ -99,46 +83,39 @@ func CompileOpts(src *cc.Program, opt Options) (*Program, error) {
 		Src:      src,
 		Sites:    []string{"?"},
 		FuncID:   map[string]int{},
-		methodID: map[methodKey]int{},
+		methodID: map[*cc.Method]int{},
 		classID:  map[string]int{},
-		nameID:   map[string]int{},
 		constID:  map[int64]int{},
 		strID:    map[string]int{},
 		siteID:   map[string]int32{"?": 0},
 	}
-	// Reserve ids first so calls can reference later definitions. A
-	// name declared twice keeps its last body; the slot reserved for the
-	// earlier one stays empty under a placeholder name.
+	// Reserve ids first so calls can reference later definitions. Sema
+	// rejects a function or class declared twice; a method declared
+	// twice gets an Fn of its own, and calls bind to the one sema chose.
 	for _, d := range src.Decls {
 		switch d := d.(type) {
 		case *cc.FuncDecl:
-			if old, dup := p.FuncID[d.Name]; dup {
-				p.Fns[old].Name = "func " + d.Name
-			}
 			p.FuncID[d.Name] = p.reserve()
 		case *cc.ClassDecl:
 			p.classID[d.Name] = len(p.classes)
 			p.classes = append(p.classes, &classInfo{id: int32(len(p.classes)), decl: d})
 			for _, m := range d.Methods {
-				key := methodKey{d.Name, m.Kind, m.Name}
-				if old, dup := p.methodID[key]; dup {
-					p.Fns[old].Name = d.Name + "::" + m.Name + "/" + strconv.Itoa(int(m.Kind))
-				}
-				p.methodID[key] = p.reserve()
+				p.methodID[m] = p.reserve()
 			}
 		}
 	}
+	p.buildClassTables()
 	c := &compiler{p: p}
 	for _, d := range src.Decls {
 		switch d := d.(type) {
 		case *cc.FuncDecl:
-			if err := c.body(p.Fns[p.FuncID[d.Name]], d.Name, nil, cc.PlainMethod, d.Params, d.Body); err != nil {
+			if err := c.body(p.Fns[p.FuncID[d.Name]], d.Name, nil, cc.PlainMethod, d.Params, d.Slots, d.Body); err != nil {
 				return nil, err
 			}
 		case *cc.ClassDecl:
 			for _, m := range d.Methods {
-				fn := p.Fns[p.methodID[methodKey{d.Name, m.Kind, m.Name}]]
-				if err := c.body(fn, methodName(d, m), d, m.Kind, m.Params, m.Body); err != nil {
+				fn := p.Fns[p.methodID[m]]
+				if err := c.body(fn, methodName(d, m), d, m.Kind, m.Params, m.Slots, m.Body); err != nil {
 					return nil, err
 				}
 			}
@@ -148,36 +125,25 @@ func CompileOpts(src *cc.Program, opt Options) (*Program, error) {
 		optimize(p)
 		p.Optimized = true
 	}
-	// The name table is final only after every body (and the peephole
-	// pass, which interns no names) has been compiled; build the
-	// per-class dispatch tables over it.
-	p.buildClassTables()
 	return p, nil
 }
 
-// buildClassTables fills every classInfo's vtable, field table,
-// lifecycle ids, offsets and field prototype. Called once per Compile;
-// classes are immutable afterwards, so inline caches built on these
-// tables never need invalidation.
+// buildClassTables fills every classInfo's lifecycle ids, offsets and
+// field prototype. The lifecycle member functions are the ones sema
+// and the interpreter use: a class's first of each kind.
 func (p *Program) buildClassTables() {
-	fnID := func(cd *cc.ClassDecl, kind cc.MethodKind, name string) int32 {
-		if id, ok := p.methodID[methodKey{cd.Name, kind, name}]; ok {
+	fnID := func(m *cc.Method) int32 {
+		if id, ok := p.methodID[m]; ok {
 			return int32(id)
 		}
 		return -1
 	}
 	for _, ci := range p.classes {
 		cd := ci.decl
-		ci.ctor = fnID(cd, cc.Ctor, "")
-		ci.dtor = fnID(cd, cc.Dtor, "")
-		ci.opNew = fnID(cd, cc.OpNew, "")
-		ci.opDelete = fnID(cd, cc.OpDelete, "")
-		ci.vtable = make([]int32, len(p.Names))
-		ci.fieldOf = make([]int32, len(p.Names))
-		for n, name := range p.Names {
-			ci.vtable[n] = fnID(cd, cc.PlainMethod, name)
-			ci.fieldOf[n] = fieldIndex(cd, name)
-		}
+		ci.ctor = fnID(cd.Ctor())
+		ci.dtor = fnID(cd.Dtor())
+		ci.opNew = fnID(cd.OperatorNew())
+		ci.opDelete = fnID(cd.OperatorDelete())
 		ci.offsets = make([]int64, len(cd.Fields))
 		ci.proto = make([]value, len(cd.Fields))
 		for i, f := range cd.Fields {
@@ -229,34 +195,19 @@ func (p *Program) str(s string) int32 {
 	return int32(len(p.Strs) - 1)
 }
 
-func (p *Program) name(s string) int32 {
-	if id, ok := p.nameID[s]; ok {
-		return int32(id)
-	}
-	p.Names = append(p.Names, s)
-	p.nameID[s] = len(p.Names) - 1
-	return int32(len(p.Names) - 1)
-}
-
-// compiler holds the state of the body being compiled.
+// compiler holds the state of the body being compiled. Sema has bound
+// every name: locals carry their frame slots and member accesses their
+// field or method, so the compiler resolves nothing itself.
 type compiler struct {
 	p      *Program
-	class  *cc.ClassDecl
 	fnName string
 	code   []Instr
-	// vars maps the locals in scope to their slots.
-	vars  cc.Scopes[int]
-	slots int
 }
 
-// body compiles one function or method body into fn.
-func (c *compiler) body(fn *Fn, name string, class *cc.ClassDecl, kind cc.MethodKind, params []*cc.Param, body *cc.Block) error {
-	c.class, c.fnName, c.code, c.slots = class, name, nil, 0
-	c.vars.Reset()
-	c.vars.Push()
-	for _, prm := range params {
-		c.declare(prm.Name)
-	}
+// body compiles one function or method body into fn; slots is the
+// body's slot count from sema, parameters first.
+func (c *compiler) body(fn *Fn, name string, class *cc.ClassDecl, kind cc.MethodKind, params []*cc.Param, slots int, body *cc.Block) error {
+	c.fnName, c.code = name, nil
 	if err := c.block(body); err != nil {
 		return err
 	}
@@ -264,7 +215,7 @@ func (c *compiler) body(fn *Fn, name string, class *cc.ClassDecl, kind cc.Method
 	*fn = Fn{
 		Name:   name,
 		Params: len(params),
-		Slots:  c.slots,
+		Slots:  slots,
 		Code:   c.code,
 		Class:  class,
 		Kind:   kind,
@@ -310,23 +261,15 @@ func (c *compiler) patch(at int, target int) {
 	c.code[at].A = int32(target)
 }
 
-func (c *compiler) declare(name string) int {
-	slot := c.slots
-	c.slots++
-	c.vars.Declare(name, slot)
-	return slot
-}
-
-func (c *compiler) lookup(name string) (int, bool) {
-	if slot, ok := c.vars.Lookup(name); ok {
-		return *slot, true
-	}
-	return 0, false
+// member emits the field opcode op for field f of a receiver of f's
+// class: A is the field's index and C the class id the receiver's
+// run-time class must match.
+func (c *compiler) member(op Op, f *cc.Field) {
+	at := c.emit(op, int32(slices.Index(f.Class.Fields, f)), 0)
+	c.code[at].C = int32(c.p.classID[f.Class.Name])
 }
 
 func (c *compiler) block(b *cc.Block) error {
-	c.vars.Push()
-	defer c.vars.Pop()
 	for _, s := range b.Stmts {
 		if err := c.stmt(s); err != nil {
 			return err
@@ -350,8 +293,7 @@ func (c *compiler) stmt(s cc.Stmt) error {
 				c.code[len(c.code)-1] = Instr{Op: OpNull}
 			}
 		}
-		slot := c.declare(s.Name)
-		c.emit(OpStoreLocal, int32(slot), 0)
+		c.emit(OpStoreLocal, int32(s.Slot), 0)
 		return nil
 	case *cc.ExprStmt:
 		if err := c.expr(s.X); err != nil {
@@ -391,8 +333,6 @@ func (c *compiler) stmt(s cc.Stmt) error {
 		c.patch(jf, len(c.code))
 		return nil
 	case *cc.For:
-		c.vars.Push()
-		defer c.vars.Pop()
 		if s.Init != nil {
 			if err := c.stmt(s.Init); err != nil {
 				return err
@@ -455,16 +395,6 @@ func (c *compiler) stmt(s cc.Stmt) error {
 	return fmt.Errorf("vm: cannot compile statement %T", s)
 }
 
-// fieldIndex resolves a field by name within a class.
-func fieldIndex(cd *cc.ClassDecl, name string) int32 {
-	for i, f := range cd.Fields {
-		if f.Name == name {
-			return int32(i)
-		}
-	}
-	return -1
-}
-
 func (c *compiler) expr(e cc.Expr) error {
 	switch e := e.(type) {
 	case *cc.IntLit:
@@ -482,18 +412,16 @@ func (c *compiler) expr(e cc.Expr) error {
 	case *cc.Paren:
 		return c.expr(e.X)
 	case *cc.Ident:
-		if slot, ok := c.lookup(e.Name); ok {
-			c.emit(OpLoadLocal, int32(slot), 0)
-			return nil
+		switch e.Kind {
+		case cc.LocalIdent:
+			c.emit(OpLoadLocal, int32(e.Slot), 0)
+		case cc.FieldIdent:
+			c.emit(OpLoadThis, 0, 0)
+			c.member(OpLoadField, e.Field)
+		default:
+			return fmt.Errorf("vm: unresolved identifier %s", e.Name)
 		}
-		if c.class != nil {
-			if idx := fieldIndex(c.class, e.Name); idx >= 0 {
-				c.emit(OpLoadThis, 0, 0)
-				c.emit(OpLoadField, idx, 0)
-				return nil
-			}
-		}
-		return fmt.Errorf("vm: unresolved identifier %s", e.Name)
+		return nil
 	case *cc.Unary:
 		if err := c.expr(e.X); err != nil {
 			return err
@@ -519,10 +447,8 @@ func (c *compiler) expr(e cc.Expr) error {
 				return err
 			}
 		}
-		// Each OpMethod site gets an inline-cache slot in C.
-		at := c.emit(OpMethod, c.p.name(e.Name), int32(len(e.Args)))
-		c.code[at].C = int32(c.p.methodSites)
-		c.p.methodSites++
+		at := c.emit(OpMethod, int32(c.p.methodID[e.Method]), int32(len(e.Args)))
+		c.code[at].C = int32(c.p.classID[e.Method.Class.Name])
 		return nil
 	case *cc.DtorCall:
 		if err := c.expr(e.Recv); err != nil {
@@ -541,7 +467,7 @@ func (c *compiler) expr(e cc.Expr) error {
 		if err := c.expr(e.Recv); err != nil {
 			return err
 		}
-		c.emit(OpLoadField, c.p.name(e.Name), 1) // B=1: resolve by name at run time
+		c.member(OpLoadField, e.Field)
 		return nil
 	case *cc.Index:
 		if err := c.expr(e.X); err != nil {
@@ -642,18 +568,16 @@ func (c *compiler) assign(e *cc.AssignExpr) error {
 			return err
 		}
 		c.emit(OpDup, 0, 0) // assignment yields the value
-		if slot, ok := c.lookup(lhs.Name); ok {
-			c.emit(OpStoreLocal, int32(slot), 0)
-			return nil
+		switch lhs.Kind {
+		case cc.LocalIdent:
+			c.emit(OpStoreLocal, int32(lhs.Slot), 0)
+		case cc.FieldIdent:
+			c.emit(OpLoadThis, 0, 0)
+			c.member(OpStoreField, lhs.Field)
+		default:
+			return fmt.Errorf("vm: unresolved identifier %s", lhs.Name)
 		}
-		if c.class != nil {
-			if idx := fieldIndex(c.class, lhs.Name); idx >= 0 {
-				c.emit(OpLoadThis, 0, 0)
-				c.emit(OpStoreField, idx, 0)
-				return nil
-			}
-		}
-		return fmt.Errorf("vm: unresolved identifier %s", lhs.Name)
+		return nil
 	case *cc.FieldAccess:
 		if err := c.expr(e.RHS); err != nil {
 			return err
@@ -662,7 +586,7 @@ func (c *compiler) assign(e *cc.AssignExpr) error {
 		if err := c.expr(lhs.Recv); err != nil {
 			return err
 		}
-		c.emit(OpStoreField, c.p.name(lhs.Name), 1)
+		c.member(OpStoreField, lhs.Field)
 		return nil
 	case *cc.Index:
 		if err := c.expr(e.RHS); err != nil {

@@ -5,9 +5,9 @@
 // test oracle: the two share nothing but the front end, the allocators
 // and the pool runtime, so the differential tests that run both over
 // the same program corpus cross-validate evaluation order, scoping,
-// object lifecycle and the Amplify runtime semantics. The VM resolves
-// locals to frame slots at compile time and models a compiled
-// program's tighter per-statement cost.
+// object lifecycle and the Amplify runtime semantics. The VM compiles
+// the frame slots and member bindings sema recorded, resolving no name
+// itself, and models a compiled program's tighter per-statement cost.
 package vm
 
 import "fmt"
@@ -30,6 +30,8 @@ const (
 	OpLoadThis
 	// OpLoadField pops an object ref and pushes its field A.
 	// OpStoreField pops a value then an object ref and stores field A.
+	// C is the class id the field belongs to; an object of another
+	// class faults.
 	OpLoadField
 	OpStoreField
 	// OpIndexLoad pops index then buffer; pushes element.
@@ -62,9 +64,9 @@ const (
 	// OpCall invokes function A with B arguments (pushed left to
 	// right); the callee's return value is pushed.
 	OpCall
-	// OpMethod invokes method named names[A] with B arguments on the
-	// receiver pushed before the arguments (dynamic dispatch on the
-	// receiver's class).
+	// OpMethod invokes function A, a method of class C, with B
+	// arguments on the receiver pushed before the arguments. Members
+	// bind statically: a receiver of another class faults.
 	OpMethod
 	// OpDtor pops a receiver and runs class A's destructor in place
 	// (explicit p->~T() call).
@@ -106,8 +108,8 @@ const (
 	// carries the work units (W) of the instructions it replaces, so
 	// fused code charges the simulated machine identically.
 
-	// OpLoadLocalField pushes field names[B] of the object in locals[A]
-	// (fused OpLoadLocal+OpLoadField by-name pair).
+	// OpLoadLocalField pushes field B of the object in locals[A], an
+	// object of class C (fused OpLoadLocal+OpLoadField).
 	OpLoadLocalField
 	// OpAddConst adds constants[A] to the top of stack in place (fused
 	// OpConst+OpAdd).
@@ -177,8 +179,9 @@ func (o Op) String() string {
 	return fmt.Sprintf("Op(%d)", int(o))
 }
 
-// Instr is one instruction. A and B are immediate operands; C is a
-// per-site slot (the inline-cache index of an OpMethod site); W is the
+// Instr is one instruction. A and B are immediate operands; C is the
+// allocation-site index of an allocating opcode, or the class id a
+// member access's receiver must have; W is the
 // instruction's work charge in simulated cycles — 1 for every
 // instruction the compiler emits, the sum of the fused instructions'
 // charges for peephole output, so that optimization never changes

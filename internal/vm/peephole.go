@@ -195,8 +195,8 @@ func match(p *Program, code []Instr, pc int, target []bool) (Instr, int) {
 		if purePush(i0) && i1.Op == OpPop {
 			return Instr{Op: OpNop, W: w(2)}, 2
 		}
-		if i0.Op == OpLoadLocal && i1.Op == OpLoadField && i1.B == 1 {
-			return Instr{Op: OpLoadLocalField, W: w(2), A: i0.A, B: i1.A}, 2
+		if i0.Op == OpLoadLocal && i1.Op == OpLoadField {
+			return Instr{Op: OpLoadLocalField, W: w(2), A: i0.A, B: i1.A, C: i1.C}, 2
 		}
 		if i0.Op == OpLoadLocal && i1.Op == OpCall && i1.B == 1 {
 			return Instr{Op: OpCallL1, W: w(2), A: i1.A, B: i0.A}, 2

@@ -36,7 +36,6 @@ func Run(p *Program, cfg Config) (res Result, err error) {
 		alloc:    mc.Alloc,
 		rt:       mc.Pools,
 		pools:    make([]*pool.ClassPool, len(p.classes)),
-		ics:      make([]methodIC, p.methodSites),
 		joinable: mc.Engine.NewWaitGroup(),
 		// Single-threaded programs run one sim thread: no dilation, no
 		// migration, an infinite scheduling lease. There, N unit work
@@ -137,17 +136,6 @@ const (
 	stFreed
 )
 
-// methodIC is a per-call-site monomorphic inline cache: the last
-// receiver class seen at an OpMethod site and the resolved body. Caches
-// live on the machine (one array entry per site, indexed by the
-// instruction's C operand), so a Program stays immutable and shareable
-// across runs. They never need invalidation: classes and vtables are
-// fixed at compile time.
-type methodIC struct {
-	class *classInfo
-	fn    *Fn
-}
-
 type machine struct {
 	p        *Program
 	maxSteps int64
@@ -157,8 +145,6 @@ type machine struct {
 	pools []*pool.ClassPool
 	// h maps refs to object/buffer records with no map hashing.
 	h handleTable
-	// ics holds one inline cache per OpMethod site.
-	ics []methodIC
 	// Per-opcode last-ref memos (see refCache).
 	cLoadField, cStoreField, cIndexLoad, cIndexStore, cMethod, cMisc refCache
 	// frames and stacks are free lists of local-slot arrays and operand
@@ -233,6 +219,23 @@ func (m *machine) objSlot(ref mem.Ref, cache *refCache) *hslot {
 		m.fail("use after free of %s object", s.class.decl.Name)
 	}
 	return s
+}
+
+// wrongClass faults the member access ins, whose receiver s is not of
+// the class C the access was compiled for. Sema binds every member
+// statically, as C++ binds non-virtual members; a receiver's run-time
+// class can differ from its static class only when the pointer was
+// converted through void*.
+func (m *machine) wrongClass(s *hslot, ins Instr) {
+	if ins.Op == OpMethod {
+		m.fail("method %s called on %s object", m.p.Fns[ins.A].Name, s.class.decl.Name)
+	}
+	field := ins.A
+	if ins.Op == OpLoadLocalField {
+		field = ins.B
+	}
+	cd := m.p.classes[ins.C].decl
+	m.fail("field %s::%s accessed on %s object", cd.Name, cd.Fields[field].Name, s.class.decl.Name)
 }
 
 // liveSlot is objSlot restricted to fully-constructed objects.
@@ -365,31 +368,23 @@ loop:
 			recv := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
 			s := m.objSlot(recv.ref, &m.cLoadField)
-			idx := ins.A
-			if ins.B == 1 {
-				idx = s.class.fieldOf[ins.A]
-				if idx < 0 {
-					m.fail("class %s has no field %s", s.class.decl.Name, m.p.Names[ins.A])
-				}
+			if s.class.id != ins.C {
+				m.wrongClass(s, ins)
 			}
 			m.flushWork(c)
-			stack = append(stack, s.fields[idx])
-			c.ReadAhead(uint64(recv.ref)+uint64(s.class.offsets[idx]), cc.FieldSize)
+			stack = append(stack, s.fields[ins.A])
+			c.ReadAhead(uint64(recv.ref)+uint64(s.class.offsets[ins.A]), cc.FieldSize)
 		case OpStoreField:
 			recv := stack[len(stack)-1]
 			v := stack[len(stack)-2]
 			stack = stack[:len(stack)-2]
 			s := m.objSlot(recv.ref, &m.cStoreField)
-			idx := ins.A
-			if ins.B == 1 {
-				idx = s.class.fieldOf[ins.A]
-				if idx < 0 {
-					m.fail("class %s has no field %s", s.class.decl.Name, m.p.Names[ins.A])
-				}
+			if s.class.id != ins.C {
+				m.wrongClass(s, ins)
 			}
 			m.flushWork(c)
-			s.fields[idx] = v
-			c.WriteAhead(uint64(recv.ref)+uint64(s.class.offsets[idx]), cc.FieldSize)
+			s.fields[ins.A] = v
+			c.WriteAhead(uint64(recv.ref)+uint64(s.class.offsets[ins.A]), cc.FieldSize)
 		case OpIndexLoad:
 			i := stack[len(stack)-1]
 			bref := stack[len(stack)-2]
@@ -459,17 +454,10 @@ loop:
 			recv := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
 			s := m.liveSlot(recv.ref, &m.cMethod)
-			ic := &m.ics[ins.C]
-			callee := ic.fn
-			if ic.class != s.class {
-				id := s.class.vtable[ins.A]
-				if id < 0 {
-					m.fail("class %s has no method %s", s.class.decl.Name, m.p.Names[ins.A])
-				}
-				callee = m.p.Fns[id]
-				ic.class, ic.fn = s.class, callee
+			if s.class.id != ins.C {
+				m.wrongClass(s, ins)
 			}
-			stack = append(stack, m.exec(c, callee, recv.ref, args))
+			stack = append(stack, m.exec(c, m.p.Fns[ins.A], recv.ref, args))
 		case OpDtor:
 			recv := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
@@ -661,13 +649,12 @@ loop:
 		case OpLoadLocalField:
 			recv := slots[ins.A]
 			s := m.objSlot(recv.ref, &m.cLoadField)
-			idx := s.class.fieldOf[ins.B]
-			if idx < 0 {
-				m.fail("class %s has no field %s", s.class.decl.Name, m.p.Names[ins.B])
+			if s.class.id != ins.C {
+				m.wrongClass(s, ins)
 			}
 			m.flushWork(c)
-			stack = append(stack, s.fields[idx])
-			c.ReadAhead(uint64(recv.ref)+uint64(s.class.offsets[idx]), cc.FieldSize)
+			stack = append(stack, s.fields[ins.B])
+			c.ReadAhead(uint64(recv.ref)+uint64(s.class.offsets[ins.B]), cc.FieldSize)
 		case OpAddConst:
 			x := stack[len(stack)-1]
 			if x.kind == 'r' {

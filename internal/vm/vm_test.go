@@ -246,6 +246,82 @@ int main() { return helper(null); }`
 	}
 }
 
+// polyDispatchSrc funnels two receiver classes through one call site:
+// the void* conversion lets an Odd reach p->tag() through an Even*.
+const polyDispatchSrc = `
+class Even {
+public:
+    Even() {
+    }
+    ~Even() {
+    }
+    int tag() {
+        return 2;
+    }
+};
+
+class Odd {
+public:
+    Odd() {
+    }
+    ~Odd() {
+    }
+    int tag() {
+        return 3;
+    }
+};
+
+void* pick(int i, void* a, void* b) {
+    if (i % 2 == 0) {
+        return a;
+    }
+    return b;
+}
+
+int main() {
+    Even* e = new Even();
+    Odd* o = new Odd();
+    int s = 0;
+    for (int i = 0; i < 20000; i = i + 1) {
+        Even* p = pick(i, e, o);
+        s = s + p->tag();
+    }
+    delete e;
+    delete o;
+    return s % 256;
+}
+`
+
+// launderSrc opens a main that reaches a B through an A*.
+const launderSrc = `class A { public: A() { x = 1; } int x; };
+class B { public: B() { y = 2; } int y; };
+int main() { B* b = new B(); void* v = b; A* a = v; `
+
+// TestLaunderedReceiversFault: members bind statically, as C++ binds
+// non-virtual members, so a receiver laundered through void* into a
+// pointer to another class faults at the access, on the VM at both
+// optimization levels and on the interpreter.
+func TestLaunderedReceiversFault(t *testing.T) {
+	cases := []struct{ name, src, want string }{
+		{"method call", polyDispatchSrc, "method Even::tag called on Odd object"},
+		{"field load", launderSrc + "return a->x; }", "field A::x accessed on B object"},
+		{"field store", launderSrc + "a->x = 5; return 0; }", "field A::x accessed on B object"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			for _, opt := range []Options{{}, {NoOpt: true}} {
+				_, err := execute(tc.src, opt, Config{})
+				if err == nil || !strings.Contains(err.Error(), tc.want) || !strings.Contains(err.Error(), "(at main@") {
+					t.Errorf("vm (NoOpt=%v): err = %v, want %q at a main@pc site", opt.NoOpt, err, tc.want)
+				}
+			}
+			if _, err := interpret(tc.src, Config{}); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("interp: err = %v, want %q", err, tc.want)
+			}
+		})
+	}
+}
+
 // disassemble renders a compiled function, one instruction a line.
 func disassemble(fn *Fn) string {
 	var b strings.Builder
