@@ -22,6 +22,9 @@ var parseSeeds = []string{
 	"int main(){print(\"caf\xe9\");return 0;}",
 	"/* comment */ int main() { // line\n return 0; }",
 	"class D { public: D() { v = new int[4]; } int get(int i) { if (i < 0) { return -i; } else return v[i]; } int* v; }; int main() { D* d = new D(); return d->get(1) >= 0 != (2 <= 3); }",
+	// A constructor and a method declared twice: sema rejects the
+	// redefinitions, as C++ does.
+	"class A { public: A() { v = 1; } A() { v = 2; } int m() { return 10; } int m() { return 20; } int v; };\nint main() { A* a = new A(); print(a->m(), a->v); delete a; return 0; }",
 }
 
 // FuzzParse feeds arbitrary bytes through the whole front end: the

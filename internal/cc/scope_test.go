@@ -43,24 +43,35 @@ func TestScopesShadowAndPop(t *testing.T) {
 	}
 }
 
+// repeatedMembers declares a constructor and a method twice, which
+// sema rejects as C++ does; it is also a FuzzParse seed.
+const repeatedMembers = `class A { public: A() { v = 1; } A() { v = 2; } int m() { return 10; } int m() { return 20; } int v; };
+int main() { A* a = new A(); print(a->m(), a->v); delete a; return 0; }`
+
 // TestSemaScopeRules pins the lexical scoping sema enforces: one name
-// per scope, the parameters in a scope of their own, and every block
-// (a for statement included) opening a new one. For accepted programs
+// per scope, the parameters in a scope of their own, every block (a
+// for statement included) opening a new one, and one definition of
+// each member function of a class. For accepted programs
 // it pins the resolutions sema records: each declaration's own frame
 // slot, the slot every use reads, each body's slot count, which the VM
 // compiles frames to, and the method every call binds to.
 func TestSemaScopeRules(t *testing.T) {
-	reject := []struct{ name, src string }{
-		{"local redeclared", "int main() { int a = 1; int a = 2; return a; }"},
-		{"local redeclared in a nested block", "int main() { { int* p = null; char* p = null; } return 0; }"},
-		{"parameter redeclared", "int f(int a, int a) { return a; } int main() { return f(1, 2); }"},
-		{"method parameter redeclared", "class A { public: A() { } int m(int a, int a) { return a; } }; int main() { return 0; }"},
+	reject := []struct{ name, src, want string }{
+		{"local redeclared", "int main() { int a = 1; int a = 2; return a; }", "redeclaration of a"},
+		{"local redeclared in a nested block", "int main() { { int* p = null; char* p = null; } return 0; }", "redeclaration of p"},
+		{"parameter redeclared", "int f(int a, int a) { return a; } int main() { return f(1, 2); }", "redeclaration of a"},
+		{"method parameter redeclared", "class A { public: A() { } int m(int a, int a) { return a; } }; int main() { return 0; }", "redeclaration of a"},
+		{"repeated members", repeatedMembers, "1:34: redefinition of A::A"},
+		{"method redefined", "class A { public: A() { } int m() { return 1; } int n() { return 2; } int m() { return 3; } }; int main() { return 0; }", "redefinition of A::m"},
+		{"destructor redefined", "class A { public: A() { } ~A() { } ~A() { } }; int main() { return 0; }", "redefinition of A::~A"},
+		{"operator new redefined", "class A { public: A() { } void* operator new(uint n) { return null; } void* operator new(uint n) { return null; } }; int main() { return 0; }", "redefinition of A::operator new"},
+		{"operator delete redefined", "class A { public: A() { } void operator delete(void* p) { } void operator delete(void* p) { } }; int main() { return 0; }", "redefinition of A::operator delete"},
 	}
 	for _, tc := range reject {
 		t.Run("reject/"+tc.name, func(t *testing.T) {
 			err := Analyze(MustParse(tc.src))
-			if err == nil || !strings.Contains(err.Error(), "redeclaration of") {
-				t.Fatalf("err = %v, want a redeclaration error", err)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("err = %v, want %q", err, tc.want)
 			}
 		})
 	}
@@ -140,11 +151,7 @@ func bodies(prog *Program) []body {
 			out = append(out, body{d.Name, d.Params, d.Body, d.Slots})
 		case *ClassDecl:
 			for _, m := range d.Methods {
-				name := d.Name + "::" + m.Name
-				if m.Kind == Ctor {
-					name = d.Name + "::" + d.Name
-				}
-				out = append(out, body{name, m.Params, m.Body, m.Slots})
+				out = append(out, body{m.FullName(), m.Params, m.Body, m.Slots})
 			}
 		}
 	}

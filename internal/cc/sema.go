@@ -36,11 +36,13 @@ var Intrinsics = map[string]Type{
 // types for the checks the rewriter depends on, and records whether the
 // program spawns threads. It is the program's one name resolver: it
 // records each parameter's, local's and local identifier's frame slot,
-// each body's slot count, and the field or method every member access
-// binds to, and the compiler and vet read these instead of resolving
-// names again. It must be called before the rewriter, vet, compilation
-// or interpretation; Print is syntactic and needs no analysis. It drops
-// the value Memo holds.
+// each body's slot count, the field or method every member access
+// binds to, the class a delete's operand points to and the types of a
+// spawn's arguments, and the compiler and vet read these instead of
+// resolving names or typing expressions again. It rejects a class that
+// declares a member function twice, as C++ does. It must be called
+// before the rewriter, vet, compilation or interpretation; Print is
+// syntactic and needs no analysis. It drops the value Memo holds.
 func Analyze(prog *Program) error {
 	prog.memoMu.Lock()
 	prog.memoKey, prog.memoVal = nil, nil
@@ -54,7 +56,12 @@ func Analyze(prog *Program) error {
 			if _, dup := prog.Classes[d.Name]; dup {
 				return errf(d.Pos, "duplicate class %s", d.Name)
 			}
-			for _, m := range d.Methods {
+			for i, m := range d.Methods {
+				for _, prev := range d.Methods[:i] {
+					if prev.Kind == m.Kind && (m.Kind != PlainMethod || prev.Name == m.Name) {
+						return errf(m.Pos, "redefinition of %s", m.FullName())
+					}
+				}
 				if m.Kind != PlainMethod {
 					continue
 				}
@@ -264,6 +271,10 @@ func (a *analyzer) checkStmt(s Stmt) error {
 		if !t.IsPointer() && t.Name != "null" {
 			return errf(s.Pos, "delete of non-pointer %s", t)
 		}
+		s.Class = nil
+		if t.IsClassPointer(a.prog.Classes) {
+			s.Class = a.prog.Classes[t.Name]
+		}
 		return nil
 	case *Spawn:
 		prog := a.prog
@@ -275,10 +286,13 @@ func (a *analyzer) checkStmt(s Stmt) error {
 		if len(fd.Params) != len(s.Args) {
 			return errf(s.Pos, "spawn %s: %d args, want %d", s.Func, len(s.Args), len(fd.Params))
 		}
+		s.ArgTypes = s.ArgTypes[:0]
 		for _, arg := range s.Args {
-			if _, err := a.checkExpr(arg); err != nil {
+			t, err := a.checkExpr(arg)
+			if err != nil {
 				return err
 			}
+			s.ArgTypes = append(s.ArgTypes, t)
 		}
 		return nil
 	case *Join:

@@ -38,7 +38,7 @@ func BenchmarkCheck(b *testing.B) {
 // tables reused across sweeps. The ceiling is the measured count plus
 // 10%.
 func TestCheckEscapeAllocBudget(t *testing.T) {
-	const runs, budget = 3, 3170
+	const runs, budget = 3, 2740
 	// Each run gets a tree no analysis has seen yet (AllocsPerRun
 	// warms up with one extra run).
 	trees := make([]*cc.Program, runs+1)

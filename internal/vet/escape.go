@@ -210,7 +210,7 @@ func (o *oset) union(src oset) bool {
 
 // siteFact accumulates per-site evidence during a sweep.
 type siteFact struct {
-	node  *Node
+	node  *node
 	expr  *cc.NewExpr
 	class string
 	pos   cc.Pos
@@ -255,15 +255,18 @@ func (f *siteFact) block(reason string) {
 type tokenFact struct {
 	pos      cc.Pos
 	callee   string
-	node     *Node
+	node     *node
 	consumed bool
 }
 
 // escAnalysis runs the whole-program analysis.
 type escAnalysis struct {
 	prog *cc.Program
-	g    *Graph
-	sums map[string]*summary
+	// nodes are the callables in declaration order; funcs and methods
+	// map the declarations sema binds calls to onto them.
+	nodes   []*node
+	funcs   map[*cc.FuncDecl]*node
+	methods map[*cc.Method]*node
 
 	// Evidence recorded by the last sweep.
 	facts       map[*cc.NewExpr]*siteFact
@@ -271,7 +274,6 @@ type escAnalysis struct {
 	tokens      map[cc.Expr]*tokenFact
 	tokenOrder  []cc.Expr
 	sharedSeeds map[string]bool
-	passes      map[*Node]*bodyPass
 }
 
 // escapeKey is the cc.Program memo key of the escape analysis.
@@ -284,11 +286,30 @@ func analyze(prog *cc.Program) *escAnalysis {
 	return prog.Memo(escapeKey{}, func() any { return runEscape(prog) }).(*escAnalysis)
 }
 
-// runEscape performs the analysis on an analyzed program.
+// runEscape performs the analysis on an analyzed program: one node per
+// function and non-synthetic method, the summary fixpoint over them,
+// then the bounds over the call graph the first sweep recorded.
 func runEscape(prog *cc.Program) *escAnalysis {
-	an := &escAnalysis{prog: prog, g: BuildGraph(prog), sums: map[string]*summary{}}
-	for _, name := range an.g.Order {
-		an.sums[name] = &summary{params: make([]pfacts, len(an.g.Nodes[name].Params))}
+	an := &escAnalysis{prog: prog, funcs: map[*cc.FuncDecl]*node{}, methods: map[*cc.Method]*node{}}
+	add := func(name string, body *cc.Block, params []*cc.Param, slots int) *node {
+		n := &node{name: name, body: body, params: params, slots: slots,
+			sum: summary{params: make([]pfacts, len(params))}}
+		an.nodes = append(an.nodes, n)
+		return n
+	}
+	for _, d := range prog.Decls {
+		switch d := d.(type) {
+		case *cc.ClassDecl:
+			for _, m := range d.Methods {
+				if !m.Synthetic && m.Body != nil {
+					an.methods[m] = add(m.FullName(), m.Body, m.Params, m.Slots)
+				}
+			}
+		case *cc.FuncDecl:
+			if d.Body != nil {
+				an.funcs[d] = add(d.Name, d.Body, d.Params, d.Slots)
+			}
+		}
 	}
 	// Global summary fixpoint: monotone boolean facts over a finite
 	// lattice, so the loop terminates. Every sweep records site and
@@ -296,31 +317,33 @@ func runEscape(prog *cc.Program) *escAnalysis {
 	// depend on that evidence, and the first sweep that changes nothing
 	// saw the final summaries throughout, so its evidence is the result.
 	an.facts, an.tokens = map[*cc.NewExpr]*siteFact{}, map[cc.Expr]*tokenFact{}
-	an.sharedSeeds, an.passes = map[string]bool{}, map[*Node]*bodyPass{}
+	an.sharedSeeds = map[string]bool{}
 	for changed := true; changed; {
 		changed = false
 		clear(an.facts)
 		clear(an.tokens)
 		clear(an.sharedSeeds)
 		an.order, an.tokenOrder = an.order[:0], an.tokenOrder[:0]
-		for _, name := range an.g.Order {
-			if an.runBody(an.g.Nodes[name]) {
+		for _, n := range an.nodes {
+			if an.runBody(n) {
 				changed = true
 			}
 		}
 	}
+	computeMults(an.nodes, an.funcs[prog.Funcs["main"]])
 	return an
 }
 
 // bodyPass walks one body flow-insensitively, accumulating origin sets
 // per local until they stabilize. A node keeps one pass for every
-// sweep; its tables are indexed by frame slot.
+// sweep; its tables are indexed by frame slot. The node's first walk
+// also records its call edges, which every later walk would repeat.
 type bodyPass struct {
 	an         *escAnalysis
-	n          *Node
-	sum        *summary
+	n          *node
 	changed    bool
 	sumChanged bool
+	record     bool
 
 	// locals are the origin sets of the locals the walk has assigned
 	// (held), nheld how many there are; assigned marks the locals an
@@ -331,15 +354,14 @@ type bodyPass struct {
 	assigned []bool
 }
 
-func (an *escAnalysis) runBody(n *Node) bool {
-	p := an.passes[n]
+func (an *escAnalysis) runBody(n *node) bool {
+	p := n.pass
 	if p == nil {
-		k := n.Slots
-		p = &bodyPass{an: an, n: n, locals: make([]oset, k), held: make([]bool, k),
+		k := n.slots
+		p = &bodyPass{an: an, n: n, record: true, locals: make([]oset, k), held: make([]bool, k),
 			assigned: make([]bool, k)}
-		an.passes[n] = p
+		n.pass = p
 	}
-	p.sum = an.sums[n.Name]
 	p.changed, p.sumChanged, p.nheld = false, false, 0
 	for i := range p.locals {
 		p.locals[i].reset()
@@ -349,12 +371,21 @@ func (an *escAnalysis) runBody(n *Node) bool {
 	// Inner fixpoint: origins of locals feed later (and earlier) uses.
 	for pass := 0; pass < p.nheld+8; pass++ {
 		p.changed = false
-		p.stmt(n.Body, 1)
+		p.stmt(n.body, 1)
+		p.record = false
 		if !p.changed {
 			break
 		}
 	}
 	return p.changed || p.sumChanged
+}
+
+// edge records a call of callee, nil for a callable without a node,
+// from a site that runs mult times per execution of the body.
+func (p *bodyPass) edge(callee *node, mult int64) {
+	if p.record && callee != nil {
+		p.n.edges = append(p.n.edges, edge{callee, mult})
+	}
 }
 
 func (p *bodyPass) localSet(slot int) *oset {
@@ -370,7 +401,7 @@ func (p *bodyPass) localSet(slot int) *oset {
 // position.
 func (p *bodyPass) slotOrigins(i int) oset {
 	var o oset
-	if i < len(p.n.Params) && i < 64 {
+	if i < len(p.n.params) && i < 64 {
 		o.params |= 1 << uint(i)
 	}
 	if p.held[i] {
@@ -380,15 +411,15 @@ func (p *bodyPass) slotOrigins(i int) oset {
 }
 
 func (p *bodyPass) markParams(o oset, f pfacts) {
-	for i := range p.sum.params {
+	for i := range p.n.sum.params {
 		if o.params&(1<<uint(i)) != 0 {
-			if p.sum.params[i].or(f) {
+			if p.n.sum.params[i].or(f) {
 				p.sumChangedSet()
 			}
 		}
 	}
 	if o.recv {
-		if p.sum.recv.or(f) {
+		if p.n.sum.recv.or(f) {
 			p.sumChangedSet()
 		}
 	}
@@ -517,8 +548,8 @@ func (p *bodyPass) stmt(s cc.Stmt, mult int64) {
 		rv := p.expr(s.X, mult)
 		p.markParams(rv, pfacts{returns: true})
 		if len(rv.sites) > 0 || len(rv.tokens) > 0 {
-			if !p.sum.returnsFresh {
-				p.sum.returnsFresh = true
+			if !p.n.sum.returnsFresh {
+				p.n.sum.returnsFresh = true
 				p.sumChangedSet()
 			}
 		}
@@ -529,14 +560,19 @@ func (p *bodyPass) stmt(s cc.Stmt, mult int64) {
 	case *cc.DeleteStmt:
 		rv := p.expr(s.X, mult)
 		p.deleteVal(rv, s, s.X)
+		if cd := s.Class; cd != nil && !s.Array {
+			p.edge(p.an.methods[cd.Dtor()], mult)
+			p.edge(p.an.methods[cd.OperatorDelete()], mult)
+		}
 	case *cc.Spawn:
-		for _, a := range s.Args {
+		for i, a := range s.Args {
 			av := p.expr(a, mult)
 			p.spawnVal(av)
-			if t := p.n.env.typeOf(a); t.IsClassPointer(p.an.prog.Classes) {
+			if t := s.ArgTypes[i]; t.IsClassPointer(p.an.prog.Classes) {
 				p.an.sharedSeeds[t.Name] = true
 			}
 		}
+		p.edge(p.an.funcs[p.an.prog.Funcs[s.Func]], mult)
 	case *cc.Join:
 	}
 }
@@ -591,6 +627,9 @@ func (p *bodyPass) expr(e cc.Expr, mult int64) oset {
 		return p.methodCall(e, mult)
 	case *cc.DtorCall:
 		p.expr(e.Recv, mult)
+		if cd := p.an.prog.Classes[e.Class]; cd != nil {
+			p.edge(p.an.methods[cd.Dtor()], mult)
+		}
 		return oset{}
 	case *cc.FieldAccess:
 		p.expr(e.Recv, mult)
@@ -607,15 +646,10 @@ func (p *bodyPass) expr(e cc.Expr, mult int64) oset {
 			p.ctorArgs(e, mult)
 			return pl
 		}
-		_, known := p.an.prog.Classes[e.Class]
-		if known {
-			p.fact(e).mult = mult
-		}
+		p.fact(e).mult = mult
 		p.ctorArgs(e, mult)
 		var o oset
-		if known {
-			o.addSite(e)
-		}
+		o.addSite(e)
 		return o
 	case *cc.NewArray:
 		p.expr(e.Len, mult)
@@ -624,20 +658,18 @@ func (p *bodyPass) expr(e cc.Expr, mult int64) oset {
 	return oset{}
 }
 
-// ctorArgs applies the constructor summary to new-expression arguments.
+// ctorArgs applies the constructor summary to new-expression arguments
+// and records the constructor and operator new calls.
 func (p *bodyPass) ctorArgs(e *cc.NewExpr, mult int64) {
 	cd := p.an.prog.Classes[e.Class]
-	var sum *summary
-	if cd != nil {
-		if ct := cd.Ctor(); ct != nil && !ct.Synthetic && ct.Body != nil {
-			sum = p.an.sums[p.an.g.nodeName(ct)]
-		}
-	}
+	ctor := p.an.methods[cd.Ctor()]
+	p.edge(ctor, mult)
+	p.edge(p.an.methods[cd.OperatorNew()], mult)
 	for j, a := range e.Args {
 		av := p.expr(a, mult)
 		switch {
-		case sum != nil && j < len(sum.params):
-			p.callFacts(sum.params[j], av, route{"constructor of ", e.Class, ""})
+		case ctor != nil && j < len(ctor.sum.params):
+			p.callFacts(ctor.sum.params[j], av, route{"constructor of ", e.Class, ""})
 		default:
 			p.escapeVal(av, "", route{"constructor of ", e.Class, ""})
 		}
@@ -676,13 +708,17 @@ func (p *bodyPass) call(e *cc.Call, mult int64) oset {
 		}
 		return oset{}
 	}
-	fd := p.an.prog.Funcs[e.Func]
-	sum := p.an.sums[e.Func]
+	callee := p.an.funcs[p.an.prog.Funcs[e.Func]]
+	p.edge(callee, mult)
+	var sum *summary
+	if callee != nil {
+		sum = &callee.sum
+	}
 	var out oset
 	for j, a := range e.Args {
 		av := p.expr(a, mult)
 		switch {
-		case fd != nil && sum != nil && j < len(sum.params):
+		case sum != nil && j < len(sum.params):
 			p.callFacts(sum.params[j], av, route{"function ", e.Func, ""})
 			if sum.params[j].returns {
 				out.union(av)
@@ -704,10 +740,11 @@ func (p *bodyPass) call(e *cc.Call, mult int64) oset {
 
 func (p *bodyPass) methodCall(e *cc.MethodCall, mult int64) oset {
 	rv := p.expr(e.Recv, mult)
-	m := e.Method
+	callee := p.an.methods[e.Method]
+	p.edge(callee, mult)
 	var sum *summary
-	if !m.Synthetic && m.Body != nil {
-		sum = p.an.sums[p.an.g.nodeName(m)]
+	if callee != nil {
+		sum = &callee.sum
 	}
 	var out oset
 	if sum != nil {
@@ -733,7 +770,7 @@ func (p *bodyPass) methodCall(e *cc.MethodCall, mult int64) oset {
 	if sum != nil && sum.returnsFresh {
 		out.addToken(e)
 		if p.an.tokens[e] == nil {
-			p.an.tokens[e] = &tokenFact{pos: e.Pos, callee: p.an.g.nodeName(m), node: p.n}
+			p.an.tokens[e] = &tokenFact{pos: e.Pos, callee: callee.name, node: p.n}
 			p.an.tokenOrder = append(p.an.tokenOrder, e)
 		}
 	}
@@ -777,8 +814,8 @@ func (an *escAnalysis) leakDiags() []Diag {
 		}
 		out = append(out, Diag{
 			Code: CodeInterprocLeak, Severity: codeSeverity[CodeInterprocLeak],
-			Pos: tf.pos, Func: tf.node.Name,
-			Msg: fmt.Sprintf("%s returns a fresh allocation that %s never deletes, returns or stores (interprocedural leak)", tf.callee, tf.node.Name),
+			Pos: tf.pos, Func: tf.node.name,
+			Msg: fmt.Sprintf("%s returns a fresh allocation that %s never deletes, returns or stores (interprocedural leak)", tf.callee, tf.node.name),
 		})
 	}
 	return out
@@ -816,10 +853,10 @@ func Escape(prog *cc.Program) *EscapeReport {
 	for _, e := range an.order {
 		f := an.facts[e]
 		site := Site{
-			Func:  f.node.Name,
+			Func:  f.node.name,
 			Class: f.class,
 			Pos:   f.pos,
-			Bound: mulBound(f.node.Mult, f.mult),
+			Bound: mulBound(f.node.mult, f.mult),
 		}
 		switch {
 		case f.spawns || shared[f.class]:
@@ -829,7 +866,7 @@ func Escape(prog *cc.Program) *EscapeReport {
 		default:
 			site.Escape = EscNone
 		}
-		pass := an.passes[f.node]
+		pass := f.node.pass
 		switch {
 		case site.Escape == EscShared && f.spawns:
 			site.Reason = "object is handed to a spawned thread"
@@ -858,8 +895,8 @@ func Escape(prog *cc.Program) *EscapeReport {
 		if !site.Promote {
 			r.Diags = append(r.Diags, Diag{
 				Code: CodeEscapeBlocked, Severity: codeSeverity[CodeEscapeBlocked],
-				Pos: f.pos, Class: f.class, Func: f.node.Name,
-				Msg: fmt.Sprintf("new %s in %s is not frame-promoted: %s", f.class, f.node.Name, site.Reason),
+				Pos: f.pos, Class: f.class, Func: f.node.name,
+				Msg: fmt.Sprintf("new %s in %s is not frame-promoted: %s", f.class, f.node.name, site.Reason),
 			})
 		}
 		r.Sites = append(r.Sites, site)
@@ -883,7 +920,7 @@ func Escape(prog *cc.Program) *EscapeReport {
 		if _, promoted := r.promote[e]; promoted {
 			continue
 		}
-		b := mulBound(f.node.Mult, f.mult)
+		b := mulBound(f.node.mult, f.mult)
 		if b == Unbounded || b <= 0 {
 			continue
 		}

@@ -3,11 +3,16 @@ package vet
 import (
 	"bytes"
 	"fmt"
+	"os"
+	"path/filepath"
 	"sort"
 	"strings"
 	"testing"
 
 	"amplify/internal/cc"
+	"amplify/internal/mccgen"
+	"amplify/internal/sim"
+	"amplify/internal/vm"
 )
 
 func mustEscape(t *testing.T, src string) *EscapeReport {
@@ -544,4 +549,109 @@ func TestSortDiagsTieBreaks(t *testing.T) {
 			t.Fatalf("order[%d] = %q, want %q\nall: %v", i, got[i], want[i], got)
 		}
 	}
+}
+
+// TestFieldInductionVariableIsUnbounded: trip-field counts a loop with
+// a field that the called reset() sets back to 0 twice, so the loop's
+// `new B` runs 6 times (the program prints 12, 6 × B's 2) although the
+// loop reads like four trips. A field is no induction variable: the
+// site must not claim a finite bound below 6.
+func TestFieldInductionVariableIsUnbounded(t *testing.T) {
+	r := mustEscape(t, fuzzSeed(t, "trip-field"))
+	for _, s := range r.Sites {
+		if s.Func == "A::run" {
+			if s.Bound != Unbounded && s.Bound < 6 {
+				t.Fatalf("new B in A::run: bound %d, but it runs 6 times", s.Bound)
+			}
+			return
+		}
+	}
+	t.Fatal("no site in A::run")
+}
+
+// births counts the objects the program allocates, per compiled
+// "fn@line(Class)" site: every object is born once, at a direct
+// allocation or from a pool, and buffers are not objects.
+type births map[string]int64
+
+func (b births) Event(e sim.Event) {
+	if (e.Kind == sim.EvAlloc || e.Kind == sim.EvBirth) && e.Detail != "buffer" {
+		b[e.Site]++
+	}
+}
+
+// boundViolations runs src, unrewritten, on the VM and returns one line
+// per site key whose births exceed the summed bounds vet.Escape gives
+// that key's `new` sites, and the number of births checked. A key with
+// an unbounded site, or with no `new` site (placement new falling back
+// to the heap, a pool allocation inside an operator new), is not
+// checked.
+func boundViolations(t *testing.T, src string) ([]string, int64) {
+	t.Helper()
+	prog := analyzed(t, src)
+	bound := map[string]int64{}
+	for _, s := range Escape(prog).Sites {
+		key := fmt.Sprintf("%s@%d(%s)", s.Func, s.Pos.Line, s.Class)
+		bound[key] = addBound(bound[key], s.Bound)
+	}
+	p, err := vm.Compile(prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := births{}
+	// A trap ends the run early; the births before it still count.
+	_, _ = vm.Run(p, vm.Config{MaxSteps: 5_000_000, Tracer: got})
+	var out []string
+	var checked int64
+	for key, n := range got {
+		b, ok := bound[key]
+		if !ok || b == Unbounded {
+			continue
+		}
+		checked += n
+		if n > b {
+			out = append(out, fmt.Sprintf("%s ran %d times, bound %d", key, n, b))
+		}
+	}
+	return out, checked
+}
+
+// TestEscapeBoundsHold is the oracle of the allocation bounds that
+// pre-size pools: no `new` site may allocate more objects in a run than
+// its static bound. It runs the committed FuzzVet corpus, this file's
+// programs, placement.mcc and generated programs, single-threaded and
+// with three threads.
+func TestEscapeBoundsHold(t *testing.T) {
+	progs := map[string]string{
+		"escPromote": escPromote, "escThreads": escThreads, "escBounds": escBounds, "escLeak": escLeak,
+	}
+	dir := filepath.Join("testdata", "fuzz", "FuzzVet")
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		progs["FuzzVet/"+e.Name()] = fuzzSeed(t, e.Name())
+	}
+	raw, err := os.ReadFile(filepath.Join("..", "..", "testdata", "programs", "placement.mcc"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	progs["placement.mcc"] = string(raw)
+	for seed := int64(1); seed <= 40; seed++ {
+		progs[fmt.Sprintf("mccgen/%d", seed)] = mccgen.Generate(mccgen.Config{Seed: seed})
+		progs[fmt.Sprintf("mccgen/%d/threads3", seed)] = mccgen.Generate(mccgen.Config{Seed: seed, Threads: 3})
+	}
+	var checked int64
+	for name, src := range progs {
+		bad, n := boundViolations(t, src)
+		checked += n
+		for _, v := range bad {
+			t.Errorf("%s: %s", name, v)
+		}
+	}
+	if checked == 0 {
+		t.Fatal("no birth matched a bounded site")
+	}
+	t.Logf("%d programs, %d births checked against their bounds", len(progs), checked)
 }

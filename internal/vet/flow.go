@@ -148,18 +148,7 @@ func (c funcCtx) name() string {
 	if c.fn != nil {
 		return c.fn.Name
 	}
-	cls := c.method.Class.Name
-	switch c.method.Kind {
-	case cc.Ctor:
-		return cls + "::" + cls
-	case cc.Dtor:
-		return cls + "::~" + cls
-	case cc.OpNew:
-		return cls + "::operator new"
-	case cc.OpDelete:
-		return cls + "::operator delete"
-	}
-	return cls + "::" + c.method.Name
+	return c.method.FullName()
 }
 
 // checker accumulates diagnostics across a whole program.
@@ -234,15 +223,15 @@ func (c *checker) trackedFields(cd *cc.ClassDecl) []*cc.Field {
 // but that no method of the class ever deletes: every structure churn
 // then grows the pool without reuse (and leaks in the original).
 func (c *checker) checkClassLeaks(cd *cc.ClassDecl, tracked []*cc.Field) {
-	allocated := map[string]bool{}
-	deleted := map[string]bool{}
+	allocated := map[*cc.Field]bool{}
+	deleted := map[*cc.Field]bool{}
 	for _, m := range cd.Methods {
 		if m.Synthetic || m.Body == nil {
 			continue
 		}
 		walkStmt(m.Body, func(s cc.Stmt) {
 			if del, ok := s.(*cc.DeleteStmt); ok {
-				if f := ownField(del.X); f != "" {
+				if f := ownField(del.X); f != nil {
 					deleted[f] = true
 				}
 			}
@@ -250,7 +239,7 @@ func (c *checker) checkClassLeaks(cd *cc.ClassDecl, tracked []*cc.Field) {
 			if as, ok := e.(*cc.AssignExpr); ok {
 				switch as.RHS.(type) {
 				case *cc.NewExpr, *cc.NewArray:
-					if f := ownField(as.LHS); f != "" {
+					if f := ownField(as.LHS); f != nil {
 						allocated[f] = true
 					}
 				}
@@ -258,29 +247,29 @@ func (c *checker) checkClassLeaks(cd *cc.ClassDecl, tracked []*cc.Field) {
 		})
 	}
 	for _, f := range tracked {
-		if allocated[f.Name] && !deleted[f.Name] {
+		if allocated[f] && !deleted[f] {
 			c.emit(CodeLeak, f.Pos, cd.Name, "", f.Name,
 				fmt.Sprintf("field %s of %s is allocated with new but no method of the class ever deletes it (leak; its structure pool grows without reuse)", f.Name, cd.Name))
 		}
 	}
 }
 
-// ownField returns the name of the own-class field an lvalue names (a
-// bare identifier resolved as a field, or this->name), or "".
-func ownField(e cc.Expr) string {
+// ownField returns the own-class field an lvalue names (a bare
+// identifier resolved as a field, or this->name), or nil.
+func ownField(e cc.Expr) *cc.Field {
 	switch e := e.(type) {
 	case *cc.Ident:
 		if e.Kind == cc.FieldIdent {
-			return e.Name
+			return e.Field
 		}
 	case *cc.FieldAccess:
 		if _, isThis := e.Recv.(*cc.This); isThis {
-			return e.Name
+			return e.Field
 		}
 	case *cc.Paren:
 		return ownField(e.X)
 	}
-	return ""
+	return nil
 }
 
 // fa is the per-body flow analysis. One fa serves every body of a
@@ -290,8 +279,10 @@ type fa struct {
 	ctx funcCtx
 	cfg cfgBuilder
 	// fields are the tracked fields of the enclosing class; a state's
-	// field masks are indexed like them.
-	fields []*cc.Field
+	// field masks are indexed like them. tracked maps each field's
+	// position in its class to its index in fields, or -1.
+	fields  []*cc.Field
+	tracked []int
 	// names and localPos are the name and declaration position of each
 	// pointer parameter and local, by slot, for diagnostics; a local's
 	// are set when the walk first passes its declaration.
@@ -317,14 +308,11 @@ func grow[T any](s []T, n int) []T {
 	return s
 }
 
-// field returns the index of the tracked field name, or -1.
-func (a *fa) field(name string) int {
-	for i, f := range a.fields {
-		if f.Name == name {
-			return i
-		}
-	}
-	return -1
+// field returns the index of the enclosing class's field f among the
+// tracked fields, or -1. Sema lays fields out FieldSize bytes apart in
+// declaration order, so f's offset gives its position.
+func (a *fa) field(f *cc.Field) int {
+	return a.tracked[f.Offset/cc.FieldSize]
 }
 
 // localSlot returns the slot of the local identifier id when it is a
@@ -339,6 +327,15 @@ func (c *checker) checkBody(ctx funcCtx, fields []*cc.Field, body *cc.Block, par
 	a := &c.flow
 	g := a.cfg.build(body)
 	a.c, a.ctx, a.fields = c, ctx, fields
+	if ctx.class != nil {
+		a.tracked = grow(a.tracked, len(ctx.class.Fields))
+		for i := range a.tracked {
+			a.tracked[i] = -1
+		}
+		for i, f := range fields {
+			a.tracked[f.Offset/cc.FieldSize] = i
+		}
+	}
 	nb, nf, nl := len(g.blocks), len(fields), ctx.slots()
 	a.names = grow(a.names, nl)
 	a.localPos = grow(a.localPos, nl)
@@ -579,7 +576,7 @@ func (a *fa) assign(st astate, lhs cc.Expr, rv aval, pos cc.Pos) aval {
 		return a.assign(st, l.X, rv, pos)
 	case *cc.Ident:
 		if l.Kind == cc.FieldIdent {
-			if i := a.field(l.Name); i >= 0 {
+			if i := a.field(l.Field); i >= 0 {
 				a.assignField(st, i, rv, pos)
 				return ownFieldVal(st, i)
 			}
@@ -592,7 +589,7 @@ func (a *fa) assign(st astate, lhs cc.Expr, rv aval, pos cc.Pos) aval {
 		return rv
 	case *cc.FieldAccess:
 		if _, isThis := l.Recv.(*cc.This); isThis {
-			if i := a.field(l.Name); i >= 0 {
+			if i := a.field(l.Field); i >= 0 {
 				a.assignField(st, i, rv, pos)
 				return ownFieldVal(st, i)
 			}
@@ -647,7 +644,7 @@ func (a *fa) eval(st astate, e cc.Expr) aval {
 		return opaque(stNull)
 	case *cc.Ident:
 		if e.Kind == cc.FieldIdent {
-			if i := a.field(e.Name); i >= 0 {
+			if i := a.field(e.Field); i >= 0 {
 				return ownFieldVal(st, i)
 			}
 			return opaque(stUnknown)
@@ -691,7 +688,7 @@ func (a *fa) eval(st astate, e cc.Expr) aval {
 		return opaque(stUnknown)
 	case *cc.FieldAccess:
 		if _, isThis := e.Recv.(*cc.This); isThis {
-			if i := a.field(e.Name); i >= 0 {
+			if i := a.field(e.Field); i >= 0 {
 				return ownFieldVal(st, i)
 			}
 			return opaque(stUnknown)

@@ -54,20 +54,3 @@ func TestShadowingAcrossEngines(t *testing.T) {
 		}
 	}
 }
-
-// TestRepeatedMembersBindLikeSema: sema accepts a class that declares a
-// constructor or a method twice and binds to the first; the VM at both
-// optimization levels and the interpreter must run that one too.
-func TestRepeatedMembersBindLikeSema(t *testing.T) {
-	const src = `class A { public: A() { v = 1; } A() { v = 2; } int m() { return 10; } int m() { return 20; } int v; };
-int main() { A* a = new A(); print(a->m(), a->v); delete a; return 0; }`
-	for name, run := range map[string]func() (Result, error){
-		"vm -O":      func() (Result, error) { return execute(src, Options{}, Config{}) },
-		"vm -no-opt": func() (Result, error) { return execute(src, Options{NoOpt: true}, Config{}) },
-		"interp":     func() (Result, error) { return interpret(src, Config{}) },
-	} {
-		if r, err := run(); err != nil || r.Output != "10 1\n" {
-			t.Errorf("%s: output %q, err %v; want \"10 1\\n\"", name, r.Output, err)
-		}
-	}
-}
