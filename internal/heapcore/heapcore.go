@@ -1,8 +1,11 @@
 // Package heapcore implements a single-threaded, size-class binned
-// free-list heap in the style of Doug Lea's allocator. It is the shared
-// core of the "serial" baseline allocator (one heap behind one global
-// lock, standing in for the Solaris default malloc) and of the ptmalloc
-// reproduction (one heap per arena). Thread safety is the caller's
+// free-list heap in the style of Doug Lea's allocator, and Set, a set
+// of such heaps each behind its own mutex. A Set is the whole allocator
+// layer of three baselines, which differ only in how an allocation
+// picks its heap: "serial" (one heap behind one global lock, standing
+// in for the Solaris default malloc), ptmalloc (one heap per arena) and
+// lkmalloc (one heap per processor). smartheap refills its thread
+// caches from a bare Heap, whose thread safety is the caller's
 // responsibility.
 //
 // Realism notes: block headers, bin head pointers and free-list links
@@ -15,6 +18,7 @@ package heapcore
 import (
 	"fmt"
 
+	"amplify/internal/alloc"
 	"amplify/internal/mem"
 	"amplify/internal/sim"
 )
@@ -55,7 +59,10 @@ type Heap struct {
 	// it per Alloc/Free showed up in interpreter profiles.
 	topA uint64
 
-	sizes blockIndex // usable size of every block ever carved
+	// sizes records the usable size of every block ever carved, under
+	// the heap number id. The heaps of a Set share one index.
+	sizes *blockIndex
+	id    int
 
 	Allocs, Frees int64
 	CarvedBytes   int64
@@ -75,6 +82,16 @@ type Info struct {
 	FreeBytes, FreeBlocks, LargestFree int64
 	WildernessFree, WildernessHW       int64
 	ReqBytes, GrantedBytes             int64
+}
+
+// HeapInfo converts the snapshot to the allocator-level form, without
+// per-arena rows.
+func (i Info) HeapInfo() alloc.HeapInfo {
+	return alloc.HeapInfo{
+		FreeBytes: i.FreeBytes, FreeBlocks: i.FreeBlocks, LargestFree: i.LargestFree,
+		WildernessFree: i.WildernessFree, WildernessHW: i.WildernessHW,
+		ReqBytes: i.ReqBytes, GrantedBytes: i.GrantedBytes,
+	}
 }
 
 // Inspect walks the bins and reports the heap's current state. It is
@@ -113,9 +130,15 @@ type Config struct {
 // New creates a heap on the given space. The heap reserves one page for
 // its metadata so different heaps never share metadata lines.
 func New(sp *mem.Space, cfg Config) *Heap {
+	return newHeap(sp, cfg.PathOps, new(blockIndex), 0)
+}
+
+func newHeap(sp *mem.Space, pathOps int64, sizes *blockIndex, id int) *Heap {
 	h := &Heap{
 		space:   sp,
-		pathOps: cfg.PathOps,
+		pathOps: pathOps,
+		sizes:   sizes,
+		id:      id,
 	}
 	for s := int64(smallStep); s <= smallMax; s += smallStep {
 		h.classes = append(h.classes, s)
@@ -167,15 +190,18 @@ const LockOffset = 1024
 
 // UsableSize reports the usable size of an allocated or freed block.
 func (h *Heap) UsableSize(ref mem.Ref) int64 {
-	n, ok := h.sizes.get(ref)
-	if !ok {
-		panic(fmt.Sprintf("heapcore: UsableSize of unknown block %#x", uint64(ref)))
-	}
+	n, _ := h.sizes.lookup(ref, "UsableSize")
 	return n
 }
 
 // Alloc carves or reuses a block of at least size bytes.
 func (h *Heap) Alloc(c *sim.Ctx, size int64) mem.Ref {
+	ref, _ := h.alloc(c, size)
+	return ref
+}
+
+// alloc is Alloc that also returns the block's usable size.
+func (h *Heap) alloc(c *sim.Ctx, size int64) (mem.Ref, int64) {
 	h.Allocs++
 	c.Work(h.pathOps)
 	bin, usable := h.classFor(size)
@@ -187,10 +213,10 @@ func (h *Heap) Alloc(c *sim.Ctx, size int64) mem.Ref {
 	if bin < 0 {
 		// Huge allocation: straight from the space.
 		ref := h.space.Sbrk(c, usable+headerSize) + headerSize
-		h.sizes.put(ref, usable)
+		h.sizes.put(ref, usable, h.id)
 		h.CarvedBytes += usable + headerSize
 		c.Write(uint64(ref)-headerSize, headerSize)
-		return ref
+		return ref, usable
 	}
 	// First fit over this bin and a bounded number of larger ones
 	// (real dlmalloc consults a bin bitmap; the probe bound keeps the
@@ -208,9 +234,11 @@ func (h *Heap) Alloc(c *sim.Ctx, size int64) mem.Ref {
 		c.Write(h.binAddr(b), 8)
 		// Header write marks the block in use.
 		c.Write(uint64(ref)-headerSize, headerSize)
-		return ref
+		// A block from a larger bin keeps its class's size.
+		h.GrantedBytes += h.classes[b] - usable
+		return ref, h.classes[b]
 	}
-	return h.carve(c, usable)
+	return h.carve(c, usable), usable
 }
 
 // carve cuts a fresh block from the wilderness, extending the space as
@@ -233,19 +261,21 @@ func (h *Heap) carve(c *sim.Ctx, usable int64) mem.Ref {
 	ref := h.top + headerSize
 	h.top += mem.Ref(stride)
 	c.Write(h.topAddr(), 8)
-	h.sizes.put(ref, usable)
+	h.sizes.put(ref, usable, h.id)
 	c.Write(uint64(ref)-headerSize, headerSize)
 	return ref
 }
 
 // Free returns a block to its size-class bin.
 func (h *Heap) Free(c *sim.Ctx, ref mem.Ref) {
+	usable, _ := h.sizes.lookup(ref, "Free")
+	h.free(c, ref, usable)
+}
+
+// free is Free of a block whose usable size the caller looked up.
+func (h *Heap) free(c *sim.Ctx, ref mem.Ref, usable int64) {
 	h.Frees++
 	c.Work(h.pathOps)
-	usable, ok := h.sizes.get(ref)
-	if !ok {
-		panic(fmt.Sprintf("heapcore: Free of unknown block %#x", uint64(ref)))
-	}
 	c.Read(uint64(ref)-headerSize, headerSize) // read header for size
 	h.FreedBytes += usable
 	bin, _ := h.classFor(usable)
@@ -261,12 +291,14 @@ func (h *Heap) Free(c *sim.Ctx, ref mem.Ref) {
 	h.bins[bin] = append(h.bins[bin], ref)
 }
 
-// blockIndex maps a block to its usable size. It is a flat
-// open-addressed table of (ref, size) pairs (Fibonacci hashing, linear
-// probing), which the garbage collector never scans and whose probe
-// reads one host cache line. There is no deletion: freed blocks keep
-// their entries, as UsableSize answers for freed blocks too,
-// and a carved address is never carved again.
+// blockIndex maps a block to its usable size and owning heap. It is a
+// flat open-addressed table of (ref, word) pairs (Fibonacci hashing,
+// linear probing), which the garbage collector never scans and whose
+// probe reads one host cache line. The word packs the size into its low
+// 48 bits and the heap number above them, keeping a slot at 16 bytes.
+// There is no deletion: freed blocks keep their entries, as UsableSize
+// answers for freed blocks too, and a carved address is never carved
+// again.
 type blockIndex struct {
 	slots []blockSlot
 	n     int
@@ -275,32 +307,50 @@ type blockIndex struct {
 
 type blockSlot struct {
 	ref  mem.Ref // mem.Nil marks an empty slot
-	size int64
+	word uint64  // size | heap<<sizeBits
 }
 
-const blockIndexMinSize = 64 // slots; 1 KiB, allocated on first put
+const (
+	sizeBits          = 48
+	maxHeaps          = 1 << (64 - sizeBits)
+	blockIndexMinSize = 64 // slots; 1 KiB, allocated on first put
+)
 
 func (x *blockIndex) home(ref mem.Ref) uint64 {
 	return uint64(ref) * 0x9E3779B97F4A7C15 >> x.shift
 }
 
-func (x *blockIndex) get(ref mem.Ref) (int64, bool) {
+func (x *blockIndex) get(ref mem.Ref) (size int64, heap int, ok bool) {
 	if x.n == 0 {
-		return 0, false
+		return 0, 0, false
 	}
 	mask := uint64(len(x.slots) - 1)
 	for i := x.home(ref); ; i = (i + 1) & mask {
 		switch x.slots[i].ref {
 		case ref:
-			return x.slots[i].size, true
+			w := x.slots[i].word
+			return int64(w & (1<<sizeBits - 1)), int(w >> sizeBits), true
 		case mem.Nil:
-			return 0, false
+			return 0, 0, false
 		}
 	}
 }
 
-// put records ref's size, replacing an earlier entry for ref.
-func (x *blockIndex) put(ref mem.Ref, size int64) {
+// lookup is get for a block that must be known; op names the failing
+// operation in the panic.
+func (x *blockIndex) lookup(ref mem.Ref, op string) (int64, int) {
+	size, heap, ok := x.get(ref)
+	if !ok {
+		panic(fmt.Sprintf("heapcore: %s of unknown block %#x", op, uint64(ref)))
+	}
+	return size, heap
+}
+
+// put records ref's size and heap, replacing an earlier entry for ref.
+func (x *blockIndex) put(ref mem.Ref, size int64, heap int) {
+	if uint64(size)>>sizeBits != 0 {
+		panic(fmt.Sprintf("heapcore: block of %d bytes overflows the index", size))
+	}
 	if len(x.slots) == 0 {
 		x.resize(blockIndexMinSize)
 	} else if (x.n+1)*4 > len(x.slots)*3 {
@@ -315,9 +365,8 @@ func (x *blockIndex) put(ref mem.Ref, size int64) {
 		x.slots[i].ref = ref
 		x.n++
 	}
-	x.slots[i].size = size
+	x.slots[i].word = uint64(size) | uint64(heap)<<sizeBits
 }
-
 func (x *blockIndex) resize(size int) {
 	old := x.slots
 	x.slots = make([]blockSlot, size)

@@ -55,6 +55,11 @@ func TestLargerBinReuse(t *testing.T) {
 		if h.UsableSize(r2) != 64 {
 			t.Errorf("usable = %d, want 64", h.UsableSize(r2))
 		}
+		// The reused block grants its own 64 bytes, not the request's
+		// class, so the live footprint is the block's.
+		if i := h.Inspect(); i.GrantedBytes != 128 || i.LiveBytes != 64 {
+			t.Errorf("granted %d, live %d; want 128, 64", i.GrantedBytes, i.LiveBytes)
+		}
 	})
 }
 
@@ -95,10 +100,10 @@ func TestFreeUnknownPanics(t *testing.T) {
 func TestOwns(t *testing.T) {
 	withHeap(t, func(c *sim.Ctx, h *Heap) {
 		r := h.Alloc(c, 20)
-		if _, ok := h.sizes.get(r); !ok {
+		if _, _, ok := h.sizes.get(r); !ok {
 			t.Error("allocated block not in the block index")
 		}
-		if _, ok := h.sizes.get(mem.Ref(0x9999)); ok {
+		if _, _, ok := h.sizes.get(mem.Ref(0x9999)); ok {
 			t.Error("bogus block found in the block index")
 		}
 	})
@@ -167,27 +172,35 @@ func TestCarvedBytesAccounting(t *testing.T) {
 }
 
 // TestBlockIndexMatchesMap checks the flat block index against a Go
-// map through several growths, with clustered and scattered refs and
-// overwrites of existing entries.
+// map through several growths, with clustered and scattered refs,
+// overwrites of existing entries, and sizes and heap numbers up to the
+// limits of their packed fields.
 func TestBlockIndexMatchesMap(t *testing.T) {
+	type entry struct {
+		size int64
+		heap int
+	}
 	rng := rand.New(rand.NewSource(1))
 	var x blockIndex
-	want := map[mem.Ref]int64{}
+	want := map[mem.Ref]entry{}
 	for i := 0; i < 20_000; i++ {
 		ref := mem.Ref(0x10008 + 16*rng.Intn(5000))
 		if i%3 == 0 {
 			ref = mem.Ref(rng.Uint64() | 1)
 		}
-		size := int64(rng.Intn(1 << 20))
-		x.put(ref, size)
-		want[ref] = size
+		e := entry{int64(rng.Intn(1 << 20)), rng.Intn(maxHeaps)}
+		if i%101 == 0 {
+			e = entry{1<<sizeBits - 1, maxHeaps - 1}
+		}
+		x.put(ref, e.size, e.heap)
+		want[ref] = e
 	}
 	if x.n != len(want) {
 		t.Fatalf("index holds %d entries, want %d", x.n, len(want))
 	}
-	for ref, size := range want {
-		if got, ok := x.get(ref); !ok || got != size {
-			t.Fatalf("get(%#x) = %d, %v; want %d", uint64(ref), got, ok, size)
+	for ref, e := range want {
+		if size, heap, ok := x.get(ref); !ok || size != e.size || heap != e.heap {
+			t.Fatalf("get(%#x) = %d, %d, %v; want %+v", uint64(ref), size, heap, ok, e)
 		}
 	}
 	for i := 0; i < 1000; i++ {
@@ -195,7 +208,7 @@ func TestBlockIndexMatchesMap(t *testing.T) {
 		if _, ok := want[ref]; ok {
 			continue
 		}
-		if _, ok := x.get(ref); ok {
+		if _, _, ok := x.get(ref); ok {
 			t.Fatalf("get(%#x) found a ref never put", uint64(ref))
 		}
 	}

@@ -24,17 +24,8 @@ import (
 // PathOps is the per-operation bookkeeping charge.
 const PathOps = 30
 
-type heap struct {
-	core *heapcore.Heap
-	lock *sim.Mutex
-}
-
 // Allocator is the LKmalloc-style allocator.
-type Allocator struct {
-	heaps []*heap
-	owner map[mem.Ref]int
-	stats alloc.Stats
-}
+type Allocator struct{ *heapcore.Set }
 
 // New creates an LKmalloc-style allocator with one heap per processor
 // (heaps overrides when positive).
@@ -42,13 +33,10 @@ func New(e *sim.Engine, sp *mem.Space, heaps int) *Allocator {
 	if heaps <= 0 {
 		heaps = e.Processors()
 	}
-	a := &Allocator{owner: make(map[mem.Ref]int)}
+	a := &Allocator{}
+	a.Set = heapcore.NewSet(e, sp, PathOps, a.lockHeap)
 	for i := 0; i < heaps; i++ {
-		h := heapcore.New(sp, heapcore.Config{PathOps: PathOps})
-		a.heaps = append(a.heaps, &heap{
-			core: h,
-			lock: e.NewMutexAt(fmt.Sprintf("lkmalloc.heap%d", i), uint64(h.MetaBase())+heapcore.LockOffset),
-		})
+		a.Add(fmt.Sprintf("lkmalloc.heap%d", i), fmt.Sprintf("heap%d", i))
 	}
 	return a
 }
@@ -62,70 +50,12 @@ func init() {
 // Name implements alloc.Allocator.
 func (a *Allocator) Name() string { return "lkmalloc" }
 
-// heapFor hashes the calling thread and its current processor to a
-// heap. Using the processor keeps allocation local after migrations —
-// the property Larson & Krishnan emphasize for long-running servers.
-func (a *Allocator) heapFor(c *sim.Ctx) int {
-	return c.CPU() % len(a.heaps)
-}
-
-// Alloc implements alloc.Allocator.
-func (a *Allocator) Alloc(c *sim.Ctx, size int64) mem.Ref {
-	id := a.heapFor(c)
-	h := a.heaps[id]
-	h.lock.Lock(c)
-	ref := h.core.Alloc(c, size)
-	a.owner[ref] = id
-	n := h.core.UsableSize(ref)
-	a.stats.Count(size, n)
-	h.lock.Unlock(c)
-	c.Emit(sim.Event{Kind: sim.EvHeapAlloc, Arg1: n, Arg2: int64(ref), Arg3: size})
-	return ref
-}
-
-// Free implements alloc.Allocator: blocks return to their owning heap.
-func (a *Allocator) Free(c *sim.Ctx, ref mem.Ref) {
-	id, ok := a.owner[ref]
-	if !ok {
-		panic(fmt.Sprintf("lkmalloc: Free of unknown block %#x", uint64(ref)))
-	}
-	h := a.heaps[id]
-	h.lock.Lock(c)
-	n := h.core.UsableSize(ref)
-	a.stats.Uncount(n)
-	h.core.Free(c, ref)
-	h.lock.Unlock(c)
-	c.Trace(sim.EvHeapFree, "", n, int64(ref))
-}
-
-// UsableSize implements alloc.Allocator.
-func (a *Allocator) UsableSize(ref mem.Ref) int64 {
-	id, ok := a.owner[ref]
-	if !ok {
-		panic(fmt.Sprintf("lkmalloc: UsableSize of unknown block %#x", uint64(ref)))
-	}
-	return a.heaps[id].core.UsableSize(ref)
-}
-
-// Stats implements alloc.Allocator.
-func (a *Allocator) Stats() alloc.Stats { return a.stats }
-
-// Inspect implements alloc.Inspector: the aggregate over the
-// per-processor heaps, each also reported as one ArenaInfo.
-func (a *Allocator) Inspect() alloc.HeapInfo {
-	var hi alloc.HeapInfo
-	for id, h := range a.heaps {
-		i := h.core.Inspect()
-		hi.Merge(alloc.HeapInfo{
-			FreeBytes: i.FreeBytes, FreeBlocks: i.FreeBlocks, LargestFree: i.LargestFree,
-			WildernessFree: i.WildernessFree, WildernessHW: i.WildernessHW,
-			ReqBytes: i.ReqBytes, GrantedBytes: i.GrantedBytes,
-		})
-		hi.Arenas = append(hi.Arenas, alloc.ArenaInfo{
-			Name:       fmt.Sprintf("heap%d", id),
-			LiveBlocks: i.LiveBlocks, LiveBytes: i.LiveBytes,
-			FreeBlocks: i.FreeBlocks, FreeBytes: i.FreeBytes,
-		})
-	}
-	return hi
+// lockHeap hashes the calling thread's current processor to a heap and
+// locks it. Using the processor keeps allocation local after
+// migrations — the property Larson & Krishnan emphasize for
+// long-running servers.
+func (a *Allocator) lockHeap(c *sim.Ctx) int {
+	id := c.CPU() % a.Len()
+	a.Mutex(id).Lock(c)
+	return id
 }

@@ -10,8 +10,8 @@ import (
 func TestHeapPerProcessor(t *testing.T) {
 	e := sim.New(sim.Config{Processors: 4})
 	a := New(e, mem.NewSpace(), 0)
-	if len(a.heaps) != 4 {
-		t.Fatalf("heaps = %d, want 4", len(a.heaps))
+	if a.Len() != 4 {
+		t.Fatalf("heaps = %d, want 4", a.Len())
 	}
 }
 

@@ -18,20 +18,18 @@ import (
 // paper finds that reducing allocation counts helps uniprocessors too.
 const PathOps = 90
 
-// Allocator is the single-lock baseline allocator.
-type Allocator struct {
-	heap  *heapcore.Heap
-	lock  *sim.Mutex
-	stats alloc.Stats
-}
+// Allocator is the single-lock baseline allocator: a heap set of one.
+type Allocator struct{ *heapcore.Set }
 
 // New creates the baseline allocator.
 func New(e *sim.Engine, sp *mem.Space) *Allocator {
-	h := heapcore.New(sp, heapcore.Config{PathOps: PathOps})
-	return &Allocator{
-		heap: h,
-		lock: e.NewMutexAt("serial.global", uint64(h.MetaBase())+heapcore.LockOffset),
-	}
+	a := &Allocator{}
+	a.Set = heapcore.NewSet(e, sp, PathOps, func(c *sim.Ctx) int {
+		a.Mutex(0).Lock(c)
+		return 0
+	})
+	a.Add("serial.global", "")
+	return a
 }
 
 func init() {
@@ -42,43 +40,3 @@ func init() {
 
 // Name implements alloc.Allocator.
 func (a *Allocator) Name() string { return "serial" }
-
-// Alloc implements alloc.Allocator.
-func (a *Allocator) Alloc(c *sim.Ctx, size int64) mem.Ref {
-	a.lock.Lock(c)
-	ref := a.heap.Alloc(c, size)
-	n := a.heap.UsableSize(ref)
-	a.stats.Count(size, n)
-	a.lock.Unlock(c)
-	c.Emit(sim.Event{Kind: sim.EvHeapAlloc, Arg1: n, Arg2: int64(ref), Arg3: size})
-	return ref
-}
-
-// Free implements alloc.Allocator.
-func (a *Allocator) Free(c *sim.Ctx, ref mem.Ref) {
-	a.lock.Lock(c)
-	n := a.heap.UsableSize(ref)
-	a.stats.Uncount(n)
-	a.heap.Free(c, ref)
-	a.lock.Unlock(c)
-	c.Trace(sim.EvHeapFree, "", n, int64(ref))
-}
-
-// UsableSize implements alloc.Allocator.
-func (a *Allocator) UsableSize(ref mem.Ref) int64 { return a.heap.UsableSize(ref) }
-
-// Stats implements alloc.Allocator.
-func (a *Allocator) Stats() alloc.Stats { return a.stats }
-
-// Lock exposes the global mutex for contention assertions in tests.
-func (a *Allocator) Lock() *sim.Mutex { return a.lock }
-
-// Inspect implements alloc.Inspector.
-func (a *Allocator) Inspect() alloc.HeapInfo {
-	i := a.heap.Inspect()
-	return alloc.HeapInfo{
-		FreeBytes: i.FreeBytes, FreeBlocks: i.FreeBlocks, LargestFree: i.LargestFree,
-		WildernessFree: i.WildernessFree, WildernessHW: i.WildernessHW,
-		ReqBytes: i.ReqBytes, GrantedBytes: i.GrantedBytes,
-	}
-}

@@ -17,8 +17,8 @@ func TestGlobalLockTakenPerOperation(t *testing.T) {
 		a.Free(c, r2)
 	})
 	e.Run()
-	if a.Lock().Acquires != 4 {
-		t.Fatalf("lock acquires = %d, want 4 (one per operation)", a.Lock().Acquires)
+	if a.Mutex(0).Acquires != 4 {
+		t.Fatalf("lock acquires = %d, want 4 (one per operation)", a.Mutex(0).Acquires)
 	}
 }
 
@@ -34,10 +34,10 @@ func TestContentionUnderThreads(t *testing.T) {
 		})
 	}
 	e.Run()
-	if a.Lock().Contended == 0 {
+	if a.Mutex(0).Contended == 0 {
 		t.Fatal("expected contention on the global lock with 4 threads")
 	}
-	if a.Lock().WaitTime == 0 {
+	if a.Mutex(0).WaitTime == 0 {
 		t.Fatal("expected accumulated wait time")
 	}
 }

@@ -198,12 +198,8 @@ func (a *Allocator) Stats() alloc.Stats { return a.stats }
 // the shared heap's live bytes, so they appear only in the per-cache
 // rows, not the aggregate.
 func (a *Allocator) Inspect() alloc.HeapInfo {
-	i := a.shared.Inspect()
-	hi := alloc.HeapInfo{
-		FreeBytes: i.FreeBytes, FreeBlocks: i.FreeBlocks, LargestFree: i.LargestFree,
-		WildernessFree: i.WildernessFree, WildernessHW: i.WildernessHW,
-		ReqBytes: a.stats.ReqBytes, GrantedBytes: a.stats.GrantBytes,
-	}
+	hi := a.shared.Inspect().HeapInfo()
+	hi.ReqBytes, hi.GrantedBytes = a.stats.ReqBytes, a.stats.GrantBytes
 	tids := make([]int, 0, len(a.caches))
 	for tid := range a.caches {
 		tids = append(tids, tid)

@@ -90,8 +90,8 @@ func CompileOpts(src *cc.Program, opt Options) (*Program, error) {
 		siteID:   map[string]int32{"?": 0},
 	}
 	// Reserve ids first so calls can reference later definitions. Sema
-	// rejects a function or class declared twice; a method declared
-	// twice gets an Fn of its own, and calls bind to the one sema chose.
+	// rejects a function, class or member declared twice, so every
+	// declaration gets the one Fn its calls bind to.
 	for _, d := range src.Decls {
 		switch d := d.(type) {
 		case *cc.FuncDecl:
@@ -129,8 +129,8 @@ func CompileOpts(src *cc.Program, opt Options) (*Program, error) {
 }
 
 // buildClassTables fills every classInfo's lifecycle ids, offsets and
-// field prototype. The lifecycle member functions are the ones sema
-// and the interpreter use: a class's first of each kind.
+// field prototype. Sema admits at most one constructor, destructor,
+// operator new and operator delete per class; a missing one gets id -1.
 func (p *Program) buildClassTables() {
 	fnID := func(m *cc.Method) int32 {
 		if id, ok := p.methodID[m]; ok {

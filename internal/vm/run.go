@@ -39,9 +39,9 @@ func Run(p *Program, cfg Config) (res Result, err error) {
 		joinable: mc.Engine.NewWaitGroup(),
 		// Single-threaded programs run one sim thread: no dilation, no
 		// migration, an infinite scheduling lease. There, N unit work
-		// charges and one N-cycle charge are exactly equivalent, so the
-		// interpreter batches charges between observable events (loads,
-		// stores, allocator calls). Threaded programs charge through
+		// charges and one N-cycle charge are exactly equivalent, so bulk
+		// mode batches charges between observable events (loads, stores,
+		// allocator calls). Threaded programs charge through
 		// Ctx.Compute, which is per unit under oversubscription (each
 		// charge is dilated with an integer division, so batching
 		// would perturb makespans) and runs ahead otherwise. A tracer
