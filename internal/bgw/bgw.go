@@ -181,9 +181,10 @@ type worker struct {
 	recPool *pool.ClassPool
 
 	// Amplified state: the record's shadowed array blocks. (In the
-	// generated C++ these live in the record object's shadow fields;
-	// one record structure is live at a time per thread, matching the
-	// pipeline.)
+	// generated C++ these live in the record object's shadow fields.
+	// Per-thread state equals them while each thread takes back from
+	// recPool only records it freed itself: true when every thread has
+	// a pool shard of its own, not when threads share one.)
 	shadowRefs  [numArrays]mem.Ref
 	shadowSizes [numArrays]int64
 

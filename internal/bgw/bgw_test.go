@@ -3,7 +3,9 @@ package bgw
 import (
 	"testing"
 
+	"amplify/internal/mem"
 	"amplify/internal/pool"
+	"amplify/internal/sim"
 
 	_ "amplify/internal/hoard"
 	_ "amplify/internal/ptmalloc"
@@ -162,4 +164,55 @@ func TestDeterministic(t *testing.T) {
 
 func poolConfigWithCap(n int64) pool.Config {
 	return pool.Config{MaxShadowBytes: n}
+}
+
+// recordOwners follows every pooled CDRRecord: the thread that last took
+// it from recPool (and so freed it back) and the number of hits where a
+// record changed thread.
+type recordOwners struct {
+	owner    map[mem.Ref]int
+	handoffs int
+}
+
+func (o *recordOwners) Event(e sim.Event) {
+	if (e.Kind != sim.EvPoolHit && e.Kind != sim.EvPoolMiss) || e.Detail != "CDRRecord" {
+		return
+	}
+	ref := mem.Ref(e.Arg2)
+	if prev, ok := o.owner[ref]; ok && e.Kind == sim.EvPoolHit && prev != e.Thread {
+		o.handoffs++
+	}
+	o.owner[ref] = e.Thread
+}
+
+func handoffs(t *testing.T, cfg Config) int {
+	t.Helper()
+	o := &recordOwners{owner: map[mem.Ref]int{}}
+	cfg.Tracer = o
+	run(t, cfg)
+	return o.handoffs
+}
+
+// TestRecordShadowsStayWithThread audits the worker's per-thread shadow
+// state. In the generated program the shadowed arrays live in the
+// record's shadow fields, so per-thread state equals them only while
+// every record a thread takes from recPool is one it freed itself. That
+// holds for Figure 11's pooled-record runs, where each thread has a
+// pool shard of its own. When threads share a shard, a record one
+// thread freed is taken by another: the worker then reuses its own
+// arrays where the program would reuse the record's. The last run
+// shows that this happens, so per-thread state is only exact with a
+// shard per thread.
+func TestRecordShadowsStayWithThread(t *testing.T) {
+	for _, threads := range []int{1, 2, 4, 6, 8} {
+		cfg := Config{Threads: threads, Strategy: "serial", Amplify: true, ObjectsToo: true}
+		if n := handoffs(t, cfg); n != 0 {
+			t.Errorf("%d threads: %d records changed thread", threads, n)
+		}
+	}
+	shared := Config{CDRs: 600, Threads: 4, Strategy: "serial", Amplify: true, ObjectsToo: true,
+		Pool: pool.Config{Shards: 1}}
+	if n := handoffs(t, shared); n == 0 {
+		t.Error("one shard, 4 threads: no record changed thread")
+	}
 }

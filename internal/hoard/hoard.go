@@ -258,9 +258,11 @@ func (a *Allocator) UsableSize(ref mem.Ref) int64 {
 func (a *Allocator) Stats() alloc.Stats { return a.stats }
 
 // Inspect implements alloc.Inspector. Each Hoard heap (global heap
-// included) becomes one ArenaInfo; free bytes are the unused blocks of
-// the heap's superblocks, and the largest free block is the biggest
-// class with a free block anywhere.
+// included) becomes one ArenaInfo; while any block above MaxClass is
+// live, a last "huge" row holds those, which came straight from the
+// address space. Free bytes are the unused blocks of the heaps'
+// superblocks, and the largest free block is the biggest class with a
+// free block anywhere.
 func (a *Allocator) Inspect() alloc.HeapInfo {
 	hi := alloc.HeapInfo{
 		ReqBytes:     a.stats.ReqBytes,
@@ -288,6 +290,13 @@ func (a *Allocator) Inspect() alloc.HeapInfo {
 		hi.FreeBlocks += ai.FreeBlocks
 		hi.FreeBytes += ai.FreeBytes
 		hi.Arenas = append(hi.Arenas, ai)
+	}
+	if len(a.huge) > 0 {
+		huge := alloc.ArenaInfo{Name: "huge", LiveBlocks: int64(len(a.huge))}
+		for _, n := range a.huge {
+			huge.LiveBytes += n
+		}
+		hi.Arenas = append(hi.Arenas, huge)
 	}
 	return hi
 }

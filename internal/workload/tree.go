@@ -133,8 +133,11 @@ func RunTree(strategy string, cfg TreeConfig) (Result, error) {
 	switch strategy {
 	case "amplify":
 		np := m.Pools.NewClassPool("Node", AmpNodeSize)
+		// The engine runs one simulated thread at a time, so the
+		// workers share the shadow table without a lock.
+		shadows := make(shadowTable)
 		forEachThread(m.Engine, cfg, func(c *sim.Ctx, trees int) {
-			amplifiedWorker(c, m.Pools, np, cfg, trees)
+			amplifiedWorker(c, m.Pools, np, shadows, cfg, trees)
 		})
 	case "objectpool":
 		// §2.1's traditional object pool: every node goes through the
@@ -245,39 +248,37 @@ func useTree(c *sim.Ctx, refs []mem.Ref, nodeSize int64, work int64) {
 	}
 }
 
+// shadowTable holds the two shadow pointers of every amplified node,
+// keyed by the node: the fields the pre-processor adds to the object.
+// One table serves all of a run's workers, so a structure that one
+// thread returns to the pool and another takes out keeps its children,
+// as it does in the rewritten program.
+type shadowTable map[mem.Ref][2]mem.Ref
+
 // amplifiedWorker is the program as transformed by the Amplify
-// pre-processor: the root comes from the class's structure pool; when
-// the pool hit returns a previously used structure, the children are
-// recovered through the shadow pointers with no allocator calls at all;
-// on a miss the children are allocated through the pool as well (which
-// falls back to malloc while the pools warm up). Deletion runs the
-// destructors, saves each child in its parent's shadow pointer, and
-// returns only the root to the pool.
-func amplifiedWorker(c *sim.Ctx, rt *pool.Runtime, np *pool.ClassPool, cfg TreeConfig, trees int) {
+// pre-processor: the root comes from the class's structure pool and
+// the constructors run over it. Each constructor revives a child from
+// its shadow pointer with no allocator call at all; a null shadow
+// sends the child through the pool as well (which falls back to malloc
+// while the pools warm up), and a structure the pool hands out as a
+// child brings its own children along. Deletion runs the destructors,
+// saves each child in its parent's shadow pointer, and returns only
+// the root to the pool.
+func amplifiedWorker(c *sim.Ctx, rt *pool.Runtime, np *pool.ClassPool, shadows shadowTable, cfg TreeConfig, trees int) {
 	n := Nodes(cfg.Depth)
-	// shadows mirrors the shadow-pointer state: for each pooled root,
-	// the refs of its (still linked) child structure.
-	shadows := make(map[mem.Ref][]mem.Ref)
+	refs := make([]mem.Ref, n)
 	for t := 0; t < trees; t++ {
-		root, reused := np.Alloc(c)
-		refs := shadows[root]
-		if !reused || refs == nil {
-			// Fresh root: build the structure through the pool
-			// (placement new finds null shadows).
-			refs = make([]mem.Ref, n)
-			refs[0] = root
-			for i := 1; i < n; i++ {
-				refs[i], _ = np.Alloc(c)
-			}
-			shadows[root] = refs
-		} else {
-			// Reused structure: placement new reads each shadow pointer.
-			for i := 0; i < n; i++ {
-				if 2*i+1 < n {
-					c.Read(uint64(refs[i])+offLeftShadow, 4)
-				}
-				if 2*i+2 < n {
-					c.Read(uint64(refs[i])+offRightShadow, 4)
+		refs[0], _ = np.Alloc(c)
+		// Each constructor runs placement new on its two children.
+		for p := 0; 2*p+1 < n; p++ {
+			sh := shadows[refs[p]]
+			for side, off := range [2]uint64{offLeftShadow, offRightShadow} {
+				i := 2*p + 1 + side
+				if sh[side] != mem.Nil {
+					c.Read(uint64(refs[p])+off, 4)
+					refs[i] = sh[side]
+				} else {
+					refs[i], _ = np.Alloc(c)
 				}
 			}
 		}
@@ -295,14 +296,19 @@ func amplifiedWorker(c *sim.Ctx, rt *pool.Runtime, np *pool.ClassPool, cfg TreeC
 			c.Read(uint64(refs[i])+offData, 4) // destructor touches the object
 			c.Write(uint64(parent)+off, 4)     // shadow = child
 		}
-		if !np.Free(c, root) {
+		for p := 0; 2*p+1 < n; p++ {
+			shadows[refs[p]] = [2]mem.Ref{refs[2*p+1], refs[2*p+2]}
+		}
+		if !np.Free(c, refs[0]) {
 			// Pool at its MaxObjects limit: the root went back to the
 			// heap, so the generated code releases the child structure
 			// through the shadow pointers too.
 			for i := 1; i < n; i++ {
 				rt.Underlying().Free(c, refs[i])
 			}
-			delete(shadows, root)
+			for _, r := range refs {
+				delete(shadows, r)
+			}
 		}
 	}
 }

@@ -3,6 +3,11 @@ package workload
 import (
 	"testing"
 
+	"amplify/internal/mem"
+	"amplify/internal/pool"
+	"amplify/internal/sim"
+	"amplify/internal/target"
+
 	_ "amplify/internal/hoard"
 	_ "amplify/internal/lfalloc"
 	_ "amplify/internal/lkmalloc"
@@ -244,5 +249,68 @@ func TestMemoryFootprintBounded(t *testing.T) {
 	}
 	if amp.Footprint > 4*plain.Footprint {
 		t.Errorf("amplify footprint %d vs plain %d", amp.Footprint, plain.Footprint)
+	}
+}
+
+// poolRefs records the structures a pool handed out from the heap
+// (misses) and from its free lists (hits).
+type poolRefs struct{ missed, hit map[mem.Ref]bool }
+
+func (p poolRefs) Event(e sim.Event) {
+	switch e.Kind {
+	case sim.EvPoolMiss:
+		p.missed[mem.Ref(e.Arg2)] = true
+	case sim.EvPoolHit:
+		p.hit[mem.Ref(e.Arg2)] = true
+	}
+}
+
+// TestShadowTableKeepsEveryNode runs threads that share one pool shard
+// closely enough that a constructor's pool allocation takes another
+// thread's pooled root as a child. After the run the shadow table must
+// be a forest, as the objects' shadow fields are in the rewritten
+// program: every node the heap served is in it, no node is the child
+// of two parents, and the roots are exactly the pooled structures.
+func TestShadowTableKeepsEveryNode(t *testing.T) {
+	refs := poolRefs{map[mem.Ref]bool{}, map[mem.Ref]bool{}}
+	cfg := TreeConfig{Depth: 5, Trees: 256, Threads: 64, InitWork: 500, UseWork: 500}
+	m, err := target.Boot(target.Config{Strategy: "serial", Pool: pool.Config{Shards: 1}, Tracer: refs}, target.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	np := m.Pools.NewClassPool("Node", AmpNodeSize)
+	shadows := make(shadowTable)
+	forEachThread(m.Engine, cfg, func(c *sim.Ctx, trees int) {
+		amplifiedWorker(c, m.Pools, np, shadows, cfg, trees)
+	})
+	m.Run()
+
+	parents := map[mem.Ref]int{}
+	pooledChildren := 0
+	for _, kids := range shadows {
+		for _, k := range kids {
+			parents[k]++
+			if refs.hit[k] {
+				pooledChildren++
+			}
+		}
+	}
+	if pooledChildren == 0 {
+		t.Fatal("no pooled root was taken as a child; the run does not exercise that path")
+	}
+	roots := 0
+	for r := range refs.missed {
+		_, isParent := shadows[r]
+		switch {
+		case parents[r] > 1:
+			t.Fatalf("node %#x is the child of %d parents", uint64(r), parents[r])
+		case parents[r] == 0 && !isParent:
+			t.Fatalf("node %#x served by the heap is not in the shadow table", uint64(r))
+		case parents[r] == 0:
+			roots++
+		}
+	}
+	if roots != np.FreeCount() {
+		t.Errorf("shadow table has %d roots, pool holds %d structures", roots, np.FreeCount())
 	}
 }
