@@ -17,8 +17,8 @@ import (
 //   - live blocks never overlap and UsableSize covers the request;
 //   - Stats equals the model's counts and bytes;
 //   - Inspect's cumulative byte counts equal Stats';
-//   - the per-heap rows of lkmalloc, ptmalloc and hoard are never
-//     negative and sum to Stats.
+//   - the per-heap rows of lkmalloc, ptmalloc, hoard and lfalloc are
+//     never negative and sum to Stats.
 //
 // data[0] picks the allocator, data[1] the thread count (1-4). Byte i
 // of the rest is an op of thread i mod threads, with the high two bits
@@ -157,7 +157,7 @@ func fuzzRun(t *testing.T, name string, scripts [][]byte) {
 	if hi.ReqBytes != st.ReqBytes || hi.GrantedBytes != st.GrantBytes {
 		t.Errorf("%s: Inspect req/granted = %d/%d, Stats %d/%d", name, hi.ReqBytes, hi.GrantedBytes, st.ReqBytes, st.GrantBytes)
 	}
-	if name != "lkmalloc" && name != "ptmalloc" && name != "hoard" {
+	if name != "lkmalloc" && name != "ptmalloc" && name != "hoard" && name != "lfalloc" {
 		return
 	}
 	var blocks, bytes int64

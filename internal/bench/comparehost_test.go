@@ -1,9 +1,45 @@
 package bench
 
 import (
+	"encoding/json"
+	"os"
+	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
+
+// TestHostBenchRuns runs the host benchmark suite and requires it to
+// produce the rows of the committed ledger, BENCH_host.json, in the
+// ledger's order: a suite that fails or drops a row cannot re-measure
+// the ledger. Short mode, which the race step uses, skips it.
+func TestHostBenchRuns(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs the whole host benchmark suite")
+	}
+	raw, err := os.ReadFile(filepath.Join("..", "..", "BENCH_host.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ledger HostReport
+	if err := json.Unmarshal(raw, &ledger); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := HostBench()
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := func(r *HostReport) []string {
+		var ns []string
+		for _, b := range r.Benchmarks {
+			ns = append(ns, b.Name)
+		}
+		return ns
+	}
+	if got, want := names(rep), names(&ledger); !slices.Equal(got, want) {
+		t.Errorf("host benchmark rows %v, ledger rows %v", got, want)
+	}
+}
 
 func hostReport(ns map[string]int64) *HostReport {
 	rep := &HostReport{Schema: HostBenchSchema, GoVersion: "go1.23", HostCPUs: 8}

@@ -176,11 +176,7 @@ func HostBench() (*HostReport, error) {
 	detached := func() sim.Tracer { return nil }
 	var treeBuild *vm.Program
 	for _, s := range vmHostSources {
-		prog, err := cc.Parse(s.src)
-		if err != nil {
-			return nil, fmt.Errorf("hostbench %s: %w", s.name, err)
-		}
-		p, err := vm.Compile(prog)
+		p, err := compile(s.src, false)
 		if err != nil {
 			return nil, fmt.Errorf("hostbench %s: %w", s.name, err)
 		}

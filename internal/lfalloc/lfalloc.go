@@ -287,8 +287,10 @@ func (a *Allocator) UsableSize(ref mem.Ref) int64 {
 func (a *Allocator) Stats() alloc.Stats { return a.stats }
 
 // Inspect implements alloc.Inspector. Each size class is one arena;
-// free bytes split into the shared stack plus the private overflow
-// lists, and the un-handed-out bump regions count as wilderness.
+// while any block above MaxClass is live, a last "huge" row holds
+// those, which came straight from the address space. Free bytes split
+// into the shared stack plus the private overflow lists, and the
+// un-handed-out bump regions count as wilderness.
 func (a *Allocator) Inspect() alloc.HeapInfo {
 	hi := alloc.HeapInfo{
 		ReqBytes:     a.stats.ReqBytes,
@@ -317,6 +319,13 @@ func (a *Allocator) Inspect() alloc.HeapInfo {
 			hi.WildernessHW = wild
 		}
 		hi.Arenas = append(hi.Arenas, ai)
+	}
+	if len(a.huge) > 0 {
+		huge := alloc.ArenaInfo{Name: "huge", LiveBlocks: int64(len(a.huge))}
+		for _, n := range a.huge {
+			huge.LiveBytes += n
+		}
+		hi.Arenas = append(hi.Arenas, huge)
 	}
 	return hi
 }

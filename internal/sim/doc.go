@@ -22,11 +22,12 @@
 //
 // Threads are ordinary Go functions that receive a *Ctx and call
 // Ctx.Advance, Ctx.Read/Write, Ctx.Lock/Unlock and so on. Each runs on
-// a pooled coroutine (iter.Pull) that Engine.Run resumes and that
-// switches back whenever its thread yields, blocks or finishes, so the
-// engine executes exactly one thread at a time and always steps the
-// runnable thread with the smallest virtual clock. That makes every
-// simulation fully deterministic and independent of the host machine.
+// a pooled coroutine (iter.Pull). A thread that yields or blocks runs
+// the scheduling loop on its own coroutine and resumes its successor
+// directly (see Engine.schedule), so the engine executes exactly one
+// thread at a time and always steps the runnable thread with the
+// smallest virtual clock. That makes every simulation fully
+// deterministic and independent of the host machine.
 //
 // The engine holds only the threads that have not finished. When a
 // thread finishes, its counters are folded into the engine's totals

@@ -52,12 +52,22 @@ type Engine struct {
 	// scheduler pops its root instead of scanning every thread.
 	ready readyHeap
 	// handoff is the thread a preempted thread swapped out of the heap
-	// root (see yieldCheck): Run starts it next without a pop.
+	// root (see yieldCheck): the scheduling loop starts it next without
+	// a pop.
 	handoff *Thread
+	// pick chooses the next thread and its lease for the scheduling
+	// loop: pickHeap, which the scheduler tests replace with a linear
+	// scan.
+	pick func(*Engine) (*Thread, int64)
+	// unwind is the stacked thread the scheduling loop picked: each
+	// level below the loop yields down until the target's own level
+	// returns into it (see schedule).
+	unwind *Thread
 	// segments counts open run-ahead segments (see Ctx.Compute).
 	segments int
-	// dispatches counts the worker resumes Run has made.
-	dispatches int64
+	// switches counts the coroutine switches of the run: every resume
+	// of a worker and every yield back down.
+	switches int64
 
 	// maxClock is the largest thread clock ever reached, maintained by
 	// advance and wake so Makespan is O(1) instead of an O(threads)
@@ -98,6 +108,7 @@ func New(cfg Config) *Engine {
 		procs:  cfg.Processors,
 		cost:   DefaultCost(),
 		tracer: cfg.Tracer,
+		pick:   (*Engine).pickHeap,
 	}
 	if e.procs <= 0 {
 		e.procs = 8
@@ -164,32 +175,82 @@ func (e *Engine) Go(name string, fn func(*Ctx)) *Thread {
 // the makespan (the largest completion time). It panics on deadlock,
 // printing the lock graph, and re-raises a thread's panic.
 //
-// Run is a central scheduling loop: it pops the next thread off the
-// ready heap, grants its lease and resumes the thread's worker
-// coroutine, which runs until the thread yields, blocks or finishes and
-// then switches straight back here. Each switch is a direct coroutine
-// transfer, not a channel operation, so the Go scheduler never runs
-// between two simulated events. A preempted thread has already chosen
-// its successor, which Run starts without consulting the heap. On every
-// exit, normal or not, the workers are stopped.
+// Run is the bottom level of the scheduling loop (see schedule). Every
+// thread's worker hands control back down to it when the run ends,
+// deadlocks or a thread panics; on every exit, normal or not, the
+// workers are stopped.
 func (e *Engine) Run() int64 {
 	e.start()
 	defer e.stopWorkers()
-	for len(e.live) > 0 {
-		t := e.handoff
-		if t != nil {
-			e.handoff = nil
-		} else if t = e.ready.pop(); t == nil {
-			panic(e.deadlockReport())
-		}
-		e.grant(t, e.heapLease())
-		e.dispatches++
-		t.w.next()
-		if e.threadPanic != nil {
-			e.rethrowThreadPanic()
-		}
-	}
+	e.schedule(nil)
 	return e.Makespan()
+}
+
+// schedule is the scheduling loop. Run calls it with self nil, and a
+// thread that stops (preempted, parked in Sync, blocked or waiting)
+// calls it from its own worker through Thread.yield, so a simulated
+// context switch can cost one coroutine switch instead of two through
+// a central loop. Each round picks the next thread (the handoff of a
+// preempted thread, else the ready heap's root) and grants its lease.
+// Then:
+//
+//   - the stopping thread itself: return, and it goes on without a
+//     switch;
+//   - a thread off the stack: resume its worker with next, so self
+//     stays stacked inside that call until a worker yields back down;
+//   - a thread stacked lower down: set it as the unwind target and
+//     yield down; each level passes control down until the target's
+//     own level returns into it.
+//
+// A thread panic, a deadlock (nothing ready) and a finished thread
+// yield down to the level below, so Run, at the bottom, still re-raises
+// panics, reports deadlocks and stops every worker. A level that has
+// yielded down returns only once a later round has granted self and
+// resumed its worker. Every resume is paired with at most one yield
+// back, so a run switches at most twice per pick, as the central loop
+// did, and the picks and grants are the central loop's, in its order.
+func (e *Engine) schedule(self *Thread) {
+	for e.threadPanic == nil && e.unwind == nil {
+		if self == nil && len(e.live) == 0 {
+			return
+		}
+		t, lease := e.pick(e)
+		if t == nil {
+			break
+		}
+		e.grant(t, lease)
+		if t == self {
+			return
+		}
+		if t.w.stacked {
+			e.unwind = t
+			break
+		}
+		e.resume(self, t)
+	}
+	switch {
+	case self == nil && e.threadPanic != nil:
+		e.rethrowThreadPanic()
+	case self == nil:
+		panic(e.deadlockReport())
+	case e.unwind == self:
+		e.unwind = nil
+	default:
+		e.down(self)
+	}
+}
+
+// pickHeap is the scheduler's pick: the handoff a preempted thread
+// chose, else the ready heap's root, with the clock of the new root as
+// the lease. It returns nil when no thread is ready.
+func (e *Engine) pickHeap() (*Thread, int64) {
+	t := e.handoff
+	if t != nil {
+		e.handoff = nil
+	} else if t = e.ready.pop(); t == nil {
+		return nil, 0
+	}
+	return t, e.heapLease()
 }
 
 // start queues every thread registered with Go, in slot order: none

@@ -15,7 +15,9 @@ import (
 // below has passed through one of the queues that park threads (mutex
 // waiters, channel receivers and senders, waitgroup waiters), and one
 // was spawned from inside the run, so each queue must let go of the
-// threads it has woken.
+// threads it has woken. The lockstep threads were stacked inside
+// another thread's scheduling loop before they finished, so neither
+// the loop nor the unwind target may keep them either.
 func TestFinishedThreadsAreCollected(t *testing.T) {
 	e := New(Config{Processors: 2})
 	m := e.NewMutexAt("m", 0)
@@ -55,6 +57,22 @@ func TestFinishedThreadsAreCollected(t *testing.T) {
 			wg.Done(cc)
 		}))
 	}))
+	// Each lockstep step preempts, and the thread resumes the next one
+	// from its own scheduling loop, which stacks it. Only the lockstep
+	// threads look, so the first two are seen stacked.
+	wasStacked := map[string]bool{}
+	for k := range 3 {
+		drop(e.Go(fmt.Sprintf("lockstep%d", k), func(c *Ctx) {
+			for range 4 {
+				c.Work(1)
+				for _, th := range e.live {
+					if th.w != nil && th.w.stacked {
+						wasStacked[th.name] = true
+					}
+				}
+			}
+		}))
+	}
 	live := func() []string {
 		runtime.GC()
 		var names []string
@@ -75,8 +93,13 @@ func TestFinishedThreadsAreCollected(t *testing.T) {
 	if names := live(); len(names) != 0 {
 		t.Errorf("after Run: the engine still holds finished threads %v", names)
 	}
-	if len(dropped) != 8 {
-		t.Fatalf("%d threads dropped, want 8", len(dropped))
+	if len(dropped) != 11 {
+		t.Fatalf("%d threads dropped, want 11", len(dropped))
+	}
+	for k := range 2 {
+		if name := fmt.Sprintf("lockstep%d", k); !wasStacked[name] {
+			t.Errorf("%s was never stacked (stacked: %v)", name, wasStacked)
+		}
 	}
 	if st := e.Stats(); st.LockAcquires != 2 || st.ChanBlockedSends != 1 || st.ChanBlockedRecvs != 1 || st.WaitGroupWaits != 1 {
 		t.Errorf("the threads did not park as intended: %+v", st)

@@ -51,31 +51,30 @@ func (s *scenario) bySlot() []*Thread {
 }
 
 // runLinear is the reference scheduler the ready heap replaced: Run
-// with every pick made by a linear scan over the live threads (see pickMin)
-// instead of by the heap root. The heap still holds the ready threads,
-// because yieldCheck and wake maintain it, so the chosen thread is
-// removed from it by slot, and a preempted thread's handoff choice is
-// put back and re-decided by the scan.
+// with every pick made by a linear scan over the live threads (see
+// pickLinear) instead of by the heap root. The scheduling loop is the
+// engine's own, so the scan makes every pick, those of the loops that
+// stopping threads run as well as Run's.
 func runLinear(e *Engine) int64 {
-	e.start()
-	defer e.stopWorkers()
-	for len(e.live) > 0 {
-		if h := e.handoff; h != nil {
-			e.handoff = nil
-			e.ready.push(h)
-		}
-		t, lease := pickMin(e)
-		if t == nil {
-			panic(e.deadlockReport())
-		}
-		e.ready.remove(t)
-		e.grant(t, lease)
-		t.w.next()
-		if e.threadPanic != nil {
-			e.rethrowThreadPanic()
-		}
+	e.pick = pickLinear
+	return e.Run()
+}
+
+// pickLinear is the scheduling loop's pick by linear scan (pickMin).
+// The heap still holds the ready threads, because yieldCheck and wake
+// maintain it, so the chosen thread is removed from it by slot, and a
+// preempted thread's handoff choice is put back and re-decided by the
+// scan.
+func pickLinear(e *Engine) (*Thread, int64) {
+	if h := e.handoff; h != nil {
+		e.handoff = nil
+		e.ready.push(h)
 	}
-	return e.Makespan()
+	t, lease := pickMin(e)
+	if t != nil {
+		e.ready.remove(t)
+	}
+	return t, lease
 }
 
 // pickMin selects the ready thread with the smallest clock (ties broken
@@ -365,6 +364,30 @@ func checkRunAhead(t *testing.T, id string, procs int, data []byte) {
 	diffRuns(t, id, "run-ahead", "per unit", untraced(true, (*Engine).Run), untraced(false, runLinear))
 }
 
+// checkSwitches runs a script untraced on the engine, with private
+// work run ahead or charged per unit, and counts the picks of the
+// scheduling loop. It fails when the run switched coroutines more than
+// twice per pick: more than the central loop, which resumed a worker
+// for every pick and was switched back to once per resume.
+func checkSwitches(t *testing.T, id string, procs int, data []byte) {
+	t.Helper()
+	for _, runAhead := range []bool{true, false} {
+		s := scripted(Config{Processors: procs}, data, runAhead)
+		var picks int64
+		s.pick = func(e *Engine) (*Thread, int64) {
+			th, lease := e.pickHeap()
+			if th != nil {
+				picks++
+			}
+			return th, lease
+		}
+		s.Run()
+		if s.switches > 2*picks {
+			t.Errorf("%s run-ahead=%v: %d coroutine switches for %d picks", id, runAhead, s.switches, picks)
+		}
+	}
+}
+
 // Script bytes for hand-built scenarios (see scripted).
 const (
 	opAdvance2  = 2<<3 | 0  // Advance(245)
@@ -432,6 +455,8 @@ var wakeGapSeed = func() []byte {
 // reference on random thread scripts (see scripted) on 1-8 processors:
 // traced, where private work is charged per unit and the event streams
 // must match, and untraced, where the engine runs ahead through it.
+// Both share the stacked scheduling loop, which must also never switch
+// coroutines more often than the central loop would (checkSwitches).
 func FuzzSchedule(f *testing.F) {
 	rng := rand.New(rand.NewSource(3))
 	for i, n := range []int{8, 64, 256} {
@@ -448,5 +473,6 @@ func FuzzSchedule(f *testing.F) {
 		id := fmt.Sprintf("P=%d", p)
 		checkMatchesLinear(t, id, p, func(cfg Config) *scenario { return scripted(cfg, data, true) })
 		checkRunAhead(t, id, p, data)
+		checkSwitches(t, id, p, data)
 	})
 }

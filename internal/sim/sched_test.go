@@ -188,7 +188,7 @@ func TestAbnormalExitsLeakNoGoroutines(t *testing.T) {
 			m.Unlock(c)
 		})
 		e.Go("waiter", func(c *Ctx) { m.Lock(c) })
-		e.Go("short", func(c *Ctx) { c.Advance(10) })
+		e.Go("done", func(c *Ctx) {}) // retires before any receiver runs
 		e.Go("crash", func(c *Ctx) {
 			c.Advance(100)
 			var s []int
@@ -212,7 +212,7 @@ func TestAbnormalExitsLeakNoGoroutines(t *testing.T) {
 			c.Advance(50)
 			a.Lock(c)
 		})
-		e.Go("short", func(c *Ctx) { c.Advance(10) })
+		e.Go("done", func(c *Ctx) {}) // retires before any receiver runs
 		msg, _ := runRecovered(e).(string)
 		if !strings.HasPrefix(msg, "sim: deadlock") {
 			t.Fatalf("run %d: want a deadlock report, got %q", i, msg)
@@ -221,6 +221,106 @@ func TestAbnormalExitsLeakNoGoroutines(t *testing.T) {
 	// Goroutines started elsewhere may exit meanwhile; none may stay.
 	if after := runtime.NumGoroutine(); after > before {
 		t.Errorf("%d goroutines before 200 aborted runs, %d after", before, after)
+	}
+}
+
+// stackedWorkers counts the workers stacked inside a scheduling loop.
+func stackedWorkers(e *Engine) int {
+	n := 0
+	for _, w := range e.workers {
+		if w.stacked {
+			n++
+		}
+	}
+	return n
+}
+
+// TestStackedPanicIsReraised checks that a thread panic raised three
+// levels up the stack of scheduling loops reaches Run: the lockstep
+// threads before the crashing one each preempt and resume the next
+// from their own loop, so three workers are stacked when it starts. A
+// runtime error comes back with the simulated thread's stack attached,
+// a typed value untouched, and no worker goroutine outlives either run.
+func TestStackedPanicIsReraised(t *testing.T) {
+	before := runtime.NumGoroutine()
+	sentinel := &struct{ name string }{"sentinel"}
+	for i := 0; i < 20; i++ {
+		typed := i%2 == 1
+		e := New(Config{Processors: 8})
+		depth := -1
+		for k := range 4 {
+			e.Go(fmt.Sprintf("step%d", k), func(c *Ctx) {
+				if k == 3 {
+					depth = stackedWorkers(e)
+					if typed {
+						panic(sentinel)
+					}
+					var s []int
+					_ = s[c.ThreadID()] // a runtime.Error
+				}
+				for range 10 {
+					c.Work(1)
+				}
+			})
+		}
+		r := runRecovered(e)
+		if depth != 3 {
+			t.Fatalf("run %d: the crashing thread started over %d stacked workers, want 3", i, depth)
+		}
+		if typed {
+			if r != sentinel {
+				t.Fatalf("run %d: Run re-raised %v, want the thread's own value", i, r)
+			}
+			continue
+		}
+		msg, _ := r.(string)
+		if !strings.Contains(msg, "index out of range") || !strings.Contains(msg, "[simulated-thread stack]") ||
+			!strings.Contains(msg, "TestStackedPanicIsReraised") {
+			t.Fatalf("run %d: re-raised panic lost its message or stack:\n%s", i, msg)
+		}
+	}
+	if after := runtime.NumGoroutine(); after > before {
+		t.Errorf("%d goroutines before 20 aborted runs, %d after", before, after)
+	}
+}
+
+// TestStackedDeadlockReport checks that a deadlock reached while
+// threads are stacked is reported by Run and names every unfinished
+// thread: each receiver blocks on a channel nobody sends to and
+// resumes the next from its own scheduling loop, so the last one finds
+// nothing ready over three stacked workers, and the deadlock passes
+// down through every level to Run. No worker goroutine outlives the
+// runs.
+func TestStackedDeadlockReport(t *testing.T) {
+	before := runtime.NumGoroutine()
+	for i := 0; i < 20; i++ {
+		e := New(Config{Processors: 8})
+		ch := e.NewChannel("never", 1)
+		depth := -1
+		e.Go("done", func(c *Ctx) {}) // retires before any receiver runs
+		for k := range 4 {
+			e.Go(fmt.Sprintf("recv%d", k), func(c *Ctx) {
+				if k == 3 {
+					depth = stackedWorkers(e)
+				}
+				ch.Recv(c)
+			})
+		}
+		msg, _ := runRecovered(e).(string)
+		if depth != 3 {
+			t.Fatalf("run %d: the last receiver started over %d stacked workers, want 3", i, depth)
+		}
+		want := "sim: deadlock — no runnable thread\n" +
+			"  thread 1 \"recv0\" state=3 clock=16\n" +
+			"  thread 2 \"recv1\" state=3 clock=16\n" +
+			"  thread 3 \"recv2\" state=3 clock=16\n" +
+			"  thread 4 \"recv3\" state=3 clock=16\n"
+		if msg != want {
+			t.Fatalf("run %d: deadlock report:\n%s\nwant:\n%s", i, msg, want)
+		}
+	}
+	if after := runtime.NumGoroutine(); after > before {
+		t.Errorf("%d goroutines before 20 deadlocked runs, %d after", before, after)
 	}
 }
 
@@ -441,12 +541,12 @@ func BenchmarkUncontendedRun(b *testing.B) {
 	}
 }
 
-// TestRunAheadDispatches pins the number of worker resumes Run makes
-// for eight lockstep threads alternating private work with private
-// reads (computeLockstep), against the per-unit run a tracer forces.
-// Both runs must agree on every clock; the untraced one must resume
-// workers exactly as often as pinned, so losing run-ahead fails here
-// even though no simulated result would change.
+// TestRunAheadDispatches pins the number of coroutine switches the
+// scheduler makes for eight lockstep threads alternating private work
+// with private reads (computeLockstep), against the per-unit run a
+// tracer forces. Both runs must agree on every clock; each must switch
+// exactly as often as pinned, so losing run-ahead or stacked dispatch
+// fails here even though no simulated result would change.
 func TestRunAheadDispatches(t *testing.T) {
 	var rec Recorder
 	ahead := computeLockstep(Config{Processors: 8}, 8, 100)
@@ -460,10 +560,13 @@ func TestRunAheadDispatches(t *testing.T) {
 			t.Errorf("thread %d: clock %d (run-ahead) != %d (per unit)", i, ac[i], uc[i])
 		}
 	}
-	const wantAhead, wantUnit = 1608, 3208
-	if ahead.dispatches != wantAhead || unit.dispatches != wantUnit {
-		t.Errorf("worker resumes: %d run ahead, %d per unit; pinned %d and %d",
-			ahead.dispatches, unit.dispatches, wantAhead, wantUnit)
+	const wantAhead, wantUnit = 2816, 5616
+	if ahead.switches != wantAhead || unit.switches != wantUnit {
+		t.Errorf("coroutine switches: %d run ahead, %d per unit; pinned %d and %d",
+			ahead.switches, unit.switches, wantAhead, wantUnit)
+	}
+	if ahead.switches >= unit.switches {
+		t.Errorf("run-ahead switched %d times, per unit %d", ahead.switches, unit.switches)
 	}
 }
 
@@ -491,11 +594,12 @@ func accessLockstep(cfg Config, n, steps int, ahead bool) *scenario {
 	return s
 }
 
-// TestWriteAheadDispatches pins the worker resumes Run makes for eight
-// lockstep threads that alternate private work with stores to a shared
-// line (accessLockstep): through WriteAhead, through Write, and per
-// unit under a tracer. All three runs must agree on every clock and
-// statistic, and WriteAhead must resume workers less often than Write.
+// TestWriteAheadDispatches pins the coroutine switches the scheduler
+// makes for eight lockstep threads that alternate private work with
+// stores to a shared line (accessLockstep): through WriteAhead, through
+// Write, and per unit under a tracer. All three runs must agree on
+// every clock and statistic, and WriteAhead must switch less often than
+// Write, and Write less often than per unit.
 func TestWriteAheadDispatches(t *testing.T) {
 	var rec Recorder
 	runs := []*scenario{
@@ -518,13 +622,13 @@ func TestWriteAheadDispatches(t *testing.T) {
 			}
 		}
 	}
-	const wantAhead, wantWrite, wantUnit = 816, 1509, 2911
-	if runs[0].dispatches != wantAhead || runs[1].dispatches != wantWrite || runs[2].dispatches != wantUnit {
-		t.Errorf("worker resumes: %d WriteAhead, %d Write, %d per unit; pinned %d, %d and %d",
-			runs[0].dispatches, runs[1].dispatches, runs[2].dispatches, wantAhead, wantWrite, wantUnit)
+	const wantAhead, wantWrite, wantUnit = 1430, 2618, 5022
+	if runs[0].switches != wantAhead || runs[1].switches != wantWrite || runs[2].switches != wantUnit {
+		t.Errorf("coroutine switches: %d WriteAhead, %d Write, %d per unit; pinned %d, %d and %d",
+			runs[0].switches, runs[1].switches, runs[2].switches, wantAhead, wantWrite, wantUnit)
 	}
-	if runs[0].dispatches >= runs[1].dispatches {
-		t.Errorf("WriteAhead resumed workers %d times, Write %d", runs[0].dispatches, runs[1].dispatches)
+	if runs[0].switches >= runs[1].switches || runs[1].switches >= runs[2].switches {
+		t.Errorf("switches: %d WriteAhead, %d Write, %d per unit", runs[0].switches, runs[1].switches, runs[2].switches)
 	}
 }
 

@@ -127,16 +127,13 @@ func (t *Thread) cpu() int {
 	return int((int64(t.slot) + epoch) % int64(e.procs))
 }
 
-// yield suspends the thread's worker coroutine, returning control to
-// the scheduling loop in Engine.Run, which resumes it when the scheduler
-// picks the thread again. The caller has already queued or blocked t.
-// A false result means Run is tearing the simulation down (a panic in
-// another thread, or a deadlock): the thread then unwinds with a
-// threadUnwind panic, which exec swallows.
+// yield stops the thread, which the caller has already queued or
+// blocked, and runs the scheduling loop on its worker (see
+// Engine.schedule). It returns once a scheduling loop has picked the
+// thread again; when that loop is the thread's own, the thread goes on
+// without a coroutine switch.
 func (t *Thread) yield() {
-	if !t.w.yield(struct{}{}) {
-		panic(threadUnwind{})
-	}
+	t.e.schedule(t)
 }
 
 // threadUnwind is the sentinel panic that unwinds a suspended thread
@@ -145,12 +142,12 @@ type threadUnwind struct{}
 
 // maybeYield yields only when the thread's lease has expired — and even
 // then only when the scheduler would hand the processor to a different
-// thread. While a simulated thread runs, the scheduling loop in Run is
-// suspended, so the thread has exclusive access to the ready heap: if
-// it is still ahead of every queued thread it renews its own lease and
-// keeps running, saving the two coroutine switches of a park/repick
-// round-trip. The decision is exactly the one Run would make after the
-// yield, so virtual-time results are unchanged.
+// thread. While a simulated thread runs, no scheduling loop is, so the
+// thread has exclusive access to the ready heap: if it is still ahead
+// of every queued thread it renews its own lease and keeps running,
+// without entering the scheduling loop. The decision is exactly the one
+// the loop would make after the yield, so virtual-time results are
+// unchanged.
 func (t *Thread) maybeYield() {
 	if t.clock < t.lease {
 		return
@@ -161,8 +158,8 @@ func (t *Thread) maybeYield() {
 // yieldCheck is the slow path of maybeYield, split out so the lease
 // check above inlines into every Work/Read/Write charge. When another
 // thread must run, t swaps itself into the heap root in its place and
-// names it as the next thread for Run, which is the same choice a push
-// and a pop would make, at one sift-down.
+// names it as the next thread for the scheduling loop, which is the
+// same choice a push and a pop would make, at one sift-down.
 func (t *Thread) yieldCheck() {
 	e := t.e
 	if n := e.ready.peek(); n == nil || schedBefore(t, n) {

@@ -11,15 +11,24 @@ import "iter"
 // churn (millions of short-lived threads) stops paying goroutine
 // creation and stack growth per thread.
 //
-// Synchronization: a worker is an iter.Pull coroutine. Engine.Run
-// resumes it with next and it hands control back with yield, so exactly
-// one of them runs at any moment and every access to engine or worker
-// state is ordered by the coroutine switches, without a lock.
+// Synchronization: a worker is an iter.Pull coroutine, and the
+// coroutines nest. The scheduling loop (Engine.schedule) runs on the
+// worker of the thread that stops, or in Run at the bottom; it resumes
+// the next thread's worker with next, stacking itself inside that
+// call, and every worker hands control back to the level below it
+// with yield. Exactly one coroutine runs at any moment and every access
+// to engine or worker state is ordered by the coroutine switches,
+// without a lock.
 type worker struct {
 	t     *Thread // thread to execute at the next resume
 	next  func() (struct{}, bool)
 	stop  func()
 	yield func(struct{}) bool
+	// stacked is set while the worker's thread is stopped inside the
+	// scheduling loop and that loop has resumed another worker: the
+	// worker is suspended in next, not in yield, so only unwinding
+	// down to it (see Engine.schedule) can restart its thread.
+	stacked bool
 }
 
 // bindWorker attaches t to a pooled (or fresh) worker. Called by the
@@ -42,24 +51,51 @@ func (e *Engine) bindWorker(t *Thread) {
 }
 
 // run is the coroutine body: execute the bound thread to completion,
-// hand control back to Run, and repeat with whichever thread is
-// bound at the next resume. A false yield means the engine is stopping
-// the worker.
+// hand control back to the level below, and repeat with whichever
+// thread is bound at the next resume. A false yield means the engine is
+// stopping the worker.
 func (w *worker) run(yield func(struct{}) bool) {
 	w.yield = yield
 	for {
 		t := w.t
 		w.t = nil
+		e := t.e
 		t.exec()
+		e.switches++
 		if !yield(struct{}{}) {
 			return
 		}
 	}
 }
 
+// resume switches from the scheduling loop of self (nil in Run) to t's
+// worker, and returns when a worker yields back down to this level.
+func (e *Engine) resume(self, t *Thread) {
+	e.switches++
+	if self == nil {
+		t.w.next()
+		return
+	}
+	self.w.stacked = true
+	t.w.next()
+	self.w.stacked = false
+}
+
+// down yields from self's scheduling loop to the level below. It
+// returns once a later scheduling loop has granted self and resumed its
+// worker. A false yield means Run is tearing the simulation down (a
+// panic in another thread, or a deadlock): the thread then unwinds
+// with a threadUnwind panic, which exec swallows.
+func (e *Engine) down(self *Thread) {
+	e.switches++
+	if !self.w.yield(struct{}{}) {
+		panic(threadUnwind{})
+	}
+}
+
 // stopWorkers ends every worker coroutine. After a normal run all of
 // them are idle; after a thread panic or a deadlock some are suspended
-// mid-thread and unwind (see Thread.yield), so no goroutine outlives
+// mid-thread and unwind (see Engine.down), so no goroutine outlives
 // Run.
 func (e *Engine) stopWorkers() {
 	for _, w := range e.workers {
