@@ -315,7 +315,7 @@ func (e *Engine) deadlockReport() string {
 	}
 	for _, m := range e.mutexes {
 		if m.owner != nil {
-			s += fmt.Sprintf("  mutex %q held by %d with %d waiters\n", m.name, m.owner.slot, len(m.waiters))
+			s += fmt.Sprintf("  mutex %q held by %d with %d waiters\n", m.name, m.owner.slot, m.queued())
 		}
 	}
 	return s

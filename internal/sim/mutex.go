@@ -1,15 +1,16 @@
 package sim
 
-import "slices"
-
 // Mutex is a virtual-time mutual-exclusion lock with FIFO direct
 // handoff. It records the contention statistics the paper monitors
 // ("failed lock attempts", §5.1).
 type Mutex struct {
-	e       *Engine
-	name    string
-	owner   *Thread
+	e     *Engine
+	name  string
+	owner *Thread
+	// waiters[head:] are the blocked threads in FIFO order; the slots
+	// before head are nil. An empty queue has head 0.
 	waiters []*Thread
+	head    int
 	// addr, when non-zero, is the simulated address of the lock word;
 	// acquire and release then perform a store through the cache model,
 	// so adjacently laid-out locks (a static mutex array, for example)
@@ -64,6 +65,13 @@ func (m *Mutex) Lock(c *Ctx) {
 	m.Contended++
 	t.LockContended++
 	m.e.trace(t, EvLockContended, m.name)
+	if n := len(m.waiters); n == cap(m.waiters) && 2*m.head >= n {
+		// At least half the array is popped slots: slide the queue down
+		// instead of growing it, so each waiter moves O(1) times.
+		k := copy(m.waiters, m.waiters[m.head:])
+		clear(m.waiters[k:])
+		m.waiters, m.head = m.waiters[:k], 0
+	}
 	m.waiters = append(m.waiters, t)
 	start := t.clock
 	t.state = stateBlocked
@@ -96,6 +104,9 @@ func (m *Mutex) TryLock(c *Ctx) bool {
 	return ok
 }
 
+// queued reports how many threads are blocked in Lock.
+func (m *Mutex) queued() int { return len(m.waiters) - m.head }
+
 // Unlock releases the mutex. If threads are waiting, ownership is handed
 // directly to the first waiter, which resumes after the handoff latency.
 func (m *Mutex) Unlock(c *Ctx) {
@@ -111,10 +122,14 @@ func (m *Mutex) Unlock(c *Ctx) {
 		t.maybeYield()
 		return
 	}
-	w := m.waiters[0]
-	m.waiters = slices.Delete(m.waiters, 0, 1) // clears the vacated tail
+	w := m.waiters[m.head]
+	m.waiters[m.head] = nil // the array outlives the woken thread
+	m.head++
+	if m.head == len(m.waiters) {
+		m.waiters, m.head = m.waiters[:0], 0
+	}
 	m.owner = w
-	m.e.traceArgs(t, EvLockHandoff, m.name, int64(w.slot), int64(len(m.waiters)))
+	m.e.traceArgs(t, EvLockHandoff, m.name, int64(w.slot), int64(m.queued()))
 	m.e.wake(t, w, m.e.cost.LockHandoff)
 	t.maybeYield()
 }

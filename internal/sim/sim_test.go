@@ -1,7 +1,11 @@
 package sim
 
 import (
+	"fmt"
+	"runtime"
+	"strings"
 	"testing"
+	"weak"
 )
 
 func testConfig(p int) Config {
@@ -87,6 +91,108 @@ func TestMutexFIFOHandoff(t *testing.T) {
 			t.Fatalf("acquisition order = %v, want FIFO by arrival", order)
 		}
 	}
+}
+
+// TestMutexQueueStaysFIFO drives the waiter queue through growth,
+// sliding down and emptying. Every hand-off must go to the oldest
+// waiter and report how many are still queued, the queue must let go
+// of the threads it has woken, and a deadlock report must count the
+// waiters a held lock strands.
+func TestMutexQueueStaysFIFO(t *testing.T) {
+	// collected runs e and requires every thread in ts to be garbage
+	// once the run is over, while the engine and the mutex are not.
+	collected := func(e *Engine, m *Mutex, ts []weak.Pointer[Thread]) {
+		t.Helper()
+		e.Run()
+		runtime.GC()
+		for i, p := range ts {
+			if p.Value() != nil {
+				t.Fatalf("thread %d is still reachable after the run", i)
+			}
+		}
+		runtime.KeepAlive(e)
+		runtime.KeepAlive(m)
+	}
+
+	// Arrivals every 20 cycles outpace 25-cycle critical sections, then
+	// a second wave arrives after the queue has drained.
+	rec := &Recorder{}
+	e := New(Config{Processors: 64, Tracer: rec})
+	m := e.NewMutexAt("m", 0)
+	var ts []weak.Pointer[Thread]
+	for i := 0; i < 48; i++ {
+		arrive := int64(20 * i)
+		if i >= 32 {
+			arrive += 10_000
+		}
+		ts = append(ts, weak.Make(e.Go("w", func(c *Ctx) {
+			c.Advance(arrive)
+			m.Lock(c)
+			c.Advance(25)
+			m.Unlock(c)
+		})))
+	}
+	collected(e, m, ts)
+	var queue []int
+	handoffs := 0
+	for _, ev := range rec.Events {
+		switch ev.Kind {
+		case EvLockContended:
+			queue = append(queue, ev.Thread)
+		case EvLockHandoff:
+			handoffs++
+			if len(queue) == 0 || int(ev.Arg1) != queue[0] {
+				t.Fatalf("hand-off %d went to thread %d, queue %v", handoffs, ev.Arg1, queue)
+			}
+			queue = queue[1:]
+			if int(ev.Arg2) != len(queue) {
+				t.Fatalf("hand-off %d reports %d waiters, want %d", handoffs, ev.Arg2, len(queue))
+			}
+		}
+	}
+	if len(queue) != 0 || int64(handoffs) != m.Contended || m.Contended < 40 {
+		t.Fatalf("%d hand-offs for %d contended locks, %d left queued", handoffs, m.Contended, len(queue))
+	}
+
+	// Four waiters fill the queue's array and two are popped; a fifth
+	// arrives while the second holds the lock, so the queue slides
+	// down. The slots it slid out of must not keep their threads.
+	e = New(Config{Processors: 8})
+	m = e.NewMutexAt("m", 0)
+	ts = ts[:0]
+	arrive := []int64{0, 10, 20, 30, 40, 1_500}
+	hold := []int64{1_000, 25, 1_000, 25, 25, 25}
+	for i := range arrive {
+		ts = append(ts, weak.Make(e.Go("w", func(c *Ctx) {
+			c.Advance(arrive[i])
+			m.Lock(c)
+			c.Advance(hold[i])
+			m.Unlock(c)
+		})))
+	}
+	collected(e, m, ts)
+
+	// The first waiter takes the lock and exits holding it: the report
+	// counts the two threads still queued behind it.
+	e = New(Config{Processors: 4})
+	m = e.NewMutexAt("stuck", 0)
+	e.Go("holder", func(c *Ctx) {
+		m.Lock(c)
+		c.Advance(100)
+		m.Unlock(c)
+	})
+	for i := 0; i < 3; i++ {
+		e.Go("w", func(c *Ctx) {
+			c.Advance(int64(10 * (i + 1)))
+			m.Lock(c)
+		})
+	}
+	defer func() {
+		if r := fmt.Sprint(recover()); !strings.Contains(r, `mutex "stuck" held by 1 with 2 waiters`) {
+			t.Errorf("deadlock report:\n%s", r)
+		}
+	}()
+	e.Run()
 }
 
 func TestTryLock(t *testing.T) {

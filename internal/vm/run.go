@@ -100,11 +100,17 @@ func (m *machine) fail(format string, args ...any) {
 	panic(e)
 }
 
-// value is the VM's runtime value.
+// value is the VM's runtime value: 24 bytes with no Go pointer, so
+// operand stacks, frames and object fields are copied without write
+// barriers and never scanned by the GC. A string literal ('s') holds
+// its index into Program.Strs in str, which fills the padding after
+// kind. Its i and ref stay zero: sema does not type operators or
+// returns, so a literal can reach arithmetic, and it must read as 0
+// there.
 type value struct {
 	kind byte // 'i', 's', 'r'
+	str  int32
 	i    int64
-	s    string
 	ref  mem.Ref
 }
 
@@ -113,12 +119,15 @@ func rv(r mem.Ref) value { return value{kind: 'r', ref: r} }
 func (v value) truthy() bool {
 	return (v.kind == 'i' && v.i != 0) || (v.kind == 'r' && v.ref != mem.Nil)
 }
-func (v value) text() string {
+
+// text formats v for print and fault messages; strs is the program's
+// string-literal table.
+func (v value) text(strs []string) string {
 	switch v.kind {
 	case 'i':
 		return fmt.Sprintf("%d", v.i)
 	case 's':
-		return v.s
+		return strs[v.str]
 	case 'r':
 		if v.ref == mem.Nil {
 			return "null"
@@ -345,7 +354,7 @@ loop:
 		case OpNop:
 		case OpConst:
 			if ins.B == 1 {
-				stack = append(stack, value{kind: 's', s: m.p.Strs[ins.A]})
+				stack = append(stack, value{kind: 's', str: ins.A})
 			} else {
 				stack = append(stack, iv(m.p.Consts[ins.A]))
 			}
@@ -507,7 +516,7 @@ loop:
 				if i > base {
 					m.out.WriteByte(' ')
 				}
-				m.out.WriteString(stack[i].text())
+				m.out.WriteString(stack[i].text(m.p.Strs))
 			}
 			m.out.WriteByte('\n')
 			stack = stack[:base]
@@ -776,7 +785,7 @@ func (m *machine) doNew(c *sim.Ctx, ci *classInfo, placement value, args []value
 		v := m.exec(c, m.p.Fns[ci.opNew], mem.Nil, m.argScratch[:1])
 		c.Sync()
 		if v.kind != 'r' || v.ref == mem.Nil {
-			m.fail("operator new of %s returned %s", ci.decl.Name, v.text())
+			m.fail("operator new of %s returned %s", ci.decl.Name, v.text(m.p.Strs))
 		}
 		s := m.h.lookup(v.ref)
 		if s == nil || s.kind != hObj {

@@ -12,6 +12,7 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"amplify/internal/cc"
 	"amplify/internal/core"
@@ -489,6 +490,81 @@ int main() {
 	}
 	if len(p.Strs) != 2 {
 		t.Fatalf("string table = %v, want 2 entries", p.Strs)
+	}
+}
+
+// TestValueIsPointerFree pins the VM value at 24 bytes with no Go
+// pointer in it. Operand stacks, frames, argument copies and object
+// fields are all made of values, so a pointer here would put a write
+// barrier on every push and make the GC scan every frame and object.
+func TestValueIsPointerFree(t *testing.T) {
+	if n := unsafe.Sizeof(value{}); n != 24 {
+		t.Errorf("value is %d bytes, want 24", n)
+	}
+	vt := reflect.TypeOf(value{})
+	for i := 0; i < vt.NumField(); i++ {
+		switch f := vt.Field(i); f.Type.Kind() {
+		case reflect.String, reflect.Pointer, reflect.UnsafePointer, reflect.Slice, reflect.Map,
+			reflect.Interface, reflect.Func, reflect.Chan, reflect.Struct, reflect.Array:
+			t.Errorf("value.%s is a %s; values must hold only scalars", f.Name, f.Type)
+		}
+	}
+}
+
+// TestStringLiteralsPrint runs string literals through print next to
+// ints, null and a live reference, from a function two threads call.
+// The literal's text is looked up from the program's string table only
+// when it is printed, so the output must be the same at -O and
+// -no-opt, traced or not, and equal to the interpreter's. Sema lets a
+// literal reach arithmetic, where it reads as 0 in both engines.
+func TestStringLiteralsPrint(t *testing.T) {
+	const src = `
+class Node {
+    Node(int v) { val = v; }
+    int val;
+};
+void show(Node* n, int k) {
+    print("node", k, "val", n->val, null, n, "node", k == 2);
+}
+int main() {
+    Node* n = new Node(7);
+    spawn show(n, 1);
+    show(n, 2);
+    join;
+    print("val" + 1, "node" == "val", -"node", !"val");
+    return 0;
+}
+`
+	p, err := Compile(cc.MustAnalyze(cc.MustParse(src)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(p.Strs, []string{"node", "val"}) {
+		t.Fatalf("string table = %q, want each literal once", p.Strs)
+	}
+	want, err := interpret(src, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(want.Output, "\n")
+	if len(lines) != 4 || !strings.HasPrefix(lines[0], "node 2 val 7 null 0x") || !strings.HasSuffix(lines[0], " node 1") ||
+		lines[2] != "1 1 0 1" {
+		t.Fatalf("interpreter output:\n%s", want.Output)
+	}
+	for _, noOpt := range []bool{false, true} {
+		for _, traced := range []bool{false, true} {
+			cfg := Config{}
+			if traced {
+				cfg.Tracer = dropEvents{}
+			}
+			got, err := execute(src, Options{NoOpt: noOpt}, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.Output != want.Output {
+				t.Errorf("no-opt=%v traced=%v: output\n%s\nwant\n%s", noOpt, traced, got.Output, want.Output)
+			}
+		}
 	}
 }
 
