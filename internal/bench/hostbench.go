@@ -25,8 +25,9 @@ import (
 // even though they can never change simulated results.
 //
 // Methodology: every row keeps the minimum of repeated runs after a
-// warm-up. On a noisy host the minimum is the most stable available
-// estimator — means drift with background load.
+// warm-up, each started on a freshly collected heap. On a noisy host
+// the minimum is the most stable available estimator — means drift
+// with background load.
 
 // HostBenchSchema identifies the BENCH_host.json layout.
 const HostBenchSchema = "amplify-hostbench/1"
@@ -114,13 +115,17 @@ int main() {
 }
 
 // minOf warms fn up once, then runs it rounds times and returns the
-// minimum duration.
+// minimum duration. Garbage is collected before every round, so no
+// round pays for the garbage of the rows or rounds before it and a
+// sub-millisecond row does not read whether a collection happened to
+// land inside it.
 func minOf(rounds int, fn func() error) (time.Duration, error) {
 	if err := fn(); err != nil {
 		return 0, err
 	}
 	best := time.Duration(1 << 62)
 	for i := 0; i < rounds; i++ {
+		runtime.GC()
 		start := time.Now()
 		if err := fn(); err != nil {
 			return 0, err

@@ -22,7 +22,10 @@
 //
 // Threads are ordinary Go functions that receive a *Ctx and call
 // Ctx.Advance, Ctx.Read/Write, Ctx.Lock/Unlock and so on. Each runs on
-// a pooled coroutine (iter.Pull). A thread that yields or blocks runs
+// a pooled coroutine (iter.Pull), and the *Ctx belongs to that
+// coroutine: it is valid only while the thread runs and then serves
+// the next thread the coroutine runs, so a spawn allocates nothing on
+// the host but the Thread record. A thread that yields or blocks runs
 // the scheduling loop on its own coroutine and resumes its successor
 // directly (see Engine.schedule), so the engine executes exactly one
 // thread at a time and always steps the runnable thread with the

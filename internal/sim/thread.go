@@ -172,12 +172,12 @@ func (t *Thread) yieldCheck() {
 	t.yield()
 }
 
-// exec runs the thread function on the current worker coroutine. When
+// exec runs the thread function with its worker's context c. When
 // the function returns or panics the thread retires and its worker goes
 // back to the free list; a panic is kept for Engine.Run to re-raise. A
 // threadUnwind is swallowed without touching engine state, so the
 // panic that ended the run stays the one Run reports.
-func (t *Thread) exec() {
+func (t *Thread) exec(c *Ctx) {
 	defer func() {
 		e := t.e
 		r := recover()
@@ -195,14 +195,17 @@ func (t *Thread) exec() {
 		e.idleWorkers = append(e.idleWorkers, t.w)
 		t.w = nil
 	}()
-	t.fn(&Ctx{t: t})
+	t.fn(c)
 	if t.ahead {
 		t.sync()
 	}
 }
 
-// Ctx is the execution context handed to a thread function. It is valid
-// only inside that function and must not be shared with other threads.
+// Ctx is the execution context handed to a thread function. It belongs
+// to the pooled worker that runs the thread, not to the thread: it is
+// valid only while that function runs, and once the thread finishes
+// the same *Ctx serves the next thread bound to the worker. It must not
+// be kept past the function's return or shared with other threads.
 type Ctx struct {
 	t *Thread
 }

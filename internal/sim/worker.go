@@ -20,7 +20,12 @@ import "iter"
 // to engine or worker state is ordered by the coroutine switches,
 // without a lock.
 type worker struct {
-	t     *Thread // thread to execute at the next resume
+	// ctx is the context of the bound thread: the thread to execute at
+	// the next resume, and the *Ctx its function receives. It lives in
+	// the worker so a spawn allocates no context of its own, and it is
+	// cleared when the thread retires so an idle worker keeps no
+	// finished thread reachable.
+	ctx   Ctx
 	next  func() (struct{}, bool)
 	stop  func()
 	yield func(struct{}) bool
@@ -46,7 +51,7 @@ func (e *Engine) bindWorker(t *Thread) {
 		e.workers = append(e.workers, w)
 		e.workersSpawned++
 	}
-	w.t = t
+	w.ctx.t = t
 	t.w = w
 }
 
@@ -57,10 +62,10 @@ func (e *Engine) bindWorker(t *Thread) {
 func (w *worker) run(yield func(struct{}) bool) {
 	w.yield = yield
 	for {
-		t := w.t
-		w.t = nil
+		t := w.ctx.t
 		e := t.e
-		t.exec()
+		t.exec(&w.ctx)
+		w.ctx.t = nil
 		e.switches++
 		if !yield(struct{}{}) {
 			return

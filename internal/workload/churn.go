@@ -1,8 +1,6 @@
 package workload
 
 import (
-	"strconv"
-
 	"amplify/internal/sim"
 	"amplify/internal/target"
 )
@@ -83,20 +81,21 @@ func RunChurn(strategy string, cfg ChurnConfig) (ChurnResult, error) {
 	gate := e.NewWaitGroup()
 	ready.Add(cfg.Threads)
 	gate.Add(1)
+	churn := func(c *sim.Ctx) {
+		ready.Done(c)
+		gate.Wait(c)
+		for op := 0; op < cfg.OpsPerThread; op++ {
+			r := a.Alloc(c, cfg.Size)
+			c.Write(uint64(r), 8)
+			if cfg.Work > 0 {
+				c.Work(cfg.Work)
+			}
+			a.Free(c, r)
+		}
+	}
 	e.Go("main", func(c *sim.Ctx) {
 		for i := 0; i < cfg.Threads; i++ {
-			c.Go("churn"+strconv.Itoa(i), func(cc *sim.Ctx) {
-				ready.Done(cc)
-				gate.Wait(cc)
-				for op := 0; op < cfg.OpsPerThread; op++ {
-					r := a.Alloc(cc, cfg.Size)
-					cc.Write(uint64(r), 8)
-					if cfg.Work > 0 {
-						cc.Work(cfg.Work)
-					}
-					a.Free(cc, r)
-				}
-			})
+			c.Go(workerName(cfg.Tracer, "churn", i), churn)
 		}
 		ready.Wait(c)
 		gate.Done(c)

@@ -181,27 +181,59 @@ func failedTryLocks(e *sim.Engine) int64 {
 // stagger matters: it lets each thread build its first structure in a
 // private stretch of the heap instead of interleaving warmup
 // allocations node-by-node with every other thread.
+//
+// Every worker runs the same function, which finds its index, and so
+// its share of the trees, from its slot: main spawns nothing else, so
+// worker i takes the i-th slot after main's. Only a traced run numbers
+// the workers' names, which only the trace shows; an untraced spawn
+// allocates nothing but the thread.
 func forEachThread(e *sim.Engine, cfg TreeConfig, worker func(c *sim.Ctx, trees int)) {
 	per := cfg.Trees / cfg.Threads
 	extra := cfg.Trees % cfg.Threads
 	e.Go("main", func(c *sim.Ctx) {
-		for i := 0; i < cfg.Threads; i++ {
+		first := c.ThreadID() + 1
+		run := func(cc *sim.Ctx) {
 			trees := per
-			if i < extra {
+			if cc.ThreadID()-first < extra {
 				trees++
 			}
-			c.Go("worker"+strconv.Itoa(i), func(cc *sim.Ctx) {
-				worker(cc, trees)
-			})
+			worker(cc, trees)
+		}
+		for i := 0; i < cfg.Threads; i++ {
+			c.Go(workerName(cfg.Tracer, "worker", i), run)
 		}
 	})
+}
+
+// workerName is the name of the i-th worker a run spawns: prefix and i
+// when the run is traced, prefix alone otherwise.
+func workerName(tr sim.Tracer, prefix string, i int) string {
+	if tr == nil {
+		return prefix
+	}
+	return prefix + strconv.Itoa(i)
+}
+
+// maxStackNodes is the largest tree (depth 5, the paper's test case 3)
+// whose node list a worker keeps in a stack array rather than on the
+// heap.
+const maxStackNodes = 63
+
+// nodeList returns a list for n nodes: a slice of buf when n fits in
+// it, a fresh slice otherwise.
+func nodeList(buf *[maxStackNodes]mem.Ref, n int) []mem.Ref {
+	if n <= len(buf) {
+		return buf[:n]
+	}
+	return make([]mem.Ref, n)
 }
 
 // plainWorker is the original program: every node is allocated from and
 // returned to the C-library allocator individually.
 func plainWorker(c *sim.Ctx, a alloc.Allocator, cfg TreeConfig, trees int) {
 	n := Nodes(cfg.Depth)
-	refs := make([]mem.Ref, n)
+	var buf [maxStackNodes]mem.Ref
+	refs := nodeList(&buf, n)
 	for t := 0; t < trees; t++ {
 		// Allocate and initialize every node: operator new per object.
 		for i := 0; i < n; i++ {
@@ -266,7 +298,8 @@ type shadowTable map[mem.Ref][2]mem.Ref
 // the root to the pool.
 func amplifiedWorker(c *sim.Ctx, rt *pool.Runtime, np *pool.ClassPool, shadows shadowTable, cfg TreeConfig, trees int) {
 	n := Nodes(cfg.Depth)
-	refs := make([]mem.Ref, n)
+	var buf [maxStackNodes]mem.Ref
+	refs := nodeList(&buf, n)
 	for t := 0; t < trees; t++ {
 		refs[0], _ = np.Alloc(c)
 		// Each constructor runs placement new on its two children.
@@ -318,7 +351,8 @@ func amplifiedWorker(c *sim.Ctx, rt *pool.Runtime, np *pool.ClassPool, shadows s
 // but every single object still costs a pool operation.
 func objectPoolWorker(c *sim.Ctx, np *pool.ClassPool, cfg TreeConfig, trees int) {
 	n := Nodes(cfg.Depth)
-	refs := make([]mem.Ref, n)
+	var buf [maxStackNodes]mem.Ref
+	refs := nodeList(&buf, n)
 	for t := 0; t < trees; t++ {
 		for i := 0; i < n; i++ {
 			refs[i], _ = np.Alloc(c)
