@@ -80,13 +80,16 @@ func Compare(baseline, current *Report, thresholdPct float64) (*Comparison, erro
 }
 
 // CompareHost diffs a fresh host-benchmark report against a committed
-// baseline (BENCH_host.json). Unlike Compare, everything here is a
-// host wall-clock measurement — noisy by construction — so the
-// threshold is expected to be generous (tens of percent, not zero):
-// the gate exists to catch order-of-magnitude host regressions, not
-// single-digit drift. NsPerOp and AllocsPerOp are compared per
-// benchmark name; lower is better for both. Benchmarks present in only
-// one report are tolerated and counted, like cells in Compare.
+// baseline (BENCH_host.json). NsPerOp and AllocsPerOp are compared per
+// benchmark name; lower is better for both. NsPerOp is a host
+// wall-clock measurement, noisy by construction, so the threshold is
+// expected to be generous (tens of percent, not zero): it catches
+// order-of-magnitude host regressions, not single-digit drift.
+// AllocsPerOp is a counter that repeats between runs and GOMAXPROCS
+// settings to within a few allocations in thousands, so it is gated at
+// allocsTolerancePct instead, or at the threshold when that is
+// tighter. Benchmarks present in only one report are tolerated and
+// counted, like cells in Compare.
 func CompareHost(baseline, current *HostReport, thresholdPct float64) (*Comparison, error) {
 	c, err := newComparison("host report", "amplify-hostbench/", baseline.Schema, current.Schema, thresholdPct)
 	if err != nil {
@@ -96,10 +99,17 @@ func CompareHost(baseline, current *HostReport, thresholdPct float64) (*Comparis
 		c.Notes = append(c.Notes, fmt.Sprintf("go version skew: baseline %s, current %s",
 			baseline.GoVersion, current.GoVersion))
 	}
+	c.Notes = append(c.Notes, fmt.Sprintf("allocs_per_op threshold %g%%", min(thresholdPct, allocsTolerancePct)))
 	c.diff(hostMetrics(baseline), hostMetrics(current),
 		"no overlapping benchmarks: the baseline and the report measure disjoint suites")
 	return c, nil
 }
+
+// allocsTolerancePct is the largest rise in a host benchmark's
+// allocs_per_op that CompareHost lets pass, whatever its threshold.
+// Over five runs each at GOMAXPROCS 1 and 2, every row's count
+// repeated to within 0.13%.
+const allocsTolerancePct = 1.0
 
 // newComparison checks both reports' schemas against the kind's
 // prefix — a report from an unrelated tool is an error, not an empty
@@ -123,11 +133,13 @@ func newComparison(kind, prefix, baseSchema, curSchema string, thresholdPct floa
 // metric is one named number of a compared key; lower is better.
 // absoluteBP switches from the relative percent threshold to an
 // absolute basis-point slack (threshold×100), for metrics whose
-// baseline is legitimately zero.
+// baseline is legitimately zero. maxPct, when non-zero, caps the
+// threshold for this metric.
 type metric struct {
 	name       string
 	v          int64
 	absoluteBP bool
+	maxPct     float64
 }
 
 // reportMetrics lists every cell's compared numbers: the makespan,
@@ -136,13 +148,13 @@ type metric struct {
 func reportMetrics(rep *Report) map[string][]metric {
 	m := make(map[string][]metric, len(rep.Makespans))
 	for key, ms := range rep.Makespans {
-		vals := []metric{{"makespan", ms, false}}
+		vals := []metric{{name: "makespan", v: ms}}
 		if h, ok := rep.Heap[key]; ok {
 			vals = append(vals,
-				metric{"footprint", h.Footprint, false},
-				metric{"peak_bytes", h.PeakBytes, false},
-				metric{"int_frag_bp", h.IntFragBP, true},
-				metric{"ext_frag_bp", h.ExtFragBP, true})
+				metric{name: "footprint", v: h.Footprint},
+				metric{name: "peak_bytes", v: h.PeakBytes},
+				metric{name: "int_frag_bp", v: h.IntFragBP, absoluteBP: true},
+				metric{name: "ext_frag_bp", v: h.ExtFragBP, absoluteBP: true})
 		}
 		m[key] = vals
 	}
@@ -153,7 +165,10 @@ func reportMetrics(rep *Report) map[string][]metric {
 func hostMetrics(rep *HostReport) map[string][]metric {
 	m := make(map[string][]metric, len(rep.Benchmarks))
 	for _, b := range rep.Benchmarks {
-		m[b.Name] = []metric{{"ns_per_op", b.NsPerOp, false}, {"allocs_per_op", b.AllocsPerOp, false}}
+		m[b.Name] = []metric{
+			{name: "ns_per_op", v: b.NsPerOp},
+			{name: "allocs_per_op", v: b.AllocsPerOp, maxPct: allocsTolerancePct},
+		}
 	}
 	return m
 }
@@ -198,15 +213,20 @@ func eachPair(old, new map[string][]metric, f func(key string, o, n metric)) (co
 // regression with the given message.
 func (c *Comparison) diff(old, new map[string][]metric, disjoint string) {
 	c.Common, c.OnlyOld, c.OnlyNew = eachPair(old, new, func(key string, o, n metric) {
-		c.compareValue(o.name, key, o.v, n.v, o.absoluteBP)
+		threshold := c.Threshold
+		if o.maxPct > 0 {
+			threshold = min(threshold, o.maxPct)
+		}
+		c.compareValue(o.name, key, o.v, n.v, o.absoluteBP, threshold)
 	})
 	if c.Common == 0 {
 		c.Regressions = append(c.Regressions, disjoint)
 	}
 }
 
-// compareValue classifies one metric's old→new movement.
-func (c *Comparison) compareValue(metric, key string, old, new int64, absoluteBP bool) {
+// compareValue classifies one metric's old→new movement against
+// thresholdPct.
+func (c *Comparison) compareValue(metric, key string, old, new int64, absoluteBP bool, thresholdPct float64) {
 	if old == new {
 		return
 	}
@@ -218,7 +238,7 @@ func (c *Comparison) compareValue(metric, key string, old, new int64, absoluteBP
 	switch {
 	case new < old:
 		c.Improvements = append(c.Improvements, line)
-	case exceeds(old, new, absoluteBP, c.Threshold):
+	case exceeds(old, new, absoluteBP, thresholdPct):
 		c.Regressions = append(c.Regressions, line)
 	default:
 		c.Notes = append(c.Notes, "within threshold: "+line)

@@ -214,3 +214,36 @@ func TestCompareOutputPinned(t *testing.T) {
 	}
 	checkGolden(t, "compare-host.txt", hc.Format())
 }
+
+// TestCompareHostGatesAllocsTightly checks that CompareHost holds
+// allocs_per_op to allocsTolerancePct whatever its threshold, while
+// ns_per_op keeps the threshold: at 300%, the CI setting, 20 more
+// allocations in 1,000 fail and 5 pass, while ns_per_op may quadruple;
+// under a threshold tighter than the tolerance, allocations get that
+// threshold.
+func TestCompareHostGatesAllocsTightly(t *testing.T) {
+	report := func(ns, allocs int64) *HostReport {
+		return &HostReport{Schema: HostBenchSchema, Benchmarks: []HostBenchmark{{Name: "row", NsPerOp: ns, AllocsPerOp: allocs}}}
+	}
+	for _, tc := range []struct {
+		threshold   float64
+		ns, allocs  int64
+		wantRegress bool
+	}{
+		{300, 100, 1005, false},
+		{300, 100, 1020, true},
+		{300, 400, 1000, false},
+		{300, 401, 1000, true},
+		{0.25, 100, 1002, false},
+		{0.25, 100, 1005, true},
+	} {
+		c, err := CompareHost(report(100, 1000), report(tc.ns, tc.allocs), tc.threshold)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c.Regressed() != tc.wantRegress {
+			t.Errorf("threshold %g%%, 100 ns and 1000 allocs -> %d ns and %d allocs: regressed=%v, want %v\n%s",
+				tc.threshold, tc.ns, tc.allocs, c.Regressed(), tc.wantRegress, c.Format())
+		}
+	}
+}

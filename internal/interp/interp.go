@@ -614,13 +614,15 @@ func (m *machine) evalBinary(c *sim.Ctx, f *frame, e *cc.Binary) value {
 	x := m.eval(c, f, e.X)
 	y := m.eval(c, f, e.Y)
 	if x.isRef() || y.isRef() {
-		// Pointer comparison.
+		// Pointer comparison: a pointer equals only a pointer, so
+		// comparing an int or a string with null is false, as on the VM.
+		eq := x.ref == y.ref && x.i == y.i && x.kind == y.kind
 		b := false
 		switch e.Op {
 		case cc.Eq:
-			b = x.ref == y.ref && x.i == y.i
+			b = eq
 		case cc.Ne:
-			b = !(x.ref == y.ref && x.i == y.i)
+			b = !eq
 		default:
 			panic(rtErr(e.Pos, "invalid pointer arithmetic"))
 		}

@@ -71,26 +71,32 @@ func TestContendedCASPingPong(t *testing.T) {
 	step1.Add(1)
 	step2.Add(1)
 	step3.Add(1)
-	var t0, t1 *Thread
-	t0 = e.Go("t0", func(c *Ctx) {
-		if !c.CAS(addr, 0, 1) {
+	var inv0, inv1 int64
+	cas := func(c *Ctx, inv *int64, old, new int64) bool {
+		before := e.Stats().CacheInvalidations
+		ok := c.CAS(addr, old, new)
+		*inv += e.Stats().CacheInvalidations - before
+		return ok
+	}
+	e.Go("t0", func(c *Ctx) {
+		if !cas(c, &inv0, 0, 1) {
 			t.Error("step 1: CAS(0,1) failed")
 		}
 		step1.Done(c)
 		step2.Wait(c)
-		if !c.CAS(addr, 1, 3) {
+		if !cas(c, &inv0, 1, 3) {
 			t.Error("step 3: CAS(1,3) failed")
 		}
 		step3.Done(c)
 	})
-	t1 = e.Go("t1", func(c *Ctx) {
+	e.Go("t1", func(c *Ctx) {
 		step1.Wait(c)
-		if c.CAS(addr, 0, 2) {
+		if cas(c, &inv1, 0, 2) {
 			t.Error("step 2: CAS(0,2) succeeded against value 1")
 		}
 		step2.Done(c)
 		step3.Wait(c)
-		if !c.CAS(addr, 3, 4) {
+		if !cas(c, &inv1, 3, 4) {
 			t.Error("step 4: CAS(3,4) failed")
 		}
 	})
@@ -98,11 +104,11 @@ func TestContendedCASPingPong(t *testing.T) {
 	if got := e.Cache().RFOs; got != 3 {
 		t.Errorf("RFOs = %d, want 3 (every CAS after the first)", got)
 	}
-	if t0.CacheInvalidations != 1 {
-		t.Errorf("t0 invalidations = %d, want 1 (t1's failed CAS invalidated its copy)", t0.CacheInvalidations)
+	if inv0 != 1 {
+		t.Errorf("t0 invalidations = %d, want 1 (t1's failed CAS invalidated its copy)", inv0)
 	}
-	if t1.CacheInvalidations != 1 {
-		t.Errorf("t1 invalidations = %d, want 1", t1.CacheInvalidations)
+	if inv1 != 1 {
+		t.Errorf("t1 invalidations = %d, want 1", inv1)
 	}
 	st := e.Stats()
 	if st.AtomicCAS != 4 || st.AtomicCASFailed != 1 {
@@ -126,26 +132,32 @@ func TestContendedFAAPingPong(t *testing.T) {
 	step1.Add(1)
 	step2.Add(1)
 	step3.Add(1)
-	var t0, t1 *Thread
-	t0 = e.Go("t0", func(c *Ctx) {
-		if old := c.FAA(addr, 1); old != 0 {
+	var inv0, inv1 int64
+	faa := func(c *Ctx, inv *int64) int64 {
+		before := e.Stats().CacheInvalidations
+		old := c.FAA(addr, 1)
+		*inv += e.Stats().CacheInvalidations - before
+		return old
+	}
+	e.Go("t0", func(c *Ctx) {
+		if old := faa(c, &inv0); old != 0 {
 			t.Errorf("step 1: FAA returned %d, want 0", old)
 		}
 		step1.Done(c)
 		step2.Wait(c)
-		if old := c.FAA(addr, 1); old != 2 {
+		if old := faa(c, &inv0); old != 2 {
 			t.Errorf("step 3: FAA returned %d, want 2", old)
 		}
 		step3.Done(c)
 	})
-	t1 = e.Go("t1", func(c *Ctx) {
+	e.Go("t1", func(c *Ctx) {
 		step1.Wait(c)
-		if old := c.FAA(addr, 1); old != 1 {
+		if old := faa(c, &inv1); old != 1 {
 			t.Errorf("step 2: FAA returned %d, want 1", old)
 		}
 		step2.Done(c)
 		step3.Wait(c)
-		if old := c.FAA(addr, 1); old != 3 {
+		if old := faa(c, &inv1); old != 3 {
 			t.Errorf("step 4: FAA returned %d, want 3", old)
 		}
 	})
@@ -153,8 +165,8 @@ func TestContendedFAAPingPong(t *testing.T) {
 	if got := e.Cache().RFOs; got != 3 {
 		t.Errorf("RFOs = %d, want 3 (every FAA after the first)", got)
 	}
-	if t0.CacheInvalidations != 1 || t1.CacheInvalidations != 1 {
-		t.Errorf("invalidations t0=%d t1=%d, want 1 each", t0.CacheInvalidations, t1.CacheInvalidations)
+	if inv0 != 1 || inv1 != 1 {
+		t.Errorf("invalidations t0=%d t1=%d, want 1 each", inv0, inv1)
 	}
 	if st := e.Stats(); st.AtomicFAA != 4 {
 		t.Errorf("AtomicFAA = %d, want 4", st.AtomicFAA)

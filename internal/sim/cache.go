@@ -126,11 +126,9 @@ func (c *Cache) accessLine(t *Thread, cpu int, line uint64, write bool) {
 	if sok && *seen == r.version {
 		cycles = c.cost.CacheHit
 		c.Hits++
-		t.CacheHits++
 	} else {
 		cycles = c.cost.CacheMiss
 		c.Misses++
-		t.CacheMisses++
 		if sok {
 			// The processor had this line and the version moved on.
 			// A write from this CPU would have refreshed its seen
@@ -138,7 +136,6 @@ func (c *Cache) accessLine(t *Thread, cpu int, line uint64, write bool) {
 			// stale one means another CPU's write invalidated the
 			// line.
 			c.Invalidations++
-			t.CacheInvalidations++
 			t.e.traceArgs(t, EvCacheInval, "", int64(line), 0)
 		}
 	}

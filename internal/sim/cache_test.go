@@ -50,11 +50,11 @@ func TestInvalidationAfterRemoteWrite(t *testing.T) {
 	e.Go("reader", func(c *Ctx) {
 		c.Read(0x2000, 8) // cold miss, now cached
 		c.Read(0x2000, 8) // hit
-		missesBefore = c.Thread().CacheMisses
 		wg1.Done(c)
 		wg2.Wait(c)
+		missesBefore = e.Stats().CacheMisses
 		c.Read(0x2000, 8) // invalidated by the writer: miss again
-		missesAfter = c.Thread().CacheMisses
+		missesAfter = e.Stats().CacheMisses
 	})
 	e.Go("writer", func(c *Ctx) {
 		wg1.Wait(c)

@@ -24,20 +24,26 @@
 // Ctx.Advance, Ctx.Read/Write, Ctx.Lock/Unlock and so on. Each runs on
 // a pooled coroutine (iter.Pull), and the *Ctx belongs to that
 // coroutine: it is valid only while the thread runs and then serves
-// the next thread the coroutine runs, so a spawn allocates nothing on
-// the host but the Thread record. A thread that yields or blocks runs
+// the next thread the coroutine runs, so a spawn allocates no context
+// of its own. A thread that yields or blocks runs
 // the scheduling loop on its own coroutine and resumes its successor
 // directly (see Engine.schedule), so the engine executes exactly one
 // thread at a time and always steps the runnable thread with the
 // smallest virtual clock. That makes every simulation fully
 // deterministic and independent of the host machine.
 //
-// The engine holds only the threads that have not finished. When a
-// thread finishes, its counters are folded into the engine's totals
-// (Engine.Stats) and the engine drops every reference to it, so host
-// memory grows with the threads alive at once, not with the threads a
-// run ever spawned. The *Thread that Engine.Go and Ctx.Go return is the
-// caller's handle and stays valid for as long as the caller keeps it.
+// The engine owns every Thread record and holds only the threads that
+// have not finished. When a thread finishes, its counters are folded
+// into the engine's totals (Engine.Stats) and its record goes on a free
+// list that the next spawn takes from, so spawn churn allocates nothing
+// on the host, and host memory for thread records grows with the
+// threads alive at once, not with the threads a run ever spawned. A
+// record is therefore valid only while its thread runs, like the *Ctx,
+// and neither Engine.Go nor Ctx.Go returns it: a caller that wants a
+// thread's completion clock or counters reads them from inside the
+// thread function. A thread that finishes while it owns a Mutex keeps
+// its record out of the free list, so the mutex goes on naming it as
+// the owner.
 //
 // As an optimization the engine grants the running thread a lease: the
 // thread may execute engine calls without yielding while its clock stays

@@ -35,11 +35,13 @@ type Engine struct {
 
 	// live holds the threads not yet done, in slot order until the
 	// first one retires (retire moves the last into the gap). It is the
-	// engine's only list of threads: a retired thread's counters are
-	// folded into retired, and the *Thread that Go returned belongs to
-	// whoever kept it, so host memory grows with the threads alive, not
-	// with the threads ever spawned.
+	// engine's only list of unfinished threads: a retired thread's
+	// counters are folded into retired.
 	live []*Thread
+	// freeThreads holds the records of retired threads for newThread to
+	// reuse (see Thread.exec), so host memory for thread records grows
+	// with the threads alive at once, not with the threads ever spawned.
+	freeThreads []*Thread
 	// slots counts the threads ever created: the next thread's slot.
 	slots int32
 	// retired sums the lock, migration and atomic counters of every
@@ -130,15 +132,21 @@ func (e *Engine) newThread(name string, fn func(*Ctx)) *Thread {
 	if e.slots == math.MaxInt32 {
 		panic("sim: more than 2^31-1 threads")
 	}
-	t := &Thread{
-		e:       e,
-		slot:    e.slots,
-		idx:     int32(len(e.live)),
-		name:    name,
-		fn:      fn,
-		state:   stateNew,
-		heapIdx: -1,
+	var t *Thread
+	if n := len(e.freeThreads) - 1; n >= 0 {
+		t = e.freeThreads[n]
+		e.freeThreads[n] = nil
+		e.freeThreads = e.freeThreads[:n]
+		*t = Thread{}
+	} else {
+		t = new(Thread)
 	}
+	t.e = e
+	t.slot = e.slots
+	t.idx = int32(len(e.live))
+	t.name = name
+	t.fn = fn
+	t.heapIdx = -1
 	e.slots++
 	t.home = int32(int(t.slot) % e.procs)
 	t.lastCPU = t.home
@@ -147,9 +155,8 @@ func (e *Engine) newThread(name string, fn func(*Ctx)) *Thread {
 }
 
 // retire folds a finished thread's counters into the engine's total and
-// drops it from the live set, the engine's last reference to it. The
-// thread function goes too; the handle keeps its name, clock and
-// counters for whoever holds it.
+// drops it from the live set. The thread function goes too, so a record
+// waiting on the free list keeps no closure reachable.
 func (e *Engine) retire(t *Thread) {
 	e.retired.addThread(t)
 	last := len(e.live) - 1
@@ -162,13 +169,11 @@ func (e *Engine) retire(t *Thread) {
 
 // Go registers a thread to start at time zero. It must be called before
 // Run; threads spawned during the run use Ctx.Go.
-func (e *Engine) Go(name string, fn func(*Ctx)) *Thread {
+func (e *Engine) Go(name string, fn func(*Ctx)) {
 	if e.started {
 		panic("sim: Engine.Go after Run; use Ctx.Go from inside the simulation")
 	}
-	t := e.newThread(name, fn)
-	t.state = stateReady
-	return t
+	e.newThread(name, fn).state = stateReady
 }
 
 // Run executes the simulation until every thread completes and returns

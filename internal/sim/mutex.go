@@ -4,8 +4,11 @@ package sim
 // handoff. It records the contention statistics the paper monitors
 // ("failed lock attempts", §5.1).
 type Mutex struct {
-	e     *Engine
-	name  string
+	e    *Engine
+	name string
+	// owner is the thread holding the lock. Its record stays out of the
+	// engine's free list while it is held (see Thread.held), even after
+	// the thread has finished.
 	owner *Thread
 	// waiters[head:] are the blocked threads in FIFO order; the slots
 	// before head are nil. An empty queue has head 0.
@@ -55,6 +58,7 @@ func (m *Mutex) Lock(c *Ctx) {
 	m.touch(t)
 	if m.owner == nil {
 		m.owner = t
+		t.held++
 		m.Acquires++
 		t.LockAcquires++
 		m.e.trace(t, EvLockAcquire, m.name)
@@ -95,6 +99,7 @@ func (m *Mutex) TryLock(c *Ctx) bool {
 	ok := m.owner == nil
 	if ok {
 		m.owner = t
+		t.held++
 		m.Acquires++
 		t.LockAcquires++
 	} else {
@@ -114,6 +119,7 @@ func (m *Mutex) Unlock(c *Ctx) {
 	if m.owner != t {
 		panic("sim: Unlock of mutex not held by calling thread: " + m.name)
 	}
+	t.held--
 	t.advance(m.e.cost.LockRelease)
 	m.touch(t)
 	m.e.trace(t, EvLockRelease, m.name)
@@ -129,6 +135,7 @@ func (m *Mutex) Unlock(c *Ctx) {
 		m.waiters, m.head = m.waiters[:0], 0
 	}
 	m.owner = w
+	w.held++
 	m.e.traceArgs(t, EvLockHandoff, m.name, int64(w.slot), int64(m.queued()))
 	m.e.wake(t, w, m.e.cost.LockHandoff)
 	t.maybeYield()

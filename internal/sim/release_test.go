@@ -3,56 +3,85 @@ package sim
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"weak"
 )
 
-// TestFinishedThreadsAreCollected checks that the engine keeps no
-// reference to a finished thread: once its spawner has dropped the
-// handle, the garbage collector reclaims it while the engine, its
-// mutex, channels and waitgroup are all still reachable. Each thread
-// below has passed through one of the queues that park threads (mutex
-// waiters, channel receivers and senders, waitgroup waiters), and one
-// was spawned from inside the run, so each queue must let go of the
-// threads it has woken. The lockstep threads were stacked inside
-// another thread's scheduling loop before they finished, so neither
-// the loop nor the unwind target may keep them either.
+// recordOf returns a weak pointer to the record of the thread c runs.
+func recordOf(c *Ctx) weak.Pointer[Thread] { return weak.Make(c.t) }
+
+// heldOutsideFreeList drops e's free list of thread records and reports
+// the names of the threads whose records are still reachable, while e
+// and everything it registered stay alive: such a record is held by an
+// engine structure that should have let go of it.
+func heldOutsideFreeList(e *Engine, records []weak.Pointer[Thread]) []string {
+	e.freeThreads = nil
+	runtime.GC()
+	var names []string
+	for _, p := range records {
+		if th := p.Value(); th != nil {
+			names = append(names, th.name)
+		}
+	}
+	runtime.KeepAlive(e)
+	return names
+}
+
+// TestFinishedThreadsAreCollected checks that the engine reuses the
+// record of every finished thread and that nothing but its free list
+// holds one: once the list is dropped, the garbage collector reclaims
+// every record while the engine, its mutex, channels and waitgroup are
+// all still reachable. Each thread below has passed through one of the
+// queues that park threads (mutex waiters, channel receivers and
+// senders, waitgroup waiters), and one was spawned from inside the run,
+// so each queue must let go of the threads it has woken. The lockstep
+// threads were stacked inside another thread's scheduling loop before
+// they finished, so neither the loop nor the unwind target may keep
+// them either. The checker, which runs once every other thread has
+// finished, finds all their records on the free list and spawns
+// threads that must take them.
 func TestFinishedThreadsAreCollected(t *testing.T) {
 	e := New(Config{Processors: 2})
 	m := e.NewMutexAt("m", 0)
 	recvCh, sendCh := e.NewChannel("recv", 1), e.NewChannel("send", 1)
 	wg := e.NewWaitGroup()
 	wg.Add(1)
-	var dropped []weak.Pointer[Thread]
-	drop := func(th *Thread) { dropped = append(dropped, weak.Make(th)) }
+	var finished []weak.Pointer[Thread]
+	record := func(fn func(*Ctx)) func(*Ctx) {
+		return func(c *Ctx) {
+			fn(c)
+			finished = append(finished, recordOf(c))
+		}
+	}
 
-	drop(e.Go("holder", func(c *Ctx) {
+	e.Go("holder", record(func(c *Ctx) {
 		m.Lock(c)
 		c.Advance(100)
 		m.Unlock(c)
 	}))
-	drop(e.Go("lock-waiter", func(c *Ctx) {
+	e.Go("lock-waiter", record(func(c *Ctx) {
 		c.Advance(10)
 		m.Lock(c) // parks in m.waiters
 		m.Unlock(c)
 	}))
-	drop(e.Go("receiver", func(c *Ctx) { recvCh.Recv(c) })) // parks in recvQ
-	drop(e.Go("sender", func(c *Ctx) {
+	e.Go("receiver", record(func(c *Ctx) { recvCh.Recv(c) })) // parks in recvQ
+	e.Go("sender", record(func(c *Ctx) {
 		c.Advance(100)
 		recvCh.Send(c, 1)
 		sendCh.Send(c, 1)
 		sendCh.Send(c, 2) // the buffer is full: parks in sendQ
 	}))
-	drop(e.Go("drainer", func(c *Ctx) {
+	e.Go("drainer", record(func(c *Ctx) {
 		c.Advance(1_000)
 		sendCh.Recv(c)
 		sendCh.Recv(c)
 	}))
-	drop(e.Go("joiner", func(c *Ctx) { wg.Wait(c) })) // parks in wg.waiters
-	drop(e.Go("spawner", func(c *Ctx) {
+	e.Go("joiner", record(func(c *Ctx) { wg.Wait(c) })) // parks in wg.waiters
+	e.Go("spawner", record(func(c *Ctx) {
 		c.Advance(100)
-		drop(c.Go("child", func(cc *Ctx) {
+		c.Go("child", record(func(cc *Ctx) {
 			cc.Advance(50)
 			wg.Done(cc)
 		}))
@@ -62,7 +91,7 @@ func TestFinishedThreadsAreCollected(t *testing.T) {
 	// threads look, so the first two are seen stacked.
 	wasStacked := map[string]bool{}
 	for k := range 3 {
-		drop(e.Go(fmt.Sprintf("lockstep%d", k), func(c *Ctx) {
+		e.Go(fmt.Sprintf("lockstep%d", k), record(func(c *Ctx) {
 			for range 4 {
 				c.Work(1)
 				for _, th := range e.live {
@@ -73,28 +102,31 @@ func TestFinishedThreadsAreCollected(t *testing.T) {
 			}
 		}))
 	}
-	live := func() []string {
-		runtime.GC()
-		var names []string
-		for _, p := range dropped {
-			if th := p.Value(); th != nil {
-				names = append(names, th.name)
-			}
-		}
-		return names
-	}
+	reused := 0
 	e.Go("checker", func(c *Ctx) {
 		c.Advance(100_000) // every other thread has finished
-		if names := live(); len(names) != 0 {
-			t.Errorf("mid-run: the engine still holds finished threads %v", names)
+		if len(finished) != 11 {
+			t.Fatalf("%d threads finished, want 11", len(finished))
+		}
+		for _, p := range finished {
+			if th := p.Value(); th == nil || !slices.Contains(e.freeThreads, th) {
+				t.Errorf("a finished thread's record is not on the free list")
+			}
+		}
+		for range len(finished) {
+			c.Go("reuser", func(cc *Ctx) {
+				if slices.ContainsFunc(finished, func(p weak.Pointer[Thread]) bool { return p.Value() == cc.t }) {
+					reused++
+				}
+			})
 		}
 	})
 	e.Run()
-	if names := live(); len(names) != 0 {
-		t.Errorf("after Run: the engine still holds finished threads %v", names)
+	if reused != len(finished) {
+		t.Errorf("%d of %d spawns reused a finished thread's record", reused, len(finished))
 	}
-	if len(dropped) != 11 {
-		t.Fatalf("%d threads dropped, want 11", len(dropped))
+	if names := heldOutsideFreeList(e, finished); len(names) != 0 {
+		t.Errorf("after Run: the engine holds finished threads %v outside its free list", names)
 	}
 	for k := range 2 {
 		if name := fmt.Sprintf("lockstep%d", k); !wasStacked[name] {
@@ -104,12 +136,46 @@ func TestFinishedThreadsAreCollected(t *testing.T) {
 	if st := e.Stats(); st.LockAcquires != 2 || st.ChanBlockedSends != 1 || st.ChanBlockedRecvs != 1 || st.WaitGroupWaits != 1 {
 		t.Errorf("the threads did not park as intended: %+v", st)
 	}
-	runtime.KeepAlive(e)
+	runtime.KeepAlive(m)
+	runtime.KeepAlive(recvCh)
+	runtime.KeepAlive(sendCh)
+	runtime.KeepAlive(wg)
+}
+
+// TestFinishedOwnerKeepsItsRecord checks that a thread that finishes
+// while it owns a mutex keeps its record out of the free list: the
+// spawns that follow, which would otherwise reuse it, do not become the
+// owner, a later thread that locks the mutex blocks, and the deadlock
+// report names the original owner's slot.
+func TestFinishedOwnerKeepsItsRecord(t *testing.T) {
+	e := New(Config{Processors: 2})
+	m := e.NewMutexAt("orphan", 0)
+	e.Go("owner", func(c *Ctx) { m.Lock(c) }) // slot 0 finishes holding m
+	e.Go("spawner", func(c *Ctx) {
+		c.Advance(100) // the owner has finished
+		for range 3 {
+			c.Go("short", func(cc *Ctx) { cc.Advance(1) })
+			c.Advance(100)
+		}
+		c.Go("locker", func(cc *Ctx) {
+			m.Lock(cc)
+			t.Error("locker acquired a mutex that a finished thread owns")
+		})
+	})
+	msg, _ := runRecovered(e).(string)
+	for _, want := range []string{
+		"  thread 5 \"locker\" state=3 ",
+		"  mutex \"orphan\" held by 0 with 1 waiters\n",
+	} {
+		if !strings.Contains(msg, want) {
+			t.Errorf("deadlock report:\n%s\nwant it to contain %q", msg, want)
+		}
+	}
 }
 
 // TestStatsMidRun checks that Stats called during a run counts both the
 // threads that have finished and the ones still running, and that the
-// final Stats equals the sum over every thread's handle.
+// final Stats equals the sum of the counters every thread recorded.
 func TestStatsMidRun(t *testing.T) {
 	s := newScenario(Config{Processors: 2})
 	m := s.NewMutexAt("m", 0)
@@ -136,8 +202,12 @@ func TestStatsMidRun(t *testing.T) {
 		t.Errorf("mid-run Stats counts %d lock acquires and %d CAS, want 5 each", mid.LockAcquires, mid.AtomicCAS)
 	}
 	var sum Stats
-	for _, th := range s.bySlot() {
-		sum.addThread(th)
+	for _, end := range s.bySlot() {
+		sum.LockAcquires += end.counters.LockAcquires
+		sum.LockWaitTime += end.counters.LockWaitTime
+		sum.Migrations += end.counters.Migrations
+		sum.AtomicCAS += end.counters.AtomicCAS
+		sum.AtomicCASFailed += end.counters.AtomicCASFailed
 	}
 	st := s.Stats()
 	if sum.LockAcquires != st.LockAcquires || sum.Migrations != st.Migrations || sum.AtomicCAS != st.AtomicCAS ||

@@ -5,49 +5,65 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"slices"
 	"testing"
 )
 
-// scenario is an engine together with the handle of every thread
-// spawned on it. The engine keeps only unfinished threads, so a test
-// that reads completion clocks or per-thread counters after the run
-// keeps the handles that Go and Ctx.Go return.
+// scenario is an engine that keeps what every thread spawned on it
+// leaves behind. The engine reuses a finished thread's record, so each
+// thread reports its own completion clock and counters from inside its
+// function, after a final Sync.
 type scenario struct {
 	*Engine
-	threads []*Thread
+	// ends is indexed by slot; ended is false until the thread has
+	// finished.
+	ends []threadEnd
+}
+
+// threadEnd is a finished thread's completion clock and its lock,
+// migration and atomic counters (folded as Stats.addThread does).
+type threadEnd struct {
+	ended    bool
+	clock    int64
+	counters Stats
 }
 
 func newScenario(cfg Config) *scenario { return &scenario{Engine: New(cfg)} }
 
-// Go is Engine.Go, keeping the handle.
-func (s *scenario) Go(name string, fn func(*Ctx)) {
-	s.threads = append(s.threads, s.Engine.Go(name, fn))
+// Go is Engine.Go for a thread whose end the scenario keeps.
+func (s *scenario) Go(name string, fn func(*Ctx)) { s.Engine.Go(name, s.recorded(fn)) }
+
+// spawn is c.Go for a thread whose end the scenario keeps.
+func (s *scenario) spawn(c *Ctx, name string, fn func(*Ctx)) { c.Go(name, s.recorded(fn)) }
+
+// recorded wraps fn so the thread records its end once fn returns. The
+// Sync is the one the engine would make when the function returns, so
+// the wrapper changes no simulated result.
+func (s *scenario) recorded(fn func(*Ctx)) func(*Ctx) {
+	return func(c *Ctx) {
+		fn(c)
+		c.Sync()
+		t := c.t
+		if n := int(t.slot) + 1; n > len(s.ends) {
+			s.ends = append(s.ends, make([]threadEnd, n-len(s.ends))...)
+		}
+		end := threadEnd{ended: true, clock: t.clock}
+		end.counters.addThread(t)
+		s.ends[t.slot] = end
+	}
 }
 
-// spawn is c.Go, keeping the handle. c.Go may yield, and another
-// thread may keep a handle meanwhile, so s.threads is read only after
-// c.Go returns.
-func (s *scenario) spawn(c *Ctx, name string, fn func(*Ctx)) {
-	th := c.Go(name, fn)
-	s.threads = append(s.threads, th)
-}
-
-// bySlot returns every thread of the scenario in slot order. A spawn
-// may yield before its handle is kept, so handles are kept in no
-// particular order; it panics when one is missing.
-func (s *scenario) bySlot() []*Thread {
-	ts := slices.Clone(s.threads)
-	slices.SortFunc(ts, func(a, b *Thread) int { return int(a.slot - b.slot) })
-	for i, th := range ts {
-		if int(th.slot) != i {
-			panic(fmt.Sprintf("sim: scenario lost the handle of thread %d", i))
+// bySlot returns the end of every thread of the scenario in slot
+// order. It panics when a thread has not finished.
+func (s *scenario) bySlot() []threadEnd {
+	if len(s.ends) != int(s.slots) {
+		panic(fmt.Sprintf("sim: scenario kept %d of %d thread ends", len(s.ends), s.slots))
+	}
+	for i, end := range s.ends {
+		if !end.ended {
+			panic(fmt.Sprintf("sim: thread %d of the scenario did not finish", i))
 		}
 	}
-	if len(ts) != int(s.slots) {
-		panic(fmt.Sprintf("sim: scenario kept %d of %d thread handles", len(ts), s.slots))
-	}
-	return ts
+	return s.ends
 }
 
 // runLinear is the reference scheduler the ready heap replaced: Run
@@ -101,13 +117,15 @@ func pickMin(e *Engine) (*Thread, int64) {
 }
 
 // scanMakespan recomputes the makespan by scanning every thread of the
-// scenario: the reference for the running max Makespan reads.
+// scenario, the finished ones' completion clocks and the live ones'
+// clocks: the reference for the running max Makespan reads.
 func scanMakespan(s *scenario) int64 {
 	var m int64
-	for _, t := range s.threads {
-		if t.clock > m {
-			m = t.clock
-		}
+	for _, end := range s.ends {
+		m = max(m, end.clock)
+	}
+	for _, t := range s.live {
+		m = max(m, t.clock)
 	}
 	return m
 }
@@ -132,7 +150,7 @@ func (h *readyHeap) remove(t *Thread) {
 type schedRun struct {
 	makespan int64
 	stats    Stats
-	clocks   []int64
+	ends     []threadEnd
 	events   []Event
 }
 
@@ -140,23 +158,23 @@ func observeRun(build func(Config) *scenario, procs int, run func(*Engine) int64
 	rec := Recorder{Max: 1 << 30, Mask: AllEvents}
 	s := build(Config{Processors: procs, Tracer: &rec})
 	r := schedRun{makespan: run(s.Engine), stats: s.Stats(), events: rec.Events}
-	r.clocks = clocks(s)
+	r.ends = s.bySlot()
 	return r
 }
 
-// clocks lists the scenario's thread clocks in slot order.
+// clocks lists the scenario's thread completion clocks in slot order.
 func clocks(s *scenario) []int64 {
 	var cs []int64
-	for _, th := range s.bySlot() {
-		cs = append(cs, th.Clock())
+	for _, end := range s.bySlot() {
+		cs = append(cs, end.clock)
 	}
 	return cs
 }
 
 // checkMatchesLinear runs a scenario on the engine and on runLinear and
 // fails on any difference in makespan, statistics, per-thread
-// completion clock or event stream, preemptions included. It returns
-// the engine's run.
+// completion clock and counters or event stream, preemptions included.
+// It returns the engine's run.
 func checkMatchesLinear(t *testing.T, id string, procs int, build func(Config) *scenario) schedRun {
 	t.Helper()
 	heap := observeRun(build, procs, (*Engine).Run)
@@ -173,12 +191,14 @@ func diffRuns(t *testing.T, id, gotName, wantName string, got, want schedRun) {
 	if got.stats != want.stats {
 		t.Errorf("%s: stats diverge\n%s: %+v\n%s: %+v", id, gotName, got.stats, wantName, want.stats)
 	}
-	if len(got.clocks) != len(want.clocks) {
-		t.Errorf("%s: %d threads (%s) != %d (%s)", id, len(got.clocks), gotName, len(want.clocks), wantName)
+	if len(got.ends) != len(want.ends) {
+		t.Errorf("%s: %d threads (%s) != %d (%s)", id, len(got.ends), gotName, len(want.ends), wantName)
 	} else {
-		for i := range got.clocks {
-			if got.clocks[i] != want.clocks[i] {
-				t.Errorf("%s: thread %d completion %d (%s) != %d (%s)", id, i, got.clocks[i], gotName, want.clocks[i], wantName)
+		for i, g := range got.ends {
+			if w := want.ends[i]; g.clock != w.clock {
+				t.Errorf("%s: thread %d completion %d (%s) != %d (%s)", id, i, g.clock, gotName, w.clock, wantName)
+			} else if g.counters != w.counters {
+				t.Errorf("%s: thread %d counters diverge\n%s: %+v\n%s: %+v", id, i, gotName, g.counters, wantName, w.counters)
 			}
 		}
 	}
@@ -352,13 +372,13 @@ func scripted(cfg Config, data []byte, runAhead bool) *scenario {
 // checkRunAhead runs a script untraced twice: on the engine with
 // run-ahead, and on the linear-scan reference with every private unit
 // charged as Work(1). It fails on any difference in makespan,
-// statistics or per-thread completion clock.
+// statistics or per-thread completion clock and counters.
 func checkRunAhead(t *testing.T, id string, procs int, data []byte) {
 	t.Helper()
 	untraced := func(runAhead bool, run func(*Engine) int64) schedRun {
 		s := scripted(Config{Processors: procs}, data, runAhead)
 		r := schedRun{makespan: run(s.Engine), stats: s.Stats()}
-		r.clocks = clocks(s)
+		r.ends = s.bySlot()
 		return r
 	}
 	diffRuns(t, id, "run-ahead", "per unit", untraced(true, (*Engine).Run), untraced(false, runLinear))

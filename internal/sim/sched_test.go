@@ -632,10 +632,11 @@ func TestWriteAheadDispatches(t *testing.T) {
 	}
 }
 
-// TestThreadSize pins the Thread record at 192 bytes, three cache
-// lines: a larger record measurably slowed spawn-heavy runs.
+// TestThreadSize pins the Thread record at 176 bytes: a larger record
+// measurably slowed spawn-heavy runs before records were recycled, and
+// every field costs a store on each spawn, which resets a reused record.
 func TestThreadSize(t *testing.T) {
-	if n := unsafe.Sizeof(Thread{}); n != 192 {
-		t.Errorf("Thread is %d bytes, want 192", n)
+	if n := unsafe.Sizeof(Thread{}); n != 176 {
+		t.Errorf("Thread is %d bytes, want 176", n)
 	}
 }

@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"weak"
@@ -99,18 +100,21 @@ func TestMutexFIFOHandoff(t *testing.T) {
 // of the threads it has woken, and a deadlock report must count the
 // waiters a held lock strands.
 func TestMutexQueueStaysFIFO(t *testing.T) {
-	// collected runs e and requires every thread in ts to be garbage
-	// once the run is over, while the engine and the mutex are not.
+	// collected runs e, whose threads each add a weak pointer to their
+	// record to ts, and requires every record to be back on the free
+	// list once the run is over and held by nothing else, while the
+	// engine and the mutex are still reachable.
 	collected := func(e *Engine, m *Mutex, ts []weak.Pointer[Thread]) {
 		t.Helper()
 		e.Run()
-		runtime.GC()
 		for i, p := range ts {
-			if p.Value() != nil {
-				t.Fatalf("thread %d is still reachable after the run", i)
+			if !slices.Contains(e.freeThreads, p.Value()) {
+				t.Fatalf("thread %d's record is not on the free list after the run", i)
 			}
 		}
-		runtime.KeepAlive(e)
+		if names := heldOutsideFreeList(e, ts); len(names) != 0 {
+			t.Fatalf("%d thread records are still reachable after the run", len(names))
+		}
 		runtime.KeepAlive(m)
 	}
 
@@ -125,12 +129,13 @@ func TestMutexQueueStaysFIFO(t *testing.T) {
 		if i >= 32 {
 			arrive += 10_000
 		}
-		ts = append(ts, weak.Make(e.Go("w", func(c *Ctx) {
+		e.Go("w", func(c *Ctx) {
 			c.Advance(arrive)
 			m.Lock(c)
 			c.Advance(25)
 			m.Unlock(c)
-		})))
+			ts = append(ts, recordOf(c))
+		})
 	}
 	collected(e, m, ts)
 	var queue []int
@@ -163,12 +168,13 @@ func TestMutexQueueStaysFIFO(t *testing.T) {
 	arrive := []int64{0, 10, 20, 30, 40, 1_500}
 	hold := []int64{1_000, 25, 1_000, 25, 25, 25}
 	for i := range arrive {
-		ts = append(ts, weak.Make(e.Go("w", func(c *Ctx) {
+		e.Go("w", func(c *Ctx) {
 			c.Advance(arrive[i])
 			m.Lock(c)
 			c.Advance(hold[i])
 			m.Unlock(c)
-		})))
+			ts = append(ts, recordOf(c))
+		})
 	}
 	collected(e, m, ts)
 
@@ -239,7 +245,7 @@ func TestUnlockNotOwnerPanics(t *testing.T) {
 
 func TestCacheHitsAndMisses(t *testing.T) {
 	e := New(testConfig(2))
-	th := e.Go("w", func(c *Ctx) {
+	e.Go("w", func(c *Ctx) {
 		c.Read(0x1000, 8) // cold: miss
 		c.Read(0x1000, 8) // hit
 		c.Read(0x1004, 4) // same line: hit
@@ -247,11 +253,8 @@ func TestCacheHitsAndMisses(t *testing.T) {
 		c.Read(0x1040, 8) // next line: miss
 	})
 	e.Run()
-	if th.CacheMisses != 2 {
-		t.Errorf("misses = %d, want 2", th.CacheMisses)
-	}
-	if th.CacheHits != 3 {
-		t.Errorf("hits = %d, want 3", th.CacheHits)
+	if st := e.Stats(); st.CacheMisses != 2 || st.CacheHits != 3 {
+		t.Errorf("misses = %d, hits = %d; want 2 and 3", st.CacheMisses, st.CacheHits)
 	}
 }
 
@@ -323,36 +326,37 @@ func TestSpawnAndWaitGroup(t *testing.T) {
 }
 
 // migrationRun runs 4 CPU-bound threads on procs processors for at
-// least five migration periods and returns the threads.
-func migrationRun(t *testing.T, procs int) []*Thread {
+// least five migration periods and returns each thread's migrations.
+func migrationRun(t *testing.T, procs int) []int64 {
 	t.Helper()
 	e := New(testConfig(procs))
-	var ts []*Thread
-	for i := 0; i < 4; i++ {
-		ts = append(ts, e.Go("w", func(c *Ctx) {
+	migrations := make([]int64, 4)
+	for i := range migrations {
+		e.Go("w", func(c *Ctx) {
 			for j := 0; j < 100; j++ {
 				c.Advance(migrationPeriod / 20)
 			}
-		}))
+			migrations[i] = c.t.Migrations
+		})
 	}
 	if got := e.Run(); got < 5*migrationPeriod {
 		t.Fatalf("makespan %d crosses fewer than 5 migration periods", got)
 	}
-	return ts
+	return migrations
 }
 
 func TestMigrationWhenOversubscribed(t *testing.T) {
-	for _, th := range migrationRun(t, 2) { // 4 threads, 2 CPUs
-		if th.Migrations == 0 {
-			t.Fatalf("thread %d never migrated with threads > processors", th.slot)
+	for i, n := range migrationRun(t, 2) { // 4 threads, 2 CPUs
+		if n == 0 {
+			t.Fatalf("thread %d never migrated with threads > processors", i)
 		}
 	}
 }
 
 func TestNoMigrationWhenUndersubscribed(t *testing.T) {
-	for _, th := range migrationRun(t, 4) {
-		if th.Migrations != 0 {
-			t.Fatalf("thread %d migrated %d times with T == P", th.slot, th.Migrations)
+	for i, n := range migrationRun(t, 4) {
+		if n != 0 {
+			t.Fatalf("thread %d migrated %d times with T == P", i, n)
 		}
 	}
 }

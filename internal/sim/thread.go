@@ -16,12 +16,13 @@ const (
 	stateDone
 )
 
-// Thread is one simulated thread of execution. All fields are maintained
-// by the engine; workload code interacts with a thread only through the
-// *Ctx passed to its function. The *Thread that Engine.Go and Ctx.Go
-// return is the caller's handle: the engine drops its own references
-// when the thread finishes, and the handle stays valid for as long as
-// the caller keeps it.
+// Thread is one simulated thread of execution. The engine owns every
+// Thread record: all fields are maintained by the engine, and workload
+// code interacts with a thread only through the *Ctx passed to its
+// function. A record is valid only while its thread runs, like the
+// *Ctx: once the thread finishes, the engine puts the record back on
+// its free list and the next spawn reuses it, unless a mutex still
+// names the thread as its owner (see held).
 type Thread struct {
 	e    *Engine
 	slot int32
@@ -59,6 +60,12 @@ type Thread struct {
 	// segment; the thread's next Sync charges them one at a time.
 	debt int64
 
+	// held counts the mutexes the thread owns. A thread that finishes
+	// while it still owns one keeps its record out of the free list, so
+	// the mutex's owner, its Unlock check and the deadlock report go on
+	// naming the finished thread, not a later spawn that reused it.
+	held int32
+
 	// w is the pooled worker coroutine currently executing this thread.
 	// It is bound at the thread's first dispatch and returned to the
 	// engine's free list when the thread retires.
@@ -68,12 +75,7 @@ type Thread struct {
 	LockAcquires  int64 // total successful mutex acquisitions
 	LockContended int64 // acquisitions that had to wait
 	LockWaitTime  int64 // virtual cycles spent waiting for mutexes
-	CacheHits     int64
-	CacheMisses   int64
-	// CacheInvalidations counts misses on lines this thread's processor
-	// had cached but another processor's write invalidated.
-	CacheInvalidations int64
-	Migrations         int64
+	Migrations    int64
 	// Atomic-operation counters: CAS attempts (AtomicCASFailed is the
 	// subset whose compare lost), fetch-and-adds, and plain atomic
 	// loads/stores.
@@ -83,14 +85,6 @@ type Thread struct {
 	AtomicLoads     int64
 	AtomicStores    int64
 }
-
-// Name reports the thread's name.
-func (t *Thread) Name() string { return t.name }
-
-// Clock reports the thread's current virtual time. Once the thread has
-// finished it is the thread's completion time, which the handle keeps
-// after the engine has released the thread.
-func (t *Thread) Clock() int64 { return t.clock }
 
 // advance moves the thread's clock forward by cycles, dilated by the
 // processor-sharing factor when more threads are runnable than there are
@@ -173,10 +167,11 @@ func (t *Thread) yieldCheck() {
 }
 
 // exec runs the thread function with its worker's context c. When
-// the function returns or panics the thread retires and its worker goes
-// back to the free list; a panic is kept for Engine.Run to re-raise. A
-// threadUnwind is swallowed without touching engine state, so the
-// panic that ended the run stays the one Run reports.
+// the function returns or panics the thread retires: its worker goes
+// back to the engine's free list and so does its record, unless the
+// thread still owns a mutex; a panic is kept for Engine.Run to
+// re-raise. A threadUnwind is swallowed without touching engine state,
+// so the panic that ended the run stays the one Run reports.
 func (t *Thread) exec(c *Ctx) {
 	defer func() {
 		e := t.e
@@ -194,6 +189,9 @@ func (t *Thread) exec(c *Ctx) {
 		e.trace(t, EvThreadDone, t.name)
 		e.idleWorkers = append(e.idleWorkers, t.w)
 		t.w = nil
+		if t.held == 0 {
+			e.freeThreads = append(e.freeThreads, t)
+		}
 	}()
 	t.fn(c)
 	if t.ahead {
@@ -212,9 +210,6 @@ type Ctx struct {
 
 // Engine returns the engine the thread runs on.
 func (c *Ctx) Engine() *Engine { return c.t.e }
-
-// Thread returns the underlying thread (for reading statistics).
-func (c *Ctx) Thread() *Thread { return c.t }
 
 // Now reports the thread's current virtual time.
 func (c *Ctx) Now() int64 { return c.t.clock }
@@ -414,8 +409,10 @@ func (e *Engine) rollBack(s *Thread, at int64) {
 // Go spawns a new thread from inside the simulation. The child starts
 // at the parent's current time plus the spawn cost. No host goroutine
 // is created here: the child is bound to a pooled worker at its first
-// dispatch, so spawning is just a heap push on the host.
-func (c *Ctx) Go(name string, fn func(*Ctx)) *Thread {
+// dispatch, and its record is one a finished thread left on the
+// engine's free list whenever there is one, so spawn churn allocates
+// nothing on the host.
+func (c *Ctx) Go(name string, fn func(*Ctx)) {
 	t := c.t
 	at := t.clock
 	t.advance(t.e.cost.Spawn)
@@ -427,5 +424,4 @@ func (c *Ctx) Go(name string, fn func(*Ctx)) *Thread {
 	t.e.trace(t, EvSpawn, name)
 	t.e.trace(nt, EvThreadStart, name)
 	t.maybeYield()
-	return nt
 }

@@ -178,7 +178,11 @@ type machine struct {
 	// placementFallbacks counts placement news whose shadow object was
 	// still live (Result.PlacementFallbacks).
 	placementFallbacks int64
-	// curFn/curPC track the executing site for fault messages.
+	// curFn/curPC are the site a fault names. The machine is shared by
+	// every simulated thread, so exec sets them only where the thread
+	// that will fault runs: after the Sync of each shared opcode, after
+	// which no other thread runs before the opcode's own checks, and
+	// right before the faults of private opcodes and the step limit.
 	curFn *Fn
 	curPC int
 }
@@ -321,8 +325,6 @@ func (m *machine) flushWork(c *sim.Ctx) {
 // after which the view is dead. OpSpawn is the one caller that must
 // copy eagerly instead — its closure outlives the spawning activation.
 func (m *machine) exec(c *sim.Ctx, fn *Fn, this mem.Ref, args []value) value {
-	prevFn, prevPC := m.curFn, m.curPC
-	m.curFn = fn
 	c.Trace(sim.EvEnter, fn.Name, 0, 0)
 	slots := m.getFrame(fn.Slots)
 	copy(slots, args)
@@ -331,10 +333,10 @@ func (m *machine) exec(c *sim.Ctx, fn *Fn, this mem.Ref, args []value) value {
 
 loop:
 	for pc := 0; pc < len(fn.Code); pc++ {
-		m.curPC = pc
 		ins := fn.Code[pc]
 		m.steps += int64(ins.W)
 		if m.steps > m.maxSteps {
+			m.curFn, m.curPC = fn, pc
 			m.fail("step limit exceeded (%d); non-terminating program?", m.maxSteps)
 		}
 		if m.bulk {
@@ -346,9 +348,12 @@ loop:
 			// round differently than two Work(1)s and optimization
 			// would perturb makespans.
 			c.Compute(int64(ins.W))
-			if !privateOp[ins.Op] {
+		}
+		if !privateOp[ins.Op] {
+			if !m.bulk {
 				c.Sync()
 			}
+			m.curFn, m.curPC = fn, pc
 		}
 		switch ins.Op {
 		case OpNop:
@@ -423,6 +428,7 @@ loop:
 			stack = stack[:len(stack)-1]
 			if (x.kind == 'r' || y.kind == 'r') && ins.Op != OpEq && ins.Op != OpNe {
 				c.Sync() // pointer arithmetic faults
+				m.curFn, m.curPC = fn, pc
 			}
 			stack[len(stack)-1] = m.arith(ins.Op, x, y)
 		case OpNeg:
@@ -668,6 +674,7 @@ loop:
 			x := stack[len(stack)-1]
 			if x.kind == 'r' {
 				c.Sync()
+				m.curFn, m.curPC = fn, pc
 				m.fail("invalid pointer arithmetic")
 			}
 			stack[len(stack)-1] = iv(x.i + m.p.Consts[ins.A])
@@ -684,7 +691,6 @@ loop:
 	m.putFrame(slots)
 	m.putStack(stack)
 	c.Trace(sim.EvExit, "", 0, 0)
-	m.curFn, m.curPC = prevFn, prevPC
 	return ret
 }
 
@@ -782,8 +788,10 @@ func (m *machine) doNew(c *sim.Ctx, ci *classInfo, placement value, args []value
 	var ref mem.Ref
 	if ci.opNew >= 0 {
 		m.argScratch[0] = iv(ci.decl.Size)
+		fn, pc := m.curFn, m.curPC // the call and the Sync move the fault site
 		v := m.exec(c, m.p.Fns[ci.opNew], mem.Nil, m.argScratch[:1])
 		c.Sync()
+		m.curFn, m.curPC = fn, pc
 		if v.kind != 'r' || v.ref == mem.Nil {
 			m.fail("operator new of %s returned %s", ci.decl.Name, v.text(m.p.Strs))
 		}

@@ -757,3 +757,44 @@ func TestThreadedShadowRealloc(t *testing.T) {
 		}
 	}
 }
+
+// threadSwitchFaultSrc faults in crash, at a null dereference after a
+// loop on an object a spawned spin also loops on, so spin has run (and
+// entered its function) between crash's entry and the fault.
+const threadSwitchFaultSrc = `class C { public: C() { n = 0; } int n; };
+void spin(C* c) {
+    for (int i = 0; i < 200; i = i + 1) {
+        c->n = c->n + 1;
+    }
+}
+int crash(C* c) {
+    for (int i = 0; i < 200; i = i + 1) {
+        c->n = c->n + 1;
+    }
+    C* z = null;
+    return z->n;
+}
+int main() {
+    C* c = new C();
+    spawn spin(c);
+    int r = crash(c);
+    join;
+    return r;
+}
+`
+
+// TestFaultSiteNamesFaultingThread checks that a fault names the
+// function and pc of the thread that faulted, not of another thread
+// that ran since the faulting thread entered its function, at both
+// optimization levels, with the threads on separate processors and
+// sharing them.
+func TestFaultSiteNamesFaultingThread(t *testing.T) {
+	for _, procs := range []int{2, 8} {
+		for _, opt := range []Options{{}, {NoOpt: true}} {
+			_, err := execute(threadSwitchFaultSrc, opt, Config{Processors: procs})
+			if err == nil || !strings.Contains(err.Error(), "null pointer dereference (at crash@") {
+				t.Errorf("P=%d NoOpt=%v: err = %v, want a null dereference at a crash@pc site", procs, opt.NoOpt, err)
+			}
+		}
+	}
+}
