@@ -254,6 +254,7 @@ func HostBench() (*HostReport, error) {
 			})
 			return err
 		}},
+		{"sim/cache_access", cacheAccessStream},
 	}
 	for _, sb := range schedBenches {
 		best, err := minOf(5, sb.run)
@@ -273,6 +274,36 @@ func HostBench() (*HostReport, error) {
 	}
 	rep.Benchmarks = append(rep.Benchmarks, toolRows...)
 	return rep, nil
+}
+
+// cacheAccessStream is the cache-model row: one thread on 8 processors
+// makes a fixed stream of about a million loads and stores through the
+// engine, in the line mix of an amplified tree run. Each 28-byte node
+// gets its child and data stores, a whole-node load (which straddles
+// two lines for some nodes), a shadow-pointer load and store; every
+// eighth node also stores a pool's lock word and free-list head.
+func cacheAccessStream() error {
+	const nodes, passes, node = 4096, 40, 28
+	e := sim.New(sim.Config{Processors: 8})
+	e.Go("stream", func(c *sim.Ctx) {
+		for range passes {
+			for i := range uint64(nodes) {
+				addr := 0x100000 + i*node
+				c.Write(addr, 4)
+				c.Write(addr+4, 4)
+				c.Write(addr+8, 12)
+				c.Read(addr, node)
+				c.Read(addr+20, 4)
+				c.Write(addr+20, 4)
+				if i%8 == 0 {
+					c.Write(0x80000, 8)
+					c.Write(0x80040, 8)
+				}
+			}
+		}
+	})
+	e.Run()
+	return nil
 }
 
 // toolPathHostBench times the tool-path layers one by one on one large

@@ -292,48 +292,22 @@ func (h *Heap) free(c *sim.Ctx, ref mem.Ref, usable int64) {
 }
 
 // blockIndex maps a block to its usable size and owning heap. It is a
-// flat open-addressed table of (ref, word) pairs (Fibonacci hashing,
-// linear probing), which the garbage collector never scans and whose
-// probe reads one host cache line. The word packs the size into its low
-// 48 bits and the heap number above them, keeping a slot at 16 bytes.
-// There is no deletion: freed blocks keep their entries, as UsableSize
-// answers for freed blocks too, and a carved address is never carved
-// again.
+// mem.Table of packed words: the size in the low 48 bits and the heap
+// number above them, keeping a slot at 16 bytes. There is no deletion:
+// freed blocks keep their entries, as UsableSize answers for freed
+// blocks too, and a carved address is never carved again.
 type blockIndex struct {
-	slots []blockSlot
-	n     int
-	shift uint // 64 - log2(len(slots))
-}
-
-type blockSlot struct {
-	ref  mem.Ref // mem.Nil marks an empty slot
-	word uint64  // size | heap<<sizeBits
+	words mem.Table[uint64] // size | heap<<sizeBits
 }
 
 const (
-	sizeBits          = 48
-	maxHeaps          = 1 << (64 - sizeBits)
-	blockIndexMinSize = 64 // slots; 1 KiB, allocated on first put
+	sizeBits = 48
+	maxHeaps = 1 << (64 - sizeBits)
 )
 
-func (x *blockIndex) home(ref mem.Ref) uint64 {
-	return uint64(ref) * 0x9E3779B97F4A7C15 >> x.shift
-}
-
 func (x *blockIndex) get(ref mem.Ref) (size int64, heap int, ok bool) {
-	if x.n == 0 {
-		return 0, 0, false
-	}
-	mask := uint64(len(x.slots) - 1)
-	for i := x.home(ref); ; i = (i + 1) & mask {
-		switch x.slots[i].ref {
-		case ref:
-			w := x.slots[i].word
-			return int64(w & (1<<sizeBits - 1)), int(w >> sizeBits), true
-		case mem.Nil:
-			return 0, 0, false
-		}
-	}
+	w, ok := x.words.Get(ref)
+	return int64(w & (1<<sizeBits - 1)), int(w >> sizeBits), ok
 }
 
 // lookup is get for a block that must be known; op names the failing
@@ -351,38 +325,5 @@ func (x *blockIndex) put(ref mem.Ref, size int64, heap int) {
 	if uint64(size)>>sizeBits != 0 {
 		panic(fmt.Sprintf("heapcore: block of %d bytes overflows the index", size))
 	}
-	if len(x.slots) == 0 {
-		x.resize(blockIndexMinSize)
-	} else if (x.n+1)*4 > len(x.slots)*3 {
-		x.resize(2 * len(x.slots))
-	}
-	mask := uint64(len(x.slots) - 1)
-	i := x.home(ref)
-	for x.slots[i].ref != ref && x.slots[i].ref != mem.Nil {
-		i = (i + 1) & mask
-	}
-	if x.slots[i].ref == mem.Nil {
-		x.slots[i].ref = ref
-		x.n++
-	}
-	x.slots[i].word = uint64(size) | uint64(heap)<<sizeBits
-}
-func (x *blockIndex) resize(size int) {
-	old := x.slots
-	x.slots = make([]blockSlot, size)
-	x.shift = 64
-	for s := size; s > 1; s >>= 1 {
-		x.shift--
-	}
-	mask := uint64(size - 1)
-	for _, s := range old {
-		if s.ref == mem.Nil {
-			continue
-		}
-		i := x.home(s.ref)
-		for x.slots[i].ref != mem.Nil {
-			i = (i + 1) & mask
-		}
-		x.slots[i] = s
-	}
+	x.words.Put(ref, uint64(size)|uint64(heap)<<sizeBits)
 }

@@ -195,8 +195,8 @@ func TestBlockIndexMatchesMap(t *testing.T) {
 		x.put(ref, e.size, e.heap)
 		want[ref] = e
 	}
-	if x.n != len(want) {
-		t.Fatalf("index holds %d entries, want %d", x.n, len(want))
+	if x.words.Len() != len(want) {
+		t.Fatalf("index holds %d entries, want %d", x.words.Len(), len(want))
 	}
 	for ref, e := range want {
 		if size, heap, ok := x.get(ref); !ok || size != e.size || heap != e.heap {

@@ -85,13 +85,16 @@ func newCache(cost *CostModel) *Cache {
 }
 
 // access charges t for touching [addr, addr+size) on processor cpu.
-// write distinguishes stores from loads.
+// write distinguishes stores from loads. Most accesses (a field, a
+// word, a lock word) stay inside one line and go straight to
+// accessLine; only one that straddles lines loops.
 func (c *Cache) access(t *Thread, cpu int, addr uint64, size int64, write bool) {
-	if size <= 0 {
-		size = 1
-	}
 	first := addr >> lineShift
-	last := (addr + uint64(size) - 1) >> lineShift
+	last := (addr + uint64(max(size, 1)) - 1) >> lineShift
+	if first == last {
+		c.accessLine(t, cpu, first, write)
+		return
+	}
 	for line := first; line <= last; line++ {
 		c.accessLine(t, cpu, line, write)
 	}
@@ -166,11 +169,10 @@ func hashSharer(line uint64, cpu int32, mask uint64) uint64 {
 }
 
 // record returns the slot of line's record, inserting an empty one
-// (version 0, no sharers) on first touch.
+// (version 0, no sharers) on first touch. The load factor is checked
+// only on an insert: a lookup of a line already present never grows
+// the table.
 func (c *Cache) record(line uint64) int {
-	if (c.n+1)*4 > len(c.recs)*3 {
-		c.growRecs()
-	}
 	mask := uint64(len(c.recs) - 1)
 	key := line + 1
 	i := hashLine(line, mask)
@@ -179,6 +181,10 @@ func (c *Cache) record(line uint64) int {
 		case key:
 			return int(i)
 		case 0:
+			if (c.n+1)*4 > len(c.recs)*3 {
+				c.growRecs()
+				return c.record(line)
+			}
 			c.recs[i].key = key
 			c.n++
 			return int(i)

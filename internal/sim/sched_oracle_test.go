@@ -17,6 +17,9 @@ type scenario struct {
 	// ends is indexed by slot; ended is false until the thread has
 	// finished.
 	ends []threadEnd
+	// overRun is the first moment at which more threads demanded a
+	// processor than were live (see checkRunning), "" while none has.
+	overRun string
 }
 
 // threadEnd is a finished thread's completion clock and its lock,
@@ -50,6 +53,28 @@ func (s *scenario) recorded(fn func(*Ctx)) func(*Ctx) {
 		end.counters.addThread(t)
 		s.ends[t.slot] = end
 	}
+}
+
+// checkRunning records the first moment at which more threads demand a
+// processor than are live. They must never: the threads ready or
+// running are a subset of the unfinished ones, and advance's fast path
+// rests on it (with at most P live threads no charge is dilated).
+func (s *scenario) checkRunning(where string, slot int32, clock int64) {
+	if s.overRun == "" && s.running > len(s.live) {
+		s.overRun = fmt.Sprintf("%s of thread %d at %d: %d threads running, %d live", where, slot, clock, s.running, len(s.live))
+	}
+}
+
+// runningChecker is a Tracer that checks the scenario's running count
+// at every event, and passes the event on.
+type runningChecker struct {
+	s    *scenario
+	next Tracer
+}
+
+func (r *runningChecker) Event(ev Event) {
+	r.s.checkRunning(ev.Kind.String(), int32(ev.Thread), ev.Time)
+	r.next.Event(ev)
 }
 
 // bySlot returns the end of every thread of the scenario in slot
@@ -152,13 +177,20 @@ type schedRun struct {
 	stats    Stats
 	ends     []threadEnd
 	events   []Event
+	// overRun is the scenario's (see scenario.checkRunning).
+	overRun string
 }
 
+// observeRun runs a scenario traced, checking the running count at
+// every event.
 func observeRun(build func(Config) *scenario, procs int, run func(*Engine) int64) schedRun {
 	rec := Recorder{Max: 1 << 30, Mask: AllEvents}
-	s := build(Config{Processors: procs, Tracer: &rec})
+	chk := &runningChecker{next: &rec}
+	s := build(Config{Processors: procs, Tracer: chk})
+	chk.s = s
 	r := schedRun{makespan: run(s.Engine), stats: s.Stats(), events: rec.Events}
 	r.ends = s.bySlot()
+	r.overRun = s.overRun
 	return r
 }
 
@@ -182,9 +214,15 @@ func checkMatchesLinear(t *testing.T, id string, procs int, build func(Config) *
 	return heap
 }
 
-// diffRuns fails on any difference between two runs of one scenario.
+// diffRuns fails on any difference between two runs of one scenario,
+// and when either run had more threads running than live.
 func diffRuns(t *testing.T, id, gotName, wantName string, got, want schedRun) {
 	t.Helper()
+	for _, r := range []struct{ name, over string }{{gotName, got.overRun}, {wantName, want.overRun}} {
+		if r.over != "" {
+			t.Errorf("%s (%s): %s", id, r.name, r.over)
+		}
+	}
 	if got.makespan != want.makespan {
 		t.Errorf("%s: makespan %d (%s) != %d (%s)", id, got.makespan, gotName, want.makespan, wantName)
 	}
@@ -290,6 +328,7 @@ func scripted(cfg Config, data []byte, runAhead bool) *scenario {
 		wg := c.Engine().NewWaitGroup()
 		var held *Mutex
 		for i, b := range script {
+			s.checkRunning("before a step", c.t.slot, c.t.clock)
 			arg := int64(b >> 3)
 			addr := 0x10000 + uint64(arg)*24 // three 8-byte words per line
 			if b&7 == 0 && arg&1 == 1 {
@@ -379,6 +418,7 @@ func checkRunAhead(t *testing.T, id string, procs int, data []byte) {
 		s := scripted(Config{Processors: procs}, data, runAhead)
 		r := schedRun{makespan: run(s.Engine), stats: s.Stats()}
 		r.ends = s.bySlot()
+		r.overRun = s.overRun
 		return r
 	}
 	diffRuns(t, id, "run-ahead", "per unit", untraced(true, (*Engine).Run), untraced(false, runLinear))

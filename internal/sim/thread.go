@@ -41,8 +41,9 @@ type Thread struct {
 	lastCPU int32
 	// home is slot mod P, precomputed: the processor the thread owns
 	// whenever the machine is not oversubscribed. Caching it keeps an
-	// integer division out of cpu(), which runs on every cache access
-	// and work charge.
+	// integer division out of cpu(), which runs on every cache access,
+	// and lets advance tell with one comparison that the thread has
+	// not left it.
 	home int32
 	// heapIdx is the thread's position in the engine's ready heap, or
 	// -1 while it is not queued.
@@ -90,7 +91,27 @@ type Thread struct {
 // processor-sharing factor when more threads are runnable than there are
 // processors, and charges migration when the processor assignment
 // changed since the last advance.
+//
+// The common case takes a short path: with at most P live threads
+// nothing is dilated, because the threads demanding a processor are a
+// subset of the live ones (running <= len(live)), and cpu() is the
+// home processor, so a thread still on it migrates nowhere. The charge
+// is then the bare cycles.
 func (t *Thread) advance(cycles int64) {
+	if e := t.e; len(e.live) <= e.procs && t.lastCPU == t.home {
+		t.clock += cycles
+		if t.clock > e.maxClock {
+			e.maxClock = t.clock
+		}
+	} else {
+		t.advanceShared(cycles)
+	}
+}
+
+// advanceShared is the slow path of advance: an oversubscribed machine,
+// where the charge may be dilated and the thread may rotate to another
+// processor, or a thread that last ran away from its home processor.
+func (t *Thread) advanceShared(cycles int64) {
 	e := t.e
 	if r := int64(e.running); r > int64(e.procs) {
 		cycles = cycles * r / int64(e.procs)

@@ -135,7 +135,7 @@ func RunTree(strategy string, cfg TreeConfig) (Result, error) {
 		np := m.Pools.NewClassPool("Node", AmpNodeSize)
 		// The engine runs one simulated thread at a time, so the
 		// workers share the shadow table without a lock.
-		shadows := make(shadowTable)
+		shadows := new(shadowTable)
 		forEachThread(m.Engine, cfg, func(c *sim.Ctx, trees int) {
 			amplifiedWorker(c, m.Pools, np, shadows, cfg, trees)
 		})
@@ -285,7 +285,11 @@ func useTree(c *sim.Ctx, refs []mem.Ref, nodeSize int64, work int64) {
 // One table serves all of a run's workers, so a structure that one
 // thread returns to the pool and another takes out keeps its children,
 // as it does in the rewritten program.
-type shadowTable map[mem.Ref][2]mem.Ref
+//
+// It is a mem.Table, which the garbage collector never scans. A node
+// that goes back to the heap gets null shadow pointers, which is what
+// a lookup of a node never stored returns.
+type shadowTable = mem.Table[[2]mem.Ref]
 
 // amplifiedWorker is the program as transformed by the Amplify
 // pre-processor: the root comes from the class's structure pool and
@@ -296,7 +300,7 @@ type shadowTable map[mem.Ref][2]mem.Ref
 // child brings its own children along. Deletion runs the destructors,
 // saves each child in its parent's shadow pointer, and returns only
 // the root to the pool.
-func amplifiedWorker(c *sim.Ctx, rt *pool.Runtime, np *pool.ClassPool, shadows shadowTable, cfg TreeConfig, trees int) {
+func amplifiedWorker(c *sim.Ctx, rt *pool.Runtime, np *pool.ClassPool, shadows *shadowTable, cfg TreeConfig, trees int) {
 	n := Nodes(cfg.Depth)
 	var buf [maxStackNodes]mem.Ref
 	refs := nodeList(&buf, n)
@@ -304,7 +308,7 @@ func amplifiedWorker(c *sim.Ctx, rt *pool.Runtime, np *pool.ClassPool, shadows s
 		refs[0], _ = np.Alloc(c)
 		// Each constructor runs placement new on its two children.
 		for p := 0; 2*p+1 < n; p++ {
-			sh := shadows[refs[p]]
+			sh, _ := shadows.Get(refs[p])
 			for side, off := range [2]uint64{offLeftShadow, offRightShadow} {
 				i := 2*p + 1 + side
 				if sh[side] != mem.Nil {
@@ -330,7 +334,7 @@ func amplifiedWorker(c *sim.Ctx, rt *pool.Runtime, np *pool.ClassPool, shadows s
 			c.Write(uint64(parent)+off, 4)     // shadow = child
 		}
 		for p := 0; 2*p+1 < n; p++ {
-			shadows[refs[p]] = [2]mem.Ref{refs[2*p+1], refs[2*p+2]}
+			shadows.Put(refs[p], [2]mem.Ref{refs[2*p+1], refs[2*p+2]})
 		}
 		if !np.Free(c, refs[0]) {
 			// Pool at its MaxObjects limit: the root went back to the
@@ -340,7 +344,7 @@ func amplifiedWorker(c *sim.Ctx, rt *pool.Runtime, np *pool.ClassPool, shadows s
 				rt.Underlying().Free(c, refs[i])
 			}
 			for _, r := range refs {
-				delete(shadows, r)
+				shadows.Put(r, [2]mem.Ref{})
 			}
 		}
 	}

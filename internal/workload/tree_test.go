@@ -279,11 +279,21 @@ func TestShadowTableKeepsEveryNode(t *testing.T) {
 		t.Fatal(err)
 	}
 	np := m.Pools.NewClassPool("Node", AmpNodeSize)
-	shadows := make(shadowTable)
+	table := new(shadowTable)
 	forEachThread(m.Engine, cfg, func(c *sim.Ctx, trees int) {
-		amplifiedWorker(c, m.Pools, np, shadows, cfg, trees)
+		amplifiedWorker(c, m.Pools, np, table, cfg, trees)
 	})
 	m.Run()
+	// Every node in the table came from the heap through the pool.
+	shadows := map[mem.Ref][2]mem.Ref{}
+	for r := range refs.missed {
+		if kids, ok := table.Get(r); ok {
+			shadows[r] = kids
+		}
+	}
+	if len(shadows) != table.Len() {
+		t.Fatalf("shadow table holds %d nodes, %d of them served by the heap", table.Len(), len(shadows))
+	}
 
 	parents := map[mem.Ref]int{}
 	pooledChildren := 0
