@@ -140,6 +140,57 @@ func TestVariousSizes(t *testing.T) {
 	}
 }
 
+// mustPanic fails t unless fn panics. It may run on a simulated
+// thread: it reports with t.Errorf, never t.Fatal.
+func mustPanic(t *testing.T, what string, fn func()) {
+	t.Helper()
+	defer func() {
+		if recover() == nil {
+			t.Errorf("%s did not panic", what)
+		}
+	}()
+	fn()
+}
+
+// TestUnknownRefPanics checks that every allocator refuses a ref it
+// never handed out, both before its block index holds anything and
+// after it holds a small and a huge block.
+func TestUnknownRefPanics(t *testing.T) {
+	for _, s := range strategies {
+		t.Run(s, func(t *testing.T) {
+			runOn(t, s, func(c *sim.Ctx, a alloc.Allocator) {
+				bogus := mem.Ref(0xbad0)
+				for _, step := range []string{"empty", "holding blocks"} {
+					mustPanic(t, step+": Free", func() { a.Free(c, bogus) })
+					mustPanic(t, step+": UsableSize", func() { a.UsableSize(bogus) })
+					bogus = a.Alloc(c, 20) + 8
+					a.Alloc(c, 70_000)
+				}
+			})
+		})
+	}
+}
+
+// TestFreedHugeBlockPanics checks that a freed block above the largest
+// class stays freed on the allocators that serve such blocks straight
+// from the address space: freeing it again or asking its size panics.
+func TestFreedHugeBlockPanics(t *testing.T) {
+	for _, s := range []string{"hoard", "lfalloc"} {
+		t.Run(s, func(t *testing.T) {
+			runOn(t, s, func(c *sim.Ctx, a alloc.Allocator) {
+				r := a.Alloc(c, 70_000)
+				a.Alloc(c, 70_000)
+				a.Free(c, r)
+				mustPanic(t, "Free of a freed huge block", func() { a.Free(c, r) })
+				mustPanic(t, "UsableSize of a freed huge block", func() { a.UsableSize(r) })
+				if st := a.Stats(); st.Frees != 1 || st.LiveBlocks != 1 {
+					t.Errorf("stats = %+v, want one free and one live block", st)
+				}
+			})
+		})
+	}
+}
+
 func TestDistinctBlocksDoNotOverlap(t *testing.T) {
 	for _, s := range strategies {
 		t.Run(s, func(t *testing.T) {

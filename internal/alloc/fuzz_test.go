@@ -6,9 +6,16 @@ import (
 	"testing"
 
 	"amplify/internal/alloc"
+	"amplify/internal/hoard"
+	"amplify/internal/lfalloc"
 	"amplify/internal/mem"
 	"amplify/internal/sim"
 )
+
+// hugeAbove is the largest class of each allocator that serves larger
+// blocks straight from the address space and reports them in a last
+// "huge" Inspect row.
+var hugeAbove = map[string]int64{"hoard": hoard.MaxClass, "lfalloc": lfalloc.MaxClass}
 
 // FuzzAllocator runs a random multi-threaded alloc/free script on one
 // of the registered allocators and checks the allocator contract
@@ -18,7 +25,10 @@ import (
 //   - Stats equals the model's counts and bytes;
 //   - Inspect's cumulative byte counts equal Stats';
 //   - the per-heap rows of lkmalloc, ptmalloc, hoard and lfalloc are
-//     never negative and sum to Stats.
+//     never negative and sum to Stats;
+//   - hoard and lfalloc report a "huge" row exactly while a request
+//     above their largest class is live, holding those blocks' count
+//     and bytes.
 //
 // data[0] picks the allocator, data[1] the thread count (1-4). Byte i
 // of the rest is an op of thread i mod threads, with the high two bits
@@ -66,6 +76,7 @@ func fuzzRun(t *testing.T, name string, scripts [][]byte) {
 	}
 	var model alloc.Stats
 	live := map[mem.Ref]int64{} // usable size of each live block
+	huge := map[mem.Ref]bool{}  // the live blocks of requests above hugeAbove
 	handoff := make([][]mem.Ref, len(scripts))
 	phase := e.NewWaitGroup()
 	phase.Add(len(scripts))
@@ -75,6 +86,7 @@ func fuzzRun(t *testing.T, name string, scripts [][]byte) {
 		model.LiveBlocks--
 		model.LiveBytes -= live[ref]
 		delete(live, ref)
+		delete(huge, ref)
 		a.Free(c, ref)
 	}
 	run := func(c *sim.Ctx, ops []byte, mine *[]mem.Ref, next int) {
@@ -95,6 +107,9 @@ func fuzzRun(t *testing.T, name string, scripts [][]byte) {
 					}
 				}
 				live[ref] = n
+				if max, ok := hugeAbove[name]; ok && size > max {
+					huge[ref] = true
+				}
 				model.Allocs++
 				model.LiveBlocks++
 				model.LiveBytes += n
@@ -170,5 +185,24 @@ func fuzzRun(t *testing.T, name string, scripts [][]byte) {
 	}
 	if blocks != st.LiveBlocks || bytes != st.LiveBytes {
 		t.Errorf("%s: heaps hold %d blocks, %d bytes; Stats %d, %d", name, blocks, bytes, st.LiveBlocks, st.LiveBytes)
+	}
+	if _, ok := hugeAbove[name]; !ok {
+		return
+	}
+	want := alloc.ArenaInfo{Name: "huge", LiveBlocks: int64(len(huge))}
+	for ref := range huge {
+		want.LiveBytes += live[ref]
+	}
+	var got alloc.ArenaInfo
+	for _, ar := range hi.Arenas {
+		if ar.Name == "huge" {
+			got = ar
+		}
+	}
+	if want.LiveBlocks == 0 {
+		want = alloc.ArenaInfo{}
+	}
+	if got != want {
+		t.Errorf("%s: huge row %+v, want %+v", name, got, want)
 	}
 }

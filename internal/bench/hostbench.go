@@ -114,6 +114,12 @@ int main() {
 }`},
 }
 
+// hostRow is a named host benchmark.
+type hostRow struct {
+	name string
+	run  func() error
+}
+
 // minOf warms fn up once, then runs it rounds times and returns the
 // minimum duration. Garbage is collected before every round, so no
 // round pays for the garbage of the rows or rounds before it and a
@@ -220,11 +226,9 @@ func HostBench() (*HostReport, error) {
 
 	// Scheduler benchmarks: spawn churn (thread creation/retirement
 	// through the pooled workers) and an oversubscribed run (preemption
-	// handoff and migration under a long ready queue).
-	schedBenches := []struct {
-		name string
-		run  func() error
-	}{
+	// handoff and migration under a long ready queue). The allocator
+	// rows follow them.
+	rows := []hostRow{
 		{"sched/spawn_churn_50k", func() error {
 			e := sim.New(sim.Config{Processors: 8})
 			e.Go("root", func(c *sim.Ctx) {
@@ -256,16 +260,37 @@ func HostBench() (*HostReport, error) {
 		}},
 		{"sim/cache_access", cacheAccessStream},
 	}
-	for _, sb := range schedBenches {
-		best, err := minOf(5, sb.run)
-		if err != nil {
-			return nil, fmt.Errorf("hostbench %s: %w", sb.name, err)
-		}
-		allocs, err := allocsPerOp(3, sb.run)
+	// One row per allocator: the four committed trace corpora replayed
+	// through it on eight processors, as the benchmark's trace-replay
+	// workload replays them. The corpora are built before the timing.
+	var traces []*alloctrace.Trace
+	for _, name := range alloctrace.CorpusNames() {
+		tr, err := alloctrace.Corpus(name)
 		if err != nil {
 			return nil, err
 		}
-		rep.Benchmarks = append(rep.Benchmarks, HostBenchmark{Name: sb.name, NsPerOp: best.Nanoseconds(), AllocsPerOp: allocs})
+		traces = append(traces, tr)
+	}
+	for _, strategy := range workload.ReplayStrategies() {
+		rows = append(rows, hostRow{"alloc/replay_" + strategy, func() error {
+			for _, tr := range traces {
+				if _, err := workload.RunReplay(strategy, workload.ReplayConfig{Trace: tr, Processors: 8}); err != nil {
+					return err
+				}
+			}
+			return nil
+		}})
+	}
+	for _, r := range rows {
+		best, err := minOf(5, r.run)
+		if err != nil {
+			return nil, fmt.Errorf("hostbench %s: %w", r.name, err)
+		}
+		allocs, err := allocsPerOp(3, r.run)
+		if err != nil {
+			return nil, err
+		}
+		rep.Benchmarks = append(rep.Benchmarks, HostBenchmark{Name: r.name, NsPerOp: best.Nanoseconds(), AllocsPerOp: allocs})
 	}
 
 	toolRows, err := toolPathHostBench()
@@ -340,10 +365,7 @@ func toolPathHostBench() ([]HostBenchmark, error) {
 	if err != nil {
 		return nil, err
 	}
-	rows := []struct {
-		name string
-		run  func() error
-	}{
+	rows := []hostRow{
 		{"front/parse", func() error {
 			_, err := cc.Parse(src)
 			return err

@@ -1,12 +1,12 @@
-// Package heapcore implements a single-threaded, size-class binned
-// free-list heap in the style of Doug Lea's allocator, and Set, a set
-// of such heaps each behind its own mutex. A Set is the whole allocator
-// layer of three baselines, which differ only in how an allocation
-// picks its heap: "serial" (one heap behind one global lock, standing
-// in for the Solaris default malloc), ptmalloc (one heap per arena) and
-// lkmalloc (one heap per processor). smartheap refills its thread
-// caches from a bare Heap, whose thread safety is the caller's
-// responsibility.
+// Package heapcore holds what the simulated allocators share: Index,
+// their block bookkeeping; Heap, a single-threaded size-class binned
+// free-list heap in the style of Doug Lea's allocator; and Set, such
+// heaps each behind its own mutex. A Set is the whole of serial (one
+// heap behind one global lock, standing in for the Solaris default
+// malloc), ptmalloc (one heap per arena) and lkmalloc (one heap per
+// processor) but for how an allocation picks its heap. smartheap
+// refills its thread caches from a bare Heap, whose thread safety is
+// the caller's responsibility.
 //
 // Realism notes: block headers, bin head pointers and free-list links
 // are charged as simulated memory accesses at their real addresses, so
@@ -16,8 +16,6 @@
 package heapcore
 
 import (
-	"fmt"
-
 	"amplify/internal/alloc"
 	"amplify/internal/mem"
 	"amplify/internal/sim"
@@ -59,9 +57,9 @@ type Heap struct {
 	// it per Alloc/Free showed up in interpreter profiles.
 	topA uint64
 
-	// sizes records the usable size of every block ever carved, under
-	// the heap number id. The heaps of a Set share one index.
-	sizes *blockIndex
+	// sizes records the usable size of every block ever carved, owned
+	// by the heap number id. The heaps of a Set share one index.
+	sizes *Index
 	id    int
 
 	Allocs, Frees int64
@@ -127,13 +125,14 @@ type Config struct {
 	PathOps int64
 }
 
-// New creates a heap on the given space. The heap reserves one page for
-// its metadata so different heaps never share metadata lines.
-func New(sp *mem.Space, cfg Config) *Heap {
-	return newHeap(sp, cfg.PathOps, new(blockIndex), 0)
+// New creates a heap on the given space that records its blocks in
+// index. The heap reserves one page for its metadata so different heaps
+// never share metadata lines.
+func New(sp *mem.Space, cfg Config, index *Index) *Heap {
+	return newHeap(sp, cfg.PathOps, index, 0)
 }
 
-func newHeap(sp *mem.Space, pathOps int64, sizes *blockIndex, id int) *Heap {
+func newHeap(sp *mem.Space, pathOps int64, sizes *Index, id int) *Heap {
 	h := &Heap{
 		space:   sp,
 		pathOps: pathOps,
@@ -188,19 +187,16 @@ func (h *Heap) MetaBase() mem.Ref { return h.metaBase }
 // wilderness pointer, on its own cache line.
 const LockOffset = 1024
 
-// UsableSize reports the usable size of an allocated or freed block.
-func (h *Heap) UsableSize(ref mem.Ref) int64 {
-	n, _ := h.sizes.lookup(ref, "UsableSize")
-	return n
+// Alloc carves or reuses a block of at least size bytes, records owner
+// as its owner in the index (the caller's to choose on a heap made by
+// New) and returns it with its usable size.
+func (h *Heap) Alloc(c *sim.Ctx, size int64, owner int) (mem.Ref, int64) {
+	ref, n := h.alloc(c, size)
+	h.sizes.Put(ref, n, owner)
+	return ref, n
 }
 
-// Alloc carves or reuses a block of at least size bytes.
-func (h *Heap) Alloc(c *sim.Ctx, size int64) mem.Ref {
-	ref, _ := h.alloc(c, size)
-	return ref
-}
-
-// alloc is Alloc that also returns the block's usable size.
+// alloc is Alloc that keeps the owner the index holds.
 func (h *Heap) alloc(c *sim.Ctx, size int64) (mem.Ref, int64) {
 	h.Allocs++
 	c.Work(h.pathOps)
@@ -213,7 +209,7 @@ func (h *Heap) alloc(c *sim.Ctx, size int64) (mem.Ref, int64) {
 	if bin < 0 {
 		// Huge allocation: straight from the space.
 		ref := h.space.Sbrk(c, usable+headerSize) + headerSize
-		h.sizes.put(ref, usable, h.id)
+		h.sizes.Put(ref, usable, h.id)
 		h.CarvedBytes += usable + headerSize
 		c.Write(uint64(ref)-headerSize, headerSize)
 		return ref, usable
@@ -261,14 +257,14 @@ func (h *Heap) carve(c *sim.Ctx, usable int64) mem.Ref {
 	ref := h.top + headerSize
 	h.top += mem.Ref(stride)
 	c.Write(h.topAddr(), 8)
-	h.sizes.put(ref, usable, h.id)
+	h.sizes.Put(ref, usable, h.id)
 	c.Write(uint64(ref)-headerSize, headerSize)
 	return ref
 }
 
 // Free returns a block to its size-class bin.
 func (h *Heap) Free(c *sim.Ctx, ref mem.Ref) {
-	usable, _ := h.sizes.lookup(ref, "Free")
+	usable, _ := h.sizes.Lookup(ref, "Free")
 	h.free(c, ref, usable)
 }
 
@@ -289,41 +285,4 @@ func (h *Heap) free(c *sim.Ctx, ref mem.Ref, usable int64) {
 	c.Write(uint64(ref), 8)
 	c.Write(h.binAddr(bin), 8)
 	h.bins[bin] = append(h.bins[bin], ref)
-}
-
-// blockIndex maps a block to its usable size and owning heap. It is a
-// mem.Table of packed words: the size in the low 48 bits and the heap
-// number above them, keeping a slot at 16 bytes. There is no deletion:
-// freed blocks keep their entries, as UsableSize answers for freed
-// blocks too, and a carved address is never carved again.
-type blockIndex struct {
-	words mem.Table[uint64] // size | heap<<sizeBits
-}
-
-const (
-	sizeBits = 48
-	maxHeaps = 1 << (64 - sizeBits)
-)
-
-func (x *blockIndex) get(ref mem.Ref) (size int64, heap int, ok bool) {
-	w, ok := x.words.Get(ref)
-	return int64(w & (1<<sizeBits - 1)), int(w >> sizeBits), ok
-}
-
-// lookup is get for a block that must be known; op names the failing
-// operation in the panic.
-func (x *blockIndex) lookup(ref mem.Ref, op string) (int64, int) {
-	size, heap, ok := x.get(ref)
-	if !ok {
-		panic(fmt.Sprintf("heapcore: %s of unknown block %#x", op, uint64(ref)))
-	}
-	return size, heap
-}
-
-// put records ref's size and heap, replacing an earlier entry for ref.
-func (x *blockIndex) put(ref mem.Ref, size int64, heap int) {
-	if uint64(size)>>sizeBits != 0 {
-		panic(fmt.Sprintf("heapcore: block of %d bytes overflows the index", size))
-	}
-	x.words.Put(ref, uint64(size)|uint64(heap)<<sizeBits)
 }

@@ -12,13 +12,18 @@ import (
 func withHeap(t *testing.T, fn func(c *sim.Ctx, h *Heap)) {
 	t.Helper()
 	e := sim.New(sim.Config{Processors: 1})
-	h := New(mem.NewSpace(), Config{PathOps: 10})
+	h := New(mem.NewSpace(), Config{PathOps: 10}, &Index{Name: "heapcore"})
 	e.Go("w", func(c *sim.Ctx) { fn(c, h) })
 	e.Run()
 }
 
+func usableSize(h *Heap, ref mem.Ref) int64 {
+	n, _ := h.sizes.Lookup(ref, "UsableSize")
+	return n
+}
+
 func TestClassRounding(t *testing.T) {
-	h := New(mem.NewSpace(), Config{})
+	h := New(mem.NewSpace(), Config{}, &Index{Name: "heapcore"})
 	cases := []struct{ req, usable int64 }{
 		{1, 16}, {16, 16}, {17, 32}, {20, 32}, {28, 32}, {512, 512},
 		{513, 1024}, {1000, 1024}, {1 << 20, 1 << 20},
@@ -35,9 +40,9 @@ func TestClassRounding(t *testing.T) {
 
 func TestAllocFreeCycleReuses(t *testing.T) {
 	withHeap(t, func(c *sim.Ctx, h *Heap) {
-		r1 := h.Alloc(c, 20)
+		r1, _ := h.Alloc(c, 20, 0)
 		h.Free(c, r1)
-		r2 := h.Alloc(c, 24) // same class (32)
+		r2, _ := h.Alloc(c, 24, 0) // same class (32)
 		if r1 != r2 {
 			t.Errorf("same-class realloc got %#x, want reuse of %#x", uint64(r2), uint64(r1))
 		}
@@ -46,14 +51,14 @@ func TestAllocFreeCycleReuses(t *testing.T) {
 
 func TestLargerBinReuse(t *testing.T) {
 	withHeap(t, func(c *sim.Ctx, h *Heap) {
-		r1 := h.Alloc(c, 64) // class 64
+		r1, _ := h.Alloc(c, 64, 0) // class 64
 		h.Free(c, r1)
-		r2 := h.Alloc(c, 40) // class 48; bin probe should find the 64 block
+		r2, _ := h.Alloc(c, 40, 0) // class 48; bin probe should find the 64 block
 		if r1 != r2 {
 			t.Errorf("expected first-fit reuse from larger bin")
 		}
-		if h.UsableSize(r2) != 64 {
-			t.Errorf("usable = %d, want 64", h.UsableSize(r2))
+		if usableSize(h, r2) != 64 {
+			t.Errorf("usable = %d, want 64", usableSize(h, r2))
 		}
 		// The reused block grants its own 64 bytes, not the request's
 		// class, so the live footprint is the block's.
@@ -68,8 +73,8 @@ func TestCarveAdjacency(t *testing.T) {
 	// what makes false sharing of small blocks possible on the shared
 	// heap, as in the paper's test case 1).
 	withHeap(t, func(c *sim.Ctx, h *Heap) {
-		r1 := h.Alloc(c, 20)
-		r2 := h.Alloc(c, 20)
+		r1, _ := h.Alloc(c, 20, 0)
+		r2, _ := h.Alloc(c, 20, 0)
 		if r2-r1 != 32+8 {
 			t.Errorf("stride = %d, want 40 (32 usable + 8 header)", r2-r1)
 		}
@@ -78,9 +83,9 @@ func TestCarveAdjacency(t *testing.T) {
 
 func TestHugeAlloc(t *testing.T) {
 	withHeap(t, func(c *sim.Ctx, h *Heap) {
-		r := h.Alloc(c, 5<<20)
-		if h.UsableSize(r) < 5<<20 {
-			t.Errorf("huge usable = %d", h.UsableSize(r))
+		r, _ := h.Alloc(c, 5<<20, 0)
+		if usableSize(h, r) < 5<<20 {
+			t.Errorf("huge usable = %d", usableSize(h, r))
 		}
 		h.Free(c, r) // must not panic; abandoned to the space
 	})
@@ -99,7 +104,7 @@ func TestFreeUnknownPanics(t *testing.T) {
 
 func TestOwns(t *testing.T) {
 	withHeap(t, func(c *sim.Ctx, h *Heap) {
-		r := h.Alloc(c, 20)
+		r, _ := h.Alloc(c, 20, 0)
 		if _, _, ok := h.sizes.get(r); !ok {
 			t.Error("allocated block not in the block index")
 		}
@@ -113,14 +118,14 @@ func TestChurnProperty(t *testing.T) {
 	prop := func(ops []uint8) bool {
 		ok := true
 		e := sim.New(sim.Config{Processors: 1})
-		h := New(mem.NewSpace(), Config{})
+		h := New(mem.NewSpace(), Config{}, &Index{Name: "heapcore"})
 		e.Go("w", func(c *sim.Ctx) {
 			var live []mem.Ref
 			for _, op := range ops {
 				if len(live) == 0 || op%3 != 0 {
 					sz := int64(op)*3 + 1
-					r := h.Alloc(c, sz)
-					if h.UsableSize(r) < sz {
+					r, _ := h.Alloc(c, sz, 0)
+					if usableSize(h, r) < sz {
 						ok = false
 						return
 					}
@@ -144,8 +149,8 @@ func TestChurnProperty(t *testing.T) {
 
 func TestHeapsHaveDistinctMetadata(t *testing.T) {
 	sp := mem.NewSpace()
-	h1 := New(sp, Config{})
-	h2 := New(sp, Config{})
+	h1 := New(sp, Config{}, &Index{Name: "heapcore"})
+	h2 := New(sp, Config{}, &Index{Name: "heapcore"})
 	if h1.MetaBase() == h2.MetaBase() {
 		t.Fatal("heaps share a metadata page")
 	}
@@ -157,14 +162,14 @@ func TestHeapsHaveDistinctMetadata(t *testing.T) {
 func TestCarvedBytesAccounting(t *testing.T) {
 	withHeap(t, func(c *sim.Ctx, h *Heap) {
 		before := h.CarvedBytes
-		h.Alloc(c, 100)
+		h.Alloc(c, 100, 0)
 		if h.CarvedBytes <= before {
 			t.Error("CarvedBytes did not grow on first carve")
 		}
 		carved := h.CarvedBytes
-		r := h.Alloc(c, 100)
+		r, _ := h.Alloc(c, 100, 0)
 		h.Free(c, r)
-		h.Alloc(c, 100) // reuse: no new carving beyond the wilderness walk
+		h.Alloc(c, 100, 0) // reuse: no new carving beyond the wilderness walk
 		if h.CarvedBytes != carved {
 			t.Errorf("reuse carved more memory: %d -> %d", carved, h.CarvedBytes)
 		}
@@ -173,7 +178,7 @@ func TestCarvedBytesAccounting(t *testing.T) {
 
 // TestBlockIndexMatchesMap checks the flat block index against a Go
 // map through several growths, with clustered and scattered refs,
-// overwrites of existing entries, and sizes and heap numbers up to the
+// overwrites of existing entries, and sizes and owners up to the
 // limits of their packed fields.
 func TestBlockIndexMatchesMap(t *testing.T) {
 	type entry struct {
@@ -181,18 +186,18 @@ func TestBlockIndexMatchesMap(t *testing.T) {
 		heap int
 	}
 	rng := rand.New(rand.NewSource(1))
-	var x blockIndex
+	var x Index
 	want := map[mem.Ref]entry{}
 	for i := 0; i < 20_000; i++ {
 		ref := mem.Ref(0x10008 + 16*rng.Intn(5000))
 		if i%3 == 0 {
 			ref = mem.Ref(rng.Uint64() | 1)
 		}
-		e := entry{int64(rng.Intn(1 << 20)), rng.Intn(maxHeaps)}
+		e := entry{int64(rng.Intn(1 << 20)), rng.Intn(maxOwners)}
 		if i%101 == 0 {
-			e = entry{1<<sizeBits - 1, maxHeaps - 1}
+			e = entry{1<<sizeBits - 1, maxOwners - 1}
 		}
-		x.put(ref, e.size, e.heap)
+		x.Put(ref, e.size, e.heap)
 		want[ref] = e
 	}
 	if x.words.Len() != len(want) {
@@ -219,14 +224,14 @@ func TestBlockIndexMatchesMap(t *testing.T) {
 // warm-up. ReportAllocs pins the host allocations per operation pair.
 func BenchmarkHeapAllocFree(b *testing.B) {
 	e := sim.New(sim.Config{Processors: 1})
-	h := New(mem.NewSpace(), Config{PathOps: 10})
+	h := New(mem.NewSpace(), Config{PathOps: 10}, &Index{Name: "heapcore"})
 	e.Go("w", func(c *sim.Ctx) {
-		r := h.Alloc(c, 20) // warm the bin and the wilderness
+		r, _ := h.Alloc(c, 20, 0) // warm the bin and the wilderness
 		h.Free(c, r)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			r := h.Alloc(c, 20)
+			r, _ := h.Alloc(c, 20, 0)
 			h.Free(c, r)
 		}
 	})
@@ -237,12 +242,12 @@ func BenchmarkHeapAllocFree(b *testing.B) {
 // fresh block from the wilderness (nothing is freed).
 func BenchmarkHeapCarve(b *testing.B) {
 	e := sim.New(sim.Config{Processors: 1})
-	h := New(mem.NewSpace(), Config{PathOps: 10})
+	h := New(mem.NewSpace(), Config{PathOps: 10}, &Index{Name: "heapcore"})
 	e.Go("w", func(c *sim.Ctx) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			h.Alloc(c, 20)
+			h.Alloc(c, 20, 0)
 		}
 	})
 	e.Run()

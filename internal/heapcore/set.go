@@ -14,9 +14,9 @@ import (
 // that carved it whichever thread frees it. The set counts the
 // allocator's Stats.
 //
-// A Set implements alloc.Allocator but for Name, and alloc.Inspector;
-// the allocator built on it supplies the name and pick, which chooses
-// the heap of an allocation and returns it with its mutex held.
+// A Set implements alloc.Allocator and alloc.Inspector; the allocator
+// built on it supplies pick, which chooses the heap of an allocation
+// and returns it with its mutex held.
 type Set struct {
 	e       *sim.Engine
 	sp      *mem.Space
@@ -24,7 +24,7 @@ type Set struct {
 	pick    func(c *sim.Ctx) int
 
 	heaps []setHeap
-	index blockIndex
+	index Index
 	stats alloc.Stats
 }
 
@@ -34,18 +34,22 @@ type setHeap struct {
 	row  string // Inspect row name; "" reports no row
 }
 
-// NewSet creates an empty set whose heaps charge pathOps per operation.
-func NewSet(e *sim.Engine, sp *mem.Space, pathOps int64, pick func(c *sim.Ctx) int) *Set {
-	return &Set{e: e, sp: sp, pathOps: pathOps, pick: pick}
+// NewSet creates the empty set of the allocator name, whose heaps
+// charge pathOps per operation.
+func NewSet(e *sim.Engine, sp *mem.Space, name string, pathOps int64, pick func(c *sim.Ctx) int) *Set {
+	return &Set{e: e, sp: sp, pathOps: pathOps, pick: pick, index: Index{Name: name}}
 }
+
+// Name implements alloc.Allocator.
+func (s *Set) Name() string { return s.index.Name }
 
 // Add creates a heap and its mutex, named lock, and returns the heap's
 // number. Inspect reports the heap as an arena named row, or not at all
 // when row is empty.
 func (s *Set) Add(lock, row string) int {
 	id := len(s.heaps)
-	if id == maxHeaps {
-		panic(fmt.Sprintf("heapcore: a set holds at most %d heaps", maxHeaps))
+	if id == maxOwners {
+		panic(fmt.Sprintf("%s: a set holds at most %d heaps", s.index.Name, maxOwners))
 	}
 	h := newHeap(s.sp, s.pathOps, &s.index, id)
 	s.heaps = append(s.heaps, setHeap{h, s.e.NewMutexAt(lock, uint64(h.MetaBase())+LockOffset), row})
@@ -74,7 +78,7 @@ func (s *Set) Alloc(c *sim.Ctx, size int64) mem.Ref {
 // Free implements alloc.Allocator: the block returns to its owning
 // heap, whose lock is taken even when another thread allocated it.
 func (s *Set) Free(c *sim.Ctx, ref mem.Ref) {
-	n, i := s.index.lookup(ref, "Free")
+	n, i := s.index.Lookup(ref, "Free")
 	h := s.heaps[i]
 	h.lock.Lock(c)
 	s.stats.Uncount(n)
@@ -85,7 +89,7 @@ func (s *Set) Free(c *sim.Ctx, ref mem.Ref) {
 
 // UsableSize implements alloc.Allocator.
 func (s *Set) UsableSize(ref mem.Ref) int64 {
-	n, _ := s.index.lookup(ref, "UsableSize")
+	n, _ := s.index.Lookup(ref, "UsableSize")
 	return n
 }
 

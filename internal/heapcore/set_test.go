@@ -15,7 +15,7 @@ func TestSetFreesToOwningHeap(t *testing.T) {
 	e := sim.New(sim.Config{Processors: 1})
 	next := 1
 	var s *Set
-	s = NewSet(e, mem.NewSpace(), 10, func(c *sim.Ctx) int {
+	s = NewSet(e, mem.NewSpace(), "set", 10, func(c *sim.Ctx) int {
 		s.Mutex(next).Lock(c)
 		return next
 	})

@@ -11,6 +11,7 @@ import (
 	"fmt"
 
 	"amplify/internal/alloc"
+	"amplify/internal/heapcore"
 	"amplify/internal/mem"
 	"amplify/internal/sim"
 )
@@ -38,6 +39,7 @@ type superblock struct {
 }
 
 type heap struct {
+	name string // the Inspect row
 	lock *sim.Mutex
 	// sbs[class] lists this heap's superblocks, ones with free blocks
 	// kept towards the end for cheap access.
@@ -48,13 +50,13 @@ type heap struct {
 
 // Allocator is the Hoard-style allocator.
 type Allocator struct {
-	e       *sim.Engine
-	sp      *mem.Space
-	classes []int64
+	sp *mem.Space
 	// heaps[0] is the global heap; 1..N are the per-processor heaps.
 	heaps []*heap
-	sbOf  map[mem.Ref]*superblock
-	huge  map[mem.Ref]int64
+	// index holds each block's size and superblock, a number in sbs.
+	index heapcore.Index
+	sbs   []*superblock
+	huge  heapcore.Huge
 	stats alloc.Stats
 }
 
@@ -65,24 +67,18 @@ func New(e *sim.Engine, sp *mem.Space, heaps int) *Allocator {
 	if heaps <= 0 {
 		heaps = e.Processors()
 	}
-	a := &Allocator{
-		e:    e,
-		sp:   sp,
-		sbOf: make(map[mem.Ref]*superblock),
-		huge: make(map[mem.Ref]int64),
-	}
-	for s := int64(16); s <= MaxClass; s *= 2 {
-		a.classes = append(a.classes, s)
-	}
+	a := &Allocator{sp: sp, index: heapcore.Index{Name: "hoard"}}
+	last, _ := heapcore.SizeClass(MaxClass, MaxClass)
 	for i := 0; i <= heaps; i++ {
-		name := fmt.Sprintf("hoard.heap%d", i)
+		name := fmt.Sprintf("heap%d", i)
 		if i == 0 {
-			name = "hoard.global"
+			name = "global"
 		}
 		metaBase := sp.Sbrk(nil, mem.PageSize)
 		a.heaps = append(a.heaps, &heap{
-			lock:     e.NewMutexAt(name, uint64(metaBase)+1024),
-			sbs:      make([][]*superblock, len(a.classes)),
+			name:     name,
+			lock:     e.NewMutexAt("hoard."+name, uint64(metaBase)+1024),
+			sbs:      make([][]*superblock, last+1),
 			metaBase: metaBase,
 		})
 	}
@@ -98,15 +94,6 @@ func init() {
 // Name implements alloc.Allocator.
 func (a *Allocator) Name() string { return "hoard" }
 
-func (a *Allocator) classFor(size int64) int {
-	for i, c := range a.classes {
-		if size <= c {
-			return i
-		}
-	}
-	return -1
-}
-
 // heapFor maps a thread to its heap by id modulation, exactly the
 // behaviour the paper blames for Hoard's trouble once threads exceed
 // processors.
@@ -116,14 +103,15 @@ func (a *Allocator) heapFor(tid int) int {
 
 // newSuperblock carves a fresh superblock for a class.
 func (a *Allocator) newSuperblock(c *sim.Ctx, class int) *superblock {
-	bs := a.classes[class]
+	bs := int64(heapcore.MinClass) << class
 	base := a.sp.Sbrk(c, SuperblockSize)
 	sb := &superblock{class: class, blockSize: bs, base: base}
 	for off := int64(0); off+bs <= SuperblockSize; off += bs {
 		ref := base + mem.Ref(off)
 		sb.free = append(sb.free, ref)
-		a.sbOf[ref] = sb
+		a.index.Put(ref, bs, len(a.sbs))
 	}
+	a.sbs = append(a.sbs, sb)
 	c.Write(uint64(base), 16) // initialize superblock header
 	return sb
 }
@@ -131,14 +119,9 @@ func (a *Allocator) newSuperblock(c *sim.Ctx, class int) *superblock {
 // Alloc implements alloc.Allocator.
 func (a *Allocator) Alloc(c *sim.Ctx, size int64) mem.Ref {
 	c.Work(PathOps)
-	class := a.classFor(size)
+	class, _ := heapcore.SizeClass(size, MaxClass)
 	if class < 0 {
-		usable := (size + 15) &^ 15
-		ref := a.sp.Sbrk(c, usable)
-		a.huge[ref] = usable
-		a.stats.Count(size, usable)
-		c.Emit(sim.Event{Kind: sim.EvHeapAlloc, Arg1: usable, Arg2: int64(ref), Arg3: size})
-		return ref
+		return a.huge.Alloc(c, a.sp, &a.stats, size)
 	}
 	hi := a.heapFor(c.ThreadID())
 	h := a.heaps[hi]
@@ -199,16 +182,11 @@ func (sb *superblock) pop(c *sim.Ctx) mem.Ref {
 // the fully-empty case).
 func (a *Allocator) Free(c *sim.Ctx, ref mem.Ref) {
 	c.Work(PathOps)
-	if usable, ok := a.huge[ref]; ok {
-		delete(a.huge, ref)
-		a.stats.Uncount(usable)
-		c.Trace(sim.EvHeapFree, "", usable, int64(ref))
+	if a.huge.Free(c, &a.stats, ref) {
 		return
 	}
-	sb, ok := a.sbOf[ref]
-	if !ok {
-		panic(fmt.Sprintf("hoard: Free of unknown block %#x", uint64(ref)))
-	}
+	_, n := a.index.Lookup(ref, "Free")
+	sb := a.sbs[n]
 	h := a.heaps[sb.owner]
 	h.lock.Lock(c)
 	sb.free = append(sb.free, ref)
@@ -244,14 +222,11 @@ func (a *Allocator) release(c *sim.Ctx, h *heap, sb *superblock) {
 
 // UsableSize implements alloc.Allocator.
 func (a *Allocator) UsableSize(ref mem.Ref) int64 {
-	if usable, ok := a.huge[ref]; ok {
+	if usable, ok := a.huge.UsableSize(ref); ok {
 		return usable
 	}
-	sb, ok := a.sbOf[ref]
-	if !ok {
-		panic(fmt.Sprintf("hoard: UsableSize of unknown block %#x", uint64(ref)))
-	}
-	return sb.blockSize
+	bs, _ := a.index.Lookup(ref, "UsableSize")
+	return bs
 }
 
 // Stats implements alloc.Allocator.
@@ -268,15 +243,11 @@ func (a *Allocator) Inspect() alloc.HeapInfo {
 		ReqBytes:     a.stats.ReqBytes,
 		GrantedBytes: a.stats.GrantBytes,
 	}
-	for idx, h := range a.heaps {
-		name := fmt.Sprintf("heap%d", idx)
-		if idx == 0 {
-			name = "global"
-		}
-		ai := alloc.ArenaInfo{Name: name}
-		for class, list := range h.sbs {
-			bs := a.classes[class]
+	for _, h := range a.heaps {
+		ai := alloc.ArenaInfo{Name: h.name}
+		for _, list := range h.sbs {
 			for _, sb := range list {
+				bs := sb.blockSize
 				free := int64(len(sb.free))
 				ai.FreeBlocks += free
 				ai.FreeBytes += free * bs
@@ -291,12 +262,6 @@ func (a *Allocator) Inspect() alloc.HeapInfo {
 		hi.FreeBytes += ai.FreeBytes
 		hi.Arenas = append(hi.Arenas, ai)
 	}
-	if len(a.huge) > 0 {
-		huge := alloc.ArenaInfo{Name: "huge", LiveBlocks: int64(len(a.huge))}
-		for _, n := range a.huge {
-			huge.LiveBytes += n
-		}
-		hi.Arenas = append(hi.Arenas, huge)
-	}
+	a.huge.AddRow(&hi)
 	return hi
 }

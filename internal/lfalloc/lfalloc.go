@@ -28,6 +28,7 @@ import (
 	"fmt"
 
 	"amplify/internal/alloc"
+	"amplify/internal/heapcore"
 	"amplify/internal/mem"
 	"amplify/internal/sim"
 )
@@ -76,8 +77,8 @@ type class struct {
 	// host-side structural metadata, like every allocator here.
 	blocks []mem.Ref
 	next   []int32
-	// priv holds the per-thread private state, keyed by thread slot.
-	priv map[int]*priv
+	// priv holds the per-thread private state, indexed by thread slot.
+	priv []*priv
 	// Host-side occupancy counters for Inspect.
 	live       int64
 	freeShared int64
@@ -86,13 +87,12 @@ type class struct {
 
 // Allocator is the lock-free pool allocator.
 type Allocator struct {
-	e       *sim.Engine
 	sp      *mem.Space
 	classes []*class
 	// loc maps a live or free pooled block to its class and index
 	// (class in the high bits, index in the low 32).
-	loc   map[mem.Ref]int64
-	huge  map[mem.Ref]int64
+	loc   mem.Table[uint64]
+	huge  heapcore.Huge
 	stats alloc.Stats
 }
 
@@ -100,19 +100,13 @@ type Allocator struct {
 // on a private metadata page, one cache line apart, so two classes
 // never false-share a line.
 func New(e *sim.Engine, sp *mem.Space) *Allocator {
-	a := &Allocator{
-		e:    e,
-		sp:   sp,
-		loc:  make(map[mem.Ref]int64),
-		huge: make(map[mem.Ref]int64),
-	}
+	a := &Allocator{sp: sp}
 	metaBase := sp.Sbrk(nil, mem.PageSize)
-	for bs := int64(16); bs <= MaxClass; bs *= 2 {
+	for bs := int64(heapcore.MinClass); bs <= MaxClass; bs *= 2 {
 		a.classes = append(a.classes, &class{
 			ci:        len(a.classes),
 			blockSize: bs,
 			headAddr:  uint64(metaBase) + uint64(len(a.classes))*128,
-			priv:      make(map[int]*priv),
 		})
 	}
 	return a
@@ -126,24 +120,6 @@ func init() {
 
 // Name implements alloc.Allocator.
 func (a *Allocator) Name() string { return "lfalloc" }
-
-func (a *Allocator) classFor(size int64) *class {
-	for _, cl := range a.classes {
-		if size <= cl.blockSize {
-			return cl
-		}
-	}
-	return nil
-}
-
-func (cl *class) privOf(tid int) *priv {
-	p := cl.priv[tid]
-	if p == nil {
-		p = &priv{}
-		cl.priv[tid] = p
-	}
-	return p
-}
 
 // popShared tries to pop a block index off the class's shared stack
 // within the CAS budget. Reading the top block's next link is safe
@@ -183,33 +159,29 @@ func (a *Allocator) pushShared(c *sim.Ctx, cl *class, idx int32) bool {
 	return false
 }
 
-// register assigns a fresh block its global index (Kenwright: indices
-// are handed out by bumping, never by an initialization sweep).
-func (a *Allocator) register(cl *class, ref mem.Ref) int32 {
-	idx := int32(len(cl.blocks))
-	cl.blocks = append(cl.blocks, ref)
-	cl.next = append(cl.next, -1)
-	a.loc[ref] = int64(cl.ci)<<32 | int64(uint32(idx))
-	return idx
+// locate returns the class and index of a pooled block; an unknown ref
+// panics, naming the operation op.
+func (a *Allocator) locate(ref mem.Ref, op string) (*class, int32) {
+	l, ok := a.loc.Get(ref)
+	if !ok {
+		panic(fmt.Sprintf("lfalloc: %s of unknown block %#x", op, uint64(ref)))
+	}
+	return a.classes[l>>32], int32(uint32(l))
 }
 
 // Alloc implements alloc.Allocator.
 func (a *Allocator) Alloc(c *sim.Ctx, size int64) mem.Ref {
 	c.Work(PathOps)
-	cl := a.classFor(size)
-	if cl == nil {
-		usable := (size + 15) &^ 15
-		ref := a.sp.Sbrk(c, usable)
-		a.huge[ref] = usable
-		a.stats.Count(size, usable)
-		c.Emit(sim.Event{Kind: sim.EvHeapAlloc, Arg1: usable, Arg2: int64(ref), Arg3: size})
-		return ref
+	ci, _ := heapcore.SizeClass(size, MaxClass)
+	if ci < 0 {
+		return a.huge.Alloc(c, a.sp, &a.stats, size)
 	}
+	cl := a.classes[ci]
 	var ref mem.Ref
 	if idx, ok := a.popShared(c, cl); ok {
 		ref = cl.blocks[idx]
 	} else {
-		p := cl.privOf(c.ThreadID())
+		p := heapcore.Slot(&cl.priv, c.ThreadID())
 		if n := len(p.free); n > 0 {
 			idx := p.free[n-1]
 			p.free = p.free[:n-1]
@@ -232,7 +204,11 @@ func (a *Allocator) Alloc(c *sim.Ctx, size int64) mem.Ref {
 			}
 			ref = p.bumpRef + mem.Ref(p.bumpOff)
 			p.bumpOff += cl.blockSize
-			a.register(cl, ref)
+			// A fresh block's index is handed out by bumping, never by
+			// an initialization sweep (Kenwright).
+			a.loc.Put(ref, uint64(cl.ci)<<32|uint64(len(cl.blocks)))
+			cl.blocks = append(cl.blocks, ref)
+			cl.next = append(cl.next, -1)
 		}
 	}
 	cl.live++
@@ -248,22 +224,14 @@ func (a *Allocator) Alloc(c *sim.Ctx, size int64) mem.Ref {
 // budget-exhausted Alloc.
 func (a *Allocator) Free(c *sim.Ctx, ref mem.Ref) {
 	c.Work(PathOps)
-	if usable, ok := a.huge[ref]; ok {
-		delete(a.huge, ref)
-		a.stats.Uncount(usable)
-		c.Trace(sim.EvHeapFree, "", usable, int64(ref))
+	if a.huge.Free(c, &a.stats, ref) {
 		return
 	}
-	l, ok := a.loc[ref]
-	if !ok {
-		panic(fmt.Sprintf("lfalloc: Free of unknown block %#x", uint64(ref)))
-	}
-	cl := a.classes[l>>32]
-	idx := int32(uint32(l))
+	cl, idx := a.locate(ref, "Free")
 	cl.live--
 	a.stats.Uncount(cl.blockSize)
 	if !a.pushShared(c, cl, idx) {
-		p := cl.privOf(c.ThreadID())
+		p := heapcore.Slot(&cl.priv, c.ThreadID())
 		p.free = append(p.free, idx)
 		cl.freePriv++
 		c.Write(uint64(ref), 8) // private list link
@@ -273,14 +241,11 @@ func (a *Allocator) Free(c *sim.Ctx, ref mem.Ref) {
 
 // UsableSize implements alloc.Allocator.
 func (a *Allocator) UsableSize(ref mem.Ref) int64 {
-	if usable, ok := a.huge[ref]; ok {
+	if usable, ok := a.huge.UsableSize(ref); ok {
 		return usable
 	}
-	l, ok := a.loc[ref]
-	if !ok {
-		panic(fmt.Sprintf("lfalloc: UsableSize of unknown block %#x", uint64(ref)))
-	}
-	return a.classes[l>>32].blockSize
+	cl, _ := a.locate(ref, "UsableSize")
+	return cl.blockSize
 }
 
 // Stats implements alloc.Allocator.
@@ -312,7 +277,9 @@ func (a *Allocator) Inspect() alloc.HeapInfo {
 		}
 		var wild int64
 		for _, p := range cl.priv {
-			wild += p.bumpEnd - p.bumpOff
+			if p != nil {
+				wild += p.bumpEnd - p.bumpOff
+			}
 		}
 		hi.WildernessFree += wild
 		if wild > hi.WildernessHW {
@@ -320,12 +287,6 @@ func (a *Allocator) Inspect() alloc.HeapInfo {
 		}
 		hi.Arenas = append(hi.Arenas, ai)
 	}
-	if len(a.huge) > 0 {
-		huge := alloc.ArenaInfo{Name: "huge", LiveBlocks: int64(len(a.huge))}
-		for _, n := range a.huge {
-			huge.LiveBytes += n
-		}
-		hi.Arenas = append(hi.Arenas, huge)
-	}
+	a.huge.AddRow(&hi)
 	return hi
 }

@@ -34,7 +34,7 @@ func New(e *sim.Engine, sp *mem.Space, heaps int) *Allocator {
 		heaps = e.Processors()
 	}
 	a := &Allocator{}
-	a.Set = heapcore.NewSet(e, sp, PathOps, a.lockHeap)
+	a.Set = heapcore.NewSet(e, sp, "lkmalloc", PathOps, a.lockHeap)
 	for i := 0; i < heaps; i++ {
 		a.Add(fmt.Sprintf("lkmalloc.heap%d", i), fmt.Sprintf("heap%d", i))
 	}
@@ -46,9 +46,6 @@ func init() {
 		return New(e, sp, opt.Arenas)
 	})
 }
-
-// Name implements alloc.Allocator.
-func (a *Allocator) Name() string { return "lkmalloc" }
 
 // lockHeap hashes the calling thread's current processor to a heap and
 // locks it. Using the processor keeps allocation local after

@@ -58,17 +58,3 @@ func TestScalesAcrossThreads(t *testing.T) {
 		t.Fatalf("lkmalloc did not scale: 1T=%d 4T=%d", t1, t4)
 	}
 }
-
-func TestUnknownFreePanics(t *testing.T) {
-	e := sim.New(sim.Config{Processors: 1})
-	a := New(e, mem.NewSpace(), 0)
-	e.Go("w", func(c *sim.Ctx) {
-		defer func() {
-			if recover() == nil {
-				t.Error("expected panic")
-			}
-		}()
-		a.Free(c, mem.Ref(0x1))
-	})
-	e.Run()
-}

@@ -35,7 +35,7 @@ type Allocator struct {
 // New creates a ptmalloc-style allocator with one initial arena.
 func New(e *sim.Engine, sp *mem.Space) *Allocator {
 	a := &Allocator{max: MaxArenasPerCPU * e.Processors()}
-	a.Set = heapcore.NewSet(e, sp, PathOps, a.lockArena)
+	a.Set = heapcore.NewSet(e, sp, "ptmalloc", PathOps, a.lockArena)
 	a.addArena()
 	return a
 }
@@ -54,9 +54,6 @@ func (a *Allocator) addArena() int {
 	id := a.Len()
 	return a.Add(fmt.Sprintf("ptmalloc.arena%d", id), fmt.Sprintf("arena%d", id))
 }
-
-// Name implements alloc.Allocator.
-func (a *Allocator) Name() string { return "ptmalloc" }
 
 // Arenas reports how many arenas exist (tests observe arena growth).
 func (a *Allocator) Arenas() int { return a.Len() }

@@ -82,17 +82,3 @@ func TestArenaCap(t *testing.T) {
 		t.Fatalf("arenas = %d, want <= cap 2", a.Arenas())
 	}
 }
-
-func TestUnknownRefPanics(t *testing.T) {
-	e := sim.New(sim.Config{Processors: 1})
-	a := New(e, mem.NewSpace())
-	e.Go("w", func(c *sim.Ctx) {
-		defer func() {
-			if recover() == nil {
-				t.Error("expected panic")
-			}
-		}()
-		a.Free(c, mem.Ref(0xbad))
-	})
-	e.Run()
-}

@@ -24,7 +24,7 @@ type Allocator struct{ *heapcore.Set }
 // New creates the baseline allocator.
 func New(e *sim.Engine, sp *mem.Space) *Allocator {
 	a := &Allocator{}
-	a.Set = heapcore.NewSet(e, sp, PathOps, func(c *sim.Ctx) int {
+	a.Set = heapcore.NewSet(e, sp, "serial", PathOps, func(c *sim.Ctx) int {
 		a.Mutex(0).Lock(c)
 		return 0
 	})
@@ -37,6 +37,3 @@ func init() {
 		return New(e, sp)
 	})
 }
-
-// Name implements alloc.Allocator.
-func (a *Allocator) Name() string { return "serial" }

@@ -9,7 +9,6 @@ package smartheap
 
 import (
 	"fmt"
-	"sort"
 
 	"amplify/internal/alloc"
 	"amplify/internal/heapcore"
@@ -27,44 +26,41 @@ const (
 	BatchSize = 16
 	// MaxCached is the largest class served by thread caches.
 	MaxCached = 1024
+	// cacheClasses counts the classes from heapcore.MinClass to MaxCached.
+	cacheClasses = 7
 )
-
-type class struct{ size int64 }
 
 type threadCache struct {
 	// lists[class] holds cached free blocks.
-	lists [][]mem.Ref
+	lists [cacheClasses][]mem.Ref
 	// metaBase gives each cache private metadata lines.
 	metaBase mem.Ref
 }
 
 // Allocator is the SmartHeap-like per-thread cache allocator.
 type Allocator struct {
-	e       *sim.Engine
-	sp      *mem.Space
-	classes []class
-	shared  *heapcore.Heap
-	lock    *sim.Mutex
-	caches  map[int]*threadCache
-	sizeOf  map[mem.Ref]int64
-	stats   alloc.Stats
+	sp     *mem.Space
+	shared *heapcore.Heap
+	// index is the shared heap's block index. A block's owner is 0
+	// while it is large and its cache class + 1 while cached, as a
+	// refill's first fit may take a block larger than the class.
+	index *heapcore.Index
+	lock  *sim.Mutex
+	// caches holds the per-thread caches, indexed by thread slot.
+	caches []*threadCache
+	stats  alloc.Stats
 }
 
 // New creates the allocator.
 func New(e *sim.Engine, sp *mem.Space) *Allocator {
-	shared := heapcore.New(sp, heapcore.Config{PathOps: 35})
-	a := &Allocator{
-		e:      e,
+	index := &heapcore.Index{Name: "smartheap"}
+	shared := heapcore.New(sp, heapcore.Config{PathOps: 35}, index)
+	return &Allocator{
 		sp:     sp,
 		shared: shared,
+		index:  index,
 		lock:   e.NewMutexAt("smartheap.shared", uint64(shared.MetaBase())+heapcore.LockOffset),
-		caches: make(map[int]*threadCache),
-		sizeOf: make(map[mem.Ref]int64),
 	}
-	for s := int64(16); s <= MaxCached; s *= 2 {
-		a.classes = append(a.classes, class{size: s})
-	}
-	return a
 }
 
 func init() {
@@ -76,36 +72,21 @@ func init() {
 // Name implements alloc.Allocator.
 func (a *Allocator) Name() string { return "smartheap" }
 
-func (a *Allocator) classFor(size int64) int {
-	for i, cl := range a.classes {
-		if size <= cl.size {
-			return i
-		}
-	}
-	return -1
-}
-
 func (a *Allocator) cacheFor(tid int) *threadCache {
-	tc, ok := a.caches[tid]
-	if !ok {
-		tc = &threadCache{
-			lists:    make([][]mem.Ref, len(a.classes)),
-			metaBase: a.sp.Sbrk(nil, mem.PageSize),
-		}
-		a.caches[tid] = tc
+	tc := heapcore.Slot(&a.caches, tid)
+	if tc.metaBase == mem.Nil {
+		tc.metaBase = a.sp.Sbrk(nil, mem.PageSize)
 	}
 	return tc
 }
 
 // Alloc implements alloc.Allocator.
 func (a *Allocator) Alloc(c *sim.Ctx, size int64) mem.Ref {
-	ci := a.classFor(size)
+	ci, csize := heapcore.SizeClass(size, MaxCached)
 	if ci < 0 {
 		// Large: straight to the shared heap.
 		a.lock.Lock(c)
-		ref := a.shared.Alloc(c, size)
-		usable := a.shared.UsableSize(ref)
-		a.sizeOf[ref] = usable
+		ref, usable := a.shared.Alloc(c, size, 0)
 		a.stats.Count(size, usable)
 		a.lock.Unlock(c)
 		c.Emit(sim.Event{Kind: sim.EvHeapAlloc, Arg1: usable, Arg2: int64(ref), Arg3: size})
@@ -123,18 +104,16 @@ func (a *Allocator) Alloc(c *sim.Ctx, size int64) mem.Ref {
 	tc.lists[ci] = tc.lists[ci][:last]
 	c.Read(uint64(ref), 8)
 	c.Write(listAddr, 8)
-	a.stats.Count(size, a.classes[ci].size)
-	c.Emit(sim.Event{Kind: sim.EvHeapAlloc, Arg1: a.classes[ci].size, Arg2: int64(ref), Arg3: size})
+	a.stats.Count(size, csize)
+	c.Emit(sim.Event{Kind: sim.EvHeapAlloc, Arg1: csize, Arg2: int64(ref), Arg3: size})
 	return ref
 }
 
 // refill pulls a batch of blocks of class ci from the shared heap.
 func (a *Allocator) refill(c *sim.Ctx, tc *threadCache, ci int) {
-	size := a.classes[ci].size
 	a.lock.Lock(c)
 	for i := 0; i < BatchSize; i++ {
-		ref := a.shared.Alloc(c, size)
-		a.sizeOf[ref] = size
+		ref, _ := a.shared.Alloc(c, heapcore.MinClass<<ci, ci+1)
 		tc.lists[ci] = append(tc.lists[ci], ref)
 	}
 	a.lock.Unlock(c)
@@ -144,11 +123,7 @@ func (a *Allocator) refill(c *sim.Ctx, tc *threadCache, ci int) {
 // thread's cache (SmartHeap-style), overflowing in batches to the
 // shared heap.
 func (a *Allocator) Free(c *sim.Ctx, ref mem.Ref) {
-	usable, ok := a.sizeOf[ref]
-	if !ok {
-		panic(fmt.Sprintf("smartheap: Free of unknown block %#x", uint64(ref)))
-	}
-	ci := a.classFor(usable)
+	usable, ci := a.usable(ref, "Free")
 	a.stats.Uncount(usable)
 	c.Trace(sim.EvHeapFree, "", usable, int64(ref))
 	if ci < 0 {
@@ -182,11 +157,18 @@ func (a *Allocator) flush(c *sim.Ctx, tc *threadCache, ci int) {
 
 // UsableSize implements alloc.Allocator.
 func (a *Allocator) UsableSize(ref mem.Ref) int64 {
-	usable, ok := a.sizeOf[ref]
-	if !ok {
-		panic(fmt.Sprintf("smartheap: UsableSize of unknown block %#x", uint64(ref)))
-	}
+	usable, _ := a.usable(ref, "UsableSize")
 	return usable
+}
+
+// usable returns a block's usable size and its cache class, -1 for a
+// large block; an unknown ref panics, naming the operation op.
+func (a *Allocator) usable(ref mem.Ref, op string) (int64, int) {
+	n, owner := a.index.Lookup(ref, op)
+	if owner == 0 {
+		return n, -1
+	}
+	return heapcore.MinClass << (owner - 1), owner - 1
 }
 
 // Stats implements alloc.Allocator.
@@ -200,18 +182,15 @@ func (a *Allocator) Stats() alloc.Stats { return a.stats }
 func (a *Allocator) Inspect() alloc.HeapInfo {
 	hi := a.shared.Inspect().HeapInfo()
 	hi.ReqBytes, hi.GrantedBytes = a.stats.ReqBytes, a.stats.GrantBytes
-	tids := make([]int, 0, len(a.caches))
-	for tid := range a.caches {
-		tids = append(tids, tid)
-	}
-	sort.Ints(tids)
-	for _, tid := range tids {
-		tc := a.caches[tid]
+	for tid, tc := range a.caches {
+		if tc == nil {
+			continue
+		}
 		ai := alloc.ArenaInfo{Name: fmt.Sprintf("tcache%d", tid)}
 		for ci, list := range tc.lists {
 			n := int64(len(list))
 			ai.FreeBlocks += n
-			ai.FreeBytes += n * a.classes[ci].size
+			ai.FreeBytes += n * (heapcore.MinClass << ci)
 		}
 		hi.Arenas = append(hi.Arenas, ai)
 	}
