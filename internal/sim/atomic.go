@@ -46,8 +46,14 @@ func (c *Ctx) CAS(addr uint64, old, new int64) bool {
 	if ok {
 		e.setAtomicWord(addr, new)
 	}
-	e.cache.access(t, t.cpu(), addr, 8, true)
-	t.advance(e.cost.Atomic)
+	if line, one := lineOf(addr, 8); one {
+		e.cache.accessLine(t, t.cpu(), line, true)
+	} else {
+		e.cache.access(t, t.cpu(), addr, 8, true)
+	}
+	if !t.charge(e.cost.Atomic) {
+		t.advanceShared(e.cost.Atomic)
+	}
 	t.AtomicCAS++
 	if !ok {
 		t.AtomicCASFailed++
@@ -71,8 +77,14 @@ func (c *Ctx) FAA(addr uint64, delta int64) int64 {
 	e := t.e
 	old := e.atomicWord(addr)
 	e.setAtomicWord(addr, old+delta)
-	e.cache.access(t, t.cpu(), addr, 8, true)
-	t.advance(e.cost.Atomic)
+	if line, one := lineOf(addr, 8); one {
+		e.cache.accessLine(t, t.cpu(), line, true)
+	} else {
+		e.cache.access(t, t.cpu(), addr, 8, true)
+	}
+	if !t.charge(e.cost.Atomic) {
+		t.advanceShared(e.cost.Atomic)
+	}
 	t.AtomicFAA++
 	e.traceArgs(t, EvAtomicFAA, "", int64(addr), delta)
 	t.maybeYield()
@@ -86,7 +98,11 @@ func (c *Ctx) AtomicLoad(addr uint64) int64 {
 	t := c.t
 	e := t.e
 	v := e.atomicWord(addr)
-	e.cache.access(t, t.cpu(), addr, 8, false)
+	if line, one := lineOf(addr, 8); one {
+		e.cache.accessLine(t, t.cpu(), line, false)
+	} else {
+		e.cache.access(t, t.cpu(), addr, 8, false)
+	}
 	t.AtomicLoads++
 	e.traceArgs(t, EvAtomicLoad, "", int64(addr), 0)
 	t.maybeYield()

@@ -84,28 +84,37 @@ func newCache(cost *CostModel) *Cache {
 	}
 }
 
-// access charges t for touching [addr, addr+size) on processor cpu.
-// write distinguishes stores from loads. Most accesses (a field, a
-// word, a lock word) stay inside one line and go straight to
-// accessLine; only one that straddles lines loops.
+// lineOf returns the line holding addr and whether the size-byte access
+// at addr fits in it, as most do (a field, a word, a lock word). The
+// charge sites send such an access straight to accessLine and only one
+// that straddles lines to access.
+func lineOf(addr uint64, size int64) (uint64, bool) {
+	line := addr >> lineShift
+	return line, line == (addr+uint64(max(size, 1))-1)>>lineShift
+}
+
+// access charges t for touching [addr, addr+size) on processor cpu, one
+// line at a time. write distinguishes stores from loads.
 func (c *Cache) access(t *Thread, cpu int, addr uint64, size int64, write bool) {
 	first := addr >> lineShift
 	last := (addr + uint64(max(size, 1)) - 1) >> lineShift
-	if first == last {
-		c.accessLine(t, cpu, first, write)
-		return
-	}
 	for line := first; line <= last; line++ {
 		c.accessLine(t, cpu, line, write)
 	}
 }
 
+// accessLine charges t for touching one line on processor cpu. A memo
+// miss probes the line's home slot before falling back to record, which
+// finds most lines there.
 func (c *Cache) accessLine(t *Thread, cpu int, line uint64, write bool) {
 	var r *lineRec
 	if key := line + 1; c.memoKey == key {
 		r = &c.recs[c.memoSlot]
 	} else {
-		i := c.record(line)
+		i := int(hashLine(line, uint64(len(c.recs)-1)))
+		if c.recs[i].key != key {
+			i = c.record(line)
+		}
 		c.memoKey, c.memoSlot = key, i
 		r = &c.recs[i]
 	}
@@ -152,7 +161,9 @@ func (c *Cache) accessLine(t *Thread, cpu int, line uint64, write bool) {
 		r.writer = int32(cpu)
 	}
 	*seen = r.version
-	t.advance(cycles)
+	if !t.charge(cycles) {
+		t.advanceShared(cycles)
+	}
 }
 
 // hashLine spreads line numbers, which are near-sequential, across the
@@ -212,12 +223,11 @@ func (c *Cache) growRecs() {
 
 // extraSeen returns cpu's overflow seen version for line, inserting it
 // on first touch, and whether it was already present. The pointer is
-// valid until the next call.
+// valid until the next call. As in record, the load factor is checked
+// only on an insert.
 func (c *Cache) extraSeen(line uint64, cpu int32) (*uint32, bool) {
 	if len(c.extra) == 0 {
 		c.extra = make([]sharerRec, extraTableMinSize)
-	} else if (c.extraN+1)*4 > len(c.extra)*3 {
-		c.growExtra()
 	}
 	mask := uint64(len(c.extra) - 1)
 	key := line + 1
@@ -228,6 +238,10 @@ func (c *Cache) extraSeen(line uint64, cpu int32) (*uint32, bool) {
 			return &s.seen, true
 		}
 		if s.key == 0 {
+			if (c.extraN+1)*4 > len(c.extra)*3 {
+				c.growExtra()
+				return c.extraSeen(line, cpu)
+			}
 			s.key, s.cpu = key, cpu
 			c.extraN++
 			return &s.seen, false

@@ -70,7 +70,7 @@ func (c *refCache) accessLine(t *Thread, cpu int, line uint64, write bool) {
 		g.set(gi, gok, line, uint64(version)|uint64(uint32(writer))<<32)
 	}
 	s.set(si, sok, line, uint64(version))
-	t.advance(cycles)
+	refAdvance(t, cycles)
 }
 
 // refLineMap is an open-addressed table from line to a 64-bit payload

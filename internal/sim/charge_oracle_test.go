@@ -39,14 +39,18 @@ type chargeOp struct {
 type chargeKind uint8
 
 const (
-	chargeDirect chargeKind = iota // advance(arg), or refAdvance(arg)
-	chargeWork                     // Work(arg)
-	chargeRead                     // Read of 8 bytes at word arg
-	chargeWrite                    // Write of 8 bytes at word arg
-	chargeLock                     // Lock mutex arg unless one is held
-	chargeUnlock                   // Unlock the held mutex
-	chargeSpawn                    // spawn a thread that runs child
-	chargeWait                     // wait for the spawned threads
+	chargeDirect  chargeKind = iota // advance(arg), or refAdvance(arg)
+	chargeWork                      // Work(arg)
+	chargeRead                      // Read of 8 bytes at word arg, 16 if arg is odd
+	chargeWrite                     // Write of 8 bytes at word arg, 16 if arg is odd
+	chargeLock                      // Lock mutex arg unless one is held
+	chargeUnlock                    // Unlock the held mutex
+	chargeSpawn                     // spawn a thread that runs child
+	chargeWait                      // wait for the spawned threads
+	chargeTryLock                   // Unlock the try-mutex if held, else Lock (arg 1, if free) or TryLock it
+	chargeCAS                       // CAS(0, 1) at word arg
+	chargeFAA                       // FAA(1) at word arg
+	chargeKinds
 )
 
 // chargeScript returns a random script of up to n steps. Direct
@@ -57,7 +61,7 @@ const (
 func chargeScript(rng *rand.Rand, n, depth int) []chargeOp {
 	var ops []chargeOp
 	for range 1 + rng.Intn(n) {
-		op := chargeOp{kind: chargeKind(rng.Intn(8))}
+		op := chargeOp{kind: chargeKind(rng.Intn(int(chargeKinds)))}
 		switch op.kind {
 		case chargeDirect:
 			if rng.Intn(2) == 0 {
@@ -67,9 +71,9 @@ func chargeScript(rng *rand.Rand, n, depth int) []chargeOp {
 			}
 		case chargeWork:
 			op.arg = 1 + rng.Int63n(20)
-		case chargeRead, chargeWrite:
+		case chargeRead, chargeWrite, chargeCAS, chargeFAA:
 			op.arg = rng.Int63n(24)
-		case chargeLock:
+		case chargeLock, chargeTryLock:
 			op.arg = rng.Int63n(2)
 		case chargeSpawn:
 			if depth == 0 {
@@ -107,17 +111,58 @@ type chargeRegimes struct {
 }
 
 // chargeRun runs one top-level thread per script on P processors,
-// untraced, with every direct charge made by refAdvance when ref is
-// set and by advance otherwise. It logs every thread's state after
-// each step and counts the regimes the direct charges began in; it
-// returns the first moment at which more threads demanded a processor
-// than were live, or "" if there was none.
+// untraced. When ref is set it prices every step it can without the
+// charge code under test: direct charges and Work by refAdvance (Work
+// charges its n operations as one advance of n·Op), and Read, Write,
+// CAS, FAA and the try-mutex's lock word through refCache, whose line
+// charge is refAdvance too; the try-mutex, never waited for, charges
+// its Lock, TryLock and Unlock prices by refAdvance. Only the two
+// blocking mutexes run the engine's code in both runs, on lock words
+// no other step touches. It logs every thread's state after each step and
+// counts the regimes the direct charges began in; it returns the first
+// moment at which more threads demanded a processor than were live, or
+// "" if there was none.
 func chargeRun(procs int, scripts [][]chargeOp, ref bool) (log []chargeRec, reg chargeRegimes, over string, makespan int64) {
 	e := New(Config{Processors: procs})
 	locks := [2]*Mutex{e.NewMutexAt("a", 0x8000), e.NewMutexAt("b", 0x8040)}
+	try := e.NewMutexAt("try", 0x8080)
+	refc := newRefCache(procs, &e.cost)
 	check := func(t *Thread, where string) {
 		if over == "" && e.running > len(e.live) {
 			over = fmt.Sprintf("%s by thread %d at %d: %d running, %d live", where, t.slot, t.clock, e.running, len(e.live))
+		}
+	}
+	// tryStep unlocks the try-mutex if t holds it. Otherwise it locks
+	// it when lock is set and the mutex is free, so Lock takes its
+	// uncontended path, and tries to lock it when not.
+	tryStep := func(c *Ctx, lock bool) {
+		t := c.t
+		lock = lock && try.owner == nil
+		switch {
+		case !ref && try.owner == t:
+			try.Unlock(c)
+		case !ref && lock:
+			try.Lock(c)
+		case !ref:
+			try.TryLock(c)
+		case try.owner == t:
+			t.held--
+			refAdvance(t, e.cost.LockRelease)
+			refc.access(t, t.cpu(), try.addr, 8, true)
+			try.owner = nil
+			t.maybeYield()
+		default:
+			if lock {
+				refAdvance(t, e.cost.LockAcquire)
+			} else {
+				refAdvance(t, e.cost.TryLock)
+			}
+			refc.access(t, t.cpu(), try.addr, 8, true)
+			if try.owner == nil {
+				try.owner = t
+				t.held++
+			}
+			t.maybeYield()
 		}
 	}
 	var run func(c *Ctx, script []chargeOp)
@@ -145,11 +190,44 @@ func chargeRun(procs int, scripts [][]chargeOp, ref bool) (log []chargeRec, reg 
 				}
 				t.maybeYield()
 			case chargeWork:
-				c.Work(op.arg)
-			case chargeRead:
-				c.Read(0x10000+uint64(op.arg)*24, 8)
-			case chargeWrite:
-				c.Write(0x10000+uint64(op.arg)*24, 8)
+				if ref {
+					refAdvance(t, op.arg*e.cost.Op)
+					t.maybeYield()
+				} else {
+					c.Work(op.arg)
+				}
+			case chargeRead, chargeWrite:
+				addr := 0x10000 + uint64(op.arg)*24
+				size := 8 + 8*(op.arg&1) // words 5, 13 and 21 straddle two lines
+				if ref {
+					refc.access(t, t.cpu(), addr, size, op.kind == chargeWrite)
+					t.maybeYield()
+				} else if op.kind == chargeWrite {
+					c.Write(addr, size)
+				} else {
+					c.Read(addr, size)
+				}
+			case chargeCAS, chargeFAA:
+				addr := 0x10000 + uint64(op.arg)*24
+				if !ref {
+					if op.kind == chargeCAS {
+						c.CAS(addr, 0, 1)
+					} else {
+						c.FAA(addr, 1)
+					}
+					break
+				}
+				switch old := e.atomicWord(addr); {
+				case op.kind == chargeFAA:
+					e.setAtomicWord(addr, old+1)
+				case old == 0:
+					e.setAtomicWord(addr, 1)
+				}
+				refc.access(t, t.cpu(), addr, 8, true)
+				refAdvance(t, e.cost.Atomic)
+				t.maybeYield()
+			case chargeTryLock:
+				tryStep(c, op.arg == 1)
 			case chargeLock:
 				if held == nil {
 					held = locks[op.arg]
@@ -177,6 +255,9 @@ func chargeRun(procs int, scripts [][]chargeOp, ref bool) (log []chargeRec, reg 
 		if held != nil {
 			held.Unlock(c)
 		}
+		if try.owner == t {
+			tryStep(c, false)
+		}
 		wg.Wait(c)
 		check(t, "at the end")
 	}
@@ -187,9 +268,10 @@ func chargeRun(procs int, scripts [][]chargeOp, ref bool) (log []chargeRec, reg 
 	return log, reg, over, makespan
 }
 
-// TestAdvanceMatchesReference drives random charge scripts through
-// advance and through refAdvance, the charge before the one-line fast
-// path, on P = 1, 2, 8 and 1024 with just under P threads (spawns take
+// TestAdvanceMatchesReference drives random charge scripts through the
+// engine's charge sites and through the reference prices of chargeRun
+// (refAdvance, the charge before the one-line fast path, and refCache),
+// on P = 1, 2, 8 and 1024 with just under P threads (spawns take
 // the live count past P and retirements bring it back) and with more
 // than P (oversubscribed from the start), and requires every thread's
 // clock, processor and migrations and the makespan to agree after every

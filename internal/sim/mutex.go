@@ -42,7 +42,12 @@ func (e *Engine) NewMutexAt(name string, addr uint64) *Mutex {
 
 // touch performs the lock word's atomic store through the cache model.
 func (m *Mutex) touch(t *Thread) {
-	if m.addr != 0 {
+	if m.addr == 0 {
+		return
+	}
+	if line, one := lineOf(m.addr, 8); one {
+		m.e.cache.accessLine(t, t.cpu(), line, true)
+	} else {
 		m.e.cache.access(t, t.cpu(), m.addr, 8, true)
 	}
 }
@@ -54,7 +59,9 @@ func (m *Mutex) Name() string { return m.name }
 // if it is held. Handoff is FIFO, so the lock is fair.
 func (m *Mutex) Lock(c *Ctx) {
 	t := c.t
-	t.advance(m.e.cost.LockAcquire)
+	if !t.charge(m.e.cost.LockAcquire) {
+		t.advanceShared(m.e.cost.LockAcquire)
+	}
 	m.touch(t)
 	if m.owner == nil {
 		m.owner = t
@@ -94,7 +101,9 @@ func (m *Mutex) Lock(c *Ctx) {
 // whether it succeeded.
 func (m *Mutex) TryLock(c *Ctx) bool {
 	t := c.t
-	t.advance(m.e.cost.TryLock)
+	if !t.charge(m.e.cost.TryLock) {
+		t.advanceShared(m.e.cost.TryLock)
+	}
 	m.touch(t)
 	ok := m.owner == nil
 	if ok {
@@ -120,7 +129,9 @@ func (m *Mutex) Unlock(c *Ctx) {
 		panic("sim: Unlock of mutex not held by calling thread: " + m.name)
 	}
 	t.held--
-	t.advance(m.e.cost.LockRelease)
+	if !t.charge(m.e.cost.LockRelease) {
+		t.advanceShared(m.e.cost.LockRelease)
+	}
 	m.touch(t)
 	m.e.trace(t, EvLockRelease, m.name)
 	if len(m.waiters) == 0 {

@@ -90,22 +90,32 @@ type Thread struct {
 // advance moves the thread's clock forward by cycles, dilated by the
 // processor-sharing factor when more threads are runnable than there are
 // processors, and charges migration when the processor assignment
-// changed since the last advance.
-//
-// The common case takes a short path: with at most P live threads
-// nothing is dilated, because the threads demanding a processor are a
-// subset of the live ones (running <= len(live)), and cpu() is the
-// home processor, so a thread still on it migrates nowhere. The charge
-// is then the bare cycles.
+// changed since the last advance. It is the head, charge, and the slow
+// path, advanceShared; the hot charge sites write out this body so the
+// common case pays no call.
 func (t *Thread) advance(cycles int64) {
-	if e := t.e; len(e.live) <= e.procs && t.lastCPU == t.home {
-		t.clock += cycles
-		if t.clock > e.maxClock {
-			e.maxClock = t.clock
-		}
-	} else {
+	if !t.charge(cycles) {
 		t.advanceShared(cycles)
 	}
+}
+
+// charge is the head of advance, small enough to inline at every charge
+// site. With at most P live threads nothing is dilated, because the
+// threads demanding a processor are a subset of the live ones (running
+// <= len(live)), and cpu() is the home processor, so a thread still on
+// it migrates nowhere: the charge is the bare cycles, which charge
+// applies, reporting true. Otherwise it changes nothing and reports
+// false, and the caller must call advanceShared.
+func (t *Thread) charge(cycles int64) bool {
+	e := t.e
+	if len(e.live) > e.procs || t.lastCPU != t.home {
+		return false
+	}
+	t.clock += cycles
+	if t.clock > e.maxClock {
+		e.maxClock = t.clock
+	}
+	return true
 }
 
 // advanceShared is the slow path of advance: an oversubscribed machine,
@@ -246,8 +256,11 @@ func (c *Ctx) Advance(cycles int64) {
 	if cycles < 0 {
 		panic(fmt.Sprintf("sim: negative advance %d", cycles))
 	}
-	c.t.advance(cycles)
-	c.t.maybeYield()
+	t := c.t
+	if !t.charge(cycles) {
+		t.advanceShared(cycles)
+	}
+	t.maybeYield()
 }
 
 // Work charges n generic operations (n times CostModel.Op).
@@ -257,14 +270,24 @@ func (c *Ctx) Work(n int64) {
 
 // Read charges a load of size bytes at addr through the cache model.
 func (c *Ctx) Read(addr uint64, size int64) {
-	c.t.e.cache.access(c.t, c.t.cpu(), addr, size, false)
-	c.t.maybeYield()
+	t := c.t
+	if line, one := lineOf(addr, size); one {
+		t.e.cache.accessLine(t, t.cpu(), line, false)
+	} else {
+		t.e.cache.access(t, t.cpu(), addr, size, false)
+	}
+	t.maybeYield()
 }
 
 // Write charges a store of size bytes at addr through the cache model.
 func (c *Ctx) Write(addr uint64, size int64) {
-	c.t.e.cache.access(c.t, c.t.cpu(), addr, size, true)
-	c.t.maybeYield()
+	t := c.t
+	if line, one := lineOf(addr, size); one {
+		t.e.cache.accessLine(t, t.cpu(), line, true)
+	} else {
+		t.e.cache.access(t, t.cpu(), addr, size, true)
+	}
+	t.maybeYield()
 }
 
 // Sbrk charges the cost of extending the address space.
@@ -312,7 +335,9 @@ func (t *Thread) compute(n int64) {
 		return
 	}
 	for range n {
-		t.advance(e.cost.Op)
+		if !t.charge(e.cost.Op) {
+			t.advanceShared(e.cost.Op)
+		}
 		t.maybeYield()
 	}
 }
@@ -341,7 +366,11 @@ func (t *Thread) open() bool {
 // wherever Compute would not run ahead, it is exactly Read.
 func (c *Ctx) ReadAhead(addr uint64, size int64) {
 	t := c.t
-	t.e.cache.access(t, t.cpu(), addr, size, false)
+	if line, one := lineOf(addr, size); one {
+		t.e.cache.accessLine(t, t.cpu(), line, false)
+	} else {
+		t.e.cache.access(t, t.cpu(), addr, size, false)
+	}
 	if t.clock >= t.lease && !t.open() {
 		t.yieldCheck()
 	}
@@ -350,7 +379,11 @@ func (c *Ctx) ReadAhead(addr uint64, size int64) {
 // WriteAhead is ReadAhead for a store the caller has already made.
 func (c *Ctx) WriteAhead(addr uint64, size int64) {
 	t := c.t
-	t.e.cache.access(t, t.cpu(), addr, size, true)
+	if line, one := lineOf(addr, size); one {
+		t.e.cache.accessLine(t, t.cpu(), line, true)
+	} else {
+		t.e.cache.access(t, t.cpu(), addr, size, true)
+	}
 	if t.clock >= t.lease && !t.open() {
 		t.yieldCheck()
 	}
@@ -372,7 +405,9 @@ func (t *Thread) sync() {
 	for {
 		for t.debt > 0 {
 			t.debt--
-			t.advance(e.cost.Op)
+			if !t.charge(e.cost.Op) {
+				t.advanceShared(e.cost.Op)
+			}
 			t.maybeYield()
 		}
 		if n := e.ready.peek(); n == nil || schedBefore(t, n) {
